@@ -328,9 +328,11 @@ func CostMatrix(ps *PathStats, orgs []Organization) (*Matrix, error) {
 	return core.NewMatrixFromStats(ps, orgs)
 }
 
-// Select runs the full selection algorithm — Cost_Matrix, Min_Cost and the
-// branch-and-bound Opt_Ind_Con — returning the optimal configuration, the
-// search statistics, and the matrix for inspection.
+// Select runs the full selection — Cost_Matrix, Min_Cost and the O(n^2)
+// dynamic program, which finds the optimum Opt_Ind_Con finds — returning
+// the optimal configuration, the search statistics, and the matrix for
+// inspection; OptIndCon on the matrix gives the paper's branch-and-bound
+// trace.
 func Select(ps *PathStats, orgs []Organization) (Result, *Matrix, error) {
 	return core.Select(ps, orgs)
 }

@@ -33,6 +33,25 @@ func TestSelectFigure7(t *testing.T) {
 	}
 }
 
+func TestSelectReturnsErrorsForBadInput(t *testing.T) {
+	// Each of these panicked inside core before it validated its input.
+	if _, _, err := Select(nil, nil); err == nil {
+		t.Error("Select accepted nil statistics")
+	}
+	if _, err := SelectBatch([]*PathStats{nil}, nil); err == nil {
+		t.Error("SelectBatch accepted a nil path")
+	}
+	if _, _, err := Select(Figure7Stats(), []Organization{-1}); err == nil {
+		t.Error("Select accepted organization -1")
+	}
+	if _, _, err := Select(Figure7Stats(), []Organization{MX, MX}); err == nil {
+		t.Error("Select accepted a repeated organization")
+	}
+	if _, err := SubpathCost(nil, 1, 1, MX); err == nil {
+		t.Error("SubpathCost accepted nil statistics")
+	}
+}
+
 func TestSelectWithNoIndexColumn(t *testing.T) {
 	// With the NONE extension column, the optimum can only improve or stay
 	// equal (the search space grows).

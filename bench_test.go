@@ -103,8 +103,7 @@ func BenchmarkSelectionDP(b *testing.B) {
 
 // BenchmarkCostMatrix measures Cost_Matrix construction alone (the
 // dominant term the paper's complexity discussion identifies for
-// practical path lengths), on Figure 7 and on longer chains where the
-// bounded worker pool engages.
+// practical path lengths), on Figure 7 and on longer chains.
 func BenchmarkCostMatrix(b *testing.B) {
 	b.Run("fig7", func(b *testing.B) {
 		ps := model.Figure7Stats()

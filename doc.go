@@ -57,14 +57,16 @@
 // procedures (OptIndCon, Exhaustive, DP) are iterative and
 // allocation-free over a fixed matrix: their Into variants reuse the
 // caller's result buffers and report 0 allocs/op under -benchmem.
-// Matrix construction parallelizes the independent subpath cells over a
-// bounded worker pool and memoizes the per-level index geometries, noid
-// chains and Yao evaluations that adjacent subpaths share; the memoized
-// path is bit-identical to the straightforward one (enforced by
-// equivalence tests). On the reference container this makes the n=12
-// branch-and-bound about 20x faster than the map-backed seed engine and
-// Figure 7 matrix construction about 2.4x faster on a single core, with
-// construction additionally scaling across cores.
+// Matrix construction is where a selection spends its time, so the cells
+// are what is made cheap: Yao's formula is evaluated in closed form, in
+// time independent of the record count, and a per-path level table holds
+// everything that depends on the level alone, so that an MX or MIX cell is
+// a sum over table entries and only NIX, PX and NX cells evaluate cost
+// functions. Select, SelectBatch and SelectMulti serve the O(n^2) dynamic
+// program's optimum; OptIndCon on the returned matrix gives the paper's
+// branch-and-bound trace. On the reference 2-CPU container a Figure 7
+// matrix builds in about 21 µs and a selection over a path of length 12
+// with five organizations in about 350 µs.
 //
 // For many paths, SelectBatch selects concurrently (one worker per CPU)
 // and recycles matrix buffers through a sync.Pool; SelectMulti fans its

@@ -320,14 +320,15 @@ func (m *Matrix) ConfigurationCost(c Configuration) (float64, error) {
 	return total, nil
 }
 
-// Select runs the full algorithm on path statistics: Cost_Matrix, Min_Cost
-// and Opt_Ind_Con, returning the optimal configuration, its cost, and the
-// matrix for inspection.
+// Select runs the full selection on path statistics: Cost_Matrix, Min_Cost
+// and the O(n^2) dynamic program DP, which returns the same optimum as
+// Opt_Ind_Con (Proposition 4.2). It returns the optimal configuration, its
+// cost, and the matrix for inspection; callers after the paper's
+// branch-and-bound trace run OptIndCon on the returned matrix.
 func Select(ps *model.PathStats, orgs []cost.Organization) (Result, *Matrix, error) {
 	m, err := NewMatrixFromStats(ps, orgs)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	r := m.OptIndCon()
-	return r, m, nil
+	return m.DP(), m, nil
 }

@@ -299,6 +299,34 @@ func TestMatrixFromStatsRejectsBadStats(t *testing.T) {
 	}
 }
 
+func TestSelectRejectsBadInput(t *testing.T) {
+	// Regressions: each of these used to panic — nil statistics in
+	// ps.Len(), an organization below zero indexing the column table —
+	// or, for a repeated organization, silently shadowed a column.
+	ps := model.Figure7Stats()
+	if _, _, err := Select(nil, nil); err == nil {
+		t.Error("Select accepted nil statistics")
+	}
+	if _, err := SelectBatch([]*model.PathStats{ps, nil}, nil); err == nil {
+		t.Error("SelectBatch accepted a nil path")
+	}
+	if _, _, errs := SelectEach([]*model.PathStats{nil, ps}, nil); errs[0] == nil || errs[1] != nil {
+		t.Errorf("SelectEach errors = %v, want only the nil path to fail", errs)
+	}
+	for name, orgs := range map[string][]cost.Organization{
+		"negative":  {cost.Organization(-1)},
+		"unknown":   {cost.MX, cost.Organization(7)},
+		"duplicate": {cost.MX, cost.NIX, cost.MX},
+	} {
+		if _, _, err := Select(ps, orgs); err == nil {
+			t.Errorf("Select accepted %s organizations %v", name, orgs)
+		}
+		if _, err := NewMatrixFromValues(1, orgs, map[[2]int][]float64{{1, 1}: make([]float64, len(orgs))}); err == nil {
+			t.Errorf("NewMatrixFromValues accepted %s organizations %v", name, orgs)
+		}
+	}
+}
+
 func TestRowsOrdered(t *testing.T) {
 	m := Figure6Matrix()
 	rows := m.Rows()

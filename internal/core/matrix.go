@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
@@ -110,15 +110,6 @@ func (m *Matrix) index(a, b int) (int, bool) {
 	return m.rowStart[a-1] + b - a, true
 }
 
-// subpathAt inverts index: the (a,b) bounds of triangular index ti.
-func (m *Matrix) subpathAt(ti int) (a, b int) {
-	a = 1
-	for m.rowStart[a-1]+m.N-a < ti { // last index of row a
-		a++
-	}
-	return a, a + ti - m.rowStart[a-1]
-}
-
 // col resolves an organization to its column, -1 when absent.
 func (m *Matrix) col(org cost.Organization) int {
 	if org < 0 || int(org) >= len(m.cols) {
@@ -129,77 +120,54 @@ func (m *Matrix) col(org cost.Organization) int {
 
 // NewMatrixFromStats computes the full cost matrix of a path from its
 // statistics and workload. orgs defaults to the paper's {MX, MIX, NIX}.
-// Cells are independent and are computed by a bounded worker pool when the
-// matrix is large enough to amortize the goroutines.
 func NewMatrixFromStats(ps *model.PathStats, orgs []cost.Organization) (*Matrix, error) {
 	m := &Matrix{}
-	if err := m.buildFromStats(ps, orgs, Workers(ps.Len()*(ps.Len()+1)/2)); err != nil {
+	if err := m.buildFromStats(ps, orgs); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// parallelMinCells is the matrix size (subpaths x organizations) below
-// which construction stays serial: goroutine startup would dominate.
-const parallelMinCells = 48
-
-// buildFromStats fills m from statistics, reusing m's buffers. Up to
-// maxWorkers goroutines compute the independent subpath cells (1 means
-// serial — used by callers that already parallelize across paths); each
-// worker forks the shared geometry memo so no locks are taken on the hot
-// path. Construction stays serial for matrices too small to amortize the
-// goroutines.
-func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization, maxWorkers int) error {
-	if err := ps.Validate(); err != nil {
-		return err
+// checkOrgs rejects organizations outside the known set and duplicates,
+// which would shadow a column.
+func checkOrgs(orgs []cost.Organization) error {
+	for i, o := range orgs {
+		if !slices.Contains(cost.OrganizationsExtended, o) {
+			return fmt.Errorf("core: unknown organization %v", o)
+		}
+		if slices.Contains(orgs[:i], o) {
+			return fmt.Errorf("core: organization %v listed twice", o)
+		}
 	}
+	return nil
+}
+
+// buildFromStats fills m from statistics, reusing m's buffers. The level
+// table makes a cell cost about a microsecond, so the cells of one matrix
+// are computed serially; callers with many paths parallelize across them
+// (SelectBatch, SelectEach).
+func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization) error {
 	if len(orgs) == 0 {
 		orgs = cost.Organizations
 	}
-	n := ps.Len()
-	m.reset(n, orgs)
-	sh := cost.NewShared(ps)
+	if err := checkOrgs(orgs); err != nil {
+		return err
+	}
+	sh, err := cost.NewShared(ps)
+	if err != nil {
+		return err
+	}
+	m.reset(ps.Len(), orgs)
 	k := len(orgs)
-	nsub := m.nsub()
-
-	compute := func(ti int, sh *cost.Shared) error {
-		a, b := m.subpathAt(ti)
-		base := ti * k
-		for i, org := range orgs {
-			sc, err := cost.SubpathProcessingCostShared(ps, a, b, org, sh)
-			if err != nil {
-				return fmt.Errorf("core: subpath [%d,%d] %v: %w", a, b, org, err)
-			}
-			m.entries[base+i] = MatrixEntry{SC: sc}
-		}
-		return nil
-	}
-
-	workers := Workers(nsub)
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers < 2 || nsub*k < parallelMinCells {
-		for ti := 0; ti < nsub; ti++ {
-			if err := compute(ti, sh); err != nil {
-				return err
-			}
-		}
-	} else {
-		forks := make([]*cost.Shared, workers)
-		errs := make([]error, workers)
-		ParallelFor(nsub, workers, func(w, ti int) {
-			if errs[w] != nil {
-				return
-			}
-			if forks[w] == nil {
-				forks[w] = sh.Fork()
-			}
-			errs[w] = compute(ti, forks[w])
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
+	for a := 1; a <= m.N; a++ {
+		for b := a; b <= m.N; b++ {
+			base := (m.rowStart[a-1] + b - a) * k
+			for i, org := range orgs {
+				sc, err := sh.ProcessingCost(a, b, org)
+				if err != nil {
+					return fmt.Errorf("core: subpath [%d,%d] %v: %w", a, b, org, err)
+				}
+				m.entries[base+i] = MatrixEntry{SC: sc}
 			}
 		}
 	}
@@ -216,6 +184,9 @@ func NewMatrixFromValues(n int, orgs []cost.Organization, values map[[2]int][]fl
 	}
 	if len(orgs) == 0 {
 		orgs = cost.Organizations
+	}
+	if err := checkOrgs(orgs); err != nil {
+		return nil, err
 	}
 	m := &Matrix{}
 	m.reset(n, orgs)
@@ -296,11 +267,12 @@ func (m *Matrix) Rows() [][2]int {
 // the next path.
 var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
 
-// SelectBatch runs the full selection — Cost_Matrix, Min_Cost, Opt_Ind_Con
-// — for many paths concurrently, one worker per CPU, reusing pooled matrix
-// buffers across paths. Only the per-path results are returned; the
-// matrices are recycled, which makes repeated batches nearly allocation
-// free on the matrix side. The first error (in path order) is returned.
+// SelectBatch runs the full selection — Cost_Matrix, Min_Cost and the
+// prefix dynamic program — for many paths concurrently, one worker per CPU,
+// reusing pooled matrix buffers across paths. Only the per-path results are
+// returned; the matrices are recycled, which makes repeated batches nearly
+// allocation free on the matrix side. The first error (in path order) is
+// returned.
 func SelectBatch(pss []*model.PathStats, orgs []cost.Organization) ([]Result, error) {
 	if len(pss) == 0 {
 		return nil, fmt.Errorf("core: no paths given")
@@ -308,17 +280,16 @@ func SelectBatch(pss []*model.PathStats, orgs []cost.Organization) ([]Result, er
 	results := make([]Result, len(pss))
 	errs := make([]error, len(pss))
 	workers := Workers(len(pss))
-	budget := matrixWorkerBudget(workers)
 	ms := make([]*Matrix, workers)
 	ParallelFor(len(pss), workers, func(w, i int) {
 		if ms[w] == nil {
 			ms[w] = matrixPool.Get().(*Matrix)
 		}
-		if err := ms[w].buildFromStats(pss[i], orgs, budget); err != nil {
+		if err := ms[w].buildFromStats(pss[i], orgs); err != nil {
 			errs[i] = err
 			return
 		}
-		ms[w].OptIndConInto(&results[i])
+		ms[w].DPInto(&results[i])
 	})
 	for _, m := range ms {
 		if m != nil {
@@ -333,18 +304,6 @@ func SelectBatch(pss []*model.PathStats, orgs []cost.Organization) ([]Result, er
 	return results, nil
 }
 
-// matrixWorkerBudget splits the CPUs between path-level fan-out and
-// matrix-level construction: with fewer paths than cores, each path's
-// matrix build gets the spare cores; with many paths, builds stay serial
-// and the paths provide all the parallelism.
-func matrixWorkerBudget(pathWorkers int) int {
-	b := runtime.GOMAXPROCS(0) / pathWorkers
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // SelectEach runs the full selection for each path concurrently — like
 // SelectBatch, but returning the per-path matrices for callers that need
 // the cells afterwards (e.g. the multi-path sharing planner), at the cost
@@ -353,15 +312,13 @@ func matrixWorkerBudget(pathWorkers int) int {
 func SelectEach(pss []*model.PathStats, orgs []cost.Organization) (results []Result, ms []*Matrix, errs []error) {
 	n := len(pss)
 	results, ms, errs = make([]Result, n), make([]*Matrix, n), make([]error, n)
-	workers := Workers(n)
-	budget := matrixWorkerBudget(workers)
-	ParallelFor(n, workers, func(_, i int) {
+	ParallelFor(n, Workers(n), func(_, i int) {
 		m := &Matrix{}
-		if err := m.buildFromStats(pss[i], orgs, budget); err != nil {
+		if err := m.buildFromStats(pss[i], orgs); err != nil {
 			errs[i] = err
 			return
 		}
-		m.OptIndConInto(&results[i])
+		m.DPInto(&results[i])
 		ms[i] = m
 	})
 	return results, ms, errs

@@ -75,8 +75,7 @@ func SelectMultiWeighted(pss []*model.PathStats, orgs []cost.Organization, w sta
 	}
 	shedToNone := hasOrg(orgs, cost.NONE)
 	// Per-path selections are independent; SelectEach fans them out over
-	// the CPUs (splitting the budget with matrix-level parallelism) and
-	// keeps the matrices, which the sharing merge below needs.
+	// the CPUs and keeps the matrices, which the sharing merge below needs.
 	results, ms, errs := SelectEach(work, orgs)
 	// Sharing model: a physical structure (identical subpath and
 	// organization) is maintained once, so its maintenance cost (including

@@ -23,8 +23,8 @@ func Workers(n int) int {
 // ParallelFor runs fn(worker, i) for every i in [0, n), fanning the items
 // out over the given number of goroutines via an atomic work-stealing
 // counter. worker is the goroutine's index in [0, workers) so callers can
-// keep per-worker scratch (a forked memo, a pooled matrix) without
-// locking; pass the same Workers(n) value used to size that scratch.
+// keep per-worker scratch (a pooled matrix) without locking; pass the same
+// Workers(n) value used to size that scratch.
 // With a single worker the items run inline on the calling goroutine.
 // fn is responsible for recording its own errors (e.g. into a per-worker
 // or per-item slot); ParallelFor returns after all items complete.

@@ -3,62 +3,9 @@ package cost
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/model"
 )
-
-func TestYaoBoundaries(t *testing.T) {
-	if got := Yao(0, 100, 10); got != 0 {
-		t.Errorf("Yao(0,..) = %g, want 0", got)
-	}
-	if got := Yao(5, 0, 10); got != 0 {
-		t.Errorf("Yao(t,0,m) = %g, want 0", got)
-	}
-	if got := Yao(5, 100, 0); got != 0 {
-		t.Errorf("Yao(t,n,0) = %g, want 0", got)
-	}
-	// Retrieving all records touches all pages.
-	if got := Yao(100, 100, 10); math.Abs(got-10) > 1e-9 {
-		t.Errorf("Yao(all) = %g, want 10", got)
-	}
-	if got := Yao(200, 100, 10); math.Abs(got-10) > 1e-9 {
-		t.Errorf("Yao(t>n) = %g, want 10", got)
-	}
-	// One record from one page per record: exactly 1 page.
-	if got := Yao(1, 100, 100); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Yao(1,100,100) = %g, want 1", got)
-	}
-}
-
-func TestYaoKnownValue(t *testing.T) {
-	// n=100 records, m=10 pages (10 per page), t=1: expected pages = 1.
-	if got := Yao(1, 100, 10); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Yao(1,100,10) = %g, want 1", got)
-	}
-	// t=2: 10*(1 - (90/100)*(89/99)) = 10*(1-0.809090..) = 1.9090...
-	want := 10 * (1 - (90.0/100.0)*(89.0/99.0))
-	if got := Yao(2, 100, 10); math.Abs(got-want) > 1e-9 {
-		t.Errorf("Yao(2,100,10) = %g, want %g", got, want)
-	}
-}
-
-func TestYaoProperties(t *testing.T) {
-	// 0 <= Yao <= min(t, m); monotone in t.
-	f := func(rt, rn, rm uint16) bool {
-		tt := float64(rt%1000) + 1
-		n := float64(rn%10000) + 1
-		m := float64(rm%100) + 1
-		got := Yao(tt, n, m)
-		if got < 0 || got > math.Min(n, m)+1e-9 || got > tt+1e-9 {
-			return false
-		}
-		return Yao(tt+1, n, m) >= got-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestGeomSinglePage(t *testing.T) {
 	// 1000 keys, 40-byte records, 4096-byte pages: 10 leaf pages (ceil

@@ -73,199 +73,105 @@ func ParseOrganization(s string) (Organization, error) {
 
 // Evaluator computes query and maintenance costs for one subpath [A..B] of
 // a path under one index organization. All level arguments are global
-// (1-based positions in the full path). The evaluator pre-computes the
-// geometry of every index structure the organization would allocate.
+// (1-based positions in the full path). Everything that does not depend on
+// both subpath bounds comes from the path's level table; the constructor
+// adds the geometry of the NIX, PX or NX structures, which does.
 type Evaluator struct {
 	PS  *model.PathStats
 	A   int // first level of the subpath
 	B   int // last level of the subpath
 	Org Organization
 
-	// sh, when non-nil, supplies memoized per-level geometry, noid chains
-	// and Yao evaluations shared across the evaluators of one path.
 	sh *Shared
-	// extG caches the PX/NX structure geometry, which depends only on the
-	// subpath bounds and is otherwise re-derived per priced operation.
-	extG *Geom
-
-	// MX: one geometry per class per level (indexed [level-A][classIdx]).
-	mxGeom [][]*Geom
-	// MIX: one geometry per level.
-	mixGeom []*Geom
-	// NIX: primary and auxiliary geometry plus per-class record sections.
-	nixPrimary *Geom
-	nixAux     *Geom
-	// nixSection[level-A][classIdx] = bytes of the class section in a
-	// primary record.
-	nixSection [][]float64
-	// noidS[l-A][x] = within-subpath noid of class x at level l; used for
-	// record sizing.
-	noidS [][]float64
+	// lt is the level table of MX or MIX; their costs are read from it.
+	lt *orgTable
+	// primary is the NIX primary index, or the single PX or NX structure;
+	// aux is the NIX auxiliary parent index.
+	primary, aux *Geom
 }
 
-// NewEvaluator builds an evaluator for subpath [a..b] of ps under org.
+// NewEvaluator builds an evaluator for subpath [a..b] of ps under org:
+// NewShared(ps).Evaluator(a, b, org). Callers pricing several subpaths of
+// one path build the Shared once.
 func NewEvaluator(ps *model.PathStats, a, b int, org Organization) (*Evaluator, error) {
-	return newEvaluator(ps, a, b, org, nil)
+	sh, err := NewShared(ps)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Evaluator(a, b, org)
 }
 
-// NewEvaluatorShared is NewEvaluator drawing the per-level geometry and
-// noid chains from sh instead of re-deriving them, and routing the Yao
-// evaluations through sh's memo. sh must have been built from the same
-// (validated) statistics; results are bit-identical to NewEvaluator's.
-func NewEvaluatorShared(ps *model.PathStats, a, b int, org Organization, sh *Shared) (*Evaluator, error) {
-	return newEvaluator(ps, a, b, org, sh)
+// Evaluator builds an evaluator for subpath [a..b] under org.
+func (sh *Shared) Evaluator(a, b int, org Organization) (*Evaluator, error) {
+	e := new(Evaluator)
+	if err := e.init(sh, a, b, org); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-func newEvaluator(ps *model.PathStats, a, b int, org Organization, sh *Shared) (*Evaluator, error) {
-	if ps == nil {
-		return nil, fmt.Errorf("cost: nil path stats")
+func (e *Evaluator) init(sh *Shared, a, b int, org Organization) error {
+	if a < 1 || b > sh.n || a > b {
+		return fmt.Errorf("cost: invalid subpath [%d,%d] for path of length %d", a, b, sh.n)
 	}
-	n := ps.Len()
-	if a < 1 || b > n || a > b {
-		return nil, fmt.Errorf("cost: invalid subpath [%d,%d] for path of length %d", a, b, n)
-	}
-	e := &Evaluator{PS: ps, A: a, B: b, Org: org, sh: sh}
-	p := ps.Params
-	page := float64(p.PageSize)
-	entry := float64(p.KeyLen + p.PtrLen)
-
-	// Within-subpath noid chain: noidS*_{b+1} = 1. The shared chain for
-	// ending level b holds the same rows for levels a..b.
-	if sh != nil {
-		e.noidS = sh.noid[b-1][a-1:]
-	} else {
-		e.noidS = noidChain(ps, a, b)
-	}
-
+	*e = Evaluator{PS: sh.ps, A: a, B: b, Org: org, sh: sh}
+	p := sh.ps.Params
+	page, entry := float64(p.PageSize), float64(p.KeyLen+p.PtrLen)
 	switch org {
 	case MX:
-		if sh != nil {
-			e.mxGeom = sh.mx[a-1 : b]
-			break
-		}
-		e.mxGeom = make([][]*Geom, b-a+1)
-		for l := a; l <= b; l++ {
-			e.mxGeom[l-a] = mxGeomsAt(ps, l)
-		}
+		e.lt = &sh.mx
 	case MIX:
-		if sh != nil {
-			e.mixGeom = sh.mix[a-1 : b]
-			break
-		}
-		e.mixGeom = make([]*Geom, b-a+1)
-		for l := a; l <= b; l++ {
-			e.mixGeom[l-a] = mixGeomAt(ps, l)
-		}
+		e.lt = &sh.mix
 	case NIX:
-		// Primary index: keyed by values of A_B across the ending hierarchy.
-		nk := ps.Level(b).DMax()
-		e.nixSection = make([][]float64, b-a+1)
+		// Primary index: keyed by values of A_B across the ending
+		// hierarchy; a record holds a class directory and one section of
+		// OID entries per class in scope.
 		ln := float64(p.RecHeader)
 		var scopeSize int
 		for l := a; l <= b; l++ {
-			scopeSize += ps.Level(l).NC()
+			scopeSize += len(sh.lv[l-1].k)
 		}
 		ln += float64(scopeSize) * float64(p.OffsetLen)
 		for l := a; l <= b; l++ {
-			ls := ps.Level(l)
-			entryLen := float64(p.OidLen)
-			if ps.Path.MultiValuedAt(l) {
-				entryLen += float64(p.CountLen)
+			for x := range sh.lv[l-1].k {
+				ln += e.nixSection(l, x)
 			}
-			secs := make([]float64, ls.NC())
-			for x := range ls.Classes {
-				secs[x] = e.noidS[l-a][x] * entryLen
-				ln += secs[x]
-			}
-			e.nixSection[l-a] = secs
 		}
-		e.nixPrimary = mustGeom(nk, ln, page, entry)
+		e.primary = mustGeom(sh.lv[b-1].dMax, ln, page, entry)
 		// Auxiliary index: one 3-tuple per object of levels a+1..b.
 		var naux, auxBytes float64
 		for l := a + 1; l <= b; l++ {
-			ls := ps.Level(l)
-			ninBar := e.ninBarS(l)
-			par := ps.Level(l - 1).KStar()
-			for _, c := range ls.Classes {
+			tuple := float64(p.OidLen) + sh.ninBar(l, b)*float64(p.PtrLen) + sh.lv[l-2].kStar*float64(p.OidLen)
+			for _, c := range sh.ps.Level(l).Classes {
 				naux += c.N
-				auxBytes += c.N * (float64(p.OidLen) + ninBar*float64(p.PtrLen) + par*float64(p.OidLen))
+				auxBytes += c.N * tuple
 			}
 		}
 		lnAux := 0.0
 		if naux > 0 {
 			lnAux = auxBytes / naux
 		}
-		e.nixAux = mustGeom(naux, lnAux, page, entry)
+		e.aux = mustGeom(naux, lnAux, page, entry)
+	case PX, NX:
+		e.primary = mustGeom(sh.lv[b-1].dMax, e.extRecordLen(), page, entry)
 	case NONE:
 		// No structures.
-	case PX, NX:
-		// Build (and cache) the structure geometry now so construction
-		// fails fast on bad inputs.
-		if _, err := e.extGeom(); err != nil {
-			return nil, err
-		}
 	default:
-		return nil, fmt.Errorf("cost: unknown organization %v", org)
+		return fmt.Errorf("cost: unknown organization %v", org)
 	}
-	return e, nil
+	return nil
 }
 
-// ninBarS is the within-subpath nin̄: average distinct A_B values reachable
-// from a level-l object, capped by the key cardinality of the subpath's
-// ending level.
-func (e *Evaluator) ninBarS(l int) float64 {
-	v := 1.0
-	for i := l; i <= e.B; i++ {
-		v *= e.PS.Level(i).NINAvg()
-	}
-	if cap := e.PS.Level(e.B).DMax(); cap > 0 && v > cap {
-		v = cap
-	}
-	return v
-}
+// feed returns the number of key values an equality predicate probes the
+// subpath's structure with: the global noid*_{B+1} chain (1 when the
+// subpath ends the path).
+func (e *Evaluator) feed() float64 { return e.sh.noidStar[e.B+1] }
 
-// feed returns the number of key values probed at global level i's index:
-// the global noid*_{i+1} chain (1 for the path's ending attribute).
-func (e *Evaluator) feed(i int) float64 {
-	if e.sh != nil {
-		return e.sh.noidStar[i+1]
+// classAt resolves a class name within level l of the subpath.
+func (e *Evaluator) classAt(l int, class string) (int, error) {
+	if err := e.inScope(l); err != nil {
+		return 0, err
 	}
-	return e.PS.NoidStar(i + 1)
-}
-
-// crt, cmt, crr and yao evaluate the Section 3.1 cost functions through
-// the shared memo when one is attached; identical arguments are computed
-// once per path instead of once per subpath.
-func (e *Evaluator) crt(g *Geom, t, pr float64) float64 {
-	if e.sh != nil {
-		return e.sh.crt(g, t, pr)
-	}
-	return CRT(g, t, pr)
-}
-
-func (e *Evaluator) cmt(g *Geom, t, pm float64) float64 {
-	if e.sh != nil {
-		return e.sh.cmt(g, t, pm)
-	}
-	return CMT(g, t, pm)
-}
-
-func (e *Evaluator) crr(t float64, aux *Geom) float64 {
-	if e.sh != nil {
-		return e.sh.crr(t, aux)
-	}
-	return CRR(t, aux)
-}
-
-func (e *Evaluator) yao(t, n, m float64) float64 {
-	if e.sh != nil {
-		return e.sh.yao(t, n, m)
-	}
-	return Yao(t, n, m)
-}
-
-// classIdx resolves a class name within level l.
-func (e *Evaluator) classIdx(l int, class string) (int, error) {
 	for i, c := range e.PS.Level(l).Classes {
 		if c.Class == class {
 			return i, nil
@@ -274,131 +180,147 @@ func (e *Evaluator) classIdx(l int, class string) (int, error) {
 	return 0, fmt.Errorf("cost: class %q not at level %d", class, l)
 }
 
+func (e *Evaluator) inScope(l int) error {
+	if l < e.A || l > e.B {
+		return fmt.Errorf("cost: level %d outside subpath [%d,%d]", l, e.A, e.B)
+	}
+	return nil
+}
+
 // Query returns the searching cost CR_X(C_{l,x}) of a query against the
 // path's ending attribute with respect to the single class x at global
 // level l, a <= l <= b (Section 3.1 retrieval formulas, generalized to a
 // subpath fed with noid*_{B+1} keys at its ending attribute).
 func (e *Evaluator) Query(l int, class string) (float64, error) {
-	x, err := e.classIdx(l, class)
+	x, err := e.classAt(l, class)
 	if err != nil {
 		return 0, err
 	}
-	if l < e.A || l > e.B {
-		return 0, fmt.Errorf("cost: level %d outside subpath [%d,%d]", l, e.A, e.B)
-	}
-	switch e.Org {
-	case MX:
-		// Probe the class's own index at level l, then every class's index
-		// at deeper levels l+1..B.
-		s := e.crt(e.mxGeom[l-e.A][x], e.feed(l), 0)
-		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], e.feed(i), 0)
-			}
-		}
-		return s, nil
-	case MIX:
-		var s float64
-		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], e.feed(i), 0)
-		}
-		return s, nil
-	case NIX:
-		pr := e.nixPR([][2]int{{l, x}})
-		return e.crt(e.nixPrimary, e.feed(e.B), pr), nil
-	case PX, NX:
-		return e.extQuery(l, false)
-	case NONE:
-		return e.scanCost(l), nil
-	}
-	return 0, fmt.Errorf("cost: unknown organization %v", e.Org)
+	return e.query(l, x, 1), nil
 }
 
 // QueryHierarchy returns CR_X(C*_l): the searching cost with respect to the
 // whole inheritance hierarchy at level l. This is the load shape induced on
 // a subpath by queries targeting classes that precede it (Section 3.2).
 func (e *Evaluator) QueryHierarchy(l int) (float64, error) {
-	if l < e.A || l > e.B {
-		return 0, fmt.Errorf("cost: level %d outside subpath [%d,%d]", l, e.A, e.B)
+	if err := e.inScope(l); err != nil {
+		return 0, err
 	}
+	return e.query(l, wholeHierarchy, 1), nil
+}
+
+// QueryRange is Query for a range predicate with the given selectivity
+// over the ending attribute's distinct values. Equality is the sel→0
+// limit (one key).
+func (e *Evaluator) QueryRange(l int, class string, sel float64) (float64, error) {
+	x, err := e.classAt(l, class)
+	if err != nil {
+		return 0, err
+	}
+	return e.queryRange(l, x, sel)
+}
+
+// QueryRangeHierarchy is QueryHierarchy for a range predicate.
+func (e *Evaluator) QueryRangeHierarchy(l int, sel float64) (float64, error) {
+	if err := e.inScope(l); err != nil {
+		return 0, err
+	}
+	return e.queryRange(l, wholeHierarchy, sel)
+}
+
+func (e *Evaluator) queryRange(l, x int, sel float64) (float64, error) {
+	if sel < 0 || sel > 1 {
+		return 0, fmt.Errorf("cost: selectivity %g outside [0,1]", sel)
+	}
+	return e.query(l, x, e.sh.keysFor(sel)), nil
+}
+
+// wholeHierarchy is the class index standing for all classes of a level.
+const wholeHierarchy = -1
+
+// query prices a predicate matching keys values of the path's ending
+// attribute (1 for equality) with respect to class x of level l, or to the
+// whole hierarchy of level l.
+func (e *Evaluator) query(l, x int, keys float64) float64 {
 	switch e.Org {
-	case MX:
+	case MX, MIX:
+		// Probe the class's own structure at level l (every structure of
+		// the level for the hierarchy: one lookup in the hierarchy-wide
+		// MIX index returns all classes' OIDs), then every structure of
+		// the deeper levels l+1..B: table entries, summed in the order
+		// the cascade of lookups runs.
+		one := e.lt.probesAt(e.sh, keys).one
 		var s float64
-		for j := range e.PS.Level(l).Classes {
-			s += e.crt(e.mxGeom[l-e.A][j], e.feed(l), 0)
+		if x != wholeHierarchy {
+			s = at(one[l-1], x)
+			l++
 		}
-		for i := l + 1; i <= e.B; i++ {
-			for j := range e.PS.Level(i).Classes {
-				s += e.crt(e.mxGeom[i-e.A][j], e.feed(i), 0)
+		for _, level := range one[l-1 : e.B] {
+			for _, c := range level {
+				s += c
 			}
 		}
-		return s, nil
-	case MIX:
-		// The hierarchy-wide index returns all classes' OIDs in one lookup.
-		var s float64
-		for i := l; i <= e.B; i++ {
-			s += e.crt(e.mixGeom[i-e.A], e.feed(i), 0)
-		}
-		return s, nil
+		return s
 	case NIX:
-		var secs [][2]int
-		for j := range e.PS.Level(l).Classes {
-			secs = append(secs, [2]int{l, j})
+		return CRT(e.primary, keys*e.feed(), e.nixPR(l, x))
+	case NX:
+		if l > e.A {
+			// The structure cannot answer inner-class queries: evaluate
+			// by scanning from level l (the NONE behaviour for that slice).
+			return e.sh.scanPages(l, e.B)
 		}
-		pr := e.nixPR(secs)
-		return e.crt(e.nixPrimary, e.feed(e.B), pr), nil
-	case PX, NX:
-		return e.extQuery(l, true)
-	case NONE:
-		return e.scanCost(l), nil
+		return CRT(e.primary, keys*e.feed(), 0)
+	case PX:
+		// Whole records must be read (no class directory).
+		return CRT(e.primary, keys*e.feed(), e.primary.RecordPages())
 	}
-	return 0, fmt.Errorf("cost: unknown organization %v", e.Org)
+	// NONE: sequentially scan the objects of every hierarchy from level l
+	// to the end of the subpath, navigating forward references (the naive
+	// evaluation of the introduction); one pass evaluates any predicate.
+	return e.sh.scanPages(l, e.B)
+}
+
+// nixSection is the size in bytes of class x's section of OID entries in
+// a primary record.
+func (e *Evaluator) nixSection(l, x int) float64 {
+	return e.sh.noidS(l, x, e.B) * e.sh.lv[l-1].nixEntry
+}
+
+// nixPages converts section bytes of a multi-page primary record to the
+// pages covering them: at least one, at most the whole record.
+func (e *Evaluator) nixPages(bytes float64) float64 {
+	return math.Min(math.Max(1, ceilDiv(bytes, e.primary.PageSize)), e.primary.RecordPages())
 }
 
 // nixPR estimates the pages of one primary record that must be retrieved to
-// read the given class sections: 1 when the record fits a page, otherwise
-// the pages covering the sections (the class directory makes partial
-// retrieval possible, Figure 3).
-func (e *Evaluator) nixPR(sections [][2]int) float64 {
-	if !e.nixPrimary.MultiPage() {
+// read the section of class x at level l, or of the level's whole
+// hierarchy: 1 when the record fits a page, otherwise the pages covering
+// the sections (the class directory makes partial retrieval possible,
+// Figure 3).
+func (e *Evaluator) nixPR(l, x int) float64 {
+	if !e.primary.MultiPage() {
 		return 1
 	}
+	if x != wholeHierarchy {
+		return e.nixPages(e.nixSection(l, x))
+	}
 	var bytes float64
-	for _, s := range sections {
-		bytes += e.nixSection[s[0]-e.A][s[1]]
+	for j := range e.sh.lv[l-1].k {
+		bytes += e.nixSection(l, j)
 	}
-	pr := ceilDiv(bytes, e.nixPrimary.PageSize)
-	if pr < 1 {
-		pr = 1
-	}
-	if rp := e.nixPrimary.RecordPages(); pr > rp {
-		pr = rp
-	}
-	return pr
-}
-
-// scanCost is the NONE-organization query cost: sequentially scan the
-// objects of every hierarchy from level l to the end of the subpath,
-// navigating forward references (the naive evaluation of the introduction).
-func (e *Evaluator) scanCost(l int) float64 {
-	p := e.PS.Params
-	// Model objects as RecHeader + one OidLen per attribute value held.
-	var pages float64
-	for i := l; i <= e.B; i++ {
-		for _, c := range e.PS.Level(i).Classes {
-			objLen := float64(p.RecHeader) + c.NIN*float64(p.OidLen) + 4*float64(p.KeyLen)
-			perPage := math.Max(1, math.Floor(float64(p.PageSize)/objLen))
-			pages += math.Ceil(c.N / perPage)
-		}
-	}
-	return pages
+	return e.nixPages(bytes)
 }
 
 // Insert returns the maintenance cost charged to this subpath's index when
 // an object is inserted into class x at global level l (flag = 0 in the
 // paper's CM formulas).
 func (e *Evaluator) Insert(l int, class string) (float64, error) {
-	return e.maintain(l, class, false)
+	x, err := e.classAt(l, class)
+	if err != nil {
+		return 0, err
+	}
+	ins, _ := e.maintain(l, x)
+	return ins, nil
 }
 
 // Delete returns the maintenance cost charged to this subpath's index when
@@ -406,158 +328,103 @@ func (e *Evaluator) Insert(l int, class string) (float64, error) {
 // excluding the boundary cost CMD, which Definition 4.2 charges to the
 // preceding subpath.
 func (e *Evaluator) Delete(l int, class string) (float64, error) {
-	return e.maintain(l, class, true)
-}
-
-func (e *Evaluator) maintain(l int, class string, del bool) (float64, error) {
-	x, err := e.classIdx(l, class)
+	x, err := e.classAt(l, class)
 	if err != nil {
 		return 0, err
 	}
-	if l < e.A || l > e.B {
-		return 0, fmt.Errorf("cost: level %d outside subpath [%d,%d]", l, e.A, e.B)
-	}
-	cs := e.PS.Level(l).Classes[x]
+	_, del := e.maintain(l, x)
+	return del, nil
+}
+
+// maintain prices the insertion and the deletion of an object of class x
+// at level l together: they share most of their terms.
+func (e *Evaluator) maintain(l, x int) (ins, del float64) {
 	switch e.Org {
-	case MX:
-		s := e.cmt(e.mxGeom[l-e.A][x], cs.NIN, 0)
-		if del && l > e.A {
+	case MX, MIX:
+		ins = e.lt.cmt[l-1][x]
+		del = ins
+		if l > e.A {
 			// Deletion also removes the object's OID as a key of the
-			// indexes on the previous level (within the subpath).
-			for j := range e.PS.Level(l - 1).Classes {
-				s += CML(e.mxGeom[l-1-e.A][j], 0)
-			}
+			// structures on the previous level (within the subpath).
+			del += e.lt.cml[l-2]
 		}
-		return s, nil
-	case MIX:
-		s := e.cmt(e.mixGeom[l-e.A], cs.NIN, 0)
-		if del && l > e.A {
-			s += CML(e.mixGeom[l-1-e.A], 0)
-		}
-		return s, nil
 	case NIX:
-		if del {
-			return e.nixDelete(l, x, cs), nil
-		}
-		return e.nixInsert(l, x, cs), nil
+		return e.nixMaintain(l, x)
 	case PX, NX:
-		return e.extMaintain(l, cs.NIN, del)
-	case NONE:
-		return 0, nil
+		ins = e.extMaintain(l)
+		del = ins
 	}
-	return 0, fmt.Errorf("cost: unknown organization %v", e.Org)
+	return ins, del // zero under NONE
 }
 
-// nixInsert implements the NIX insertion cost CSI24 + CSI3 (Section 3.1).
-func (e *Evaluator) nixInsert(l, x int, cs model.ClassStats) float64 {
-	ownAux := 0.0
-	if l > e.A {
-		ownAux = 1 // the new object's own 3-tuple
-	}
-	childNar := 0.0
-	childAccess := 0.0
+// nixMaintain implements the NIX insertion cost CSI24 + CSI3 and deletion
+// cost CSD2 + CSD3 (Section 3.1).
+func (e *Evaluator) nixMaintain(l, x int) (ins, del float64) {
+	sh := e.sh
+	var childNar, children float64
 	if l < e.B {
-		childNar = e.PS.Nar(l+1, cs.NIN)
-		childAccess = cs.NIN
+		childNar = sh.lv[l-1].nar[x]
+		children = e.PS.Level(l).Classes[x].NIN
 	}
-	csi24 := 0.0
-	if t := childAccess; t > 0 {
-		csi24 += e.crt(e.nixAux, t, 1)
-	}
-	csi24 += e.crr(childNar+ownAux, e.nixAux)
-	// CSI3: modify the primary records reachable from the new object.
-	csi3 := e.cmt(e.nixPrimary, e.ninBarS(l), e.nixPMI(l, x))
-	return csi24 + csi3
-}
-
-// nixDelete implements the NIX deletion cost CSD2 + CSD3 (Section 3.1).
-func (e *Evaluator) nixDelete(l, x int, cs model.ClassStats) float64 {
+	// Step 2: access the children's 3-tuples and rewrite them; below the
+	// subpath's first level the object has a 3-tuple of its own, written
+	// on insertion, accessed and rewritten on deletion.
+	ins = CRT(e.aux, children, 1)
+	del = ins
 	ownAux := 0.0
 	if l > e.A {
 		ownAux = 1
+		del = CRT(e.aux, children+1, 1)
 	}
-	childNar := 0.0
-	childAccess := 0.0
-	if l < e.B {
-		childNar = e.PS.Nar(l+1, cs.NIN)
-		childAccess = cs.NIN
+	rewrite := CRR(childNar+ownAux, e.aux)
+	ins, del = ins+rewrite, del+rewrite
+	// Step 3(a): modify the primary records reachable from the object.
+	// The two page factors differ only in a multi-page record.
+	reach, pmi, pmd := sh.ninBar(l, e.B), e.nixPM(l, x, false), e.nixPM(l, x, true)
+	modify := CMT(e.primary, reach, pmi)
+	ins += modify
+	if pmd != pmi {
+		modify = CMT(e.primary, reach, pmd)
 	}
-	// Step 2: access the children's 3-tuples and the object's own, rewrite.
-	csd2 := 0.0
-	if t := childAccess + ownAux; t > 0 {
-		csd2 += e.crt(e.nixAux, t, 1)
-	}
-	csd2 += e.crr(childNar+ownAux, e.nixAux)
-
-	// Step 3a: modify the primary records containing the object.
-	cs3a := e.cmt(e.nixPrimary, e.ninBarS(l), e.nixPMD(l, x))
-
-	// Steps 3b/3c: propagate through ancestor 3-tuples at levels A+1..l-1.
-	var cu3bc, parSum, narpSum float64
-	par := 1.0
+	del += modify
+	// Steps 3b/3c: a deletion propagates through the ancestor 3-tuples at
+	// levels A+1..l-1.
+	var parSum, narpSum float64
 	for i := l - 1; i >= e.A+1; i-- {
-		par *= e.PS.Level(i).KStar()
-		sizes := make([]float64, e.PS.Level(i).NC())
-		for j, c := range e.PS.Level(i).Classes {
-			sizes[j] = c.N
-		}
-		narp := model.ExpectedNonEmpty(par, sizes)
-		cu3bc += e.crr(narp, e.nixAux)
-		parSum += par
+		narp := sh.tab(sh.narp, i-1, l-1)
+		del += CRR(narp, e.aux)
+		parSum += sh.tab(sh.star, i-1, l-1)
 		narpSum += narp
 	}
-	var saCost float64
-	if parSum > 0 {
-		sa1 := e.yao(parSum, e.nixAux.NK, e.nixAux.LeafPages)
-		var sa2 float64
-		if !e.nixAux.MultiPage() {
-			sa2 = e.yao(narpSum, e.nixAux.NK, e.nixAux.LeafPages)
-		} else {
-			sa2 = narpSum * e.nixAux.RecordPages()
-		}
-		saCost = math.Min(sa1, sa2)
-	}
-	return csd2 + cs3a + cu3bc + saCost
+	return ins, del + math.Min(Yao(parSum, e.aux.NK, e.aux.LeafPages), e.auxPages(narpSum))
 }
 
-// nixPMD is the per-record page maintenance factor for a deletion: the
-// pages covering the sections of the deleted object's class and of every
-// ancestor level (those sections are modified in step 3a), when the record
-// spans multiple pages.
-func (e *Evaluator) nixPMD(l, x int) float64 {
-	if !e.nixPrimary.MultiPage() {
+// nixPM is the per-record page maintenance factor when the record spans
+// multiple pages. Inserting, the new entries land in the pages holding the
+// object's class section; deleting, the sections of the object's class and
+// of every ancestor level are modified (step 3a).
+func (e *Evaluator) nixPM(l, x int, del bool) float64 {
+	if !e.primary.MultiPage() {
 		return 1
 	}
 	var bytes float64
-	for i := e.A; i <= l; i++ {
-		for j := range e.PS.Level(i).Classes {
-			if i == l && j != x {
-				continue
+	if del {
+		for i := e.A; i < l; i++ {
+			for j := range e.sh.lv[i-1].k {
+				bytes += e.nixSection(i, j)
 			}
-			bytes += e.nixSection[i-e.A][j]
 		}
 	}
-	pm := ceilDiv(bytes, e.nixPrimary.PageSize)
-	if pm < 1 {
-		pm = 1
-	}
-	if rp := e.nixPrimary.RecordPages(); pm > rp {
-		pm = rp
-	}
-	return pm
+	return e.nixPages(bytes + e.nixSection(l, x))
 }
 
-// nixPMI is the per-record page maintenance factor for an insertion: the
-// new entries land in the pages holding the object's class section.
-func (e *Evaluator) nixPMI(l, x int) float64 {
-	if !e.nixPrimary.MultiPage() {
-		return 1
+// auxPages is the cost of rewriting t 3-tuples of the auxiliary index
+// spread over its whole leaf level.
+func (e *Evaluator) auxPages(t float64) float64 {
+	if e.aux.MultiPage() {
+		return t * e.aux.RecordPages()
 	}
-	pm := ceilDiv(e.nixSection[l-e.A][x], e.nixPrimary.PageSize)
-	if pm < 1 {
-		pm = 1
-	}
-	return pm
+	return Yao(t, e.aux.NK, e.aux.LeafPages)
 }
 
 // CMD returns the boundary maintenance cost of Definition 4.2: the cost, on
@@ -566,42 +433,26 @@ func (e *Evaluator) nixPMI(l, x int) float64 {
 // level B+1 (the starting class of the following subpath). Zero when the
 // subpath ends the path or under NONE.
 func (e *Evaluator) CMD() float64 {
-	if e.B >= e.PS.Len() {
+	if e.B >= e.sh.n {
 		return 0
 	}
 	switch e.Org {
-	case MX:
-		var s float64
-		for j := range e.PS.Level(e.B).Classes {
-			g := e.mxGeom[e.B-e.A][j]
-			s += CML(g, g.RecordPages())
-		}
-		return s
-	case MIX:
-		g := e.mixGeom[e.B-e.A]
-		return CML(g, g.RecordPages())
+	case MX, MIX:
+		return e.lt.cmd[e.B-1]
 	case NIX:
-		s := CML(e.nixPrimary, e.nixPrimary.RecordPages())
+		s := CML(e.primary, e.primary.RecordPages())
 		// delpoint: the 3-tuples of every aux-bearing object listed in the
 		// removed primary record lose a pointer.
 		var tt float64
 		for l := e.A + 1; l <= e.B; l++ {
-			for x := range e.PS.Level(l).Classes {
-				tt += e.noidS[l-e.A][x]
+			for x := range e.sh.lv[l-1].k {
+				tt += e.sh.noidS(l, x, e.B)
 			}
 		}
-		if tt > 0 {
-			if !e.nixAux.MultiPage() {
-				s += e.yao(tt, e.nixAux.NK, e.nixAux.LeafPages)
-			} else {
-				s += tt * e.nixAux.RecordPages()
-			}
-		}
-		return s
+		return s + e.auxPages(tt)
 	case PX, NX:
-		return e.extCMD()
-	case NONE:
-		return 0
+		// The record keyed by the deleted OID is dropped entirely.
+		return CML(e.primary, e.primary.RecordPages())
 	}
-	return 0
+	return 0 // NONE
 }

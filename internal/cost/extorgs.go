@@ -1,10 +1,5 @@
 package cost
 
-import (
-	"fmt"
-	"math"
-)
-
 // Section 6 of the paper: "The incorporation of path and nested indices
 // [6,2] can be done straightforward since we may verify easily that the
 // maintenance and retrieval costs on a subpath indexed by these types can
@@ -41,148 +36,48 @@ const (
 // Section 6 incorporations and the no-index option.
 var OrganizationsExtended = []Organization{MX, MIX, NIX, PX, NX, NONE}
 
-// extGeom returns the geometry of the PX or NX structure for the
-// evaluator's subpath, building it on first use and caching it: every
-// priced operation needs it, and it depends only on the subpath bounds.
-func (e *Evaluator) extGeom() (*Geom, error) {
-	if e.extG != nil {
-		return e.extG, nil
-	}
-	g, err := e.buildExtGeom()
-	if err == nil {
-		e.extG = g
-	}
-	return g, err
-}
-
-// buildExtGeom derives the PX/NX structure geometry.
-func (e *Evaluator) buildExtGeom() (*Geom, error) {
-	p := e.PS.Params
-	page := float64(p.PageSize)
-	entry := float64(p.KeyLen + p.PtrLen)
-	nk := e.PS.Level(e.B).DMax()
-	switch e.Org {
-	case NX:
+// extRecordLen is the average record length of the PX or NX structure of
+// the evaluator's subpath, keyed by the ending attribute's values.
+func (e *Evaluator) extRecordLen() float64 {
+	sh, p := e.sh, e.PS.Params
+	if e.Org == NX {
 		// Entries: the starting-hierarchy OIDs per ending value.
 		var entries float64
-		for x := range e.PS.Level(e.A).Classes {
-			entries += e.noidS[0][x]
+		for x := range sh.lv[e.A-1].k {
+			entries += sh.noidS(e.A, x, e.B)
 		}
-		ln := float64(p.RecHeader) + entries*float64(p.OidLen)
-		return NewGeom(nk, ln, page, entry)
-	case PX:
-		// Entries: full instantiations. The number of instantiations from
-		// one starting object is the product of the fan-outs along the
-		// subpath; per key it is the total divided by the key count.
-		paths := e.PS.Level(e.A).NTotal()
-		for i := e.A; i <= e.B; i++ {
-			paths *= e.PS.Level(i).NINAvg()
-		}
-		perKey := paths
-		if nk > 0 {
-			perKey = paths / nk
-		}
-		pathLen := float64(e.B-e.A+1) * float64(p.OidLen)
-		ln := float64(p.RecHeader) + perKey*pathLen
-		return NewGeom(nk, ln, page, entry)
+		return float64(p.RecHeader) + entries*float64(p.OidLen)
 	}
-	return nil, fmt.Errorf("cost: extGeom on %v", e.Org)
+	// PX entries: full instantiations. The number of instantiations from
+	// one starting object is the product of the fan-outs along the
+	// subpath; per key it is the total divided by the key count.
+	perKey := sh.lv[e.A-1].nTotal * sh.tab(sh.fan, e.A, e.B)
+	if nk := sh.lv[e.B-1].dMax; nk > 0 {
+		perKey /= nk
+	}
+	pathLen := float64(e.B-e.A+1) * float64(p.OidLen)
+	return float64(p.RecHeader) + perKey*pathLen
 }
 
-// navDownPages estimates the object-page reads of navigating forward from
-// one object at level l to the subpath's ending attribute: one page per
-// visited object.
-func (e *Evaluator) navDownPages(l int) float64 {
-	var pages, width float64
-	width = 1
-	for i := l; i < e.B; i++ {
-		width *= e.PS.Level(i).NINAvg()
-		pages += width
+// extMaintain prices insertion or deletion of an object at level l for the
+// extension organizations. Deleting an inner object also invalidates the
+// instantiations of its ancestors through it; those live in the same
+// records the maintenance already fetches, so both operations cost alike.
+func (e *Evaluator) extMaintain(l int) float64 {
+	sh, g := e.sh, e.primary
+	// Forward navigation from the object yields the affected keys, one
+	// object page per visited object.
+	s := sh.tab(sh.nav, l, e.B)
+	if e.Org == PX {
+		// Each record is rewritten (instantiations added or removed);
+		// whole records are touched: pm = record pages.
+		return s + CMT(g, sh.ninBar(l, e.B), g.RecordPages())
 	}
-	return pages
-}
-
-// scanLevelsPages estimates the sequential scan of the hierarchies at
-// levels [lo..hi] (the NX fallback for locating ancestors or answering
-// inner-class queries).
-func (e *Evaluator) scanLevelsPages(lo, hi int) float64 {
-	p := e.PS.Params
-	var pages float64
-	for i := lo; i <= hi; i++ {
-		for _, c := range e.PS.Level(i).Classes {
-			objLen := float64(p.RecHeader) + c.NIN*float64(p.OidLen) + 4*float64(p.KeyLen)
-			perPage := math.Max(1, math.Floor(float64(p.PageSize)/objLen))
-			pages += math.Ceil(c.N / perPage)
-		}
-	}
-	return pages
-}
-
-// extQuery prices a query for the extension organizations.
-func (e *Evaluator) extQuery(l int, hierarchy bool) (float64, error) {
-	g, err := e.extGeom()
-	if err != nil {
-		return 0, err
-	}
-	t := e.feed(e.B)
-	switch e.Org {
-	case NX:
-		if l == e.A {
-			return e.crt(g, t, 0), nil
-		}
-		// The structure cannot answer inner-class queries: evaluate by
-		// scanning from level l (the NONE behaviour for that slice).
-		return e.scanCost(l), nil
-	case PX:
-		// Whole records must be read (no class directory).
-		return e.crt(g, t, g.RecordPages()), nil
-	}
-	return 0, fmt.Errorf("cost: extQuery on %v", e.Org)
-}
-
-// extMaintain prices insertion (del=false) or deletion (del=true) of an
-// object of class x at level l for the extension organizations.
-func (e *Evaluator) extMaintain(l int, nin float64, del bool) (float64, error) {
-	g, err := e.extGeom()
-	if err != nil {
-		return 0, err
-	}
-	keys := e.ninBarS(l)
-	switch e.Org {
-	case NX:
-		if l == e.A {
-			// The object's own keys are found by forward navigation; the
-			// records are then maintained directly.
-			return e.navDownPages(l) + e.cmt(g, keys, 1), nil
-		}
-		// Inner-level update: the affected starting objects can only be
-		// found by scanning the preceding hierarchies (no auxiliary
+	if l > e.A {
+		// NX inner-level update: the affected starting objects can only
+		// be found by scanning the preceding hierarchies (no auxiliary
 		// index), then re-evaluating their membership.
-		return e.scanLevelsPages(e.A, l-1) + e.navDownPages(l) + e.cmt(g, keys, 1), nil
-	case PX:
-		// Forward navigation from the object yields the affected keys;
-		// each record is rewritten (instantiations added/removed). Whole
-		// records are touched: pm = record pages.
-		pm := g.RecordPages()
-		cost := e.navDownPages(l) + e.cmt(g, keys, pm)
-		if del {
-			// Deleting an inner object also invalidates the instantiations
-			// of its ancestors through it; those live in the same records
-			// (already fetched by CMT), so no extra structure accesses.
-			cost += 0
-		}
-		_ = nin
-		return cost, nil
+		s = sh.scanPages(e.A, l-1) + s
 	}
-	return 0, fmt.Errorf("cost: extMaintain on %v", e.Org)
-}
-
-// extCMD prices the Definition 4.2 boundary deletion for the extensions:
-// the record keyed by the deleted OID is dropped entirely.
-func (e *Evaluator) extCMD() float64 {
-	g, err := e.extGeom()
-	if err != nil {
-		return 0
-	}
-	return CML(g, g.RecordPages())
+	return s + CMT(g, sh.ninBar(l, e.B), 1)
 }

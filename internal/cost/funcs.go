@@ -39,34 +39,32 @@ func CML(g *Geom, pm float64) float64 {
 	return h - 1 + pm
 }
 
-// maxTreeHeight bounds the levels of any practical B+-tree geometry (a
-// height-16 tree with fan-out 2 already outgrows any float64-countable
-// record set); traversal scratch of this size lives on the stack.
-const maxTreeHeight = 16
-
-// traversal computes the per-level probe counts for retrieving t records:
-// t_h = t at the leaf/record level and t_{k-1} = npa(t_k, n_k, p_k) going
-// up, filling buf (resized, heap-allocated only for implausibly tall
-// trees) with the per-level page accesses root-first.
-func traversal(g *Geom, t float64, buf *[maxTreeHeight]float64) []float64 {
-	h := g.Height()
-	var acc []float64
-	if h <= len(buf) {
-		acc = buf[:h]
-	} else {
-		acc = make([]float64, h)
+// descent computes the page accesses of retrieving t records through the
+// tree: t_h = t at the leaf/record level and t_{k-1} = npa(t_k, n_k, p_k)
+// going up. It returns t capped at the number of records, the accesses
+// above the leaf/record level and those at it; no records cost nothing.
+func descent(g *Geom, t float64) (records, inner, leaf float64) {
+	if t <= 0 {
+		return 0, 0, 0
+	}
+	if t > g.NK && g.NK > 0 {
+		t = g.NK
 	}
 	tk := t
-	for k := h - 1; k >= 0; k-- {
+	for k := len(g.Levels) - 1; k >= 0; k-- {
 		lv := g.Levels[k]
 		a := Yao(tk, lv.NRec, lv.Pages)
 		if lv.NRec == 0 { // empty index: still one root access
 			a = 1
 		}
-		acc[k] = a
+		if k == len(g.Levels)-1 {
+			leaf = a
+		} else {
+			inner += a
+		}
 		tk = a
 	}
-	return acc
+	return t, inner, leaf
 }
 
 // CRT is the retrieval cost of a set of t index records (Section 3.1):
@@ -77,29 +75,14 @@ func traversal(g *Geom, t float64, buf *[maxTreeHeight]float64) []float64 {
 // pr as in CRL (pr <= 0 retrieves whole records). For t == 1 this reduces
 // to CRL, unifying the equality-predicate case.
 func CRT(g *Geom, t, pr float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	if t > g.NK && g.NK > 0 {
-		t = g.NK
-	}
-	var buf [maxTreeHeight]float64
-	acc := traversal(g, t, &buf)
+	t, inner, leaf := descent(g, t)
 	if !g.MultiPage() {
-		var s float64
-		for _, a := range acc {
-			s += a
-		}
-		return s
+		return inner + leaf
 	}
 	if pr <= 0 {
 		pr = g.RecordPages()
 	}
-	var s float64
-	for _, a := range acc[:len(acc)-1] {
-		s += a
-	}
-	return s + t*pr
+	return inner + t*pr
 }
 
 // CMT is the maintenance cost of t index records (Section 3.1):
@@ -111,29 +94,14 @@ func CRT(g *Geom, t, pr float64) float64 {
 // pm is the number of record pages modified per record (pm <= 0 defaults
 // to 1: one relevant page read and rewritten per record).
 func CMT(g *Geom, t, pm float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	if t > g.NK && g.NK > 0 {
-		t = g.NK
-	}
-	var buf [maxTreeHeight]float64
-	acc := traversal(g, t, &buf)
+	t, inner, leaf := descent(g, t)
 	if !g.MultiPage() {
-		var s float64
-		for _, a := range acc {
-			s += a
-		}
-		return s + acc[len(acc)-1] // rewrite of the touched leaf pages
+		return inner + 2*leaf
 	}
 	if pm <= 0 {
 		pm = 1
 	}
-	var s float64
-	for _, a := range acc[:len(acc)-1] {
-		s += a
-	}
-	return s + 2*t*pm
+	return inner + 2*t*pm
 }
 
 // CRR is the cost of rewriting t auxiliary index records (Section 3.1, NIX

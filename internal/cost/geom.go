@@ -40,6 +40,11 @@ func (g *Geom) RecordPages() float64 {
 	return math.Max(1, math.Ceil(g.Ln/g.PageSize))
 }
 
+// maxTreeHeight bounds the levels of any practical B+-tree geometry (a
+// height-16 tree with fan-out 2 already outgrows any float64-countable
+// record set); construction scratch of this size lives on the stack.
+const maxTreeHeight = 16
+
 // NewGeom derives the geometry of an index with nk records of average
 // length ln bytes on pages of pageSize bytes, with non-leaf entries of
 // entryLen bytes (key + pointer). It implements the height computation the
@@ -60,7 +65,9 @@ func NewGeom(nk, ln, pageSize float64, entryLen float64) (*Geom, error) {
 		g.LeafPages = 1
 		return g, nil
 	}
-	var levels []LevelGeom // built leaf-first, reversed at the end
+	// Built leaf-first on the stack, reversed into the one allocation.
+	var buf [maxTreeHeight]LevelGeom
+	levels := buf[:0]
 	if ln <= pageSize {
 		g.LeafPages = math.Ceil(nk * ln / pageSize)
 		levels = append(levels, LevelGeom{NRec: nk, Pages: g.LeafPages})
@@ -74,7 +81,6 @@ func NewGeom(nk, ln, pageSize float64, entryLen float64) (*Geom, error) {
 		below := levels[len(levels)-1].Pages
 		levels = append(levels, LevelGeom{NRec: below, Pages: math.Ceil(below / g.Fanout)})
 	}
-	// Reverse to root-first order.
 	g.Levels = make([]LevelGeom, len(levels))
 	for i := range levels {
 		g.Levels[len(levels)-1-i] = levels[i]

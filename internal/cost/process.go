@@ -30,122 +30,78 @@ func (s SubpathCost) Total() float64 { return s.Query + s.Maint + s.CMD }
 //   - If the subpath does not end the path, deletions on the class hierarchy
 //     that starts the following subpath charge the Definition 4.2 boundary
 //     cost CMD to this subpath.
-func ProcessingCost(e *Evaluator) (SubpathCost, error) {
-	ps, a, b := e.PS, e.A, e.B
+func ProcessingCost(e *Evaluator) SubpathCost {
+	sh, a, b := e.sh, e.A, e.B
 	out := SubpathCost{A: a, B: b, Org: e.Org}
 
-	// Queries with respect to the classes of the subpath's own scope. With
-	// a positive Selectivity the workload's queries are range predicates
-	// (Section 3's extension); otherwise equality predicates. The Rho
-	// component is always priced as a range predicate — at the declared
-	// Selectivity, or the default when the path declares none — so an
-	// observed mixed equality/range mix prices each part correctly.
-	rsel := ps.Selectivity
-	if rsel == 0 {
-		rsel = model.DefaultRangeSelectivity
-	}
-	query := func(l int, class string) (float64, error) {
-		if ps.Selectivity > 0 {
-			return e.QueryRange(l, class, ps.Selectivity)
-		}
-		return e.Query(l, class)
-	}
-	queryHier := func(l int) (float64, error) {
-		if ps.Selectivity > 0 {
-			return e.QueryRangeHierarchy(l, ps.Selectivity)
-		}
-		return e.QueryHierarchy(l)
+	// With a positive Selectivity the workload's queries are range
+	// predicates (Section 3's extension); otherwise equality predicates.
+	// The Rho component is always priced as a range predicate — at the
+	// declared Selectivity, or the default when the path declares none —
+	// so an observed mixed equality/range mix prices each part correctly.
+	alphaKeys, rhoKeys := 1.0, sh.rangeKeys
+	if sh.ps.Selectivity > 0 {
+		alphaKeys = rhoKeys
 	}
 	for l := a; l <= b; l++ {
-		ls := ps.Level(l)
-		for x, c := range ls.Classes {
-			ld := ls.Loads[x]
+		for x, ld := range sh.ps.Level(l).Loads {
+			// Queries with respect to the classes of the subpath's own scope.
 			if ld.Alpha != 0 {
-				q, err := query(l, c.Class)
-				if err != nil {
-					return out, err
-				}
-				out.Query += ld.Alpha * q
+				out.Query += ld.Alpha * e.query(l, x, alphaKeys)
 			}
 			if ld.Rho != 0 {
-				q, err := e.QueryRange(l, c.Class, rsel)
-				if err != nil {
-					return out, err
-				}
-				out.Query += ld.Rho * q
+				out.Query += ld.Rho * e.query(l, x, rhoKeys)
 			}
 		}
 	}
 	// Inherited query load from the classes preceding the subpath.
-	if a > 1 {
-		var extra, extraR float64
-		for l := 1; l < a; l++ {
-			tl := ps.Level(l).TotalLoad()
-			extra += tl.Alpha
-			extraR += tl.Rho
-		}
-		if extra > 0 {
-			q, err := queryHier(a)
-			if err != nil {
-				return out, err
-			}
-			out.Query += extra * q
-		}
-		if extraR > 0 {
-			q, err := e.QueryRangeHierarchy(a, rsel)
-			if err != nil {
-				return out, err
-			}
-			out.Query += extraR * q
-		}
+	pre := sh.lv[a-1].before
+	if pre.Alpha > 0 {
+		out.Query += pre.Alpha * e.query(a, wholeHierarchy, alphaKeys)
+	}
+	if pre.Rho > 0 {
+		out.Query += pre.Rho * e.query(a, wholeHierarchy, rhoKeys)
 	}
 	// Maintenance on the subpath's own scope.
 	for l := a; l <= b; l++ {
-		ls := ps.Level(l)
-		for x, c := range ls.Classes {
-			ld := ls.Loads[x]
+		for x, ld := range sh.ps.Level(l).Loads {
+			if ld.Beta <= 0 && ld.Gamma <= 0 {
+				continue
+			}
+			ins, del := e.maintain(l, x)
 			if ld.Beta > 0 {
-				ci, err := e.Insert(l, c.Class)
-				if err != nil {
-					return out, err
-				}
-				out.Maint += ld.Beta * ci
+				out.Maint += ld.Beta * ins
 			}
 			if ld.Gamma > 0 {
-				cd, err := e.Delete(l, c.Class)
-				if err != nil {
-					return out, err
-				}
-				out.Maint += ld.Gamma * cd
+				out.Maint += ld.Gamma * del
 			}
 		}
 	}
 	// Boundary deletions (Definition 4.2).
-	if b < ps.Len() {
-		gamma := ps.Level(b + 1).TotalLoad().Gamma
-		if gamma > 0 {
+	if b < sh.n {
+		if gamma := sh.lv[b].load.Gamma; gamma > 0 {
 			out.CMD = gamma * e.CMD()
 		}
 	}
-	return out, nil
+	return out
 }
 
-// SubpathProcessingCost is a convenience wrapper constructing the evaluator
-// and computing the processing cost in one call.
+// ProcessingCost prices subpath [a..b] under org from the level table,
+// without allocating an evaluator for MX, MIX and NONE.
+func (sh *Shared) ProcessingCost(a, b int, org Organization) (SubpathCost, error) {
+	var e Evaluator
+	if err := e.init(sh, a, b, org); err != nil {
+		return SubpathCost{}, err
+	}
+	return ProcessingCost(&e), nil
+}
+
+// SubpathProcessingCost is a convenience wrapper building the level table
+// and computing the processing cost of one subpath in one call.
 func SubpathProcessingCost(ps *model.PathStats, a, b int, org Organization) (SubpathCost, error) {
-	e, err := NewEvaluator(ps, a, b, org)
+	sh, err := NewShared(ps)
 	if err != nil {
 		return SubpathCost{}, err
 	}
-	return ProcessingCost(e)
-}
-
-// SubpathProcessingCostShared is SubpathProcessingCost through a Shared
-// memo (see NewShared); results are bit-identical to the unshared path.
-func SubpathProcessingCostShared(ps *model.PathStats, a, b int, org Organization, sh *Shared) (SubpathCost, error) {
-	e, err := NewEvaluatorShared(ps, a, b, org, sh)
-	if err != nil {
-		return SubpathCost{}, err
-	}
-	return ProcessingCost(e)
+	return sh.ProcessingCost(a, b, org)
 }
