@@ -219,28 +219,45 @@ func BenchmarkQueryNaive(b *testing.B) {
 	b.ReportMetric(float64(g.Store.Pager().Stats().Accesses())/float64(b.N), "page-accesses/op")
 }
 
-// BenchmarkMaintenance measures insert+delete round-trips through each
-// whole-path organization.
+// BenchmarkMaintenance measures maintenance through each whole-path
+// organization: insert+delete round-trips of a Person, and in-place
+// re-links of the existing ones to another vehicle — the update a write
+// workload is mostly made of.
 func BenchmarkMaintenance(b *testing.B) {
+	ops := []struct {
+		name string
+		run  func(g *gen.Generated, db *exec.Configured, i int) error
+	}{
+		{"insert+delete", func(g *gen.Generated, db *exec.Configured, i int) error {
+			veh := g.ByClass["Vehicle"]
+			oid, err := db.Insert("Person", map[string][]Value{"owns": {RefV(veh[i%len(veh)])}})
+			if err != nil {
+				return err
+			}
+			return db.Delete(oid)
+		}},
+		{"update", func(g *gen.Generated, db *exec.Configured, i int) error {
+			veh, per := g.ByClass["Vehicle"], g.ByClass["Person"]
+			return db.Update(per[i%len(per)], map[string][]Value{"owns": {RefV(veh[(i+i/len(per))%len(veh)])}})
+		}},
+	}
 	for _, org := range Organizations {
 		b.Run(org.String(), func(b *testing.B) {
-			cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: org}}}
-			g, db := benchDB(b, cfg)
-			veh := g.ByClass["Vehicle"]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				oid, err := db.Insert("Person", map[string][]Value{
-					"owns": {RefV(veh[i%len(veh)])},
+			for _, op := range ops {
+				b.Run(op.name, func(b *testing.B) {
+					cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: org}}}
+					g, db := benchDB(b, cfg)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := op.run(g, db, i); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(db.IndexStats().Accesses())/float64(b.N), "page-accesses/op")
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := db.Delete(oid); err != nil {
-					b.Fatal(err)
-				}
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(db.IndexStats().Accesses())/float64(b.N), "page-accesses/op")
 		})
 	}
 }

@@ -129,9 +129,9 @@
 // the database); PX and NX re-derive affected entries by navigation, the
 // trade-off their cost models charge for. An update that does not touch
 // the indexed path attribute costs zero index page accesses.
-// Database.UpdateBatch shards a batch over one worker per CPU (updates to
-// one object keep their order; the batch serializes with configuration
-// swaps as a group), reporting per-update errors. Updates are recorded as
+// Database.UpdateBatch applies a batch in input order (the batch
+// serializes with configuration swaps, and commits, as a group), reporting
+// per-update errors. Updates are recorded as
 // their own operation kind, surface in WorkloadSnapshot, and enter drift
 // and re-selection as half an insertion plus half a deletion — so an
 // update-heavy shift in the mix retunes the configuration like any other

@@ -6,10 +6,19 @@
 // Every node visit and overflow-page access goes through a storage.Pager,
 // so the page-access counts the analytic cost model predicts can be
 // measured on the running structure. Node contents are kept as parsed
-// in-memory entries with exact byte accounting against the page budget
-// rather than being physically serialized into the page; the access
-// pattern, fan-out, height and split behaviour are those of an on-disk
-// tree (see DESIGN.md).
+// in-memory entries, and a record's bytes contiguous beside them, with
+// exact byte accounting against the page budget rather than being
+// physically serialized into the page; the access pattern, fan-out, height
+// and split behaviour are those of an on-disk tree (see DESIGN.md).
+//
+// All record access runs on one primitive, the Record handle (record.go):
+// one descent to the leaf, then reads, patches and length changes charged
+// to the pages they touch — each page read at most once per handle, each
+// changed page written exactly once at Flush. Section 3.1 prices the
+// maintenance of a record at CML = h − 1 + pm, the pages of the record
+// that change; an index organization that edits a record through a handle
+// pays exactly that, and Get, GetSectionInto, Insert, Update and Delete
+// are the handle's simplest uses.
 //
 // Deletion is lazy: entries are removed but nodes are not merged, so the
 // height never shrinks — the usual simplification in storage simulators.
@@ -27,28 +36,35 @@ const (
 	ptrLen      = 8 // budgeted size of a page pointer
 )
 
-// Tree is a B+-tree keyed by byte slices in bytes.Compare order.
+// Tree is a B+-tree keyed by byte slices in bytes.Compare order. Any number
+// of goroutines may read it at once; a write needs the tree to itself.
 type Tree struct {
 	pager *storage.Pager
 	name  string
 	root  *node
 	nodes map[storage.PageID]*node
 	size  int // number of keys
+
+	w Record // the handle Insert, Update and Delete run on
 }
 
+// record is one key's value. The bytes stay contiguous beside the parsed
+// node, as node contents do; a value too long to share a leaf page owns a
+// chain of overflow pages, page p standing for val[p*pageSize:(p+1)*pageSize],
+// and every access to those bytes is counted against the page it falls on.
 type record struct {
-	inline   []byte
-	overflow []storage.PageID // chunks when the value exceeds the page size
-	length   int
+	val      []byte
+	overflow []*storage.Page
 }
 
 type node struct {
-	page *storage.Page
-	leaf bool
-	keys [][]byte
-	kids []*node   // internal: len(kids) == len(keys)+1
-	vals []*record // leaf: parallel to keys
-	next *node     // leaf chain
+	page   *storage.Page
+	parent *node // nil at the root
+	leaf   bool
+	keys   [][]byte
+	kids   []*node   // internal: len(kids) == len(keys)+1
+	vals   []*record // leaf: parallel to keys
+	next   *node     // leaf chain
 }
 
 // New creates an empty tree whose pages come from pager. name tags pages
@@ -81,6 +97,10 @@ func (t *Tree) Height() int {
 // Pager exposes the tree's pager for access accounting.
 func (t *Tree) Pager() *storage.Pager { return t.pager }
 
+// MaxInline is the longest value stored in the leaf itself; a longer one
+// owns whole overflow pages.
+func (t *Tree) MaxInline() int { return t.pager.PageSize() / 2 }
+
 // LeafPages returns the number of leaf pages (excluding overflow chains).
 func (t *Tree) LeafPages() int {
 	n := t.root
@@ -101,7 +121,7 @@ func (t *Tree) bytesOf(n *node, i int) int {
 		if len(r.overflow) > 0 {
 			return entryHeader + len(n.keys[i]) + ptrLen
 		}
-		return entryHeader + len(n.keys[i]) + len(r.inline)
+		return entryHeader + len(n.keys[i]) + len(r.val)
 	}
 	return entryHeader + len(n.keys[i]) + ptrLen
 }
@@ -117,63 +137,17 @@ func (t *Tree) nodeBytes(n *node) int {
 	return total
 }
 
-// visit counts a read of the node's page.
-func (t *Tree) visit(n *node) {
-	if _, err := t.pager.Read(n.page.ID); err != nil {
-		panic(fmt.Sprintf("btree %s: lost page %d: %v", t.name, n.page.ID, err))
+// readPage counts a read of a node's or an overflow chain's page.
+func (t *Tree) readPage(pg *storage.Page) {
+	if _, err := t.pager.Read(pg.ID); err != nil {
+		panic(fmt.Sprintf("btree %s: lost page %d: %v", t.name, pg.ID, err))
 	}
 }
 
-// modified counts a write of the node's page.
-func (t *Tree) modified(n *node) {
-	if err := t.pager.Write(n.page); err != nil {
-		panic(fmt.Sprintf("btree %s: lost page %d: %v", t.name, n.page.ID, err))
-	}
-}
-
-// makeRecord builds a record, spilling to overflow pages when the value
-// cannot share a leaf page. Overflow pages are written once on creation.
-func (t *Tree) makeRecord(val []byte) *record {
-	ps := t.pager.PageSize()
-	if len(val) <= ps/2 {
-		return &record{inline: append([]byte(nil), val...), length: len(val)}
-	}
-	r := &record{length: len(val)}
-	for off := 0; off < len(val); off += ps {
-		pg := t.pager.Alloc(t.name + "/ovf")
-		end := off + ps
-		if end > len(val) {
-			end = len(val)
-		}
-		copy(pg.Data, val[off:end])
-		t.modified(t.ovfNode(pg))
-		r.overflow = append(r.overflow, pg.ID)
-	}
-	// Stash the bytes for reconstruction; pages carry the copies.
-	r.inline = append([]byte(nil), val...)
-	return r
-}
-
-// ovfNode wraps an overflow page so modified() can account it; overflow
-// pages are not tree nodes but share the pager.
-func (t *Tree) ovfNode(pg *storage.Page) *node { return &node{page: pg} }
-
-func (t *Tree) freeRecord(r *record) {
-	for _, id := range r.overflow {
-		if err := t.pager.Free(id); err != nil {
-			panic(fmt.Sprintf("btree %s: double free of overflow page %d: %v", t.name, id, err))
-		}
-	}
-}
-
-// countRecord counts the page accesses of reading a record's full value:
-// overflow pages are read individually; inline values ride along with the
-// already-visited leaf and count nothing.
-func (t *Tree) countRecord(r *record) {
-	for _, id := range r.overflow {
-		if _, err := t.pager.Read(id); err != nil {
-			panic(fmt.Sprintf("btree %s: lost overflow page %d: %v", t.name, id, err))
-		}
+// writePage counts a write of a node's or an overflow chain's page.
+func (t *Tree) writePage(pg *storage.Page) {
+	if err := t.pager.Write(pg); err != nil {
+		panic(fmt.Sprintf("btree %s: lost page %d: %v", t.name, pg.ID, err))
 	}
 }
 
@@ -182,10 +156,10 @@ func (t *Tree) countRecord(r *record) {
 // against the nodes' own key slices and never copies them.
 func (t *Tree) descend(key []byte) *node {
 	n := t.root
-	t.visit(n)
+	t.readPage(n.page)
 	for !n.leaf {
 		n = n.kids[childIndex(n.keys, key)]
-		t.visit(n)
+		t.readPage(n.page)
 	}
 	return n
 }
@@ -196,21 +170,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 }
 
 // GetInto is Get appending the value to dst instead of allocating a fresh
-// slice — the allocation-free read kernel of the serving path. Inline
-// records take a fast path that never touches the overflow machinery: the
-// value is appended straight off the already-visited leaf.
+// slice — the allocation-free read kernel of the serving path.
 func (t *Tree) GetInto(key, dst []byte) ([]byte, bool) {
-	n := t.descend(key)
-	i, ok := leafIndex(n.keys, key)
-	if !ok {
-		return dst, false
-	}
-	r := n.vals[i]
-	if len(r.overflow) == 0 {
-		return append(dst, r.inline...), true
-	}
-	t.countRecord(r)
-	return append(dst, r.inline...), true
+	return t.GetSectionInto(key, 0, int(^uint(0)>>1), dst)
 }
 
 // GetSection returns value[off:off+length] reading only the overflow pages
@@ -220,36 +182,22 @@ func (t *Tree) GetSection(key []byte, off, length int) ([]byte, bool) {
 	return t.GetSectionInto(key, off, length, nil)
 }
 
-// GetSectionInto is GetSection appending the section to dst. On a miss or
-// an out-of-bounds offset dst is returned unchanged.
+// GetSectionInto is GetSection appending the section to dst; a section
+// running past the value's end is clipped. On a miss or an out-of-bounds
+// offset dst is returned unchanged.
 func (t *Tree) GetSectionInto(key []byte, off, length int, dst []byte) ([]byte, bool) {
 	n := t.descend(key)
 	i, ok := leafIndex(n.keys, key)
 	if !ok {
 		return dst, false
 	}
-	r := n.vals[i]
-	if off < 0 || off > r.length {
+	// A handle that only reads, set up without Open's bookkeeping: on a
+	// point read of an inline value that costs a fifth of the whole call.
+	h := Record{t: t, rec: n.vals[i]}
+	if off < 0 || off > h.Len() {
 		return dst, false
 	}
-	end := off + length
-	if end > r.length {
-		end = r.length
-	}
-	if len(r.overflow) > 0 {
-		ps := t.pager.PageSize()
-		first := off / ps
-		last := (end - 1) / ps
-		if end <= off {
-			last = first
-		}
-		for p := first; p <= last && p < len(r.overflow); p++ {
-			if _, err := t.pager.Read(r.overflow[p]); err != nil {
-				panic(fmt.Sprintf("btree %s: lost overflow page: %v", t.name, err))
-			}
-		}
-	}
-	return append(dst, r.inline[off:end]...), true
+	return append(dst, h.Read(off, min(length, h.Len()-off))...), true
 }
 
 // Insert stores val under key, replacing any existing value.
@@ -257,50 +205,47 @@ func (t *Tree) Insert(key, val []byte) {
 	if key == nil {
 		panic("btree: nil key")
 	}
-	t.insert(t.root, key, val)
-	if t.nodeBytes(t.root) > t.pager.PageSize() {
-		// Grow a new root.
-		left := t.root
-		mid, right := t.split(left)
-		root := t.newNode(false)
-		root.keys = [][]byte{mid}
-		root.kids = []*node{left, right}
-		t.root = root
-		t.modified(root)
-	}
+	t.Open(key, &t.w)
+	t.w.SetValue(val)
+	t.w.Flush()
 }
 
-func (t *Tree) insert(n *node, key, val []byte) {
-	t.visit(n)
-	if n.leaf {
-		i, ok := leafIndex(n.keys, key)
-		if ok {
-			old := n.vals[i]
-			t.freeRecord(old)
-			n.vals[i] = t.makeRecord(val)
-		} else {
-			i = childIndex(n.keys, key)
-			n.keys = insertAt(n.keys, i, append([]byte(nil), key...))
-			n.vals = insertRecAt(n.vals, i, t.makeRecord(val))
-			t.size++
-		}
-		t.modified(n)
-		return
+// Update applies fn to the current value of key (nil if absent) and stores
+// the result; returning nil from fn deletes the key. It reports whether the
+// key exists after the call. The value passed to fn is the tree's own and
+// valid only during the call, and fn must not use the tree; the whole
+// read-modify-write is one descent.
+func (t *Tree) Update(key []byte, fn func(old []byte) []byte) bool {
+	h := &t.w
+	t.Open(key, h)
+	var old []byte
+	if h.Exists() {
+		old = h.Read(0, h.Len())
 	}
-	ci := childIndex(n.keys, key)
-	child := n.kids[ci]
-	t.insert(child, key, val)
-	if t.nodeBytes(child) > t.pager.PageSize() {
-		mid, right := t.split(child)
-		n.keys = insertAt(n.keys, ci, mid)
-		n.kids = insertNodeAt(n.kids, ci+1, right)
-		t.modified(n)
+	out := fn(old)
+	if out == nil {
+		h.Delete()
+	} else {
+		h.SetValue(out)
 	}
+	h.Flush()
+	return out != nil
+}
+
+// Delete removes key, reporting whether it was present. Nodes are not
+// merged (lazy deletion).
+func (t *Tree) Delete(key []byte) bool {
+	t.Open(key, &t.w)
+	ok := t.w.Exists()
+	t.w.Delete()
+	t.w.Flush()
+	return ok
 }
 
 // split halves a node, returning the separator key and the new right node.
 func (t *Tree) split(n *node) ([]byte, *node) {
 	right := t.newNode(n.leaf)
+	right.parent = n.parent
 	h := len(n.keys) / 2
 	if n.leaf {
 		right.keys = append(right.keys, n.keys[h:]...)
@@ -310,60 +255,46 @@ func (t *Tree) split(n *node) ([]byte, *node) {
 		right.next = n.next
 		n.next = right
 		sep := append([]byte(nil), right.keys[0]...)
-		t.modified(n)
-		t.modified(right)
+		t.writePage(n.page)
+		t.writePage(right.page)
 		return sep, right
 	}
 	// Internal: the middle key moves up.
 	sep := n.keys[h]
 	right.keys = append(right.keys, n.keys[h+1:]...)
 	right.kids = append(right.kids, n.kids[h+1:]...)
+	for _, kid := range right.kids {
+		kid.parent = right
+	}
 	n.keys = n.keys[:h:h]
 	n.kids = n.kids[: h+1 : h+1]
-	t.modified(n)
-	t.modified(right)
+	t.writePage(n.page)
+	t.writePage(right.page)
 	return sep, right
 }
 
-// Update applies fn to the current value of key (nil if absent) and stores
-// the result; returning nil from fn deletes the key. It reports whether the
-// key exists after the call.
-func (t *Tree) Update(key []byte, fn func(old []byte) []byte) bool {
-	old, exists := t.Get(key)
-	var in []byte
-	if exists {
-		in = old
-	}
-	out := fn(in)
-	if out == nil {
-		if exists {
-			t.Delete(key)
+// splitUp restores the byte budget after n grew: an over-full node is
+// halved and its separator pushed into the parent, level by level, a new
+// root growing above the old one when the split reaches it.
+func (t *Tree) splitUp(n *node) {
+	for t.nodeBytes(n) > t.pager.PageSize() {
+		mid, right := t.split(n)
+		p := n.parent
+		if p == nil {
+			p = t.newNode(false)
+			p.keys = [][]byte{mid}
+			p.kids = []*node{n, right}
+			n.parent, right.parent = p, p
+			t.root = p
+			t.writePage(p.page)
+			return
 		}
-		return false
+		ci := childIndex(p.keys, mid) // mid lies in n's key range, so this is n's slot
+		p.keys = insertAt(p.keys, ci, mid)
+		p.kids = insertNodeAt(p.kids, ci+1, right)
+		t.writePage(p.page)
+		n = p
 	}
-	t.Insert(key, out)
-	return true
-}
-
-// Delete removes key, reporting whether it was present. Nodes are not
-// merged (lazy deletion).
-func (t *Tree) Delete(key []byte) bool {
-	n := t.root
-	t.visit(n)
-	for !n.leaf {
-		n = n.kids[childIndex(n.keys, key)]
-		t.visit(n)
-	}
-	i, ok := leafIndex(n.keys, key)
-	if !ok {
-		return false
-	}
-	t.freeRecord(n.vals[i])
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	t.size--
-	t.modified(n)
-	return true
 }
 
 // Ascend calls fn for every key/value in order until fn returns false.
@@ -389,14 +320,14 @@ func (t *Tree) AscendRange(lo, hi []byte, fn func(key, val []byte) bool) {
 // accounting is identical to AscendRange.
 func (t *Tree) ScanInto(lo, hi []byte, fn func(key, val []byte) bool) {
 	n := t.root
-	t.visit(n)
+	t.readPage(n.page)
 	for !n.leaf {
 		if lo == nil {
 			n = n.kids[0]
 		} else {
 			n = n.kids[childIndex(n.keys, lo)]
 		}
-		t.visit(n)
+		t.readPage(n.page)
 	}
 	for ; n != nil; n = n.next {
 		for i := range n.keys {
@@ -406,25 +337,31 @@ func (t *Tree) ScanInto(lo, hi []byte, fn func(key, val []byte) bool) {
 			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
 				return
 			}
-			t.countRecord(n.vals[i])
-			if !fn(n.keys[i], n.vals[i].inline) {
+			r := n.vals[i]
+			for _, pg := range r.overflow {
+				t.readPage(pg)
+			}
+			if !fn(n.keys[i], r.val) {
 				return
 			}
 		}
 		if n.next != nil {
-			t.visit(n.next)
+			t.readPage(n.next.page)
 		}
 	}
 }
 
 // Validate checks the tree's structural invariants: key ordering within and
-// across nodes, separator correctness, byte budgets, and leaf chaining.
+// across nodes, separator correctness, byte budgets, parent links, leaf
+// chaining, and that every value has exactly the overflow pages its length
+// calls for.
 func (t *Tree) Validate() error {
+	ps := t.pager.PageSize()
 	var prevLeafKey []byte
 	var walk func(n *node, lo, hi []byte) error
 	walk = func(n *node, lo, hi []byte) error {
-		if t.nodeBytes(n) > t.pager.PageSize() {
-			return fmt.Errorf("btree %s: node %d over budget (%d > %d)", t.name, n.page.ID, t.nodeBytes(n), t.pager.PageSize())
+		if t.nodeBytes(n) > ps {
+			return fmt.Errorf("btree %s: node %d over budget (%d > %d)", t.name, n.page.ID, t.nodeBytes(n), ps)
 		}
 		for i := 1; i < len(n.keys); i++ {
 			if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
@@ -443,11 +380,18 @@ func (t *Tree) Validate() error {
 			if len(n.keys) != len(n.vals) {
 				return fmt.Errorf("btree %s: node %d keys/vals mismatch", t.name, n.page.ID)
 			}
-			for _, k := range n.keys {
+			for i, k := range n.keys {
 				if prevLeafKey != nil && bytes.Compare(prevLeafKey, k) >= 0 {
 					return fmt.Errorf("btree %s: leaf chain out of order at %q", t.name, k)
 				}
 				prevLeafKey = k
+				want, r := 0, n.vals[i]
+				if len(r.val) > t.MaxInline() {
+					want = (len(r.val) + ps - 1) / ps
+				}
+				if len(r.overflow) != want {
+					return fmt.Errorf("btree %s: %d-byte value of %q on %d overflow pages, want %d", t.name, len(r.val), k, len(r.overflow), want)
+				}
 			}
 			return nil
 		}
@@ -465,6 +409,9 @@ func (t *Tree) Validate() error {
 				khi = n.keys[i]
 			} else {
 				khi = hi
+			}
+			if kid.parent != n {
+				return fmt.Errorf("btree %s: node %d does not point back at its parent %d", t.name, kid.page.ID, n.page.ID)
 			}
 			if err := walk(kid, klo, khi); err != nil {
 				return err

@@ -293,10 +293,9 @@ func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
 	return err
 }
 
-// UpdateBatch applies a batch of in-place updates against one snapshot of
-// the active configuration, sharding them over a worker pool the way
-// QueryBatch fans probes out (see exec.IndexSet.UpdateBatch for the
-// ordering and safety contract). The batch serializes with configuration
+// UpdateBatch applies a batch of in-place updates, in input order, against
+// one snapshot of the active configuration (see
+// exec.IndexSet.UpdateBatch). The batch serializes with configuration
 // swaps as a whole — one writeMu hold, not one per update — so it also
 // acts as a group commit. The result has one entry per update, nil on
 // success; a failed update does not stop the rest of the batch. On a

@@ -174,9 +174,9 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 // a freshly built set over the same (final) store state: every index must
 // answer bit-identically for every reachable key and every target class
 // in its scope — and the whole chained query must match naive navigation.
-func diffCheck(t *testing.T, label string, c *Configured, g *gen.Generated) {
+func diffCheck(t *testing.T, label string, c *Configured, g *gen.Generated, pageSize int) {
 	t.Helper()
-	fresh, err := NewConfigured(g.Store, g.Path, c.Config(), 1024)
+	fresh, err := NewConfigured(g.Store, g.Path, c.Config(), pageSize)
 	if err != nil {
 		t.Fatalf("%s: fresh rebuild: %v", label, err)
 	}
@@ -245,8 +245,17 @@ func diffCheck(t *testing.T, label string, c *Configured, g *gen.Generated) {
 // which every index structure must answer bit-identically to a freshly
 // built index over the final store state — and the chained query must
 // still match naive navigation. It runs under -race as well (the ops here
-// are sequential; concurrency is covered by the batch tests).
+// are sequential; concurrency is covered by the batch tests), and a second
+// time on 256-byte index pages, where every NIX primary record is a chain
+// of overflow pages and every patch, shift and chain extension of the
+// record handle is exercised by real maintenance.
 func TestDifferentialMaintenance(t *testing.T) {
+	for _, pageSize := range []int{1024, 256} {
+		differentialMaintenance(t, pageSize)
+	}
+}
+
+func differentialMaintenance(t *testing.T, pageSize int) {
 	const opsPerConfig = 800 // 7 configurations ≈ 5,600 interleaved ops
 	ps := smallStats(t)
 	n := ps.Len()
@@ -256,23 +265,23 @@ func TestDifferentialMaintenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+		c, err := NewConfigured(g.Store, g.Path, cfg, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := newOpMixer(g, seed)
-		label := fmt.Sprintf("cfg %v", cfg)
+		label := fmt.Sprintf("cfg %v, %d-byte pages", cfg, pageSize)
 		for i := 0; i < opsPerConfig; i++ {
 			m.apply(t, c)
 		}
-		diffCheck(t, label, c, g)
+		diffCheck(t, label, c, g, pageSize)
 	}
 }
 
 // TestUpdateBatchMatchesSequential pins UpdateBatch's contract: the final
-// index state after a sharded concurrent batch is identical to applying
-// the same updates sequentially in input order, including updates that
-// collide on the same object (those keep their relative order).
+// index state after a batch is identical to applying the same updates one
+// by one in input order, including updates that collide on the same object
+// (those keep their relative order).
 func TestUpdateBatchMatchesSequential(t *testing.T) {
 	ps := smallStats(t)
 	for _, cfg := range configurations(ps.Len()) {

@@ -188,9 +188,9 @@ func (c *Configured) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
 	return c.set.UpdateIn(c.Store, oid, attrs)
 }
 
-// UpdateBatch applies a batch of in-place updates through the set's
-// sharded worker pool (see IndexSet.UpdateBatch); the result has one
-// entry per update, nil on success.
+// UpdateBatch applies a batch of in-place updates in input order (see
+// IndexSet.UpdateBatch); the result has one entry per update, nil on
+// success.
 func (c *Configured) UpdateBatch(ups []Update) []error {
 	return c.set.UpdateBatch(c.Store, ups)
 }

@@ -3,11 +3,11 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -108,7 +108,9 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		fresh = append(fresh, i)
 	}
 	// Bulk load, deepest level first within each index (the order NIX
-	// maintenance relies on). Each fresh index owns a disjoint level range
+	// maintenance relies on), each class in OID order — the store lists a
+	// page's objects in map order, and the order of insertion shapes the
+	// trees. Each fresh index owns a disjoint level range
 	// and a dedicated pager, so they load concurrently. Store access is
 	// read-only: Peek does not count page accesses; PX additionally reads
 	// objects through the store's pager, whose atomic counters and locked
@@ -119,7 +121,9 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		ix := s.indexes[i]
 		for l := asg.B; l >= asg.A; l-- {
 			for _, cn := range p.HierarchyAt(l) {
-				for _, oid := range st.OIDsOfClass(cn) {
+				oids := st.OIDsOfClass(cn)
+				slices.Sort(oids)
+				for _, oid := range oids {
 					obj, _ := st.Peek(oid)
 					if err := ix.OnInsert(obj); err != nil {
 						return fmt.Errorf("exec: loading %s: %w", cn, err)
@@ -528,76 +532,22 @@ type Update struct {
 	Attrs map[string][]oodb.Value
 }
 
-// deltaSafe reports whether every organization of the set maintains
-// updates purely from index state and the (old, new) object pair. Only
-// MX, MIX and NIX qualify; anything else — PX today, NX if it ever
-// becomes buildable in a set — re-derives affected entries by navigating
-// the object store, so its repair must not race other updates mutating
-// the store and forces sequential batch application.
-func (s *IndexSet) deltaSafe() bool {
-	for _, asg := range s.cfg.Assignments {
-		switch asg.Org {
-		case cost.MX, cost.MIX, cost.NIX:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// UpdateBatch applies a batch of in-place updates, mirroring QueryBatch's
-// worker-pool shape on the write path. Updates are sharded over one
-// worker per CPU by OID — updates to the same object keep their batch
-// order — while updates to distinct objects may interleave: each one's
-// store mutation and index maintenance are individually serialized by
-// the store and set locks, and the per-object diffs commute, so the
-// final index state is identical to sequential application (the
-// differential maintenance test enforces this).
-//
-// Unlike QueryBatch, whose readers genuinely run concurrently under a
-// shared read lock, every update serializes on the store's and the set's
-// exclusive locks — sharding buys pipelining of the two lock domains
-// (one worker validates and mutates the store while another maintains
-// indexes), not per-core scaling. The batch's primary value is the
-// contract: one call, per-update errors, group serialization against
-// configuration swaps at the engine level. Configurations containing an
-// organization outside MX/MIX/NIX (PX; see deltaSafe) apply sequentially
-// because their repair navigates the store, which must not move
-// underneath it.
+// UpdateBatch applies a batch of in-place updates in input order. The
+// batch's value is its contract: one call, per-update errors, and — at the
+// engine level — one serialization against configuration swaps and one
+// commit for the whole group. It does not fan out: every update takes the
+// store's and the set's exclusive locks in turn, and with maintenance
+// patching records in place a worker pool measured no faster than this
+// loop (DESIGN.md §5.2), while this loop applies the same batch the same
+// way every time.
 //
 // The result has one entry per update, nil on success; a failed update
 // never prevents the rest of the batch from applying.
 func (s *IndexSet) UpdateBatch(st *oodb.Store, ups []Update) []error {
 	errs := make([]error, len(ups))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ups) {
-		workers = len(ups)
-	}
-	if workers <= 1 || !s.deltaSafe() {
-		for i, u := range ups {
-			errs[i] = s.UpdateIn(st, u.OID, u.Attrs)
-		}
-		return errs
-	}
-	shards := make([][]int, workers)
 	for i, u := range ups {
-		w := int(u.OID % oodb.OID(workers))
-		shards[w] = append(shards[w], i)
+		errs[i] = s.UpdateIn(st, u.OID, u.Attrs)
 	}
-	var wg sync.WaitGroup
-	for _, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []int) {
-			defer wg.Done()
-			for _, i := range shard {
-				errs[i] = s.UpdateIn(st, ups[i].OID, ups[i].Attrs)
-			}
-		}(shard)
-	}
-	wg.Wait()
 	return errs
 }
 

@@ -110,8 +110,8 @@ func TestValidationReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 12 { // 4 orgs x 3 operations
-		t.Fatalf("rows = %d, want 12", len(r.Rows))
+	if len(r.Rows) != 16 { // 4 orgs x 4 operations
+		t.Fatalf("rows = %d, want 16", len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		if row.Predicted <= 0 || row.Measured <= 0 {
@@ -119,8 +119,16 @@ func TestValidationReport(t *testing.T) {
 		}
 		// The model must agree with the running system within a small
 		// constant factor — the band that preserves rankings.
-		if row.Ratio < 0.3 || row.Ratio > 3 {
-			t.Errorf("%v %s: measured/predicted = %.2f outside [0.3, 3]", row.Org, row.Operation, row.Ratio)
+		lo, hi := 0.3, 3.0
+		// The paper's three organizations maintain a record through one
+		// B-tree descent and pay for the pages that change, which is what
+		// the model charges: insertions and deletions sit close to 1. (An
+		// in-place update is priced as half of each and does both.)
+		if row.Org != cost.PX && (row.Operation == "insert Person" || row.Operation == "delete Vehicle") {
+			lo, hi = 0.7, 1.5
+		}
+		if row.Ratio < lo || row.Ratio > hi {
+			t.Errorf("%v %s: measured/predicted = %.2f outside [%.1f, %.1f]", row.Org, row.Operation, row.Ratio, lo, hi)
 		}
 	}
 	// Ranking preservation, the property selection relies on: NIX queries

@@ -159,6 +159,31 @@ func RunValidation(seed int64) (ValidationReport, error) {
 		measI := float64(ix.Stats().Accesses()) / float64(inserts)
 		rep.Rows = append(rep.Rows, row(b.org, "insert Person", predI, measI))
 
+		// In-place update of a Person: re-linked to another vehicle. The
+		// model has no update operation of its own; a workload's updates
+		// enter its load as half an insertion plus half a deletion
+		// (stats.MergeObserved), and that is the price quoted here.
+		predPD, err := ev.Delete(1, "Person")
+		if err != nil {
+			return rep, err
+		}
+		perPool := g.ByClass["Person"]
+		ix.ResetStats()
+		updates := 20
+		for i := 0; i < updates; i++ {
+			old, upd, err := g.Store.Update(perPool[i%len(perPool)], map[string][]oodb.Value{
+				"owns": {oodb.RefV(vehPool[(i+len(vehPool)/2)%len(vehPool)])},
+			})
+			if err != nil {
+				return rep, err
+			}
+			if err := ix.OnUpdate(old, upd); err != nil {
+				return rep, err
+			}
+		}
+		measU := float64(ix.Stats().Accesses()) / float64(updates)
+		rep.Rows = append(rep.Rows, row(b.org, "update Person", (predI+predPD)/2, measU))
+
 		// Deletion of a Vehicle.
 		predD, err := ev.Delete(2, "Vehicle")
 		if err != nil {

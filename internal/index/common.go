@@ -16,7 +16,6 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -302,9 +301,6 @@ func (sp *Subpath) valuesAt(obj *oodb.Object) []oodb.Value {
 // classesAt returns the hierarchy class names at global level l, from the
 // pre-resolved per-level table.
 func (sp *Subpath) classesAt(l int) []string { return sp.levels[l-sp.A] }
-
-// keysEqual compares encoded keys.
-func keysEqual(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // Scratch holds the reusable buffers a lookup kernel threads through the
 // stack: an encoded-key buffer, a record-value buffer, a section-header

@@ -29,6 +29,11 @@ type fixture struct {
 	persons   []oodb.OID
 
 	brands []string
+
+	// indexPage is the page size buildIndex gives its structures; zero
+	// means 1024. At 256 every NIX primary record of the fixture spans
+	// several overflow pages.
+	indexPage int
 }
 
 func buildFixture(t testing.TB, seed int64, nComp, nVeh, nPer int) *fixture {
@@ -151,15 +156,19 @@ func (f *fixture) buildIndex(t testing.TB, org string) PathIndex {
 	t.Helper()
 	var ix PathIndex
 	var err error
+	ps := f.indexPage
+	if ps == 0 {
+		ps = 1024
+	}
 	switch org {
 	case "MX":
-		ix, err = NewMultiIndex(f.path, 1, f.path.Len(), 1024)
+		ix, err = NewMultiIndex(f.path, 1, f.path.Len(), ps)
 	case "MIX":
-		ix, err = NewMultiInheritedIndex(f.path, 1, f.path.Len(), 1024)
+		ix, err = NewMultiInheritedIndex(f.path, 1, f.path.Len(), ps)
 	case "NIX":
-		ix, err = NewNestedInheritedIndex(f.path, 1, f.path.Len(), 1024)
+		ix, err = NewNestedInheritedIndex(f.path, 1, f.path.Len(), ps)
 	case "PX":
-		ix, err = NewPathIndexPX(f.store, f.path, 1, f.path.Len(), 1024)
+		ix, err = NewPathIndexPX(f.store, f.path, 1, f.path.Len(), ps)
 	default:
 		t.Fatalf("unknown org %s", org)
 	}
@@ -560,20 +569,20 @@ func TestEncodeValueDisjoint(t *testing.T) {
 
 func TestNIXAuxTupleCodec(t *testing.T) {
 	in := &auxTuple{
-		parents:  []oodb.OID{4, 2},
+		parents:  []oodb.OID{2, 4},
 		pointers: [][]byte{EncodeValue(oodb.StrV("Renault")), EncodeOID(9)},
 	}
-	out, err := decodeAux(encodeAux(in))
-	if err != nil {
+	out := &auxTuple{}
+	if err := decodeAux(encodeAux(nil, in), out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.parents) != 2 || len(out.pointers) != 2 {
+	if !reflect.DeepEqual(out.parents, in.parents) || !reflect.DeepEqual(out.pointers, in.pointers) {
 		t.Fatalf("round trip = %+v", out)
 	}
-	if _, err := decodeAux([]byte{1}); err == nil {
+	if err := decodeAux([]byte{1}, &auxTuple{}); err == nil {
 		t.Error("truncated tuple accepted")
 	}
-	// addParent dedupes and sorts.
+	// addParent dedupes and keeps the list ascending.
 	out.addParent(4)
 	out.addParent(1)
 	if !reflect.DeepEqual(out.parents, []oodb.OID{1, 2, 4}) {

@@ -3,7 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/cost"
@@ -35,13 +35,15 @@ type NestedInheritedIndex struct {
 	aux      *btree.Tree
 	classPos map[string]int // class -> section position
 	classes  []string       // section order: levels A..B, hierarchy order
-	// ownerClass records the class of every indexed object so the update
-	// cascade can place re-keyed ancestor entries in their class sections
-	// without navigating the database (the 3-tuples identify parents by
-	// OID only). As in MIX, a real system would read the class off the
-	// OID's page; the registry avoids charging object-store accesses to
-	// the index pager.
-	ownerClass map[oodb.OID]string
+	posLevel []int          // section position -> level
+	// owner records the section (and with it the class) of every indexed
+	// object, so the cascades can go straight to an ancestor's section
+	// without navigating the database (the 3-tuples identify parents by OID
+	// only). As in MIX, a real system would read the class off the OID's
+	// page; the registry avoids charging object-store accesses to the index
+	// pager.
+	owner map[oodb.OID]int
+	ms    maintScratch
 }
 
 // NewNestedInheritedIndex allocates the NIX for subpath [a..b].
@@ -55,19 +57,22 @@ func NewNestedInheritedIndex(p *schema.Path, a, b, pageSize int) (*NestedInherit
 		return nil, err
 	}
 	nx := &NestedInheritedIndex{
-		sp:         sp,
-		pager:      pager,
-		primary:    btree.New(pager, "nix/primary"),
-		aux:        btree.New(pager, "nix/aux"),
-		classPos:   make(map[string]int),
-		ownerClass: make(map[oodb.OID]string),
+		sp:       sp,
+		pager:    pager,
+		primary:  btree.New(pager, "nix/primary"),
+		aux:      btree.New(pager, "nix/aux"),
+		classPos: make(map[string]int),
+		owner:    make(map[oodb.OID]int),
 	}
 	for l := a; l <= b; l++ {
 		for _, cn := range sp.classesAt(l) {
 			nx.classPos[cn] = len(nx.classes)
 			nx.classes = append(nx.classes, cn)
+			nx.posLevel = append(nx.posLevel, l)
 		}
 	}
+	nx.ms.tup = make([]auxTuple, b-a+1)
+	nx.ms.view = newNixView(nx.primary, len(nx.classes))
 	return nx, nil
 }
 
@@ -89,212 +94,9 @@ func (nx *NestedInheritedIndex) PrimaryTree() *btree.Tree { return nx.primary }
 // AuxTree exposes the auxiliary tree.
 func (nx *NestedInheritedIndex) AuxTree() *btree.Tree { return nx.aux }
 
-// ---- primary record serialization -------------------------------------
-
-// nixEntry is one (OID, numchild) pair of a class section.
-type nixEntry struct {
-	oid   oodb.OID
-	count uint32
-}
-
-// nixRecord is a decoded primary record: one entry list per class, ordered
-// like nx.classes.
-type nixRecord struct {
-	sections [][]nixEntry
-}
-
-func (nx *NestedInheritedIndex) newRecord() *nixRecord {
-	return &nixRecord{sections: make([][]nixEntry, len(nx.classes))}
-}
-
-func (r *nixRecord) empty() bool {
-	for _, s := range r.sections {
-		if len(s) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *nixRecord) find(pos int, oid oodb.OID) int {
-	for i, e := range r.sections[pos] {
-		if e.oid == oid {
-			return i
-		}
-	}
-	return -1
-}
-
 // headerLen is the byte length of the class directory: a count plus
 // (offset, count) per class.
 func (nx *NestedInheritedIndex) headerLen() int { return 4 + 8*len(nx.classes) }
-
-const nixEntryLen = 12 // oid (8) + numchild (4)
-
-func (nx *NestedInheritedIndex) encodeRecord(r *nixRecord) []byte {
-	h := nx.headerLen()
-	total := h
-	for _, s := range r.sections {
-		total += len(s) * nixEntryLen
-	}
-	out := make([]byte, total)
-	binary.BigEndian.PutUint32(out, uint32(len(nx.classes)))
-	off := h
-	for i, s := range r.sections {
-		binary.BigEndian.PutUint32(out[4+8*i:], uint32(off))
-		binary.BigEndian.PutUint32(out[4+8*i+4:], uint32(len(s)))
-		for _, e := range s {
-			binary.BigEndian.PutUint64(out[off:], uint64(e.oid))
-			binary.BigEndian.PutUint32(out[off+8:], e.count)
-			off += nixEntryLen
-		}
-	}
-	return out
-}
-
-func (nx *NestedInheritedIndex) decodeRecord(b []byte) (*nixRecord, error) {
-	if len(b) < nx.headerLen() {
-		return nil, fmt.Errorf("index: truncated NIX record (%d bytes)", len(b))
-	}
-	nc := int(binary.BigEndian.Uint32(b))
-	if nc != len(nx.classes) {
-		return nil, fmt.Errorf("index: NIX record with %d classes, want %d", nc, len(nx.classes))
-	}
-	r := nx.newRecord()
-	for i := 0; i < nc; i++ {
-		off := int(binary.BigEndian.Uint32(b[4+8*i:]))
-		cnt := int(binary.BigEndian.Uint32(b[4+8*i+4:]))
-		if off+cnt*nixEntryLen > len(b) {
-			return nil, fmt.Errorf("index: NIX section %d out of bounds", i)
-		}
-		for j := 0; j < cnt; j++ {
-			p := off + j*nixEntryLen
-			r.sections[i] = append(r.sections[i], nixEntry{
-				oid:   oodb.OID(binary.BigEndian.Uint64(b[p:])),
-				count: binary.BigEndian.Uint32(b[p+8:]),
-			})
-		}
-	}
-	return r, nil
-}
-
-// ---- auxiliary 3-tuple serialization -----------------------------------
-
-// auxTuple is a decoded 3-tuple (Figure 4): the object's aggregation
-// parents and the primary keys whose records contain the object.
-type auxTuple struct {
-	parents  []oodb.OID
-	pointers [][]byte // encoded primary keys
-}
-
-func encodeAux(t *auxTuple) []byte {
-	size := 4 + 8*len(t.parents) + 4
-	for _, p := range t.pointers {
-		size += 2 + len(p)
-	}
-	out := make([]byte, size)
-	binary.BigEndian.PutUint32(out, uint32(len(t.parents)))
-	off := 4
-	for _, p := range t.parents {
-		binary.BigEndian.PutUint64(out[off:], uint64(p))
-		off += 8
-	}
-	binary.BigEndian.PutUint32(out[off:], uint32(len(t.pointers)))
-	off += 4
-	for _, p := range t.pointers {
-		binary.BigEndian.PutUint16(out[off:], uint16(len(p)))
-		off += 2
-		copy(out[off:], p)
-		off += len(p)
-	}
-	return out
-}
-
-func decodeAux(b []byte) (*auxTuple, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("index: truncated aux tuple")
-	}
-	t := &auxTuple{}
-	np := int(binary.BigEndian.Uint32(b))
-	off := 4
-	if len(b) < off+8*np+4 {
-		return nil, fmt.Errorf("index: aux tuple parents out of bounds")
-	}
-	for i := 0; i < np; i++ {
-		t.parents = append(t.parents, oodb.OID(binary.BigEndian.Uint64(b[off:])))
-		off += 8
-	}
-	nq := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	for i := 0; i < nq; i++ {
-		if len(b) < off+2 {
-			return nil, fmt.Errorf("index: aux tuple pointer header out of bounds")
-		}
-		l := int(binary.BigEndian.Uint16(b[off:]))
-		off += 2
-		if len(b) < off+l {
-			return nil, fmt.Errorf("index: aux tuple pointer out of bounds")
-		}
-		t.pointers = append(t.pointers, append([]byte(nil), b[off:off+l]...))
-		off += l
-	}
-	return t, nil
-}
-
-func (t *auxTuple) addParent(p oodb.OID) {
-	for _, x := range t.parents {
-		if x == p {
-			return
-		}
-	}
-	t.parents = append(t.parents, p)
-	sort.Slice(t.parents, func(i, j int) bool { return t.parents[i] < t.parents[j] })
-}
-
-func (t *auxTuple) removeParent(p oodb.OID) {
-	out := t.parents[:0]
-	for _, x := range t.parents {
-		if x != p {
-			out = append(out, x)
-		}
-	}
-	t.parents = out
-}
-
-func (t *auxTuple) addPointer(key []byte) {
-	for _, p := range t.pointers {
-		if keysEqual(p, key) {
-			return
-		}
-	}
-	t.pointers = append(t.pointers, append([]byte(nil), key...))
-}
-
-func (t *auxTuple) removePointer(key []byte) {
-	out := t.pointers[:0]
-	for _, p := range t.pointers {
-		if !keysEqual(p, key) {
-			out = append(out, p)
-		}
-	}
-	t.pointers = out
-}
-
-func (nx *NestedInheritedIndex) getAux(oid oodb.OID) (*auxTuple, bool, error) {
-	raw, ok := nx.aux.Get(EncodeOID(oid))
-	if !ok {
-		return nil, false, nil
-	}
-	t, err := decodeAux(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return t, true, nil
-}
-
-func (nx *NestedInheritedIndex) putAux(oid oodb.OID, t *auxTuple) {
-	nx.aux.Insert(EncodeOID(oid), encodeAux(t))
-}
 
 // ---- lookup -------------------------------------------------------------
 
@@ -353,53 +155,82 @@ func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, h
 }
 
 // ---- maintenance ---------------------------------------------------------
+//
+// Every operation follows Section 3.1 and pays what the section charges:
+// a 3-tuple is read, edited and written back through one descent of the
+// auxiliary index, and a primary record is opened once (nixView), patched
+// where it changes and flushed once, however long the cascade inside it.
+// Records are visited in key order and children in reference order, never
+// in map order, so the same operations always build the same trees.
 
-// keyCounts maps encoded primary keys (as strings) to a child multiplicity.
-type keyCounts map[string]int
+// parentLink says what an operation does to the parent lists of the
+// children it visits.
+type parentLink int
 
-// collectChildPointers reads the aux tuples of the object's children and
-// returns, per primary key, how many children carry it. Children at level
-// B of a path-ending subpath have no tuples; their keys are the values
-// themselves — that case is handled by the caller.
-func (nx *NestedInheritedIndex) collectChildPointers(children []oodb.OID) (keyCounts, error) {
-	kc := make(keyCounts)
-	for _, c := range children {
-		t, ok, err := nx.getAux(c)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue // child at level A+... of another structure; tolerated
-		}
-		for _, p := range t.pointers {
-			kc[string(p)]++
-		}
-	}
-	return kc, nil
-}
+const (
+	linkKeep parentLink = iota
+	linkAdd             // the object becomes a parent of its children
+	linkDrop            // the object stops being one
+)
 
-// childKeys derives the primary keys reached by the object, with child
-// multiplicities (the numchild seed of its entries).
-func (nx *NestedInheritedIndex) childKeys(obj *oodb.Object, l int) (keyCounts, error) {
+// children visits the 3-tuples of obj's level-l children in reference
+// order. Each tuple's pointers — the primary keys the child reaches — are
+// counted into kl when it is non-nil, and link is applied to the parent
+// list of every child that except does not reference as well, the tuple
+// written back if that changed it. At level B the "children" are the
+// ending values themselves and only kl is fed.
+func (nx *NestedInheritedIndex) children(obj *oodb.Object, l int, kl *keyList, link parentLink, except []oodb.Value) error {
 	vals := obj.Values(nx.sp.Attr(l))
-	if l == nx.B() {
-		kc := make(keyCounts)
-		for _, v := range vals {
-			kc[string(EncodeValue(v))]++
+	if l == nx.sp.B {
+		if kl != nil {
+			for _, v := range vals {
+				kl.addValue(v)
+			}
 		}
-		return kc, nil
+		return nil
 	}
-	var children []oodb.OID
+	t := nx.tuple(l + 1)
 	for _, v := range vals {
-		if v.Kind == oodb.RefVal {
-			children = append(children, v.Ref)
+		if v.Kind != oodb.RefVal {
+			continue
+		}
+		e := link
+		if e != linkKeep && slices.ContainsFunc(except, v.Equal) {
+			e = linkKeep
+		}
+		if kl == nil && e == linkKeep {
+			continue
+		}
+		ok, err := nx.loadAux(v.Ref, t)
+		if err != nil {
+			return err
+		}
+		if kl != nil {
+			for _, p := range t.pointers {
+				kl.add(p)
+			}
+		}
+		// A child not indexed yet (a dangling reference) still learns its
+		// parent; it has nothing to forget.
+		if e == linkAdd && t.addParent(obj.OID) || e == linkDrop && ok && t.removeParent(obj.OID) {
+			nx.storeAux(t)
 		}
 	}
-	return nx.collectChildPointers(children)
+	return nil
 }
 
-// B returns the subpath's ending level.
-func (nx *NestedInheritedIndex) B() int { return nx.sp.B }
+// putPointers writes oid's 3-tuple with its pointer set replaced by the
+// keys of kl; t holds the rest of the tuple.
+func (nx *NestedInheritedIndex) putPointers(oid oodb.OID, t *auxTuple, kl *keyList) {
+	t.pointers = t.pointers[:0]
+	for i := 0; i < kl.len(); i++ {
+		t.pointers = append(t.pointers, kl.key(i))
+	}
+	ms := &nx.ms
+	ms.akey = AppendOID(ms.akey[:0], oid)
+	nx.aux.Open(ms.akey, &ms.aux)
+	nx.storeAux(t)
+}
 
 // OnInsert implements the insertion algorithm of Section 3.1: update the
 // children's 3-tuples, add the object to the reachable primary records,
@@ -409,50 +240,37 @@ func (nx *NestedInheritedIndex) OnInsert(obj *oodb.Object) error {
 	if !ok {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
-	nx.ownerClass[obj.OID] = obj.Class
 	pos := nx.classPos[obj.Class]
+	nx.owner[obj.OID] = pos
 
 	// Step 2: visit children tuples, record parenthood, gather pointers.
-	if l < nx.sp.B {
-		for _, c := range obj.Refs(nx.sp.Attr(l)) {
-			t, ok, err := nx.getAux(c)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				t = &auxTuple{}
-			}
-			t.addParent(obj.OID)
-			nx.putAux(c, t)
-		}
-	}
-	kc, err := nx.childKeys(obj, l)
-	if err != nil {
+	keys := &nx.ms.upd
+	keys.reset()
+	if err := nx.children(obj, l, keys, linkAdd, nil); err != nil {
 		return err
 	}
+	keys.finish()
 
 	// Step 3: add the object to each reachable primary record.
-	for k, cnt := range kc {
-		rec, err := nx.loadRecord([]byte(k))
-		if err != nil {
+	v := &nx.ms.view
+	for i := 0; i < keys.len(); i++ {
+		if err := v.open(keys.key(i)); err != nil {
 			return err
 		}
-		if i := rec.find(pos, obj.OID); i >= 0 {
-			rec.sections[pos][i].count += uint32(cnt)
+		if j := v.find(pos, obj.OID); j >= 0 {
+			v.setCount(pos, j, v.count(pos, j)+keys.count(i))
 		} else {
-			rec.sections[pos] = append(rec.sections[pos], nixEntry{oid: obj.OID, count: uint32(cnt)})
+			v.add(pos, obj.OID, keys.count(i))
 		}
-		nx.storeRecord([]byte(k), rec)
+		v.flush()
 	}
 
 	// Step 4: the object's own 3-tuple (levels above A only; the first
 	// class and its subclasses have no parents and no tuples).
 	if l > nx.sp.A {
-		t := &auxTuple{}
-		for k := range kc {
-			t.addPointer([]byte(k))
-		}
-		nx.putAux(obj.OID, t)
+		t := nx.tuple(l)
+		t.reset()
+		nx.putPointers(obj.OID, t, keys)
 	}
 	return nil
 }
@@ -468,54 +286,45 @@ func (nx *NestedInheritedIndex) OnDelete(obj *oodb.Object) error {
 	}
 
 	// Step 1/2: determine SV; update children's tuples; fetch own tuple.
-	if l < nx.sp.B {
-		for _, c := range obj.Refs(nx.sp.Attr(l)) {
-			t, ok, err := nx.getAux(c)
-			if err != nil {
-				return err
-			}
-			if ok {
-				t.removeParent(obj.OID)
-				nx.putAux(c, t)
-			}
-		}
-	}
-	var pointers [][]byte
+	// Level-A objects have no tuple; their records are reachable through
+	// their children (or are the values themselves at B==A).
+	keys := &nx.ms.old
+	keys.reset()
 	var parents []oodb.OID
 	if l > nx.sp.A {
-		t, ok, err := nx.getAux(obj.OID)
+		if err := nx.children(obj, l, nil, linkDrop, nil); err != nil {
+			return err
+		}
+		t := nx.tuple(l)
+		ok, err := nx.loadAux(obj.OID, t)
 		if err != nil {
 			return err
 		}
 		if ok {
-			pointers = t.pointers
+			for _, p := range t.pointers {
+				keys.add(p)
+			}
 			parents = t.parents
-			nx.aux.Delete(EncodeOID(obj.OID))
+			nx.dropAux()
 		}
-	} else {
-		// Level-A objects have no tuple; their records are reachable
-		// through their children (or are the values themselves at B==A).
-		kc, err := nx.childKeys(obj, l)
-		if err != nil {
-			return err
-		}
-		for k := range kc {
-			pointers = append(pointers, []byte(k))
-		}
+	} else if err := nx.children(obj, l, keys, linkDrop, nil); err != nil {
+		return err
 	}
+	keys.finish()
 
 	// Step 3: remove the object from each primary record and cascade.
-	for _, k := range pointers {
-		rec, err := nx.loadRecord(k)
-		if err != nil {
+	v := &nx.ms.view
+	for i := 0; i < keys.len(); i++ {
+		k := keys.key(i)
+		if err := v.open(k); err != nil {
 			return err
 		}
-		if err := nx.cascadeRemove(rec, k, l, obj.OID, parents); err != nil {
+		if err := nx.cascadeRemove(v, k, l, obj.OID, parents); err != nil {
 			return err
 		}
-		nx.storeRecord(k, rec)
+		v.flush()
 	}
-	delete(nx.ownerClass, obj.OID)
+	delete(nx.owner, obj.OID)
 	return nil
 }
 
@@ -543,229 +352,179 @@ func (nx *NestedInheritedIndex) OnUpdate(old, upd *oodb.Object) error {
 		return fmt.Errorf("index: class %s not in subpath scope", old.Class)
 	}
 	attr := nx.sp.Attr(l)
-	if oodb.ValuesEqual(old.Values(attr), upd.Values(attr)) {
+	oldVals, updVals := old.Values(attr), upd.Values(attr)
+	if oodb.ValuesEqual(oldVals, updVals) {
 		return nil
-	}
-	// Re-parent the children's 3-tuples (their pointer sets are untouched:
-	// pointers track the keys a child reaches, not who references it).
-	if l < nx.sp.B {
-		oldRefs := refSet(old.Refs(attr))
-		updRefs := refSet(upd.Refs(attr))
-		for c := range oldRefs {
-			if updRefs[c] {
-				continue
-			}
-			t, ok, err := nx.getAux(c)
-			if err != nil {
-				return err
-			}
-			if ok {
-				t.removeParent(old.OID)
-				nx.putAux(c, t)
-			}
-		}
-		for c := range updRefs {
-			if oldRefs[c] {
-				continue
-			}
-			t, ok, err := nx.getAux(c)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				t = &auxTuple{}
-			}
-			t.addParent(old.OID)
-			nx.putAux(c, t)
-		}
 	}
 	// The keys reached before come from the object's own 3-tuple (level-A
 	// objects have none; their keys are re-derived through their old
-	// children), the keys reached after from the new state.
-	var oldKeys [][]byte
-	var oldKC keyCounts // level-A only: numchild per key before the update
+	// children), the keys reached after from the new state. The same two
+	// passes re-parent the children's 3-tuples (their pointer sets are
+	// untouched: pointers track the keys a child reaches, not who
+	// references it).
+	oldKeys, newKeys := &nx.ms.old, &nx.ms.upd
+	oldKeys.reset()
+	newKeys.reset()
 	var parents []oodb.OID
-	tup := &auxTuple{}
+	own := nx.tuple(l)
 	if l > nx.sp.A {
-		t, ok, err := nx.getAux(old.OID)
-		if err != nil {
+		if err := nx.children(old, l, nil, linkDrop, updVals); err != nil {
 			return err
 		}
-		if ok {
-			tup = t
-			oldKeys = t.pointers
-			parents = t.parents
-		}
-	} else {
-		kc, err := nx.childKeys(old, l)
-		if err != nil {
+		if _, err := nx.loadAux(old.OID, own); err != nil {
 			return err
 		}
-		oldKC = kc
-		for k := range kc {
-			oldKeys = append(oldKeys, []byte(k))
+		for _, p := range own.pointers {
+			oldKeys.add(p)
 		}
-	}
-	newKC, err := nx.childKeys(upd, l)
-	if err != nil {
+		parents = own.parents
+	} else if err := nx.children(old, l, oldKeys, linkDrop, updVals); err != nil {
 		return err
 	}
-	for _, k := range oldKeys {
-		if _, keep := newKC[string(k)]; keep {
+	if err := nx.children(upd, l, newKeys, linkAdd, oldVals); err != nil {
+		return err
+	}
+	oldKeys.finish()
+	newKeys.finish()
+
+	v := &nx.ms.view
+	for i := 0; i < oldKeys.len(); i++ {
+		k := oldKeys.key(i)
+		if _, keep := newKeys.find(k); keep {
 			continue
 		}
-		rec, err := nx.loadRecord(k)
-		if err != nil {
+		if err := v.open(k); err != nil {
 			return err
 		}
-		if err := nx.cascadeRemove(rec, k, l, old.OID, parents); err != nil {
+		if err := nx.cascadeRemove(v, k, l, old.OID, parents); err != nil {
 			return err
 		}
-		nx.storeRecord(k, rec)
-	}
-	oldSet := make(map[string]bool, len(oldKeys))
-	for _, k := range oldKeys {
-		oldSet[string(k)] = true
+		v.flush()
 	}
 	pos := nx.classPos[old.Class]
-	for k, cnt := range newKC {
+	for i := 0; i < newKeys.len(); i++ {
+		k, cnt := newKeys.key(i), newKeys.count(i)
 		// Keys reached both before and after only need their numchild
 		// reseeded — and not even that when the count is unchanged: at
 		// level A the old counts were just derived (skip without touching
 		// the tree), above it the read confirms before any write.
-		if oldSet[k] && oldKC != nil && oldKC[k] == cnt {
+		j, kept := oldKeys.find(k)
+		if kept && l == nx.sp.A && oldKeys.count(j) == cnt {
 			continue
 		}
-		rec, err := nx.loadRecord([]byte(k))
-		if err != nil {
+		if err := v.open(k); err != nil {
 			return err
 		}
-		if oldSet[k] {
-			if i := rec.find(pos, old.OID); i >= 0 {
-				if rec.sections[pos][i].count == uint32(cnt) {
-					continue
-				}
-				rec.sections[pos][i].count = uint32(cnt)
-			} else {
-				rec.sections[pos] = append(rec.sections[pos], nixEntry{oid: old.OID, count: uint32(cnt)})
+		if !kept {
+			if err := nx.cascadeAdd(v, k, l, old.OID, cnt, parents); err != nil {
+				return err
 			}
-		} else if err := nx.cascadeAdd(rec, []byte(k), l, old.OID, uint32(cnt), parents); err != nil {
-			return err
+		} else if e := v.find(pos, old.OID); e < 0 {
+			v.add(pos, old.OID, cnt)
+		} else if v.count(pos, e) != cnt {
+			v.setCount(pos, e, cnt)
 		}
-		nx.storeRecord([]byte(k), rec)
+		v.flush()
 	}
 	// Refresh the object's own pointer set to the keys now reached.
 	if l > nx.sp.A {
-		tup.pointers = tup.pointers[:0]
-		for k := range newKC {
-			tup.addPointer([]byte(k))
-		}
-		nx.putAux(old.OID, tup)
+		nx.putPointers(old.OID, own, newKeys)
 	}
 	return nil
 }
 
-// cascadeAdd inserts the entry (oid, count) at level l into rec (keyed by
-// k) and repairs the chain above it — the mirror image of cascadeRemove:
-// an aggregation parent already present in the record gains one child
-// (numchild incremented); a parent not yet in the record enters it with
-// numchild 1, k is added to its pointer set, and the cascade recurses
-// with the parent's own parents from the auxiliary index. An update deep
-// in the path thereby re-keys every ancestor without touching the object
-// store.
-func (nx *NestedInheritedIndex) cascadeAdd(rec *nixRecord, k []byte, l int, oid oodb.OID, count uint32, parents []oodb.OID) error {
-	cls, ok := nx.ownerClass[oid]
+// cascadeAdd inserts the entry (oid, count) at level l into the record v
+// (keyed by k) and repairs the chain above it — the mirror image of
+// cascadeRemove: an aggregation parent already present in the record gains
+// one child (numchild incremented); a parent not yet in the record enters
+// it with numchild 1, k is added to its pointer set, and the cascade
+// recurses with the parent's own parents from the auxiliary index. An
+// update deep in the path thereby re-keys every ancestor without touching
+// the object store.
+func (nx *NestedInheritedIndex) cascadeAdd(v *nixView, k []byte, l int, oid oodb.OID, count uint32, parents []oodb.OID) error {
+	pos, ok := nx.owner[oid]
 	if !ok {
 		return fmt.Errorf("index: NIX has no class recorded for object %d", oid)
 	}
-	pos := nx.classPos[cls]
-	if i := rec.find(pos, oid); i >= 0 {
-		rec.sections[pos][i].count += count
+	if i := v.find(pos, oid); i >= 0 {
+		v.setCount(pos, i, v.count(pos, i)+count)
 	} else {
-		rec.sections[pos] = append(rec.sections[pos], nixEntry{oid: oid, count: count})
+		v.add(pos, oid, count)
 	}
 	if l == nx.sp.A {
 		return nil // no parents within the subpath
 	}
 	for _, p := range parents {
-		found := false
-		for _, cn := range nx.sp.classesAt(l - 1) {
-			cp := nx.classPos[cn]
-			if j := rec.find(cp, p); j >= 0 {
-				rec.sections[cp][j].count++
-				found = true
-				break
+		if pp, ok := nx.owner[p]; ok {
+			if j := v.find(pp, p); j >= 0 {
+				v.setCount(pp, j, v.count(pp, j)+1)
+				continue // the parent already reached k through another child
 			}
-		}
-		if found {
-			continue // the parent already reached k through another child
 		}
 		var grandparents []oodb.OID
 		if l-1 > nx.sp.A {
-			t, ok, err := nx.getAux(p)
+			t := nx.tuple(l - 1)
+			ok, err := nx.loadAux(p, t)
 			if err != nil {
 				return err
 			}
 			if ok {
-				t.addPointer(k)
-				nx.putAux(p, t)
+				if t.addPointer(k) {
+					nx.storeAux(t)
+				}
 				grandparents = t.parents
 			}
 		}
-		if err := nx.cascadeAdd(rec, k, l-1, p, 1, grandparents); err != nil {
+		if err := nx.cascadeAdd(v, k, l-1, p, 1, grandparents); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// cascadeRemove deletes the entry of oid at level l from rec (keyed by k)
-// and propagates numchild decrements to the given parents; parents whose
-// count reaches zero are removed recursively, their own parents fetched
-// from the auxiliary index (steps 3a–3c).
-func (nx *NestedInheritedIndex) cascadeRemove(rec *nixRecord, k []byte, l int, oid oodb.OID, parents []oodb.OID) error {
-	// Remove the entry itself (search the level's classes).
-	for _, cn := range nx.sp.classesAt(l) {
-		pos := nx.classPos[cn]
-		if i := rec.find(pos, oid); i >= 0 {
-			rec.sections[pos] = append(rec.sections[pos][:i], rec.sections[pos][i+1:]...)
-			break
+// cascadeRemove deletes the entry of oid at level l from the record v
+// (keyed by k) and propagates numchild decrements to the given parents;
+// parents whose count reaches zero are removed recursively, their own
+// parents fetched from the auxiliary index (steps 3a–3c).
+func (nx *NestedInheritedIndex) cascadeRemove(v *nixView, k []byte, l int, oid oodb.OID, parents []oodb.OID) error {
+	if pos, ok := nx.owner[oid]; ok {
+		if i := v.find(pos, oid); i >= 0 {
+			v.remove(pos, i)
 		}
 	}
 	if l == nx.sp.A {
 		return nil // no parents within the subpath
 	}
 	for _, p := range parents {
-		var pos, i int = -1, -1
-		for _, cn := range nx.sp.classesAt(l - 1) {
-			cp := nx.classPos[cn]
-			if j := rec.find(cp, p); j >= 0 {
-				pos, i = cp, j
-				break
-			}
+		pos, ok := nx.owner[p]
+		if !ok {
+			continue
 		}
-		if pos < 0 {
+		i := v.find(pos, p)
+		if i < 0 {
 			continue // parent does not reach this record
 		}
-		if rec.sections[pos][i].count > 1 {
-			rec.sections[pos][i].count--
+		if c := v.count(pos, i); c > 1 {
+			v.setCount(pos, i, c-1)
 			continue
 		}
 		// Count reaches zero: remove the parent entry, fix its tuple, and
 		// recurse with its own parents.
 		var grandparents []oodb.OID
 		if l-1 > nx.sp.A {
-			t, ok, err := nx.getAux(p)
+			t := nx.tuple(l - 1)
+			ok, err := nx.loadAux(p, t)
 			if err != nil {
 				return err
 			}
 			if ok {
-				t.removePointer(k)
-				nx.putAux(p, t)
+				if t.removePointer(k) {
+					nx.storeAux(t)
+				}
 				grandparents = t.parents
 			}
 		}
-		if err := nx.cascadeRemove(rec, k, l-1, p, grandparents); err != nil {
+		if err := nx.cascadeRemove(v, k, l-1, p, grandparents); err != nil {
 			return err
 		}
 	}
@@ -779,51 +538,28 @@ func (nx *NestedInheritedIndex) BoundaryDelete(oid oodb.OID) error {
 	if nx.sp.EndsPath() {
 		return nil
 	}
-	k := EncodeOID(oid)
-	raw, ok := nx.primary.Get(k)
-	if !ok {
-		return nil
-	}
-	rec, err := nx.decodeRecord(raw)
-	if err != nil {
+	ms := &nx.ms
+	ms.pkey = AppendOID(ms.pkey[:0], oid)
+	v := &ms.view
+	if err := v.open(ms.pkey); err != nil || !v.h.Exists() {
 		return err
 	}
-	for l := nx.sp.A; l <= nx.sp.B; l++ {
+	for pos, l := range nx.posLevel {
 		if l == nx.sp.A {
 			continue // level-A objects have no tuples
 		}
-		for _, cn := range nx.sp.classesAt(l) {
-			for _, e := range rec.sections[nx.classPos[cn]] {
-				t, ok, err := nx.getAux(e.oid)
-				if err != nil {
-					return err
-				}
-				if ok {
-					t.removePointer(k)
-					nx.putAux(e.oid, t)
-				}
+		t := nx.tuple(l)
+		for i := 0; i < v.dir[pos].cnt; i++ {
+			ok, err := nx.loadAux(v.oid(pos, i), t)
+			if err != nil {
+				return err
+			}
+			if ok && t.removePointer(ms.pkey) {
+				nx.storeAux(t)
 			}
 		}
 	}
-	nx.primary.Delete(k)
+	v.h.Delete()
+	v.h.Flush()
 	return nil
-}
-
-// loadRecord fetches and decodes the record under an encoded key,
-// returning an empty record when absent.
-func (nx *NestedInheritedIndex) loadRecord(k []byte) (*nixRecord, error) {
-	raw, ok := nx.primary.Get(k)
-	if !ok {
-		return nx.newRecord(), nil
-	}
-	return nx.decodeRecord(raw)
-}
-
-// storeRecord writes a record back, deleting it when empty.
-func (nx *NestedInheritedIndex) storeRecord(k []byte, rec *nixRecord) {
-	if rec.empty() {
-		nx.primary.Delete(k)
-		return
-	}
-	nx.primary.Insert(k, nx.encodeRecord(rec))
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/oodb"
@@ -132,7 +133,8 @@ func (mix *MultiInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass strin
 }
 
 // LookupRange under the NIX organization: the chained primary leaves are
-// scanned across the range and the target sections collected.
+// scanned across the range and the target sections read off each record
+// through its class directory, as LookupInto reads them.
 func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	elo, ehi, err := rangeBounds(lo, hi)
 	if err != nil {
@@ -141,16 +143,15 @@ func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass strin
 	if _, ok := nx.sp.LevelOf(targetClass); !ok {
 		return nil, fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	classes := []string{targetClass}
-	if hierarchy {
-		classes = nx.sp.Path.Schema().Hierarchy(targetClass)
+	classes := nx.sp.HierarchyOf(targetClass)
+	if !hierarchy {
+		classes = classes[:1]
 	}
 	var out []oodb.OID
 	var decErr error
 	nx.primary.ScanInto(elo, ehi, func(k, v []byte) bool {
-		rec, err := nx.decodeRecord(v)
-		if err != nil {
-			decErr = err
+		if len(v) < nx.headerLen() {
+			decErr = fmt.Errorf("index: truncated NIX record (%d bytes)", len(v))
 			return false
 		}
 		for _, cn := range classes {
@@ -158,8 +159,14 @@ func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass strin
 			if !ok {
 				continue
 			}
-			for _, e := range rec.sections[pos] {
-				out = append(out, e.oid)
+			off := int(binary.BigEndian.Uint32(v[4+8*pos:]))
+			cnt := int(binary.BigEndian.Uint32(v[8+8*pos:]))
+			if off+cnt*nixEntryLen > len(v) {
+				decErr = fmt.Errorf("index: NIX section %d out of bounds", pos)
+				return false
+			}
+			for ; cnt > 0; cnt, off = cnt-1, off+nixEntryLen {
+				out = append(out, oodb.OID(binary.BigEndian.Uint64(v[off:])))
 			}
 		}
 		return true

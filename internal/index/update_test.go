@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/oodb"
+	"repro/internal/raceflag"
 )
 
 // applyUpdate drives one in-place store update through an index: the
@@ -57,14 +58,22 @@ func randomUpdate(t testing.TB, f *fixture, ix PathIndex, rng *rand.Rand) {
 // TestOnUpdateMatchesNaive drives hundreds of random in-place updates —
 // ending-value changes and reference re-links at every level — through
 // each organization over the whole path and cross-checks every lookup
-// against forward navigation of the final store state.
+// against forward navigation of the final store state — at the usual page
+// size and at one so small that every record of any size is multi-page.
 func TestOnUpdateMatchesNaive(t *testing.T) {
+	for _, pageSize := range []int{1024, 256} {
+		onUpdateMatchesNaive(t, pageSize)
+	}
+}
+
+func onUpdateMatchesNaive(t *testing.T, pageSize int) {
 	targets := []struct {
 		class string
 		hier  bool
 	}{{"Person", false}, {"Vehicle", true}, {"Vehicle", false}, {"Bus", false}, {"Company", false}}
 	for _, org := range allOrgs {
 		f := buildFixture(t, 7, 6, 40, 60)
+		f.indexPage = pageSize
 		ix := f.buildIndex(t, org)
 		rng := rand.New(rand.NewSource(7))
 		for step := 0; step < 240; step++ {
@@ -77,11 +86,11 @@ func TestOnUpdateMatchesNaive(t *testing.T) {
 					want := f.naiveMatch(t, brand, tc.class, tc.hier)
 					got, err := ix.Lookup(oodb.StrV(brand), tc.class, tc.hier)
 					if err != nil {
-						t.Fatalf("%s: %v", org, err)
+						t.Fatalf("%s/%d: %v", org, pageSize, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s step %d: Lookup(%s, %s, %v) = %v, want %v",
-							org, step, brand, tc.class, tc.hier, got, want)
+						t.Fatalf("%s/%d step %d: Lookup(%s, %s, %v) = %v, want %v",
+							org, pageSize, step, brand, tc.class, tc.hier, got, want)
 					}
 				}
 			}
@@ -333,5 +342,46 @@ func TestNIXUpdateCheaperThanReinsert(t *testing.T) {
 	}
 	if !lost {
 		t.Log("note: delete+reinsert happened to preserve all ancestors on this seed")
+	}
+}
+
+// TestNIXUpdateAllocs guards the write-side scratch: on a warmed index a
+// person's re-link — children re-parented, the entry moved between primary
+// records, the counts reseeded — runs on the index's own buffers. The
+// budget leaves room for a record or a tuple that outgrows its storage
+// now and then; decoding and re-encoding a record per entry, as
+// maintenance once did, costs hundreds.
+func TestNIXUpdateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	f := buildFixture(t, 23, 6, 40, 400)
+	ix := f.buildIndex(t, "NIX")
+	all := f.allVehicles()
+	// Two states per person, toggled: the objects are built once, so the
+	// measured loop is OnUpdate alone.
+	type flip struct{ a, b *oodb.Object }
+	var flips []flip
+	for i, per := range f.persons[:64] {
+		a, _ := f.store.Peek(per)
+		b := &oodb.Object{OID: a.OID, Class: a.Class, Attrs: map[string][]oodb.Value{
+			"owns": {oodb.RefV(all[i%len(all)]), oodb.RefV(all[(i+7)%len(all)])},
+		}}
+		flips = append(flips, flip{a, b})
+	}
+	step := 0
+	relink := func() {
+		fl := &flips[step%len(flips)]
+		step++
+		if err := ix.OnUpdate(fl.a, fl.b); err != nil {
+			t.Fatal(err)
+		}
+		fl.a, fl.b = fl.b, fl.a
+	}
+	for i := 0; i < 4*len(flips); i++ {
+		relink() // warm: scratch sized, sections given their slack
+	}
+	if avg := testing.AllocsPerRun(256, relink); avg > 2 {
+		t.Errorf("steady-state NIX re-link allocates %.1f objects/op, budget 2", avg)
 	}
 }
