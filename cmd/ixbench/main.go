@@ -1,326 +1,93 @@
 // Command ixbench regenerates the paper's figures and tables plus the
-// extension experiments documented in DESIGN.md:
+// measured experiments documented in DESIGN.md. It is a loop over
+// experiments.Registry (`ixbench -h` lists the modes):
 //
-//	ixbench -run all          # everything
-//	ixbench -run fig6         # Figure 6 walkthrough (Section 5)
-//	ixbench -run fig8         # Figures 7/8, Example 5.1
-//	ixbench -run complexity   # Section 5 complexity claims (C1)
-//	ixbench -run validate     # analytic vs measured page accesses (V1)
-//	ixbench -run workload     # workload-mix sweep (W1)
-//	ixbench -run sweep        # path-length sweep (S1)
-//	ixbench -run extended     # PX/NX/NONE extended organizations (X1)
-//	ixbench -run selectivity  # range-predicate sweep (R1)
-//	ixbench -run buffer       # buffer-pool ablation (B1)
-//	ixbench -run reconfig     # online reconfiguration under drift (E1)
-//	ixbench -run serve        # serving throughput under concurrency (E2);
-//	                          # emits BENCH_serve.json
-//	ixbench -run maintain     # update maintenance cost at mixed
-//	                          # read/write ratios (E3); emits
-//	                          # BENCH_maintain.json
-//	ixbench -run shard        # sharded serving throughput at 1/2/4/8
-//	                          # shards x 1/2/4/8 workers (E4); emits
-//	                          # BENCH_shard.json
-//	ixbench -run durable      # durability cost: fsync policies, recovery
-//	                          # time vs WAL length, cold-cache serving
-//	                          # (E5); emits BENCH_wal.json
-//	ixbench -run plan         # conjunctive planner: selectivity ordering
-//	                          # and shard-summary pruning (E6); emits
-//	                          # BENCH_plan.json
-//	ixbench -run net          # networked serving: pipelined binary
-//	                          # protocol with request coalescing vs the
-//	                          # embedded batch kernel (E7); emits
-//	                          # BENCH_net.json
-//	ixbench -run netplan      # predicate trees over the wire: coalesced
-//	                          # planner dispatch vs per-request dispatch
-//	                          # vs the embedded planner (E8); emits
-//	                          # BENCH_netplan.json
-//	ixbench -run feedback     # workload-fed selection vs the static
-//	                          # design-time selection under a skewed
-//	                          # recorded mix (E9); emits
-//	                          # BENCH_feedback.json
+//	ixbench -run all              # everything
+//	ixbench -run fig8             # one paper reproduction (Figures 7/8)
+//	ixbench -run net -ops 300     # one timed experiment, quick
+//
+// Every timed experiment (E2–E9) measures each cell as a warm-up pass
+// plus three passes and reports medians; each run appends one
+// self-describing JSON line — experiment, commit, host, seed, ops,
+// cells, headline ratios — to the history file named by -out.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// modes maps each -run mode to its one-line description, in display order.
-var modes = []struct{ name, desc string }{
-	{"all", "run every experiment below"},
-	{"fig6", "Figure 6 walkthrough of the Section 5 selection (F6)"},
-	{"fig8", "Example 5.1 with the Figure 7 statistics (F7/F8)"},
-	{"complexity", "Section 5 complexity claims: BnB vs exhaustive vs DP (C1)"},
-	{"validate", "analytic cost model vs measured page accesses (V1)"},
-	{"workload", "optimal configuration across query/update mixes (W1)"},
-	{"sweep", "optimal configuration across path lengths (S1)"},
-	{"extended", "PX/NX/NONE extended organization columns (X1)"},
-	{"selectivity", "range-predicate selectivity sweep (R1)"},
-	{"buffer", "buffer-pool hit-rate ablation (B1)"},
-	{"reconfig", "online reconfiguration under workload drift (E1)"},
-	{"serve", "serving throughput under concurrency; emits BENCH_serve.json (E2)"},
-	{"maintain", "update maintenance cost at mixed read/write ratios; emits BENCH_maintain.json (E3)"},
-	{"shard", "sharded serving throughput at 1/2/4/8 shards x 1/2/4/8 workers; emits BENCH_shard.json (E4)"},
-	{"durable", "durability cost: fsync policies, recovery time, cold-cache serving; emits BENCH_wal.json (E5)"},
-	{"plan", "conjunctive planner: selectivity ordering and shard-summary pruning; emits BENCH_plan.json (E6)"},
-	{"net", "networked serving: pipelined+coalesced wire protocol vs embedded at 1/8/64/256 connections; emits BENCH_net.json (E7)"},
-	{"netplan", "predicate trees over the wire: coalesced planner dispatch vs per-request vs embedded at 1/8/64 connections; emits BENCH_netplan.json (E8)"},
-	{"feedback", "workload-fed vs static selection under a skewed recorded mix; emits BENCH_feedback.json (E9)"},
-}
-
-func usage() {
-	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "ixbench regenerates the paper's figures and the repository's measured")
-	fmt.Fprintln(w, "experiments (see DESIGN.md for the experiment index).")
-	fmt.Fprintln(w, "\nUsage:\n\n\tixbench [-run mode] [flags]\n\nModes:")
-	for _, m := range modes {
-		fmt.Fprintf(w, "\t%-12s %s\n", m.name, m.desc)
-	}
-	fmt.Fprintln(w, "\nFlags:")
-	flag.PrintDefaults()
-}
-
 func main() {
-	var names []string
-	for _, m := range modes {
-		names = append(names, m.name)
-	}
-	run := flag.String("run", "all", "experiment to run: "+strings.Join(names, "|"))
-	maxN := flag.Int("maxn", 10, "maximum path length for complexity/sweep experiments")
-	trials := flag.Int("trials", 20, "random matrices per length in the complexity experiment")
-	seed := flag.Int64("seed", 42, "random seed for generated databases and matrices")
-	serveOps := flag.Int("serve-ops", 2000, "operations per worker in the serve experiment")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "output file for the serve experiment's JSON report")
-	maintainOps := flag.Int("maintain-ops", 4000, "operations per cell in the maintain experiment")
-	maintainOut := flag.String("maintain-out", "BENCH_maintain.json", "output file for the maintain experiment's JSON report")
-	shardOps := flag.Int("shard-ops", 4000, "operations per worker in the shard experiment")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "output file for the shard experiment's JSON report")
-	durableOps := flag.Int("durable-ops", 3000, "base write-operation count in the durable experiment")
-	durableOut := flag.String("durable-out", "BENCH_wal.json", "output file for the durable experiment's JSON report")
-	planOps := flag.Int("plan-ops", 2000, "operations per arm in the plan experiment")
-	planOut := flag.String("plan-out", "BENCH_plan.json", "output file for the plan experiment's JSON report")
-	netOps := flag.Int("net-ops", 2000, "operations per connection in the net experiment")
-	netOut := flag.String("net-out", "BENCH_net.json", "output file for the net experiment's JSON report")
-	netplanOps := flag.Int("netplan-ops", 1000, "operations per connection in the netplan experiment")
-	netplanOut := flag.String("netplan-out", "BENCH_netplan.json", "output file for the netplan experiment's JSON report")
-	feedbackOps := flag.Int("feedback-ops", 2000, "measured operations per arm in the feedback experiment")
-	feedbackOut := flag.String("feedback-out", "BENCH_feedback.json", "output file for the feedback experiment's JSON report")
-	flag.Usage = usage
-	flag.Parse()
-
-	if err := runExperiments(*run, *maxN, *trials, *seed, *serveOps, *serveOut, *maintainOps, *maintainOut, *shardOps, *shardOut, *durableOps, *durableOut, *planOps, *planOut, *netOps, *netOut, *netplanOps, *netplanOut, *feedbackOps, *feedbackOut); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "ixbench:", err)
 		os.Exit(1)
 	}
 }
 
-func runExperiments(which string, maxN, trials int, seed int64, serveOps int, serveOut string, maintainOps int, maintainOut string, shardOps int, shardOut string, durableOps int, durableOut string, planOps int, planOut string, netOps int, netOut string, netplanOps int, netplanOut string, feedbackOps int, feedbackOut string) error {
-	want := func(name string) bool { return which == "all" || which == name }
-	ran := false
+// run is the whole command: parse args, run the selected registry
+// entries, print each rendering to stdout, append each timed report to
+// the history.
+func run(args []string, stdout io.Writer) error {
+	var names []string
+	for _, e := range experiments.Registry {
+		names = append(names, e.Name)
+	}
+	fs := flag.NewFlagSet("ixbench", flag.ContinueOnError)
+	which := fs.String("run", "all", "experiment to run: all|"+strings.Join(names, "|"))
+	var p experiments.Params
+	fs.Int64Var(&p.Seed, "seed", 42, "random seed for generated databases and matrices")
+	fs.IntVar(&p.MaxN, "maxn", 10, "maximum path length for the complexity and sweep reproductions")
+	fs.IntVar(&p.Trials, "trials", 20, "random matrices per length in the complexity reproduction")
+	fs.IntVar(&p.Ops, "ops", 0, "operation count for the timed experiments (0: each experiment's own default)")
+	out := fs.String("out", "BENCH_experiments.jsonl", "history file: every timed experiment run appends one JSON line")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintln(w, "ixbench regenerates the paper's figures and the repository's measured")
+		fmt.Fprintln(w, "experiments (see DESIGN.md for the experiment index).")
+		fmt.Fprintln(w, "\nUsage:\n\n\tixbench [-run mode] [flags]\n\nModes:")
+		fmt.Fprintf(w, "\t%-12s %s\n", "all", "run every experiment below")
+		for _, e := range experiments.Registry {
+			ops := ""
+			if e.DefaultOps > 0 {
+				ops = fmt.Sprintf("; default -ops %d", e.DefaultOps)
+			}
+			fmt.Fprintf(w, "\t%-12s %s (%s%s)\n", e.Name, e.Title, e.ID, ops)
+		}
+		fmt.Fprintln(w, "\nFlags:")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	if want("fig6") {
+	ran := false
+	for _, e := range experiments.Registry {
+		if *which != "all" && *which != e.Name {
+			continue
+		}
 		ran = true
-		section("F6 — Figure 6 walkthrough")
-		fmt.Println(experiments.RunFig6().Render())
-	}
-	if want("fig8") {
-		ran = true
-		section("F7/F8 — Example 5.1 (Figures 7 and 8)")
-		rep, err := experiments.RunFig8()
+		rule := strings.Repeat("=", 72)
+		fmt.Fprintf(stdout, "%s\n%s — %s\n%s\n", rule, e.ID, e.Title, rule)
+		rep, err := e.Run(p)
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep.Render())
-	}
-	if want("complexity") {
-		ran = true
-		section("C1 — Section 5 complexity claims")
-		fmt.Println(experiments.RunComplexity(maxN, trials, seed).Render())
-	}
-	if want("validate") {
-		ran = true
-		section("V1 — cost model vs working indexes")
-		rep, err := experiments.RunValidation(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("workload") {
-		ran = true
-		section("W1 — workload-mix sweep")
-		rep, err := experiments.RunWorkloadSweep([]float64{0, 0.25, 0.5, 0.75, 1})
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("sweep") {
-		ran = true
-		section("S1 — path-length sweep")
-		rep, err := experiments.RunShapeSweep(maxN)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("extended") {
-		ran = true
-		section("X1 — extended organizations (PX/NX/NONE, Section 6)")
-		rep, err := experiments.RunExtended()
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("selectivity") {
-		ran = true
-		section("R1 — range-predicate selectivity sweep")
-		rep, err := experiments.RunSelectivitySweep([]float64{0, 0.001, 0.01, 0.05, 0.2})
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("buffer") {
-		ran = true
-		section("B1 — buffer-pool ablation")
-		rep, err := experiments.RunBufferAblation(2000, 5000, []int{0, 4, 16, 64})
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("reconfig") {
-		ran = true
-		section("E1 — online reconfiguration under workload drift")
-		rep, err := experiments.RunReconfigure(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-	}
-	if want("serve") {
-		ran = true
-		section("E2 — serving throughput under concurrency")
-		rep, err := experiments.RunServe(seed, []int{1, 2, 4, 8}, serveOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(serveOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("maintain") {
-		ran = true
-		section("E3 — update maintenance cost at mixed read/write ratios")
-		rep, err := experiments.RunMaintain(seed, []float64{0.9, 0.5, 0.1}, maintainOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(maintainOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("shard") {
-		ran = true
-		section("E4 — sharded serving throughput")
-		rep, err := experiments.RunShard(seed, []int{1, 2, 4, 8}, []int{1, 2, 4, 8}, shardOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(shardOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("durable") {
-		ran = true
-		section("E5 — durability cost (fsync policies, recovery, cold cache)")
-		rep, err := experiments.RunDurable(seed, durableOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(durableOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("plan") {
-		ran = true
-		section("E6 — conjunctive planner: ordering and shard pruning")
-		rep, err := experiments.RunPlan(seed, planOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(planOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("net") {
-		ran = true
-		section("E7 — networked serving: pipelining and request coalescing")
-		rep, err := experiments.RunNet(seed, []int{1, 8, 64, 256}, netOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(netOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("netplan") {
-		ran = true
-		section("E8 — predicate dispatch over the wire")
-		rep, err := experiments.RunNetPlan(seed, []int{1, 8, 64}, netplanOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(netplanOut, rep); err != nil {
-			return err
-		}
-	}
-	if want("feedback") {
-		ran = true
-		section("E9 — workload-fed vs static selection")
-		rep, err := experiments.RunFeedback(seed, feedbackOps)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Render())
-		if err := writeJSON(feedbackOut, rep); err != nil {
-			return err
+		fmt.Fprintln(stdout, rep.Render())
+		if timed, ok := rep.(experiments.Report); ok {
+			if err := timed.AppendTo(*out); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "appended %s to %s\n", e.ID, *out)
 		}
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (run `ixbench -h` for the mode list)", which)
+		return fmt.Errorf("unknown experiment %q (modes: all, %s)", *which, strings.Join(names, ", "))
 	}
 	return nil
-}
-
-func writeJSON(path string, rep any) error {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-func section(title string) {
-	fmt.Println(strings.Repeat("=", 72))
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("=", 72))
 }

@@ -65,12 +65,11 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for the in-memory generated database")
 	scale := flag.Float64("scale", 0.01, "scale factor for the in-memory generated database")
 	checkEvery := flag.Int("checkevery", 0, "check workload drift every N ops and auto-tune (0: off)")
-	maxBatch := flag.Int("maxbatch", 0, "coalescing window cap in requests (0: default)")
-	noCoalesce := flag.Bool("no-coalesce", false, "dispatch each request alone (benchmark control arm)")
+	maxBatch := flag.Int("maxbatch", 0, "coalescing window cap in requests (0: default; 1: dispatch each request alone)")
 	paths := flag.String("paths", "", `extra predicate path registrations, "id=Class.attr...,id=..." (served path is always id 1)`)
 	flag.Parse()
 
-	if err := run(*addr, *dir, *shards, *seed, *scale, *checkEvery, *maxBatch, *noCoalesce, *paths); err != nil {
+	if err := run(*addr, *dir, *shards, *seed, *scale, *checkEvery, *maxBatch, *paths); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -82,7 +81,7 @@ type backend interface {
 	Close() error
 }
 
-func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, maxBatch int, noCoalesce bool, pathSpecs string) error {
+func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, maxBatch int, pathSpecs string) error {
 	eopts := engine.Options{CheckEvery: uint64(checkEvery)}
 	cfg := func(p *schema.Path) core.Configuration {
 		return core.Configuration{Assignments: []core.Assignment{
@@ -148,11 +147,10 @@ func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, ma
 	}
 
 	srv := netserver.New(be, netserver.Options{
-		Path:              p,
-		ClassOf:           classOf,
-		MaxBatch:          maxBatch,
-		DisableCoalescing: noCoalesce,
-		Store:             st,
+		Path:     p,
+		ClassOf:  classOf,
+		MaxBatch: maxBatch,
+		Store:    st,
 	})
 
 	// The served path is always predicate-addressable as id 1, probed
@@ -184,8 +182,8 @@ func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, ma
 	if err != nil {
 		return err
 	}
-	log.Printf("ixserved: serving %s on %s (shards=%d durable=%v coalesce=%v)",
-		p, lnAddr, shards, dir != "", !noCoalesce)
+	log.Printf("ixserved: serving %s on %s (shards=%d durable=%v maxbatch=%d)",
+		p, lnAddr, shards, dir != "", maxBatch)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -93,6 +93,11 @@ func stress(addr string, conns, ops, depth int, write, pred float64, values int,
 		total += len(r.lats)
 		failed += r.errs
 	}
+	// The percentiles below index the sorted durations directly rather
+	// than calling experiments.Percentile: they print as time.Durations
+	// (nothing is truncated to whole microseconds), and importing
+	// internal/experiments would link the engine, shard and server stack
+	// into what is deliberately a pure wire client.
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	mode := "pipelined"
 	if syncMode {

@@ -112,8 +112,10 @@
 // evaluation; large intermediate OID sets inside a single nested query
 // fan their per-key probes out in parallel the same way. Experiment E2
 // (ixbench -run serve) measures ops/sec, p50/p99 latency and pages/op
-// for optimal vs whole-path-NIX vs naive serving and writes
-// BENCH_serve.json.
+// for optimal vs whole-path-NIX vs naive serving. Like every timed
+// experiment (E2–E9) it measures each cell as a warm-up plus three
+// passes, reports medians, and appends one JSON line per run to the
+// history file BENCH_experiments.jsonl.
 //
 // # Updates
 //
@@ -137,8 +139,8 @@
 // update-heavy shift in the mix retunes the configuration like any other
 // drift. Experiment E3 (ixbench -run maintain) measures realized
 // maintenance cost — pages/op by operation kind and ops/sec at mixed
-// read/write ratios — and writes BENCH_maintain.json; DESIGN.md §5
-// records the per-organization formulas and the measured shape.
+// read/write ratios; DESIGN.md §5 records the per-organization formulas
+// and the measured shape.
 //
 // # Sharding
 //
@@ -170,9 +172,8 @@
 // and traffic-weighted aggregates. Experiment E4 (ixbench -run shard)
 // measures the same mixed serving workload over 1/2/4/8 shards at
 // 1/2/4/8 workers against the E2 single-engine baseline — every
-// deployment serving the identical logical dataset — and writes
-// BENCH_shard.json; DESIGN.md §7 records the architecture and the
-// measured shape.
+// deployment serving the identical logical dataset; DESIGN.md §7
+// records the architecture and the measured shape.
 //
 // # Durability
 //
@@ -201,8 +202,8 @@
 // WAL and checkpoints under one directory and recovers shards in
 // parallel; per-shard configuration divergence persists. Experiment E5
 // (ixbench -run durable) measures fsync-policy throughput, recovery
-// time vs WAL length and cold-cache serving, and writes BENCH_wal.json;
-// DESIGN.md §8 records the protocol and the crash matrix. See
+// time vs WAL length and cold-cache serving; DESIGN.md §8 records the
+// protocol and the crash matrix. See
 // examples/durable for a kill-and-recover walkthrough.
 //
 // # Planning
@@ -232,8 +233,8 @@
 // loosen the summary; Reconfigure re-tightens it). Experiment E6
 // (ixbench -run plan) measures both effects — selectivity ordering vs
 // the worst fixed order vs naive scanning, and the pruned fan-out on a
-// skewed sharded workload — and writes BENCH_plan.json; DESIGN.md §9
-// records the design. See examples/planner for an end-to-end program.
+// skewed sharded workload; DESIGN.md §9 records the design. See
+// examples/planner for an end-to-end program.
 //
 // # Selection feedback
 //
@@ -258,8 +259,7 @@
 // the mix an adopted configuration was selected from measures ~zero
 // drift and advises no further change. Experiment E9 (ixbench -run
 // feedback) measures workload-fed against static selection under a
-// skewed recorded mix and writes BENCH_feedback.json; DESIGN.md §12
-// records the model.
+// skewed recorded mix; DESIGN.md §12 records the model.
 //
 // # Serving over the network
 //
@@ -292,8 +292,8 @@
 // and the process exits 0); cmd/ixstress drives read/write mixes over
 // many connections. Experiment E7 (ixbench -run net) measures embedded
 // vs networked serving at 1/8/64/256 connections on engine-bound and
-// wire-bound read mixes and writes BENCH_net.json; DESIGN.md §10
-// records the protocol and the measured shape. See examples/netclient.
+// wire-bound read mixes; DESIGN.md §10 records the protocol and the
+// measured shape. See examples/netclient.
 //
 // # Planning over the network
 //
@@ -311,9 +311,8 @@
 // in one window cost one planner descent whose answer fans back to
 // every caller, which is why parameterized query pools serve at batch
 // rates over the wire. Experiment E8 (ixbench -run netplan) measures
-// coalesced vs per-request predicate dispatch vs the embedded planner
-// and writes BENCH_netplan.json; DESIGN.md §11 records the encoding
-// and the measured dividend.
+// coalesced vs per-request predicate dispatch vs the embedded planner;
+// DESIGN.md §11 records the encoding and the measured dividend.
 //
 // See README.md for the repository map, the examples/ directory for
 // end-to-end programs, and DESIGN.md for the system inventory and the

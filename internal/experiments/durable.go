@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/oodb"
@@ -16,67 +13,24 @@ import (
 	"repro/internal/wal"
 )
 
-// Experiment E5 — durability cost. The paper's cost model prices index
-// maintenance in page accesses; a durable deployment pays two further
-// costs the in-memory experiments cannot show: the fsync traffic of the
-// write-ahead log (per commit policy) and the recovery work of replaying
-// it. E5 measures three curves on the disk-backed engine:
+// Experiment E5 — durability cost (DESIGN.md §8.5). A durable
+// deployment pays two costs the in-memory experiments cannot show: the
+// fsync traffic of the write-ahead log and the recovery work of
+// replaying it. Three curves on the disk-backed engine:
 //
-//  1. fsync-policy throughput — the same write workload under
-//     SyncAlways (one fsync per operation), SyncGroup (fsyncs amortized
-//     over a commit window) and SyncNever (OS page cache only): the
-//     classic durability/throughput trade, quantified for this engine.
-//  2. recovery time vs WAL length — checkpointing disabled, the process
-//     abandoned after w operations, the reopen timed: replay cost grows
-//     with the log, which is exactly what checkpoints bound.
-//  3. cold-cache serving on disk — after a reopen with a small buffer
-//     pool, the first sweep over the value domain pays checksummed disk
-//     reads for every pool miss; the second sweep runs warm. Measured
-//     for the indexed engine and the naive navigator: the index's
-//     page-access advantage persists (and grows) when misses cost real
-//     I/O, which is the cost model's original premise.
-type DurableReport struct {
-	Host     HostInfo               `json:"host"`
-	Seed     int64                  `json:"seed"`
-	Ops      int                    `json:"ops"`
-	Policies []DurablePolicyPoint   `json:"policies"`
-	Recovery []DurableRecoveryPoint `json:"recovery"`
-	Cold     []DurableColdPoint     `json:"cold_cache"`
-}
-
-// DurablePolicyPoint is one fsync-policy cell: the write workload's
-// throughput and durability traffic under one WAL commit policy.
-type DurablePolicyPoint struct {
-	Policy    string  `json:"policy"`
-	Ops       int     `json:"ops"`
-	Elapsed   float64 `json:"elapsed_sec"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Fsyncs    uint64  `json:"fsyncs"`
-	WALBytes  uint64  `json:"wal_bytes"`
-}
-
-// DurableRecoveryPoint is one recovery-time cell: reopen cost after
-// abandoning a process (no close, no checkpoint) at a given WAL length.
-type DurableRecoveryPoint struct {
-	Ops            int     `json:"ops"`
-	WALBytes       int64   `json:"wal_bytes"`
-	Replayed       uint64  `json:"replayed"`
-	RecoveryMillis float64 `json:"recovery_ms"`
-}
-
-// DurableColdPoint is one cold-cache cell: a sweep of point queries over
-// the whole value domain, indexed or naive, on a cold or warm buffer
-// pool.
-type DurableColdPoint struct {
-	Backend        string  `json:"backend"` // "optimal" or "naive"
-	Phase          string  `json:"phase"`   // "cold" or "warm"
-	Queries        int     `json:"queries"`
-	MicrosPerQuery float64 `json:"us_per_query"`
-	// DiskReads counts store pages fetched from the page file (pool
-	// misses, each a checksummed ReadAt); PoolHits served from memory.
-	DiskReads uint64 `json:"disk_reads"`
-	PoolHits  uint64 `json:"pool_hits"`
-}
+//  1. fsync-policy: the same write workload under SyncAlways (one fsync
+//     per operation), SyncGroup (fsyncs amortized over a commit window)
+//     and SyncNever (OS page cache only).
+//  2. recovery: checkpointing disabled, the process abandoned after w
+//     operations, the reopen timed — the cell's one operation, so its
+//     p50 is the recovery time. Replay cost grows with the log, which is
+//     exactly what checkpoints bound.
+//  3. cold-cache: point queries over the value domain against a pool
+//     far smaller than the population, indexed or naive. The cold arms
+//     reopen the store before every pass, so each sweep pays a
+//     checksummed disk read for every pool miss; the warm arms keep it
+//     open. The index's page-access advantage persists when misses cost
+//     real I/O, which is the cost model's original premise.
 
 // durableDriver issues a mixed write workload (inserts of
 // Company/Vehicle/Person tree nodes, renames, re-links, deletes) against
@@ -139,179 +93,162 @@ func (d *durableDriver) step(e *engine.Engine) error {
 	return nil
 }
 
-// durableCfg is E5's fixed configuration: one whole-path NIX.
-func durableCfg(p *schema.Path) core.Configuration {
-	return core.Configuration{Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}}}
-}
-
-// RunDurable measures the three E5 curves with `ops` write operations as
-// the base workload size. Directories live under the system temp dir and
-// are removed afterwards.
-func RunDurable(seed int64, ops int) (DurableReport, error) {
-	rep := DurableReport{Host: CollectHost(), Seed: seed, Ops: ops}
+func runDurable(rep *Report) error {
+	rep.Workload = "seeded write mix (inserts, renames, deletes); cold-cache sweeps on 256 B pages with a 4-page pool"
 	p := schema.PaperPathOwnsManName()
-	s := p.Schema()
-	cfg := durableCfg(p)
-	const pageSize = 1024
-
 	root, err := os.MkdirTemp("", "ixbench-durable-")
 	if err != nil {
-		return rep, err
+		return err
 	}
 	defer os.RemoveAll(root)
+	// open opens, or recovers, the whole-path-NIX engine in root/dir.
+	open := func(dir string, pageSize int, opts engine.DurableOptions) (*engine.Engine, error) {
+		return engine.OpenDurable(filepath.Join(root, dir), p.Schema(), p, wholePathNIX(p), pageSize, opts)
+	}
+	// fill runs the first n operations of the seeded write workload.
+	fill := func(e *engine.Engine, n int) (*durableDriver, error) {
+		d := newDurableDriver(rep.Seed)
+		for i := 0; i < n; i++ {
+			if err := d.step(e); err != nil {
+				return nil, fmt.Errorf("fill op %d: %w", i, err)
+			}
+		}
+		return d, nil
+	}
+	const pageSize = 1024
+	var arms []Arm
 
-	// Curve 1: fsync-policy throughput.
+	// Curve 1. Counters are read before Close, so its checkpoint fsyncs —
+	// shutdown, not workload — stay out.
 	for _, pol := range []wal.Policy{wal.SyncAlways, wal.SyncGroup, wal.SyncNever} {
-		dir := filepath.Join(root, "policy-"+pol.String())
-		e, err := engine.OpenDurable(dir, s, p, cfg, pageSize, engine.DurableOptions{Policy: pol})
-		if err != nil {
-			return rep, err
-		}
-		d := newDurableDriver(seed)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			if err := d.step(e); err != nil {
-				e.Close()
-				return rep, fmt.Errorf("experiments: policy %s op %d: %w", pol, i, err)
-			}
-		}
-		elapsed := time.Since(start)
-		ds := e.DurabilityStats() // before Close: its checkpoint fsyncs are shutdown, not workload
-		if err := e.Close(); err != nil {
-			return rep, err
-		}
-		rep.Policies = append(rep.Policies, DurablePolicyPoint{
-			Policy:    pol.String(),
-			Ops:       ops,
-			Elapsed:   elapsed.Seconds(),
-			OpsPerSec: float64(ops) / elapsed.Seconds(),
-			Fsyncs:    ds.Fsyncs,
-			WALBytes:  ds.WALBytes,
-		})
-	}
-
-	// Curve 2: recovery time vs WAL length. Checkpoints disabled; the
-	// engine is abandoned (its file handles leak until process exit, as a
-	// kill's would) so the whole state rides the WAL into the reopen.
-	for _, w := range []int{ops / 4, ops, 4 * ops} {
-		if w < 1 {
-			w = 1
-		}
-		dir := filepath.Join(root, fmt.Sprintf("recovery-%d", w))
-		e, err := engine.OpenDurable(dir, s, p, cfg, pageSize,
-			engine.DurableOptions{Policy: wal.SyncNever, CheckpointBytes: -1})
-		if err != nil {
-			return rep, err
-		}
-		d := newDurableDriver(seed)
-		for i := 0; i < w; i++ {
-			if err := d.step(e); err != nil {
-				return rep, fmt.Errorf("experiments: recovery fill op %d: %w", i, err)
-			}
-		}
-		walBytes := e.WALSize()
-		// No Close: abandon, as a crash would.
-		start := time.Now()
-		e2, err := engine.OpenDurable(dir, s, p, cfg, pageSize, engine.DurableOptions{})
-		if err != nil {
-			return rep, err
-		}
-		recovery := time.Since(start)
-		rep.Recovery = append(rep.Recovery, DurableRecoveryPoint{
-			Ops:            w,
-			WALBytes:       walBytes,
-			Replayed:       e2.Replayed(),
-			RecoveryMillis: float64(recovery.Microseconds()) / 1000,
-		})
-		if err := e2.Close(); err != nil {
-			return rep, err
-		}
-	}
-
-	// Curve 3: cold-cache serving. Populate, close, then reopen twice with
-	// a pool far smaller than the population — once for the indexed
-	// engine, once for the naive navigator — sweeping the value domain on
-	// the cold pool and again on the warm one. Small pages and a 4-page
-	// pool make the population exceed the pool at any workload size, so
-	// the sweeps genuinely miss to disk.
-	const coldPageSize, coldPool = 256, 4
-	dir := filepath.Join(root, "cold")
-	e, err := engine.OpenDurable(dir, s, p, cfg, coldPageSize, engine.DurableOptions{Policy: wal.SyncNever})
-	if err != nil {
-		return rep, err
-	}
-	d := newDurableDriver(seed)
-	for i := 0; i < ops; i++ {
-		if err := d.step(e); err != nil {
-			return rep, fmt.Errorf("experiments: cold fill op %d: %w", i, err)
-		}
-	}
-	vals := d.vals
-	if err := e.Close(); err != nil {
-		return rep, err
-	}
-	coldOpts := engine.DurableOptions{Policy: wal.SyncNever, PoolPages: coldPool}
-	for _, backend := range []string{"optimal", "naive"} {
-		e, err := engine.OpenDurable(dir, s, p, cfg, coldPageSize, coldOpts)
-		if err != nil {
-			return rep, err
-		}
-		query := func(v oodb.Value) error {
-			var qerr error
-			if backend == "optimal" {
-				_, qerr = e.Query(v, "Person", true)
-			} else {
-				_, qerr = exec.NaiveQuery(e.Store(), p, v, "Person", true)
-			}
-			return qerr
-		}
-		for _, phase := range []string{"cold", "warm"} {
-			before := e.Store().Pager().Stats()
-			start := time.Now()
-			for _, v := range vals {
-				if err := query(v); err != nil {
-					e.Close()
-					return rep, fmt.Errorf("experiments: %s %s sweep: %w", backend, phase, err)
+		arms = append(arms, Arm{Labels: labels("curve", "fsync-policy", "policy", pol), Ops: rep.Ops,
+			Open: func() (System, error) {
+				e, err := open("policy-"+pol.String(), pageSize, engine.DurableOptions{Policy: pol})
+				if err != nil {
+					return System{}, err
 				}
-			}
-			elapsed := time.Since(start)
-			after := e.Store().Pager().Stats()
-			rep.Cold = append(rep.Cold, DurableColdPoint{
-				Backend:        backend,
-				Phase:          phase,
-				Queries:        len(vals),
-				MicrosPerQuery: float64(elapsed.Microseconds()) / float64(len(vals)),
-				DiskReads:      after.Reads - before.Reads,
-				PoolHits:       after.Hits - before.Hits,
-			})
+				d := newDurableDriver(rep.Seed)
+				return System{
+					Start: each(func(_, _ int) error { return d.step(e) }),
+					Counters: func() []Metric {
+						ds := e.DurabilityStats()
+						return []Metric{{"fsyncs", float64(ds.Fsyncs)}, {"wal_bytes", float64(ds.WALBytes)}}
+					},
+					Close: e.Close,
+				}, nil
+			}})
+	}
+
+	// Curve 2. Before each pass a fresh directory is filled and the engine
+	// abandoned (its file handles leak until process exit, as a kill's
+	// would), so the whole state rides the WAL into the timed reopen.
+	for _, w := range []int{max(rep.Ops/4, 1), rep.Ops, 4 * rep.Ops} {
+		arms = append(arms, Arm{Labels: labels("curve", "recovery", "wal_ops", w), Ops: 1,
+			Open: func() (System, error) {
+				var reopened *engine.Engine
+				var walBytes int64
+				closeReopened := func() error {
+					if reopened == nil {
+						return nil
+					}
+					e := reopened
+					reopened = nil
+					return e.Close()
+				}
+				pass := 0
+				return System{
+					Start: func(int) (Driver, error) {
+						if err := closeReopened(); err != nil {
+							return Driver{}, err
+						}
+						dir := fmt.Sprintf("recovery-%d-%d", w, pass)
+						pass++
+						e, err := open(dir, pageSize, engine.DurableOptions{Policy: wal.SyncNever, CheckpointBytes: -1})
+						if err != nil {
+							return Driver{}, err
+						}
+						if _, err := fill(e, w); err != nil {
+							return Driver{}, err
+						}
+						walBytes = e.WALSize()
+						return each(func(_, _ int) (err error) {
+							reopened, err = open(dir, pageSize, engine.DurableOptions{})
+							return err
+						})(0)
+					},
+					Gauges: func() []Metric {
+						return []Metric{{"wal_bytes", float64(walBytes)}, {"replayed", float64(reopened.Replayed())}}
+					},
+					Close: closeReopened,
+				}, nil
+			}})
+	}
+
+	// Curve 3. Populate and close; small pages and a 4-page pool make the
+	// population exceed the pool at any workload size, so the sweeps
+	// genuinely miss to disk.
+	const coldPageSize = 256
+	e, err := open("cold", coldPageSize, engine.DurableOptions{Policy: wal.SyncNever})
+	if err != nil {
+		return err
+	}
+	d, err := fill(e, rep.Ops)
+	if err != nil {
+		return err
+	}
+	if err := e.Close(); err != nil {
+		return err
+	}
+	for _, backend := range []string{"optimal", "naive"} {
+		for _, phase := range []string{"cold", "warm"} {
+			arms = append(arms, Arm{Labels: labels("curve", "cold-cache", "backend", backend, "phase", phase), Ops: len(d.vals),
+				Open: func() (System, error) {
+					var e *engine.Engine
+					reopen := func() (err error) {
+						if e != nil {
+							if err := e.Close(); err != nil {
+								return err
+							}
+						}
+						e, err = open("cold", coldPageSize, engine.DurableOptions{Policy: wal.SyncNever, PoolPages: 4})
+						return err
+					}
+					if err := reopen(); err != nil {
+						return System{}, err
+					}
+					sweep := each(func(_, i int) (err error) {
+						if v := d.vals[i%len(d.vals)]; backend == "optimal" {
+							_, err = e.Query(v, "Person", true)
+						} else {
+							_, err = exec.NaiveQuery(e.Store(), p, v, "Person", true)
+						}
+						return err
+					})
+					return System{
+						Start: func(w int) (Driver, error) {
+							if phase == "cold" {
+								if err := reopen(); err != nil {
+									return Driver{}, err
+								}
+							}
+							return sweep(w)
+						},
+						// disk_reads are store pages fetched from the page file
+						// (pool misses, each a checksummed ReadAt); pool_hits
+						// were served from memory.
+						Counters: func() []Metric {
+							st := e.Store().Pager().Stats()
+							return []Metric{{"disk_reads", float64(st.Reads)}, {"pool_hits", float64(st.Hits)}}
+						},
+						Close: func() error { return e.Close() },
+					}, nil
+				}})
 		}
-		if err := e.Close(); err != nil {
-			return rep, err
-		}
 	}
-	return rep, nil
-}
-
-// Render returns the report as text.
-func (r DurableReport) Render() string {
-	t := NewTable(fmt.Sprintf("E5a — fsync-policy throughput (%d write ops)", r.Ops),
-		"policy", "ops/sec", "fsyncs", "wal bytes")
-	for _, p := range r.Policies {
-		t.AddRow(p.Policy, fmt.Sprintf("%.0f", p.OpsPerSec), p.Fsyncs, p.WALBytes)
+	if err := rep.Measure(arms...); err != nil {
+		return err
 	}
-	out := t.Render()
-
-	t = NewTable("E5b — recovery time vs WAL length (no checkpoint, abandoned process)",
-		"ops", "wal bytes", "replayed", "recovery ms")
-	for _, p := range r.Recovery {
-		t.AddRow(p.Ops, p.WALBytes, p.Replayed, fmt.Sprintf("%.2f", p.RecoveryMillis))
-	}
-	out += "\n" + t.Render()
-
-	t = NewTable("E5c — cold-cache serving on disk (256 B pages, 4-page pool)",
-		"backend", "phase", "queries", "µs/query", "disk reads", "pool hits")
-	for _, p := range r.Cold {
-		t.AddRow(p.Backend, p.Phase, p.Queries, fmt.Sprintf("%.1f", p.MicrosPerQuery), p.DiskReads, p.PoolHits)
-	}
-	return out + "\n" + t.Render()
+	rep.AddRatio("group_commit_over_sync_always", rep.Cell("policy", "group"), rep.Cell("policy", "always"))
+	rep.AddRatio("no_sync_over_sync_always", rep.Cell("policy", "never"), rep.Cell("policy", "always"))
+	return nil
 }

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/oodb"
 	"repro/internal/stats"
 )
 
@@ -26,49 +21,8 @@ import (
 // counters and predicate mix re-derive the load triplets, see
 // stats.MergeObserved), applies it, and then serves the measured run.
 // Operations per second and pages per operation (index plus store)
-// quantify what the feedback loop recovered from the wrong assumption.
-
-// FeedbackArm is one measured arm.
-type FeedbackArm struct {
-	Arm        string  `json:"arm"`
-	Config     string  `json:"config"`
-	Ops        int     `json:"ops"`
-	Elapsed    float64 `json:"elapsed_sec"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	PagesPerOp float64 `json:"pages_per_op"`
-}
-
-// FeedbackReport is the E9 artifact (BENCH_feedback.json).
-type FeedbackReport struct {
-	Host HostInfo `json:"host"`
-	Seed int64    `json:"seed"`
-	Ops  int      `json:"ops"`
-	// StaticConfig is the selection under the design-time assumption;
-	// AdvisedConfig is what the workload-fed advice replaced it with.
-	StaticConfig  string `json:"static_config"`
-	AdvisedConfig string `json:"advised_config"`
-	Reconfigured  bool   `json:"reconfigured"`
-	// Drift is the total-variation distance between the design-time
-	// assumption and the recorded mix at advice time.
-	Drift float64       `json:"drift"`
-	Arms  []FeedbackArm `json:"arms"`
-	// Speedup is fed ops/sec over static ops/sec; PageSaving is the
-	// fraction of per-operation page accesses the fed arm eliminated.
-	Speedup    float64 `json:"speedup"`
-	PageSaving float64 `json:"page_saving"`
-}
-
-// Render formats the report as a fixed-width table plus the headline.
-func (r FeedbackReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload-fed vs static selection (seed %d, drift %.3f at advice time):\n", r.Seed, r.Drift)
-	fmt.Fprintf(&b, "%-14s %8s %12s %12s  %s\n", "arm", "ops", "ops/sec", "pages/op", "configuration")
-	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "%-14s %8d %12.0f %12.2f  %s\n", a.Arm, a.Ops, a.OpsPerSec, a.PagesPerOp, a.Config)
-	}
-	fmt.Fprintf(&b, "\nfeedback: %.2fx ops/sec, %.0f%% fewer pages/op\n", r.Speedup, r.PageSaving*100)
-	return b.String()
-}
+// quantify what the feedback loop recovered from the wrong assumption;
+// each cell's config label is the configuration it served on.
 
 // feedbackAssumption is the design-time workload assumption E9 plants:
 // update-heavy everywhere, query traffic concentrated mid-path, almost
@@ -92,123 +46,91 @@ func feedbackAssumption() *model.PathStats {
 	return ps
 }
 
-// driveFeedbackMix replays the skewed read-only mix: every operation is
-// a whole-path equality probe at the root class for one of the 32 hot
-// end values; when recording, each probe lands in the predicate channel
-// and every fourth operation also reports a residual conjunct leaf.
-func driveFeedbackMix(e *engine.Engine, g *gen.Generated, ops int, record bool) error {
-	pathName := e.Path().String()
-	values := g.EndValues
-	if len(values) > 32 {
-		values = values[:32]
+// feedbackOp is the i-th operation of the skewed read-only mix: a
+// whole-path equality probe at the root class for one of the 32 hot end
+// values; when recording, each probe lands in the predicate channel and
+// every fourth operation also reports a residual conjunct leaf.
+func feedbackOp(e *engine.Engine, g *gen.Generated, i int, record bool) error {
+	values := g.EndValues[:min(len(g.EndValues), 32)]
+	if _, err := e.Query(values[i%len(values)], "Person", false); err != nil {
+		return err
 	}
-	for i := 0; i < ops; i++ {
-		if _, err := e.Query(values[i%len(values)], "Person", false); err != nil {
-			return err
-		}
-		if record {
-			e.RecordPredicate(pathName, stats.PredEq)
-			if i%4 == 0 {
-				e.RecordPredicate(pathName, stats.PredResidual)
-			}
+	if record {
+		e.RecordPredicate(e.Path().String(), stats.PredEq)
+		if i%4 == 0 {
+			e.RecordPredicate(e.Path().String(), stats.PredResidual)
 		}
 	}
 	return nil
 }
 
-// measureFeedbackArm times ops operations of the mix against the
-// engine's current configuration, counting index and store page
-// accesses from a clean slate.
-func measureFeedbackArm(name string, e *engine.Engine, st *oodb.Store, g *gen.Generated, ops int) (FeedbackArm, error) {
-	st.Pager().ResetStats()
-	e.ResetStats()
-	start := time.Now()
-	if err := driveFeedbackMix(e, g, ops, false); err != nil {
-		return FeedbackArm{}, fmt.Errorf("arm %s: %w", name, err)
-	}
-	el := time.Since(start).Seconds()
-	pages := st.Pager().Stats().Accesses() + e.IndexStats().Accesses()
-	return FeedbackArm{
-		Arm:        name,
-		Config:     e.Config().String(),
-		Ops:        ops,
-		Elapsed:    el,
-		OpsPerSec:  float64(ops) / el,
-		PagesPerOp: float64(pages) / float64(ops),
-	}, nil
-}
-
-// RunFeedback runs experiment E9 with the given per-arm operation count.
-func RunFeedback(seed int64, ops int) (FeedbackReport, error) {
-	rep := FeedbackReport{Host: CollectHost(), Seed: seed, Ops: ops}
+func runFeedback(rep *Report) error {
 	assumed := feedbackAssumption()
 	results, err := core.SelectBatch([]*model.PathStats{assumed}, nil)
 	if err != nil {
-		return rep, err
+		return err
 	}
-	cfgStatic := results[0].Best
-	rep.StaticConfig = cfgStatic.String()
-
+	// A fresh identically-seeded database per arm, so neither arm serves
+	// pages the other warmed, both starting on the design-time selection.
 	newArmEngine := func() (*engine.Engine, *gen.Generated, error) {
-		// Fresh identically-seeded database per arm so neither arm serves
-		// pages the other warmed.
-		g, err := gen.Generate(model.Figure7Stats(), 0.01, seed)
+		g, err := gen.Generate(model.Figure7Stats(), serveScale, rep.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		e, err := engine.New(g.Store, g.Path, cfgStatic, assumed.Params.PageSize, engine.Options{
+		e, err := engine.New(g.Store, g.Path, results[0].Best, assumed.Params.PageSize, engine.Options{
 			MinOps:  1,
 			Assumed: assumed,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, g, nil
+		return e, g, err
+	}
+	serve := func(name string, e *engine.Engine, g *gen.Generated) error {
+		return rep.Measure(Arm{
+			Labels: labels("arm", name, "config", e.Config()),
+			Ops:    rep.Ops,
+			Open: func() (System, error) {
+				return System{
+					Start: each(func(_, i int) error { return feedbackOp(e, g, i, false) }),
+					Pages: func() uint64 { return g.Store.Pager().Stats().Accesses() + e.IndexStats().Accesses() },
+				}, nil
+			},
+		})
 	}
 
 	// Static arm: the design-time selection serves the whole run.
 	e, g, err := newArmEngine()
 	if err != nil {
-		return rep, err
+		return err
 	}
-	if err := driveFeedbackMix(e, g, ops/4, false); err != nil { // warmup
-		return rep, err
+	if err := serve("static", e, g); err != nil {
+		return err
 	}
-	arm, err := measureFeedbackArm("static", e, g.Store, g, ops)
-	if err != nil {
-		return rep, err
-	}
-	rep.Arms = append(rep.Arms, arm)
 
 	// Workload-fed arm: observe the mix, take the weighted advice, apply
 	// it, then serve the measured run on what the loop selected.
-	e, g, err = newArmEngine()
-	if err != nil {
-		return rep, err
+	if e, g, err = newArmEngine(); err != nil {
+		return err
 	}
-	if err := driveFeedbackMix(e, g, ops/4, true); err != nil { // observation pass
-		return rep, err
+	for i := 0; i < rep.Ops/4; i++ {
+		if err := feedbackOp(e, g, i, true); err != nil {
+			return err
+		}
 	}
 	adv, err := e.Advise()
 	if err != nil {
-		return rep, err
+		return err
 	}
-	rep.AdvisedConfig = adv.Config.String()
-	rep.Drift = adv.Drift
-	swap, err := e.ApplyConfiguration(adv.Config)
-	if err != nil {
-		return rep, err
+	if _, err := e.ApplyConfiguration(adv.Config); err != nil {
+		return err
 	}
-	rep.Reconfigured = swap.Changed
-	arm, err = measureFeedbackArm("workload-fed", e, g.Store, g, ops)
-	if err != nil {
-		return rep, err
+	if err := serve("workload-fed", e, g); err != nil {
+		return err
 	}
-	rep.Arms = append(rep.Arms, arm)
 
-	rep.Speedup = rep.Arms[1].OpsPerSec / rep.Arms[0].OpsPerSec
-	if rep.Arms[0].PagesPerOp > 0 {
-		rep.PageSaving = 1 - rep.Arms[1].PagesPerOp/rep.Arms[0].PagesPerOp
-	}
-	return rep, nil
+	static, fed := rep.Cell("arm", "static"), rep.Cell("arm", "workload-fed")
+	rep.AddRatio("fed_over_static", fed, static)
+	// drift_at_advice is the total-variation distance between the
+	// design-time assumption and the recorded mix.
+	rep.Ratios = append(rep.Ratios, Ratio{Name: "page_saving", Value: 1 - fed.PagesPerOp/static.PagesPerOp},
+		Ratio{Name: "drift_at_advice", Value: adv.Drift})
+	return nil
 }

@@ -3,13 +3,14 @@ package experiments
 import (
 	"os"
 	"runtime"
+	"runtime/debug"
 )
 
-// HostInfo pins a benchmark artifact to the machine shape it ran on.
+// HostInfo pins a history line to the machine shape it ran on.
 // Throughput and latency numbers are meaningless without the core count
-// and scheduler width behind them; committed BENCH_*.json artifacts
-// carry this block so a regression seen across two artifacts can first
-// be checked for a host change.
+// and scheduler width behind them; every line of BENCH_experiments.jsonl
+// carries this block so a difference between two lines can first be
+// checked for a host change.
 type HostInfo struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -32,4 +33,30 @@ func CollectHost() HostInfo {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		PageSize:   os.Getpagesize(),
 	}
+}
+
+// Commit returns the revision the running binary was built from, read
+// from the build's VCS stamp, with "+dirty" appended when the working
+// tree had uncommitted changes; "unknown" when the build carries no
+// stamp (go run, go test, or a build outside a checkout).
+func Commit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "unknown" {
+		return rev
+	}
+	return rev + dirty
 }

@@ -2,267 +2,125 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
-	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/engine"
-	"repro/internal/exec"
-	"repro/internal/gen"
-	"repro/internal/model"
 	"repro/internal/oodb"
-	"repro/internal/stats"
 )
 
 // Experiment E3 — measured index maintenance cost. The paper's selection
 // objective balances retrieval cost against maintenance cost, and the
 // advisor literature (AIM, CoPhy) warns that index recommendations are
 // only trustworthy when write amplification is measured rather than
-// modeled. E3 closes that loop for the update path: a single driver runs
-// mixed read/update workloads — point queries interleaved with in-place
-// reference re-links and ending-value changes — against the optimal
-// configuration, the whole-path-NIX strawman and the unindexed store,
-// at several read fractions, and reports realized ops/sec plus pages/op
-// split by operation kind. The query results themselves are covered by
-// the differential maintenance tests; here only the realized cost is
-// recorded.
+// modeled. E3 closes that loop for the update path: a single driver
+// (maintenance cost per operation is the object of measurement;
+// concurrency curves are E2's subject) runs mixed read/update workloads
+// — point queries interleaved with in-place reference re-links and
+// ending-value changes — against E2's three arms at several read
+// fractions, and splits pages/op by operation kind so the maintenance
+// half of the paper's objective is visible on its own. The query results
+// themselves are covered by the differential maintenance tests.
 
-// MaintainPoint is one measured (configuration, read-fraction) cell.
-type MaintainPoint struct {
-	Config   string  `json:"config"`
-	ReadFrac float64 `json:"read_frac"`
-	Ops      int     `json:"ops"`
-	Queries  int     `json:"queries"`
-	Updates  int     `json:"updates"`
-	Elapsed  float64 `json:"elapsed_sec"`
-	// OpsPerSec is the realized throughput of the whole mix.
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// PagesPerOp is the page-access cost of the whole mix; QueryPages and
-	// UpdatePages split it by operation kind, so the maintenance half of
-	// the paper's objective is visible on its own.
-	PagesPerOp        float64 `json:"pages_per_op"`
-	QueryPagesPerOp   float64 `json:"query_pages_per_op"`
-	UpdatePagesPerOp  float64 `json:"update_pages_per_op"`
-	UpdatesRecorded   uint64  `json:"updates_recorded"`
-	DriftAfterTraffic float64 `json:"drift_after_traffic"`
-}
-
-// MaintainReport is experiment E3's outcome, serialized to
-// BENCH_maintain.json by `ixbench -run maintain`.
-type MaintainReport struct {
-	Host  HostInfo        `json:"host"`
-	Seed  int64           `json:"seed"`
-	Scale float64         `json:"scale"`
-	Mix   string          `json:"mix"`
-	Ops   int             `json:"ops_per_cell"`
-	Cells []MaintainPoint `json:"cells"`
-}
-
-// maintainBackend abstracts one way of serving the mixed read/update
-// workload, with its cumulative page counter and workload introspection.
-type maintainBackend struct {
-	name   string
-	query  func(v oodb.Value, class string) error
-	relink func(veh, comp oodb.OID) error
-	rekey  func(div oodb.OID, v oodb.Value) error
-	pages  func() uint64
-	load   func() (updates uint64, drift float64)
-}
-
-// RunMaintain generates one database per (backend, read-fraction) cell —
-// same seed, identical contents — and measures the realized cost of the
-// mixed workload.
-func RunMaintain(seed int64, readFracs []float64, ops int) (MaintainReport, error) {
-	rep := MaintainReport{
-		Host:  CollectHost(),
-		Seed:  seed,
-		Scale: 0.01,
-		Mix:   "reads: 2/3 Person + 1/3 Division point queries; writes: 1/2 Vehicle.man re-links + 1/2 Division.name value changes",
-		Ops:   ops,
+func runMaintain(rep *Report) error {
+	rep.Workload = "reads: 2/3 Person + 1/3 Division point queries; writes: 1/2 Vehicle.man re-links + 1/2 Division.name value changes"
+	arms, err := servedArms(rep.Seed)
+	if err != nil {
+		return err
 	}
-	ps := model.Figure7Stats()
-	backends := []struct {
-		name  string
-		build func(g *gen.Generated) (*maintainBackend, error)
-		ops   int
-	}{
-		{"optimal", buildOptimalMaintainBackend, ops},
-		{"whole-path-NIX", buildWholeNIXMaintainBackend, ops},
-		// The naive baseline navigates per query and pays nothing per
-		// update beyond the store write; it is orders of magnitude slower
-		// on reads, so it gets a reduced op count.
-		{"naive", buildNaiveMaintainBackend, ops / 20},
-	}
-	for _, b := range backends {
-		for _, rf := range readFracs {
-			g, err := gen.Generate(ps, rep.Scale, seed)
-			if err != nil {
-				return rep, err
-			}
-			be, err := b.build(g)
-			if err != nil {
-				return rep, fmt.Errorf("experiments: build %s: %v", b.name, err)
-			}
-			n := b.ops
-			if n < 1 {
-				n = 1
-			}
-			pt, err := measureMaintain(g, be, rf, n)
-			if err != nil {
-				return rep, err
-			}
-			rep.Cells = append(rep.Cells, pt)
+	rep.Workload += "; optimal = " + arms[0].cfg.String()
+	var cells []Arm
+	for _, arm := range arms {
+		for _, readPct := range []int{90, 50, 10} {
+			cells = append(cells, Arm{
+				Labels: labels("config", arm.name, "read%", readPct),
+				Ops:    arm.ops(rep.Ops),
+				Open:   func() (System, error) { return openMaintain(arm, rep.Seed, readPct) },
+			})
 		}
 	}
-	return rep, nil
-}
-
-func buildOptimalMaintainBackend(g *gen.Generated) (*maintainBackend, error) {
-	ps, err := stats.Collect(g.Store, g.Path, model.PaperParams())
-	if err != nil {
-		return nil, err
+	if err := rep.Measure(cells...); err != nil {
+		return err
 	}
-	assumed := model.Figure7Stats()
-	for l := 1; l <= ps.Len(); l++ {
-		copy(ps.Level(l).Loads, assumed.Level(l).Loads)
-	}
-	res, _, err := core.Select(ps, cost.Organizations)
-	if err != nil {
-		return nil, err
-	}
-	return buildEngineMaintainBackend(g, res.Best, "optimal "+res.Best.String(), assumed)
-}
-
-func buildWholeNIXMaintainBackend(g *gen.Generated) (*maintainBackend, error) {
-	cfg := core.Configuration{Assignments: []core.Assignment{
-		{A: 1, B: g.Path.Len(), Org: cost.NIX},
-	}}
-	return buildEngineMaintainBackend(g, cfg, "whole-path-NIX", model.Figure7Stats())
-}
-
-func buildEngineMaintainBackend(g *gen.Generated, cfg core.Configuration, name string, assumed *model.PathStats) (*maintainBackend, error) {
-	e, err := engine.New(g.Store, g.Path, cfg, model.PaperParams().PageSize, engine.Options{Assumed: assumed})
-	if err != nil {
-		return nil, err
-	}
-	e.ResetStats()
-	g.Store.Pager().ResetStats()
-	return &maintainBackend{
-		name: name,
-		query: func(v oodb.Value, class string) error {
-			_, err := e.Query(v, class, false)
-			return err
-		},
-		relink: func(veh, comp oodb.OID) error {
-			return e.Update(veh, map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
-		},
-		rekey: func(div oodb.OID, v oodb.Value) error {
-			return e.Update(div, map[string][]oodb.Value{"name": {v}})
-		},
-		pages: func() uint64 {
-			return e.IndexStats().Accesses() + g.Store.Pager().Stats().Accesses()
-		},
-		load: func() (uint64, float64) {
-			var u uint64
-			for _, c := range e.WorkloadSnapshot().Classes {
-				u += c.Updates
+	// Report the page totals per operation of their kind.
+	for i := range rep.Cells {
+		c := &rep.Cells[i]
+		for k := range c.Extras {
+			m := &c.Extras[k]
+			if kind, ok := strings.CutSuffix(m.Name, "_pages"); ok {
+				m.Name += "_per_op"
+				if n := c.Extra(kind + "_ops"); n > 0 {
+					m.Value /= n
+				}
 			}
-			return u, e.Drift()
-		},
-	}, nil
+		}
+	}
+	return nil
 }
 
-func buildNaiveMaintainBackend(g *gen.Generated) (*maintainBackend, error) {
-	g.Store.Pager().ResetStats()
-	return &maintainBackend{
-		name: "naive",
-		query: func(v oodb.Value, class string) error {
-			_, err := exec.NaiveQuery(g.Store, g.Path, v, class, false)
-			return err
-		},
-		relink: func(veh, comp oodb.OID) error {
-			_, _, err := g.Store.Update(veh, map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
-			return err
-		},
-		rekey: func(div oodb.OID, v oodb.Value) error {
-			_, _, err := g.Store.Update(div, map[string][]oodb.Value{"name": {v}})
-			return err
-		},
-		pages: func() uint64 { return g.Store.Pager().Stats().Accesses() },
-		load:  func() (uint64, float64) { return 0, 0 },
-	}, nil
-}
-
-// measureMaintain drives ops operations at the given read fraction from a
-// single driver (maintenance cost per op is the object of measurement;
-// concurrency curves are E2's subject) and splits page accounting by
-// operation kind.
-func measureMaintain(g *gen.Generated, be *maintainBackend, readFrac float64, ops int) (MaintainPoint, error) {
-	pt := MaintainPoint{Config: be.name, ReadFrac: readFrac, Ops: ops}
+func openMaintain(arm servedArm, seed int64, readPct int) (System, error) {
+	s, err := openServed(arm, seed)
+	if err != nil {
+		return System{}, err
+	}
+	g := s.g
 	vehicles := append(append(append([]oodb.OID(nil), g.ByClass["Vehicle"]...),
 		g.ByClass["Bus"]...), g.ByClass["Truck"]...)
-	companies := g.ByClass["Company"]
-	divisions := g.ByClass["Division"]
+	companies, divisions := g.ByClass["Company"], g.ByClass["Division"]
 	if len(vehicles) == 0 || len(companies) == 0 || len(divisions) == 0 {
-		return pt, fmt.Errorf("experiments: generated store too small for the maintain mix")
+		return System{}, fmt.Errorf("generated store too small for the maintain mix")
 	}
-	var queryPages, updatePages uint64
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		v := g.EndValues[(i*7919)%len(g.EndValues)]
-		before := be.pages()
-		// Deterministic interleave matching the read fraction.
-		read := float64((i*131)%1000) < readFrac*1000
-		var err error
-		if read {
-			pt.Queries++
-			if i%3 == 0 {
-				err = be.query(v, "Division")
-			} else {
-				err = be.query(v, "Person")
+	// Cumulative operation and page counts by kind; one driver, so plain
+	// variables.
+	var ops, pages [2]float64
+	var buf []oodb.OID
+	return System{
+		Pages: s.pages,
+		Start: each(func(_, i int) (err error) {
+			v := g.EndValues[(i*7919)%len(g.EndValues)]
+			before := s.pages()
+			kind := 0
+			switch {
+			case (i*131)%1000 >= readPct*10: // deterministic interleave matching the read fraction
+				kind = 1
+				// The new value also advances with the number of times the
+				// object has come round (i/len): the populations are small
+				// and their sizes share factors with the strides, so without
+				// it every revisit would write back the value already there
+				// and cost the indexes nothing.
+				if i%2 == 0 {
+					err = s.update(vehicles[(i*31)%len(vehicles)], map[string][]oodb.Value{
+						"man": {oodb.RefV(companies[(i*17+i/len(vehicles))%len(companies)])}})
+				} else {
+					err = s.update(divisions[(i*13)%len(divisions)], map[string][]oodb.Value{
+						"name": {g.EndValues[(i*7919+i/len(divisions))%len(g.EndValues)]}})
+				}
+			case i%3 == 0:
+				buf, err = s.query(buf, v, "Division")
+			default:
+				buf, err = s.query(buf, v, "Person")
 			}
-		} else {
-			pt.Updates++
-			if i%2 == 0 {
-				err = be.relink(vehicles[(i*31)%len(vehicles)], companies[(i*17)%len(companies)])
-			} else {
-				err = be.rekey(divisions[(i*13)%len(divisions)], v)
+			ops[kind]++
+			pages[kind] += float64(s.pages() - before)
+			return err
+		}),
+		Counters: func() []Metric {
+			// updates_recorded is what the engine's own workload recorder
+			// saw — the evidence the drift gauge is computed from.
+			var recorded uint64
+			if s.e != nil {
+				for _, c := range s.e.WorkloadSnapshot().Classes {
+					recorded += c.Updates
+				}
 			}
-		}
-		if err != nil {
-			return pt, fmt.Errorf("experiments: %s op %d: %v", be.name, i, err)
-		}
-		if read {
-			queryPages += be.pages() - before
-		} else {
-			updatePages += be.pages() - before
-		}
-	}
-	elapsed := time.Since(start)
-	pt.Elapsed = elapsed.Seconds()
-	pt.OpsPerSec = float64(ops) / elapsed.Seconds()
-	pt.PagesPerOp = float64(queryPages+updatePages) / float64(ops)
-	if pt.Queries > 0 {
-		pt.QueryPagesPerOp = float64(queryPages) / float64(pt.Queries)
-	}
-	if pt.Updates > 0 {
-		pt.UpdatePagesPerOp = float64(updatePages) / float64(pt.Updates)
-	}
-	pt.UpdatesRecorded, pt.DriftAfterTraffic = be.load()
-	return pt, nil
-}
-
-// Render returns the report as text.
-func (r MaintainReport) Render() string {
-	t := NewTable("E3 — maintenance cost under mixed read/update traffic",
-		"config", "read%", "ops", "ops/sec", "pages/op", "query pg/op", "update pg/op", "drift")
-	for _, p := range r.Cells {
-		t.AddRow(p.Config, fmt.Sprintf("%.0f%%", p.ReadFrac*100), p.Ops,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%.2f", p.PagesPerOp),
-			fmt.Sprintf("%.2f", p.QueryPagesPerOp),
-			fmt.Sprintf("%.2f", p.UpdatePagesPerOp),
-			fmt.Sprintf("%.2f", p.DriftAfterTraffic))
-	}
-	return t.Render()
+			return []Metric{{"query_ops", ops[0]}, {"update_ops", ops[1]},
+				{"query_pages", pages[0]}, {"update_pages", pages[1]},
+				{"updates_recorded", float64(recorded)}}
+		},
+		Gauges: func() []Metric {
+			drift := 0.0
+			if s.e != nil {
+				drift = s.e.Drift()
+			}
+			return []Metric{{"drift_after_traffic", drift}}
+		},
+	}, nil
 }

@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/gen"
@@ -16,343 +12,225 @@ import (
 	"repro/internal/netserver"
 )
 
-// Experiment E7 — the cost of the socket. The serving tier's claim is
-// that a binary pipelined protocol plus adaptive request coalescing
-// carries the engine's batch kernels across the network mostly intact:
-// concurrently-arriving point queries from many connections merge into
-// one QueryBatch descent, so throughput approaches the embedded batch
-// path instead of degrading to per-request dispatch. E7 measures that
-// claim at 1/8/64/256 connections through four arms — the embedded
-// QueryBatch kernel (no socket), the full networked path (pipelined
-// clients, coalescing server), pipelining without coalescing (every
-// request dispatched alone), and the classic one-request-per-round-trip
-// client — reporting ops/sec and latency percentiles for each cell.
-//
-// Two read mixes bound the regimes. The wholepath mix queries "Person"
-// through the full four-level path: every probe is a real multi-level
-// descent returning hundreds of owners, so the engine does substantial
-// per-request work and the socket tax is the interesting number — the
-// networked path must stay within a small factor of embedded. The
-// endpoint mix queries "Division" at the ending level: a probe is a
-// bare in-memory index lookup returning an OID or two, the engine does
-// almost nothing, and the wire's fixed per-round-trip cost is the whole
-// story — no socket path approaches an in-process map probe, and the
-// interesting number is what pipelining and coalescing recover over
-// one-request-per-RTT. Each acceptance ratio is therefore computed on
-// the mix where its claim is load-bearing.
+// Experiment E7 — the cost of the socket (DESIGN.md §10.4). The serving
+// tier's claim is that a binary pipelined protocol plus adaptive request
+// coalescing carries the engine's batch kernels across the network
+// mostly intact. E7 measures it at 1/8/64/256 connections through the
+// four wireArms on two read mixes that bound the regimes: wholepath
+// queries "Person" through the full four-level path (hundreds of owners
+// per probe: the engine does real work and the socket tax is the
+// interesting number), endpoint queries "Division" at the ending level
+// (an OID or two: the wire's fixed per-round-trip cost is the whole
+// story, and what pipelining and coalescing recover is the interesting
+// number). Each headline ratio is taken on the mix where its claim is
+// load-bearing.
 
-// NetPoint is one measured (mix, arm, connections) cell.
-type NetPoint struct {
-	Mix       string  `json:"mix"`
-	Arm       string  `json:"arm"`
-	Conns     int     `json:"conns"`
-	Ops       int     `json:"ops"`
-	Elapsed   float64 `json:"elapsed_sec"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-	// Coalesced/Batches describe what the server's dispatcher did for
-	// the networked arms (zero for the embedded arm): how many requests
-	// rode a window another request opened, in how many batches.
-	Batches   uint64 `json:"batches,omitempty"`
-	Coalesced uint64 `json:"coalesced,omitempty"`
-}
-
-// NetRatios are the report's acceptance numbers, computed from Points.
-// Each is taken on the mix where the claim is load-bearing: the socket
-// tax on the wholepath mix (the engine does real per-request work
-// there), the pipelining and coalescing gains on the endpoint mix (the
-// wire's fixed costs dominate there, so they are what the protocol must
-// recover).
-type NetRatios struct {
-	// PipelineSpeedup8 is pipelined+coalesced ops/sec over sync
-	// (one request per RTT) ops/sec at 8 connections, endpoint mix.
-	PipelineSpeedup8 float64 `json:"pipeline_speedup_at_8_conns"`
-	// EmbeddedOverNet64 is embedded ops/sec over the networked
-	// pipelined+coalesced ops/sec at 64 connections on the wholepath
-	// mix — the socket tax on a working read path.
-	EmbeddedOverNet64 float64 `json:"embedded_over_net_at_64_conns"`
-	// CoalesceSpeedup256 is coalesced over per-request dispatch at 256
-	// connections, both pipelined, endpoint mix — what the shared
-	// window itself buys over and above pipelining. The window's
-	// structural wins — parallel kernel fan-out across a batch, one
-	// writer wakeup and one WAL fsync per window — need cores and
-	// durable writes to show; on a single-core host serving in-memory
-	// reads the two arms are within scheduling noise of each other
-	// (the table reports every cell).
-	CoalesceSpeedup256 float64 `json:"coalesce_speedup_at_256_conns"`
-}
-
-// NetReport is experiment E7's outcome, serialized to BENCH_net.json by
-// `ixbench -run net`.
-type NetReport struct {
-	Host       HostInfo   `json:"host"`
-	Seed       int64      `json:"seed"`
-	Scale      float64    `json:"scale"`
-	Depth      int        `json:"pipeline_depth"`
-	OpsPerConn int        `json:"ops_per_conn"`
-	Points     []NetPoint `json:"points"`
-	Ratios     NetRatios  `json:"ratios"`
-}
-
+// netDepth is the pipelined arms' window: requests in flight per
+// connection, and the embedded arm's probes per QueryBatch call.
 const netDepth = 32
 
-// RunNet measures the four serving arms at each connection count on
-// both read mixes (point queries only — the steady-state path the
-// server's allocation budget pins) over the generated end values.
-func RunNet(seed int64, connCounts []int, opsPerConn int) (NetReport, error) {
-	rep := NetReport{
-		Host:       CollectHost(),
-		Seed:       seed,
-		Scale:      0.01,
-		Depth:      netDepth,
-		OpsPerConn: opsPerConn,
+// wireArms are the four ways E7 and E8 serve one request stream: the
+// embedded kernel (no socket: the ceiling), the full networked path
+// (pipelined clients, coalescing dispatcher), pipelining with MaxBatch 1
+// (every request dispatched alone), and the classic
+// one-request-per-round-trip client.
+var wireArms = []struct {
+	name            string
+	depth, maxBatch int
+}{
+	{"embedded", 0, 0},
+	{"net-pipelined", netDepth, 0},
+	{"net-perrequest", netDepth, 1},
+	{"net-sync", 1, 0},
+}
+
+// wireWorkload is what differs between E7 (point probes) and E8
+// (predicate trees) under the shared mix x arm x connections grid.
+type wireWorkload struct {
+	conns []int
+	// embedBatch is how many requests one embedded iteration serves.
+	embedBatch int
+	// embedded is worker w's driver for the in-process ceiling.
+	embedded func(g *gen.Generated, e *engine.Engine, mix string, w int) (Driver, error)
+	// send issues worker w's i-th request of the mix on c.
+	send func(c *netclient.Client, g *gen.Generated, mix string, w, i int) *netclient.Call
+	// counters reads the dispatcher's cumulative counts.
+	counters func(srv *netserver.Server) []Metric
+}
+
+// wireTarget maps a mix to its target class: the full-path starting
+// class (engine-bound) or the ending level (wire-bound).
+func wireTarget(mix string) string {
+	if mix == "wholepath" {
+		return "Person"
 	}
-	arms := []struct {
-		name string
-		run  func(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPoint, error)
-	}{
-		{"embedded", runEmbeddedArm},
-		{"net-pipelined", mkNetArm(netDepth, false)},
-		{"net-uncoalesced", mkNetArm(netDepth, true)},
-		// One request per round trip is slow by design; trim its op count
-		// the way E2 trims the naive evaluator's.
-		{"net-sync", mkNetArm(1, false)},
-	}
+	return "Division"
+}
+
+// runWire measures every (mix, arm, connections) cell of the workload,
+// each over a freshly generated database behind a whole-path NIX engine.
+func runWire(rep *Report, wl wireWorkload) error {
+	var cells []Arm
 	for _, mix := range []string{"wholepath", "endpoint"} {
-		for _, arm := range arms {
-			for _, conns := range connCounts {
-				g, err := gen.Generate(model.Figure7Stats(), rep.Scale, seed)
-				if err != nil {
-					return rep, err
-				}
-				cfg := core.Configuration{Assignments: []core.Assignment{
-					{A: 1, B: g.Path.Len(), Org: cost.NIX},
-				}}
-				e, err := engine.New(g.Store, g.Path, cfg, model.PaperParams().PageSize, engine.Options{})
-				if err != nil {
-					return rep, err
-				}
-				ops := opsPerConn
+		for _, arm := range wireArms {
+			for _, conns := range wl.conns {
+				ops := rep.Ops
 				if arm.name == "net-sync" {
-					ops = opsPerConn / 4
+					// One request per round trip is slow by design; trim its op
+					// count the way E2 trims the naive evaluator's.
+					ops /= 4
 				}
 				if mix == "wholepath" {
-					// Every wholepath probe hauls hundreds of owners; a
+					// Every wholepath request hauls hundreds of owners; a
 					// quarter of the op count measures the same regime.
 					ops = (ops + 3) / 4
 				}
-				pt, err := arm.run(g, e, mix, conns, ops)
-				if err != nil {
-					return rep, fmt.Errorf("experiments: %s/%s/%d conns: %v", mix, arm.name, conns, err)
+				if arm.depth == 0 {
+					ops = (ops + wl.embedBatch - 1) / wl.embedBatch
 				}
-				pt.Mix, pt.Arm, pt.Conns = mix, arm.name, conns
-				rep.Points = append(rep.Points, pt)
-				if err := e.Close(); err != nil {
-					return rep, err
-				}
+				cells = append(cells, Arm{
+					Labels:  labels("mix", mix, "arm", arm.name, "conns", conns),
+					Workers: conns,
+					Ops:     ops,
+					Open:    func() (System, error) { return openWire(rep.Seed, wl, mix, arm.depth, arm.maxBatch) },
+				})
 			}
 		}
 	}
-	rep.Ratios = computeNetRatios(rep.Points)
-	return rep, nil
+	return rep.Measure(cells...)
 }
 
-// find returns the ops/sec of (mix, arm, conns), or 0.
-func findNetPoint(points []NetPoint, mix, arm string, conns int) float64 {
-	for _, p := range points {
-		if p.Mix == mix && p.Arm == arm && p.Conns == conns {
-			return p.OpsPerSec
-		}
+// openWire stands one cell's system up: the engine alone for the
+// embedded arm (depth 0), else the engine behind a real TCP loopback
+// server that each worker dials before every pass.
+func openWire(seed int64, wl wireWorkload, mix string, depth, maxBatch int) (System, error) {
+	g, err := gen.Generate(model.Figure7Stats(), serveScale, seed)
+	if err != nil {
+		return System{}, err
 	}
-	return 0
+	e, err := engine.New(g.Store, g.Path, wholePathNIX(g.Path), model.PaperParams().PageSize, engine.Options{})
+	if err != nil {
+		return System{}, err
+	}
+	if depth == 0 {
+		return System{
+			Start: func(w int) (Driver, error) { return wl.embedded(g, e, mix, w) },
+			Close: e.Close,
+		}, nil
+	}
+	srv := netserver.New(e, netserver.Options{Path: g.Path, Store: g.Store, MaxBatch: maxBatch})
+	if err := srv.RegisterPath(1, g.Path, e, nil); err != nil {
+		return System{}, err
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return System{}, err
+	}
+	return System{
+		Start: func(w int) (Driver, error) {
+			c, err := netclient.Dial(addr.String())
+			if err != nil {
+				return Driver{}, err
+			}
+			// The sliding window of up to depth pipelined requests, each
+			// recorded send-to-response when it settles.
+			type inflight struct {
+				call *netclient.Call
+				sent time.Time
+			}
+			var window []inflight
+			settle := func(rec *Recorder) error {
+				_, err := window[0].call.Wait()
+				rec.Done(window[0].sent, 1)
+				window = window[1:]
+				return err
+			}
+			return Driver{
+				Op: func(i int, rec *Recorder) error {
+					sent := time.Now()
+					window = append(window, inflight{wl.send(c, g, mix, w, i), sent})
+					if len(window) < depth {
+						return nil
+					}
+					return settle(rec)
+				},
+				Finish: func(rec *Recorder) error {
+					for len(window) > 0 {
+						if err := settle(rec); err != nil {
+							c.Close() //nolint:errcheck // the settle error is the one to report
+							return err
+						}
+					}
+					return c.Close()
+				},
+			}, nil
+		},
+		Counters: func() []Metric { return wl.counters(srv) },
+		Close: func() error {
+			if err := srv.Shutdown(); err != nil {
+				return err
+			}
+			return e.Close()
+		},
+	}, nil
 }
 
-func computeNetRatios(points []NetPoint) NetRatios {
-	var r NetRatios
-	if s := findNetPoint(points, "endpoint", "net-sync", 8); s > 0 {
-		r.PipelineSpeedup8 = findNetPoint(points, "endpoint", "net-pipelined", 8) / s
-	}
-	if n := findNetPoint(points, "wholepath", "net-pipelined", 64); n > 0 {
-		r.EmbeddedOverNet64 = findNetPoint(points, "wholepath", "embedded", 64) / n
-	}
-	if u := findNetPoint(points, "endpoint", "net-uncoalesced", 256); u > 0 {
-		r.CoalesceSpeedup256 = findNetPoint(points, "endpoint", "net-pipelined", 256) / u
-	}
-	return r
-}
-
-// netProbe picks the i-th probe of worker w for a mix: wholepath probes
-// resolve "Person" through the full four-level descent (hundreds of
-// owners per value at this scale — the engine-bound regime), endpoint
-// probes resolve "Division" at the ending level (an OID or two — the
-// wire-bound regime).
+// netProbe picks the i-th probe of worker w for a mix.
 func netProbe(mix string, g *gen.Generated, w, i int) exec.Probe {
-	p := exec.Probe{Value: g.EndValues[(w*7919+i)%len(g.EndValues)]}
-	if mix == "wholepath" {
-		p.TargetClass = "Person"
-	} else {
-		p.TargetClass = "Division"
-		p.Hierarchy = i%4 == 0
+	return exec.Probe{
+		Value:       g.EndValues[(w*7919+i)%len(g.EndValues)],
+		TargetClass: wireTarget(mix),
+		Hierarchy:   mix == "endpoint" && i%4 == 0,
 	}
-	return p
 }
 
-// runEmbeddedArm drives the engine's QueryBatch kernel directly from
-// `conns` goroutines, batching netDepth probes per call — the ceiling
-// the networked arms are measured against. Each probe's latency is the
-// whole batch's wall time: that is what a caller whose request rides
-// the batch observes.
-func runEmbeddedArm(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPoint, error) {
-	lats := make([][]time.Duration, conns)
-	errs := make([]error, conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, ops)
-			probes := make([]exec.Probe, 0, netDepth)
-			for i := 0; i < ops; i += len(probes) {
-				probes = probes[:0]
-				for k := 0; k < netDepth && i+k < ops; k++ {
-					probes = append(probes, netProbe(mix, g, w, i+k))
+func runNet(rep *Report) error {
+	rep.Workload = fmt.Sprintf("point reads over TCP loopback, pipeline depth %d", netDepth)
+	err := runWire(rep, wireWorkload{
+		conns:      []int{1, 8, 64, 256},
+		embedBatch: netDepth,
+		// The embedded arm drives the engine's QueryBatch kernel directly,
+		// netDepth probes per call; each probe waits the whole batch's wall
+		// time, which is what a caller whose request rides the batch
+		// observes.
+		embedded: func(g *gen.Generated, e *engine.Engine, mix string, w int) (Driver, error) {
+			probes := make([]exec.Probe, netDepth)
+			return Driver{Op: func(i int, rec *Recorder) error {
+				for k := range probes {
+					probes[k] = netProbe(mix, g, w, i*netDepth+k)
 				}
 				t0 := time.Now()
-				if _, err := e.QueryBatch(probes); err != nil {
-					errs[w] = err
-					return
-				}
-				d := time.Since(t0)
-				for range probes {
-					lat = append(lat, d)
-				}
-			}
-			lats[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return NetPoint{}, err
-		}
-	}
-	return summarizeNet(lats, elapsed), nil
-}
-
-// mkNetArm serves the engine over a real TCP loopback socket and drives
-// it from `conns` independent clients, each keeping up to `depth`
-// requests in flight. With depth 1 this is the classic synchronous
-// client; with disableCoalescing the server dispatches every request
-// alone — the two control arms.
-func mkNetArm(depth int, disableCoalescing bool) func(*gen.Generated, *engine.Engine, string, int, int) (NetPoint, error) {
-	return func(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPoint, error) {
-		srv := netserver.New(e, netserver.Options{
-			Path:              g.Path,
-			DisableCoalescing: disableCoalescing,
-		})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return NetPoint{}, err
-		}
-		defer srv.Shutdown() //nolint:errcheck
-
-		lats := make([][]time.Duration, conns)
-		errs := make([]error, conns)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < conns; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				lats[w], errs[w] = driveNetConn(addr.String(), mix, g, w, ops, depth)
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return NetPoint{}, err
-			}
-		}
-		pt := summarizeNet(lats, elapsed)
-		_, pt.Batches, pt.Coalesced = srv.CoalesceStats()
-		return pt, nil
-	}
-}
-
-// driveNetConn is one connection's workload: a sliding window of up to
-// `depth` pipelined requests, each latency measured send-to-response.
-func driveNetConn(addr, mix string, g *gen.Generated, w, ops, depth int) ([]time.Duration, error) {
-	c, err := netclient.Dial(addr)
+				_, err := e.QueryBatch(probes)
+				rec.Done(t0, len(probes))
+				return err
+			}}, nil
+		},
+		send: func(c *netclient.Client, g *gen.Generated, mix string, w, i int) *netclient.Call {
+			p := netProbe(mix, g, w, i)
+			return c.GoQuery(p.Value, p.TargetClass, p.Hierarchy)
+		},
+		// batches/coalesced: how many requests rode a window another
+		// request opened, in how many batches.
+		counters: func(srv *netserver.Server) []Metric {
+			_, batches, coalesced := srv.CoalesceStats()
+			return []Metric{{"batches", float64(batches)}, {"coalesced", float64(coalesced)}}
+		},
+	})
 	if err != nil {
-		return nil, err
-	}
-	defer c.Close() //nolint:errcheck
-
-	type inflight struct {
-		call *netclient.Call
-		sent time.Time
-	}
-	lat := make([]time.Duration, 0, ops)
-	var window []inflight
-	settle := func(f inflight) error {
-		_, err := f.call.Wait()
-		lat = append(lat, time.Since(f.sent))
 		return err
 	}
-	for i := 0; i < ops; i++ {
-		p := netProbe(mix, g, w, i)
-		f := inflight{sent: time.Now(), call: c.GoQuery(p.Value, p.TargetClass, p.Hierarchy)}
-		window = append(window, f)
-		if len(window) >= depth {
-			if err := settle(window[0]); err != nil {
-				return nil, err
-			}
-			window = window[1:]
-		}
-	}
-	for _, f := range window {
-		if err := settle(f); err != nil {
-			return nil, err
-		}
-	}
-	return lat, nil
-}
-
-// summarizeNet folds per-connection latency series into one point.
-func summarizeNet(lats [][]time.Duration, elapsed time.Duration) NetPoint {
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pt := NetPoint{Ops: len(all), Elapsed: elapsed.Seconds()}
-	if len(all) == 0 {
-		return pt
-	}
-	pt.OpsPerSec = float64(len(all)) / elapsed.Seconds()
-	pt.P50Micros = float64(all[len(all)/2].Microseconds())
-	pt.P99Micros = float64(all[len(all)*99/100].Microseconds())
-	return pt
-}
-
-// Render returns the report as text.
-func (r NetReport) Render() string {
-	t := NewTable(fmt.Sprintf("E7 — networked serving: point-read throughput vs connections (depth %d)", r.Depth),
-		"mix", "arm", "conns", "ops", "ops/sec", "p50 µs", "p99 µs", "batches", "coalesced")
-	for _, p := range r.Points {
-		t.AddRow(p.Mix, p.Arm, p.Conns, p.Ops,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%.1f", p.P50Micros),
-			fmt.Sprintf("%.1f", p.P99Micros),
-			p.Batches, p.Coalesced)
-	}
-	s := t.Render()
-	s += fmt.Sprintf("\npipelined+coalesced over sync at 8 conns (endpoint mix):  %.1fx\n", r.Ratios.PipelineSpeedup8)
-	s += fmt.Sprintf("embedded over networked at 64 conns (wholepath mix):      %.2fx\n", r.Ratios.EmbeddedOverNet64)
-	s += fmt.Sprintf("coalescing over per-request at 256 conns (endpoint mix):  %.2fx\n", r.Ratios.CoalesceSpeedup256)
-	return s
+	// The socket tax on the wholepath mix (the engine does real
+	// per-request work there), the pipelining and coalescing gains on the
+	// endpoint mix (the wire's fixed costs dominate there, so they are
+	// what the protocol must recover). The coalescing window's structural
+	// wins — parallel kernel fan-out across a batch, one writer wakeup and
+	// one WAL fsync per window — need cores and durable writes to show; on
+	// in-memory reads the last ratio sits near parity.
+	rep.AddRatio("pipelined_over_sync_at_8_conns_endpoint",
+		rep.Cell("mix", "endpoint", "arm", "net-pipelined", "conns", 8), rep.Cell("mix", "endpoint", "arm", "net-sync", "conns", 8))
+	rep.AddRatio("embedded_over_net_at_64_conns_wholepath",
+		rep.Cell("mix", "wholepath", "arm", "embedded", "conns", 64), rep.Cell("mix", "wholepath", "arm", "net-pipelined", "conns", 64))
+	rep.AddRatio("coalesced_over_perrequest_at_256_conns_endpoint",
+		rep.Cell("mix", "endpoint", "arm", "net-pipelined", "conns", 256), rep.Cell("mix", "endpoint", "arm", "net-perrequest", "conns", 256))
+	return nil
 }

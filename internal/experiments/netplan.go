@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -17,88 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Experiment E8 — planning over the wire. PR 7's planner compiles
-// predicate trees into selectivity-ordered probe plans; the serving
-// tier's claim for this release is that shipping the tree instead of
-// its probes keeps that whole optimization server-side: a pipelined
-// client sends one canonical encoding per query, and the dispatcher
-// coalesces identical trees arriving in one window into a single
-// planner descent whose answer fans back out to every caller.
-//
-// E8 measures that claim at 1/8/64 connections through four arms — the
-// embedded planner (Plan+Execute in process, no socket: the ceiling),
-// the full networked path (pipelined clients, coalescing dispatcher),
-// per-request dispatch (pipelined clients but every tree planned and
-// executed alone — what a server without predicate coalescing does),
-// and the classic one-request-per-round-trip client. The workload draws
-// from a bounded pool of Eq and Or trees, as real applications do
-// (queries are parameterized, parameters repeat), so identical trees
-// genuinely collide in coalescing windows.
-//
-// Two mixes bound the regimes, mirroring E7. The wholepath mix targets
-// "Person" through the full four-level descent: every plan execution
-// hauls hundreds of owners, the planner does real work, and the
-// interesting number is the socket tax against the embedded ceiling.
-// The endpoint mix targets "Division" at the ending level: an index
-// probe returning an OID or two, so the wire and the per-request
-// planning overhead are the whole story — this is where shared descents
-// must beat per-request dispatch (the release's acceptance ratio).
-
-// NetPlanPoint is one measured (mix, arm, connections) cell.
-type NetPlanPoint struct {
-	Mix       string  `json:"mix"`
-	Arm       string  `json:"arm"`
-	Conns     int     `json:"conns"`
-	Ops       int     `json:"ops"`
-	Elapsed   float64 `json:"elapsed_sec"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-	// Requests/Descents describe what the dispatcher's predicate path
-	// did for the networked arms (zero for the embedded arm): how many
-	// predicate requests arrived, and how many planner descents they
-	// cost after coalescing dedup. Descents == Requests means no
-	// sharing; the gap is the dividend.
-	Requests uint64 `json:"pred_requests,omitempty"`
-	Descents uint64 `json:"pred_descents,omitempty"`
-}
-
-// NetPlanRatios are the report's acceptance numbers. Each is taken on
-// the mix where the claim is load-bearing: the per-request-dispatch
-// comparison on the endpoint mix (planning overhead and the wire
-// dominate there — that is what sharing a descent must recover), the
-// socket tax on the wholepath mix (the planner does real work there).
-type NetPlanRatios struct {
-	// PipelineOverPerRequest64 is coalesced predicate dispatch over
-	// per-request dispatch at 64 connections, both pipelined, endpoint
-	// mix — the release gate: shipping trees only pays if the server
-	// shares descents across the window.
-	PipelineOverPerRequest64 float64 `json:"pipeline_over_per_request_at_64_conns"`
-	// PipelineOverSync8 is pipelined+coalesced over one-request-per-RTT
-	// at 8 connections, endpoint mix.
-	PipelineOverSync8 float64 `json:"pipeline_over_sync_at_8_conns"`
-	// EmbeddedOverNet64 is the embedded planner over the networked
-	// pipelined path at 64 connections, wholepath mix — the socket tax
-	// on a working predicate path.
-	EmbeddedOverNet64 float64 `json:"embedded_over_net_at_64_conns"`
-	// DescentShare64 is Descents/Requests of the pipelined arm at 64
-	// connections on the endpoint mix: the fraction of requests that
-	// actually cost a planner descent (lower is better sharing).
-	DescentShare64 float64 `json:"descent_share_at_64_conns"`
-}
-
-// NetPlanReport is experiment E8's outcome, serialized to
-// BENCH_netplan.json by `ixbench -run netplan`.
-type NetPlanReport struct {
-	Host       HostInfo       `json:"host"`
-	Seed       int64          `json:"seed"`
-	Scale      float64        `json:"scale"`
-	Depth      int            `json:"pipeline_depth"`
-	PoolSize   int            `json:"predicate_pool_size"`
-	OpsPerConn int            `json:"ops_per_conn"`
-	Points     []NetPlanPoint `json:"points"`
-	Ratios     NetPlanRatios  `json:"ratios"`
-}
+// Experiment E8 — planning over the wire (DESIGN.md §11.4). Shipping a
+// predicate tree instead of its probes keeps the planner's optimization
+// server-side, and the dispatcher coalesces identical trees arriving in
+// one window into a single planner descent whose answer fans back out.
+// E8 measures that at 1/8/64 connections through E7's four arms and two
+// mixes; the embedded arm is Plan+Execute in process, per-request
+// dispatch plans every tree alone. The workload draws from a bounded
+// pool of Eq and Or trees, as parameterized application queries do, so
+// identical trees genuinely collide in coalescing windows.
 
 const netplanPoolSize = 16
 
@@ -122,257 +45,59 @@ func netplanPools(g *gen.Generated) ([]wire.PredNode, []plan.Predicate) {
 	return wires, plans
 }
 
-// netplanTarget maps a mix to its target class: the full-path starting
-// class (planner-bound) or the ending level (wire-bound).
-func netplanTarget(mix string) string {
-	if mix == "wholepath" {
-		return "Person"
+func runNetPlan(rep *Report) error {
+	rep.Workload = fmt.Sprintf("pool of %d Eq/Or predicate trees over TCP loopback, pipeline depth %d", netplanPoolSize, netDepth)
+	// Every cell generates the same database, so the wire pool (path ids
+	// and values only) is built once; the plan pool names a path object
+	// and is built against each cell's own.
+	g, err := gen.Generate(model.Figure7Stats(), serveScale, rep.Seed)
+	if err != nil {
+		return err
 	}
-	return "Division"
-}
-
-// RunNetPlan measures the four predicate-serving arms at each
-// connection count on both mixes over a bounded predicate pool.
-func RunNetPlan(seed int64, connCounts []int, opsPerConn int) (NetPlanReport, error) {
-	rep := NetPlanReport{
-		Host:       CollectHost(),
-		Seed:       seed,
-		Scale:      0.01,
-		Depth:      netDepth,
-		PoolSize:   netplanPoolSize,
-		OpsPerConn: opsPerConn,
-	}
-	arms := []struct {
-		name string
-		run  func(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPlanPoint, error)
-	}{
-		{"embedded", runEmbeddedPlanArm},
-		{"net-pipelined", mkNetPlanArm(netDepth, false)},
-		{"net-perrequest", mkNetPlanArm(netDepth, true)},
-		{"net-sync", mkNetPlanArm(1, false)},
-	}
-	for _, mix := range []string{"wholepath", "endpoint"} {
-		for _, arm := range arms {
-			for _, conns := range connCounts {
-				g, err := gen.Generate(model.Figure7Stats(), rep.Scale, seed)
-				if err != nil {
-					return rep, err
-				}
-				cfg := core.Configuration{Assignments: []core.Assignment{
-					{A: 1, B: g.Path.Len(), Org: cost.NIX},
-				}}
-				e, err := engine.New(g.Store, g.Path, cfg, model.PaperParams().PageSize, engine.Options{})
-				if err != nil {
-					return rep, err
-				}
-				ops := opsPerConn
-				if arm.name == "net-sync" {
-					ops = opsPerConn / 4
-				}
-				if mix == "wholepath" {
-					// Every wholepath execution hauls hundreds of owners; a
-					// quarter of the op count measures the same regime.
-					ops = (ops + 3) / 4
-				}
-				pt, err := arm.run(g, e, mix, conns, ops)
-				if err != nil {
-					return rep, fmt.Errorf("experiments: netplan %s/%s/%d conns: %v", mix, arm.name, conns, err)
-				}
-				pt.Mix, pt.Arm, pt.Conns = mix, arm.name, conns
-				rep.Points = append(rep.Points, pt)
-				if err := e.Close(); err != nil {
-					return rep, err
-				}
-			}
-		}
-	}
-	rep.Ratios = computeNetPlanRatios(rep.Points)
-	return rep, nil
-}
-
-func findNetPlanPoint(points []NetPlanPoint, mix, arm string, conns int) *NetPlanPoint {
-	for i := range points {
-		p := &points[i]
-		if p.Mix == mix && p.Arm == arm && p.Conns == conns {
-			return p
-		}
-	}
-	return nil
-}
-
-func computeNetPlanRatios(points []NetPlanPoint) NetPlanRatios {
-	var r NetPlanRatios
-	pipe := findNetPlanPoint(points, "endpoint", "net-pipelined", 64)
-	if per := findNetPlanPoint(points, "endpoint", "net-perrequest", 64); per != nil && pipe != nil && per.OpsPerSec > 0 {
-		r.PipelineOverPerRequest64 = pipe.OpsPerSec / per.OpsPerSec
-	}
-	if s := findNetPlanPoint(points, "endpoint", "net-sync", 8); s != nil && s.OpsPerSec > 0 {
-		if p8 := findNetPlanPoint(points, "endpoint", "net-pipelined", 8); p8 != nil {
-			r.PipelineOverSync8 = p8.OpsPerSec / s.OpsPerSec
-		}
-	}
-	if n := findNetPlanPoint(points, "wholepath", "net-pipelined", 64); n != nil && n.OpsPerSec > 0 {
-		if emb := findNetPlanPoint(points, "wholepath", "embedded", 64); emb != nil {
-			r.EmbeddedOverNet64 = emb.OpsPerSec / n.OpsPerSec
-		}
-	}
-	if pipe != nil && pipe.Requests > 0 {
-		r.DescentShare64 = float64(pipe.Descents) / float64(pipe.Requests)
-	}
-	return r
-}
-
-// runEmbeddedPlanArm drives the planner in process from `conns`
-// goroutines — the ceiling the networked arms are measured against.
-// Each goroutine owns a planner (as each server dispatcher does) over
-// the shared engine source.
-func runEmbeddedPlanArm(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPlanPoint, error) {
-	_, plans := netplanPools(g)
-	target := netplanTarget(mix)
-	lats := make([][]time.Duration, conns)
-	errs := make([]error, conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	wires, _ := netplanPools(g)
+	err = runWire(rep, wireWorkload{
+		conns:      []int{1, 8, 64},
+		embedBatch: 1,
+		// Each embedded worker owns a planner (as each server dispatcher
+		// does) over the shared engine source.
+		embedded: func(g *gen.Generated, e *engine.Engine, mix string, w int) (Driver, error) {
 			pl := plan.NewPlanner(g.Store)
 			if err := pl.Register(g.Path, e, nil); err != nil {
-				errs[w] = err
-				return
+				return Driver{}, err
 			}
-			lat := make([]time.Duration, 0, ops)
-			for i := 0; i < ops; i++ {
-				pred := plans[(w*7919+i)%len(plans)]
-				t0 := time.Now()
-				p, err := pl.Plan(pred, target, false)
+			_, plans := netplanPools(g)
+			return each(func(w, i int) error {
+				p, err := pl.Plan(plans[(w*7919+i)%len(plans)], wireTarget(mix), false)
 				if err == nil {
 					_, err = p.Execute()
 				}
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			lats[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return NetPlanPoint{}, err
-		}
-	}
-	np := summarizeNet(lats, elapsed)
-	return NetPlanPoint{Ops: np.Ops, Elapsed: np.Elapsed, OpsPerSec: np.OpsPerSec,
-		P50Micros: np.P50Micros, P99Micros: np.P99Micros}, nil
-}
-
-// mkNetPlanArm serves predicates over a real TCP loopback socket from
-// `conns` pipelined clients. With depth 1 this is the synchronous
-// control arm; with disableCoalescing every tree is planned and
-// executed alone — per-request dispatch.
-func mkNetPlanArm(depth int, disableCoalescing bool) func(*gen.Generated, *engine.Engine, string, int, int) (NetPlanPoint, error) {
-	return func(g *gen.Generated, e *engine.Engine, mix string, conns, ops int) (NetPlanPoint, error) {
-		srv := netserver.New(e, netserver.Options{
-			Path:              g.Path,
-			Store:             g.Store,
-			DisableCoalescing: disableCoalescing,
-		})
-		if err := srv.RegisterPath(1, g.Path, e, nil); err != nil {
-			return NetPlanPoint{}, err
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return NetPlanPoint{}, err
-		}
-		defer srv.Shutdown() //nolint:errcheck
-
-		wires, _ := netplanPools(g)
-		target := netplanTarget(mix)
-		lats := make([][]time.Duration, conns)
-		errs := make([]error, conns)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < conns; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				lats[w], errs[w] = driveNetPlanConn(addr.String(), wires, target, w, ops, depth)
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return NetPlanPoint{}, err
-			}
-		}
-		np := summarizeNet(lats, elapsed)
-		pt := NetPlanPoint{Ops: np.Ops, Elapsed: np.Elapsed, OpsPerSec: np.OpsPerSec,
-			P50Micros: np.P50Micros, P99Micros: np.P99Micros}
-		pt.Requests, pt.Descents = srv.PredicateStats()
-		return pt, nil
-	}
-}
-
-// driveNetPlanConn is one connection's workload: a sliding window of up
-// to `depth` pipelined predicate requests over the shared pool.
-func driveNetPlanConn(addr string, pool []wire.PredNode, target string, w, ops, depth int) ([]time.Duration, error) {
-	c, err := netclient.Dial(addr)
+				return err
+			})(w)
+		},
+		send: func(c *netclient.Client, g *gen.Generated, mix string, w, i int) *netclient.Call {
+			return c.GoPredicate(&wires[(w*7919+i)%len(wires)], wireTarget(mix), false)
+		},
+		// descents: planner descents the predicate requests cost after
+		// coalescing dedup. Equal to ops means no sharing; the gap is the
+		// dividend.
+		counters: func(srv *netserver.Server) []Metric {
+			_, descents := srv.PredicateStats()
+			return []Metric{{"descents", float64(descents)}}
+		},
+	})
 	if err != nil {
-		return nil, err
-	}
-	defer c.Close() //nolint:errcheck
-
-	type inflight struct {
-		call *netclient.Call
-		sent time.Time
-	}
-	lat := make([]time.Duration, 0, ops)
-	var window []inflight
-	settle := func(f inflight) error {
-		_, err := f.call.Wait()
-		lat = append(lat, time.Since(f.sent))
 		return err
 	}
-	for i := 0; i < ops; i++ {
-		pred := &pool[(w*7919+i)%len(pool)]
-		f := inflight{sent: time.Now(), call: c.GoPredicate(pred, target, false)}
-		window = append(window, f)
-		if len(window) >= depth {
-			if err := settle(window[0]); err != nil {
-				return nil, err
-			}
-			window = window[1:]
-		}
-	}
-	for _, f := range window {
-		if err := settle(f); err != nil {
-			return nil, err
-		}
-	}
-	return lat, nil
-}
-
-// Render returns the report as text.
-func (r NetPlanReport) Render() string {
-	t := NewTable(fmt.Sprintf("E8 — predicate dispatch over the wire: throughput vs connections (depth %d, pool %d)", r.Depth, r.PoolSize),
-		"mix", "arm", "conns", "ops", "ops/sec", "p50 µs", "p99 µs", "requests", "descents")
-	for _, p := range r.Points {
-		t.AddRow(p.Mix, p.Arm, p.Conns, p.Ops,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%.1f", p.P50Micros),
-			fmt.Sprintf("%.1f", p.P99Micros),
-			p.Requests, p.Descents)
-	}
-	s := t.Render()
-	s += fmt.Sprintf("\ncoalesced over per-request dispatch at 64 conns (endpoint mix): %.2fx\n", r.Ratios.PipelineOverPerRequest64)
-	s += fmt.Sprintf("pipelined over sync at 8 conns (endpoint mix):                  %.1fx\n", r.Ratios.PipelineOverSync8)
-	s += fmt.Sprintf("embedded planner over networked at 64 conns (wholepath mix):    %.2fx\n", r.Ratios.EmbeddedOverNet64)
-	s += fmt.Sprintf("planner descents per request at 64 conns (endpoint mix):        %.3f\n", r.Ratios.DescentShare64)
-	return s
+	pipe64 := rep.Cell("mix", "endpoint", "arm", "net-pipelined", "conns", 64)
+	rep.AddRatio("coalesced_over_perrequest_at_64_conns_endpoint",
+		pipe64, rep.Cell("mix", "endpoint", "arm", "net-perrequest", "conns", 64))
+	rep.AddRatio("pipelined_over_sync_at_8_conns_endpoint",
+		rep.Cell("mix", "endpoint", "arm", "net-pipelined", "conns", 8), rep.Cell("mix", "endpoint", "arm", "net-sync", "conns", 8))
+	rep.AddRatio("embedded_over_net_at_64_conns_wholepath",
+		rep.Cell("mix", "wholepath", "arm", "embedded", "conns", 64), rep.Cell("mix", "wholepath", "arm", "net-pipelined", "conns", 64))
+	// The fraction of requests that actually cost a planner descent
+	// (lower is better sharing).
+	rep.Ratios = append(rep.Ratios, Ratio{Name: "descents_per_request_at_64_conns_endpoint",
+		Value: pipe64.Extra("descents") / float64(pipe64.Ops)})
+	return nil
 }

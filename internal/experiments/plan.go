@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"time"
+	"strconv"
 
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/plan"
@@ -15,74 +12,22 @@ import (
 	"repro/internal/shard"
 )
 
-// Experiment E6 — what the conjunctive planner buys.
+// Experiment E6 — what the conjunctive planner buys (DESIGN.md §9.4).
 //
 // Part (a), probe ordering: a two-conjunct predicate pairs a highly
 // selective path (R.to.name, ~2000 distinct ending values) with an
-// unselective one (R.tag, ~20 distinct values). The planner's
-// selectivity ordering probes the selective conjunct first, so the
-// galloping intersection and every later probe run against a small
-// accumulator; the declared-worst arm forces the opposite order; the
-// naive arm evaluates the same predicate by store scans. Pages per
-// operation (index plus store) and operations per second quantify the
-// gap.
+// unselective one (R.tag, ~20). The planner probes the selective
+// conjunct first; the declared-worst arm forces the opposite order; the
+// naive arm evaluates the predicate by store scans. The arms share one
+// store and planner, in that order: the auto arm's warm-up pass is
+// where the planner observes the cardinalities it orders by.
 //
-// Part (b), shard pruning: an 8-shard database holds per-shard disjoint
-// ending-value pools, and the probe stream is skewed to one shard's
-// pool — the fleet answering point lookups for values that live on one
-// shard. With summaries on, the other seven shards' descents are pruned
-// by Bloom/min-max exclusion; the control arm disables pruning. The
-// prune rate is pruned descents over the descents the unpruned fan-out
-// would have executed for non-matching shards.
-
-// PlanOrderPoint is one part-(a) arm.
-type PlanOrderPoint struct {
-	Arm        string  `json:"arm"`
-	Ops        int     `json:"ops"`
-	Elapsed    float64 `json:"elapsed_sec"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	PagesPerOp float64 `json:"pages_per_op"`
-	Matches    int     `json:"matches_last"`
-}
-
-// PlanPrunePoint is one part-(b) cell.
-type PlanPrunePoint struct {
-	Shards    int     `json:"shards"`
-	Pruning   bool    `json:"pruning"`
-	Ops       int     `json:"ops"`
-	Elapsed   float64 `json:"elapsed_sec"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Descents  uint64  `json:"descents"`
-	Pruned    uint64  `json:"pruned"`
-	// PruneRate is pruned / (ops · (shards-1)): the fraction of
-	// non-matching shard descents the summaries eliminated.
-	PruneRate float64 `json:"prune_rate"`
-}
-
-// PlanReport is the E6 artifact (BENCH_plan.json).
-type PlanReport struct {
-	Host  HostInfo         `json:"host"`
-	Seed  int64            `json:"seed"`
-	Ops   int              `json:"ops"`
-	Order []PlanOrderPoint `json:"order"`
-	Prune []PlanPrunePoint `json:"prune"`
-}
-
-// Render formats the report as a pair of fixed-width tables.
-func (r PlanReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "conjunct ordering (seed %d):\n", r.Seed)
-	fmt.Fprintf(&b, "%-16s %8s %12s %12s %8s\n", "arm", "ops", "ops/sec", "pages/op", "matches")
-	for _, p := range r.Order {
-		fmt.Fprintf(&b, "%-16s %8d %12.0f %12.2f %8d\n", p.Arm, p.Ops, p.OpsPerSec, p.PagesPerOp, p.Matches)
-	}
-	fmt.Fprintf(&b, "\nshard pruning (skewed point lookups):\n")
-	fmt.Fprintf(&b, "%7s %8s %8s %10s %8s %10s %12s\n", "shards", "pruning", "ops", "descents", "pruned", "prunerate", "ops/sec")
-	for _, p := range r.Prune {
-		fmt.Fprintf(&b, "%7d %8v %8d %10d %8d %10.3f %12.0f\n", p.Shards, p.Pruning, p.Ops, p.Descents, p.Pruned, p.PruneRate, p.OpsPerSec)
-	}
-	return b.String()
-}
+// Part (b), shard pruning: per-shard disjoint ending-value pools and a
+// probe stream skewed to one shard's pool. With summaries on, the other
+// shards' descents are pruned by Bloom/min-max exclusion; the control
+// arm disables pruning. prune_rate is pruned descents over
+// ops · (shards-1), what the unpruned fan-out would have executed for
+// non-matching shards.
 
 // planSchema builds the two-path E6 schema: R(tag, to→M), M(name).
 func planSchema() *schema.Schema {
@@ -100,31 +45,40 @@ func planSchema() *schema.Schema {
 	return s
 }
 
-// RunPlan runs experiment E6 with the given per-arm operation count.
-func RunPlan(seed int64, ops int) (PlanReport, error) {
-	rep := PlanReport{Host: CollectHost(), Seed: seed, Ops: ops}
-	if err := runPlanOrder(&rep, seed, ops); err != nil {
-		return rep, err
+func runPlan(rep *Report) error {
+	arms, err := planOrderArms(rep.Seed, rep.Ops)
+	if err != nil {
+		return err
 	}
-	if err := runPlanPrune(&rep, seed, ops); err != nil {
-		return rep, err
+	if err := rep.Measure(append(arms, planPruneArms(rep.Seed, rep.Ops)...)...); err != nil {
+		return err
 	}
-	return rep, nil
+	for i := range rep.Cells {
+		c := &rep.Cells[i]
+		if n, _ := strconv.Atoi(c.Label("shards")); n > 1 {
+			c.Extras = append(c.Extras, Metric{"prune_rate", c.Extra("pruned") / float64(c.Ops*(n-1))})
+		}
+	}
+	rep.AddRatio("auto_over_declared_worst", rep.Cell("arm", "planner-auto"), rep.Cell("arm", "declared-worst"))
+	rep.AddRatio("pruning_over_fanout_at_8_shards",
+		rep.Cell("shards", 8, "pruning", true), rep.Cell("shards", 8, "pruning", false))
+	return nil
 }
 
-func runPlanOrder(rep *PlanReport, seed int64, ops int) error {
+// planOrderArms builds part (a)'s store, indexes and planner once and
+// declares its three arms over them.
+func planOrderArms(seed int64, ops int) ([]Arm, error) {
 	const (
-		nM      = 2000 // distinct selective ending values
-		nR      = 4000
-		nTags   = 20 // distinct unselective values
-		pageSz  = 4096
-		warmups = 16
+		nM     = 2000 // distinct selective ending values
+		nR     = 4000
+		nTags  = 20 // distinct unselective values
+		pageSz = 4096
 	)
 	rng := rand.New(rand.NewSource(seed))
 	s := planSchema()
 	st, err := oodb.NewStore(s, pageSz)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ms := make([]oodb.OID, nM)
 	for i := range ms {
@@ -132,7 +86,7 @@ func runPlanOrder(rep *PlanReport, seed int64, ops int) error {
 			"name": {oodb.StrV(fmt.Sprintf("name-%05d", i))},
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for i := 0; i < nR; i++ {
@@ -141,28 +95,26 @@ func runPlanOrder(rep *PlanReport, seed int64, ops int) error {
 			"to":  {oodb.RefV(ms[rng.Intn(nM)])},
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	pName, err := schema.NewPath(s, "R", "to", "name")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pTag, err := schema.NewPath(s, "R", "tag")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pl := plan.NewPlanner(st)
 	var execs []*exec.Configured
 	for _, p := range []*schema.Path{pName, pTag} {
-		c, err := exec.NewConfigured(st, p, core.Configuration{
-			Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}},
-		}, pageSz)
+		c, err := exec.NewConfigured(st, p, wholePathNIX(p), pageSz)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := pl.Register(p, c, nil); err != nil {
-			return err
+			return nil, err
 		}
 		execs = append(execs, c)
 	}
@@ -175,17 +127,6 @@ func runPlanOrder(rep *PlanReport, seed int64, ops int) error {
 			plan.Eq(pName, oodb.StrV(fmt.Sprintf("name-%05d", i%nM))),
 		)
 	}
-	for i := 0; i < warmups; i++ {
-		if _, err := pl.Query(pred(i), "R", false); err != nil {
-			return err
-		}
-	}
-	resetPages := func() {
-		st.Pager().ResetStats()
-		for _, c := range execs {
-			c.ResetStats()
-		}
-	}
 	pages := func() uint64 {
 		t := st.Pager().Stats().Accesses()
 		for _, c := range execs {
@@ -193,115 +134,90 @@ func runPlanOrder(rep *PlanReport, seed int64, ops int) error {
 		}
 		return t
 	}
-	arms := []struct {
-		name string
-		run  func(i int) (int, error)
-	}{
-		{"planner-auto", func(i int) (int, error) {
-			r, err := pl.Query(pred(i), "R", false)
-			return len(r), err
-		}},
-		{"declared-worst", func(i int) (int, error) {
+	arm := func(name string, ops int, run func(i int) ([]oodb.OID, error)) Arm {
+		matches := 0
+		return Arm{Labels: labels("part", "ordering", "arm", name), Ops: ops, Open: func() (System, error) {
+			return System{
+				Start: each(func(_, i int) error {
+					r, err := run(i)
+					matches = len(r)
+					return err
+				}),
+				Pages:  pages,
+				Gauges: func() []Metric { return []Metric{{"matches_last", float64(matches)}} },
+			}, nil
+		}}
+	}
+	return []Arm{
+		arm("planner-auto", ops, func(i int) ([]oodb.OID, error) { return pl.Query(pred(i), "R", false) }),
+		arm("declared-worst", ops, func(i int) ([]oodb.OID, error) {
 			p, err := pl.PlanOpts(pred(i), "R", false, plan.Options{DeclaredOrder: true})
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			r, err := p.Execute()
-			return len(r), err
-		}},
-		{"naive-scan", func(i int) (int, error) {
-			r, err := plan.NaiveEval(st, pred(i), "R", false)
-			return len(r), err
-		}},
-	}
-	for _, arm := range arms {
-		// The naive arm re-navigates the store per query; cap its ops to
-		// keep E6 smoke-runnable and scale the rates accordingly.
-		n := ops
-		if arm.name == "naive-scan" && n > 200 {
-			n = 200
-		}
-		resetPages()
-		matches := 0
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			m, err := arm.run(i)
-			if err != nil {
-				return fmt.Errorf("arm %s: %w", arm.name, err)
-			}
-			matches = m
-		}
-		el := time.Since(start).Seconds()
-		rep.Order = append(rep.Order, PlanOrderPoint{
-			Arm:        arm.name,
-			Ops:        n,
-			Elapsed:    el,
-			OpsPerSec:  float64(n) / el,
-			PagesPerOp: float64(pages()) / float64(n),
-			Matches:    matches,
-		})
-	}
-	return nil
+			return p.Execute()
+		}),
+		// The naive arm re-navigates the store per query; its ops are
+		// capped to keep E6 smoke-runnable.
+		arm("naive-scan", min(ops, 200), func(i int) ([]oodb.OID, error) {
+			return plan.NaiveEval(st, pred(i), "R", false)
+		}),
+	}, nil
 }
 
-func runPlanPrune(rep *PlanReport, seed int64, ops int) error {
+func planPruneArms(seed int64, ops int) []Arm {
 	const (
 		treesPerShard = 24
 		pageSz        = 1024
 	)
 	s := schema.PaperSchema()
 	p := schema.PaperPathOwnsManName()
-	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}}}
+	var arms []Arm
 	for _, nShards := range []int{1, 4, 8} {
 		for _, pruning := range []bool{true, false} {
-			db, err := shard.New(s, p, cfg, pageSz, nShards, shard.Options{DisablePruning: !pruning})
-			if err != nil {
-				return err
-			}
-			// Disjoint per-shard ending-value pools: shard i's companies
-			// are named from pool i only.
-			for i := 0; i < nShards; i++ {
-				for t := 0; t < treesPerShard; t++ {
-					co, err := db.InsertAt(i, "Company", map[string][]oodb.Value{
-						"name": {oodb.StrV(fmt.Sprintf("pool%02d-co%03d", i, t))},
-					})
+			arms = append(arms, Arm{
+				Labels: labels("part", "shard-pruning", "shards", nShards, "pruning", pruning),
+				Ops:    ops,
+				Open: func() (System, error) {
+					db, err := shard.New(s, p, wholePathNIX(p), pageSz, nShards, shard.Options{DisablePruning: !pruning})
 					if err != nil {
-						return err
+						return System{}, err
 					}
-					car, err := db.Insert("Vehicle", map[string][]oodb.Value{"man": {oodb.RefV(co)}})
-					if err != nil {
-						return err
+					// Disjoint per-shard ending-value pools: shard i's companies
+					// are named from pool i only.
+					for i := 0; i < nShards; i++ {
+						for t := 0; t < treesPerShard; t++ {
+							co, err := db.InsertAt(i, "Company", map[string][]oodb.Value{
+								"name": {oodb.StrV(fmt.Sprintf("pool%02d-co%03d", i, t))},
+							})
+							if err != nil {
+								return System{}, err
+							}
+							car, err := db.Insert("Vehicle", map[string][]oodb.Value{"man": {oodb.RefV(co)}})
+							if err != nil {
+								return System{}, err
+							}
+							if _, err := db.Insert("Person", map[string][]oodb.Value{"owns": {oodb.RefV(car)}}); err != nil {
+								return System{}, err
+							}
+						}
 					}
-					if _, err := db.Insert("Person", map[string][]oodb.Value{"owns": {oodb.RefV(car)}}); err != nil {
-						return err
-					}
-				}
-			}
-			// Skewed probe stream: every lookup is for shard 0's pool.
-			rng := rand.New(rand.NewSource(seed))
-			start := time.Now()
-			for i := 0; i < ops; i++ {
-				v := oodb.StrV(fmt.Sprintf("pool%02d-co%03d", 0, rng.Intn(treesPerShard)))
-				if _, err := db.Query(v, "Person", false); err != nil {
-					return err
-				}
-			}
-			el := time.Since(start).Seconds()
-			probed, pruned := db.PruneCounters()
-			pt := PlanPrunePoint{
-				Shards:    nShards,
-				Pruning:   pruning,
-				Ops:       ops,
-				Elapsed:   el,
-				OpsPerSec: float64(ops) / el,
-				Descents:  probed,
-				Pruned:    pruned,
-			}
-			if nShards > 1 {
-				pt.PruneRate = float64(pruned) / float64(ops*(nShards-1))
-			}
-			rep.Prune = append(rep.Prune, pt)
+					// Skewed probe stream: every lookup is for shard 0's pool.
+					rng := rand.New(rand.NewSource(seed))
+					return System{
+						Start: each(func(_, _ int) error {
+							v := oodb.StrV(fmt.Sprintf("pool%02d-co%03d", 0, rng.Intn(treesPerShard)))
+							_, err := db.Query(v, "Person", false)
+							return err
+						}),
+						Counters: func() []Metric {
+							probed, pruned := db.PruneCounters()
+							return []Metric{{"descents", float64(probed)}, {"pruned", float64(pruned)}}
+						},
+					}, nil
+				},
+			})
 		}
 	}
-	return nil
+	return arms
 }

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
@@ -13,116 +8,45 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/oodb"
+	"repro/internal/schema"
 	"repro/internal/stats"
 )
 
 // Experiment E2 — measured serving throughput. The paper (and the index
 // advisors that follow it: AIM, CoPhy) argues for configurations by
 // modeled page accesses; E2 closes the loop by measuring realized
-// throughput: N worker goroutines drive a mixed query/update workload
-// against the optimal configuration, the whole-path-NIX strawman and the
-// unindexed naive evaluator, reporting ops/sec, p50/p99 latency and
-// pages/op for each (configuration, workers) cell.
+// throughput: N workers drive a mixed query/update workload against the
+// optimal configuration, the whole-path-NIX strawman and the unindexed
+// naive evaluator, one cell per (configuration, workers). The query
+// results themselves are covered by the equivalence tests; here only
+// the realized cost is recorded.
 
-// ServePoint is one measured (configuration, workers) cell.
-type ServePoint struct {
-	Config     string  `json:"config"`
-	Workers    int     `json:"workers"`
-	Ops        int     `json:"ops"`
-	Elapsed    float64 `json:"elapsed_sec"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	P50Micros  float64 `json:"p50_us"`
-	P99Micros  float64 `json:"p99_us"`
-	PagesPerOp float64 `json:"pages_per_op"`
-	// Speedup is OpsPerSec relative to the same configuration at one
-	// worker — the scaling curve the serving path is built for.
-	Speedup float64 `json:"speedup_vs_1_worker"`
+// serveScale is the Figure 7 scale factor every served database uses.
+const serveScale = 0.01
+
+// wholePathNIX is the single whole-path nested index — the strawman
+// Example 5.1 improves on, and the fixed configuration of the
+// experiments whose subject is not selection.
+func wholePathNIX(p *schema.Path) core.Configuration {
+	return core.Configuration{Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}}}
 }
 
-// ServeReport is experiment E2's outcome, serialized to BENCH_serve.json
-// by `ixbench -run serve` so the repository accumulates a throughput
-// trajectory across revisions.
-type ServeReport struct {
-	Host         HostInfo     `json:"host"`
-	Seed         int64        `json:"seed"`
-	Scale        float64      `json:"scale"`
-	Mix          string       `json:"mix"`
-	OpsPerWorker int          `json:"ops_per_worker"`
-	Points       []ServePoint `json:"points"`
+// servedArm is one way E2 and E3 serve the generated database: through
+// an engine on cfg, or — cfg nil — by the unindexed naive evaluator.
+type servedArm struct {
+	name string
+	cfg  *core.Configuration
 }
 
-// serveBackend abstracts "one way of serving the mixed workload" so the
-// engine-backed configurations and the naive evaluator measure alike.
-type serveBackend struct {
-	name  string
-	query func(v oodb.Value, class string) error
-	ins   func(v oodb.Value) (oodb.OID, error)
-	del   func(oid oodb.OID) error
-	pages func() uint64 // cumulative page accesses
-	ops   int           // per-worker operation count
-}
-
-// RunServe generates one database per backend (same seed, so identical
-// contents), then measures each backend at each worker count. The query
-// results themselves are covered by the equivalence tests; here only the
-// realized cost is recorded.
-func RunServe(seed int64, workerCounts []int, opsPerWorker int) (ServeReport, error) {
-	rep := ServeReport{
-		Host:         CollectHost(),
-		Seed:         seed,
-		Scale:        0.01,
-		Mix:          "60% Person query / 30% Division query / 5% insert / 5% delete",
-		OpsPerWorker: opsPerWorker,
+// servedArms returns the three arms, selecting "optimal" over the
+// store's collected statistics under the paper's Example 5.1 workload
+// (for which the optimum is a split configuration, not the whole-path
+// NIX).
+func servedArms(seed int64) ([]servedArm, error) {
+	g, err := gen.Generate(model.Figure7Stats(), serveScale, seed)
+	if err != nil {
+		return nil, err
 	}
-	ps := model.Figure7Stats()
-
-	backends := []struct {
-		name  string
-		build func(g *gen.Generated) (*serveBackend, error)
-		ops   int
-	}{
-		{"optimal", buildOptimalBackend, opsPerWorker},
-		{"whole-path-NIX", buildWholeNIXBackend, opsPerWorker},
-		// The naive evaluator navigates the object graph per query; it is
-		// orders of magnitude slower, so it gets a reduced op count.
-		{"naive", buildNaiveBackend, opsPerWorker / 20},
-	}
-	for _, b := range backends {
-		base := 0.0
-		for _, workers := range workerCounts {
-			g, err := gen.Generate(ps, rep.Scale, seed)
-			if err != nil {
-				return rep, err
-			}
-			be, err := b.build(g)
-			if err != nil {
-				return rep, fmt.Errorf("experiments: build %s: %v", b.name, err)
-			}
-			be.ops = b.ops
-			if be.ops < 1 {
-				be.ops = 1
-			}
-			pt, err := measureServe(g, be, workers)
-			if err != nil {
-				return rep, err
-			}
-			if workers == workerCounts[0] {
-				base = pt.OpsPerSec
-			}
-			if base > 0 {
-				pt.Speedup = pt.OpsPerSec / base
-			}
-			rep.Points = append(rep.Points, pt)
-		}
-	}
-	return rep, nil
-}
-
-// buildOptimalBackend selects the optimal configuration for the store's
-// collected statistics under the paper's Example 5.1 workload (for which
-// the optimum is the split NIX/MX configuration, not the whole-path NIX),
-// then serves through the lifecycle engine.
-func buildOptimalBackend(g *gen.Generated) (*serveBackend, error) {
 	ps, err := stats.Collect(g.Store, g.Path, model.PaperParams())
 	if err != nil {
 		return nil, err
@@ -135,140 +59,127 @@ func buildOptimalBackend(g *gen.Generated) (*serveBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildEngineBackend(g, res.Best, "optimal "+res.Best.String())
+	nix := wholePathNIX(g.Path)
+	return []servedArm{{"optimal", &res.Best}, {"whole-path-NIX", &nix}, {"naive", nil}}, nil
 }
 
-// buildWholeNIXBackend serves through a single whole-path NIX — the
-// strawman Example 5.1 improves on.
-func buildWholeNIXBackend(g *gen.Generated) (*serveBackend, error) {
-	cfg := core.Configuration{Assignments: []core.Assignment{
-		{A: 1, B: g.Path.Len(), Org: cost.NIX},
-	}}
-	return buildEngineBackend(g, cfg, "whole-path-NIX")
+// served is a freshly generated database (same seed, so identical
+// contents in every cell) behind one servedArm; e is nil for naive.
+type served struct {
+	g *gen.Generated
+	e *engine.Engine
 }
 
-func buildEngineBackend(g *gen.Generated, cfg core.Configuration, name string) (*serveBackend, error) {
-	e, err := engine.New(g.Store, g.Path, cfg, model.PaperParams().PageSize, engine.Options{})
+func openServed(arm servedArm, seed int64) (*served, error) {
+	g, err := gen.Generate(model.Figure7Stats(), serveScale, seed)
+	if err != nil || arm.cfg == nil {
+		return &served{g: g}, err
+	}
+	e, err := engine.New(g.Store, g.Path, *arm.cfg, model.PaperParams().PageSize,
+		engine.Options{Assumed: model.Figure7Stats()})
+	return &served{g: g, e: e}, err
+}
+
+// ops trims an operation count for the naive arm, which navigates the
+// object graph per query and is orders of magnitude slower.
+func (a servedArm) ops(ops int) int {
+	if a.cfg == nil {
+		return ops / 20
+	}
+	return ops
+}
+
+func (s *served) query(buf []oodb.OID, v oodb.Value, class string) ([]oodb.OID, error) {
+	if s.e == nil {
+		return exec.NaiveQuery(s.g.Store, s.g.Path, v, class, false)
+	}
+	return s.e.QueryInto(buf[:0], v, class, false)
+}
+
+func (s *served) insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
+	if s.e == nil {
+		return s.g.Store.Insert(class, attrs)
+	}
+	return s.e.Insert(class, attrs)
+}
+
+func (s *served) update(oid oodb.OID, attrs map[string][]oodb.Value) error {
+	if s.e == nil {
+		_, _, err := s.g.Store.Update(oid, attrs)
+		return err
+	}
+	return s.e.Update(oid, attrs)
+}
+
+func (s *served) delete(oid oodb.OID) error {
+	if s.e == nil {
+		return s.g.Store.Delete(oid)
+	}
+	return s.e.Delete(oid)
+}
+
+// pages is the cumulative page-access count, index plus store.
+func (s *served) pages() uint64 {
+	n := s.g.Store.Pager().Stats().Accesses()
+	if s.e != nil {
+		n += s.e.IndexStats().Accesses()
+	}
+	return n
+}
+
+func runServe(rep *Report) error {
+	rep.Workload = "60% Person query / 30% Division query / 5% insert / 5% delete"
+	arms, err := servedArms(rep.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.ResetStats()
-	g.Store.Pager().ResetStats()
-	var buf sync.Pool
-	return &serveBackend{
-		name: name,
-		query: func(v oodb.Value, class string) error {
-			b, _ := buf.Get().(*[]oodb.OID)
-			if b == nil {
-				b = new([]oodb.OID)
-			}
-			out, err := e.QueryInto((*b)[:0], v, class, false)
-			*b = out
-			buf.Put(b)
-			return err
-		},
-		ins: func(v oodb.Value) (oodb.OID, error) {
-			return e.Insert("Division", map[string][]oodb.Value{"name": {v}})
-		},
-		del: func(oid oodb.OID) error { return e.Delete(oid) },
-		pages: func() uint64 {
-			return e.IndexStats().Accesses() + g.Store.Pager().Stats().Accesses()
-		},
-	}, nil
-}
-
-// buildNaiveBackend serves queries by forward navigation and updates
-// directly against the store — the unindexed baseline.
-func buildNaiveBackend(g *gen.Generated) (*serveBackend, error) {
-	g.Store.Pager().ResetStats()
-	return &serveBackend{
-		name: "naive",
-		query: func(v oodb.Value, class string) error {
-			_, err := exec.NaiveQuery(g.Store, g.Path, v, class, false)
-			return err
-		},
-		ins: func(v oodb.Value) (oodb.OID, error) {
-			return g.Store.Insert("Division", map[string][]oodb.Value{"name": {v}})
-		},
-		del:   func(oid oodb.OID) error { return g.Store.Delete(oid) },
-		pages: func() uint64 { return g.Store.Pager().Stats().Accesses() },
-	}, nil
-}
-
-// measureServe drives the mixed workload from `workers` goroutines and
-// collects throughput, latency percentiles and pages/op.
-func measureServe(g *gen.Generated, be *serveBackend, workers int) (ServePoint, error) {
-	pt := ServePoint{Config: be.name, Workers: workers, Ops: workers * be.ops}
-	startPages := be.pages()
-	lats := make([][]time.Duration, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, be.ops)
-			var pending []oodb.OID
-			for i := 0; i < be.ops; i++ {
-				v := g.EndValues[(w*7919+i)%len(g.EndValues)]
-				t0 := time.Now()
-				var err error
-				switch {
-				case i%20 == 9: // 5% inserts
-					var oid oodb.OID
-					oid, err = be.ins(v)
-					if err == nil {
-						pending = append(pending, oid)
+	rep.Workload += "; optimal = " + arms[0].cfg.String()
+	var cells []Arm
+	for _, arm := range arms {
+		for _, workers := range []int{1, 2, 4, 8} {
+			cells = append(cells, Arm{
+				Labels:  labels("config", arm.name, "workers", workers),
+				Workers: workers,
+				Ops:     arm.ops(rep.Ops),
+				Open: func() (System, error) {
+					s, err := openServed(arm, rep.Seed)
+					if err != nil {
+						return System{}, err
 					}
-				case i%20 == 19 && len(pending) > 0: // 5% deletes
-					err = be.del(pending[len(pending)-1])
-					pending = pending[:len(pending)-1]
-				case i%10 < 3: // ~30% ending-level queries
-					err = be.query(v, "Division")
-				default: // ~60% whole-path queries
-					err = be.query(v, "Person")
-				}
-				lat = append(lat, time.Since(t0))
-				if err != nil {
-					errs[w] = fmt.Errorf("experiments: %s worker %d op %d: %v", be.name, w, i, err)
-					return
-				}
-			}
-			lats[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return pt, err
+					// Per-worker state: the reused result buffer and the
+					// worker's own inserts awaiting deletion.
+					bufs := make([][]oodb.OID, workers)
+					pending := make([][]oodb.OID, workers)
+					return System{Pages: s.pages, Start: each(func(w, i int) (err error) {
+						v := s.g.EndValues[(w*7919+i)%len(s.g.EndValues)]
+						switch {
+						case i%20 == 9: // 5% inserts
+							var oid oodb.OID
+							if oid, err = s.insert("Division", map[string][]oodb.Value{"name": {v}}); err == nil {
+								pending[w] = append(pending[w], oid)
+							}
+						case i%20 == 19 && len(pending[w]) > 0: // 5% deletes
+							last := len(pending[w]) - 1
+							err = s.delete(pending[w][last])
+							pending[w] = pending[w][:last]
+						case i%10 < 3: // ~30% ending-level queries
+							bufs[w], err = s.query(bufs[w], v, "Division")
+						default: // ~60% whole-path queries
+							bufs[w], err = s.query(bufs[w], v, "Person")
+						}
+						return err
+					})}, nil
+				},
+			})
 		}
 	}
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
+	if err := rep.Measure(cells...); err != nil {
+		return err
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pt.Elapsed = elapsed.Seconds()
-	pt.OpsPerSec = float64(pt.Ops) / elapsed.Seconds()
-	pt.P50Micros = float64(all[len(all)/2].Microseconds())
-	pt.P99Micros = float64(all[len(all)*99/100].Microseconds())
-	pt.PagesPerOp = float64(be.pages()-startPages) / float64(pt.Ops)
-	return pt, nil
-}
-
-// Render returns the report as text.
-func (r ServeReport) Render() string {
-	t := NewTable("E2 — serving throughput under concurrency ("+r.Mix+")",
-		"config", "workers", "ops", "ops/sec", "p50 µs", "p99 µs", "pages/op", "speedup")
-	for _, p := range r.Points {
-		t.AddRow(p.Config, p.Workers, p.Ops,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%.1f", p.P50Micros),
-			fmt.Sprintf("%.1f", p.P99Micros),
-			fmt.Sprintf("%.2f", p.PagesPerOp),
-			fmt.Sprintf("%.2fx", p.Speedup))
-	}
-	return t.Render()
+	// The scaling curve the serving path is built for: each cell's
+	// throughput relative to the same configuration at one worker.
+	rep.AddRelative("speedup_vs_1_worker", func(c *Cell) *Cell {
+		return rep.Cell("config", c.Label("config"), "workers", 1)
+	})
+	return nil
 }

@@ -2,191 +2,77 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/shard"
-	"repro/internal/stats"
+	"repro/internal/storage"
 )
 
-// Experiment E4 — sharded serving throughput. E2 measured the
-// single-engine serving path under concurrent workers; E4 measures a
-// sharded serving tier's mix — batches of value probes, by-OID gets,
-// and routed writes — against OID-hash-partitioned deployments of 1,
-// 2, 4 and 8 shards, with a direct single-engine baseline at every
-// worker count. Every deployment serves the identical logical dataset —
-// the same fixed cohorts, laid down whole in one store for the baseline
-// and spread across the shard stores otherwise (see nCohorts) — so a
-// cell isolates what partitioning costs and buys per operation class:
-// by-OID gets and writes route to
-// exactly one shard (parity per operation, and each shard has its own
+// Experiment E4 — sharded serving throughput (DESIGN.md §7.5). A
+// serving tier's mix — batches of value probes, by-OID gets, routed
+// writes — against OID-hash-partitioned deployments of 1, 2, 4 and 8
+// shards, with a direct single-engine baseline at every worker count,
+// all serving the identical logical dataset (see nCohorts). By-OID gets
+// and writes route to exactly one shard (and each shard has its own
 // write lock — the axis that scales with cores); value probes have no
-// OID to hash, so they fan out to every shard and pay one index
-// descent per non-matching shard — the measured fan-out tax that a
-// partition-pruning summary would attack. Workers drive probes in
-// batches so the per-batch fan-out is amortized the way a serving tier
-// would batch it. On a single-core host the expected shape is: the
-// one-shard deployment at parity with the engine (the facade adds no
-// goroutines there), routed operations at parity at every shard count,
-// and fanned value reads paying the descent tax with no parallelism to
-// buy it back; on multi-core hosts the same fan-out runs one goroutine
-// per shard and the write locks partition.
+// OID to hash, so they fan out to every shard and pay one index descent
+// per non-matching shard.
 
-// ShardPoint is one measured (configuration, shards, workers) cell.
-type ShardPoint struct {
-	// Config is "engine" for the direct single-engine baseline (the E2
-	// serving path) or "sharded" for a shard.DB deployment.
-	Config string `json:"config"`
-	// Shards is the shard count (1 for the engine baseline).
-	Shards  int     `json:"shards"`
-	Workers int     `json:"workers"`
-	Ops     int     `json:"ops"`
-	Elapsed float64 `json:"elapsed_sec"`
-	// OpsPerSec counts probes and writes (one batch = BatchSize probes).
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// P50/P99 are per facade call — one query batch or one write.
-	P50Micros  float64 `json:"p50_us"`
-	P99Micros  float64 `json:"p99_us"`
-	PagesPerOp float64 `json:"pages_per_op"`
-	// SpeedupVsEngine is OpsPerSec relative to the engine baseline at
-	// the same worker count.
-	SpeedupVsEngine float64 `json:"speedup_vs_engine"`
-	// ProbeMass is the result mass of a canonical one-probe-per-value
-	// sweep against this deployment — identical across deployments,
-	// recording that every cell answered the same queries over the same
-	// logical data.
-	ProbeMass int `json:"probe_mass"`
-}
-
-// ShardReport is experiment E4's outcome, serialized to BENCH_shard.json
-// by `ixbench -run shard`.
-type ShardReport struct {
-	Host         HostInfo     `json:"host"`
-	Seed         int64        `json:"seed"`
-	Scale        float64      `json:"scale"`
-	Mix          string       `json:"mix"`
-	BatchSize    int          `json:"batch_size"`
-	OpsPerWorker int          `json:"ops_per_worker"`
-	Points       []ShardPoint `json:"points"`
-}
-
-// shardBackend abstracts one way of serving the batched mixed workload.
-type shardBackend struct {
-	queryBatch func(probes []exec.Probe) error
-	get        func(oid oodb.OID) error
-	ins        func(v oodb.Value) (oodb.OID, error)
-	del        func(oid oodb.OID) error
-	pages      func() uint64
-	// gettable is the by-OID read pool: the Person population, resolved
-	// on whichever shard holds each OID.
-	gettable []oodb.OID
-	// mass is the deployment's canonical probe-sweep result mass — equal
-	// across deployments when the dataset is laid down fairly.
-	mass int
-}
-
-// RunShard measures the engine baseline and each sharded deployment at
-// each worker count, driving opsPerWorker operations (batched probes
-// plus routed writes) per worker.
-func RunShard(seed int64, shardCounts, workerCounts []int, opsPerWorker int) (ShardReport, error) {
-	const batchSize = 8
-	rep := ShardReport{
-		Host:         CollectHost(),
-		Seed:         seed,
-		Scale:        0.01,
-		Mix:          "60% point-probe batches (3:1 Person:Division) / 30% by-OID gets / 5% insert / 5% delete",
-		BatchSize:    batchSize,
-		OpsPerWorker: opsPerWorker,
-	}
-	ps := model.Figure7Stats()
-
-	// The optimal configuration for the collected statistics under the
-	// Example 5.1 workload — the same selection E2 serves.
-	cfg, err := selectServeConfig(seed, ps, rep.Scale)
-	if err != nil {
-		return rep, err
-	}
-
-	// Probe values come from the full leaf-value domain, identical for
-	// every backend (the sharded datasets keep the same domain size).
-	engineBase := make(map[int]float64)
-	run := func(config string, nShards int, build func() (*shardBackend, []oodb.Value, error)) error {
-		for _, workers := range workerCounts {
-			be, values, err := build()
-			if err != nil {
-				return err
-			}
-			pt, err := measureShard(be, values, config, nShards, workers, opsPerWorker, batchSize)
-			if err != nil {
-				return err
-			}
-			if config == "engine" {
-				engineBase[workers] = pt.OpsPerSec
-			}
-			if base := engineBase[workers]; base > 0 {
-				pt.SpeedupVsEngine = pt.OpsPerSec / base
-			}
-			rep.Points = append(rep.Points, pt)
-		}
-		return nil
-	}
-
-	if err := run("engine", 1, func() (*shardBackend, []oodb.Value, error) {
-		return buildEngineShardBackend(ps, rep.Scale, seed, cfg)
-	}); err != nil {
-		return rep, err
-	}
-	for _, n := range shardCounts {
-		n := n
-		if err := run("sharded", n, func() (*shardBackend, []oodb.Value, error) {
-			return buildShardedBackend(ps, rep.Scale, seed, cfg, n)
-		}); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// selectServeConfig selects the optimal configuration over collected
-// statistics merged with the Figure 7 workload, as E2's optimal backend
-// does.
-func selectServeConfig(seed int64, assumed *model.PathStats, scale float64) (core.Configuration, error) {
-	g, err := gen.Generate(assumed, scale, seed)
-	if err != nil {
-		return core.Configuration{}, err
-	}
-	ps, err := stats.Collect(g.Store, g.Path, model.PaperParams())
-	if err != nil {
-		return core.Configuration{}, err
-	}
-	for l := 1; l <= ps.Len(); l++ {
-		copy(ps.Level(l).Loads, assumed.Level(l).Loads)
-	}
-	res, _, err := core.Select(ps, cost.Organizations)
-	if err != nil {
-		return core.Configuration{}, err
-	}
-	return res.Best, nil
-}
+// shardBatch is how many probes (or by-OID gets) one facade call carries.
+const shardBatch = 8
 
 // nCohorts is the fixed partition granularity of E4's dataset: the same
-// nCohorts self-contained cohorts (generated with the same seeds, so
-// identical contents) are laid down in every deployment — all in one
-// store for the engine baseline, spread round-robin across N stores for
-// an N-shard deployment. Every deployment therefore serves the same
-// logical data and the same probe stream returns the same result mass
-// (recorded as probe_mass in the report), so measured differences are
-// deployment effects, not dataset effects. Must be a multiple of every
-// measured shard count.
+// cohorts (same seeds, so identical contents) are laid down in every
+// deployment — all in one store for the engine baseline, round-robin
+// across N stores for N shards — so measured differences are deployment
+// effects, not dataset effects; the probe_mass extra records it. Must
+// be a multiple of every measured shard count.
 const nCohorts = 8
+
+func runShard(rep *Report) error {
+	rep.Workload = fmt.Sprintf("60%% point-probe batches (3:1 Person:Division) / 30%% by-OID gets / 5%% insert / 5%% delete, batch=%d", shardBatch)
+	// The optimal configuration for the collected statistics under the
+	// Example 5.1 workload — the same selection E2 serves.
+	arms, err := servedArms(rep.Seed)
+	if err != nil {
+		return err
+	}
+	cfg := *arms[0].cfg
+	var cells []Arm
+	for _, nShards := range []int{0, 1, 2, 4, 8} { // 0: the direct engine baseline
+		for _, workers := range []int{1, 2, 4, 8} {
+			cells = append(cells, shardArm(rep.Seed, cfg, nShards, workers, rep.Ops))
+		}
+	}
+	if err := rep.Measure(cells...); err != nil {
+		return err
+	}
+	rep.AddRelative("vs_engine", func(c *Cell) *Cell {
+		return rep.Cell("config", "engine", "workers", c.Label("workers"))
+	})
+	return nil
+}
+
+// shardArm declares one (deployment, workers) cell; nShards 0 is the
+// single engine.
+func shardArm(seed int64, cfg core.Configuration, nShards, workers, opsPerWorker int) Arm {
+	config, shards := "sharded", nShards
+	if nShards == 0 {
+		config, shards = "engine", 1
+	}
+	return Arm{
+		Labels:  labels("config", config, "shards", shards, "workers", workers),
+		Workers: workers,
+		Ops:     max(opsPerWorker/shardBatch, 20),
+		Open:    func() (System, error) { return openShardDeployment(seed, cfg, nShards) },
+	}
+}
 
 // cohortStats returns one cohort's statistics: the Figure 7 shape with
 // per-class cardinalities divided by the cohort count and distinct
@@ -209,12 +95,12 @@ func cohortStats() *model.PathStats {
 // generateCohorts lays the nCohorts cohorts down across the given
 // stores round-robin (cohort j into store j mod len(stores)), returning
 // the probe-value domain and the Person population.
-func generateCohorts(stores []*oodb.Store, scale float64, seed int64) ([]oodb.Value, []oodb.OID, error) {
+func generateCohorts(stores []*oodb.Store, seed int64) ([]oodb.Value, []oodb.OID, error) {
 	part := cohortStats()
 	var values []oodb.Value
 	var persons []oodb.OID
 	for j := 0; j < nCohorts; j++ {
-		g, err := gen.GenerateShardIn(stores[j%len(stores)], part, scale, seed+int64(j), nCohorts)
+		g, err := gen.GenerateShardIn(stores[j%len(stores)], part, serveScale, seed+int64(j), nCohorts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -226,220 +112,104 @@ func generateCohorts(stores []*oodb.Store, scale float64, seed int64) ([]oodb.Va
 	return values, persons, nil
 }
 
-// probeMass sweeps one whole-path probe per domain value and sums the
-// result sizes — the fairness check that every deployment answers the
-// same queries with the same mass.
-func probeMass(queryBatch func([]exec.Probe) ([][]oodb.OID, error), values []oodb.Value) (int, error) {
-	probes := make([]exec.Probe, len(values))
-	for i, v := range values {
-		probes[i] = exec.Probe{Value: v, TargetClass: "Person"}
+// shardServer is what E4 drives: satisfied by the engine and by shard.DB.
+type shardServer interface {
+	QueryBatch([]exec.Probe) ([][]oodb.OID, error)
+	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
+	Delete(oodb.OID) error
+	IndexStats() storage.Stats
+}
+
+// openShardDeployment lays the cohorts down in one store behind an
+// engine (nShards 0) or across nShards stores behind the shard.DB
+// facade, and returns the system serving E4's batched mix.
+func openShardDeployment(seed int64, cfg core.Configuration, nShards int) (System, error) {
+	ps := model.Figure7Stats()
+	if nCohorts%max(nShards, 1) != 0 {
+		return System{}, fmt.Errorf("shard count %d does not divide the %d-cohort dataset", nShards, nCohorts)
 	}
-	res, err := queryBatch(probes)
+	stores, err := shard.NewStores(ps.Path.Schema(), ps.Params.PageSize, max(nShards, 1))
 	if err != nil {
-		return 0, err
+		return System{}, err
 	}
-	var mass int
+	values, persons, err := generateCohorts(stores, seed)
+	if err != nil {
+		return System{}, err
+	}
+	var srv shardServer
+	get := func(oid oodb.OID) error { _, err := stores[0].Get(oid); return err }
+	if nShards == 0 {
+		srv, err = engine.New(stores[0], ps.Path, cfg, ps.Params.PageSize, engine.Options{})
+	} else {
+		var db *shard.DB
+		db, err = shard.Open(stores, ps.Path, cfg, ps.Params.PageSize, shard.Options{})
+		srv, get = db, func(oid oodb.OID) error { _, err := db.Get(oid); return err }
+	}
+	if err != nil {
+		return System{}, err
+	}
+	// The fairness check: one whole-path probe per domain value; the
+	// summed result sizes must be equal across deployments.
+	sweep := make([]exec.Probe, len(values))
+	for i, v := range values {
+		sweep[i] = exec.Probe{Value: v, TargetClass: "Person"}
+	}
+	res, err := srv.QueryBatch(sweep)
+	if err != nil {
+		return System{}, err
+	}
+	mass := 0
 	for _, r := range res {
 		mass += len(r)
 	}
-	return mass, nil
-}
-
-// buildEngineShardBackend is the direct single-engine baseline: all
-// cohorts in one store, one engine, batches through engine.QueryBatch —
-// the E2 serving path driven in batches.
-func buildEngineShardBackend(ps *model.PathStats, scale float64, seed int64, cfg core.Configuration) (*shardBackend, []oodb.Value, error) {
-	st, err := oodb.NewStore(ps.Path.Schema(), ps.Params.PageSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	values, persons, err := generateCohorts([]*oodb.Store{st}, scale, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := engine.New(st, ps.Path, cfg, ps.Params.PageSize, engine.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	mass, err := probeMass(e.QueryBatch, values)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.ResetStats()
-	st.Pager().ResetStats()
-	return &shardBackend{
-		queryBatch: func(probes []exec.Probe) error {
-			_, err := e.QueryBatch(probes)
-			return err
-		},
-		get: func(oid oodb.OID) error {
-			_, err := st.Get(oid)
-			return err
-		},
-		ins: func(v oodb.Value) (oodb.OID, error) {
-			return e.Insert("Division", map[string][]oodb.Value{"name": {v}})
-		},
-		del: func(oid oodb.OID) error { return e.Delete(oid) },
-		pages: func() uint64 {
-			return e.IndexStats().Accesses() + st.Pager().Stats().Accesses()
-		},
-		gettable: persons,
-		mass:     mass,
-	}, values, nil
-}
-
-// buildShardedBackend deploys the same cohorts across nShards stores
-// and serves through the shard.DB facade.
-func buildShardedBackend(ps *model.PathStats, scale float64, seed int64, cfg core.Configuration, nShards int) (*shardBackend, []oodb.Value, error) {
-	if nCohorts%nShards != 0 {
-		return nil, nil, fmt.Errorf("experiments: shard count %d does not divide the %d-cohort dataset", nShards, nCohorts)
-	}
-	stores, err := shard.NewStores(ps.Path.Schema(), ps.Params.PageSize, nShards)
-	if err != nil {
-		return nil, nil, err
-	}
-	values, persons, err := generateCohorts(stores, scale, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	db, err := shard.Open(stores, ps.Path, cfg, ps.Params.PageSize, shard.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	mass, err := probeMass(db.QueryBatch, values)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.ResetStats()
-	for i := 0; i < db.NumShards(); i++ {
-		db.Store(i).Pager().ResetStats()
-	}
-	return &shardBackend{
-		queryBatch: func(probes []exec.Probe) error {
-			_, err := db.QueryBatch(probes)
-			return err
-		},
-		get: func(oid oodb.OID) error {
-			_, err := db.Get(oid)
-			return err
-		},
-		ins: func(v oodb.Value) (oodb.OID, error) {
-			return db.Insert("Division", map[string][]oodb.Value{"name": {v}})
-		},
-		del: func(oid oodb.OID) error { return db.Delete(oid) },
-		pages: func() uint64 {
-			total := db.IndexStats().Accesses()
-			for i := 0; i < db.NumShards(); i++ {
-				total += db.Store(i).Pager().Stats().Accesses()
+	return System{
+		Pages: func() uint64 {
+			total := srv.IndexStats().Accesses()
+			for _, st := range stores {
+				total += st.Pager().Stats().Accesses()
 			}
 			return total
 		},
-		gettable: persons,
-		mass:     mass,
-	}, values, nil
-}
-
-// measureShard drives the batched mixed workload from `workers`
-// goroutines: 60% of iterations issue a batch of batchSize point probes
-// (3:1 Person whole-path to Division ending-level, fanned across
-// shards), 30% a run of batchSize by-OID gets (each routed to one
-// shard), 5% insert, 5% delete. Ops counts probes, gets and writes;
-// latencies are per call (one batch, one get run, or one write).
-func measureShard(be *shardBackend, values []oodb.Value, config string, nShards, workers, opsPerWorker, batchSize int) (ShardPoint, error) {
-	pt := ShardPoint{Config: config, Shards: nShards, Workers: workers, ProbeMass: be.mass}
-	startPages := be.pages()
-	iters := opsPerWorker / batchSize
-	if iters < 20 {
-		iters = 20
-	}
-	lats := make([][]time.Duration, workers)
-	errs := make([]error, workers)
-	opsDone := make([]int, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, iters)
-			probes := make([]exec.Probe, batchSize)
+		Gauges: func() []Metric { return []Metric{{"probe_mass", float64(mass)}} },
+		// 60% of iterations issue a batch of shardBatch point probes (3:1
+		// Person whole-path to Division ending-level, fanned across
+		// shards), 30% a run of shardBatch by-OID gets (each routed to one
+		// shard), 5% insert, 5% delete. Probes, gets and writes each count
+		// as one operation and wait the wall time of the call they rode.
+		Start: func(w int) (Driver, error) {
+			probes := make([]exec.Probe, shardBatch)
 			var pending []oodb.OID
-			for i := 0; i < iters; i++ {
+			return Driver{Op: func(i int, rec *Recorder) (err error) {
 				v := values[(w*7919+i)%len(values)]
+				n := shardBatch
 				t0 := time.Now()
-				var err error
 				switch r := i % 20; {
 				case r == 9: // 5% inserts
 					var oid oodb.OID
-					oid, err = be.ins(v)
-					if err == nil {
+					if oid, err = srv.Insert("Division", map[string][]oodb.Value{"name": {v}}); err == nil {
 						pending = append(pending, oid)
 					}
-					opsDone[w]++
+					n = 1
 				case r == 19 && len(pending) > 0: // 5% deletes
-					err = be.del(pending[len(pending)-1])
+					err = srv.Delete(pending[len(pending)-1])
 					pending = pending[:len(pending)-1]
-					opsDone[w]++
+					n = 1
 				case r%3 == 0: // ~30% by-OID get runs, routed per OID
-					for j := 0; j < batchSize && err == nil; j++ {
-						err = be.get(be.gettable[(w*7919+i*batchSize+j)%len(be.gettable)])
+					for j := 0; j < shardBatch && err == nil; j++ {
+						err = get(persons[(w*7919+i*shardBatch+j)%len(persons)])
 					}
-					opsDone[w] += batchSize
 				default: // ~60% point-probe batches, fanned across shards
 					for j := range probes {
-						pv := values[(w*7919+i*batchSize+j)%len(values)]
+						probes[j] = exec.Probe{Value: values[(w*7919+i*shardBatch+j)%len(values)], TargetClass: "Person"}
 						if j%4 == 3 {
-							probes[j] = exec.Probe{Value: pv, TargetClass: "Division"}
-						} else {
-							probes[j] = exec.Probe{Value: pv, TargetClass: "Person"}
+							probes[j].TargetClass = "Division"
 						}
 					}
-					err = be.queryBatch(probes)
-					opsDone[w] += batchSize
+					_, err = srv.QueryBatch(probes)
 				}
-				lat = append(lat, time.Since(t0))
-				if err != nil {
-					errs[w] = fmt.Errorf("experiments: %s/%d shards worker %d iter %d: %v", config, nShards, w, i, err)
-					return
-				}
-			}
-			lats[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return pt, err
-		}
-	}
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for _, n := range opsDone {
-		pt.Ops += n
-	}
-	pt.Elapsed = elapsed.Seconds()
-	pt.OpsPerSec = float64(pt.Ops) / elapsed.Seconds()
-	pt.P50Micros = float64(all[len(all)/2].Microseconds())
-	pt.P99Micros = float64(all[len(all)*99/100].Microseconds())
-	pt.PagesPerOp = float64(be.pages()-startPages) / float64(pt.Ops)
-	return pt, nil
-}
-
-// Render returns the report as text.
-func (r ShardReport) Render() string {
-	t := NewTable(fmt.Sprintf("E4 — sharded serving throughput (%s, batch=%d)", r.Mix, r.BatchSize),
-		"config", "shards", "workers", "ops", "ops/sec", "p50 µs", "p99 µs", "pages/op", "vs engine")
-	for _, p := range r.Points {
-		t.AddRow(p.Config, p.Shards, p.Workers, p.Ops,
-			fmt.Sprintf("%.0f", p.OpsPerSec),
-			fmt.Sprintf("%.1f", p.P50Micros),
-			fmt.Sprintf("%.1f", p.P99Micros),
-			fmt.Sprintf("%.2f", p.PagesPerOp),
-			fmt.Sprintf("%.2fx", p.SpeedupVsEngine))
-	}
-	return t.Render()
+				rec.Done(t0, n)
+				return err
+			}}, nil
+		},
+	}, nil
 }

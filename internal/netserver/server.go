@@ -127,10 +127,6 @@ type Options struct {
 	// tears down instead of pinning its writer (and, transitively,
 	// Shutdown) forever. Default 10s.
 	WriteTimeout time.Duration
-
-	// DisableCoalescing serves every request individually — the
-	// per-request dispatch baseline experiment E7 compares against.
-	DisableCoalescing bool
 }
 
 func (o Options) withDefaults() Options {
@@ -620,9 +616,9 @@ func newDispatcher(s *Server) *dispatcher {
 }
 
 // run is the dispatcher loop, the goroutine that owns batching. It
-// blocks for the first task, then — unless coalescing is off — drains
-// whatever else has already arrived, up to MaxBatch, and serves the
-// batch. The adaptive window falls out of the structure: while this
+// blocks for the first task, then drains whatever else has already
+// arrived, up to MaxBatch (so MaxBatch 1 is per-request dispatch), and
+// serves the batch. The adaptive window falls out of the structure: while this
 // batch executes, new arrivals queue up and become some dispatcher's
 // next batch, so the window widens exactly when the system is busy.
 func (d *dispatcher) run() {
@@ -630,18 +626,16 @@ func (d *dispatcher) run() {
 	defer s.dispatchWG.Done()
 	for t := range d.tasks {
 		d.batch = append(d.batch[:0], t)
-		if !s.opts.DisableCoalescing {
-		fill:
-			for len(d.batch) < s.opts.MaxBatch {
-				select {
-				case t2, ok := <-d.tasks:
-					if !ok {
-						break fill // closing; outer range will also see it
-					}
-					d.batch = append(d.batch, t2)
-				default:
-					break fill
+	fill:
+		for len(d.batch) < s.opts.MaxBatch {
+			select {
+			case t2, ok := <-d.tasks:
+				if !ok {
+					break fill // closing; outer range will also see it
 				}
+				d.batch = append(d.batch, t2)
+			default:
+				break fill
 			}
 		}
 		d.serveBatch(d.batch)

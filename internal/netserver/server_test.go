@@ -155,46 +155,62 @@ func sameOIDs(a, b []oodb.OID) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestServerPipelinedBatch drives the client's pipelined QueryBatch and
-// UpdateBatch conveniences and checks the dispatcher actually coalesced
-// requests into windows.
+// TestServerPipelinedBatch drives the client's pipelined QueryBatch
+// convenience and checks what the dispatcher did with the window: under
+// default options requests coalesce, and MaxBatch 1 is per-request
+// dispatch — every request its own batch, none riding another's window
+// (the control arm experiments E7/E8 measure against).
 func TestServerPipelinedBatch(t *testing.T) {
-	e, g := newTestEngine(t, 2)
-	// One dispatcher makes the coalescing assertion deterministic: with a
-	// pool, several dispatchers can keep pace with the reader and serve
-	// singletons.
-	srv := New(e, Options{Path: g.Path, ClassOf: classOf(g.Store), Dispatchers: 1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown() //nolint:errcheck
-	c, err := netclient.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+	}{
+		{"default window", 0},
+		{"MaxBatch 1 is per-request dispatch", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, g := newTestEngine(t, 2)
+			// One dispatcher makes the coalescing assertion deterministic: with a
+			// pool, several dispatchers can keep pace with the reader and serve
+			// singletons.
+			srv := New(e, Options{Path: g.Path, ClassOf: classOf(g.Store), Dispatchers: 1, MaxBatch: tc.maxBatch})
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown() //nolint:errcheck
+			c, err := netclient.Dial(addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	probes := genProbes(g, 200)
-	want, err := e.QueryBatch(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.QueryBatch(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range probes {
-		if !sameOIDs(got[i], want[i]) {
-			t.Fatalf("probe %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-	requests, batches, _ := srv.CoalesceStats()
-	if requests < 200 {
-		t.Fatalf("server saw %d requests", requests)
-	}
-	if batches >= requests {
-		t.Fatalf("no coalescing: %d batches for %d requests", batches, requests)
+			probes := genProbes(g, 200)
+			want, err := e.QueryBatch(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.QueryBatch(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range probes {
+				if !sameOIDs(got[i], want[i]) {
+					t.Fatalf("probe %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+			requests, batches, coalesced := srv.CoalesceStats()
+			if requests < 200 {
+				t.Fatalf("server saw %d requests", requests)
+			}
+			if tc.maxBatch == 1 {
+				if coalesced != 0 || batches != requests {
+					t.Fatalf("MaxBatch 1: %d batches, %d coalesced for %d requests", batches, coalesced, requests)
+				}
+			} else if batches >= requests {
+				t.Fatalf("no coalescing: %d batches for %d requests", batches, requests)
+			}
+		})
 	}
 }
 
