@@ -226,8 +226,7 @@ type (
 	// Planner compiles And/Or/Eq/Range predicate trees over registered
 	// paths into cost-ordered physical plans; its Query method is the
 	// one-call entry (plan, execute, record). Register each path with the
-	// index source that serves it (a Database, a ShardedDB or an OpenStatic
-	// executor).
+	// index source that serves it (a Database or a ShardedDB).
 	Planner = plan.Planner
 	// Predicate is a boolean combination of path predicates, built with
 	// Eq, Range, And and Or.
@@ -240,8 +239,7 @@ type (
 	// conjunct order instead of selectivity ordering).
 	PlanOptions = plan.Options
 	// PredicateSource is anything that can answer point and range probes
-	// for a registered path; Database, ShardedDB and exec.Configured all
-	// satisfy it.
+	// for a registered path; Database and ShardedDB both satisfy it.
 	PredicateSource = plan.Source
 )
 
@@ -407,14 +405,6 @@ func OpenDurable(dir string, p *Path, cfg Configuration, pageSize int, opts Dura
 // must match on reopen — OID routing depends on them.
 func OpenShardedDurable(dir string, p *Path, cfg Configuration, pageSize, nShards int, opts ShardedDurableOptions) (*ShardedDB, error) {
 	return shard.OpenShardedDurable(dir, p.Schema(), p, cfg, pageSize, nShards, opts)
-}
-
-// OpenStatic builds the working indexes of a fixed configuration without
-// lifecycle management — the plain executor Open wrapped before the
-// engine existed. Use it when the configuration must never change
-// underneath the caller.
-func OpenStatic(st *Store, p *Path, cfg Configuration, pageSize int) (*exec.Configured, error) {
-	return exec.NewConfigured(st, p, cfg, pageSize)
 }
 
 // NaiveQuery evaluates a nested predicate by forward navigation, without

@@ -295,14 +295,6 @@ func TestEngineLifecycleThroughAPI(t *testing.T) {
 	if !db.Config().Equal(adv.Config) {
 		t.Errorf("active config %v, advice recommended %v", db.Config(), adv.Config)
 	}
-	// The static executor stays available for fixed configurations.
-	static, err := OpenStatic(g.Store, g.Path, res.Best, ps.Params.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !static.Config().Equal(res.Best) {
-		t.Error("static executor lost its configuration")
-	}
 }
 
 func TestValueConstructors(t *testing.T) {

@@ -168,14 +168,14 @@ func BenchmarkPathLengthSweep(b *testing.B) {
 
 // benchDB builds a small physical database with one configuration for the
 // index-operation benchmarks.
-func benchDB(b *testing.B, cfg core.Configuration) (*gen.Generated, *exec.Configured) {
+func benchDB(b *testing.B, cfg core.Configuration) (*gen.Generated, *Database) {
 	b.Helper()
 	ps := Figure7Stats()
 	g, err := gen.Generate(ps, 0.002, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	db, err := exec.NewConfigured(g.Store, g.Path, cfg, ps.Params.PageSize)
+	db, err := Open(g.Store, g.Path, cfg, ps.Params.PageSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,9 +184,9 @@ func benchDB(b *testing.B, cfg core.Configuration) (*gen.Generated, *exec.Config
 	return g, db
 }
 
-// BenchmarkQueryConfigured measures point queries through the Example 5.1
+// BenchmarkQueryIndexed measures point queries through the Example 5.1
 // optimal configuration on a materialized database.
-func BenchmarkQueryConfigured(b *testing.B) {
+func BenchmarkQueryIndexed(b *testing.B) {
 	cfg := core.Configuration{Assignments: []core.Assignment{
 		{A: 1, B: 2, Org: NIX}, {A: 3, B: 4, Org: MX},
 	}}
@@ -226,9 +226,9 @@ func BenchmarkQueryNaive(b *testing.B) {
 func BenchmarkMaintenance(b *testing.B) {
 	ops := []struct {
 		name string
-		run  func(g *gen.Generated, db *exec.Configured, i int) error
+		run  func(g *gen.Generated, db *Database, i int) error
 	}{
-		{"insert+delete", func(g *gen.Generated, db *exec.Configured, i int) error {
+		{"insert+delete", func(g *gen.Generated, db *Database, i int) error {
 			veh := g.ByClass["Vehicle"]
 			oid, err := db.Insert("Person", map[string][]Value{"owns": {RefV(veh[i%len(veh)])}})
 			if err != nil {
@@ -236,7 +236,7 @@ func BenchmarkMaintenance(b *testing.B) {
 			}
 			return db.Delete(oid)
 		}},
-		{"update", func(g *gen.Generated, db *exec.Configured, i int) error {
+		{"update", func(g *gen.Generated, db *Database, i int) error {
 			veh, per := g.ByClass["Vehicle"], g.ByClass["Person"]
 			return db.Update(per[i%len(per)], map[string][]Value{"owns": {RefV(veh[(i+i/len(per))%len(veh)])}})
 		}},
@@ -333,9 +333,9 @@ func BenchmarkBufferAblation(b *testing.B) {
 	b.ReportMetric(rep.Points[len(rep.Points)-1].HitRate, "hit-rate-64")
 }
 
-// BenchmarkQueryRangeConfigured measures range queries through a working
+// BenchmarkQueryRangeIndexed measures range queries through a working
 // configuration (experiment R1's physical counterpart).
-func BenchmarkQueryRangeConfigured(b *testing.B) {
+func BenchmarkQueryRangeIndexed(b *testing.B) {
 	cfg := core.Configuration{Assignments: []core.Assignment{
 		{A: 1, B: 2, Org: NIX}, {A: 3, B: 4, Org: MX},
 	}}

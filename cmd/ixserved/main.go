@@ -28,10 +28,15 @@
 //
 //	ixserved -paths "2=Person.age,3=Person.owns.color"
 //
-// Each extra path gets its own whole-path NIX executor over the store
-// in single-engine modes; in sharded mode extra paths register for
-// decoding only (no unified store to index), so predicates on them
-// answer with the planner's no-source error rather than wrong results.
+// Extra paths register for decoding only, with no index source of their
+// own: writes maintain the served path's indexes and nothing else, so a
+// second index set over the same store would go stale at the first
+// insert. In single-engine modes the planner evaluates their leaves
+// against the store — as residual filters over the candidates an indexed
+// conjunct produced, or as a class scan when there is none — which is
+// always current. In sharded mode there is no unified store, and
+// predicates on them answer with the planner's no-source error rather
+// than wrong results.
 package main
 
 import (
@@ -39,6 +44,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -48,12 +54,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/netserver"
 	"repro/internal/oodb"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/shard"
 )
@@ -74,117 +78,12 @@ func main() {
 	}
 }
 
-// backend is what ixserved needs beyond netserver.Backend: a close that
-// quiesces background work and (when durable) checkpoints.
-type backend interface {
-	netserver.Backend
-	Close() error
-}
-
+// run serves until SIGINT/SIGTERM, then drains, checkpoints and returns.
 func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, maxBatch int, pathSpecs string) error {
-	eopts := engine.Options{CheckEvery: uint64(checkEvery)}
-	cfg := func(p *schema.Path) core.Configuration {
-		return core.Configuration{Assignments: []core.Assignment{
-			{A: 1, B: p.Len(), Org: cost.NIX},
-		}}
-	}
-	pageSize := model.PaperParams().PageSize
-
-	var (
-		be      backend
-		p       *schema.Path
-		classOf func(oodb.OID) (string, bool)
-		st      *oodb.Store // unified store for extra-path executors; nil when sharded
-	)
-	switch {
-	case dir != "":
-		p = schema.PaperPathOwnsManDivsName()
-		s := p.Schema()
-		if shards > 1 {
-			db, err := shard.OpenShardedDurable(dir, s, p, cfg(p), pageSize, shards,
-				shard.DurableOptions{Engine: engine.DurableOptions{Options: eopts}})
-			if err != nil {
-				return err
-			}
-			be, classOf = db, shardClassOf(db)
-		} else {
-			e, err := engine.OpenDurable(dir, s, p, cfg(p), pageSize,
-				engine.DurableOptions{Options: eopts})
-			if err != nil {
-				return err
-			}
-			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
-		}
-	default:
-		if shards > 1 {
-			p = schema.PaperPathOwnsManDivsName()
-			db, err := shard.New(p.Schema(), p, cfg(p), pageSize, shards,
-				shard.Options{Engine: eopts})
-			if err != nil {
-				return err
-			}
-			// The fan-in of a generated single-store graph cannot be
-			// partitioned (references must stay shard-local), so sharded
-			// in-memory serving populates per-shard trees directly.
-			if err := populateSharded(db, shards, scale, seed); err != nil {
-				return err
-			}
-			be, classOf = db, shardClassOf(db)
-			break
-		}
-		g, err := gen.Generate(model.Figure7Stats(), scale, seed)
-		if err != nil {
-			return err
-		}
-		p = g.Path
-		{
-			e, err := engine.New(g.Store, p, cfg(p), pageSize, eopts)
-			if err != nil {
-				return err
-			}
-			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
-		}
-	}
-
-	srv := netserver.New(be, netserver.Options{
-		Path:     p,
-		ClassOf:  classOf,
-		MaxBatch: maxBatch,
-		Store:    st,
-	})
-
-	// The served path is always predicate-addressable as id 1, probed
-	// through the backend's own maintained indexes.
-	if err := srv.RegisterPath(1, p, be, nil); err != nil {
-		return err
-	}
-	log.Printf("ixserved: predicate path 1 = %s (backend indexes)", p)
-	extra, err := parsePathSpecs(p.Schema(), pathSpecs)
+	srv, be, _, err := serve(addr, dir, shards, seed, scale, checkEvery, maxBatch, pathSpecs)
 	if err != nil {
 		return err
 	}
-	for _, sp := range extra {
-		var src plan.Source
-		how := "decode-only; no unified store"
-		if st != nil {
-			ex, err := exec.NewConfigured(st, sp.path, cfg(sp.path), pageSize)
-			if err != nil {
-				return fmt.Errorf("index extra path %s: %w", sp.path, err)
-			}
-			src, how = ex, "whole-path NIX executor"
-		}
-		if err := srv.RegisterPath(sp.id, sp.path, src, nil); err != nil {
-			return err
-		}
-		log.Printf("ixserved: predicate path %d = %s (%s)", sp.id, sp.path, how)
-	}
-	lnAddr, err := srv.Listen(addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("ixserved: serving %s on %s (shards=%d durable=%v maxbatch=%d)",
-		p, lnAddr, shards, dir != "", maxBatch)
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
@@ -202,6 +101,117 @@ func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, ma
 	}
 	log.Printf("ixserved: clean exit")
 	return nil
+}
+
+// backend is what ixserved needs beyond netserver.Backend: a close that
+// quiesces background work and (when durable) checkpoints.
+type backend interface {
+	netserver.Backend
+	Close() error
+}
+
+// serve opens the backend, registers the predicate paths and starts
+// listening; it returns the server, the backend to close after the
+// server's Shutdown, and the bound address.
+func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, maxBatch int, pathSpecs string) (*netserver.Server, backend, net.Addr, error) {
+	eopts := engine.Options{CheckEvery: uint64(checkEvery)}
+	cfg := func(p *schema.Path) core.Configuration {
+		return core.Configuration{Assignments: []core.Assignment{
+			{A: 1, B: p.Len(), Org: cost.NIX},
+		}}
+	}
+	pageSize := model.PaperParams().PageSize
+
+	var (
+		be      backend
+		p       *schema.Path
+		classOf func(oodb.OID) (string, bool)
+		st      *oodb.Store // unified store the planners fall back to; nil when sharded
+	)
+	switch {
+	case dir != "":
+		p = schema.PaperPathOwnsManDivsName()
+		s := p.Schema()
+		if shards > 1 {
+			db, err := shard.OpenShardedDurable(dir, s, p, cfg(p), pageSize, shards,
+				shard.DurableOptions{Engine: engine.DurableOptions{Options: eopts}})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			be, classOf = db, shardClassOf(db)
+		} else {
+			e, err := engine.OpenDurable(dir, s, p, cfg(p), pageSize,
+				engine.DurableOptions{Options: eopts})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
+		}
+	default:
+		if shards > 1 {
+			p = schema.PaperPathOwnsManDivsName()
+			db, err := shard.New(p.Schema(), p, cfg(p), pageSize, shards,
+				shard.Options{Engine: eopts})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			// The fan-in of a generated single-store graph cannot be
+			// partitioned (references must stay shard-local), so sharded
+			// in-memory serving populates per-shard trees directly.
+			if err := populateSharded(db, shards, scale, seed); err != nil {
+				return nil, nil, nil, err
+			}
+			be, classOf = db, shardClassOf(db)
+			break
+		}
+		g, err := gen.Generate(model.Figure7Stats(), scale, seed)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		p = g.Path
+		{
+			e, err := engine.New(g.Store, p, cfg(p), pageSize, eopts)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
+		}
+	}
+
+	srv := netserver.New(be, netserver.Options{
+		Path:     p,
+		ClassOf:  classOf,
+		MaxBatch: maxBatch,
+		Store:    st,
+	})
+
+	// The served path is always predicate-addressable as id 1, probed
+	// through the backend's own maintained indexes.
+	if err := srv.RegisterPath(1, p, be, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	log.Printf("ixserved: predicate path 1 = %s (backend indexes)", p)
+	extra, err := parsePathSpecs(p.Schema(), pathSpecs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	how := "no index source; evaluated against the store"
+	if st == nil {
+		how = "decode-only; no unified store"
+	}
+	for _, sp := range extra {
+		if err := srv.RegisterPath(sp.id, sp.path, nil, nil); err != nil {
+			return nil, nil, nil, err
+		}
+		log.Printf("ixserved: predicate path %d = %s (%s)", sp.id, sp.path, how)
+	}
+	lnAddr, err := srv.Listen(addr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	log.Printf("ixserved: serving %s on %s (shards=%d durable=%v maxbatch=%d)",
+		p, lnAddr, shards, dir != "", maxBatch)
+	return srv, be, lnAddr, nil
 }
 
 // pathSpec is one "-paths" registration: wire id plus parsed path.

@@ -211,9 +211,9 @@
 // The paper prices one path expression; real predicates conjoin several
 // (age = 30 AND owns.man.name = "Ford"). NewPlanner returns a planner
 // over a store; Register binds each path to whatever answers its probes
-// — a Database, a ShardedDB or an OpenStatic executor. Eq, Range, And
-// and Or build predicate trees; Planner.Query (or Plan + Execute, with
-// Explain for the chosen shape) compiles a tree into a physical plan
+// — a Database or a ShardedDB. Eq, Range, And and Or build predicate
+// trees; Planner.Query (or Plan + Execute, with Explain for the chosen
+// shape) compiles a tree into a physical plan
 // that probes indexed conjuncts cheapest-first — ordered by a live
 // estimate of each leaf's result cardinality, fed back from every
 // executed probe, falling back to the analytic model's uniform-value
@@ -264,7 +264,7 @@
 // # Serving over the network
 //
 // NewNetServer puts any backend with the engine's serving surface — a
-// Database, a ShardedDB, an OpenStatic executor — behind a TCP server
+// Database or a ShardedDB — behind a TCP server
 // speaking a pipelined binary protocol, and DialNet returns a client
 // for it. Frames are length-prefixed and CRC-framed exactly like the
 // WAL's records: a corrupt, truncated or oversized frame fails the

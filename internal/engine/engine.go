@@ -609,10 +609,14 @@ func (e *Engine) maybeAutoTuneN(n uint64) {
 	if v := e.ops.Add(n); v/every == (v-n)/every {
 		return
 	}
-	if e.Drift() < e.opts.DriftThreshold {
+	if !e.tuning.CompareAndSwap(false, true) {
 		return
 	}
-	if !e.tuning.CompareAndSwap(false, true) {
+	// Drift is read under the flag: read before it, a reconfiguration
+	// finishing in between — window reset, flag cleared — would let this
+	// check launch a second one on the drift the first already acted on.
+	if e.Drift() < e.opts.DriftThreshold {
+		e.tuning.Store(false)
 		return
 	}
 	e.bg.Add(1)

@@ -223,7 +223,7 @@ func TestConcurrentWritesDuringReconfigure(t *testing.T) {
 
 	// The continuously maintained (and partially reused) indexes must
 	// answer exactly like a fresh build over the final store state.
-	fresh, err := exec.NewConfigured(g.Store, g.Path, cfgSplit, 1024)
+	fresh, err := exec.NewIndexSet(g.Store, g.Path, cfgSplit, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +76,14 @@ func TestQueryBatchDuringReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := g.EndValues[0], g.EndValues[len(g.EndValues)/2]
+	if hi.Str < lo.Str {
+		lo, hi = hi, lo
+	}
+	wantRange, err := e.QueryRange(lo, hi, "Person", false)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -99,9 +109,57 @@ func TestQueryBatchDuringReconfigure(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("round %d: batch results changed under reconfiguration", round)
 		}
+		gotRange, err := e.QueryRange(lo, hi, "Person", false)
+		if err != nil {
+			t.Fatalf("round %d: range: %v", round, err)
+		}
+		if !reflect.DeepEqual(wantRange, gotRange) {
+			t.Fatalf("round %d: range result changed under reconfiguration", round)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestEngineRangeQueryAllocBudget pins what a steady-state range query on
+// the Figure 7 configuration allocates. Unlike QueryInto it has no caller
+// buffer to append to, so it is not free: the index's LookupRange and the
+// engine's QueryRange each return a fresh slice grown by appending, and
+// LookupRange encodes its bounds into a scratch of its own. Everything
+// between the two — the chain through the NIX subpath — runs on the pooled
+// scratch the point query uses and allocates nothing.
+func TestEngineRangeQueryAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector perturbs allocation counts")
+	}
+	g := figure7DB(t)
+	e, err := New(g.Store, g.Path, cfgSplit, 1024, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := append([]oodb.Value(nil), g.EndValues...)
+	slices.SortFunc(vals, func(a, b oodb.Value) int { return strings.Compare(a.Str, b.Str) })
+	lo, hi := vals[len(vals)/4], vals[3*len(vals)/4] // half the ending values
+	var got []oodb.OID
+	for i := 0; i < 3; i++ { // warm the pooled scratch
+		if got, err = e.QueryRange(lo, hi, "Person", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) == 0 {
+		t.Fatal("range matches nothing; the budget would be vacuous")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		got, err = e.QueryRange(lo, hi, "Person", false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("range query returning %d OIDs: %.1f allocs/op", len(got), allocs)
+	const budget = 33
+	if allocs > budget {
+		t.Fatalf("engine range query allocates %.1f objects/op, budget %d", allocs, budget)
+	}
 }
 
 // TestEnginePointQueryZeroAllocs asserts the whole engine serving path —

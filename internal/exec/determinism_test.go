@@ -46,14 +46,14 @@ type structureShape struct {
 // shapeOf covers the MX, MIX and NIX structures of a configuration. PX
 // repairs by navigating the store and still ranges over maps on the way;
 // its structures are left out.
-func shapeOf(c *Configured) []structureShape {
+func shapeOf(c *IndexSet, p *schema.Path) []structureShape {
 	var out []structureShape
-	for _, ix := range c.set.Indexes() {
+	for _, ix := range c.Indexes() {
 		if ix.Org() == cost.PX {
 			continue
 		}
 		sh := structureShape{Access: ix.Stats()}
-		for _, t := range treesOf(ix, c.Path) {
+		for _, t := range treesOf(ix, p) {
 			sh.Pages = t.Pager().NumPages() // one pager per structure
 			sh.Trees = append(sh.Trees, [3]int{t.Height(), t.LeafPages(), t.Len()})
 		}
@@ -77,7 +77,7 @@ func TestMaintenanceIsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := NewConfigured(g.Store, g.Path, cfg, 256)
+			c, err := NewIndexSet(g.Store, g.Path, cfg, 256, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestMaintenanceIsDeterministic(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				m.apply(t, c)
 			}
-			shapes[run] = shapeOf(c)
+			shapes[run] = shapeOf(c, g.Path)
 		}
 		if !reflect.DeepEqual(shapes[0], shapes[1]) {
 			t.Errorf("cfg %v: two identical histories left different structures:\n  %s\n  %s",

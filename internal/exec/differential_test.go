@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/index"
 	"repro/internal/oodb"
 )
 
@@ -62,27 +63,27 @@ func (m *opMixer) refs(class string, n int) []oodb.Value {
 // apply runs one random operation through the store-facing api (insert,
 // update or delete on cfg's executor), returning a description for
 // failure messages.
-func (m *opMixer) apply(t *testing.T, c *Configured) string {
+func (m *opMixer) apply(t *testing.T, c *IndexSet) string {
 	t.Helper()
 	m.step++
 	switch m.rng.Intn(10) {
 	case 0, 1: // insert a full fresh chain
-		div, err := c.Insert("Division", map[string][]oodb.Value{
+		div, err := c.InsertInto(m.g.Store, "Division", map[string][]oodb.Value{
 			"name": {oodb.StrV(fmt.Sprintf("diff-%d", m.step))},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := c.Insert("Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
+		comp, err := c.InsertInto(m.g.Store, "Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		vcls := []string{"Vehicle", "Bus", "Truck"}[m.rng.Intn(3)]
-		veh, err := c.Insert(vcls, map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
+		veh, err := c.InsertInto(m.g.Store, vcls, map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		per, err := c.Insert("Person", map[string][]oodb.Value{"owns": {oodb.RefV(veh)}})
+		per, err := c.InsertInto(m.g.Store, "Person", map[string][]oodb.Value{"owns": {oodb.RefV(veh)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 		if !ok {
 			return "delete skipped"
 		}
-		if err := c.Delete(victim); err != nil {
+		if err := c.DeleteFrom(m.g.Store, victim); err != nil {
 			t.Fatalf("step %d: Delete(%s %d): %v", m.step, cls, victim, err)
 		}
 		return "delete"
@@ -111,7 +112,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 			if m.rng.Intn(4) == 0 {
 				v = oodb.StrV(fmt.Sprintf("diff-val-%d", m.step))
 			}
-			if err := c.Update(div, map[string][]oodb.Value{"name": {v}}); err != nil {
+			if err := c.UpdateIn(m.g.Store, div, map[string][]oodb.Value{"name": {v}}); err != nil {
 				t.Fatalf("step %d: Update(Division %d): %v", m.step, div, err)
 			}
 			return "update Division.name"
@@ -124,7 +125,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 			if len(refs) == 0 {
 				return "update skipped"
 			}
-			if err := c.Update(comp, map[string][]oodb.Value{"divs": refs}); err != nil {
+			if err := c.UpdateIn(m.g.Store, comp, map[string][]oodb.Value{"divs": refs}); err != nil {
 				t.Fatalf("step %d: Update(Company %d): %v", m.step, comp, err)
 			}
 			return "update Company.divs"
@@ -137,7 +138,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 			if len(refs) == 0 {
 				return "update skipped"
 			}
-			if err := c.Update(veh, map[string][]oodb.Value{"man": refs}); err != nil {
+			if err := c.UpdateIn(m.g.Store, veh, map[string][]oodb.Value{"man": refs}); err != nil {
 				t.Fatalf("step %d: Update(%s %d): %v", m.step, cls, veh, err)
 			}
 			return "update man"
@@ -151,7 +152,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 			if len(vrefs) == 0 {
 				return "update skipped"
 			}
-			if err := c.Update(per, map[string][]oodb.Value{"owns": vrefs}); err != nil {
+			if err := c.UpdateIn(m.g.Store, per, map[string][]oodb.Value{"owns": vrefs}); err != nil {
 				t.Fatalf("step %d: Update(Person %d): %v", m.step, per, err)
 			}
 			return "update owns"
@@ -160,7 +161,7 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 			if !ok {
 				return "update skipped"
 			}
-			if err := c.Update(per, map[string][]oodb.Value{
+			if err := c.UpdateIn(m.g.Store, per, map[string][]oodb.Value{
 				"residence": {oodb.StrV(fmt.Sprintf("city-%d", m.step))},
 			}); err != nil {
 				t.Fatalf("step %d: Update(Person.residence %d): %v", m.step, per, err)
@@ -174,16 +175,21 @@ func (m *opMixer) apply(t *testing.T, c *Configured) string {
 // a freshly built set over the same (final) store state: every index must
 // answer bit-identically for every reachable key and every target class
 // in its scope — and the whole chained query must match naive navigation.
-func diffCheck(t *testing.T, label string, c *Configured, g *gen.Generated, pageSize int) {
+func diffCheck(t *testing.T, label string, c *IndexSet, g *gen.Generated, pageSize int) {
 	t.Helper()
-	fresh, err := NewConfigured(g.Store, g.Path, c.Config(), pageSize)
+	fresh, err := NewIndexSet(g.Store, g.Path, c.Config(), pageSize, nil)
 	if err != nil {
 		t.Fatalf("%s: fresh rebuild: %v", label, err)
 	}
+	sc := index.NewScratch()
+	lookup := func(ix index.PathIndex, k oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+		out, err := ix.LookupInto(k, class, hier, nil, sc)
+		return oodb.SortUnique(out), err
+	}
 	// Per-structure comparison over each subpath's own key domain.
 	for ai, asg := range c.Config().Assignments {
-		maintained := c.set.Indexes()[ai]
-		rebuilt := fresh.set.Indexes()[ai]
+		maintained := c.Indexes()[ai]
+		rebuilt := fresh.Indexes()[ai]
 		var keys []oodb.Value
 		if asg.B == g.Path.Len() {
 			keys = g.EndValues
@@ -201,11 +207,11 @@ func diffCheck(t *testing.T, label string, c *Configured, g *gen.Generated, page
 			for _, cn := range g.Path.HierarchyAt(l) {
 				for _, hier := range []bool{false, true} {
 					for _, k := range keys {
-						want, err := rebuilt.Lookup(k, cn, hier)
+						want, err := lookup(rebuilt, k, cn, hier)
 						if err != nil {
 							t.Fatalf("%s: rebuilt %v [%d,%d] Lookup(%v,%s,%v): %v", label, asg.Org, asg.A, asg.B, k, cn, hier, err)
 						}
-						got, err := maintained.Lookup(k, cn, hier)
+						got, err := lookup(maintained, k, cn, hier)
 						if err != nil {
 							t.Fatalf("%s: maintained %v [%d,%d] Lookup(%v,%s,%v): %v", label, asg.Org, asg.A, asg.B, k, cn, hier, err)
 						}
@@ -265,7 +271,7 @@ func differentialMaintenance(t *testing.T, pageSize int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewConfigured(g.Store, g.Path, cfg, pageSize)
+		c, err := NewIndexSet(g.Store, g.Path, cfg, pageSize, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +299,11 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cBatch, err := NewConfigured(gBatch.Store, gBatch.Path, cfg, 1024)
+		cBatch, err := NewIndexSet(gBatch.Store, gBatch.Path, cfg, 1024, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cSeq, err := NewConfigured(gSeq.Store, gSeq.Path, cfg, 1024)
+		cSeq, err := NewIndexSet(gSeq.Store, gSeq.Path, cfg, 1024, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +334,7 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 				})
 			}
 		}
-		if errs := cBatch.UpdateBatch(ups); errs != nil {
+		if errs := cBatch.UpdateBatch(gBatch.Store, ups); errs != nil {
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("cfg %v: batch update %d: %v", cfg, i, err)
@@ -336,7 +342,7 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, u := range ups {
-			if err := cSeq.Update(u.OID, u.Attrs); err != nil {
+			if err := cSeq.UpdateIn(gSeq.Store, u.OID, u.Attrs); err != nil {
 				t.Fatalf("cfg %v: sequential update: %v", cfg, err)
 			}
 		}
@@ -371,7 +377,7 @@ func TestUpdateBatchReportsPerOpErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewConfigured(g.Store, g.Path, configurations(ps.Len())[0], 1024)
+	c, err := NewIndexSet(g.Store, g.Path, configurations(ps.Len())[0], 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +388,7 @@ func TestUpdateBatchReportsPerOpErrors(t *testing.T) {
 		{OID: div, Attrs: map[string][]oodb.Value{"bogus": {oodb.StrV("nope")}}},
 		{OID: div, Attrs: map[string][]oodb.Value{"name": {oodb.StrV("ok-2")}}},
 	}
-	errs := c.UpdateBatch(ups)
+	errs := c.UpdateBatch(g.Store, ups)
 	if errs[0] != nil || errs[3] != nil {
 		t.Fatalf("valid updates failed: %v / %v", errs[0], errs[3])
 	}

@@ -7,18 +7,15 @@
 //
 // The index structures of a configuration are owned by an IndexSet (see
 // indexset.go), the copy-on-write unit the lifecycle engine swaps during
-// online reconfiguration. Configured couples a store with a single set
-// for callers that never reconfigure.
+// online reconfiguration.
 package exec
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/oodb"
 	"repro/internal/schema"
-	"repro/internal/storage"
 )
 
 // NaiveQuery evaluates the nested predicate A_n = value for objects of
@@ -135,92 +132,3 @@ func NaiveQueryRange(st *oodb.Store, p *schema.Path, lo, hi oodb.Value, targetCl
 	}
 	return naiveMatch(st, p, targetClass, hierarchy, inRange)
 }
-
-// Configured couples an object store with the index structures of one
-// index configuration and keeps them maintained under inserts, in-place
-// updates and deletes. It is a thin wrapper over a single IndexSet; for a database
-// whose configuration can change underneath live traffic, use the
-// lifecycle engine instead.
-type Configured struct {
-	Store *oodb.Store
-	Path  *schema.Path
-	set   *IndexSet
-}
-
-// NewConfigured builds the index structures of cfg over the store's
-// current contents and returns the coupled executor. Index pages are
-// sized pageSize.
-func NewConfigured(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSize int) (*Configured, error) {
-	set, err := NewIndexSet(st, p, cfg, pageSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Configured{Store: st, Path: p, set: set}, nil
-}
-
-// Config returns the configuration the executor was built from.
-func (c *Configured) Config() core.Configuration { return c.set.Config() }
-
-// Query evaluates A_n = value for targetClass through the configuration.
-func (c *Configured) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	c.set.RLock()
-	defer c.set.RUnlock()
-	return c.set.Query(value, targetClass, hierarchy)
-}
-
-// QueryRange evaluates A_n IN [lo, hi) for targetClass.
-func (c *Configured) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	c.set.RLock()
-	defer c.set.RUnlock()
-	return c.set.QueryRange(lo, hi, targetClass, hierarchy)
-}
-
-// Insert stores a new object and maintains the owning subpath's index.
-func (c *Configured) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
-	return c.set.InsertInto(c.Store, class, attrs)
-}
-
-// Update applies an in-place update — attribute value changes and
-// reference re-links — and maintains the owning subpath's index
-// incrementally from the before/after pair. A missing OID reports
-// oodb.ErrNotFound.
-func (c *Configured) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
-	return c.set.UpdateIn(c.Store, oid, attrs)
-}
-
-// UpdateBatch applies a batch of in-place updates in input order (see
-// IndexSet.UpdateBatch); the result has one entry per update, nil on
-// success.
-func (c *Configured) UpdateBatch(ups []Update) []error {
-	return c.set.UpdateBatch(c.Store, ups)
-}
-
-// Delete removes an object, maintains the owning subpath's index, and —
-// when the object's class starts a subpath — performs the Definition 4.2
-// boundary maintenance on the preceding subpath's index. A missing OID
-// reports oodb.ErrNotFound.
-func (c *Configured) Delete(oid oodb.OID) error {
-	return c.set.DeleteFrom(c.Store, oid)
-}
-
-// QueryInto is Query appending the result to dst — the allocation-free
-// serving kernel (see IndexSet.QueryInto).
-func (c *Configured) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	c.set.RLock()
-	defer c.set.RUnlock()
-	return c.set.QueryInto(dst, value, targetClass, hierarchy)
-}
-
-// QueryBatch fans a batch of point probes across a bounded worker pool;
-// results are in probe order and bit-identical to sequential evaluation.
-func (c *Configured) QueryBatch(probes []Probe) ([][]oodb.OID, error) {
-	c.set.RLock()
-	defer c.set.RUnlock()
-	return c.set.QueryBatch(probes)
-}
-
-// IndexStats sums the page-access counters over all subpath indexes.
-func (c *Configured) IndexStats() storage.Stats { return c.set.Stats() }
-
-// ResetStats zeroes all index counters.
-func (c *Configured) ResetStats() { c.set.ResetStats() }

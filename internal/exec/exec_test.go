@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -41,7 +42,7 @@ func configurations(n int) []core.Configuration {
 	}
 }
 
-func TestConfiguredQueryMatchesNaive(t *testing.T) {
+func TestIndexSetQueryMatchesNaive(t *testing.T) {
 	ps := smallStats(t)
 	g, err := gen.Generate(ps, 1, 11)
 	if err != nil {
@@ -49,7 +50,7 @@ func TestConfiguredQueryMatchesNaive(t *testing.T) {
 	}
 	n := ps.Len()
 	for _, cfg := range configurations(n) {
-		c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+		c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
@@ -74,44 +75,44 @@ func TestConfiguredQueryMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestConfiguredMaintenance(t *testing.T) {
+func TestIndexSetMaintenance(t *testing.T) {
 	ps := smallStats(t)
 	for _, cfg := range configurations(ps.Len()) {
 		g, err := gen.Generate(ps, 1, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+		c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Delete a company (starts subpath 2 in the split configurations:
 		// exercises the Definition 4.2 boundary maintenance).
 		victim := g.ByClass["Company"][0]
-		if err := c.Delete(victim); err != nil {
+		if err := c.DeleteFrom(g.Store, victim); err != nil {
 			t.Fatalf("%v Delete(company): %v", cfg, err)
 		}
 		// Delete a person and a vehicle.
-		if err := c.Delete(g.ByClass["Person"][0]); err != nil {
+		if err := c.DeleteFrom(g.Store, g.ByClass["Person"][0]); err != nil {
 			t.Fatalf("%v Delete(person): %v", cfg, err)
 		}
-		if err := c.Delete(g.ByClass["Vehicle"][0]); err != nil {
+		if err := c.DeleteFrom(g.Store, g.ByClass["Vehicle"][0]); err != nil {
 			t.Fatalf("%v Delete(vehicle): %v", cfg, err)
 		}
 		// Insert a fresh chain end-to-end.
-		div, err := c.Insert("Division", map[string][]oodb.Value{"name": {oodb.StrV("fresh-div")}})
+		div, err := c.InsertInto(g.Store, "Division", map[string][]oodb.Value{"name": {oodb.StrV("fresh-div")}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := c.Insert("Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
+		comp, err := c.InsertInto(g.Store, "Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bus, err := c.Insert("Bus", map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
+		bus, err := c.InsertInto(g.Store, "Bus", map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		per, err := c.Insert("Person", map[string][]oodb.Value{"owns": {oodb.RefV(bus)}})
+		per, err := c.InsertInto(g.Store, "Person", map[string][]oodb.Value{"owns": {oodb.RefV(bus)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestNaiveQuerySkipsDanglingReferences(t *testing.T) {
 	}
 }
 
-func TestConfiguredErrors(t *testing.T) {
+func TestIndexSetErrors(t *testing.T) {
 	ps := smallStats(t)
 	g, err := gen.Generate(ps, 1, 3)
 	if err != nil {
@@ -195,26 +196,26 @@ func TestConfiguredErrors(t *testing.T) {
 	}
 	// Invalid configuration.
 	bad := core.Configuration{Assignments: []core.Assignment{{A: 2, B: 4, Org: cost.MX}}}
-	if _, err := NewConfigured(g.Store, g.Path, bad, 1024); err == nil {
+	if _, err := NewIndexSet(g.Store, g.Path, bad, 1024, nil); err == nil {
 		t.Error("invalid configuration accepted")
 	}
 	// NONE has no working structure.
 	none := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: cost.NONE}}}
-	if _, err := NewConfigured(g.Store, g.Path, none, 1024); err == nil {
+	if _, err := NewIndexSet(g.Store, g.Path, none, 1024, nil); err == nil {
 		t.Error("NONE configuration accepted by the executor")
 	}
 	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: cost.MX}}}
-	c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+	c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(oodb.StrV("x"), "Ghost", false); err == nil {
 		t.Error("unknown class accepted by Query")
 	}
-	if err := c.Delete(99999); err == nil {
+	if err := c.DeleteFrom(g.Store, 99999); err == nil {
 		t.Error("deleting unknown OID accepted")
 	}
-	if _, err := c.Insert("Ghost", nil); err == nil {
+	if _, err := c.InsertInto(g.Store, "Ghost", nil); err == nil {
 		t.Error("inserting unknown class accepted")
 	}
 }
@@ -228,18 +229,18 @@ func TestIndexStatsAccumulate(t *testing.T) {
 	cfg := core.Configuration{Assignments: []core.Assignment{
 		{A: 1, B: 2, Org: cost.NIX}, {A: 3, B: 4, Org: cost.MX},
 	}}
-	c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+	c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.ResetStats()
-	if s := c.IndexStats(); s.Reads != 0 || s.Writes != 0 {
+	if s := c.Stats(); s.Reads != 0 || s.Writes != 0 {
 		t.Errorf("stats after reset: %+v", s)
 	}
 	if _, err := c.Query(g.EndValues[0], "Person", false); err != nil {
 		t.Fatal(err)
 	}
-	s := c.IndexStats()
+	s := c.Stats()
 	if s.Reads == 0 {
 		t.Error("query counted no index reads")
 	}
@@ -251,7 +252,7 @@ func TestIndexStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestConfiguredQueryBeatNaiveOnPageAccesses(t *testing.T) {
+func TestIndexSetQueryBeatNaiveOnPageAccesses(t *testing.T) {
 	// The reason indexes exist: a configured query must touch far fewer
 	// pages than naive navigation on a Person query.
 	ps := smallStats(t)
@@ -260,7 +261,7 @@ func TestConfiguredQueryBeatNaiveOnPageAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 4, Org: cost.NIX}}}
-	c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+	c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,44 +275,88 @@ func TestConfiguredQueryBeatNaiveOnPageAccesses(t *testing.T) {
 	if _, err := c.Query(v, "Person", false); err != nil {
 		t.Fatal(err)
 	}
-	indexed := c.IndexStats().Accesses()
+	indexed := c.Stats().Accesses()
 	if indexed >= naive {
 		t.Errorf("indexed query (%d accesses) not cheaper than naive (%d)", indexed, naive)
 	}
 }
 
-func TestConfiguredQueryRangeMatchesNaive(t *testing.T) {
+// TestIndexSetQueryRangeMatchesNaive checks indexed = naive for range
+// queries over every class of the path, both hierarchy flags and every
+// configuration shape — plus a whole-path NX, which index.New does not
+// build (it answers its starting class only) and is therefore swapped
+// into a set by hand.
+func TestIndexSetQueryRangeMatchesNaive(t *testing.T) {
 	ps := smallStats(t)
 	g, err := gen.Generate(ps, 1, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := ps.Len()
 	ranges := [][2]string{
 		{"val-00000", "val-00004"},
 		{"val-00002", "val-00009"},
 		{"val-00000", "val-99999"},
 		{"val-00005", "val-00005"}, // empty
+		{"val-00009", "val-00002"}, // inverted: empty
 	}
-	for _, cfg := range configurations(ps.Len()) {
-		c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
+	var classes []string
+	for l := 1; l <= n; l++ {
+		classes = append(classes, g.Path.HierarchyAt(l)...)
+	}
+	check := func(label string, c *IndexSet, classes []string) {
+		t.Helper()
 		for _, r := range ranges {
-			for _, cls := range []string{"Person", "Vehicle", "Company", "Division"} {
-				want, err := NaiveQueryRange(g.Store, g.Path, oodb.StrV(r[0]), oodb.StrV(r[1]), cls, cls == "Vehicle")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.QueryRange(oodb.StrV(r[0]), oodb.StrV(r[1]), cls, cls == "Vehicle")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%v QueryRange(%v, %s) = %v, want %v", cfg, r, cls, got, want)
+			lo, hi := oodb.StrV(r[0]), oodb.StrV(r[1])
+			for _, cls := range classes {
+				for _, hier := range []bool{false, true} {
+					want, err := NaiveQueryRange(g.Store, g.Path, lo, hi, cls, hier)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := c.QueryRange(lo, hi, cls, hier)
+					if err != nil {
+						t.Fatalf("%s QueryRange(%v, %s, h=%v): %v", label, r, cls, hier, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s QueryRange(%v, %s, h=%v) = %v, want %v", label, r, cls, hier, got, want)
+					}
 				}
 			}
 		}
+		if _, err := c.QueryRange(oodb.StrV("a"), oodb.IntV(1), "Person", false); err == nil {
+			t.Errorf("%s: mixed-kind range accepted", label)
+		}
+		if _, err := c.QueryRange(oodb.StrV("a"), oodb.StrV("b"), "Ghost", false); err == nil {
+			t.Errorf("%s: unknown class accepted", label)
+		}
+	}
+	for _, cfg := range configurations(n) {
+		c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(cfg.String(), c, classes)
+	}
+
+	nx, err := index.NewNestedIndexNX(g.Store, g.Path, 1, n, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range g.ByClass["Person"] {
+		obj, _ := g.Store.Peek(oid)
+		if err := nx.OnInsert(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewIndexSet(g.Store, g.Path, configurations(n)[0], 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.indexes[0] = nx
+	check("whole-path NX", c, g.Path.HierarchyAt(1))
+	if _, err := c.QueryRange(oodb.StrV("val-00000"), oodb.StrV("val-00004"), "Company", false); err == nil {
+		t.Error("whole-path NX answered an inner class")
 	}
 }
 
@@ -343,7 +388,7 @@ func TestChaosMaintenanceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+			c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,21 +401,21 @@ func TestChaosMaintenanceProperty(t *testing.T) {
 			for step := 0; step < 60; step++ {
 				switch rng.Intn(3) {
 				case 0: // insert a full fresh chain
-					div, err := c.Insert("Division", map[string][]oodb.Value{
+					div, err := c.InsertInto(g.Store, "Division", map[string][]oodb.Value{
 						"name": {oodb.StrV(fmt.Sprintf("chaos-%d-%d", seed, step))},
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					comp, err := c.Insert("Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
+					comp, err := c.InsertInto(g.Store, "Company", map[string][]oodb.Value{"divs": {oodb.RefV(div)}})
 					if err != nil {
 						t.Fatal(err)
 					}
-					veh, err := c.Insert("Bus", map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
+					veh, err := c.InsertInto(g.Store, "Bus", map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
 					if err != nil {
 						t.Fatal(err)
 					}
-					per, err := c.Insert("Person", map[string][]oodb.Value{"owns": {oodb.RefV(veh)}})
+					per, err := c.InsertInto(g.Store, "Person", map[string][]oodb.Value{"owns": {oodb.RefV(veh)}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -389,7 +434,7 @@ func TestChaosMaintenanceProperty(t *testing.T) {
 						live[cls] = append(live[cls][:i], live[cls][i+1:]...)
 						continue
 					}
-					if err := c.Delete(victim); err != nil {
+					if err := c.DeleteFrom(g.Store, victim); err != nil {
 						t.Fatalf("cfg %v seed %d step %d: Delete(%s %d): %v", cfg, seed, step, cls, victim, err)
 					}
 					live[cls] = append(live[cls][:i], live[cls][i+1:]...)
@@ -432,7 +477,7 @@ func TestParallelQueries(t *testing.T) {
 	cfg := core.Configuration{Assignments: []core.Assignment{
 		{A: 1, B: 2, Org: cost.NIX}, {A: 3, B: 4, Org: cost.MX},
 	}}
-	c, err := NewConfigured(g.Store, g.Path, cfg, 1024)
+	c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,11 @@ import (
 // never observe a half-built configuration.
 //
 // Locking protocol: the query methods do NOT lock. A caller that owns a
-// single set for its lifetime (Configured) brackets queries with
-// RLock/RUnlock; a caller that swaps sets (the engine) must additionally
-// re-check its current-set pointer after locking, and Drain the old set
-// after a swap before mutating structures the new set adopted. OnInsert
-// and OnDelete take the write lock themselves.
+// single set for its lifetime brackets queries with RLock/RUnlock; a
+// caller that swaps sets (the engine) must additionally re-check its
+// current-set pointer after locking, and Drain the old set after a swap
+// before mutating structures the new set adopted. OnInsert, OnUpdate and
+// OnDelete take the write lock themselves.
 type IndexSet struct {
 	path *schema.Path
 	cfg  core.Configuration
@@ -214,24 +214,29 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &queryScratch{ix: index.NewScratch()} }}
 
-// fanoutThreshold is the intermediate OID-set size beyond which the
-// multi-key probe fan-out inside a single query goes parallel. A var so
-// tests can force the parallel path on small databases.
-var fanoutThreshold = 128
-
-// Query evaluates A_n = value for targetClass through the configuration:
-// the last subpath is probed with the value; each earlier subpath is
-// probed with the OIDs produced by its successor (Proposition 4.1 made
-// operational). The caller must hold RLock.
-func (s *IndexSet) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return s.queryProbe(Probe{Value: value, TargetClass: targetClass, Hierarchy: hierarchy}, true)
+// firstHop is how a query enters the configuration's last subpath: the
+// ending attribute A_n equals lo, or — ranged — falls in [lo, hi). It is the
+// only thing a point and a range query differ in.
+type firstHop struct {
+	lo, hi oodb.Value
+	ranged bool
 }
 
-// queryProbe is Query with the in-query fan-out parallelism explicit;
-// batch workers disable it (their parallelism is at probe granularity,
-// and nesting the two would oversubscribe the cores).
-func (s *IndexSet) queryProbe(pb Probe, parallelFan bool) ([]oodb.OID, error) {
-	out, err := s.queryInto(nil, pb.Value, pb.TargetClass, pb.Hierarchy, parallelFan)
+// Query evaluates A_n = value for targetClass through the configuration.
+// The result is sorted and duplicate-free, nil when empty. The caller must
+// hold RLock.
+func (s *IndexSet) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	return s.query(firstHop{lo: value}, targetClass, hierarchy)
+}
+
+// QueryRange is Query for A_n IN [lo, hi); lo and hi must be of one value
+// kind.
+func (s *IndexSet) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	return s.query(firstHop{lo: lo, hi: hi, ranged: true}, targetClass, hierarchy)
+}
+
+func (s *IndexSet) query(first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	out, err := s.queryInto(nil, first, targetClass, hierarchy)
 	if err != nil || len(out) == 0 {
 		return nil, err
 	}
@@ -243,10 +248,15 @@ func (s *IndexSet) queryProbe(pb Probe, parallelFan bool) ([]oodb.OID, error) {
 // contents before len(dst) are untouched (and returned unchanged on
 // error). The caller must hold RLock.
 func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return s.queryInto(dst, value, targetClass, hierarchy, true)
+	return s.queryInto(dst, firstHop{lo: value}, targetClass, hierarchy)
 }
 
-func (s *IndexSet) queryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool, parallelFan bool) ([]oodb.OID, error) {
+// queryInto is Proposition 4.1 made operational, for every query the set
+// answers: the last subpath is probed with the first hop; each earlier
+// subpath, back to the one owning targetClass's level, is probed with the
+// sorted, deduplicated OIDs its successor produced, asked for its starting
+// class hierarchy — the objects the successor's OIDs are ending values of.
+func (s *IndexSet) queryInto(dst []oodb.OID, first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
 		return dst, err
@@ -255,35 +265,42 @@ func (s *IndexSet) queryInto(dst []oodb.OID, value oodb.Value, targetClass strin
 	// the path's scope must not skew drift detection.
 	s.rec.Record(targetClass, stats.OpQuery)
 	gi := s.levelOwner[level-1]
+	last := len(s.indexes) - 1
 	base := len(dst)
 	qs := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(qs)
 	curBuf, nextBuf := qs.a, qs.b
 	defer func() { qs.a, qs.b = curBuf, nextBuf }()
 	var cur []oodb.OID
-	for i := len(s.indexes) - 1; i >= gi; i-- {
+	for i := last; ; i-- {
 		ix := s.indexes[i]
 		tc, hier := targetClass, hierarchy
+		out := dst
 		if i != gi {
 			a, _ := ix.Bounds()
 			tc, hier = s.path.Class(a), true
+			out = nextBuf[:0]
 		}
-		out := nextBuf[:0]
-		if i == gi {
-			out = dst
-		}
-		if i == len(s.indexes)-1 {
-			out, err = ix.LookupInto(value, tc, hier, out, qs.ix)
-		} else {
-			out, err = s.fanLookup(ix, cur, tc, hier, out, qs, parallelFan)
+		switch {
+		case i < last:
+			for _, k := range cur {
+				if out, err = ix.LookupInto(oodb.RefV(k), tc, hier, out, qs.ix); err != nil {
+					break
+				}
+			}
+		case first.ranged:
+			var got []oodb.OID
+			got, err = ix.LookupRange(first.lo, first.hi, tc, hier)
+			out = append(out, got...)
+		default:
+			out, err = ix.LookupInto(first.lo, tc, hier, out, qs.ix)
 		}
 		if err != nil {
 			return dst[:base], err
 		}
 		if i == gi {
-			dst = out
-			region := oodb.SortUnique(dst[base:])
-			return dst[:base+len(region)], nil
+			region := oodb.SortUnique(out[base:])
+			return out[:base+len(region)], nil
 		}
 		cur = oodb.SortUnique(out)
 		if len(cur) == 0 {
@@ -291,79 +308,6 @@ func (s *IndexSet) queryInto(dst []oodb.OID, value oodb.Value, targetClass strin
 		}
 		curBuf, nextBuf = cur, curBuf
 	}
-	return dst, nil
-}
-
-// fanLookup probes ix once per OID key, appending all results to out.
-// With parallel set and more than fanoutThreshold keys the probes fan out
-// across GOMAXPROCS workers, each drawing a pooled scratch whose hop
-// buffer doubles as its result shard (the scratches return to the pool
-// only after the merge, so shards are never clobbered); the caller sorts
-// and deduplicates, so the result set is identical to the sequential
-// order.
-func (s *IndexSet) fanLookup(ix index.PathIndex, keys []oodb.OID, tc string, hier bool, out []oodb.OID, qs *queryScratch, parallel bool) ([]oodb.OID, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if !parallel || len(keys) < fanoutThreshold || workers < 2 {
-		var err error
-		for _, k := range keys {
-			out, err = ix.LookupInto(oodb.RefV(k), tc, hier, out, qs.ix)
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-	if max := (len(keys) + 31) / 32; workers > max {
-		workers = max // keep at least ~32 keys per worker
-	}
-	type shard struct {
-		ws   *queryScratch
-		oids []oodb.OID
-		err  error
-	}
-	shards := make([]shard, workers)
-	defer func() {
-		for i := range shards {
-			if shards[i].ws != nil {
-				scratchPool.Put(shards[i].ws)
-			}
-		}
-	}()
-	chunk := (len(keys) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		if lo >= hi {
-			break
-		}
-		shards[w].ws = scratchPool.Get().(*queryScratch)
-		wg.Add(1)
-		go func(sh *shard, lo, hi int) {
-			defer wg.Done()
-			res := sh.ws.a[:0]
-			var err error
-			for _, k := range keys[lo:hi] {
-				res, err = ix.LookupInto(oodb.RefV(k), tc, hier, res, sh.ws.ix)
-				if err != nil {
-					break
-				}
-			}
-			sh.ws.a = res[:0] // keep the grown buffer with its scratch
-			sh.oids, sh.err = res, err
-		}(&shards[w], lo, hi)
-	}
-	wg.Wait()
-	for i := range shards {
-		if shards[i].err != nil {
-			return out, shards[i].err
-		}
-		out = append(out, shards[i].oids...)
-	}
-	return out, nil
 }
 
 // Probe is one point query of a batch: A_n = Value with respect to
@@ -396,7 +340,7 @@ func (s *IndexSet) QueryBatch(probes []Probe) ([][]oodb.OID, error) {
 	}
 	if workers <= 1 {
 		for i, pb := range probes {
-			r, err := s.queryProbe(pb, false)
+			r, err := s.Query(pb.Value, pb.TargetClass, pb.Hierarchy)
 			if err != nil {
 				return nil, err
 			}
@@ -417,7 +361,7 @@ func (s *IndexSet) QueryBatch(probes []Probe) ([][]oodb.OID, error) {
 				if i >= len(probes) {
 					return
 				}
-				out[i], errs[i] = s.queryProbe(probes[i], false)
+				out[i], errs[i] = s.Query(probes[i].Value, probes[i].TargetClass, probes[i].Hierarchy)
 				if errs[i] != nil {
 					failed.Store(true)
 					return
@@ -434,60 +378,10 @@ func (s *IndexSet) QueryBatch(probes []Probe) ([][]oodb.OID, error) {
 	return out, nil
 }
 
-// QueryRange evaluates A_n IN [lo, hi) for targetClass: the last subpath
-// is range-scanned; each earlier subpath is probed with equality on the
-// OIDs produced by its successor (fanning out in parallel when the
-// intermediate set is large). The caller must hold RLock.
-func (s *IndexSet) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	level, err := s.LevelOf(targetClass)
-	if err != nil {
-		return nil, err
-	}
-	s.rec.Record(targetClass, stats.OpQuery)
-	gi := s.levelOwner[level-1]
-	last := len(s.indexes) - 1
-	// Range scan on the last subpath.
-	tc, hier := targetClass, hierarchy
-	if last != gi {
-		a, _ := s.indexes[last].Bounds()
-		tc, hier = s.path.Class(a), true
-	}
-	cur, err := s.indexes[last].LookupRange(lo, hi, tc, hier)
-	if err != nil {
-		return nil, err
-	}
-	if last == gi {
-		return cur, nil
-	}
-	// Equality-chain through the earlier subpaths.
-	qs := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(qs)
-	for i := last - 1; i >= gi; i-- {
-		if len(cur) == 0 {
-			return nil, nil
-		}
-		ix := s.indexes[i]
-		a, _ := ix.Bounds()
-		tc, hier := s.path.Class(a), true
-		if i == gi {
-			tc, hier = targetClass, hierarchy
-		}
-		next, err := s.fanLookup(ix, cur, tc, hier, nil, qs, true)
-		if err != nil {
-			return nil, err
-		}
-		cur = oodb.SortUnique(next)
-		if i == gi {
-			return cur, nil
-		}
-	}
-	return nil, nil
-}
-
 // InsertInto stores a new object in st and maintains the owning
-// subpath's index; the single write path shared by Configured and the
-// lifecycle engine. The caller is responsible for serializing store
-// mutations against configuration swaps.
+// subpath's index; the single write path under the lifecycle engine. The
+// caller is responsible for serializing store mutations against
+// configuration swaps.
 func (s *IndexSet) InsertInto(st *oodb.Store, class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
 	if _, err := s.LevelOf(class); err != nil {
 		return 0, err

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 
-	"repro/internal/exec"
+	"repro/internal/engine"
 	"repro/internal/oodb"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -107,9 +107,9 @@ func planOrderArms(seed int64, ops int) ([]Arm, error) {
 		return nil, err
 	}
 	pl := plan.NewPlanner(st)
-	var execs []*exec.Configured
+	var execs []*engine.Engine
 	for _, p := range []*schema.Path{pName, pTag} {
-		c, err := exec.NewConfigured(st, p, wholePathNIX(p), pageSz)
+		c, err := engine.New(st, p, wholePathNIX(p), pageSz, engine.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -123,12 +123,13 @@ func RunValidation(seed int64) (ValidationReport, error) {
 			return rep, err
 		}
 		ix.ResetStats()
+		sc := index.NewScratch()
 		queries := 0
 		for _, v := range g.EndValues {
 			if queries >= 30 {
 				break
 			}
-			if _, err := ix.Lookup(v, "Person", false); err != nil {
+			if _, err := ix.LookupInto(v, "Person", false, nil, sc); err != nil {
 				return rep, err
 			}
 			queries++

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/oodb"
@@ -15,7 +16,7 @@ import (
 type AttrIndex struct {
 	tree    *btree.Tree
 	attr    string
-	classes map[string]bool // covered classes
+	classes []string // covered classes
 }
 
 // NewAttrIndex creates an index on attr covering the given classes, with
@@ -25,15 +26,11 @@ func NewAttrIndex(pager *storage.Pager, name, attr string, classes []string) (*A
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("index: attribute index needs at least one class")
 	}
-	ai := &AttrIndex{tree: btree.New(pager, name), attr: attr, classes: make(map[string]bool, len(classes))}
-	for _, c := range classes {
-		ai.classes[c] = true
-	}
-	return ai, nil
+	return &AttrIndex{tree: btree.New(pager, name), attr: attr, classes: slices.Clone(classes)}, nil
 }
 
 // Covers reports whether the index covers the class.
-func (ai *AttrIndex) Covers(class string) bool { return ai.classes[class] }
+func (ai *AttrIndex) Covers(class string) bool { return slices.Contains(ai.classes, class) }
 
 // Attr returns the indexed attribute.
 func (ai *AttrIndex) Attr() string { return ai.attr }
@@ -50,27 +47,10 @@ func (ai *AttrIndex) Lookup(v oodb.Value) ([]oodb.OID, error) {
 	return decodeOIDSet(raw)
 }
 
-// lookupAppend is the allocation-free Lookup kernel: it reads the record
-// under an already-encoded key through sc's value buffer and appends the
-// recorded OIDs to dst.
-func (ai *AttrIndex) lookupAppend(enc []byte, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	raw, ok := ai.tree.GetInto(enc, sc.val[:0])
-	sc.val = raw
-	if !ok {
-		return dst, nil
-	}
-	return appendOIDSet(dst, raw)
-}
-
-// LookupOID is Lookup for an OID-valued key.
-func (ai *AttrIndex) LookupOID(oid oodb.OID) ([]oodb.OID, error) {
-	return ai.Lookup(oodb.RefV(oid))
-}
-
 // Add associates obj.OID with each of the object's values of the indexed
 // attribute.
 func (ai *AttrIndex) Add(obj *oodb.Object) error {
-	if !ai.classes[obj.Class] {
+	if !ai.Covers(obj.Class) {
 		return fmt.Errorf("index: %s index does not cover class %s", ai.attr, obj.Class)
 	}
 	for _, v := range obj.Values(ai.attr) {
@@ -84,7 +64,7 @@ func (ai *AttrIndex) Add(obj *oodb.Object) error {
 // Remove dissociates obj.OID from each of its values; records that empty
 // are deleted.
 func (ai *AttrIndex) Remove(obj *oodb.Object) error {
-	if !ai.classes[obj.Class] {
+	if !ai.Covers(obj.Class) {
 		return fmt.Errorf("index: %s index does not cover class %s", ai.attr, obj.Class)
 	}
 	for _, v := range obj.Values(ai.attr) {
@@ -101,7 +81,7 @@ func (ai *AttrIndex) Remove(obj *oodb.Object) error {
 // change are never touched, so an update costs page accesses proportional
 // to the number of values that actually moved.
 func (ai *AttrIndex) UpdateObject(old, upd *oodb.Object) error {
-	if !ai.classes[old.Class] {
+	if !ai.Covers(old.Class) {
 		return fmt.Errorf("index: %s index does not cover class %s", ai.attr, old.Class)
 	}
 	removed, added := diffKeys(old.Values(ai.attr), upd.Values(ai.attr))

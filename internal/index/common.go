@@ -27,26 +27,25 @@ import (
 )
 
 // PathIndex is the common interface of the working index organizations.
-// Lookup, LookupInto and LookupRange are pure reads — they never mutate
-// the structure — so any number of them may run concurrently under the
-// owner's read lock.
+// LookupInto and LookupRange are pure reads — they never mutate the
+// structure — so any number of them may run concurrently under the
+// owner's read lock. Both are entry points into the organization's one
+// lookup kernel and differ only in its first hop (hop.go).
 type PathIndex interface {
 	// Org identifies the organization.
 	Org() cost.Organization
 	// Bounds returns the subpath levels [A, B] the index covers.
 	Bounds() (a, b int)
-	// Lookup returns the OIDs of objects of targetClass at some level
-	// within the subpath whose nested A_B value equals key. With hierarchy
-	// set, subclasses of targetClass are included.
-	Lookup(key oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
-	// LookupInto is the allocation-free Lookup kernel: it appends the
-	// matching OIDs to dst — unordered and possibly with duplicates; the
-	// caller sorts and deduplicates once per probe batch — threading its
-	// transient buffers through sc. The returned slice is the extended
-	// dst; neither dst nor sc is retained.
+	// LookupInto appends to dst the OIDs of objects of targetClass at some
+	// level within the subpath whose nested A_B value equals key — with
+	// hierarchy set, subclasses of targetClass are included — unordered
+	// and possibly with duplicates; the caller sorts and deduplicates once
+	// per probe batch. Transient buffers are threaded through sc, so the
+	// paper's organizations allocate nothing. The returned slice is the
+	// extended dst; neither dst nor sc is retained.
 	LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
-	// LookupRange is Lookup for a half-open range [lo, hi) of ending
-	// values (Section 3's range-predicate extension).
+	// LookupRange is the lookup for a half-open range [lo, hi) of ending
+	// values, returned as a fresh sorted, duplicate-free slice.
 	LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	// OnInsert maintains the index for a newly inserted object of a class
 	// in the subpath's scope.

@@ -203,6 +203,16 @@ func (f *fixture) loadAll(t testing.TB, ix PathIndex) {
 
 var allOrgs = []string{"MX", "MIX", "NIX", "PX"}
 
+// lookup is a point LookupInto through a fresh scratch, sorted and
+// deduplicated.
+func lookup(ix PathIndex, key oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	out, err := ix.LookupInto(key, targetClass, hierarchy, nil, NewScratch())
+	if err != nil {
+		return nil, err
+	}
+	return oodb.SortUnique(out), nil
+}
+
 func TestLookupMatchesNaive(t *testing.T) {
 	f := buildFixture(t, 1, 6, 40, 60)
 	for _, org := range allOrgs {
@@ -220,7 +230,7 @@ func TestLookupMatchesNaive(t *testing.T) {
 				{"Company", false},
 			} {
 				want := f.naiveMatch(t, brand, tc.class, tc.hierarchy)
-				got, err := ix.Lookup(oodb.StrV(brand), tc.class, tc.hierarchy)
+				got, err := lookup(ix, oodb.StrV(brand), tc.class, tc.hierarchy)
 				if err != nil {
 					t.Fatalf("%s Lookup(%s,%s,h=%v): %v", org, brand, tc.class, tc.hierarchy, err)
 				}
@@ -236,14 +246,14 @@ func TestLookupUnknownValue(t *testing.T) {
 	f := buildFixture(t, 2, 3, 10, 10)
 	for _, org := range allOrgs {
 		ix := f.buildIndex(t, org)
-		got, err := ix.Lookup(oodb.StrV("no-such-brand"), "Person", false)
+		got, err := lookup(ix, oodb.StrV("no-such-brand"), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 0 {
 			t.Errorf("%s: unknown value returned %v", org, got)
 		}
-		if _, err := ix.Lookup(oodb.StrV("x"), "Division", false); err == nil {
+		if _, err := lookup(ix, oodb.StrV("x"), "Division", false); err == nil {
 			t.Errorf("%s: out-of-scope class accepted", org)
 		}
 	}
@@ -279,7 +289,7 @@ func TestDeleteMaintainsLookups(t *testing.T) {
 		for _, brand := range f.brands {
 			for _, cls := range []string{"Person", "Vehicle", "Bus", "Company"} {
 				want := f.naiveMatch(t, brand, cls, cls == "Vehicle")
-				got, err := ix.Lookup(oodb.StrV(brand), cls, cls == "Vehicle")
+				got, err := lookup(ix, oodb.StrV(brand), cls, cls == "Vehicle")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -322,14 +332,14 @@ func TestInsertAfterBuildMaintains(t *testing.T) {
 		if err := ix.OnInsert(pobj); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ix.Lookup(oodb.StrV("brand-new"), "Person", false)
+		got, err := lookup(ix, oodb.StrV("brand-new"), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, []oodb.OID{per}) {
 			t.Errorf("%s: Lookup(brand-new, Person) = %v, want [%d]", org, got, per)
 		}
-		got, err = ix.Lookup(oodb.StrV("brand-new"), "Bus", false)
+		got, err = lookup(ix, oodb.StrV("brand-new"), "Bus", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +402,7 @@ func TestSubpathIndexWithOIDKeys(t *testing.T) {
 			}
 		}
 		want = oodb.SortUnique(want)
-		got, err := ix.Lookup(oodb.RefV(comp), "Person", false)
+		got, err := lookup(ix, oodb.RefV(comp), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +413,7 @@ func TestSubpathIndexWithOIDKeys(t *testing.T) {
 		if err := ix.BoundaryDelete(comp); err != nil {
 			t.Fatal(err)
 		}
-		got, err = ix.Lookup(oodb.RefV(comp), "Person", false)
+		got, err = lookup(ix, oodb.RefV(comp), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +438,7 @@ func TestStatsCountAccesses(t *testing.T) {
 	for _, org := range allOrgs {
 		ix := f.buildIndex(t, org)
 		ix.ResetStats()
-		if _, err := ix.Lookup(oodb.StrV(f.brands[0]), "Person", false); err != nil {
+		if _, err := lookup(ix, oodb.StrV(f.brands[0]), "Person", false); err != nil {
 			t.Fatal(err)
 		}
 		s := ix.Stats()
@@ -627,19 +637,19 @@ func TestNIXFigure5(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := nx.Lookup(oodb.StrV("Renault"), "Company", false)
+	got, _ := lookup(nx, oodb.StrV("Renault"), "Company", false)
 	if !reflect.DeepEqual(got, []oodb.OID{renault}) {
 		t.Errorf("Renault companies = %v", got)
 	}
-	got, _ = nx.Lookup(oodb.StrV("Renault"), "Vehicle", true)
+	got, _ = lookup(nx, oodb.StrV("Renault"), "Vehicle", true)
 	if !reflect.DeepEqual(got, oodb.SortUnique([]oodb.OID{vehI, vehJ})) {
 		t.Errorf("Renault vehicles = %v", got)
 	}
-	got, _ = nx.Lookup(oodb.StrV("Renault"), "Person", false)
+	got, _ = lookup(nx, oodb.StrV("Renault"), "Person", false)
 	if !reflect.DeepEqual(got, oodb.SortUnique([]oodb.OID{perO, perP})) {
 		t.Errorf("Renault persons = %v", got)
 	}
-	got, _ = nx.Lookup(oodb.StrV("Fiat"), "Person", false)
+	got, _ = lookup(nx, oodb.StrV("Fiat"), "Person", false)
 	if !reflect.DeepEqual(got, []oodb.OID{perP}) {
 		t.Errorf("Fiat persons = %v", got)
 	}
@@ -651,11 +661,11 @@ func TestNIXFigure5(t *testing.T) {
 	if err := nx.OnDelete(vobj); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = nx.Lookup(oodb.StrV("Renault"), "Person", false)
+	got, _ = lookup(nx, oodb.StrV("Renault"), "Person", false)
 	if !reflect.DeepEqual(got, []oodb.OID{perO}) {
 		t.Errorf("Renault persons after deleting vehJ = %v", got)
 	}
-	got, _ = nx.Lookup(oodb.StrV("Fiat"), "Person", false)
+	got, _ = lookup(nx, oodb.StrV("Fiat"), "Person", false)
 	if !reflect.DeepEqual(got, []oodb.OID{perP}) {
 		t.Errorf("Fiat persons after deleting vehJ = %v", got)
 	}
@@ -668,12 +678,12 @@ func TestNIXPartialReadCheaperThanFull(t *testing.T) {
 	nx := f.buildIndex(t, "NIX").(*NestedInheritedIndex)
 	brand := f.brands[0]
 	nx.ResetStats()
-	if _, err := nx.Lookup(oodb.StrV(brand), "Company", false); err != nil {
+	if _, err := lookup(nx, oodb.StrV(brand), "Company", false); err != nil {
 		t.Fatal(err)
 	}
 	companyReads := nx.Stats().Reads
 	nx.ResetStats()
-	if _, err := nx.Lookup(oodb.StrV(brand), "Person", false); err != nil {
+	if _, err := lookup(nx, oodb.StrV(brand), "Person", false); err != nil {
 		t.Fatal(err)
 	}
 	personReads := nx.Stats().Reads

@@ -100,37 +100,60 @@ func (nx *NestedInheritedIndex) headerLen() int { return 4 + 8*len(nx.classes) }
 
 // ---- lookup -------------------------------------------------------------
 
-// Lookup reads the target class's section(s) of the primary record through
-// the class directory, touching only the covering pages of a multi-page
-// record.
-func (nx *NestedInheritedIndex) Lookup(key oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	out, err := nx.LookupInto(key, targetClass, hierarchy, nil, NewScratch())
-	if err != nil {
-		return nil, err
-	}
-	return oodb.SortUnique(out), nil
+// LookupInto reads the target class's section(s) of the record under key.
+func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return nx.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
-// LookupInto is the allocation-free Lookup kernel: the class-directory
-// header and the target sections are read into sc's buffers, and the
-// section OIDs are appended to dst. The hierarchy closure comes from the
-// subpath's pre-resolved table.
-func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+// LookupRange reads them off every record in [lo, hi).
+func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	return lookupRange(nx.lookup, lo, hi, targetClass, hierarchy)
+}
+
+// lookup is the NIX kernel. A point hop fetches the class directory and
+// then only the asked-for sections through the tree, touching just the
+// covering pages of a multi-page record; a scan hop has each record whole
+// and slices the same sections out of it. The hierarchy closure comes from
+// the subpath's pre-resolved table.
+func (nx *NestedInheritedIndex) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
 	if _, ok := nx.sp.LevelOf(targetClass); !ok {
 		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
-	}
-	sc.key = AppendValue(sc.key[:0], key)
-	head, ok := nx.primary.GetSectionInto(sc.key, 0, nx.headerLen(), sc.head[:0])
-	sc.head = head
-	if !ok {
-		return dst, nil
-	}
-	if len(head) < nx.headerLen() {
-		return dst, fmt.Errorf("index: short NIX header")
 	}
 	classes := nx.sp.HierarchyOf(targetClass)
 	if !hierarchy {
 		classes = classes[:1] // the pre-resolved hierarchy lists the class itself first
+	}
+	if !hop.scan {
+		return nx.appendSections(dst, classes, func(off, n int, buf *[]byte) ([]byte, bool) {
+			sec, ok := nx.primary.GetSectionInto(hop.lo, off, n, (*buf)[:0])
+			*buf = sec
+			return sec, ok
+		}, sc)
+	}
+	var err error
+	nx.primary.ScanInto(hop.lo, hop.hi, func(_, val []byte) bool {
+		dst, err = nx.appendSections(dst, classes, func(off, n int, _ *[]byte) ([]byte, bool) {
+			if off > len(val) {
+				return nil, false
+			}
+			return val[off:min(off+n, len(val))], true
+		}, sc)
+		return err == nil
+	})
+	return dst, err
+}
+
+// appendSections appends the OIDs of the given classes' sections of one
+// primary record to dst. read returns bytes [off, off+n) of the record,
+// clipped at its end and valid until the next read through the same buf;
+// ok is false when the record does not exist.
+func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string, read func(off, n int, buf *[]byte) ([]byte, bool), sc *Scratch) ([]oodb.OID, error) {
+	head, ok := read(0, nx.headerLen(), &sc.head)
+	if !ok {
+		return dst, nil
+	}
+	if len(head) < nx.headerLen() {
+		return dst, fmt.Errorf("index: truncated NIX record (%d bytes)", len(head))
 	}
 	for _, cn := range classes {
 		pos, ok := nx.classPos[cn]
@@ -138,17 +161,16 @@ func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, h
 			continue
 		}
 		off := int(binary.BigEndian.Uint32(head[4+8*pos:]))
-		cnt := int(binary.BigEndian.Uint32(head[4+8*pos+4:]))
+		cnt := int(binary.BigEndian.Uint32(head[8+8*pos:]))
 		if cnt == 0 {
 			continue
 		}
-		sec, ok := nx.primary.GetSectionInto(sc.key, off, cnt*nixEntryLen, sc.val[:0])
-		sc.val = sec
+		sec, ok := read(off, cnt*nixEntryLen, &sc.val)
 		if !ok || len(sec) < cnt*nixEntryLen {
-			return dst, fmt.Errorf("index: NIX section read failed for %s", cn)
+			return dst, fmt.Errorf("index: NIX section %d out of bounds", pos)
 		}
-		for j := 0; j < cnt; j++ {
-			dst = append(dst, oodb.OID(binary.BigEndian.Uint64(sec[j*nixEntryLen:])))
+		for ; cnt > 0; cnt, sec = cnt-1, sec[nixEntryLen:] {
+			dst = append(dst, oodb.OID(binary.BigEndian.Uint64(sec)))
 		}
 	}
 	return dst, nil

@@ -56,81 +56,43 @@ func (nx *NestedIndexNX) ResetStats() { nx.pager.ResetStats() }
 // Tree exposes the underlying B+-tree.
 func (nx *NestedIndexNX) Tree() *btree.Tree { return nx.tree }
 
-// LookupInto adapts Lookup to the kernel interface. NX consults the store
-// to filter hierarchy-wide records and allocates on the way; like PX it is
-// an extended organization exempt from the zero-allocation guarantee.
-func (nx *NestedIndexNX) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, _ *Scratch) ([]oodb.OID, error) {
-	out, err := nx.Lookup(key, targetClass, hierarchy)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, out...), nil
+// LookupInto reads the record under key.
+func (nx *NestedIndexNX) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return nx.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
-// Lookup answers queries with respect to the starting class (or its
-// hierarchy) only; the structure holds no inner-class information.
-func (nx *NestedIndexNX) Lookup(key oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	if err := nx.checkTarget(targetClass); err != nil {
-		return nil, err
-	}
-	raw, ok := nx.tree.Get(EncodeValue(key))
-	if !ok {
-		return nil, nil
-	}
-	oids, err := decodeOIDSet(raw)
-	if err != nil {
-		return nil, err
-	}
-	return nx.filter(oids, targetClass, hierarchy), nil
-}
-
-// LookupRange scans [lo, hi); starting class only.
+// LookupRange reads every record in [lo, hi).
 func (nx *NestedIndexNX) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	if err := nx.checkTarget(targetClass); err != nil {
-		return nil, err
-	}
-	elo, ehi, err := rangeBounds(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	var out []oodb.OID
-	nx.tree.ScanInto(elo, ehi, func(k, v []byte) bool {
-		got, derr := decodeOIDSet(v)
-		if derr == nil {
-			out = append(out, got...)
-		}
-		return true
-	})
-	return nx.filter(oodb.SortUnique(out), targetClass, hierarchy), nil
+	return lookupRange(nx.lookup, lo, hi, targetClass, hierarchy)
 }
 
-func (nx *NestedIndexNX) checkTarget(targetClass string) error {
+// lookup is the NX kernel. It answers queries with respect to the starting
+// class (or its hierarchy) only — the structure holds no inner-class
+// information — and restricts the hierarchy-wide records to the class(es)
+// asked for by consulting the store (catalog information, no page charge).
+func (nx *NestedIndexNX) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
 	l, ok := nx.sp.LevelOf(targetClass)
 	if !ok {
-		return fmt.Errorf("index: class %s not in subpath scope", targetClass)
+		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
 	if l != nx.sp.A {
-		return fmt.Errorf("index: nested index answers only starting-class queries (class %s is at level %d)", targetClass, l)
+		return dst, fmt.Errorf("index: nested index answers only starting-class queries (class %s is at level %d)", targetClass, l)
 	}
-	return nil
-}
-
-// filter restricts hierarchy-wide record contents to the requested
-// class(es) by consulting the store (catalog information, no page charge).
-func (nx *NestedIndexNX) filter(oids []oodb.OID, targetClass string, hierarchy bool) []oodb.OID {
-	targets := map[string]bool{targetClass: true}
-	if hierarchy {
-		for _, cn := range nx.sp.Path.Schema().Hierarchy(targetClass) {
-			targets[cn] = true
+	base := len(dst)
+	err := hop.records(nx.tree, sc, func(val []byte) (err error) {
+		dst, err = appendOIDSet(dst, val)
+		return err
+	})
+	if err != nil {
+		return dst[:base], err
+	}
+	kept := dst[:base]
+	for _, o := range dst[base:] {
+		if obj, ok := nx.store.Peek(o); ok && nx.sp.targetMatch(obj.Class, targetClass, hierarchy) {
+			kept = append(kept, o)
 		}
 	}
-	out := oids[:0]
-	for _, o := range oids {
-		if obj, ok := nx.store.Peek(o); ok && targets[obj.Class] {
-			out = append(out, o)
-		}
-	}
-	return append([]oodb.OID(nil), out...)
+	return kept, nil
 }
 
 // reachedValues navigates forward from a starting object, optionally

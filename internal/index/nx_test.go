@@ -22,7 +22,7 @@ func TestNXLookupStartingClass(t *testing.T) {
 	nx := buildNX(t, f)
 	for _, brand := range f.brands {
 		want := f.naiveMatch(t, brand, "Person", false)
-		got, err := nx.Lookup(oodb.StrV(brand), "Person", false)
+		got, err := lookup(nx, oodb.StrV(brand), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +43,11 @@ func TestNXRejectsInnerClassQueries(t *testing.T) {
 	f := buildFixture(t, 32, 3, 10, 10)
 	nx := buildNX(t, f)
 	for _, cls := range []string{"Vehicle", "Bus", "Company"} {
-		if _, err := nx.Lookup(oodb.StrV("brand-00"), cls, false); err == nil {
+		if _, err := lookup(nx, oodb.StrV("brand-00"), cls, false); err == nil {
 			t.Errorf("inner-class query on %s accepted", cls)
 		}
 	}
-	if _, err := nx.Lookup(oodb.StrV("x"), "Division", false); err == nil {
+	if _, err := lookup(nx, oodb.StrV("x"), "Division", false); err == nil {
 		t.Error("out-of-scope class accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestNXMaintenance(t *testing.T) {
 	// All starting-class queries agree with ground truth.
 	for _, brand := range append(f.brands, "brand-new") {
 		want := f.naiveMatch(t, brand, "Person", false)
-		got, err := nx.Lookup(oodb.StrV(brand), "Person", false)
+		got, err := lookup(nx, oodb.StrV(brand), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestNXBoundaryDelete(t *testing.T) {
 		}
 	}
 	comp := f.companies[0]
-	got, err := nx.Lookup(oodb.RefV(comp), "Person", false)
+	got, err := lookup(nx, oodb.RefV(comp), "Person", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestNXBoundaryDelete(t *testing.T) {
 	if err := nx.BoundaryDelete(comp); err != nil {
 		t.Fatal(err)
 	}
-	got, err = nx.Lookup(oodb.RefV(comp), "Person", false)
+	got, err = lookup(nx, oodb.RefV(comp), "Person", false)
 	if err != nil {
 		t.Fatal(err)
 	}

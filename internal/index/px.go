@@ -143,71 +143,39 @@ func (px *PathIndexPX) decodeRecord(b []byte) (*pxRecord, error) {
 
 // ---- lookup -----------------------------------------------------------
 
-// LookupInto adapts Lookup to the kernel interface. PX records decode
-// into per-level suffix slices, so this path allocates; PX is an extended
-// organization, not part of the paper's serving-path column set, and is
-// exempt from the zero-allocation guarantee.
-func (px *PathIndexPX) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, _ *Scratch) ([]oodb.OID, error) {
-	out, err := px.Lookup(key, targetClass, hierarchy)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, out...), nil
+// LookupInto projects the record under key.
+func (px *PathIndexPX) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return px.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
-// Lookup projects the suffix heads at the target class's level.
-func (px *PathIndexPX) Lookup(key oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	l, ok := px.sp.LevelOf(targetClass)
-	if !ok {
-		return nil, fmt.Errorf("index: class %s not in subpath scope", targetClass)
-	}
-	raw, found := px.tree.Get(EncodeValue(key))
-	if !found {
-		return nil, nil
-	}
-	rec, err := px.decodeRecord(raw)
-	if err != nil {
-		return nil, err
-	}
-	return px.project(rec, l, targetClass, hierarchy), nil
-}
-
-// LookupRange scans the primary leaves across [lo, hi).
+// LookupRange projects every record in [lo, hi).
 func (px *PathIndexPX) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	elo, ehi, err := rangeBounds(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	l, ok := px.sp.LevelOf(targetClass)
-	if !ok {
-		return nil, fmt.Errorf("index: class %s not in subpath scope", targetClass)
-	}
-	var out []oodb.OID
-	var decErr error
-	px.tree.ScanInto(elo, ehi, func(k, v []byte) bool {
-		rec, err := px.decodeRecord(v)
-		if err != nil {
-			decErr = err
-			return false
-		}
-		out = append(out, px.project(rec, l, targetClass, hierarchy)...)
-		return true
-	})
-	if decErr != nil {
-		return nil, decErr
-	}
-	return oodb.SortUnique(out), nil
+	return lookupRange(px.lookup, lo, hi, targetClass, hierarchy)
 }
 
-func (px *PathIndexPX) project(rec *pxRecord, l int, targetClass string, hierarchy bool) []oodb.OID {
-	var out []oodb.OID
-	for _, s := range rec.suffixes[l-px.sp.A] {
-		head := s[0]
-		if cls, ok := px.ownerClass[head]; ok && px.sp.targetMatch(cls, targetClass, hierarchy) {
-			out = append(out, head)
-		}
+// lookup is the PX kernel: the heads of the suffixes starting at the
+// target class's level, filtered to the class(es) asked for. PX records
+// decode into per-level suffix slices, so this path allocates; PX is an
+// extended organization, not part of the paper's serving-path column set,
+// and is exempt from the zero-allocation guarantee.
+func (px *PathIndexPX) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	l, ok := px.sp.LevelOf(targetClass)
+	if !ok {
+		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	return oodb.SortUnique(out)
+	err := hop.records(px.tree, sc, func(val []byte) error {
+		rec, err := px.decodeRecord(val)
+		if err != nil {
+			return err
+		}
+		for _, s := range rec.suffixes[l-px.sp.A] {
+			if cls, ok := px.ownerClass[s[0]]; ok && px.sp.targetMatch(cls, targetClass, hierarchy) {
+				dst = append(dst, s[0])
+			}
+		}
+		return nil
+	})
+	return dst, err
 }
 
 // ---- maintenance -------------------------------------------------------

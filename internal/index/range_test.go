@@ -106,3 +106,30 @@ func TestLookupRangeOnIntegers(t *testing.T) {
 		t.Errorf("integer range = %v, want %v", got, want)
 	}
 }
+
+// TestCorruptOIDSetFailsPointAndRangeAlike writes a truncated OID set under
+// a key of the ending-level tree and requires both entry points of the
+// MX/MIX kernel to report it: a range scan must not skip a record the
+// point lookup rejects.
+func TestCorruptOIDSetFailsPointAndRangeAlike(t *testing.T) {
+	f := buildFixture(t, 23, 3, 10, 10)
+	for _, org := range []string{"MX", "MIX"} {
+		ix := f.buildIndex(t, org)
+		var ai *AttrIndex
+		switch x := ix.(type) {
+		case *MultiIndex:
+			ai = x.ClassIndex(f.path.Len(), "Company")
+		case *MultiInheritedIndex:
+			ai = x.LevelIndex(f.path.Len())
+		}
+		ai.Tree().Insert(EncodeValue(oodb.StrV("brand-zz")), []byte{0, 0, 0, 9, 1})
+		for _, class := range []string{"Company", "Person"} {
+			if _, err := lookup(ix, oodb.StrV("brand-zz"), class, false); err == nil {
+				t.Errorf("%s LookupInto(%s): truncated OID set accepted", org, class)
+			}
+			if _, err := ix.LookupRange(oodb.StrV("brand-zy"), oodb.StrV("brand-zzz"), class, false); err == nil {
+				t.Errorf("%s LookupRange(%s): truncated OID set skipped", org, class)
+			}
+		}
+	}
+}

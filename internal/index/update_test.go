@@ -84,7 +84,7 @@ func onUpdateMatchesNaive(t *testing.T, pageSize int) {
 			for _, brand := range f.brands {
 				for _, tc := range targets {
 					want := f.naiveMatch(t, brand, tc.class, tc.hier)
-					got, err := ix.Lookup(oodb.StrV(brand), tc.class, tc.hier)
+					got, err := lookup(ix, oodb.StrV(brand), tc.class, tc.hier)
 					if err != nil {
 						t.Fatalf("%s/%d: %v", org, pageSize, err)
 					}
@@ -201,7 +201,7 @@ func TestOnUpdateSubpathOIDKeys(t *testing.T) {
 					hier  bool
 				}{{"Person", false}, {"Vehicle", true}, {"Truck", false}} {
 					want := f.subpathMatch(t, 1, 2, oodb.RefV(comp), tc.class, tc.hier)
-					got, err := ix.Lookup(oodb.RefV(comp), tc.class, tc.hier)
+					got, err := lookup(ix, oodb.RefV(comp), tc.class, tc.hier)
 					if err != nil {
 						t.Fatalf("%s: %v", org, err)
 					}
@@ -233,7 +233,7 @@ func TestNXOnUpdateMatchesNaive(t *testing.T) {
 		}
 		for _, brand := range f.brands {
 			want := f.naiveMatch(t, brand, "Person", false)
-			got, err := ix.Lookup(oodb.StrV(brand), "Person", false)
+			got, err := lookup(ix, oodb.StrV(brand), "Person", false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,14 +325,14 @@ func TestNIXUpdateCheaperThanReinsert(t *testing.T) {
 	lost := false
 	for _, brand := range f.brands {
 		want := f.naiveMatch(t, brand, "Person", false)
-		got, err := ix.Lookup(oodb.StrV(brand), "Person", false)
+		got, err := lookup(ix, oodb.StrV(brand), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("OnUpdate diverged from navigation on %s: %v, want %v", brand, got, want)
 		}
-		naive2, err := ix2.Lookup(oodb.StrV(brand), "Person", false)
+		naive2, err := lookup(ix2, oodb.StrV(brand), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}

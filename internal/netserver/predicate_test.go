@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/netclient"
 	"repro/internal/oodb"
 	"repro/internal/plan"
@@ -237,7 +236,7 @@ func TestNetworkPlannerDifferential(t *testing.T) {
 					continue
 				}
 				cfg := randomPredConfig(rng, p.Len())
-				ex, err := exec.NewConfigured(w.st, p, cfg, 2048)
+				ex, err := engine.New(w.st, p, cfg, 2048, engine.Options{})
 				if err != nil {
 					t.Fatalf("configure %s with %v: %v", p, cfg, err)
 				}
@@ -303,9 +302,9 @@ func TestPredicateErrorCases(t *testing.T) {
 	srv, c := startPredServer(t, predBackend(t, w), Options{Store: w.st})
 	epl := plan.NewPlanner(w.st)
 	for i, p := range w.paths {
-		ex, err := exec.NewConfigured(w.st, p, core.Configuration{
+		ex, err := engine.New(w.st, p, core.Configuration{
 			Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}},
-		}, 2048)
+		}, 2048, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,9 +396,9 @@ func TestPredicateNoStore(t *testing.T) {
 	w := buildPredWorld(t, 73)
 	srv, c := startPredServer(t, predBackend(t, w), Options{})
 	p0 := w.paths[0]
-	ex, err := exec.NewConfigured(w.st, p0, core.Configuration{
+	ex, err := engine.New(w.st, p0, core.Configuration{
 		Assignments: []core.Assignment{{A: 1, B: p0.Len(), Org: cost.NIX}},
-	}, 2048)
+	}, 2048, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,8 +369,8 @@ func (s *Server) intern(b []byte) string {
 }
 
 // RegisterPath binds wire path id to p for predicate requests: leaves
-// carrying id probe src (any plan.Source — an engine, a Configured
-// index set, a sharded DB), with ps seeding cold cardinality estimates.
+// carrying id probe src (any plan.Source — an engine or a sharded DB),
+// with ps seeding cold cardinality estimates.
 // A nil src registers the path for decoding only; its leaves run
 // through the planner's naive store fallback (Options.Store), matching
 // an embedded planner with that path unregistered. Replacing a live id

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/exec"
+	"repro/internal/engine"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 )
@@ -127,7 +127,7 @@ func randomPlanner(t *testing.T, w *testWorld, rng *rand.Rand) *Planner {
 			continue
 		}
 		cfg := randomConfig(rng, p.Len())
-		c, err := exec.NewConfigured(w.st, p, cfg, 2048)
+		c, err := engine.New(w.st, p, cfg, 2048, engine.Options{})
 		if err != nil {
 			t.Fatalf("configure %s with %v: %v", p, cfg, err)
 		}
@@ -249,9 +249,9 @@ func TestSelectivityOrdering(t *testing.T) {
 	pl := NewPlanner(w.st)
 	pAge, pComp := w.paths[0], w.paths[2]
 	for _, p := range []*schema.Path{pAge, pComp} {
-		c, err := exec.NewConfigured(w.st, p, core.Configuration{
+		c, err := engine.New(w.st, p, core.Configuration{
 			Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}},
-		}, 2048)
+		}, 2048, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,9 +300,9 @@ func TestResidualPostFilter(t *testing.T) {
 	w := buildWorld(t, 13)
 	pl := NewPlanner(w.st)
 	pComp, pColor := w.paths[2], w.paths[1]
-	c, err := exec.NewConfigured(w.st, pComp, core.Configuration{
+	c, err := engine.New(w.st, pComp, core.Configuration{
 		Assignments: []core.Assignment{{A: 1, B: pComp.Len(), Org: cost.NIX}},
-	}, 2048)
+	}, 2048, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

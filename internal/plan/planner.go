@@ -17,8 +17,7 @@ import (
 
 // Source answers indexed single-path probes: any executor that returns
 // sorted duplicate-free OID runs for equality and range predicates along
-// one registered path. engine.Engine, exec.Configured and shard.DB all
-// satisfy it.
+// one registered path. engine.Engine and shard.DB both satisfy it.
 type Source interface {
 	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)

@@ -337,29 +337,13 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 	}
 	parts, pos := exec.SplitUpdates(ups, n, db.ShardOf)
 	perShard := make([][]error, n)
-	if db.spawnFanOut() {
-		var wg sync.WaitGroup
-		for s := 1; s < n; s++ {
-			if len(parts[s]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				perShard[s] = db.shards[s].UpdateBatch(parts[s])
-			}(s)
-		}
-		if len(parts[0]) > 0 {
-			perShard[0] = db.shards[0].UpdateBatch(parts[0])
-		}
-		wg.Wait()
-	} else {
-		for s := 0; s < n; s++ {
-			if len(parts[s]) > 0 {
-				perShard[s] = db.shards[s].UpdateBatch(parts[s])
-			}
+	var busy []int
+	for s := range parts {
+		if len(parts[s]) > 0 {
+			busy = append(busy, s)
 		}
 	}
+	db.forShards(busy, func(s int) { perShard[s] = db.shards[s].UpdateBatch(parts[s]) })
 	errs := make([]error, len(ups))
 	exec.ScatterErrors(errs, pos, perShard)
 	for i, u := range ups {
@@ -370,23 +354,36 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 	return errs
 }
 
-// spawnFanOut reports whether a cross-shard fan-out should spawn
-// goroutines: only when there is more than one shard and more than one
-// processor. On a single processor the spawned shards would run
-// sequentially anyway, so the facade saves the scheduling churn and
-// walks them in shard order on the calling goroutine — the results are
-// identical either way.
-func (db *DB) spawnFanOut() bool {
-	return len(db.shards) > 1 && runtime.GOMAXPROCS(0) > 1
+// forShards runs f once for every listed shard and returns when all have
+// finished: the first on the calling goroutine, the rest on goroutines of
+// their own — but only when there is more than one processor. On a single
+// processor the spawned shards would run sequentially anyway, so the
+// facade saves the scheduling churn and walks the list in order on the
+// calling goroutine; the results are identical either way.
+func (db *DB) forShards(idx []int, f func(s int)) {
+	if len(idx) < 2 || runtime.GOMAXPROCS(0) < 2 {
+		for _, s := range idx {
+			f(s)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, s := range idx[1:] {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			f(s)
+		}(s)
+	}
+	f(idx[0])
+	wg.Wait()
 }
 
 // fanOut runs f against every shard whose summary admits the probe —
 // keep(s) false means shard s provably cannot match and is skipped
-// without a descent — shard 0's (or the first kept shard's) probe on
-// the calling goroutine, the rest on their own when parallelism is
-// available. The per-shard OID sets, disjoint sorted runs, merge into
-// one sorted result. The first error in shard order wins,
-// deterministically. keep == nil keeps every shard.
+// without a descent — through forShards. The per-shard OID sets,
+// disjoint sorted runs, merge into one sorted result. The first error in
+// shard order wins, deterministically. keep == nil keeps every shard.
 func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID, error)) ([]oodb.OID, error) {
 	live := make([]int, 0, len(db.shards))
 	for s := range db.shards {
@@ -403,24 +400,10 @@ func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID
 	if len(live) == 1 {
 		return f(db.shards[live[0]])
 	}
-	results := make([][]oodb.OID, len(live))
-	errs := make([]error, len(live))
-	if db.spawnFanOut() {
-		var wg sync.WaitGroup
-		for i := 1; i < len(live); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = f(db.shards[live[i]])
-			}(i)
-		}
-		results[0], errs[0] = f(db.shards[live[0]])
-		wg.Wait()
-	} else {
-		for i, s := range live {
-			results[i], errs[i] = f(db.shards[s])
-		}
-	}
+	// Indexed by shard; a pruned shard's nil slot merges as an empty run.
+	results := make([][]oodb.OID, len(db.shards))
+	errs := make([]error, len(db.shards))
+	db.forShards(live, func(s int) { results[s], errs[s] = f(db.shards[s]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -510,10 +493,13 @@ func (db *DB) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
 	}
 	byShard := make([][][]oodb.OID, n)
 	errs := make([]error, n)
-	run := func(s int) {
-		if len(sub[s]) == 0 {
-			return
+	var busy []int
+	for s := range sub {
+		if len(sub[s]) > 0 {
+			busy = append(busy, s)
 		}
+	}
+	db.forShards(busy, func(s int) {
 		db.probed.Add(uint64(len(sub[s])))
 		res, err := db.shards[s].QueryBatch(sub[s])
 		if err != nil {
@@ -530,23 +516,7 @@ func (db *DB) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
 			full[pi] = res[i]
 		}
 		byShard[s] = full
-	}
-	if db.spawnFanOut() {
-		var wg sync.WaitGroup
-		for s := 1; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				run(s)
-			}(s)
-		}
-		run(0)
-		wg.Wait()
-	} else {
-		for s := 0; s < n; s++ {
-			run(s)
-		}
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
