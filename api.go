@@ -110,8 +110,10 @@ type (
 	// Workload is a point-in-time view of the recorded live traffic.
 	Workload = stats.Workload
 	// Probe is one point query of a batch passed to Database.QueryBatch:
-	// the batch fans across a bounded worker pool and returns results in
-	// probe order, bit-identical to issuing the probes sequentially.
+	// the batch evaluates its probes in order under one snapshot of the
+	// active configuration and returns results in probe order,
+	// bit-identical to issuing the probes one by one; the first bad probe
+	// ends it with that probe's error.
 	Probe = exec.Probe
 	// Update is one in-place object update of a batch passed to
 	// Database.UpdateBatch: the named attributes of OID are replaced (an
@@ -164,9 +166,11 @@ var ErrCrossShard = shard.ErrCrossShard
 // binary format; see internal/wire and DESIGN.md §10.
 type (
 	// NetServer serves a Database or ShardedDB over TCP, coalescing
-	// concurrently-arriving requests into the engine's batch kernels
-	// (QueryBatch, UpdateBatch) so the zero-allocation serving path and
-	// the group-commit fsync amortization survive the socket boundary.
+	// concurrently-arriving requests into windows: updates become one
+	// UpdateBatch, identical predicate trees one planner descent, and a
+	// window's answers one write per connection, so the zero-allocation
+	// read path and the group-commit fsync amortization survive the
+	// socket boundary.
 	NetServer = netserver.Server
 	// NetServerOptions configure the server: the served path, the
 	// OID-to-class hook for workload recording, the coalescing window

@@ -403,7 +403,7 @@ func BenchmarkServe(b *testing.B) {
 }
 
 // BenchmarkServeBatch measures the batched probe API: one QueryBatch call
-// per b.N/batch operations, fanned across the worker pool.
+// per b.N/batch operations, a loop under one snapshot hold.
 func BenchmarkServeBatch(b *testing.B) {
 	ps := Figure7Stats()
 	g, err := gen.Generate(ps, 0.01, 42)

@@ -106,11 +106,11 @@
 // query through the Example 5.1 optimal configuration runs with 0
 // allocs/op (test-enforced), at ~31 µs/op on the single-core reference
 // container (BenchmarkServe, which also reports the 1→8 goroutine
-// ops/sec scaling curve on multi-core hosts). Database.QueryBatch fans a
-// probe slice across one worker per CPU with pooled per-worker scratch,
-// returning results in probe order, bit-identical to sequential
-// evaluation; large intermediate OID sets inside a single nested query
-// fan their per-key probes out in parallel the same way. Experiment E2
+// ops/sec scaling curve on multi-core hosts). Read concurrency is the
+// caller's: nothing below the network server spawns a goroutine to answer
+// a query. Database.QueryBatch is a loop over the same read path under one
+// snapshot of the active configuration, returning results in probe order,
+// bit-identical to sequential evaluation. Experiment E2
 // (ixbench -run serve) measures ops/sec, p50/p99 latency and pages/op
 // for optimal vs whole-path-NIX vs naive serving. Like every timed
 // experiment (E2–E9) it measures each cell as a warm-up plus three
@@ -145,13 +145,15 @@
 // # Sharding
 //
 // OpenSharded composes N independent engines into one OID-hash-
-// partitioned database, the horizontal scaling step past a single
-// engine. Shard i's store only mints OIDs congruent to i mod N, so
+// partitioned database — a capacity and isolation step past a single
+// engine (N stores, write locks, logs and recoveries), not a
+// read-throughput one. Shard i's store only mints OIDs congruent to i mod N, so
 // routing any OID-keyed operation — Get, Update, Delete, every entry of
 // an UpdateBatch — is one modulo: a pure function of the OID, stable for
 // the object's lifetime, with no directory to maintain. Value queries
-// have no OID to hash; they fan out to every shard (one goroutine per
-// shard when cores allow) and merge the per-shard answers, which are
+// have no OID to hash; they visit, in shard order on the calling
+// goroutine, every shard whose value summary admits the probe and merge
+// the per-shard answers, which are
 // disjoint sorted runs, into exactly the result a single engine holding
 // all the objects would return — enforced by a differential test that
 // replays mixed traces against both deployments. Because the paper's
@@ -273,15 +275,15 @@
 // connection — Query/Insert/Update/Delete block for one round trip;
 // GoQuery and friends return a Call future whose Wait collects later.
 //
-// The server is where the batch kernels survive the socket boundary:
+// The server is where the serving path survives the socket boundary:
 // per-connection readers decode into pooled request slots and feed
 // dispatchers (each connection pinned to one, so its requests are
 // served in arrival order); a dispatcher drains whatever has
 // concurrently accumulated — the coalescing window, self-sized because
 // the drain happens after the previous batch's execution — and serves
-// point-query runs with one QueryBatch descent and update runs with one
-// UpdateBatch, so on a durable backend group commit amortizes WAL
-// fsyncs across connections. A batch's responses are bundled into one
+// update runs with one UpdateBatch, so on a durable backend group commit
+// amortizes WAL fsyncs across connections; point queries are answered one
+// by one on the dispatcher. A batch's responses are bundled into one
 // framed write per connection. The steady-state dispatch path holds a
 // fixed per-batch allocation budget (test-enforced), and every request
 // is recorded per class into the same workload machinery that drives

@@ -103,8 +103,8 @@ func main() {
 
 	// Pipelining: fire a window of requests without waiting, then
 	// collect. The calls overlap in flight, and on the server the
-	// dispatcher coalesces whatever has arrived into one QueryBatch
-	// descent — one index traversal for the window, not one per request.
+	// dispatcher coalesces whatever has arrived into one window — one
+	// wake-up and one bundled write for it, not one per request.
 	calls := make([]*ooindex.NetCall, 32)
 	for i := range calls {
 		calls[i] = c.GoQuery(g.EndValues[i%len(g.EndValues)], "Person", false)

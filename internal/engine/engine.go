@@ -232,16 +232,25 @@ func (e *Engine) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string,
 	return dst, err
 }
 
-// QueryBatch evaluates a batch of point probes against one atomic
-// snapshot of the active configuration, fanning them across a bounded
-// worker pool. Results are in probe order and bit-identical to issuing
-// the probes sequentially; the workload recorder sees the same counts. A
-// reconfiguration concurrent with the batch swaps the active set but
-// never blocks it — the whole batch answers from the snapshot it started
-// on.
+// QueryBatch evaluates a batch of point probes in order against one
+// atomic snapshot of the active configuration: a loop over the one read
+// path under one snapshot hold. Results are in probe order and
+// bit-identical to issuing the probes one by one, and the workload
+// recorder sees the same counts. The first bad probe ends the batch with
+// its error; no later probe is evaluated or recorded. A reconfiguration
+// concurrent with the batch swaps the active set but never blocks it — the
+// whole batch answers from the snapshot it started on. Concurrency is the
+// caller's: run batches from as many goroutines as there are CPUs to use.
 func (e *Engine) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
+	out := make([][]oodb.OID, len(probes))
 	s := e.snapshot()
-	out, err := s.QueryBatch(probes)
+	var err error
+	for i, pb := range probes {
+		if out[i], err = s.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
+			out, probes = nil, probes[:i+1] // the op counter sees what was attempted, as Query's does
+			break
+		}
+	}
 	s.RUnlock()
 	e.maybeAutoTuneN(uint64(len(probes)))
 	return out, err

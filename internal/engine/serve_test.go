@@ -54,6 +54,46 @@ func TestQueryBatchMatchesSequentialThroughEngine(t *testing.T) {
 	}
 }
 
+// TestQueryBatchStopsAtFirstBadProbe pins the batch's error contract, the
+// sequential loop's: the first bad probe in probe order ends the batch with
+// the error Query gives for it, and no later probe is evaluated or
+// recorded.
+func TestQueryBatchStopsAtFirstBadProbe(t *testing.T) {
+	g := figure7DB(t)
+	e, err := New(g.Store, g.Path, cfgSplit, 1024, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := exec.Probe{Value: g.EndValues[0], TargetClass: "Person"}
+	bad := func(class string) exec.Probe { return exec.Probe{Value: g.EndValues[0], TargetClass: class} }
+	for _, tc := range []struct {
+		name     string
+		probes   []exec.Probe
+		badClass string // class of the probe whose error the batch reports; "" for success
+		recorded uint64
+	}{
+		{"all good", []exec.Probe{good, good, good}, "", 3},
+		{"bad first", []exec.Probe{bad("Ghost"), good}, "Ghost", 0},
+		{"two bad, good probes between and after", []exec.Probe{good, bad("Ghost"), good, bad("Phantom"), good}, "Ghost", 1},
+	} {
+		before := e.WorkloadSnapshot().Total
+		got, err := e.QueryBatch(tc.probes)
+		if recorded := e.WorkloadSnapshot().Total - before; recorded != tc.recorded {
+			t.Errorf("%s: %d probes recorded, want %d", tc.name, recorded, tc.recorded)
+		}
+		if tc.badClass == "" {
+			if err != nil || len(got) != len(tc.probes) {
+				t.Errorf("%s: %d results, %v", tc.name, len(got), err)
+			}
+			continue
+		}
+		_, want := e.Query(g.EndValues[0], tc.badClass, false)
+		if got != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: got (%v, %v), want the first bad probe's error %q", tc.name, got, err, want)
+		}
+	}
+}
+
 // TestQueryBatchDuringReconfigure races batches against configuration
 // swaps (run under -race in CI): every batch must answer from a coherent
 // snapshot — results always equal the static baseline, whichever

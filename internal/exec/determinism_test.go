@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/btree"
-	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/schema"
@@ -30,6 +29,10 @@ func treesOf(ix index.PathIndex, p *schema.Path) []*btree.Tree {
 				out = append(out, x.ClassIndex(l, cn).Tree())
 			}
 		}
+	case *index.PathIndexPX:
+		out = append(out, x.Tree())
+	case *index.NestedIndexNX:
+		out = append(out, x.Tree())
 	}
 	return out
 }
@@ -43,15 +46,10 @@ type structureShape struct {
 	Access storage.Stats
 }
 
-// shapeOf covers the MX, MIX and NIX structures of a configuration. PX
-// repairs by navigating the store and still ranges over maps on the way;
-// its structures are left out.
+// shapeOf covers every structure of a configuration.
 func shapeOf(c *IndexSet, p *schema.Path) []structureShape {
 	var out []structureShape
 	for _, ix := range c.Indexes() {
-		if ix.Org() == cost.PX {
-			continue
-		}
 		sh := structureShape{Access: ix.Stats()}
 		for _, t := range treesOf(ix, p) {
 			sh.Pages = t.Pager().NumPages() // one pager per structure
@@ -69,18 +67,29 @@ func shapeOf(c *IndexSet, p *schema.Path) []structureShape {
 // a benchmark's page counts repeat from run to run.
 func TestMaintenanceIsDeterministic(t *testing.T) {
 	ps := smallStats(t)
-	for ci, cfg := range configurations(ps.Len()) {
-		var shapes [2][]structureShape
-		for run := range shapes {
-			seed := int64(500 + ci)
-			g, err := gen.Generate(ps, 0.4, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+	type arm struct {
+		name  string
+		build func(g *gen.Generated) *IndexSet
+	}
+	arms := []arm{{"whole-path NX", func(g *gen.Generated) *IndexSet { return wholePathNXSet(t, g, 256) }}}
+	for _, cfg := range configurations(ps.Len()) {
+		arms = append(arms, arm{cfg.String(), func(g *gen.Generated) *IndexSet {
 			c, err := NewIndexSet(g.Store, g.Path, cfg, 256, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return c
+		}})
+	}
+	for ai, a := range arms {
+		seed := int64(500 + ai)
+		var shapes [2][]structureShape
+		for run := range shapes {
+			g, err := gen.Generate(ps, 0.4, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := a.build(g)
 			m := newOpMixer(g, seed)
 			for i := 0; i < 300; i++ {
 				m.apply(t, c)
@@ -88,8 +97,8 @@ func TestMaintenanceIsDeterministic(t *testing.T) {
 			shapes[run] = shapeOf(c, g.Path)
 		}
 		if !reflect.DeepEqual(shapes[0], shapes[1]) {
-			t.Errorf("cfg %v: two identical histories left different structures:\n  %s\n  %s",
-				cfg, fmt.Sprint(shapes[0]), fmt.Sprint(shapes[1]))
+			t.Errorf("%s: two identical histories left different structures:\n  %s\n  %s",
+				a.name, fmt.Sprint(shapes[0]), fmt.Sprint(shapes[1]))
 		}
 	}
 }

@@ -2,10 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -108,10 +105,10 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		fresh = append(fresh, i)
 	}
 	// Bulk load, deepest level first within each index (the order NIX
-	// maintenance relies on), each class in OID order — the store lists a
-	// page's objects in map order, and the order of insertion shapes the
-	// trees. Each fresh index owns a disjoint level range
-	// and a dedicated pager, so they load concurrently. Store access is
+	// maintenance relies on), each class in ascending OID order (what
+	// OIDsOfClass returns) — the order of insertion shapes the trees, so
+	// equal stores build equal trees. Each fresh index owns a disjoint level
+	// range and a dedicated pager, so they load concurrently. Store access is
 	// read-only: Peek does not count page accesses; PX additionally reads
 	// objects through the store's pager, whose atomic counters and locked
 	// buffer bookkeeping make concurrent counting safe (and, with the
@@ -121,9 +118,7 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		ix := s.indexes[i]
 		for l := asg.B; l >= asg.A; l-- {
 			for _, cn := range p.HierarchyAt(l) {
-				oids := st.OIDsOfClass(cn)
-				slices.Sort(oids)
-				for _, oid := range oids {
+				for _, oid := range st.OIDsOfClass(cn) {
 					obj, _ := st.Peek(oid)
 					if err := ix.OnInsert(obj); err != nil {
 						return fmt.Errorf("exec: loading %s: %w", cn, err)
@@ -316,66 +311,6 @@ type Probe struct {
 	Value       oodb.Value
 	TargetClass string
 	Hierarchy   bool
-}
-
-// QueryBatch evaluates a batch of point probes, fanning them across a
-// bounded worker pool (one worker per CPU, each drawing per-worker scratch
-// from the pool). On success, results are in probe order and bit-identical
-// to issuing the probes sequentially, and the workload recorder sees the
-// same counts. On error the first error in probe order is returned and —
-// unlike the sequential loop, which stops at the failing probe — which of
-// the remaining probes were evaluated (and recorded) is unspecified:
-// workers stop claiming new probes once a failure is observed, but probes
-// already in flight complete. The caller must hold RLock for the duration
-// of the batch.
-func (s *IndexSet) QueryBatch(probes []Probe) ([][]oodb.OID, error) {
-	out := make([][]oodb.OID, len(probes))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(probes) {
-		workers = len(probes)
-	}
-	if max := (len(probes) + 7) / 8; workers > max {
-		workers = max // keep ~8 probes per worker: a feather-weight batch
-		// must not pay GOMAXPROCS goroutine spawns for microseconds of work
-	}
-	if workers <= 1 {
-		for i, pb := range probes {
-			r, err := s.Query(pb.Value, pb.TargetClass, pb.Hierarchy)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	errs := make([]error, len(probes))
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(probes) {
-					return
-				}
-				out[i], errs[i] = s.Query(probes[i].Value, probes[i].TargetClass, probes[i].Hierarchy)
-				if errs[i] != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // InsertInto stores a new object in st and maintains the owning

@@ -157,8 +157,8 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 }
 
 // mergeTwoInto merges two sorted duplicate-free runs into dst, collapsing
-// equal OIDs. Unlike MergeSortedOIDs it never reuses an input's backing
-// array, so the caller controls placement.
+// equal OIDs. It never reuses an input's backing array, so the caller
+// controls placement.
 func mergeTwoInto(dst, a, b []oodb.OID) []oodb.OID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

@@ -99,26 +99,6 @@ func TestIntersectAliasing(t *testing.T) {
 	}
 }
 
-func TestMergeSortedOIDsEdgeCases(t *testing.T) {
-	cases := []struct{ dst, src, want []oodb.OID }{
-		{nil, nil, nil},
-		{nil, oids(1, 2), oids(1, 2)},
-		{oids(1, 2), nil, oids(1, 2)},
-		{oids(7), oids(7), oids(7)},                   // fully duplicate single
-		{oids(1, 2, 3), oids(1, 2, 3), oids(1, 2, 3)}, // fully duplicate runs
-		{oids(1, 3), oids(2, 4), oids(1, 2, 3, 4)},
-		{oids(1, 2), oids(3, 4), oids(1, 2, 3, 4)}, // ordered-disjoint fast path
-		{oids(3, 4), oids(1, 2), oids(1, 2, 3, 4)},
-	}
-	for _, c := range cases {
-		dst := append([]oodb.OID(nil), c.dst...)
-		got := MergeSortedOIDs(dst, c.src)
-		if len(got) != len(c.want) || (len(got) > 0 && !reflect.DeepEqual(got, c.want)) {
-			t.Errorf("Merge(%v, %v) = %v, want %v", c.dst, c.src, got, c.want)
-		}
-	}
-}
-
 func TestMergeKSortedOIDs(t *testing.T) {
 	cases := []struct {
 		runs [][]oodb.OID

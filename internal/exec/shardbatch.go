@@ -3,12 +3,11 @@ package exec
 import "repro/internal/oodb"
 
 // This file is the exec-level plumbing a sharded deployment composes the
-// batch machinery with: splitting an OID-keyed write batch across
-// partitions and merging per-partition probe results back into probe
-// order. The shapes mirror QueryBatch/UpdateBatch — [][]oodb.OID per
-// probe, []error per update, original order preserved — so a router can
-// fan a batch across several IndexSet owners and present the caller the
-// exact contract a single owner gives.
+// write-batch machinery with: splitting an OID-keyed write batch across
+// partitions and putting the per-partition results back in batch order.
+// The shape mirrors UpdateBatch — []error per update, original order
+// preserved — so a router can fan a batch across several IndexSet owners
+// and present the caller the exact contract a single owner gives.
 
 // SplitUpdates partitions a batch of updates by shard, preserving batch
 // order within each partition (so same-OID updates keep their relative
@@ -37,73 +36,4 @@ func ScatterErrors(dst []error, pos [][]int, errs [][]error) {
 			dst[i] = errs[s][k]
 		}
 	}
-}
-
-// MergeProbeResults merges per-shard QueryBatch results into one
-// probe-order result set: byShard[s][i] is shard s's answer to probe i,
-// sorted and deduplicated as QueryBatch returns it. Because shards
-// partition the OID space, the per-shard answers to one probe are
-// disjoint sorted runs; the k-way tournament merge (MergeKSortedOIDs,
-// O(total·log shards) where the old pairwise fold was O(shards·total))
-// keeps the combined result sorted and duplicate-free — bit-identical to
-// evaluating the probe against a single store holding all partitions'
-// objects. A probe with no match in any shard stays nil, matching the
-// single-owner contract.
-func MergeProbeResults(byShard [][][]oodb.OID) [][]oodb.OID {
-	if len(byShard) == 0 {
-		return nil
-	}
-	if len(byShard) == 1 {
-		return byShard[0]
-	}
-	out := make([][]oodb.OID, len(byShard[0]))
-	runs := make([][]oodb.OID, len(byShard))
-	for i := range out {
-		var total int
-		for s, shard := range byShard {
-			runs[s] = shard[i]
-			total += len(shard[i])
-		}
-		if total == 0 {
-			continue
-		}
-		out[i] = MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...)
-	}
-	return out
-}
-
-// MergeSortedOIDs merges the sorted, duplicate-free run src into the
-// sorted, duplicate-free accumulator dst, returning the merged slice
-// (which may reuse dst's backing array when capacity allows). Equal
-// OIDs collapse to one, so merging overlapping runs stays set-like.
-func MergeSortedOIDs(dst, src []oodb.OID) []oodb.OID {
-	if len(src) == 0 {
-		return dst
-	}
-	if len(dst) == 0 {
-		return append(dst, src...)
-	}
-	// Fast path: disjoint ranges in order, the common case for residue
-	// classes probed shard by shard — just append.
-	if dst[len(dst)-1] < src[0] {
-		return append(dst, src...)
-	}
-	merged := make([]oodb.OID, 0, len(dst)+len(src))
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i] < src[j]:
-			merged = append(merged, dst[i])
-			i++
-		case dst[i] > src[j]:
-			merged = append(merged, src[j])
-			j++
-		default:
-			merged = append(merged, dst[i])
-			i, j = i+1, j+1
-		}
-	}
-	merged = append(merged, dst[i:]...)
-	merged = append(merged, src[j:]...)
-	return merged
 }

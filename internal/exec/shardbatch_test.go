@@ -48,58 +48,3 @@ func TestSplitUpdatesAndScatter(t *testing.T) {
 		}
 	}
 }
-
-func TestMergeSortedOIDs(t *testing.T) {
-	cases := []struct {
-		dst, src, want []oodb.OID
-	}{
-		{nil, nil, nil},
-		{nil, []oodb.OID{1, 3}, []oodb.OID{1, 3}},
-		{[]oodb.OID{1, 3}, nil, []oodb.OID{1, 3}},
-		{[]oodb.OID{1, 3}, []oodb.OID{5, 7}, []oodb.OID{1, 3, 5, 7}},       // disjoint append fast path
-		{[]oodb.OID{2, 6}, []oodb.OID{1, 4, 9}, []oodb.OID{1, 2, 4, 6, 9}}, // interleaved
-		{[]oodb.OID{1, 4}, []oodb.OID{1, 4}, []oodb.OID{1, 4}},             // overlap dedups
-	}
-	for i, c := range cases {
-		got := MergeSortedOIDs(append([]oodb.OID(nil), c.dst...), c.src)
-		if len(got) != len(c.want) {
-			t.Fatalf("case %d: got %v, want %v", i, got, c.want)
-		}
-		for j := range got {
-			if got[j] != c.want[j] {
-				t.Fatalf("case %d: got %v, want %v", i, got, c.want)
-			}
-		}
-	}
-}
-
-func TestMergeProbeResults(t *testing.T) {
-	// Three shards answering two probes with disjoint residue classes.
-	byShard := [][][]oodb.OID{
-		{{3, 9}, nil},
-		{{1, 4}, nil},
-		{{2}, nil},
-	}
-	out := MergeProbeResults(byShard)
-	if len(out) != 2 {
-		t.Fatalf("got %d probe results", len(out))
-	}
-	want := []oodb.OID{1, 2, 3, 4, 9}
-	if len(out[0]) != len(want) {
-		t.Fatalf("probe 0: %v, want %v", out[0], want)
-	}
-	for i := range want {
-		if out[0][i] != want[i] {
-			t.Fatalf("probe 0: %v, want %v", out[0], want)
-		}
-	}
-	// A probe empty on every shard stays nil — the single-owner contract.
-	if out[1] != nil {
-		t.Fatalf("probe 1: %v, want nil", out[1])
-	}
-	// Single-shard input passes through untouched.
-	solo := MergeProbeResults(byShard[:1])
-	if len(solo) != 2 || len(solo[0]) != 2 || solo[0][0] != 3 {
-		t.Fatalf("single-shard pass-through broken: %v", solo)
-	}
-}

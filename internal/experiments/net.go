@@ -14,7 +14,7 @@ import (
 
 // Experiment E7 — the cost of the socket (DESIGN.md §10.4). The serving
 // tier's claim is that a binary pipelined protocol plus adaptive request
-// coalescing carries the engine's batch kernels across the network
+// coalescing carries the engine's serving path across the network
 // mostly intact. E7 measures it at 1/8/64/256 connections through the
 // four wireArms on two read mixes that bound the regimes: wholepath
 // queries "Person" through the full four-level path (hundreds of owners
@@ -189,7 +189,7 @@ func runNet(rep *Report) error {
 	err := runWire(rep, wireWorkload{
 		conns:      []int{1, 8, 64, 256},
 		embedBatch: netDepth,
-		// The embedded arm drives the engine's QueryBatch kernel directly,
+		// The embedded arm calls the engine's QueryBatch directly,
 		// netDepth probes per call; each probe waits the whole batch's wall
 		// time, which is what a caller whose request rides the batch
 		// observes.
@@ -223,9 +223,8 @@ func runNet(rep *Report) error {
 	// per-request work there), the pipelining and coalescing gains on the
 	// endpoint mix (the wire's fixed costs dominate there, so they are
 	// what the protocol must recover). The coalescing window's structural
-	// wins — parallel kernel fan-out across a batch, one writer wakeup and
-	// one WAL fsync per window — need cores and durable writes to show; on
-	// in-memory reads the last ratio sits near parity.
+	// wins — one writer wakeup and one WAL fsync per window — need durable
+	// writes to show; on in-memory reads the last ratio sits near parity.
 	rep.AddRatio("pipelined_over_sync_at_8_conns_endpoint",
 		rep.Cell("mix", "endpoint", "arm", "net-pipelined", "conns", 8), rep.Cell("mix", "endpoint", "arm", "net-sync", "conns", 8))
 	rep.AddRatio("embedded_over_net_at_64_conns_wholepath",

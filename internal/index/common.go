@@ -171,6 +171,21 @@ func AppendOID(dst []byte, oid oodb.OID) []byte { return AppendValue(dst, oodb.R
 // EncodeOID encodes an OID key.
 func EncodeOID(oid oodb.OID) []byte { return EncodeValue(oodb.RefV(oid)) }
 
+// sortedKeys lists, in byte order, the keys of set that are not in except
+// (nil excepts nothing). PX and NX maintenance collects the keys an object
+// reaches in a map and visits them through this list, never in map order,
+// so equal histories build equal trees.
+func sortedKeys(set, except map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		if !except[k] {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // oidSet is a serialized sorted set of OIDs: count-prefixed big-endian
 // 64-bit values.
 func encodeOIDSet(oids []oodb.OID) []byte {

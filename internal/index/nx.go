@@ -144,7 +144,7 @@ func (nx *NestedIndexNX) OnInsert(obj *oodb.Object) error {
 	if l != nx.sp.A {
 		return nil
 	}
-	for k := range nx.reachedValues(obj, 0) {
+	for _, k := range sortedKeys(nx.reachedValues(obj, 0), nil) {
 		nx.tree.Update([]byte(k), func(old []byte) []byte {
 			return addOID(old, obj.OID)
 		})
@@ -168,19 +168,15 @@ func (nx *NestedIndexNX) OnUpdate(old, upd *oodb.Object) error {
 		return nil
 	}
 	rekey := func(start oodb.OID, before, after map[string]bool) {
-		for k := range before {
-			if !after[k] {
-				nx.tree.Update([]byte(k), func(b []byte) []byte {
-					return removeOID(b, start)
-				})
-			}
+		for _, k := range sortedKeys(before, after) {
+			nx.tree.Update([]byte(k), func(b []byte) []byte {
+				return removeOID(b, start)
+			})
 		}
-		for k := range after {
-			if !before[k] {
-				nx.tree.Update([]byte(k), func(b []byte) []byte {
-					return addOID(b, start)
-				})
-			}
+		for _, k := range sortedKeys(after, before) {
+			nx.tree.Update([]byte(k), func(b []byte) []byte {
+				return addOID(b, start)
+			})
 		}
 	}
 	if l == nx.sp.A {
@@ -204,7 +200,7 @@ func (nx *NestedIndexNX) OnDelete(obj *oodb.Object) error {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
 	if l == nx.sp.A {
-		for k := range nx.reachedValues(obj, 0) {
+		for _, k := range sortedKeys(nx.reachedValues(obj, 0), nil) {
 			nx.tree.Update([]byte(k), func(old []byte) []byte {
 				return removeOID(old, obj.OID)
 			})
@@ -216,12 +212,10 @@ func (nx *NestedIndexNX) OnDelete(obj *oodb.Object) error {
 	nx.store.ScanHierarchy(nx.sp.Path.Class(nx.sp.A), func(start *oodb.Object) bool {
 		before := nx.reachedValues(start, 0)
 		after := nx.reachedValues(start, obj.OID)
-		for k := range before {
-			if !after[k] {
-				nx.tree.Update([]byte(k), func(old []byte) []byte {
-					return removeOID(old, start.OID)
-				})
-			}
+		for _, k := range sortedKeys(before, after) {
+			nx.tree.Update([]byte(k), func(old []byte) []byte {
+				return removeOID(old, start.OID)
+			})
 		}
 		return true
 	})

@@ -5,7 +5,7 @@
 // waiting puts many requests in flight on the one connection, and the
 // background reader matches responses to calls by request id in
 // whatever order the server finishes them — the server coalesces
-// concurrently in-flight requests into its batch kernels, so a deep
+// concurrently in-flight requests into one dispatch window, so a deep
 // pipeline is what feeds the group-commit window. The synchronous forms
 // (Query, Insert, ...) are one-request-per-round-trip conveniences built
 // on the same machinery.
@@ -341,8 +341,8 @@ func (c *Client) PredicateValues(pred *wire.PredNode, attr, targetClass string, 
 
 // QueryBatch evaluates a batch of point probes by pipelining them: every
 // probe goes in flight before the first response is awaited, one flush
-// for the window, so the server's dispatcher can coalesce the whole
-// batch into one QueryBatch descent. Results are in probe order; the
+// for the window, so the server's dispatcher can answer the whole batch
+// in one window and one bundled write. Results are in probe order; the
 // first error in probe order wins.
 func (c *Client) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
 	calls := make([]*Call, len(probes))

@@ -1,6 +1,8 @@
 // Package netserver is the serving tier: a TCP server that puts the
-// engine's allocation-free batch kernels behind the internal/wire
-// protocol without giving up their performance. Its core mechanism is
+// engine's allocation-free read path and batch write path behind the
+// internal/wire protocol without giving up their performance. It is also
+// the lowest layer that owns read concurrency — the dispatchers are the
+// goroutines; nothing they call spawns more. Its core mechanism is
 // adaptive request coalescing, a group-commit for serving: the first
 // request to reach the idle dispatcher opens a batching window, and
 // every request that arrives while that window's batch executes rides
@@ -9,11 +11,13 @@
 // pinned to one dispatcher (affinity keeps the queues contention-free
 // and a connection's requests in order); an idle dispatcher drains
 // whatever has accumulated in its queue (up to MaxBatch), carves the
-// run into maximal same-opcode segments, and serves point-query
-// segments with one QueryBatch descent and update segments with one
-// UpdateBatch — so concurrently-arriving requests amortize index
-// descents, and on a durable backend writes amortize WAL fsyncs,
-// exactly as embedded batch callers do. The window needs no timer: its
+// run into maximal same-opcode segments, and serves update segments with
+// one UpdateBatch and predicate segments with one planner descent per
+// distinct tree — so on a durable backend concurrently-arriving writes
+// amortize WAL fsyncs, exactly as embedded batch callers do. Point
+// queries are served one by one: a probe is a microsecond of work and a
+// batch kernel around it measured no faster (DESIGN.md §10.2); what the
+// window buys them is the bundled write. The window needs no timer: its
 // width is the previous batch's execution time, so it self-adjusts —
 // near-zero added latency when idle, maximal batches under load. A
 // batch's responses are bundled per connection into one framed write,
@@ -29,10 +33,9 @@
 // answers that request with StatusErr and the engine's message; the
 // connection lives on. A broken frame (torn or corrupt — the WAL
 // posture) poisons the byte stream and closes the connection. One
-// request's engine error never fails another's: the batched query path
-// falls back to per-request serving when a batch carries a poisoned
-// probe, because the batch kernel reports one error for the whole
-// descent. A stalled client — socket open, but not reading — is
+// request's engine error never fails another's: every point query is
+// evaluated, and recorded, exactly once, and UpdateBatch reports its
+// errors per update. A stalled client — socket open, but not reading — is
 // isolated the same way: a full response queue or a timed-out write
 // (Options.WriteTimeout) declares the connection dead and closes it,
 // and the dispatcher drops its responses rather than ever blocking on
@@ -75,7 +78,6 @@ import (
 type Backend interface {
 	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
-	QueryBatch(probes []exec.Probe) ([][]oodb.OID, error)
 	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
 	Update(oid oodb.OID, attrs map[string][]oodb.Value) error
 	UpdateBatch(ups []exec.Update) []error
@@ -562,18 +564,17 @@ func (s *Server) release(t *task) {
 
 // dispatcher is one serving goroutine: its own request queue (the
 // connections pinned to it feed it), and its own scratch — the batch
-// under assembly, probe and update slices for the kernels, the response
+// under assembly, the update slice for the batch write, the response
 // payload buffer, and the per-connection response bundles of the
 // current batch. Scratch is reused across batches without locking, so
 // the steady-state serve path allocates nothing per batch.
 type dispatcher struct {
-	srv    *Server
-	tasks  chan *task
-	batch  []*task
-	probes []exec.Probe
-	ups    []exec.Update
-	rbuf   []byte      // response payload scratch
-	oid1   [1]oodb.OID // single-OID reply scratch
+	srv   *Server
+	tasks chan *task
+	batch []*task
+	ups   []exec.Update
+	rbuf  []byte      // response payload scratch
+	oid1  [1]oodb.OID // single-OID reply scratch
 
 	// Predicate dispatch: each dispatcher owns a private planner over
 	// the registered paths, rebuilt lazily when the path table's
@@ -643,10 +644,10 @@ func (d *dispatcher) run() {
 }
 
 // serveBatch answers one coalesced window. The batch is carved into
-// maximal same-opcode segments served in arrival order: point-query
-// segments collapse into one QueryBatch descent, update segments into
-// one UpdateBatch (one WAL fsync decision on a durable backend), and
-// everything else is served per request.
+// maximal same-opcode segments served in arrival order: update segments
+// collapse into one UpdateBatch (one WAL fsync decision on a durable
+// backend), predicate segments into one descent per distinct tree, and
+// everything else — point queries included — is served per request.
 func (d *dispatcher) serveBatch(batch []*task) {
 	s := d.srv
 	s.nBatches.Add(1)
@@ -660,8 +661,6 @@ func (d *dispatcher) serveBatch(batch []*task) {
 			j++
 		}
 		switch batch[i].req.Op {
-		case wire.OpQuery:
-			d.serveQueries(batch[i:j])
 		case wire.OpUpdate:
 			d.serveUpdates(batch[i:j])
 		case wire.OpPredicate, wire.OpPredicateValues:
@@ -694,36 +693,6 @@ func (d *dispatcher) flushBundles() {
 	d.bundles = d.bundles[:0]
 }
 
-// serveQueries answers a segment of point queries with one batch
-// descent. The batch kernel reports a single error for the whole
-// descent, so when any probe is poisoned (say, an unknown class) the
-// segment falls back to per-request serving — one request's error must
-// never fail another connection's query.
-func (d *dispatcher) serveQueries(run []*task) {
-	if len(run) == 1 {
-		d.serveOne(run[0])
-		return
-	}
-	d.probes = d.probes[:0]
-	for _, t := range run {
-		d.probes = append(d.probes, exec.Probe{
-			Value:       t.req.Value,
-			TargetClass: t.class,
-			Hierarchy:   t.req.Hierarchy,
-		})
-	}
-	res, err := d.srv.be.QueryBatch(d.probes)
-	if err != nil {
-		for _, t := range run {
-			d.serveOne(t)
-		}
-		return
-	}
-	for i, t := range run {
-		d.reply(t, res[i], nil)
-	}
-}
-
 // serveUpdates answers a segment of updates with one batch write — the
 // group commit: on a durable backend the whole segment is one fsync
 // decision, amortized across every connection that contributed.
@@ -746,9 +715,8 @@ func (d *dispatcher) serveUpdates(run []*task) {
 // dispatcher's planner. Coalescing here is deduplication: requests in
 // the window carrying the same canonical predicate bytes, target and
 // projection share one planner descent — concurrent clients asking the
-// same question pay for one answer, the predicate analog of the
-// QueryBatch collapse. The planner itself is rebuilt lazily when the
-// path registration table's generation moves.
+// same question pay for one answer. The planner itself is rebuilt lazily
+// when the path registration table's generation moves.
 func (d *dispatcher) servePredicates(run []*task) {
 	s := d.srv
 	s.nPredRequests.Add(uint64(len(run)))
@@ -805,8 +773,7 @@ func (d *dispatcher) servePredicates(run []*task) {
 // a single planner descent. A failure — unresolvable path id, planner
 // rejection, execution error — answers only this group's requests with
 // the error; a poisoned plan never fails the other predicates sharing
-// the window, the same isolation the batched query path gives a
-// poisoned probe.
+// the window.
 func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 	d.srv.nPredDescents.Add(1)
 	t0 := run[0]

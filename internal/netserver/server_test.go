@@ -242,6 +242,46 @@ func TestServerErrorIsolation(t *testing.T) {
 	if !errors.As(errBad, &remote) || wantErr == nil || remote.Msg != wantErr.Error() {
 		t.Fatalf("bad: got %v, want remote %q", errBad, wantErr)
 	}
+
+	// The same three requests as one coalesced window, handed to a
+	// dispatcher directly so they provably share it: one bundled write
+	// carrying the three answers in order, and every valid request
+	// evaluated — and so recorded by the engine — exactly once.
+	s := New(e, Options{Path: g.Path})
+	d := newDispatcher(s)
+	cn := &conn{srv: s, out: make(chan *[]byte, 1)}
+	cn.pending.Store(1 << 30) // never reaches zero; out stays open
+	window := make([]*task, 3)
+	for i, class := range []string{"Person", "NoSuchClass", "Division"} {
+		window[i] = &task{conn: cn, class: class, req: wire.Request{ID: uint64(i + 1), Op: wire.OpQuery, Value: v}}
+	}
+	before := e.WorkloadSnapshot().Total
+	d.serveBatch(window)
+	if got := e.WorkloadSnapshot().Total - before; got != 2 {
+		t.Fatalf("a window of two valid queries and a poisoned one recorded %d queries, want 2", got)
+	}
+	rest := *<-cn.out
+	for i, want := range [][]oodb.OID{want1, nil, want2} {
+		var payload []byte
+		var resp wire.Response
+		var err error
+		if payload, rest, err = wire.DecodeFrame(rest); err == nil {
+			err = wire.DecodeResponse(payload, &resp)
+		}
+		if err != nil || resp.ID != uint64(i+1) {
+			t.Fatalf("bundled response %d: id %d, %v", i, resp.ID, err)
+		}
+		if i == 1 {
+			if resp.Status != wire.StatusErr || string(resp.Err) != wantErr.Error() {
+				t.Fatalf("poisoned request answered status %d %q, want error %q", resp.Status, resp.Err, wantErr)
+			}
+		} else if resp.Status != wire.StatusOK || !sameOIDs(resp.OIDs, want) {
+			t.Fatalf("bundled response %d: status %d %v, want %v", i, resp.Status, resp.OIDs, want)
+		}
+	}
+	if len(rest) != 0 || len(cn.out) != 0 {
+		t.Fatalf("window answered in more than one bundled write: %d trailing bytes, %d queued bundles", len(rest), len(cn.out))
+	}
 }
 
 // TestServerRejectsGarbage sends a corrupt frame: the connection must

@@ -604,8 +604,11 @@ func (st *Store) ScanHierarchy(root string, fn func(*Object) bool) {
 	}
 }
 
-// OIDsOfClass returns the OIDs of the class's objects (no page accesses;
-// catalog information).
+// OIDsOfClass returns the OIDs of the class's objects in ascending order
+// (no page accesses; catalog information). The order is the contract: a
+// page lists its objects in map order, and a caller that builds from this
+// list — a bulk load, a differential sweep — must see the same sequence on
+// every run.
 func (st *Store) OIDsOfClass(class string) []OID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -615,6 +618,7 @@ func (st *Store) OIDsOfClass(class string) []OID {
 			out = append(out, oid)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

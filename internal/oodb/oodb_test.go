@@ -2,6 +2,8 @@ package oodb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -277,6 +279,17 @@ func TestOIDsOfClassAndPeek(t *testing.T) {
 	}
 	if !seen[a] || !seen[b] {
 		t.Errorf("OIDs missing: %v", oids)
+	}
+	// Ascending, whatever order the pages' maps iterate in: enough objects
+	// to span several pages and make an accidental order implausible.
+	for i := 0; i < 200; i++ {
+		if _, err := st.Insert("Division", map[string][]Value{"name": {StrV(fmt.Sprint(i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oids = st.OIDsOfClass("Division")
+	if len(oids) != 202 || !slices.IsSorted(oids) {
+		t.Fatalf("OIDsOfClass returned %d OIDs, sorted=%v; want 202 ascending", len(oids), slices.IsSorted(oids))
 	}
 	st.Pager().ResetStats()
 	if _, ok := st.Peek(a); !ok {

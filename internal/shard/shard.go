@@ -40,20 +40,22 @@
 // optima — diverge. WorkloadSnapshot rolls the per-shard recorders up
 // into the fleet-wide view; Drift aggregates the per-shard drifts.
 //
-// Concurrency. The facade adds no locking of its own: queries fan out
-// with one goroutine per shard (the first shard's probe runs on the
-// calling goroutine, and a one-shard database never spawns), each shard
-// answering under its engine's usual atomic-snapshot discipline, with
-// the shard-local worker pools of QueryBatch/UpdateBatch intact. Writes
-// partition across the per-shard write locks, so N shards admit N
-// concurrent writers where the single engine serializes on one — on
-// multi-core hosts this is the scaling axis experiment E4 measures.
+// Concurrency. The facade adds no locking of its own, and the read path
+// spawns nothing: a value query walks the shards its summaries admit in
+// shard order on the calling goroutine, each shard answering under its
+// engine's usual atomic-snapshot discipline, so read concurrency is
+// exactly the caller's (dispatchers, embedded workers). Measured on the
+// hosts we have, a goroutine per shard never paid for a probe of a few
+// microseconds (DESIGN.md §7.5). Writes partition across the per-shard
+// write locks, so N shards admit N concurrent writers where the single
+// engine serializes on one, and UpdateBatch runs its per-shard sub-batches
+// concurrently because their commits — fsyncs, on a durable database —
+// overlap.
 package shard
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -318,32 +320,27 @@ func (db *DB) Delete(oid oodb.OID) error {
 }
 
 // UpdateBatch applies a batch of in-place updates, split by OID residue
-// into per-shard sub-batches that run concurrently — each under its
-// shard's own write lock and worker pool, so the batch's writes genuinely
-// partition instead of serializing on one lock. Within a shard the
+// into per-shard sub-batches that run concurrently — each one lock hold and
+// one commit on its own shard, so the batch's writes genuinely partition
+// and, on a durable database, its fsyncs overlap. Within a shard the
 // sub-batch keeps its original order (same-OID updates stay ordered,
 // the UpdateBatch invariant). The result has one entry per update in
 // batch order, nil on success; a failed update never stops the rest.
 func (db *DB) UpdateBatch(ups []exec.Update) []error {
-	n := len(db.shards)
-	if n == 1 {
-		errs := db.shards[0].UpdateBatch(ups)
-		for i, u := range ups {
-			if errs[i] == nil {
-				db.noteUpdate(0, u.OID, u.Attrs)
-			}
-		}
-		return errs
-	}
-	parts, pos := exec.SplitUpdates(ups, n, db.ShardOf)
-	perShard := make([][]error, n)
-	var busy []int
+	parts, pos := exec.SplitUpdates(ups, len(db.shards), db.ShardOf)
+	perShard := make([][]error, len(parts))
+	var wg sync.WaitGroup
 	for s := range parts {
-		if len(parts[s]) > 0 {
-			busy = append(busy, s)
+		if len(parts[s]) == 0 {
+			continue
 		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			perShard[s] = db.shards[s].UpdateBatch(parts[s])
+		}(s)
 	}
-	db.forShards(busy, func(s int) { perShard[s] = db.shards[s].UpdateBatch(parts[s]) })
+	wg.Wait()
 	errs := make([]error, len(ups))
 	exec.ScatterErrors(errs, pos, perShard)
 	for i, u := range ups {
@@ -354,66 +351,37 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 	return errs
 }
 
-// forShards runs f once for every listed shard and returns when all have
-// finished: the first on the calling goroutine, the rest on goroutines of
-// their own — but only when there is more than one processor. On a single
-// processor the spawned shards would run sequentially anyway, so the
-// facade saves the scheduling churn and walks the list in order on the
-// calling goroutine; the results are identical either way.
-func (db *DB) forShards(idx []int, f func(s int)) {
-	if len(idx) < 2 || runtime.GOMAXPROCS(0) < 2 {
-		for _, s := range idx {
-			f(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, s := range idx[1:] {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			f(s)
-		}(s)
-	}
-	f(idx[0])
-	wg.Wait()
-}
-
-// fanOut runs f against every shard whose summary admits the probe —
-// keep(s) false means shard s provably cannot match and is skipped
-// without a descent — through forShards. The per-shard OID sets,
-// disjoint sorted runs, merge into one sorted result. The first error in
-// shard order wins, deterministically. keep == nil keeps every shard.
+// fanOut runs f against every shard whose summary admits the probe, in
+// shard order on the calling goroutine — keep(s) false means shard s
+// provably cannot match and is skipped without a descent; keep == nil
+// keeps every shard. The first failing shard ends the walk with its error.
+// The per-shard OID sets, disjoint sorted runs, merge into one sorted
+// result, nil when empty.
 func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID, error)) ([]oodb.OID, error) {
-	live := make([]int, 0, len(db.shards))
-	for s := range db.shards {
+	runs := make([][]oodb.OID, 0, len(db.shards))
+	total := 0
+	for s, e := range db.shards {
 		if keep != nil && !keep(s) {
 			db.pruned.Add(1)
 			continue
 		}
-		live = append(live, s)
-	}
-	db.probed.Add(uint64(len(live)))
-	if len(live) == 0 {
-		return nil, nil
-	}
-	if len(live) == 1 {
-		return f(db.shards[live[0]])
-	}
-	// Indexed by shard; a pruned shard's nil slot merges as an empty run.
-	results := make([][]oodb.OID, len(db.shards))
-	errs := make([]error, len(db.shards))
-	db.forShards(live, func(s int) { results[s], errs[s] = f(db.shards[s]) })
-	for _, err := range errs {
+		db.probed.Add(1)
+		r, err := f(e)
 		if err != nil {
 			return nil, err
 		}
+		if len(r) > 0 {
+			runs = append(runs, r)
+			total += len(r)
+		}
 	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
+	switch len(runs) {
+	case 0:
+		return nil, nil
+	case 1:
+		return runs[0], nil
 	}
-	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), results...), nil
+	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
 }
 
 // keepEq returns the pruning filter for an equality probe, nil when
@@ -457,77 +425,22 @@ func (db *DB) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) 
 	})
 }
 
-// QueryBatch evaluates a batch of point probes: every shard answers the
-// probes its summary admits (the whole batch with pruning disabled)
-// against one snapshot of its own active configuration —
-// shard-local worker pools intact, one fan-out per batch rather than
-// per probe — and the per-shard answers merge per probe. Results are in
-// probe order, each sorted and duplicate-free, bit-identical to the
-// batch against a single engine. A reconfiguration on any shard
-// concurrent with the batch swaps that shard's set but never blocks the
-// batch.
+// QueryBatch evaluates a batch of point probes in order: a loop over
+// Query, so each probe descends only into the shards its summary admits
+// and counts its probed and pruned descents exactly as Query does. Results
+// are in probe order, each sorted and duplicate-free, bit-identical to the
+// batch against a single engine; the first bad probe ends the batch with
+// its error. A reconfiguration on any shard concurrent with the batch
+// swaps that shard's set but never blocks the batch.
 func (db *DB) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
-	n := len(db.shards)
-	if n == 1 {
-		db.probed.Add(uint64(len(probes)))
-		return db.shards[0].QueryBatch(probes)
-	}
-	// Per-shard sub-batches: a shard only sees the probes its summary
-	// admits; pruned (shard, probe) pairs keep a nil slot, which merges
-	// as an empty run.
-	sub := make([][]exec.Probe, n)
-	idx := make([][]int, n)
-	for s := 0; s < n; s++ {
-		if db.pruneOff {
-			sub[s] = probes
-			continue
-		}
-		for pi := range probes {
-			if db.sums.per[s].MayMatchEq(probes[pi].Value) {
-				sub[s] = append(sub[s], probes[pi])
-				idx[s] = append(idx[s], pi)
-			} else {
-				db.pruned.Add(1)
-			}
-		}
-	}
-	byShard := make([][][]oodb.OID, n)
-	errs := make([]error, n)
-	var busy []int
-	for s := range sub {
-		if len(sub[s]) > 0 {
-			busy = append(busy, s)
-		}
-	}
-	db.forShards(busy, func(s int) {
-		db.probed.Add(uint64(len(sub[s])))
-		res, err := db.shards[s].QueryBatch(sub[s])
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		if db.pruneOff {
-			byShard[s] = res
-			return
-		}
-		// Scatter the compacted sub-batch answers back to probe order.
-		full := make([][]oodb.OID, len(probes))
-		for i, pi := range idx[s] {
-			full[pi] = res[i]
-		}
-		byShard[s] = full
-	})
-	for _, err := range errs {
-		if err != nil {
+	out := make([][]oodb.OID, len(probes))
+	for i, pb := range probes {
+		var err error
+		if out[i], err = db.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
 			return nil, err
 		}
 	}
-	for s := range byShard {
-		if byShard[s] == nil {
-			byShard[s] = make([][]oodb.OID, len(probes))
-		}
-	}
-	return exec.MergeProbeResults(byShard), nil
+	return out, nil
 }
 
 // Advise runs one re-selection pass per shard — each over its own
