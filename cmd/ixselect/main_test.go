@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// TestExamplePipedThroughJSON is `ixselect -example | ixselect -json`: the
+// template spec must select Example 5.1's configuration,
+// {(Person.owns.man, NIX), (Company.divs.name, MX)}.
+func TestExamplePipedThroughJSON(t *testing.T) {
+	var spec, out bytes.Buffer
+	if err := run([]string{"-example"}, strings.NewReader(""), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-json"}, &spec, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Cost        float64
+		Assignments []struct {
+			From, To              int
+			Organization, Subpath string
+		}
+	}
+	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
+	}
+	type assignment struct {
+		from, to     int
+		org, subpath string
+	}
+	want := []assignment{{1, 2, "NIX", "Person.owns.man"}, {3, 4, "MX", "Company.divs.name"}}
+	if len(got.Assignments) != len(want) {
+		t.Fatalf("got %d assignments, want %d:\n%s", len(got.Assignments), len(want), out.String())
+	}
+	for i, a := range got.Assignments {
+		if g := (assignment{a.From, a.To, a.Organization, a.Subpath}); g != want[i] {
+			t.Errorf("assignment %d = %+v, want %+v", i, g, want[i])
+		}
+	}
+	if got.Cost < 24.8 || got.Cost > 24.9 {
+		t.Errorf("cost = %v, want Example 5.1's 24.83", got.Cost)
+	}
+}
+
+// TestMalformedSpecIsAnError feeds specs that must be refused: run returns
+// the error main prints before exiting 1, and writes nothing to stdout.
+func TestMalformedSpecIsAnError(t *testing.T) {
+	for name, in := range map[string]string{
+		"empty":        "",
+		"truncated":    `{"bad`,
+		"not a spec":   `[1, 2, 3]`,
+		"empty object": `{}`,
+	} {
+		var out bytes.Buffer
+		err := run(nil, strings.NewReader(in), &out)
+		if err == nil {
+			t.Errorf("%s: accepted, printed:\n%s", name, out.String())
+			continue
+		}
+		if err.Error() == "" || out.Len() != 0 {
+			t.Errorf("%s: error %q, stdout %q", name, err, out.String())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -199,12 +200,14 @@ func (s *IndexSet) LevelOf(class string) (int, error) {
 }
 
 // queryScratch bundles the per-worker buffers of one query evaluation:
-// the index kernels' transient buffers plus two ping-pong buffers for the
-// cross-subpath OID chain. Scratches are pooled, so a steady-state point
+// the index kernels' transient buffers, two ping-pong buffers for the
+// cross-subpath OID chain and the buffer a query without a caller's dst
+// collects its result in. Scratches are pooled, so a steady-state point
 // query performs no heap allocation.
 type queryScratch struct {
 	ix   *index.Scratch
 	a, b []oodb.OID
+	res  []oodb.OID
 }
 
 var scratchPool = sync.Pool{New: func() any { return &queryScratch{ix: index.NewScratch()} }}
@@ -230,12 +233,17 @@ func (s *IndexSet) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy b
 	return s.query(firstHop{lo: lo, hi: hi, ranged: true}, targetClass, hierarchy)
 }
 
+// query returns a fresh result: collected in the scratch, where growing
+// it costs nothing once the pool is warm, and copied out at its size.
 func (s *IndexSet) query(first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	out, err := s.queryInto(nil, first, targetClass, hierarchy)
+	qs := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(qs)
+	out, err := s.queryInto(qs, qs.res[:0], first, targetClass, hierarchy)
+	qs.res = out[:0]
 	if err != nil || len(out) == 0 {
 		return nil, err
 	}
-	return out, nil
+	return slices.Clone(out), nil
 }
 
 // QueryInto is Query appending the result to dst — the allocation-free
@@ -243,7 +251,9 @@ func (s *IndexSet) query(first firstHop, targetClass string, hierarchy bool) ([]
 // contents before len(dst) are untouched (and returned unchanged on
 // error). The caller must hold RLock.
 func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return s.queryInto(dst, firstHop{lo: value}, targetClass, hierarchy)
+	qs := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(qs)
+	return s.queryInto(qs, dst, firstHop{lo: value}, targetClass, hierarchy)
 }
 
 // queryInto is Proposition 4.1 made operational, for every query the set
@@ -251,7 +261,7 @@ func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass strin
 // subpath, back to the one owning targetClass's level, is probed with the
 // sorted, deduplicated OIDs its successor produced, asked for its starting
 // class hierarchy — the objects the successor's OIDs are ending values of.
-func (s *IndexSet) queryInto(dst []oodb.OID, first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
 		return dst, err
@@ -262,20 +272,19 @@ func (s *IndexSet) queryInto(dst []oodb.OID, first firstHop, targetClass string,
 	gi := s.levelOwner[level-1]
 	last := len(s.indexes) - 1
 	base := len(dst)
-	qs := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(qs)
 	curBuf, nextBuf := qs.a, qs.b
 	defer func() { qs.a, qs.b = curBuf, nextBuf }()
 	var cur []oodb.OID
 	for i := last; ; i-- {
 		ix := s.indexes[i]
 		tc, hier := targetClass, hierarchy
-		out := dst
+		out, from := dst, base
 		if i != gi {
 			a, _ := ix.Bounds()
 			tc, hier = s.path.Class(a), true
-			out = nextBuf[:0]
+			out, from = nextBuf[:0], 0
 		}
+		normal := false // out[from:] is already sorted and duplicate-free
 		switch {
 		case i < last:
 			for _, k := range cur {
@@ -286,21 +295,23 @@ func (s *IndexSet) queryInto(dst []oodb.OID, first firstHop, targetClass string,
 		case first.ranged:
 			var got []oodb.OID
 			got, err = ix.LookupRange(first.lo, first.hi, tc, hier)
-			out = append(out, got...)
+			out, normal = append(out, got...), true
 		default:
 			out, err = ix.LookupInto(first.lo, tc, hier, out, qs.ix)
 		}
 		if err != nil {
 			return dst[:base], err
 		}
-		if i == gi {
-			region := oodb.SortUnique(out[base:])
-			return out[:base+len(region)], nil
+		if !normal {
+			out = out[:from+len(oodb.SortUnique(out[from:]))]
 		}
-		cur = oodb.SortUnique(out)
-		if len(cur) == 0 {
+		if i == gi {
+			return out, nil
+		}
+		if len(out) == 0 {
 			return dst, nil
 		}
+		cur = out
 		curBuf, nextBuf = cur, curBuf
 	}
 }

@@ -138,21 +138,6 @@ func TestMergeKSortedOIDsRandomized(t *testing.T) {
 	}
 }
 
-func TestSortUniqueEdgeCases(t *testing.T) {
-	if got := oodb.SortUnique(nil); got != nil {
-		t.Errorf("SortUnique(nil) = %v", got)
-	}
-	if got := oodb.SortUnique(oids(9)); !reflect.DeepEqual(got, oids(9)) {
-		t.Errorf("SortUnique single = %v", got)
-	}
-	if got := oodb.SortUnique(oids(4, 4, 4, 4)); !reflect.DeepEqual(got, oids(4)) {
-		t.Errorf("SortUnique all-dup = %v", got)
-	}
-	if got := oodb.SortUnique(oids(3, 1, 2, 3, 1)); !reflect.DeepEqual(got, oids(1, 2, 3)) {
-		t.Errorf("SortUnique mixed = %v", got)
-	}
-}
-
 // TestIntersectAllocs is the zero-alloc guard on the steady-state
 // intersect path: with dst capacity in place, the galloping kernel must
 // not allocate. Runs under the CI alloc-guard step (-run 'Alloc').

@@ -209,10 +209,19 @@ func appendOIDSet(dst []oodb.OID, b []byte) ([]oodb.OID, error) {
 	if len(b) < 4+8*n {
 		return dst, fmt.Errorf("index: OID set of %d entries in %d bytes", n, len(b))
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, oodb.OID(binary.BigEndian.Uint64(b[4+8*i:])))
+	return appendOIDs(dst, b[4:], n, 8), nil
+}
+
+// appendOIDs appends the n big-endian OIDs found every stride bytes of b —
+// the decode loop under every lookup, so dst grows once and the stores are
+// indexed. b must hold them: len(b) >= (n-1)*stride + 8.
+func appendOIDs(dst []oodb.OID, b []byte, n, stride int) []oodb.OID {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for i := range out {
+		out[i] = oodb.OID(binary.BigEndian.Uint64(b[i*stride:]))
 	}
-	return dst, nil
+	return dst[:len(dst)+n]
 }
 
 func decodeOIDSet(b []byte) ([]oodb.OID, error) {
@@ -318,7 +327,8 @@ func (sp *Subpath) classesAt(l int) []string { return sp.levels[l-sp.A] }
 
 // Scratch holds the reusable buffers a lookup kernel threads through the
 // stack: an encoded-key buffer, a record-value buffer, a section-header
-// buffer and two OID ping-pong buffers for intra-subpath probe chains.
+// buffer, two OID ping-pong buffers for intra-subpath probe chains and the
+// buffer LookupRange collects its result in.
 // A Scratch is owned by one goroutine at a time; the executor pools them
 // per worker, so a steady-state point query performs no heap allocation.
 // The zero value is ready to use (buffers grow on first use and are then
@@ -328,6 +338,7 @@ type Scratch struct {
 	val  []byte     // record value read from the tree
 	head []byte     // NIX class-directory header
 	a, b []oodb.OID // ping-pong hop buffers for chained probes
+	out  []oodb.OID // LookupRange's result before it is copied out
 }
 
 // NewScratch returns an empty scratch; buffers are sized by first use.

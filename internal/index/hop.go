@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/oodb"
@@ -53,17 +55,26 @@ func (h firstHop) records(t *btree.Tree, sc *Scratch, fn func(val []byte) error)
 	return err
 }
 
+// rangeScratches serves LookupRange, whose signature carries no scratch.
+var rangeScratches = sync.Pool{New: func() any { return NewScratch() }}
+
 // lookupRange is every organization's LookupRange: the kernel entered
-// through a scan hop, the result sorted and deduplicated.
+// through a scan hop whose bounds are encoded into sc.key (like a point
+// hop's key, the kernel may overwrite them once the scan is done), the
+// result normalised where it was collected and copied out at its size.
 func lookupRange(k kernel, lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	if lo.Kind != hi.Kind {
 		return nil, fmt.Errorf("index: range bounds of different kinds")
 	}
-	sc := NewScratch()
-	hop := firstHop{lo: EncodeValue(lo), hi: EncodeValue(hi), scan: true}
-	out, err := k(hop, targetClass, hierarchy, nil, sc)
+	sc := rangeScratches.Get().(*Scratch)
+	defer rangeScratches.Put(sc)
+	sc.key = AppendValue(sc.key[:0], lo)
+	n := len(sc.key)
+	sc.key = AppendValue(sc.key, hi)
+	out, err := k(firstHop{lo: sc.key[:n], hi: sc.key[n:], scan: true}, targetClass, hierarchy, sc.out[:0], sc)
+	sc.out = out[:0]
 	if err != nil {
 		return nil, err
 	}
-	return oodb.SortUnique(out), nil
+	return slices.Clone(oodb.SortUnique(out)), nil
 }

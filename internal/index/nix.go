@@ -169,9 +169,7 @@ func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string,
 		if !ok || len(sec) < cnt*nixEntryLen {
 			return dst, fmt.Errorf("index: NIX section %d out of bounds", pos)
 		}
-		for ; cnt > 0; cnt, sec = cnt-1, sec[nixEntryLen:] {
-			dst = append(dst, oodb.OID(binary.BigEndian.Uint64(sec)))
-		}
+		dst = appendOIDs(dst, sec, cnt, nixEntryLen)
 	}
 	return dst, nil
 }

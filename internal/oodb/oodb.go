@@ -25,25 +25,6 @@ var ErrNotFound = errors.New("object not found")
 // OID identifies an object; zero is never valid.
 type OID uint64
 
-// SortUnique sorts oids in place and removes duplicates, returning the
-// deduplicated prefix (nil when empty). It is the one OID set
-// normalization shared by the executor and every index organization:
-// closure-free (no sort.Slice allocation) and allocation-free, so it can
-// sit on the serving hot path.
-func SortUnique(oids []OID) []OID {
-	if len(oids) == 0 {
-		return nil
-	}
-	slices.Sort(oids)
-	out := oids[:1]
-	for _, o := range oids[1:] {
-		if o != out[len(out)-1] {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // ValueKind discriminates attribute values.
 type ValueKind int
 
