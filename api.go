@@ -78,9 +78,9 @@ const (
 	// PathIndexOrg is the path index of [6] (Section 6 incorporation),
 	// with both an analytic cost model and a working implementation.
 	PathIndexOrg = cost.PX
-	// NestedIndexOrg is the nested index of [1] (Section 6 incorporation),
-	// with an analytic cost model and a working structure that answers
-	// starting-class queries only.
+	// NestedIndexOrg is the nested index of [1] (Section 6 incorporation):
+	// a priced cost column only, as the paper describes it — selection runs
+	// over it, no working structure is built and Open rejects it.
 	NestedIndexOrg = cost.NX
 )
 
@@ -423,29 +423,11 @@ func NaiveQuery(st *Store, p *Path, value Value, targetClass string, hierarchy b
 // sharing a structurally identical indexed subpath share one structure.
 type MultiPlan = core.MultiPlan
 
-// SelectBatch runs the full selection for many paths concurrently — one
-// worker per CPU — reusing pooled cost-matrix buffers across paths, and
-// returns one Result per path (in input order). Use it when only the
-// optimal configurations are needed; Select additionally returns the
-// matrix for inspection.
-func SelectBatch(pss []*PathStats, orgs []Organization) ([]Result, error) {
-	return core.SelectBatch(pss, orgs)
-}
-
-// SelectBatchWeighted is SelectBatch with every path's load triplets
-// re-derived from a recorded workload snapshot (engine.WorkloadSnapshot,
-// shard.DB.WorkloadSnapshot) before selection — observed class
-// frequencies, range probes priced as ranges, residual predicate leaves
-// as query load. A zero-valued snapshot selects on the caller's
-// statistics unchanged, bit for bit.
-func SelectBatchWeighted(pss []*PathStats, orgs []Organization, w Workload) ([]Result, error) {
-	return core.SelectBatchWeighted(pss, orgs, w)
-}
-
 // SelectMulti selects configurations for several paths and merges
 // structurally identical indexed subpaths. Paths must share a schema.
-// The per-path selections run concurrently; the merge is deterministic in
-// input order.
+// The per-path selections run one after another on the calling goroutine
+// (concurrency over many paths is the caller's); the merge is deterministic
+// in input order.
 func SelectMulti(pss []*PathStats, orgs []Organization) (MultiPlan, error) {
 	return core.SelectMulti(pss, orgs)
 }

@@ -38,8 +38,8 @@ func TestSelectReturnsErrorsForBadInput(t *testing.T) {
 	if _, _, err := Select(nil, nil); err == nil {
 		t.Error("Select accepted nil statistics")
 	}
-	if _, err := SelectBatch([]*PathStats{nil}, nil); err == nil {
-		t.Error("SelectBatch accepted a nil path")
+	if _, err := SelectMulti([]*PathStats{nil}, nil); err == nil {
+		t.Error("SelectMulti accepted a nil path")
 	}
 	if _, _, err := Select(Figure7Stats(), []Organization{-1}); err == nil {
 		t.Error("Select accepted organization -1")

@@ -43,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"os/signal"
@@ -149,16 +148,23 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 		}
 	default:
 		if shards > 1 {
-			p = schema.PaperPathOwnsManDivsName()
-			db, err := shard.New(p.Schema(), p, cfg(p), pageSize, shards,
-				shard.Options{Engine: eopts})
+			// The fan-in of a generated single-store graph cannot be
+			// partitioned (references must stay shard-local), so each
+			// shard's store receives its own self-contained cohort of the
+			// Figure 7 shape, all drawing from one full-width value pool.
+			ps := model.Figure7Stats()
+			p = ps.Path
+			stores, err := shard.NewStores(p.Schema(), pageSize, shards)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			// The fan-in of a generated single-store graph cannot be
-			// partitioned (references must stay shard-local), so sharded
-			// in-memory serving populates per-shard trees directly.
-			if err := populateSharded(db, shards, scale, seed); err != nil {
+			for i, part := range stores {
+				if _, err := gen.GenerateShardIn(part, ps, scale/float64(shards), seed+int64(i), shards); err != nil {
+					return nil, nil, nil, err
+				}
+			}
+			db, err := shard.Open(stores, p, cfg(p), pageSize, shard.Options{Engine: eopts})
+			if err != nil {
 				return nil, nil, nil, err
 			}
 			be, classOf = db, shardClassOf(db)
@@ -270,65 +276,4 @@ func shardClassOf(db *shard.DB) func(oodb.OID) (string, bool) {
 		}
 		return o.Class, true
 	}
-}
-
-// populateSharded fills each shard with its own Figure-7-shaped tree —
-// divisions named over the same "val-%05d" value pool the generator
-// uses, companies over divisions, vehicles over companies, persons over
-// vehicles — scaled down from the paper's cardinalities. References are
-// intra-shard by construction, which is what the OID-partitioned facade
-// requires.
-func populateSharded(db *shard.DB, shards int, scale float64, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	count := func(n float64) int {
-		c := int(n * scale / float64(shards))
-		if c < 2 {
-			c = 2
-		}
-		return c
-	}
-	nDiv, nCo, nVeh, nPer := count(1000), count(1000), count(20000), count(200000)
-	distinct := count(1000) * shards
-	for s := 0; s < shards; s++ {
-		divs := make([]oodb.OID, nDiv)
-		for i := range divs {
-			v := oodb.StrV(fmt.Sprintf("val-%05d", rng.Intn(distinct)))
-			oid, err := db.InsertAt(s, "Division", map[string][]oodb.Value{"name": {v}})
-			if err != nil {
-				return err
-			}
-			divs[i] = oid
-		}
-		cos := make([]oodb.OID, nCo)
-		for i := range cos {
-			// Companies fan out to ~4 divisions, as in Figure 7.
-			refs := make([]oodb.Value, 0, 4)
-			for k := 0; k < 4; k++ {
-				refs = append(refs, oodb.RefV(divs[rng.Intn(nDiv)]))
-			}
-			oid, err := db.Insert("Company", map[string][]oodb.Value{"divs": refs})
-			if err != nil {
-				return err
-			}
-			cos[i] = oid
-		}
-		vehs := make([]oodb.OID, nVeh)
-		for i := range vehs {
-			oid, err := db.Insert("Vehicle", map[string][]oodb.Value{
-				"man": {oodb.RefV(cos[rng.Intn(nCo)])},
-			})
-			if err != nil {
-				return err
-			}
-			vehs[i] = oid
-		}
-		for i := 0; i < nPer; i++ {
-			if _, err := db.Insert("Person", map[string][]oodb.Value{
-				"owns": {oodb.RefV(vehs[rng.Intn(nVeh)])},
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

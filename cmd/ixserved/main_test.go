@@ -1,11 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/netclient"
 	"repro/internal/oodb"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -49,5 +53,71 @@ func TestExtraPathSeesWrites(t *testing.T) {
 				t.Fatalf("Person.age = %v on path 2: got %v, want %v", age, got, want)
 			}
 		})
+	}
+}
+
+// TestShardedInMemoryMatchesNaive serves the in-memory -shards 2 mode —
+// one generated cohort per shard store — and requires point queries and a
+// predicate tree over the wire to answer exactly what naive navigation over
+// the shard stores does.
+func TestShardedInMemoryMatchesNaive(t *testing.T) {
+	srv, be, addr, err := serve("127.0.0.1:0", "", 2, 42, 0.01, 0, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := be.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	db := be.(*shard.DB)
+	naive := func(class string, hier bool, values ...oodb.Value) []oodb.OID {
+		var out []oodb.OID
+		for i := 0; i < db.NumShards(); i++ {
+			for _, v := range values {
+				got, err := exec.NaiveQuery(db.Store(i), db.Path(), v, class, hier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, got...)
+			}
+		}
+		return oodb.SortUnique(out)
+	}
+	c, err := netclient.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var answered int
+	for i := 0; i < 10; i += 2 {
+		v, w := oodb.StrV(fmt.Sprintf("val-%05d", i)), oodb.StrV(fmt.Sprintf("val-%05d", i+1))
+		for _, tc := range []struct {
+			class string
+			hier  bool
+		}{{"Person", false}, {"Vehicle", true}, {"Division", false}} {
+			got, err := c.Query(v, tc.class, tc.hier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naive(tc.class, tc.hier, v); !slices.Equal(got, want) {
+				t.Fatalf("Query(%v, %s, %v) = %v, want %v", v, tc.class, tc.hier, got, want)
+			}
+			pred := wire.OrPred(wire.EqPred(1, v), wire.EqPred(1, w))
+			got, err = c.Predicate(&pred, tc.class, tc.hier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naive(tc.class, tc.hier, v, w); !slices.Equal(got, want) {
+				t.Fatalf("Predicate(%v or %v, %s, %v) = %v, want %v", v, w, tc.class, tc.hier, got, want)
+			}
+			answered += len(got)
+		}
+	}
+	if answered == 0 {
+		t.Fatal("every probe came back empty: the shards were not populated")
 	}
 }

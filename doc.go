@@ -20,9 +20,10 @@
 //   - the selection algorithm of Section 5 (cost matrix, per-subpath
 //     minima, branch-and-bound over the 2^(n-1) recombinations) plus
 //     exhaustive and dynamic-programming baselines;
-//   - working implementations of all five index organizations (SIX, IIX,
-//     MX, MIX, NIX with primary and auxiliary structures) over a paged
-//     object store and B+-tree, with page-access accounting;
+//   - working implementations of the paper's five index organizations
+//     (SIX, IIX, MX, MIX, NIX with primary and auxiliary structures) and
+//     of the path index PX over a paged object store and B+-tree, with
+//     page-access accounting; NX and NONE are cost columns only;
 //   - an executor that runs queries and updates through a configuration,
 //     and a synthetic database generator;
 //   - the paper's extensions (Section 6): a no-index option and greedy
@@ -62,15 +63,15 @@
 // time independent of the record count, and a per-path level table holds
 // everything that depends on the level alone, so that an MX or MIX cell is
 // a sum over table entries and only NIX, PX and NX cells evaluate cost
-// functions. Select, SelectBatch and SelectMulti serve the O(n^2) dynamic
+// functions. Select and SelectMulti serve the O(n^2) dynamic
 // program's optimum; OptIndCon on the returned matrix gives the paper's
 // branch-and-bound trace. On the reference 2-CPU container a Figure 7
 // matrix builds in about 21 µs and a selection over a path of length 12
 // with five organizations in about 350 µs.
 //
-// For many paths, SelectBatch selects concurrently (one worker per CPU)
-// and recycles matrix buffers through a sync.Pool; SelectMulti fans its
-// per-path selections out the same way. The storage pager behind the
+// SelectMulti selects several paths one after another on the calling
+// goroutine; concurrency over many paths is the caller's, around Select,
+// which shares nothing between calls. The storage pager behind the
 // working indexes uses an O(1) intrusive-list LRU and atomic statistics
 // counters, so concurrent readers do not serialize on bookkeeping. See
 // DESIGN.md for measured numbers.
@@ -135,8 +136,8 @@
 // NIX repairs the affected primary records with a numchild cascade in
 // both directions (cascadeRemove for keys left, cascadeAdd re-keying the
 // ancestor chain for keys gained, through the auxiliary index rather than
-// the database); PX and NX re-derive affected entries by navigation, the
-// trade-off their cost models charge for. An update that does not touch
+// the database); PX re-derives affected entries by navigation, the
+// trade-off its cost model charges for. An update that does not touch
 // the indexed path attribute costs zero index page accesses.
 // Database.UpdateBatch applies a batch in input order (the batch
 // serializes with configuration swaps, and commits, as a group), reporting
@@ -249,10 +250,10 @@
 //
 // The recorded workload feeds back into selection — the loop the
 // paper's design-time load triplets leave open. SelectMultiWeighted
-// and SelectBatchWeighted take a Workload snapshot and re-derive every
-// path's query/update frequencies from it before selecting: class
-// counters normalize over the fleet-wide evidence total (so paths keep
-// their relative traffic through the shared-subpath cost merge),
+// takes a Workload snapshot and re-derives every path's query/update
+// frequencies from it before selecting: class counters normalize over
+// the fleet-wide evidence total (so paths keep their relative traffic
+// through the shared-subpath cost merge),
 // recorded range probes move query mass to range pricing, and residual
 // predicate leaves — conjuncts served by store navigation for lack of
 // an index — enter as root-class query load, so a residual-heavy path

@@ -307,11 +307,8 @@ func TestSelectRejectsBadInput(t *testing.T) {
 	if _, _, err := Select(nil, nil); err == nil {
 		t.Error("Select accepted nil statistics")
 	}
-	if _, err := SelectBatch([]*model.PathStats{ps, nil}, nil); err == nil {
-		t.Error("SelectBatch accepted a nil path")
-	}
-	if _, _, errs := SelectEach([]*model.PathStats{nil, ps}, nil); errs[0] == nil || errs[1] != nil {
-		t.Errorf("SelectEach errors = %v, want only the nil path to fail", errs)
+	if _, err := SelectMulti([]*model.PathStats{ps, nil}, nil); err == nil {
+		t.Error("SelectMulti accepted a nil path")
 	}
 	for name, orgs := range map[string][]cost.Organization{
 		"negative":  {cost.Organization(-1)},

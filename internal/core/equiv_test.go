@@ -346,62 +346,57 @@ func TestMatrixEquivalentOnRandomStats(t *testing.T) {
 	}
 }
 
-func TestSelectBatchMatchesSelect(t *testing.T) {
-	// SelectBatch (pooled matrices, concurrent paths) must return exactly
-	// the per-path OptIndCon results.
+func TestSelectMultiMatchesSelect(t *testing.T) {
+	// SelectMulti's per-path configurations must be exactly what Select
+	// returns for each path on its own, and its unshared cost their sum.
 	rng := rand.New(rand.NewSource(7))
 	var pss []*model.PathStats
 	for _, n := range []int{1, 3, 6, 9, 12, 4, 8, 2} {
 		pss = append(pss, randomChainStats(t, rng, n))
 	}
 	pss = append(pss, model.Figure7Stats())
-	batch, err := core.SelectBatch(pss, nil)
+	plan, err := core.SelectMulti(pss, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(pss) {
-		t.Fatalf("batch returned %d results for %d paths", len(batch), len(pss))
+	if len(plan.Configs) != len(pss) {
+		t.Fatalf("plan holds %d configurations for %d paths", len(plan.Configs), len(pss))
 	}
+	var sum float64
 	for i, ps := range pss {
 		want, _, err := core.Select(ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i].Best.Cost != want.Best.Cost {
-			t.Errorf("path %d: batch cost %v, want %v", i, batch[i].Best.Cost, want.Best.Cost)
+		sum += want.Best.Cost
+		if plan.Configs[i].Cost != want.Best.Cost {
+			t.Errorf("path %d: multi cost %v, want %v", i, plan.Configs[i].Cost, want.Best.Cost)
 		}
-		if !reflect.DeepEqual(batch[i].Best.Assignments, want.Best.Assignments) {
-			t.Errorf("path %d: batch configuration %v, want %v", i, batch[i].Best, want.Best)
-		}
-		if batch[i].Stats != want.Stats {
-			t.Errorf("path %d: batch stats %+v, want %+v", i, batch[i].Stats, want.Stats)
+		if !reflect.DeepEqual(plan.Configs[i].Assignments, want.Best.Assignments) {
+			t.Errorf("path %d: multi configuration %v, want %v", i, plan.Configs[i], want.Best)
 		}
 	}
-	// A second batch reuses pooled buffers; results must not regress.
-	again, err := core.SelectBatch(pss, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, batch) {
-		t.Error("second SelectBatch over the same paths differs from the first")
+	if plan.UnsharedCost != sum {
+		t.Errorf("unshared cost %v, want the per-path sum %v", plan.UnsharedCost, sum)
 	}
 }
 
-func TestSelectBatchErrors(t *testing.T) {
-	if _, err := core.SelectBatch(nil, nil); err == nil {
-		t.Error("empty batch accepted")
+func TestSelectMultiErrors(t *testing.T) {
+	if _, err := core.SelectMulti(nil, nil); err == nil {
+		t.Error("empty path list accepted")
 	}
 	bad := model.Figure7Stats()
 	bad.Levels[0].Classes[0].N = -1
-	if _, err := core.SelectBatch([]*model.PathStats{model.Figure7Stats(), bad}, nil); err == nil {
-		t.Error("invalid stats accepted in batch")
+	if _, err := core.SelectMulti([]*model.PathStats{model.Figure7Stats(), bad}, nil); err == nil {
+		t.Error("invalid stats accepted among the paths")
 	}
 }
 
 func TestConcurrentMatrixAndBatchRace(t *testing.T) {
-	// Exercises, under -race: concurrent NewMatrixFromStats over a shared
-	// PathStats, concurrent searches on a shared matrix, and overlapping
-	// SelectBatch calls hitting the same sync.Pool.
+	// Concurrency over paths is the caller's, so what callers share must be
+	// safe to share. Exercises, under -race: concurrent NewMatrixFromStats
+	// over a shared PathStats, concurrent searches on a shared matrix, and
+	// overlapping SelectMulti calls over the same statistics.
 	ps := model.Figure7Stats()
 	ref, err := core.NewMatrixFromStats(ps, nil)
 	if err != nil {
@@ -409,29 +404,30 @@ func TestConcurrentMatrixAndBatchRace(t *testing.T) {
 	}
 	want := ref.OptIndCon()
 	var wg sync.WaitGroup
+	caller := func(g int) {
+		defer wg.Done()
+		for it := 0; it < 5; it++ {
+			m, err := core.NewMatrixFromStats(ps, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r := m.OptIndCon()
+			if r.Best.Cost != want.Best.Cost {
+				t.Errorf("goroutine %d: cost %v, want %v", g, r.Best.Cost, want.Best.Cost)
+			}
+			// Shared matrix, concurrent read-only searches.
+			if r := ref.DP(); r.Best.Cost != want.Best.Cost {
+				t.Errorf("goroutine %d: DP on shared matrix: %v", g, r.Best.Cost)
+			}
+			if _, err := core.SelectMulti([]*model.PathStats{ps, ps, ps}, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < 5; it++ {
-				m, err := core.NewMatrixFromStats(ps, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				r := m.OptIndCon()
-				if r.Best.Cost != want.Best.Cost {
-					t.Errorf("goroutine %d: cost %v, want %v", g, r.Best.Cost, want.Best.Cost)
-				}
-				// Shared matrix, concurrent read-only searches.
-				if r := ref.DP(); r.Best.Cost != want.Best.Cost {
-					t.Errorf("goroutine %d: DP on shared matrix: %v", g, r.Best.Cost)
-				}
-				if _, err := core.SelectBatch([]*model.PathStats{ps, ps, ps}, nil); err != nil {
-					t.Error(err)
-				}
-			}
-		}(g)
+		go caller(g)
 	}
 	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/model"
@@ -39,45 +38,32 @@ type Matrix struct {
 // nsub returns the number of subpaths, n(n+1)/2.
 func (m *Matrix) nsub() int { return m.N * (m.N + 1) / 2 }
 
-// grow reuses s when its capacity suffices, else allocates; contents are
-// unspecified (callers overwrite every element).
-func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-// reset dimensions the matrix for a path of length n over orgs, reusing
-// buffers from a previous use (the sync.Pool path of SelectBatch).
-func (m *Matrix) reset(n int, orgs []cost.Organization) {
-	m.N = n
-	m.Orgs = orgs
+// newMatrix dimensions an empty matrix for a path of length n over orgs.
+func newMatrix(n int, orgs []cost.Organization) *Matrix {
 	k := len(orgs)
 	nsub := n * (n + 1) / 2
-	m.rowStart = grow(m.rowStart, n)
+	m := &Matrix{
+		N:        n,
+		Orgs:     orgs,
+		rowStart: make([]int, n),
+		entries:  make([]MatrixEntry, nsub*k),
+		totals:   make([]float64, nsub*k),
+		minCol:   make([]uint16, nsub),
+		minVal:   make([]float64, nsub),
+	}
 	start := 0
 	for a := 1; a <= n; a++ {
 		m.rowStart[a-1] = start
 		start += n - a + 1
 	}
-	m.entries = grow(m.entries, nsub*k)
-	m.totals = grow(m.totals, nsub*k)
-	m.minCol = grow(m.minCol, nsub)
-	m.minVal = grow(m.minVal, nsub)
-	maxOrg := 0
-	for _, o := range orgs {
-		if int(o) > maxOrg {
-			maxOrg = int(o)
-		}
-	}
-	m.cols = grow(m.cols, maxOrg+1)
+	m.cols = make([]int16, int(slices.Max(orgs))+1)
 	for i := range m.cols {
 		m.cols[i] = -1
 	}
 	for i, o := range orgs {
 		m.cols[o] = int16(i)
 	}
+	return m
 }
 
 // finalize caches per-cell totals and the per-subpath minimum. Ties break
@@ -118,16 +104,6 @@ func (m *Matrix) col(org cost.Organization) int {
 	return int(m.cols[org])
 }
 
-// NewMatrixFromStats computes the full cost matrix of a path from its
-// statistics and workload. orgs defaults to the paper's {MX, MIX, NIX}.
-func NewMatrixFromStats(ps *model.PathStats, orgs []cost.Organization) (*Matrix, error) {
-	m := &Matrix{}
-	if err := m.buildFromStats(ps, orgs); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // checkOrgs rejects organizations outside the known set and duplicates,
 // which would shadow a column.
 func checkOrgs(orgs []cost.Organization) error {
@@ -142,22 +118,22 @@ func checkOrgs(orgs []cost.Organization) error {
 	return nil
 }
 
-// buildFromStats fills m from statistics, reusing m's buffers. The level
-// table makes a cell cost about a microsecond, so the cells of one matrix
-// are computed serially; callers with many paths parallelize across them
-// (SelectBatch, SelectEach).
-func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization) error {
+// NewMatrixFromStats computes the full cost matrix of a path from its
+// statistics and workload. orgs defaults to the paper's {MX, MIX, NIX}.
+// The level table makes a cell cost about a microsecond, so the cells are
+// computed serially.
+func NewMatrixFromStats(ps *model.PathStats, orgs []cost.Organization) (*Matrix, error) {
 	if len(orgs) == 0 {
 		orgs = cost.Organizations
 	}
 	if err := checkOrgs(orgs); err != nil {
-		return err
+		return nil, err
 	}
 	sh, err := cost.NewShared(ps)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.reset(ps.Len(), orgs)
+	m := newMatrix(ps.Len(), orgs)
 	k := len(orgs)
 	for a := 1; a <= m.N; a++ {
 		for b := a; b <= m.N; b++ {
@@ -165,14 +141,14 @@ func (m *Matrix) buildFromStats(ps *model.PathStats, orgs []cost.Organization) e
 			for i, org := range orgs {
 				sc, err := sh.ProcessingCost(a, b, org)
 				if err != nil {
-					return fmt.Errorf("core: subpath [%d,%d] %v: %w", a, b, org, err)
+					return nil, fmt.Errorf("core: subpath [%d,%d] %v: %w", a, b, org, err)
 				}
 				m.entries[base+i] = MatrixEntry{SC: sc}
 			}
 		}
 	}
 	m.finalize()
-	return nil
+	return m, nil
 }
 
 // NewMatrixFromValues builds a matrix from explicit per-cell costs, as in
@@ -188,8 +164,7 @@ func NewMatrixFromValues(n int, orgs []cost.Organization, values map[[2]int][]fl
 	if err := checkOrgs(orgs); err != nil {
 		return nil, err
 	}
-	m := &Matrix{}
-	m.reset(n, orgs)
+	m := newMatrix(n, orgs)
 	for a := 1; a <= n; a++ {
 		for b := a; b <= n; b++ {
 			vs, ok := values[[2]int{a, b}]
@@ -260,66 +235,4 @@ func (m *Matrix) Rows() [][2]int {
 		}
 	}
 	return out
-}
-
-// matrixPool recycles matrix buffers across SelectBatch calls: the dense
-// entry, total and minimum arrays are reused whenever their capacity fits
-// the next path.
-var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
-
-// SelectBatch runs the full selection — Cost_Matrix, Min_Cost and the
-// prefix dynamic program — for many paths concurrently, one worker per CPU,
-// reusing pooled matrix buffers across paths. Only the per-path results are
-// returned; the matrices are recycled, which makes repeated batches nearly
-// allocation free on the matrix side. The first error (in path order) is
-// returned.
-func SelectBatch(pss []*model.PathStats, orgs []cost.Organization) ([]Result, error) {
-	if len(pss) == 0 {
-		return nil, fmt.Errorf("core: no paths given")
-	}
-	results := make([]Result, len(pss))
-	errs := make([]error, len(pss))
-	workers := Workers(len(pss))
-	ms := make([]*Matrix, workers)
-	ParallelFor(len(pss), workers, func(w, i int) {
-		if ms[w] == nil {
-			ms[w] = matrixPool.Get().(*Matrix)
-		}
-		if err := ms[w].buildFromStats(pss[i], orgs); err != nil {
-			errs[i] = err
-			return
-		}
-		ms[w].DPInto(&results[i])
-	})
-	for _, m := range ms {
-		if m != nil {
-			matrixPool.Put(m)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// SelectEach runs the full selection for each path concurrently — like
-// SelectBatch, but returning the per-path matrices for callers that need
-// the cells afterwards (e.g. the multi-path sharing planner), at the cost
-// of allocating one matrix per path instead of recycling pooled buffers.
-// errs runs parallel to pss; a failed path has a nil matrix.
-func SelectEach(pss []*model.PathStats, orgs []cost.Organization) (results []Result, ms []*Matrix, errs []error) {
-	n := len(pss)
-	results, ms, errs = make([]Result, n), make([]*Matrix, n), make([]error, n)
-	ParallelFor(n, Workers(n), func(_, i int) {
-		m := &Matrix{}
-		if err := m.buildFromStats(pss[i], orgs); err != nil {
-			errs[i] = err
-			return
-		}
-		m.DPInto(&results[i])
-		ms[i] = m
-	})
-	return results, ms, errs
 }

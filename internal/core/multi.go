@@ -29,8 +29,9 @@ type MultiPlan struct {
 
 // SelectMulti selects configurations for several paths and merges
 // structurally identical indexed subpaths. Paths must share a schema.
-// The per-path selections run concurrently; the merge is deterministic in
-// input order. Selection weighs each path by its own statistics' load
+// The per-path selections run one after another on the calling goroutine
+// (concurrency over many paths is the caller's); the merge is deterministic
+// in input order. Selection weighs each path by its own statistics' load
 // triplets; SelectMultiWeighted re-derives those triplets from a recorded
 // workload snapshot first.
 func SelectMulti(pss []*model.PathStats, orgs []cost.Organization) (MultiPlan, error) {
@@ -74,9 +75,6 @@ func SelectMultiWeighted(pss []*model.PathStats, orgs []cost.Organization, w sta
 		return mp, err
 	}
 	shedToNone := hasOrg(orgs, cost.NONE)
-	// Per-path selections are independent; SelectEach fans them out over
-	// the CPUs and keeps the matrices, which the sharing merge below needs.
-	results, ms, errs := SelectEach(work, orgs)
 	// Sharing model: a physical structure (identical subpath and
 	// organization) is maintained once, so its maintenance cost (including
 	// the Definition 4.2 boundary charge) is counted once across paths;
@@ -89,10 +87,12 @@ func SelectMultiWeighted(pss []*model.PathStats, orgs []cost.Organization, w sta
 	}
 	structures := make(map[string]*physical)
 	for i, ps := range work {
-		if errs[i] != nil {
-			return mp, errs[i]
+		// Each path's matrix is kept until its assignments are merged: the
+		// sharing model reads the cells' cost decomposition.
+		res, m, err := Select(ps, orgs)
+		if err != nil {
+			return mp, err
 		}
-		res, m := results[i], ms[i]
 		if zero != nil && zero[i] && shedToNone {
 			// Never-probed path: the observed workload gives no reason to
 			// pay any maintenance, so the explicit shed — one whole-path
@@ -132,18 +132,6 @@ func SelectMultiWeighted(pss []*model.PathStats, orgs []cost.Organization, w sta
 	}
 	sort.Strings(mp.SharedSubpaths)
 	return mp, nil
-}
-
-// SelectBatchWeighted is SelectBatch with the paths' load triplets
-// re-derived from an observed workload snapshot (see SelectMultiWeighted
-// for the derivation). A zero-valued snapshot returns SelectBatch's
-// result on the caller's statistics, bit for bit.
-func SelectBatchWeighted(pss []*model.PathStats, orgs []cost.Organization, w stats.Workload) ([]Result, error) {
-	work, _, err := WeightedPathStats(pss, w)
-	if err != nil {
-		return nil, err
-	}
-	return SelectBatch(work, orgs)
 }
 
 // WeightedPathStats re-derives each path's load triplets from the

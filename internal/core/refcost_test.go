@@ -255,10 +255,30 @@ func (e *refEval) ninBarS(l int) float64 {
 	return v
 }
 
+// noidStarPath is the global noid*_l of Section 3.1: the product of the
+// hierarchy fan-ins KStar from level n down to l, 1 beyond the path.
+func (e *refEval) noidStarPath(l int) float64 {
+	v := 1.0
+	for i := e.ps.Len(); i >= l; i-- {
+		v *= e.ps.Level(i).KStar()
+	}
+	return v
+}
+
+// nar is nar_{l+1}: the auxiliary records touched when nin values spread
+// over the hierarchy of level l+1.
+func (e *refEval) nar(lPlus1 int, nin float64) float64 {
+	var sizes []float64
+	for _, c := range e.ps.Level(lPlus1).Classes {
+		sizes = append(sizes, c.N)
+	}
+	return model.ExpectedNonEmpty(nin, sizes)
+}
+
 // query prices a predicate matching keys ending-attribute values with
 // respect to class x of level l; x < 0 is the level's whole hierarchy.
 func (e *refEval) query(l, x int, keys float64) float64 {
-	feed := func(i int) float64 { return keys * e.ps.NoidStar(i+1) }
+	feed := func(i int) float64 { return keys * e.noidStarPath(i+1) }
 	switch e.org {
 	case cost.MX:
 		var s float64
@@ -390,7 +410,7 @@ func (e *refEval) nixInsert(l, x int, cs model.ClassStats) float64 {
 	}
 	childNar, childAccess := 0.0, 0.0
 	if l < e.b {
-		childNar = e.ps.Nar(l+1, cs.NIN)
+		childNar = e.nar(l+1, cs.NIN)
 		childAccess = cs.NIN
 	}
 	csi24 := e.crt(e.nixAux, childAccess, 1) + e.crr(childNar+ownAux, e.nixAux)
@@ -408,7 +428,7 @@ func (e *refEval) nixDelete(l, x int, cs model.ClassStats) float64 {
 	}
 	childNar, childAccess := 0.0, 0.0
 	if l < e.b {
-		childNar = e.ps.Nar(l+1, cs.NIN)
+		childNar = e.nar(l+1, cs.NIN)
 		childAccess = cs.NIN
 	}
 	csd2 := e.crt(e.nixAux, childAccess+ownAux, 1) + e.crr(childNar+ownAux, e.nixAux)

@@ -23,17 +23,16 @@ import (
 func selectMultiRef(t *testing.T, pss []*model.PathStats, orgs []cost.Organization) core.MultiPlan {
 	t.Helper()
 	var mp core.MultiPlan
-	results, ms, errs := core.SelectEach(pss, orgs)
 	type physical struct {
 		maint float64
 		n     int
 	}
 	structures := make(map[string]*physical)
-	for i, ps := range pss {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	for _, ps := range pss {
+		res, m, err := core.Select(ps, orgs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res, m := results[i], ms[i]
 		mp.Configs = append(mp.Configs, res.Best)
 		mp.UnsharedCost += res.Best.Cost
 		for _, asg := range res.Best.Assignments {

@@ -114,8 +114,8 @@ func NewShared(ps *model.PathStats) (*Shared, error) {
 		row.load, row.before = ls.TotalLoad(), before
 		before = before.Add(row.load)
 	}
-	// Global noid* chain, multiplied from level n downward like
-	// model.PathStats.NoidStar.
+	// Global noid* chain (Section 3.1): noid*_{n+1} = 1 for an equality
+	// predicate, noid*_l = KStar_l * noid*_{l+1}.
 	sh.noidStar[n+1] = 1
 	for l := n; l >= 1; l-- {
 		sh.noidStar[l] = sh.noidStar[l+1] * sh.lv[l-1].kStar

@@ -418,64 +418,46 @@ func firstOf(st *oodb.Store) oodb.OID {
 
 // writeSnapshot streams every live object (plus the OID sequence) into
 // snap.ckpt.tmp — header last, so a complete header implies complete
-// contents — fsyncs, and renames it into place.
+// contents — which storage.WriteFileAtomic fsyncs and renames into place.
 //
 // Snapshot layout: 32-byte header [magic 4][version 4][next 8][stride 8]
 // [count 4][body crc 4], then count records of [4-byte length][object].
 func (d *durable) writeSnapshot(st *oodb.Store) error {
-	tmp := filepath.Join(d.dir, snapName+".tmp")
-	f, err := d.openFile(tmp)
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp)
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint: %w", err)
-	}
-	var (
-		off   int64 = 32
-		count uint32
-		crc   uint32
-		buf   []byte
-	)
-	werr := st.Objects(func(o *oodb.Object) error {
-		buf = buf[:0]
-		buf = binary.BigEndian.AppendUint32(buf, 0) // patched below
-		buf = oodb.AppendObject(buf, o.OID, o.Class, o.Attrs)
-		binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-		if _, err := f.WriteAt(buf, off); err != nil {
+	err := storage.WriteFileAtomic(d.openFile, filepath.Join(d.dir, snapName), func(f storage.File) error {
+		var (
+			off   int64 = 32
+			count uint32
+			crc   uint32
+			buf   []byte
+		)
+		err := st.Objects(func(o *oodb.Object) error {
+			buf = buf[:0]
+			buf = binary.BigEndian.AppendUint32(buf, 0) // patched below
+			buf = oodb.AppendObject(buf, o.OID, o.Class, o.Attrs)
+			binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
+			if _, err := f.WriteAt(buf, off); err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, snapCRC, buf)
+			off += int64(len(buf))
+			count++
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		crc = crc32.Update(crc, snapCRC, buf)
-		off += int64(len(buf))
-		count++
-		return nil
+		next, stride := st.OIDSeq()
+		hdr := make([]byte, 32)
+		copy(hdr[0:4], snapMagic[:])
+		binary.BigEndian.PutUint32(hdr[4:8], snapVersion)
+		binary.BigEndian.PutUint64(hdr[8:16], uint64(next))
+		binary.BigEndian.PutUint64(hdr[16:24], stride)
+		binary.BigEndian.PutUint32(hdr[24:28], count)
+		binary.BigEndian.PutUint32(hdr[28:32], crc)
+		_, err = f.WriteAt(hdr, 0)
+		return err
 	})
-	if werr != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint snapshot: %w", werr)
-	}
-	next, stride := st.OIDSeq()
-	hdr := make([]byte, 32)
-	copy(hdr[0:4], snapMagic[:])
-	binary.BigEndian.PutUint32(hdr[4:8], snapVersion)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(next))
-	binary.BigEndian.PutUint64(hdr[16:24], stride)
-	binary.BigEndian.PutUint32(hdr[24:28], count)
-	binary.BigEndian.PutUint32(hdr[28:32], crc)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: checkpoint snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("engine: checkpoint snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
+	if err != nil {
 		return fmt.Errorf("engine: checkpoint snapshot: %w", err)
 	}
 	return nil
@@ -547,34 +529,17 @@ func (d *durable) loadSnapshot(st *oodb.Store) error {
 	return nil
 }
 
-// writeManifest writes the JSON manifest via temporary-plus-rename.
+// writeManifest publishes the JSON manifest via storage.WriteFileAtomic.
 func (d *durable) writeManifest(m manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(d.dir, manifestName+".tmp")
-	f, err := d.openFile(tmp)
+	err = storage.WriteFileAtomic(d.openFile, filepath.Join(d.dir, manifestName), func(f storage.File) error {
+		_, err := f.WriteAt(raw, 0)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("engine: manifest: %w", err)
-	}
-	defer os.Remove(tmp)
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: manifest: %w", err)
-	}
-	if _, err := f.WriteAt(raw, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("engine: manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, manifestName)); err != nil {
 		return fmt.Errorf("engine: manifest: %w", err)
 	}
 	return nil
@@ -659,12 +624,4 @@ func (e *Engine) Replayed() uint64 {
 		return 0
 	}
 	return e.dur.replayed
-}
-
-// Dir returns the durable engine's directory ("" when in-memory).
-func (e *Engine) Dir() string {
-	if e.dur == nil {
-		return ""
-	}
-	return e.dur.dir
 }

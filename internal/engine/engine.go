@@ -462,16 +462,13 @@ func (e *Engine) AdviseObserved(extra []stats.PredLoad) (Advice, error) {
 	if err != nil {
 		return adv, err
 	}
-	// The same batched path the engine's background selection uses; it is
-	// bit-identical to core.Select on the same statistics (enforced by
-	// the core equivalence tests).
-	results, err := core.SelectBatch([]*model.PathStats{ps}, e.opts.Orgs)
+	res, _, err := core.Select(ps, e.opts.Orgs)
 	if err != nil {
 		return adv, err
 	}
 	adv.Stats = ps
-	adv.Config = results[0].Best
-	adv.Search = results[0].Stats
+	adv.Config = res.Best
+	adv.Search = res.Stats
 	adv.Changed = !adv.Config.Equal(adv.Current)
 	return adv, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/stats"
@@ -463,6 +465,42 @@ func TestEngineRejectsUnbuildableOrgs(t *testing.T) {
 	_, err := New(g.Store, g.Path, cfgWhole, 1024, Options{Orgs: cost.OrganizationsWithNone})
 	if err == nil {
 		t.Fatal("NONE accepted as a re-selection column")
+	}
+}
+
+// TestExtensionColumnsPriceButDoNotBuild pins how Section 6's extra
+// organizations are incorporated: NX and NONE are priced columns of the cost
+// matrix, which selection runs over, and nothing more — no working structure
+// is built for them and no engine re-selects over them.
+func TestExtensionColumnsPriceButDoNotBuild(t *testing.T) {
+	g := figure7DB(t)
+	ps := model.Figure7Stats()
+	m, err := core.NewMatrixFromStats(ps, cost.OrganizationsExtended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, org := range cost.OrganizationsExtended {
+		for _, sub := range m.Rows() {
+			if v, ok := m.Cell(sub[0], sub[1], org); !ok || v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%v cell [%d,%d] = %v, %v: not priced", org, sub[0], sub[1], v, ok)
+			}
+		}
+	}
+	if res := m.DP(); res.Best.Validate(ps.Len()) != nil {
+		t.Errorf("selection over the six columns returned %v", res.Best)
+	}
+	for _, org := range []cost.Organization{cost.NX, cost.NONE} {
+		if index.Supported(org) {
+			t.Errorf("index.Supported(%v)", org)
+		}
+		_, err := index.New(g.Store, g.Path, 1, g.Path.Len(), org, 1024)
+		if want := fmt.Sprintf("index: organization %v has no working implementation", org); err == nil || err.Error() != want {
+			t.Errorf("index.New(%v) error = %v, want %q", org, err, want)
+		}
+		_, err = New(g.Store, g.Path, cfgWhole, 1024, Options{Orgs: []cost.Organization{cost.MX, org}})
+		if want := fmt.Sprintf("engine: organization %v has no working implementation; cannot be a re-selection column", org); err == nil || err.Error() != want {
+			t.Errorf("engine.New(Orgs: MX, %v) error = %v, want %q", org, err, want)
+		}
 	}
 }
 

@@ -31,8 +31,6 @@ func treesOf(ix index.PathIndex, p *schema.Path) []*btree.Tree {
 		}
 	case *index.PathIndexPX:
 		out = append(out, x.Tree())
-	case *index.NestedIndexNX:
-		out = append(out, x.Tree())
 	}
 	return out
 }
@@ -71,7 +69,7 @@ func TestMaintenanceIsDeterministic(t *testing.T) {
 		name  string
 		build func(g *gen.Generated) *IndexSet
 	}
-	arms := []arm{{"whole-path NX", func(g *gen.Generated) *IndexSet { return wholePathNXSet(t, g, 256) }}}
+	var arms []arm
 	for _, cfg := range configurations(ps.Len()) {
 		arms = append(arms, arm{cfg.String(), func(g *gen.Generated) *IndexSet {
 			c, err := NewIndexSet(g.Store, g.Path, cfg, 256, nil)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
-	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -338,38 +337,6 @@ func TestIndexSetQueryRangeMatchesNaive(t *testing.T) {
 		}
 		check(cfg.String(), c, classes)
 	}
-
-	c := wholePathNXSet(t, g, 1024)
-	check("whole-path NX", c, g.Path.HierarchyAt(1))
-	if _, err := c.QueryRange(oodb.StrV("val-00000"), oodb.StrV("val-00004"), "Company", false); err == nil {
-		t.Error("whole-path NX answered an inner class")
-	}
-}
-
-// wholePathNXSet is an index set whose one structure is a whole-path NX
-// loaded with the store's starting objects. NX answers only its starting
-// class, so no configuration can name it; tests that cover it swap it in
-// for a whole-path NIX.
-func wholePathNXSet(t *testing.T, g *gen.Generated, pageSize int) *IndexSet {
-	t.Helper()
-	nx, err := index.NewNestedIndexNX(g.Store, g.Path, 1, g.Path.Len(), pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cn := range g.Path.HierarchyAt(1) {
-		for _, oid := range g.Store.OIDsOfClass(cn) {
-			obj, _ := g.Store.Peek(oid)
-			if err := nx.OnInsert(obj); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	c, err := NewIndexSet(g.Store, g.Path, configurations(g.Path.Len())[0], pageSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.indexes[0] = nx
-	return c
 }
 
 func TestNaiveQueryRangeErrors(t *testing.T) {

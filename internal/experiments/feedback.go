@@ -66,7 +66,7 @@ func feedbackOp(e *engine.Engine, g *gen.Generated, i int, record bool) error {
 
 func runFeedback(rep *Report) error {
 	assumed := feedbackAssumption()
-	results, err := core.SelectBatch([]*model.PathStats{assumed}, nil)
+	designed, _, err := core.Select(assumed, nil)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func runFeedback(rep *Report) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		e, err := engine.New(g.Store, g.Path, results[0].Best, assumed.Params.PageSize, engine.Options{
+		e, err := engine.New(g.Store, g.Path, designed.Best, assumed.Params.PageSize, engine.Options{
 			MinOps:  1,
 			Assumed: assumed,
 		})

@@ -171,16 +171,13 @@ func AppendOID(dst []byte, oid oodb.OID) []byte { return AppendValue(dst, oodb.R
 // EncodeOID encodes an OID key.
 func EncodeOID(oid oodb.OID) []byte { return EncodeValue(oodb.RefV(oid)) }
 
-// sortedKeys lists, in byte order, the keys of set that are not in except
-// (nil excepts nothing). PX and NX maintenance collects the keys an object
-// reaches in a map and visits them through this list, never in map order,
-// so equal histories build equal trees.
-func sortedKeys(set, except map[string]bool) []string {
+// sortedKeys lists the keys of set in byte order. PX maintenance collects
+// the keys an object reaches in a map and visits them through this list,
+// never in map order, so equal histories build equal trees.
+func sortedKeys(set map[string]bool) []string {
 	keys := make([]string, 0, len(set))
 	for k := range set {
-		if !except[k] {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	return keys
@@ -308,17 +305,6 @@ func diffKeys(old, upd []oodb.Value) (removed, added [][]byte) {
 		}
 	}
 	return removed, added
-}
-
-// valuesAt returns the object's values for the subpath attribute of its
-// level. For levels below B these are references; for level B of a
-// path-ending subpath they are atomic values.
-func (sp *Subpath) valuesAt(obj *oodb.Object) []oodb.Value {
-	l, ok := sp.levelOf[obj.Class]
-	if !ok {
-		return nil
-	}
-	return obj.Values(sp.Attr(l))
 }
 
 // classesAt returns the hierarchy class names at global level l, from the

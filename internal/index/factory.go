@@ -9,9 +9,10 @@ import (
 )
 
 // Supported reports whether the organization has a working structure New
-// can build. NX and NONE have analytic cost models only: NX answers
-// starting-class queries alone and NONE is the absence of a structure, so
-// neither can serve as a maintained subpath index.
+// can build. NX and NONE are priced columns of the cost matrix only, as
+// Section 6 incorporates them: the nested index answers starting-class
+// queries alone and NONE is the absence of a structure, so neither can
+// serve as a maintained subpath index.
 func Supported(org cost.Organization) bool {
 	switch org {
 	case cost.MX, cost.MIX, cost.NIX, cost.PX:

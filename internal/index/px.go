@@ -229,7 +229,7 @@ func (px *PathIndexPX) OnInsert(obj *oodb.Object) error {
 	for _, r := range obj.Refs(px.sp.Attr(l)) {
 		children[r] = true
 	}
-	for _, k := range sortedKeys(keys, nil) {
+	for _, k := range sortedKeys(keys) {
 		rec, err := px.loadRecord([]byte(k))
 		if err != nil {
 			return err
@@ -282,7 +282,7 @@ func (px *PathIndexPX) OnUpdate(old, upd *oodb.Object) error {
 	for k := range after {
 		keys[k] = true
 	}
-	for _, k := range sortedKeys(keys, nil) {
+	for _, k := range sortedKeys(keys) {
 		rec, err := px.loadRecord([]byte(k))
 		if err != nil {
 			return err
@@ -365,7 +365,7 @@ func (px *PathIndexPX) OnDelete(obj *oodb.Object) error {
 		return err
 	}
 	delete(px.ownerClass, obj.OID)
-	for _, k := range sortedKeys(keys, nil) {
+	for _, k := range sortedKeys(keys) {
 		rec, err := px.loadRecord([]byte(k))
 		if err != nil {
 			return err

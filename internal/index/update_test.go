@@ -215,35 +215,6 @@ func TestOnUpdateSubpathOIDKeys(t *testing.T) {
 	}
 }
 
-// TestNXOnUpdateMatchesNaive covers the nested index, which answers
-// starting-class queries only: start-level re-links re-navigate directly,
-// inner-level updates force the starting-hierarchy rescan.
-func TestNXOnUpdateMatchesNaive(t *testing.T) {
-	f := buildFixture(t, 13, 6, 40, 60)
-	ix, err := NewNestedIndexNX(f.store, f.path, 1, f.path.Len(), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.loadAll(t, ix)
-	rng := rand.New(rand.NewSource(13))
-	for step := 0; step < 180; step++ {
-		randomUpdate(t, f, ix, rng)
-		if step%30 != 29 {
-			continue
-		}
-		for _, brand := range f.brands {
-			want := f.naiveMatch(t, brand, "Person", false)
-			got, err := lookup(ix, oodb.StrV(brand), "Person", false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("NX step %d: Lookup(%s, Person) = %v, want %v", step, brand, got, want)
-			}
-		}
-	}
-}
-
 // TestOnUpdateUnchangedAttrIsFree asserts the fast path: an update that
 // does not touch the subpath attribute performs zero index page accesses
 // in every organization.
@@ -253,12 +224,6 @@ func TestOnUpdateUnchangedAttrIsFree(t *testing.T) {
 	for _, org := range allOrgs {
 		indexes[org] = f.buildIndex(t, org)
 	}
-	nx, err := NewNestedIndexNX(f.store, f.path, 1, f.path.Len(), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.loadAll(t, nx)
-	indexes["NX"] = nx
 	per := f.persons[0]
 	old, upd, err := f.store.Update(per, map[string][]oodb.Value{"residence": {oodb.StrV("Enschede")}})
 	if err != nil {

@@ -345,59 +345,6 @@ func (ps *PathStats) Validate() error {
 	return nil
 }
 
-// NoidStar returns noid*_{l}: the expected number of OIDs of all classes of
-// the hierarchy at level l qualifying for one value of the ending attribute
-// A_n, with the boundary noid*_{n+1} = 1 (equality predicate, Section 3.1).
-//
-// noid*_l = KStar_l * noid*_{l+1}.
-func (ps *PathStats) NoidStar(l int) float64 {
-	n := ps.Len()
-	if l > n {
-		return 1
-	}
-	v := 1.0
-	for i := n; i >= l; i-- {
-		v *= ps.Level(i).KStar()
-	}
-	return v
-}
-
-// NoidClass returns noid_{l,x} = k_{l,x} * noid*_{l+1}: the expected number
-// of OIDs of the single class x at level l qualifying for one value of the
-// ending attribute.
-func (ps *PathStats) NoidClass(l int, class string) (float64, error) {
-	i, err := ps.classIndex(l, class)
-	if err != nil {
-		return 0, err
-	}
-	return ps.Levels[l-1].Classes[i].K() * ps.NoidStar(l+1), nil
-}
-
-// Par returns par_{l}: the expected number of aggregation parents (objects
-// of the level-(l-1) hierarchy referencing a given level-l object). Zero
-// for the first level, which has no parents.
-func (ps *PathStats) Par(l int) float64 {
-	if l <= 1 {
-		return 0
-	}
-	return ps.Level(l - 1).KStar()
-}
-
-// NinBar returns nin̄_{l}: the average number of distinct ending-attribute
-// values reachable from one object of level l — the product of the average
-// fan-outs from level l to n, capped by the number of distinct values of
-// A_n across the ending hierarchy.
-func (ps *PathStats) NinBar(l int) float64 {
-	v := 1.0
-	for i := l; i <= ps.Len(); i++ {
-		v *= ps.Level(i).NINAvg()
-	}
-	if cap := ps.Level(ps.Len()).DMax(); cap > 0 && v > cap {
-		v = cap
-	}
-	return v
-}
-
 // ExpectedNonEmpty implements the balls-into-bins estimator used for the
 // paper's nar/narp quantities: the expected number of classes of a
 // hierarchy receiving at least one of t values when values land on classes
@@ -424,21 +371,6 @@ func ExpectedNonEmpty(t float64, sizes []float64) float64 {
 		}
 	}
 	return e
-}
-
-// Nar returns nar_{l+1}: the expected number of auxiliary index records
-// touched when distributing nin values over the hierarchy at level l+1
-// (Section 3.1, NIX). Levels beyond the path return zero.
-func (ps *PathStats) Nar(lPlus1 int, nin float64) float64 {
-	if lPlus1 < 1 || lPlus1 > ps.Len() {
-		return 0
-	}
-	ls := ps.Level(lPlus1)
-	sizes := make([]float64, len(ls.Classes))
-	for i, c := range ls.Classes {
-		sizes[i] = c.N
-	}
-	return ExpectedNonEmpty(nin, sizes)
 }
 
 // Figure7Stats returns the database and workload characteristics of

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/schema"
 )
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -87,90 +85,6 @@ func TestFigure7Stats(t *testing.T) {
 	}
 }
 
-func TestNoidStarChain(t *testing.T) {
-	ps := Figure7Stats()
-	// KStar: L1 = 200000*1/20000 = 10; L2 = 14; L3 = 1000*4/1000 = 4; L4 = 1.
-	// noid*_5 = 1 (equality predicate boundary).
-	if got := ps.NoidStar(5); got != 1 {
-		t.Errorf("NoidStar(5) = %g, want 1", got)
-	}
-	if got, want := ps.NoidStar(4), 1.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NoidStar(4) = %g, want %g", got, want)
-	}
-	if got, want := ps.NoidStar(3), 4.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NoidStar(3) = %g, want %g", got, want)
-	}
-	if got, want := ps.NoidStar(2), 56.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NoidStar(2) = %g, want %g", got, want)
-	}
-	if got, want := ps.NoidStar(1), 560.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NoidStar(1) = %g, want %g", got, want)
-	}
-}
-
-func TestNoidClass(t *testing.T) {
-	ps := Figure7Stats()
-	// noid_{2,Vehicle} = k_{2,Veh} * noid*_3 = 6 * 4 = 24.
-	got, err := ps.NoidClass(2, "Vehicle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 24.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NoidClass(2,Vehicle) = %g, want %g", got, want)
-	}
-	if _, err := ps.NoidClass(2, "Person"); err == nil {
-		t.Error("NoidClass with wrong class should fail")
-	}
-}
-
-func TestPar(t *testing.T) {
-	ps := Figure7Stats()
-	if got := ps.Par(1); got != 0 {
-		t.Errorf("Par(1) = %g, want 0", got)
-	}
-	// Parents of a level-2 object = KStar of level 1 = 10.
-	if got, want := ps.Par(2), 10.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Par(2) = %g, want %g", got, want)
-	}
-	if got, want := ps.Par(3), 14.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Par(3) = %g, want %g", got, want)
-	}
-}
-
-func TestNinBar(t *testing.T) {
-	ps := Figure7Stats()
-	// Level 4: nin = 1.
-	if got, want := ps.NinBar(4), 1.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NinBar(4) = %g, want %g", got, want)
-	}
-	// Level 3: 4 * 1 = 4.
-	if got, want := ps.NinBar(3), 4.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NinBar(3) = %g, want %g", got, want)
-	}
-	// Level 2: avg nin = (10000*3+5000*2+5000*2)/20000 = 2.5; 2.5*4 = 10.
-	if got, want := ps.NinBar(2), 10.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NinBar(2) = %g, want %g", got, want)
-	}
-	// Level 1: 1 * 10 = 10.
-	if got, want := ps.NinBar(1), 10.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("NinBar(1) = %g, want %g", got, want)
-	}
-}
-
-func TestNinBarCappedByDistinct(t *testing.T) {
-	p := schema.MustNewPath(schema.PaperSchema(), "Person", "owns", "man", "name")
-	ps := NewPathStats(p, DefaultParams())
-	ps.MustSet(1, ClassStats{Class: "Person", N: 1000, D: 10, NIN: 50}, Load{})
-	ps.MustSet(2, ClassStats{Class: "Vehicle", N: 100, D: 10, NIN: 50}, Load{})
-	ps.MustSet(2, ClassStats{Class: "Bus", N: 0, D: 0, NIN: 1}, Load{})
-	ps.MustSet(2, ClassStats{Class: "Truck", N: 0, D: 0, NIN: 1}, Load{})
-	ps.MustSet(3, ClassStats{Class: "Company", N: 10, D: 5, NIN: 1}, Load{})
-	// Raw product 50*50*1 = 2500 must be capped at DMax of level 3 = 5.
-	if got := ps.NinBar(1); got != 5 {
-		t.Errorf("NinBar(1) = %g, want capped 5", got)
-	}
-}
-
 func TestExpectedNonEmpty(t *testing.T) {
 	// One bin: any positive t fills it.
 	if got := ExpectedNonEmpty(3, []float64{10}); math.Abs(got-1) > 1e-9 {
@@ -212,23 +126,6 @@ func TestExpectedNonEmptyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNar(t *testing.T) {
-	ps := Figure7Stats()
-	// Distributing values over level 3 (single class Company) touches 1 record.
-	if got := ps.Nar(3, 5); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Nar(3,5) = %g, want 1", got)
-	}
-	// Beyond the path: zero.
-	if got := ps.Nar(5, 5); got != 0 {
-		t.Errorf("Nar(5,·) = %g, want 0", got)
-	}
-	// Level 2 (three classes): between 1 and 3.
-	got := ps.Nar(2, 3)
-	if got < 1 || got > 3 {
-		t.Errorf("Nar(2,3) = %g, want within [1,3]", got)
 	}
 }
 

@@ -277,17 +277,8 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Serve accepts connections on ln until Shutdown. It returns when the
-// accept loop exits; in-flight work is drained by Shutdown, not here.
-func (s *Server) Serve(ln net.Listener) error {
-	if err := s.prepare(ln); err != nil {
-		return err
-	}
-	return s.acceptLoop(ln)
-}
-
 // prepare transitions the server to started — synchronously, so the
-// waitgroups Shutdown waits on are registered before Listen or Serve
+// waitgroups Shutdown waits on are registered before Listen
 // hands control back — and starts the dispatcher.
 func (s *Server) prepare(ln net.Listener) error {
 	if !s.started.CompareAndSwap(false, true) {
@@ -959,20 +950,6 @@ func (s *Server) Workload() stats.Workload {
 		}
 	}
 	return stats.MergeWorkloads(ws...)
-}
-
-// Workloads returns the per-connection workloads of live connections —
-// the tenant-by-tenant view.
-func (s *Server) Workloads() []stats.Workload {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws := make([]stats.Workload, 0, len(s.conns))
-	for c := range s.conns {
-		if c.rec != nil {
-			ws = append(ws, c.rec.Snapshot())
-		}
-	}
-	return ws
 }
 
 // CoalesceStats reports how many requests the dispatcher has served,

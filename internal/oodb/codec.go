@@ -156,12 +156,6 @@ func DecodeObject(b []byte) (oid OID, class string, attrs map[string][]Value, re
 	return oid, class, attrs, rest, err
 }
 
-// EncodeObject returns the standalone encoding of one object — the
-// checkpoint snapshot's record payload.
-func EncodeObject(o *Object) []byte {
-	return AppendObject(nil, o.OID, o.Class, o.Attrs)
-}
-
 // Fingerprint hashes the store's logical state — every live object in OID
 // order (class and attributes through the canonical codec) plus the OID
 // sequence position. Two stores with equal fingerprints hold bit-identical

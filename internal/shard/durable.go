@@ -79,6 +79,8 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// Crash leftover: a temporary never renamed into place is garbage.
+	os.Remove(filepath.Join(dir, shardsName+".tmp"))
 	if m, ok, err := readShardsManifest(dir); err != nil {
 		return nil, err
 	} else if ok {
@@ -88,7 +90,7 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 		if m.PageSize != pageSize {
 			return nil, fmt.Errorf("shard: %s was created with page size %d, opened with %d", dir, m.PageSize, pageSize)
 		}
-	} else if err := writeShardsManifest(dir, shardsManifest{Version: 1, Shards: n, PageSize: pageSize}); err != nil {
+	} else if err := writeShardsManifest(dir, shardsManifest{Version: 1, Shards: n, PageSize: pageSize}, opts.Engine.OpenFile); err != nil {
 		return nil, err
 	}
 
@@ -147,16 +149,22 @@ func readShardsManifest(dir string) (shardsManifest, bool, error) {
 	return m, true, nil
 }
 
-func writeShardsManifest(dir string, m shardsManifest) error {
+// writeShardsManifest publishes SHARDS through the engines' OpenFile seam:
+// written to a temporary, fsynced, then renamed, so a crash during the
+// first open leaves no SHARDS or a complete one.
+func writeShardsManifest(dir string, m shardsManifest, open func(string) (storage.File, error)) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, shardsName+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	err = storage.WriteFileAtomic(open, filepath.Join(dir, shardsName), func(f storage.File) error {
+		_, err := f.WriteAt(raw, 0)
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("shard: manifest: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(dir, shardsName))
+	return nil
 }
 
 // Checkpoint checkpoints every shard concurrently — flush, snapshot,

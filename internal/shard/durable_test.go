@@ -1,7 +1,10 @@
 package shard_test
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 func openTestDurableDB(t *testing.T, dir string, nShards int) *shard.DB {
@@ -157,6 +161,73 @@ func TestShardedDurableGeometryMismatchRejected(t *testing.T) {
 	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, 3,
 		shard.DurableOptions{Engine: engine.DurableOptions{FirstOID: 7}}); err == nil {
 		t.Fatal("caller-set FirstOID not rejected")
+	}
+}
+
+// TestShardedDurableFreshOpenKillPoints kills a fresh sharded open at
+// every write byte from the first one of SHARDS.tmp into the shards' own
+// opens — SHARDS goes through the same OpenFile seam as the engines'
+// files. Whatever SHARDS a kill leaves behind is complete (it is renamed
+// into place only after its fsync), a torn SHARDS.tmp is ignored, and the
+// directory reopens clean and usable either way.
+func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
+	const nShards, pageSize = 3, 1024
+	s := schema.PaperSchema()
+	p := schema.PaperPathOwnsManName()
+	var sawNone, sawPublished bool
+	for kill := int64(0); kill <= 80; kill++ {
+		dir := filepath.Join(t.TempDir(), "db")
+		budget := storage.NewCrashBudget(kill)
+		open := func(path string) (storage.File, error) {
+			ff, err := storage.OpenFaultFile(path)
+			if err != nil {
+				return nil, err
+			}
+			ff.Budget = budget
+			return ff, nil
+		}
+		db, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), pageSize, nShards,
+			shard.DurableOptions{Engine: engine.DurableOptions{OpenFile: open}})
+		switch {
+		case err == nil:
+			db.Close() //nolint:errcheck // the closing checkpoint may hit the kill point
+		case !budget.Crashed():
+			t.Fatalf("kill at byte %d: open failed without the kill: %v", kill, err)
+		}
+
+		raw, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+			sawNone = true
+		case err != nil:
+			t.Fatal(err)
+		default:
+			sawPublished = true
+			var m struct {
+				Shards   int `json:"shards"`
+				PageSize int `json:"page_size"`
+			}
+			if err := json.Unmarshal(raw, &m); err != nil || m.Shards != nShards || m.PageSize != pageSize {
+				t.Fatalf("kill at byte %d published a torn SHARDS %q (%v)", kill, raw, err)
+			}
+		}
+		// A killed process runs no deferred clean-up: its torn temporary
+		// stays behind.
+		if err := os.WriteFile(filepath.Join(dir, "SHARDS.tmp"), []byte(`{"version": 1, "sha`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2 := openTestDurableDB(t, dir, nShards)
+		for _, v := range populate(t, db2) {
+			if got, err := db2.Query(v, "Person", true); err != nil || len(got) != 1 {
+				t.Fatalf("kill at byte %d: reopened directory answers %v, %v", kill, got, err)
+			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sawNone || !sawPublished {
+		t.Fatalf("sweep did not straddle the rename: no SHARDS seen %v, published seen %v", sawNone, sawPublished)
 	}
 }
 

@@ -105,13 +105,6 @@ func (s *endSummary) add(v oodb.Value) {
 	}
 }
 
-// Add records one ending value under the summary's lock.
-func (s *endSummary) Add(v oodb.Value) {
-	s.mu.Lock()
-	s.add(v)
-	s.mu.Unlock()
-}
-
 // AddAll records a batch of ending values under one lock acquisition.
 func (s *endSummary) AddAll(vs []oodb.Value) {
 	if len(vs) == 0 {

@@ -23,6 +23,37 @@ type File interface {
 	Close() error
 }
 
+// WriteFileAtomic publishes a file all or nothing: it writes path+".tmp"
+// through the open seam (nil: the real filesystem), fsyncs it and only
+// then renames it over path, so a reader finds the previous complete file
+// or the new one — a crash leaves at worst a torn temporary, which no
+// reader opens. write receives the empty temporary.
+func WriteFileAtomic(open func(string) (File, error), path string, write func(File) error) error {
+	if open == nil {
+		open = func(p string) (File, error) { return os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644) }
+	}
+	tmp := path + ".tmp"
+	f, err := open(tmp)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp) // already gone after a successful rename
+	err = f.Truncate(0)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // ErrChecksum reports a page slot whose stored checksum does not match its
 // payload — a torn or corrupted write. Callers test with errors.Is.
 var ErrChecksum = errors.New("storage: page checksum mismatch")
@@ -132,9 +163,6 @@ func (be *FileBackend) writeHeader() error {
 	be.wroteH = true
 	return nil
 }
-
-// PageSize returns the backend's page size.
-func (be *FileBackend) PageSize() int { return be.pageSize }
 
 // WritePage frames and writes the page image at its fixed offset.
 func (be *FileBackend) WritePage(id PageID, data []byte) error {
