@@ -50,6 +50,20 @@ func TestSelectReturnsErrorsForBadInput(t *testing.T) {
 	if _, err := SubpathCost(nil, 1, 1, MX); err == nil {
 		t.Error("SubpathCost accepted nil statistics")
 	}
+	// Statistics no cost is finite under, or that are not numbers at all:
+	// the first used to index from[-1] in the dynamic program, the others
+	// were priced.
+	for name, edit := range map[string]func(*PathStats){
+		"overflowing load": func(ps *PathStats) { ps.Levels[0].Loads[0].Beta = 1e308 },
+		"NaN statistic":    func(ps *PathStats) { ps.Levels[1].Classes[0].N = math.NaN() },
+		"negative load":    func(ps *PathStats) { ps.Levels[0].Loads[0].Alpha = -5 },
+	} {
+		ps := Figure7Stats()
+		edit(ps)
+		if res, _, err := Select(ps, nil); err == nil {
+			t.Errorf("Select accepted an %s and returned %v", name, res.Best)
+		}
+	}
 }
 
 func TestSelectWithNoIndexColumn(t *testing.T) {

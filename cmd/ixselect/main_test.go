@@ -66,3 +66,25 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowingSpecIsAnError edits one load of the template spec to a
+// value no cost can be finite under, and one to a value Validate refuses:
+// run must return an error naming where — it used to panic in the dynamic
+// program (every configuration cost +Inf) or price a negative frequency.
+func TestOverflowingSpecIsAnError(t *testing.T) {
+	var spec bytes.Buffer
+	if err := run([]string{"-example"}, strings.NewReader(""), &spec); err != nil {
+		t.Fatal(err)
+	}
+	for edit, want := range map[string]string{
+		`"beta": 1e308`: "subpath [1,1] Person.owns under MX",
+		`"beta": -1`:    `level 1: class "Person"`,
+	} {
+		in := strings.Replace(spec.String(), `"beta": 0.1`, edit, 1)
+		var out bytes.Buffer
+		err := run([]string{"-json"}, strings.NewReader(in), &out)
+		if err == nil || !strings.Contains(err.Error(), want) || out.Len() != 0 {
+			t.Errorf("%s: error %v (want it to contain %q), stdout %q", edit, err, want, out.String())
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/schema"
 )
 
 // refMatrix is the reference cost matrix: cells stored in a map, minima
@@ -328,12 +329,76 @@ func randomChainStats(t *testing.T, rng *rand.Rand, n int) *model.PathStats {
 	return ps
 }
 
+// randomHierarchyStats builds randomized statistics over a path whose
+// every level is an inheritance hierarchy of 1 to 4 classes: the shape on
+// which a cell's per-level terms are shared between classes. Some classes
+// are empty, some carry no load, fan-outs are fractional, a third of the
+// paths carry range-query frequencies and a third a selectivity. Objects
+// per key value are drawn up to perKey: large values make the NIX primary
+// record span pages, where insertion and deletion have different page
+// factors.
+func randomHierarchyStats(t *testing.T, rng *rand.Rand, n int, perKey float64) *model.PathStats {
+	t.Helper()
+	s := schema.New()
+	root := func(l int) string { return fmt.Sprintf("C%d", l) }
+	for l := 1; l <= n+1; l++ {
+		attrs := []schema.Attribute{{Name: "v", Kind: schema.Atomic, Domain: "string"}}
+		if l <= n {
+			attrs = append(attrs, schema.Attribute{Name: "next", Kind: schema.Ref, Domain: root(l + 1), MultiValued: rng.Intn(2) == 0})
+		}
+		s.MustAddClass(&schema.Class{Name: root(l), Attrs: attrs})
+		for j := rng.Intn(4); j > 0; j-- {
+			s.MustAddClass(&schema.Class{Name: fmt.Sprintf("C%dsub%d", l, j), Super: root(l)})
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	attrs := make([]string, n)
+	for i := range attrs {
+		attrs[i] = "next"
+	}
+	attrs[n-1] = "v"
+	p, err := schema.NewPath(s, root(1), attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := model.NewPathStats(p, model.PaperParams())
+	mixed := rng.Intn(3) == 0
+	for l := 1; l <= n; l++ {
+		ls := ps.Level(l)
+		for x := range ls.Classes {
+			c := &ls.Classes[x]
+			c.NIN = 1 + rng.Float64()*3
+			if rng.Intn(6) > 0 { // else an empty class: N = D = 0
+				c.N = math.Ceil(10 + rng.Float64()*50000)
+				c.D = math.Ceil(c.N * c.NIN / (1 + rng.Float64()*perKey))
+			}
+			if rng.Intn(4) == 0 {
+				continue // a class nobody queries or updates
+			}
+			ls.Loads[x] = model.Load{Alpha: rng.Float64(), Beta: rng.Float64() * 0.5, Gamma: rng.Float64() * 0.5}
+			if mixed {
+				ls.Loads[x].Rho = rng.Float64() * 0.3
+			}
+		}
+	}
+	if rng.Intn(3) == 0 {
+		ps.Selectivity = rng.Float64() * 0.2
+	}
+	if err := ps.Validate(); err != nil {
+		t.Fatalf("randomized stats invalid: %v", err)
+	}
+	return ps
+}
+
 func TestMatrixEquivalentOnRandomStats(t *testing.T) {
-	// Property: on randomized chain statistics of length up to 16, the
-	// matrix matches the reference in every cell and minimum, and all
-	// three search procedures return identical results. Covers the
-	// paper's organizations and the extended set (PX, NX, NONE), equality
-	// and range predicates.
+	// Property: on randomized chain statistics of length up to 16, and on
+	// randomized hierarchies of length up to 12, the matrix matches the
+	// reference in every cell and minimum, and all three search
+	// procedures return identical results. Covers the paper's
+	// organizations and the extended set (PX, NX, NONE), equality and
+	// range predicates, single- and multi-page NIX records.
 	rng := rand.New(rand.NewSource(94))
 	lengths := []int{1, 2, 3, 5, 8, 12, 16}
 	for i, n := range lengths {
@@ -343,6 +408,14 @@ func TestMatrixEquivalentOnRandomStats(t *testing.T) {
 			orgs = cost.OrganizationsExtended
 		}
 		assertEquivalent(t, ps.Path.String(), ps, orgs)
+	}
+	for n := 1; n <= 12; n++ {
+		perKey := 4.0
+		if n%3 == 0 {
+			perKey = 400 // NIX primary records of several pages from the first level on
+		}
+		ps := randomHierarchyStats(t, rng, n, perKey)
+		assertEquivalent(t, fmt.Sprintf("hierarchy n=%d perKey=%g", n, perKey), ps, cost.OrganizationsExtended)
 	}
 }
 

@@ -120,8 +120,10 @@ func checkOrgs(orgs []cost.Organization) error {
 
 // NewMatrixFromStats computes the full cost matrix of a path from its
 // statistics and workload. orgs defaults to the paper's {MX, MIX, NIX}.
-// The level table makes a cell cost about a microsecond, so the cells are
-// computed serially.
+// One evaluator prices the cells serially in its own scratch; a cell
+// allocates nothing and costs a fraction of a microsecond (MX, MIX) to tens
+// of microseconds (a long NIX subpath; DESIGN.md §2). A cell whose cost is
+// not finite is an error: a path of +Inf configurations has no optimum.
 func NewMatrixFromStats(ps *model.PathStats, orgs []cost.Organization) (*Matrix, error) {
 	if len(orgs) == 0 {
 		orgs = cost.Organizations
@@ -135,13 +137,18 @@ func NewMatrixFromStats(ps *model.PathStats, orgs []cost.Organization) (*Matrix,
 	}
 	m := newMatrix(ps.Len(), orgs)
 	k := len(orgs)
+	var e cost.Evaluator
 	for a := 1; a <= m.N; a++ {
 		for b := a; b <= m.N; b++ {
 			base := (m.rowStart[a-1] + b - a) * k
 			for i, org := range orgs {
-				sc, err := sh.ProcessingCost(a, b, org)
-				if err != nil {
+				if err := e.Reset(sh, a, b, org); err != nil {
 					return nil, fmt.Errorf("core: subpath [%d,%d] %v: %w", a, b, org, err)
+				}
+				sc := cost.ProcessingCost(&e)
+				if t := sc.Total(); math.IsInf(t, 0) || math.IsNaN(t) {
+					sub, _ := ps.Path.SubPath(a, b)
+					return nil, fmt.Errorf("core: subpath [%d,%d] %s under %v: processing cost %g is not finite: a statistic or load of its levels overflows the cost model", a, b, sub, org, t)
 				}
 				m.entries[base+i] = MatrixEntry{SC: sc}
 			}
@@ -176,7 +183,7 @@ func NewMatrixFromValues(n int, orgs []cost.Organization, values map[[2]int][]fl
 			}
 			base := m.rowStart[a-1] + b - a
 			for i, v := range vs {
-				if v < 0 || math.IsNaN(v) {
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 					return nil, fmt.Errorf("core: invalid cost %g for subpath [%d,%d]", v, a, b)
 				}
 				m.entries[base*len(orgs)+i] = MatrixEntry{SC: cost.SubpathCost{A: a, B: b, Org: orgs[i], Query: v}}

@@ -33,15 +33,37 @@ func advisePool(tb testing.TB) []*model.PathStats {
 	return pool
 }
 
-// BenchmarkSelectPool is one core.Select per op, round-robin over the
-// advise pool: the benchmark's advise op without its harness.
+// BenchmarkSelectPool is one core.Select per op — the benchmark's advise
+// op without its harness — round-robin over the whole advise pool, on
+// Figure 7 alone, and over the pool's seven chains of one length.
 func BenchmarkSelectPool(b *testing.B) {
 	pool := advisePool(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Select(pool[i%len(pool)], poolOrgs); err != nil {
-			b.Fatal(err)
+	ofLength := func(n int) []*model.PathStats {
+		var out []*model.PathStats
+		for _, ps := range pool[1:] {
+			if ps.Len() == n {
+				out = append(out, ps)
+			}
 		}
+		return out
+	}
+	for _, bc := range []struct {
+		name  string
+		paths []*model.PathStats
+	}{
+		{"round-robin", pool},
+		{"fig7", pool[:1]},
+		{"chain-n=4", ofLength(4)},
+		{"chain-n=8", ofLength(8)},
+		{"chain-n=12", ofLength(12)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.Select(bc.paths[i%len(bc.paths)], poolOrgs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -72,6 +72,17 @@ func TestGeomErrors(t *testing.T) {
 	if _, err := NewGeom(-1, 10, 4096, 16); err == nil {
 		t.Error("negative nk accepted")
 	}
+	// These used to loop forever appending levels: a fan-out of one never
+	// narrows to a root, and neither do +Inf or NaN pages.
+	if _, err := NewGeom(1000, 10, 64, 40); err == nil {
+		t.Error("one entry per page accepted")
+	}
+	if _, err := NewGeom(1e300, 1e300, 4096, 16); err == nil {
+		t.Error("overflowing leaf level accepted")
+	}
+	if _, err := NewGeom(math.NaN(), 10, 4096, 16); err == nil {
+		t.Error("NaN nk accepted")
+	}
 }
 
 func TestGeomHeightGrows(t *testing.T) {

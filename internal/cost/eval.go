@@ -74,8 +74,11 @@ func ParseOrganization(s string) (Organization, error) {
 // Evaluator computes query and maintenance costs for one subpath [A..B] of
 // a path under one index organization. All level arguments are global
 // (1-based positions in the full path). Everything that does not depend on
-// both subpath bounds comes from the path's level table; the constructor
-// adds the geometry of the NIX, PX or NX structures, which does.
+// both subpath bounds comes from the path's level table; Reset adds the
+// geometry of the NIX, PX or NX structures, which does, built in the
+// evaluator's own scratch: one evaluator prices every cell of a matrix
+// without allocating. Because the geometries point into the arrays beside
+// them, an Evaluator is used through a pointer and never copied.
 type Evaluator struct {
 	PS  *model.PathStats
 	A   int // first level of the subpath
@@ -87,7 +90,9 @@ type Evaluator struct {
 	lt *orgTable
 	// primary is the NIX primary index, or the single PX or NX structure;
 	// aux is the NIX auxiliary parent index.
-	primary, aux *Geom
+	primary, aux     Geom
+	primaryLv, auxLv [maxTreeHeight]LevelGeom
+	anc              []float64 // levelMaint's scratch: one NIX rewrite per ancestor level
 }
 
 // NewEvaluator builds an evaluator for subpath [a..b] of ps under org:
@@ -104,19 +109,19 @@ func NewEvaluator(ps *model.PathStats, a, b int, org Organization) (*Evaluator, 
 // Evaluator builds an evaluator for subpath [a..b] under org.
 func (sh *Shared) Evaluator(a, b int, org Organization) (*Evaluator, error) {
 	e := new(Evaluator)
-	if err := e.init(sh, a, b, org); err != nil {
+	if err := e.Reset(sh, a, b, org); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-func (e *Evaluator) init(sh *Shared, a, b int, org Organization) error {
+// Reset re-targets e at subpath [a..b] of sh's path under org.
+func (e *Evaluator) Reset(sh *Shared, a, b int, org Organization) error {
 	if a < 1 || b > sh.n || a > b {
 		return fmt.Errorf("cost: invalid subpath [%d,%d] for path of length %d", a, b, sh.n)
 	}
-	*e = Evaluator{PS: sh.ps, A: a, B: b, Org: org, sh: sh}
+	e.PS, e.A, e.B, e.Org, e.sh, e.lt = sh.ps, a, b, org, sh, nil
 	p := sh.ps.Params
-	page, entry := float64(p.PageSize), float64(p.KeyLen+p.PtrLen)
 	switch org {
 	case MX:
 		e.lt = &sh.mx
@@ -137,7 +142,9 @@ func (e *Evaluator) init(sh *Shared, a, b int, org Organization) error {
 				ln += e.nixSection(l, x)
 			}
 		}
-		e.primary = mustGeom(sh.lv[b-1].dMax, ln, page, entry)
+		if err := e.primary.place(&e.primaryLv, sh.lv[b-1].dMax, ln, p); err != nil {
+			return err
+		}
 		// Auxiliary index: one 3-tuple per object of levels a+1..b.
 		var naux, auxBytes float64
 		for l := a + 1; l <= b; l++ {
@@ -151,9 +158,9 @@ func (e *Evaluator) init(sh *Shared, a, b int, org Organization) error {
 		if naux > 0 {
 			lnAux = auxBytes / naux
 		}
-		e.aux = mustGeom(naux, lnAux, page, entry)
+		return e.aux.place(&e.auxLv, naux, lnAux, p)
 	case PX, NX:
-		e.primary = mustGeom(sh.lv[b-1].dMax, e.extRecordLen(), page, entry)
+		return e.primary.place(&e.primaryLv, sh.lv[b-1].dMax, e.extRecordLen(), p)
 	case NONE:
 		// No structures.
 	default:
@@ -196,7 +203,7 @@ func (e *Evaluator) Query(l int, class string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.query(l, x, 1), nil
+	return e.query(l, x, e.probeFor(1)), nil
 }
 
 // QueryHierarchy returns CR_X(C*_l): the searching cost with respect to the
@@ -206,7 +213,7 @@ func (e *Evaluator) QueryHierarchy(l int) (float64, error) {
 	if err := e.inScope(l); err != nil {
 		return 0, err
 	}
-	return e.query(l, wholeHierarchy, 1), nil
+	return e.query(l, wholeHierarchy, e.probeFor(1)), nil
 }
 
 // QueryRange is Query for a range predicate with the given selectivity
@@ -232,16 +239,36 @@ func (e *Evaluator) queryRange(l, x int, sel float64) (float64, error) {
 	if sel < 0 || sel > 1 {
 		return 0, fmt.Errorf("cost: selectivity %g outside [0,1]", sel)
 	}
-	return e.query(l, x, e.sh.keysFor(sel)), nil
+	return e.query(l, x, e.probeFor(e.sh.keysFor(sel))), nil
 }
 
 // wholeHierarchy is the class index standing for all classes of a level.
 const wholeHierarchy = -1
 
-// query prices a predicate matching keys values of the path's ending
-// attribute (1 for equality) with respect to class x of level l, or to the
-// whole hierarchy of level l.
-func (e *Evaluator) query(l, x int, keys float64) float64 {
+// cellProbe is what every query of a cell at one key count shares, read
+// neither with the level nor with the class the query is asked for: the
+// level table's probe rows (MX, MIX), or the descent of keys times the
+// subpath's feed through its one structure (NIX, PX, NX).
+type cellProbe struct {
+	one [][]float64
+	probe
+}
+
+// probeFor probes the subpath's structures for a predicate matching keys
+// values of the path's ending attribute (1 for equality).
+func (e *Evaluator) probeFor(keys float64) cellProbe {
+	switch e.Org {
+	case MX, MIX:
+		return cellProbe{one: e.lt.probesAt(e.sh, keys).one}
+	case NIX, PX, NX:
+		return cellProbe{probe: descent(&e.primary, keys*e.feed())}
+	}
+	return cellProbe{}
+}
+
+// query prices the probed predicate with respect to class x of level l,
+// or to the whole hierarchy of level l.
+func (e *Evaluator) query(l, x int, cp cellProbe) float64 {
 	switch e.Org {
 	case MX, MIX:
 		// Probe the class's own structure at level l (every structure of
@@ -249,30 +276,29 @@ func (e *Evaluator) query(l, x int, keys float64) float64 {
 		// MIX index returns all classes' OIDs), then every structure of
 		// the deeper levels l+1..B: table entries, summed in the order
 		// the cascade of lookups runs.
-		one := e.lt.probesAt(e.sh, keys).one
 		var s float64
 		if x != wholeHierarchy {
-			s = at(one[l-1], x)
+			s = at(cp.one[l-1], x)
 			l++
 		}
-		for _, level := range one[l-1 : e.B] {
+		for _, level := range cp.one[l-1 : e.B] {
 			for _, c := range level {
 				s += c
 			}
 		}
 		return s
 	case NIX:
-		return CRT(e.primary, keys*e.feed(), e.nixPR(l, x))
+		return cp.crt(&e.primary, e.nixPR(l, x))
 	case NX:
 		if l > e.A {
 			// The structure cannot answer inner-class queries: evaluate
 			// by scanning from level l (the NONE behaviour for that slice).
 			return e.sh.scanPages(l, e.B)
 		}
-		return CRT(e.primary, keys*e.feed(), 0)
+		return cp.crt(&e.primary, 0)
 	case PX:
 		// Whole records must be read (no class directory).
-		return CRT(e.primary, keys*e.feed(), e.primary.RecordPages())
+		return cp.crt(&e.primary, e.primary.RecordPages())
 	}
 	// NONE: sequentially scan the objects of every hierarchy from level l
 	// to the end of the subpath, navigating forward references (the naive
@@ -319,7 +345,9 @@ func (e *Evaluator) Insert(l int, class string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ins, _ := e.maintain(l, x)
+	var lm levelMaint
+	e.levelMaint(l, &lm)
+	ins, _ := e.maintain(l, x, &lm)
 	return ins, nil
 }
 
@@ -332,13 +360,59 @@ func (e *Evaluator) Delete(l int, class string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, del := e.maintain(l, x)
+	var lm levelMaint
+	e.levelMaint(l, &lm)
+	_, del := e.maintain(l, x, &lm)
 	return del, nil
+}
+
+// levelMaint is what the maintenance costs of the classes of one level
+// share under NIX, PX and NX, and the descents the next class or level
+// re-uses when it asks for the same records. Its zero value starts a cell.
+type levelMaint struct {
+	ext float64 // PX, NX: the whole cost, which does not read the class
+	// reach descends the nin̄(l,B) records reachable from an object of the
+	// level through the primary structure; kids and own descend a class's
+	// nin children, without and with the object's own 3-tuple, through
+	// the NIX auxiliary index.
+	reach, kids, own lastProbe
+	ancBytes         float64   // NIX: section bytes of levels A..l-1 in a multi-page primary record
+	anc              []float64 // NIX deletion steps 3b/3c: rewrites at levels l-1..A+1 (Evaluator.anc) ...
+	ancLeaf          float64   // ... and the propagation through the auxiliary leaf level
+}
+
+// levelMaint moves lm to level l of the evaluator's subpath.
+func (e *Evaluator) levelMaint(l int, lm *levelMaint) {
+	sh := e.sh
+	switch e.Org {
+	case PX, NX:
+		lm.ext = e.extMaintain(l, &lm.reach)
+	case NIX:
+		lm.reach.descent(&e.primary, sh.ninBar(l, e.B))
+		lm.ancBytes = 0
+		if e.primary.MultiPage() {
+			for i := e.A; i < l; i++ {
+				for j := range sh.lv[i-1].k {
+					lm.ancBytes += e.nixSection(i, j)
+				}
+			}
+		}
+		lm.anc = e.anc[:0]
+		var parSum, narpSum float64
+		for i := l - 1; i >= e.A+1; i-- {
+			narp := sh.tab(sh.narp, i-1, l-1)
+			lm.anc = append(lm.anc, CRR(narp, &e.aux))
+			parSum += sh.tab(sh.star, i-1, l-1)
+			narpSum += narp
+		}
+		e.anc = lm.anc // keeps what append grew
+		lm.ancLeaf = math.Min(Yao(parSum, e.aux.NK, e.aux.LeafPages), e.auxPages(narpSum))
+	}
 }
 
 // maintain prices the insertion and the deletion of an object of class x
 // at level l together: they share most of their terms.
-func (e *Evaluator) maintain(l, x int) (ins, del float64) {
+func (e *Evaluator) maintain(l, x int, lm *levelMaint) (ins, del float64) {
 	switch e.Org {
 	case MX, MIX:
 		ins = e.lt.cmt[l-1][x]
@@ -349,73 +423,54 @@ func (e *Evaluator) maintain(l, x int) (ins, del float64) {
 			del += e.lt.cml[l-2]
 		}
 	case NIX:
-		return e.nixMaintain(l, x)
+		return e.nixMaintain(l, x, lm)
 	case PX, NX:
-		ins = e.extMaintain(l)
-		del = ins
+		return lm.ext, lm.ext
 	}
 	return ins, del // zero under NONE
 }
 
 // nixMaintain implements the NIX insertion cost CSI24 + CSI3 and deletion
 // cost CSD2 + CSD3 (Section 3.1).
-func (e *Evaluator) nixMaintain(l, x int) (ins, del float64) {
-	sh := e.sh
+func (e *Evaluator) nixMaintain(l, x int, lm *levelMaint) (ins, del float64) {
 	var childNar, children float64
 	if l < e.B {
-		childNar = sh.lv[l-1].nar[x]
+		childNar = e.sh.lv[l-1].nar[x]
 		children = e.PS.Level(l).Classes[x].NIN
 	}
 	// Step 2: access the children's 3-tuples and rewrite them; below the
 	// subpath's first level the object has a 3-tuple of its own, written
 	// on insertion, accessed and rewritten on deletion.
-	ins = CRT(e.aux, children, 1)
+	ins = lm.kids.descent(&e.aux, children).crt(&e.aux, 1)
 	del = ins
 	ownAux := 0.0
 	if l > e.A {
 		ownAux = 1
-		del = CRT(e.aux, children+1, 1)
+		del = lm.own.descent(&e.aux, children+1).crt(&e.aux, 1)
 	}
-	rewrite := CRR(childNar+ownAux, e.aux)
+	rewrite := CRR(childNar+ownAux, &e.aux)
 	ins, del = ins+rewrite, del+rewrite
 	// Step 3(a): modify the primary records reachable from the object.
-	// The two page factors differ only in a multi-page record.
-	reach, pmi, pmd := sh.ninBar(l, e.B), e.nixPM(l, x, false), e.nixPM(l, x, true)
-	modify := CMT(e.primary, reach, pmi)
+	// In a multi-page record the new entries of an insertion land in the
+	// pages holding the object's class section; a deletion also modifies
+	// the sections of every ancestor level.
+	pmi, pmd := 1.0, 1.0
+	if e.primary.MultiPage() {
+		section := e.nixSection(l, x)
+		pmi, pmd = e.nixPages(section), e.nixPages(lm.ancBytes+section)
+	}
+	modify := lm.reach.cmt(&e.primary, pmi)
 	ins += modify
 	if pmd != pmi {
-		modify = CMT(e.primary, reach, pmd)
+		modify = lm.reach.cmt(&e.primary, pmd)
 	}
 	del += modify
 	// Steps 3b/3c: a deletion propagates through the ancestor 3-tuples at
 	// levels A+1..l-1.
-	var parSum, narpSum float64
-	for i := l - 1; i >= e.A+1; i-- {
-		narp := sh.tab(sh.narp, i-1, l-1)
-		del += CRR(narp, e.aux)
-		parSum += sh.tab(sh.star, i-1, l-1)
-		narpSum += narp
+	for _, rewrite := range lm.anc {
+		del += rewrite
 	}
-	return ins, del + math.Min(Yao(parSum, e.aux.NK, e.aux.LeafPages), e.auxPages(narpSum))
-}
-
-// nixPM is the per-record page maintenance factor when the record spans
-// multiple pages. Inserting, the new entries land in the pages holding the
-// object's class section; deleting, the sections of the object's class and
-// of every ancestor level are modified (step 3a).
-func (e *Evaluator) nixPM(l, x int, del bool) float64 {
-	if !e.primary.MultiPage() {
-		return 1
-	}
-	var bytes float64
-	if del {
-		for i := e.A; i < l; i++ {
-			for j := range e.sh.lv[i-1].k {
-				bytes += e.nixSection(i, j)
-			}
-		}
-	}
-	return e.nixPages(bytes + e.nixSection(l, x))
+	return ins, del + lm.ancLeaf
 }
 
 // auxPages is the cost of rewriting t 3-tuples of the auxiliary index
@@ -440,7 +495,7 @@ func (e *Evaluator) CMD() float64 {
 	case MX, MIX:
 		return e.lt.cmd[e.B-1]
 	case NIX:
-		s := CML(e.primary, e.primary.RecordPages())
+		s := CML(&e.primary, e.primary.RecordPages())
 		// delpoint: the 3-tuples of every aux-bearing object listed in the
 		// removed primary record lose a pointer.
 		var tt float64
@@ -452,7 +507,7 @@ func (e *Evaluator) CMD() float64 {
 		return s + e.auxPages(tt)
 	case PX, NX:
 		// The record keyed by the deleted OID is dropped entirely.
-		return CML(e.primary, e.primary.RecordPages())
+		return CML(&e.primary, e.primary.RecordPages())
 	}
 	return 0 // NONE
 }

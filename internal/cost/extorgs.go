@@ -63,15 +63,15 @@ func (e *Evaluator) extRecordLen() float64 {
 // extension organizations. Deleting an inner object also invalidates the
 // instantiations of its ancestors through it; those live in the same
 // records the maintenance already fetches, so both operations cost alike.
-func (e *Evaluator) extMaintain(l int) float64 {
-	sh, g := e.sh, e.primary
+func (e *Evaluator) extMaintain(l int, reach *lastProbe) float64 {
+	sh, g := e.sh, &e.primary
 	// Forward navigation from the object yields the affected keys, one
 	// object page per visited object.
 	s := sh.tab(sh.nav, l, e.B)
 	if e.Org == PX {
 		// Each record is rewritten (instantiations added or removed);
 		// whole records are touched: pm = record pages.
-		return s + CMT(g, sh.ninBar(l, e.B), g.RecordPages())
+		return s + reach.descent(g, sh.ninBar(l, e.B)).cmt(g, g.RecordPages())
 	}
 	if l > e.A {
 		// NX inner-level update: the affected starting objects can only
@@ -79,5 +79,5 @@ func (e *Evaluator) extMaintain(l int) float64 {
 		// index), then re-evaluating their membership.
 		s = sh.scanPages(e.A, l-1) + s
 	}
-	return s + CMT(g, sh.ninBar(l, e.B), 1)
+	return s + reach.descent(g, sh.ninBar(l, e.B)).cmt(g, 1)
 }

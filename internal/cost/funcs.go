@@ -39,17 +39,27 @@ func CML(g *Geom, pm float64) float64 {
 	return h - 1 + pm
 }
 
+// probe is one descent through a tree: the accesses of retrieving t of its
+// records, which the retrieval and the maintenance formula then price at
+// their page factor. A cell computes a probe once at the loop depth its t
+// varies at and prices it per class.
+type probe struct {
+	t     float64 // records retrieved, capped at the number of records
+	inner float64 // accesses above the leaf/record level
+	leaf  float64 // accesses at the leaf/record level
+}
+
 // descent computes the page accesses of retrieving t records through the
 // tree: t_h = t at the leaf/record level and t_{k-1} = npa(t_k, n_k, p_k)
-// going up. It returns t capped at the number of records, the accesses
-// above the leaf/record level and those at it; no records cost nothing.
-func descent(g *Geom, t float64) (records, inner, leaf float64) {
+// going up; no records cost nothing.
+func descent(g *Geom, t float64) probe {
 	if t <= 0 {
-		return 0, 0, 0
+		return probe{}
 	}
 	if t > g.NK && g.NK > 0 {
 		t = g.NK
 	}
+	p := probe{t: t}
 	tk := t
 	for k := len(g.Levels) - 1; k >= 0; k-- {
 		lv := g.Levels[k]
@@ -58,13 +68,31 @@ func descent(g *Geom, t float64) (records, inner, leaf float64) {
 			a = 1
 		}
 		if k == len(g.Levels)-1 {
-			leaf = a
+			p.leaf = a
 		} else {
-			inner += a
+			p.inner += a
 		}
 		tk = a
 	}
-	return t, inner, leaf
+	return p
+}
+
+// lastProbe is the latest descent through one structure, which the next
+// request re-uses when it asks for the same number of records: the classes
+// of a level do, and often consecutive levels (a single-valued chain
+// reaches one key from every level; a fan-out product that has hit the
+// key cardinality stays there). The zero value descended no records.
+type lastProbe struct {
+	asked float64
+	probe
+}
+
+// descent is descent(g, t), for the one g lp is used with.
+func (lp *lastProbe) descent(g *Geom, t float64) probe {
+	if t != lp.asked {
+		lp.asked, lp.probe = t, descent(g, t)
+	}
+	return lp.probe
 }
 
 // CRT is the retrieval cost of a set of t index records (Section 3.1):
@@ -74,15 +102,17 @@ func descent(g *Geom, t float64) (records, inner, leaf float64) {
 //
 // pr as in CRL (pr <= 0 retrieves whole records). For t == 1 this reduces
 // to CRL, unifying the equality-predicate case.
-func CRT(g *Geom, t, pr float64) float64 {
-	t, inner, leaf := descent(g, t)
+func CRT(g *Geom, t, pr float64) float64 { return descent(g, t).crt(g, pr) }
+
+// crt prices the retrieval of the probe's records at pr pages each.
+func (p probe) crt(g *Geom, pr float64) float64 {
 	if !g.MultiPage() {
-		return inner + leaf
+		return p.inner + p.leaf
 	}
 	if pr <= 0 {
 		pr = g.RecordPages()
 	}
-	return inner + t*pr
+	return p.inner + p.t*pr
 }
 
 // CMT is the maintenance cost of t index records (Section 3.1):
@@ -93,15 +123,17 @@ func CRT(g *Geom, t, pr float64) float64 {
 //
 // pm is the number of record pages modified per record (pm <= 0 defaults
 // to 1: one relevant page read and rewritten per record).
-func CMT(g *Geom, t, pm float64) float64 {
-	t, inner, leaf := descent(g, t)
+func CMT(g *Geom, t, pm float64) float64 { return descent(g, t).cmt(g, pm) }
+
+// cmt prices the maintenance of the probe's records at pm pages each.
+func (p probe) cmt(g *Geom, pm float64) float64 {
 	if !g.MultiPage() {
-		return inner + 2*leaf
+		return p.inner + 2*p.leaf
 	}
 	if pm <= 0 {
 		pm = 1
 	}
-	return inner + 2*t*pm
+	return p.inner + 2*p.t*pm
 }
 
 // CRR is the cost of rewriting t auxiliary index records (Section 3.1, NIX

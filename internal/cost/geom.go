@@ -3,6 +3,9 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/model"
 )
 
 // LevelGeom describes one level of a B+-tree for Yao-based traversal
@@ -40,9 +43,9 @@ func (g *Geom) RecordPages() float64 {
 	return math.Max(1, math.Ceil(g.Ln/g.PageSize))
 }
 
-// maxTreeHeight bounds the levels of any practical B+-tree geometry (a
-// height-16 tree with fan-out 2 already outgrows any float64-countable
-// record set); construction scratch of this size lives on the stack.
+// maxTreeHeight is the height geometry scratch is dimensioned for: with the
+// paper's fan-out of 64 a tree of 16 levels indexes 10^27 records. A taller
+// tree spills to the heap.
 const maxTreeHeight = 16
 
 // NewGeom derives the geometry of an index with nk records of average
@@ -52,48 +55,53 @@ const maxTreeHeight = 16
 // records within a page, nk*ceil(ln/p) otherwise; each non-leaf level has
 // one entry per node of the level below, up to a single root.
 func NewGeom(nk, ln, pageSize float64, entryLen float64) (*Geom, error) {
-	if pageSize <= 0 || entryLen <= 0 || entryLen >= pageSize {
+	var buf [maxTreeHeight]LevelGeom
+	g := new(Geom)
+	levels, err := g.set(nk, ln, pageSize, entryLen, &buf)
+	if err != nil {
+		return nil, err
+	}
+	g.Levels = slices.Clone(levels)
+	return g, nil
+}
+
+// set computes the geometry in place, leaving Levels to the caller: the
+// levels are returned, root first, built in buf.
+func (g *Geom) set(nk, ln, pageSize, entryLen float64, buf *[maxTreeHeight]LevelGeom) ([]LevelGeom, error) {
+	if pageSize <= 0 || entryLen <= 0 || 2*entryLen > pageSize { // a fan-out below 2 never reaches a root
 		return nil, fmt.Errorf("cost: invalid geometry parameters page=%g entry=%g", pageSize, entryLen)
 	}
-	if nk < 0 || ln < 0 {
+	if !(nk >= 0 && ln >= 0) {
 		return nil, fmt.Errorf("cost: negative geometry inputs nk=%g ln=%g", nk, ln)
 	}
-	g := &Geom{NK: nk, Ln: ln, PageSize: pageSize, Fanout: math.Floor(pageSize / entryLen)}
-	if nk == 0 {
-		// Empty index: a single (empty) root page.
-		g.Levels = []LevelGeom{{NRec: 0, Pages: 1}}
-		g.LeafPages = 1
-		return g, nil
-	}
-	// Built leaf-first on the stack, reversed into the one allocation.
-	var buf [maxTreeHeight]LevelGeom
+	*g = Geom{NK: nk, Ln: ln, PageSize: pageSize, Fanout: math.Floor(pageSize / entryLen)}
 	levels := buf[:0]
-	if ln <= pageSize {
+	switch {
+	case nk == 0:
+		// Empty index: a single (empty) root page.
+		g.LeafPages = 1
+		return append(levels, LevelGeom{NRec: 0, Pages: 1}), nil
+	case ln <= pageSize:
 		g.LeafPages = math.Ceil(nk * ln / pageSize)
 		levels = append(levels, LevelGeom{NRec: nk, Pages: g.LeafPages})
-	} else {
+	default:
 		g.LeafPages = nk * math.Ceil(ln/pageSize)
-		levels = append(levels, LevelGeom{NRec: nk, Pages: g.LeafPages})
 		// Directory level with one entry per (multi-page) record.
-		levels = append(levels, LevelGeom{NRec: nk, Pages: math.Ceil(nk / g.Fanout)})
+		levels = append(levels, LevelGeom{NRec: nk, Pages: g.LeafPages}, LevelGeom{NRec: nk, Pages: math.Ceil(nk / g.Fanout)})
+	}
+	if math.IsInf(g.LeafPages, 0) || math.IsNaN(g.LeafPages) {
+		return nil, fmt.Errorf("cost: geometry overflows: %g records of %g bytes", nk, ln)
 	}
 	for levels[len(levels)-1].Pages > 1 {
 		below := levels[len(levels)-1].Pages
 		levels = append(levels, LevelGeom{NRec: below, Pages: math.Ceil(below / g.Fanout)})
 	}
-	g.Levels = make([]LevelGeom, len(levels))
-	for i := range levels {
-		g.Levels[len(levels)-1-i] = levels[i]
-	}
-	return g, nil
+	slices.Reverse(levels) // built leaf first
+	return levels, nil
 }
 
-// mustGeom is NewGeom panicking on error, for internal construction from
-// validated statistics.
-func mustGeom(nk, ln, pageSize, entryLen float64) *Geom {
-	g, err := NewGeom(nk, ln, pageSize, entryLen)
-	if err != nil {
-		panic(err)
-	}
-	return g
+// place is set for an index on p's pages whose levels live in buf.
+func (g *Geom) place(buf *[maxTreeHeight]LevelGeom, nk, ln float64, p model.Params) (err error) {
+	g.Levels, err = g.set(nk, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen), buf)
+	return err
 }

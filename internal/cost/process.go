@@ -43,32 +43,45 @@ func ProcessingCost(e *Evaluator) SubpathCost {
 	if sh.ps.Selectivity > 0 {
 		alphaKeys = rhoKeys
 	}
+	// One probe of the subpath's structures per key count in use; the
+	// classes below price it, none repeats it.
+	alphaProbe := e.probeFor(alphaKeys)
+	rhoProbe := alphaProbe
+	if rhoKeys > 0 && rhoKeys != alphaKeys {
+		rhoProbe = e.probeFor(rhoKeys)
+	}
 	for l := a; l <= b; l++ {
 		for x, ld := range sh.ps.Level(l).Loads {
 			// Queries with respect to the classes of the subpath's own scope.
-			if ld.Alpha != 0 {
-				out.Query += ld.Alpha * e.query(l, x, alphaKeys)
+			if ld.Alpha > 0 {
+				out.Query += ld.Alpha * e.query(l, x, alphaProbe)
 			}
-			if ld.Rho != 0 {
-				out.Query += ld.Rho * e.query(l, x, rhoKeys)
+			if ld.Rho > 0 {
+				out.Query += ld.Rho * e.query(l, x, rhoProbe)
 			}
 		}
 	}
 	// Inherited query load from the classes preceding the subpath.
 	pre := sh.lv[a-1].before
 	if pre.Alpha > 0 {
-		out.Query += pre.Alpha * e.query(a, wholeHierarchy, alphaKeys)
+		out.Query += pre.Alpha * e.query(a, wholeHierarchy, alphaProbe)
 	}
 	if pre.Rho > 0 {
-		out.Query += pre.Rho * e.query(a, wholeHierarchy, rhoKeys)
+		out.Query += pre.Rho * e.query(a, wholeHierarchy, rhoProbe)
 	}
-	// Maintenance on the subpath's own scope.
+	// Maintenance on the subpath's own scope; what the classes of a level
+	// share is priced once per level that is maintained at all.
+	var lm levelMaint
 	for l := a; l <= b; l++ {
+		if total := sh.lv[l-1].load; total.Beta <= 0 && total.Gamma <= 0 {
+			continue
+		}
+		e.levelMaint(l, &lm)
 		for x, ld := range sh.ps.Level(l).Loads {
 			if ld.Beta <= 0 && ld.Gamma <= 0 {
 				continue
 			}
-			ins, del := e.maintain(l, x)
+			ins, del := e.maintain(l, x, &lm)
 			if ld.Beta > 0 {
 				out.Maint += ld.Beta * ins
 			}
@@ -86,16 +99,6 @@ func ProcessingCost(e *Evaluator) SubpathCost {
 	return out
 }
 
-// ProcessingCost prices subpath [a..b] under org from the level table,
-// without allocating an evaluator for MX, MIX and NONE.
-func (sh *Shared) ProcessingCost(a, b int, org Organization) (SubpathCost, error) {
-	var e Evaluator
-	if err := e.init(sh, a, b, org); err != nil {
-		return SubpathCost{}, err
-	}
-	return ProcessingCost(&e), nil
-}
-
 // SubpathProcessingCost is a convenience wrapper building the level table
 // and computing the processing cost of one subpath in one call.
 func SubpathProcessingCost(ps *model.PathStats, a, b int, org Organization) (SubpathCost, error) {
@@ -103,5 +106,9 @@ func SubpathProcessingCost(ps *model.PathStats, a, b int, org Organization) (Sub
 	if err != nil {
 		return SubpathCost{}, err
 	}
-	return sh.ProcessingCost(a, b, org)
+	e, err := sh.Evaluator(a, b, org)
+	if err != nil {
+		return SubpathCost{}, err
+	}
+	return ProcessingCost(e), nil
 }

@@ -16,7 +16,7 @@ import (
 // pages — in n×n tables. An MX or MIX evaluator reads its costs from these
 // slices without evaluating a cost function; NIX, PX and NX evaluators,
 // whose geometry depends on both subpath bounds, read the per-level inputs
-// here and call the Section 3.1 functions directly.
+// here, build that geometry and descend it (eval.go).
 //
 // A Shared is immutable after NewShared and safe for concurrent use.
 type Shared struct {
@@ -147,8 +147,13 @@ func NewShared(ps *model.PathStats) (*Shared, error) {
 			nav += fan
 		}
 	}
-	sh.mx = sh.newOrgTable(mxGeomsAt)
-	sh.mix = sh.newOrgTable(mixGeomAt)
+	var err error
+	if sh.mx, err = sh.newOrgTable(mxGeomsAt); err != nil {
+		return nil, err
+	}
+	if sh.mix, err = sh.newOrgTable(mixGeomAt); err != nil {
+		return nil, err
+	}
 	if ps.Selectivity > 0 || anyRho {
 		sel := ps.Selectivity
 		if sel == 0 {
@@ -200,19 +205,21 @@ func (sh *Shared) keysFor(sel float64) float64 {
 
 // mxGeomsAt builds the per-class MX index geometries of level l: one
 // index per class of the hierarchy, keyed by the class's own values.
-func mxGeomsAt(ps *model.PathStats, l int) []*Geom {
+func mxGeomsAt(ps *model.PathStats, l int) (row []*Geom, err error) {
 	p := ps.Params
 	ls := ps.Level(l)
-	row := make([]*Geom, ls.NC())
+	row = make([]*Geom, ls.NC())
 	for x, c := range ls.Classes {
 		ln := float64(p.RecHeader) + c.K()*float64(p.OidLen)
-		row[x] = mustGeom(c.D, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen))
+		if row[x], err = NewGeom(c.D, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen)); err != nil {
+			return nil, err
+		}
 	}
-	return row
+	return row, nil
 }
 
 // mixGeomAt builds the hierarchy-wide MIX index geometry of level l.
-func mixGeomAt(ps *model.PathStats, l int) []*Geom {
+func mixGeomAt(ps *model.PathStats, l int) ([]*Geom, error) {
 	p := ps.Params
 	ls := ps.Level(l)
 	nk := ls.DMax()
@@ -224,15 +231,19 @@ func mixGeomAt(ps *model.PathStats, l int) []*Geom {
 	if nk > 0 {
 		ln += entries / nk * float64(p.OidLen)
 	}
-	return []*Geom{mustGeom(nk, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen))}
+	g, err := NewGeom(nk, ln, float64(p.PageSize), float64(p.KeyLen+p.PtrLen))
+	return []*Geom{g}, err
 }
 
 // newOrgTable prices the structures geomsAt allocates at every level.
-func (sh *Shared) newOrgTable(geomsAt func(*model.PathStats, int) []*Geom) orgTable {
+func (sh *Shared) newOrgTable(geomsAt func(*model.PathStats, int) ([]*Geom, error)) (orgTable, error) {
 	n := sh.n
 	t := orgTable{geom: make([][]*Geom, n), cmt: make([][]float64, n), cml: make([]float64, n), cmd: make([]float64, n)}
 	for l := 1; l <= n; l++ {
-		gs := geomsAt(sh.ps, l)
+		gs, err := geomsAt(sh.ps, l)
+		if err != nil {
+			return t, fmt.Errorf("cost: level %d: %w", l, err)
+		}
 		t.geom[l-1] = gs
 		for _, g := range gs {
 			t.cml[l-1] += CML(g, 0)
@@ -245,7 +256,7 @@ func (sh *Shared) newOrgTable(geomsAt func(*model.PathStats, int) []*Geom) orgTa
 		}
 	}
 	t.eq = t.newProbeTable(sh, 1)
-	return t
+	return t, nil
 }
 
 // newProbeTable prices probing every structure with keys times its level's

@@ -107,14 +107,18 @@ func (c ClassStats) Validate() error {
 	if c.Class == "" {
 		return fmt.Errorf("model: class stats without class name")
 	}
-	if c.N < 0 || c.D < 0 || c.NIN < 0 {
-		return fmt.Errorf("model: class %q has negative statistics", c.Class)
+	if !countable(c.N) || !countable(c.D) || !countable(c.NIN) {
+		return fmt.Errorf("model: class %q has negative or non-finite statistics (n=%g d=%g nin=%g)", c.Class, c.N, c.D, c.NIN)
 	}
 	if c.D > c.N*c.NIN && c.N > 0 {
 		return fmt.Errorf("model: class %q has more distinct values (%g) than attribute instances (%g)", c.Class, c.D, c.N*c.NIN)
 	}
 	return nil
 }
+
+// countable reports whether v is a finite, non-negative number: what every
+// statistic and frequency must be (NaN fails both comparisons).
+func countable(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // Load is the workload triplet of Section 3.2 for one class: the frequency
 // of queries against the ending attribute with respect to the class (Alpha),
@@ -325,7 +329,7 @@ func (ps *PathStats) Validate() error {
 	if len(ps.Levels) != ps.Path.Len() {
 		return fmt.Errorf("model: %d levels for path of length %d", len(ps.Levels), ps.Path.Len())
 	}
-	if ps.Selectivity < 0 || ps.Selectivity > 1 {
+	if !(ps.Selectivity >= 0 && ps.Selectivity <= 1) {
 		return fmt.Errorf("model: selectivity %g outside [0,1]", ps.Selectivity)
 	}
 	for l := 1; l <= ps.Len(); l++ {
@@ -336,9 +340,12 @@ func (ps *PathStats) Validate() error {
 		if len(ls.Loads) != len(ls.Classes) {
 			return fmt.Errorf("model: level %d has %d loads for %d classes", l, len(ls.Loads), len(ls.Classes))
 		}
-		for _, c := range ls.Classes {
+		for x, c := range ls.Classes {
 			if err := c.Validate(); err != nil {
 				return fmt.Errorf("model: level %d: %w", l, err)
+			}
+			if ld := ls.Loads[x]; !countable(ld.Alpha) || !countable(ld.Beta) || !countable(ld.Gamma) || !countable(ld.Rho) {
+				return fmt.Errorf("model: level %d: class %q has a negative or non-finite load %+v", l, c.Class, ld)
 			}
 		}
 	}
