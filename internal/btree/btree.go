@@ -18,7 +18,10 @@
 // maintenance of a record at CML = h − 1 + pm, the pages of the record
 // that change; an index organization that edits a record through a handle
 // pays exactly that, and Get, GetSectionInto, Insert, Update and Delete
-// are the handle's simplest uses.
+// are the handle's simplest uses. Reading many records hands out the same
+// handle: a Sweep (sweep.go) positions it on each key of a sorted set,
+// entering every node once, and ScanInto on each record of a key range, so
+// whoever reads through it pays for the pages it asks for and no others.
 //
 // Deletion is lazy: entries are removed but nodes are not merged, so the
 // height never shrinks — the usual simplification in storage simulators.
@@ -151,15 +154,20 @@ func (t *Tree) writePage(pg *storage.Page) {
 	}
 }
 
-// descend walks from the root to the leaf covering key, counting every
-// node visit. The descent is read-only and allocation-free: it compares
-// against the nodes' own key slices and never copies them.
-func (t *Tree) descend(key []byte) *node {
-	n := t.root
+// enter counts the visit of node n.
+func (t *Tree) enter(n *node) *node {
 	t.readPage(n.page)
+	return n
+}
+
+// descend walks from the root to the leaf covering key, counting every
+// node visit; a nil key leads to the first leaf. The descent is read-only
+// and allocation-free: it compares against the nodes' own key slices and
+// never copies them.
+func (t *Tree) descend(key []byte) *node {
+	n := t.enter(t.root)
 	for !n.leaf {
-		n = n.kids[childIndex(n.keys, key)]
-		t.readPage(n.page)
+		n = t.enter(n.kids[childIndex(n.keys, key)])
 	}
 	return n
 }
@@ -175,16 +183,10 @@ func (t *Tree) GetInto(key, dst []byte) ([]byte, bool) {
 	return t.GetSectionInto(key, 0, int(^uint(0)>>1), dst)
 }
 
-// GetSection returns value[off:off+length] reading only the overflow pages
-// that cover the section — the partial-record retrieval the NIX primary
-// index performs through its class directory (Figure 3).
-func (t *Tree) GetSection(key []byte, off, length int) ([]byte, bool) {
-	return t.GetSectionInto(key, off, length, nil)
-}
-
-// GetSectionInto is GetSection appending the section to dst; a section
-// running past the value's end is clipped. On a miss or an out-of-bounds
-// offset dst is returned unchanged.
+// GetSectionInto appends value[off:off+length] to dst, reading only the
+// overflow pages that cover the section; a section running past the
+// value's end is clipped. On a miss or an out-of-bounds offset dst is
+// returned unchanged.
 func (t *Tree) GetSectionInto(key []byte, off, length int, dst []byte) ([]byte, bool) {
 	n := t.descend(key)
 	i, ok := leafIndex(n.keys, key)
@@ -306,42 +308,31 @@ func (t *Tree) Ascend(fn func(key, val []byte) bool) {
 
 // AscendRange calls fn for keys in [lo, hi) in order until fn returns
 // false. A nil lo starts at the smallest key; nil hi runs to the end.
-// Key and value are fresh copies the callback may retain.
+// Every leaf page and every overflow page of every record in the range is
+// counted. Key and value are fresh copies the callback may retain.
 func (t *Tree) AscendRange(lo, hi []byte, fn func(key, val []byte) bool) {
-	t.ScanInto(lo, hi, func(key, val []byte) bool {
-		return fn(append([]byte(nil), key...), append([]byte(nil), val...))
+	var h Record
+	t.ScanInto(lo, hi, &h, func(key []byte) bool {
+		return fn(append([]byte(nil), key...), append([]byte(nil), h.Read(0, h.Len())...))
 	})
 }
 
-// ScanInto is AscendRange without the defensive copies: key and val alias
-// the tree's internal buffers and are valid only for the duration of the
-// callback, which must not modify or retain them. It is the
-// allocation-free kernel range scans and bulk decoders run on; page-access
-// accounting is identical to AscendRange.
-func (t *Tree) ScanInto(lo, hi []byte, fn func(key, val []byte) bool) {
-	n := t.root
-	t.readPage(n.page)
-	for !n.leaf {
-		if lo == nil {
-			n = n.kids[0]
-		} else {
-			n = n.kids[childIndex(n.keys, lo)]
-		}
-		t.readPage(n.page)
-	}
-	for ; n != nil; n = n.next {
-		for i := range n.keys {
-			if lo != nil && bytes.Compare(n.keys[i], lo) < 0 {
-				continue
-			}
+// ScanInto positions h for reading on every record with a key in [lo, hi),
+// in order, and calls fn with the key until it returns false. It counts
+// the descent to lo and each leaf after it; a record's own pages are
+// counted as fn reads them through h, so a reader that wants one section of
+// a multi-page record pays for that section. key is the tree's own, valid
+// during the call.
+func (t *Tree) ScanInto(lo, hi []byte, h *Record, fn func(key []byte) bool) {
+	n := t.descend(lo)
+	i, _ := leafIndex(n.keys, lo)
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
 			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
 				return
 			}
-			r := n.vals[i]
-			for _, pg := range r.overflow {
-				t.readPage(pg)
-			}
-			if !fn(n.keys[i], r.val) {
+			h.at(t, n.keys[i], n, i, true)
+			if !fn(n.keys[i]) {
 				return
 			}
 		}

@@ -133,9 +133,9 @@ func TestGetSectionPartialReads(t *testing.T) {
 	}
 	tr.Insert(key(9), val)
 	tr.Pager().ResetStats()
-	sec, ok := tr.GetSection(key(9), 300, 100)
+	sec, ok := tr.GetSectionInto(key(9), 300, 100, nil)
 	if !ok || !bytes.Equal(sec, val[300:400]) {
-		t.Fatalf("GetSection wrong: ok=%v len=%d", ok, len(sec))
+		t.Fatalf("GetSectionInto wrong: ok=%v len=%d", ok, len(sec))
 	}
 	s := tr.Pager().Stats()
 	// Section [300,400) lies within overflow page 1 of 8: far fewer reads
@@ -144,14 +144,14 @@ func TestGetSectionPartialReads(t *testing.T) {
 		t.Errorf("partial read touched %d pages, want <= 4", s.Reads)
 	}
 	// Section beyond the record end clips.
-	sec, ok = tr.GetSection(key(9), 1990, 100)
+	sec, ok = tr.GetSectionInto(key(9), 1990, 100, nil)
 	if !ok || len(sec) != 10 {
 		t.Errorf("clipped section = %d bytes, ok=%v", len(sec), ok)
 	}
-	if _, ok := tr.GetSection(key(9), -1, 5); ok {
+	if _, ok := tr.GetSectionInto(key(9), -1, 5, nil); ok {
 		t.Error("negative offset accepted")
 	}
-	if _, ok := tr.GetSection(key(404), 0, 5); ok {
+	if _, ok := tr.GetSectionInto(key(404), 0, 5, nil); ok {
 		t.Error("missing key accepted")
 	}
 }

@@ -86,6 +86,11 @@ func (s *pageSet) reset() { s.lo, s.hi = [2]uint64{}, s.hi[:0] }
 func (t *Tree) Open(key []byte, h *Record) {
 	n := t.descend(key)
 	i, ok := leafIndex(n.keys, key)
+	h.at(t, key, n, i, ok)
+}
+
+// at puts a fresh handle on slot i of leaf n, where key is (ok) or would go.
+func (h *Record) at(t *Tree, key []byte, n *node, i int, ok bool) {
 	h.t, h.key, h.leaf, h.idx, h.rec, h.leafDirty = t, key, n, i, nil, false
 	h.seen.reset()
 	h.dirty.reset()

@@ -251,6 +251,55 @@ func TestIndexStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestChainReadsEachRootOnce: on Figure 7's served configuration a
+// whole-path query enters every tree of the chain once, however many keys
+// a hop carries. Pages are sized so that every tree is its root and every
+// record sits in it: the query's reads are then the root visits alone —
+// the Division and Company indexes of the MX subpath and the NIX primary.
+func TestChainReadsEachRootOnce(t *testing.T) {
+	ps := smallStats(t)
+	g, err := gen.Generate(ps, 1, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Configuration{Assignments: []core.Assignment{
+		{A: 1, B: 2, Org: cost.NIX}, {A: 3, B: 4, Org: cost.MX},
+	}}
+	c, err := NewIndexSet(g.Store, g.Path, cfg, 1<<15, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range c.Indexes() {
+		for _, tr := range treesOf(ix, g.Path) {
+			if tr.Height() != 1 {
+				t.Fatalf("a tree of height %d; the test wants every tree to be its root", tr.Height())
+			}
+		}
+	}
+	fanned := false
+	for _, v := range g.EndValues {
+		companies, err := NaiveQuery(g.Store, g.Path, v, "Company", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ResetStats()
+		got, err := c.Query(v, "Person", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			continue
+		}
+		fanned = fanned || len(companies) > 1
+		if reads := c.Stats().Reads; reads != 3 {
+			t.Errorf("Query(%v) through %d companies read %d pages, want one per tree of the chain (3)", v, len(companies), reads)
+		}
+	}
+	if !fanned {
+		t.Error("no query carried more than one key into the NIX hop")
+	}
+}
+
 func TestIndexSetQueryBeatNaiveOnPageAccesses(t *testing.T) {
 	// The reason indexes exist: a configured query must touch far fewer
 	// pages than naive navigation on a Person query.

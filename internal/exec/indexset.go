@@ -258,9 +258,10 @@ func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass strin
 
 // queryInto is Proposition 4.1 made operational, for every query the set
 // answers: the last subpath is probed with the first hop; each earlier
-// subpath, back to the one owning targetClass's level, is probed with the
-// sorted, deduplicated OIDs its successor produced, asked for its starting
-// class hierarchy — the objects the successor's OIDs are ending values of.
+// subpath, back to the one owning targetClass's level, is probed in one
+// key-set hop with the sorted, deduplicated OIDs its successor produced,
+// asked for its starting class hierarchy — the objects the successor's OIDs
+// are ending values of.
 func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
@@ -287,11 +288,7 @@ func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, first firstHop, t
 		normal := false // out[from:] is already sorted and duplicate-free
 		switch {
 		case i < last:
-			for _, k := range cur {
-				if out, err = ix.LookupInto(oodb.RefV(k), tc, hier, out, qs.ix); err != nil {
-					break
-				}
-			}
+			out, err = ix.LookupKeys(cur, tc, hier, out, qs.ix)
 		case first.ranged:
 			var got []oodb.OID
 			got, err = ix.LookupRange(first.lo, first.hi, tc, hier)

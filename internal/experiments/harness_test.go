@@ -146,7 +146,14 @@ func TestRegistrySmoke(t *testing.T) {
 				// rates still differ by tens of percent either way; at the
 				// default ops they agree to under one.) A warm sweep at half the
 				// cold sweep's disk reads would mean the pool geometry no longer
-				// forces the thrash this curve is about.
+				// forces the thrash this curve is about. The margin: at seed 7
+				// fifty runs gave cold 266–292 and warm 265–287, never more
+				// than 9 % apart (what still moves them is the map order in
+				// which ScanClass visits a page's objects). Before the
+				// checkpoint streamed objects in OID order (oodb.Objects) every
+				// reopen restored a page layout of its own — cold 189–482,
+				// warm 193–529 over fifty runs, the closest 360 against 193 —
+				// and PRs 17 and 18 recorded this check failing one run in ten.
 				if w := extra(t, rep, "disk_reads", "backend", "naive", "phase", "warm"); w < naiveCold/2 {
 					t.Errorf("naive warm sweep read %v pages, cold read %v — expected thrash (warm ≈ cold)", w, naiveCold)
 				}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 
+	"repro/internal/btree"
 	"repro/internal/cost"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -135,15 +136,20 @@ func (c *chained) LookupInto(key oodb.Value, targetClass string, hierarchy bool,
 	return c.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
+// LookupKeys chains from the records under a sorted OID set.
+func (c *chained) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return c.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
+}
+
 // LookupRange chains from the records in [lo, hi).
 func (c *chained) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	return lookupRange(c.lookup, lo, hi, targetClass, hierarchy)
 }
 
 // lookup is the MX/MIX kernel: hop reads the level-B indexes, every level
-// below is probed with the sorted, deduplicated OIDs of the level above
-// through sc's ping-pong buffers, and the target level's OIDs are appended
-// (unordered) to dst.
+// below is a key-set hop over the sorted, deduplicated OIDs of the level
+// above, held in sc's ping-pong buffers, and the target level's OIDs are
+// appended (unordered) to dst.
 func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
 	l, ok := c.sp.LevelOf(targetClass)
 	if !ok {
@@ -151,9 +157,9 @@ func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst [
 	}
 	curBuf, nextBuf := sc.a, sc.b
 	defer func() { sc.a, sc.b = curBuf, nextBuf }()
-	var cur, out []oodb.OID
-	collect := func(val []byte) (err error) {
-		out, err = appendOIDSet(out, val)
+	var out []oodb.OID
+	collect := func(r *btree.Record) (err error) {
+		out, err = appendOIDSet(out, r.Read(0, r.Len()))
 		return err
 	}
 	for i := c.sp.B; ; i-- {
@@ -179,18 +185,7 @@ func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst [
 				}
 			}
 			mark := len(out)
-			var err error
-			if i == c.sp.B {
-				err = hop.records(ai.tree, sc, collect)
-			} else {
-				for _, k := range cur {
-					sc.key = AppendOID(sc.key[:0], k)
-					if err = (firstHop{lo: sc.key}).records(ai.tree, sc, collect); err != nil {
-						break
-					}
-				}
-			}
-			if err != nil {
+			if err := hop.records(ai.tree, sc, collect); err != nil {
 				return dst, err
 			}
 			if asked < len(ai.classes) {
@@ -206,11 +201,11 @@ func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst [
 		if i == l {
 			return out, nil
 		}
-		cur = oodb.SortUnique(out)
-		if len(cur) == 0 {
+		hop = firstHop{keys: oodb.SortUnique(out)}
+		if len(hop.keys) == 0 {
 			return dst, nil
 		}
-		curBuf, nextBuf = cur, curBuf
+		curBuf, nextBuf = hop.keys, curBuf
 	}
 }
 

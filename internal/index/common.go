@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/cost"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -27,10 +28,10 @@ import (
 )
 
 // PathIndex is the common interface of the working index organizations.
-// LookupInto and LookupRange are pure reads — they never mutate the
-// structure — so any number of them may run concurrently under the
-// owner's read lock. Both are entry points into the organization's one
-// lookup kernel and differ only in its first hop (hop.go).
+// LookupInto, LookupKeys and LookupRange are pure reads — they never
+// mutate the structure — so any number of them may run concurrently under
+// the owner's read lock. All three are entry points into the organization's
+// one lookup kernel and differ only in its first hop (hop.go).
 type PathIndex interface {
 	// Org identifies the organization.
 	Org() cost.Organization
@@ -44,6 +45,11 @@ type PathIndex interface {
 	// paper's organizations allocate nothing. The returned slice is the
 	// extended dst; neither dst nor sc is retained.
 	LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
+	// LookupKeys is LookupInto for a sorted, duplicate-free set of OID keys
+	// — what the next subpath of a configuration produced — answered by one
+	// sweep of each tree instead of a descent per key. An unsorted set gets
+	// the same answer at a higher page count.
+	LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
 	// LookupRange is the lookup for a half-open range [lo, hi) of ending
 	// values, returned as a fresh sorted, duplicate-free slice.
 	LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
@@ -311,20 +317,21 @@ func diffKeys(old, upd []oodb.Value) (removed, added [][]byte) {
 // pre-resolved per-level table.
 func (sp *Subpath) classesAt(l int) []string { return sp.levels[l-sp.A] }
 
-// Scratch holds the reusable buffers a lookup kernel threads through the
-// stack: an encoded-key buffer, a record-value buffer, a section-header
-// buffer, two OID ping-pong buffers for intra-subpath probe chains and the
-// buffer LookupRange collects its result in.
+// Scratch holds what a lookup kernel threads through the stack: an
+// encoded-key buffer, the read handle on the record a hop yields and the
+// path of a key-set hop's sweep (both emptied when the hop ends), two OID
+// ping-pong buffers for intra-subpath probe chains and the buffer
+// LookupRange collects its result in.
 // A Scratch is owned by one goroutine at a time; the executor pools them
 // per worker, so a steady-state point query performs no heap allocation.
 // The zero value is ready to use (buffers grow on first use and are then
 // reused).
 type Scratch struct {
-	key  []byte     // encoded probe key
-	val  []byte     // record value read from the tree
-	head []byte     // NIX class-directory header
-	a, b []oodb.OID // ping-pong hop buffers for chained probes
-	out  []oodb.OID // LookupRange's result before it is copied out
+	key   []byte       // encoded probe key
+	rec   btree.Record // read handle on the record a hop yields
+	sweep btree.Sweep  // path through the tree a key-set hop reads
+	a, b  []oodb.OID   // ping-pong hop buffers for chained probes
+	out   []oodb.OID   // LookupRange's result before it is copied out
 }
 
 // NewScratch returns an empty scratch; buffers are sized by first use.

@@ -105,16 +105,21 @@ func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, h
 	return nx.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
+// LookupKeys reads them off the records under a sorted OID set.
+func (nx *NestedInheritedIndex) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return nx.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
+}
+
 // LookupRange reads them off every record in [lo, hi).
 func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	return lookupRange(nx.lookup, lo, hi, targetClass, hierarchy)
 }
 
-// lookup is the NIX kernel. A point hop fetches the class directory and
-// then only the asked-for sections through the tree, touching just the
-// covering pages of a multi-page record; a scan hop has each record whole
-// and slices the same sections out of it. The hierarchy closure comes from
-// the subpath's pre-resolved table.
+// lookup is the NIX kernel: every record the hop yields is opened once, and
+// the class directory and then only the asked-for sections are read through
+// that one handle — the covering pages of a multi-page record, each charged
+// once, whichever hop found it. The hierarchy closure comes from the
+// subpath's pre-resolved table.
 func (nx *NestedInheritedIndex) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
 	if _, ok := nx.sp.LevelOf(targetClass); !ok {
 		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
@@ -123,38 +128,20 @@ func (nx *NestedInheritedIndex) lookup(hop firstHop, targetClass string, hierarc
 	if !hierarchy {
 		classes = classes[:1] // the pre-resolved hierarchy lists the class itself first
 	}
-	if !hop.scan {
-		return nx.appendSections(dst, classes, func(off, n int, buf *[]byte) ([]byte, bool) {
-			sec, ok := nx.primary.GetSectionInto(hop.lo, off, n, (*buf)[:0])
-			*buf = sec
-			return sec, ok
-		}, sc)
-	}
-	var err error
-	nx.primary.ScanInto(hop.lo, hop.hi, func(_, val []byte) bool {
-		dst, err = nx.appendSections(dst, classes, func(off, n int, _ *[]byte) ([]byte, bool) {
-			if off > len(val) {
-				return nil, false
-			}
-			return val[off:min(off+n, len(val))], true
-		}, sc)
-		return err == nil
+	err := hop.records(nx.primary, sc, func(r *btree.Record) (err error) {
+		dst, err = nx.appendSections(dst, classes, r)
+		return err
 	})
 	return dst, err
 }
 
-// appendSections appends the OIDs of the given classes' sections of one
-// primary record to dst. read returns bytes [off, off+n) of the record,
-// clipped at its end and valid until the next read through the same buf;
-// ok is false when the record does not exist.
-func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string, read func(off, n int, buf *[]byte) ([]byte, bool), sc *Scratch) ([]oodb.OID, error) {
-	head, ok := read(0, nx.headerLen(), &sc.head)
-	if !ok {
-		return dst, nil
+// appendSections appends the OIDs of the given classes' sections of the
+// primary record under r to dst.
+func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string, r *btree.Record) ([]oodb.OID, error) {
+	if r.Len() < nx.headerLen() {
+		return dst, fmt.Errorf("index: truncated NIX record (%d bytes)", r.Len())
 	}
-	if len(head) < nx.headerLen() {
-		return dst, fmt.Errorf("index: truncated NIX record (%d bytes)", len(head))
-	}
+	head := r.Read(0, nx.headerLen())
 	for _, cn := range classes {
 		pos, ok := nx.classPos[cn]
 		if !ok {
@@ -165,11 +152,10 @@ func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string,
 		if cnt == 0 {
 			continue
 		}
-		sec, ok := read(off, cnt*nixEntryLen, &sc.val)
-		if !ok || len(sec) < cnt*nixEntryLen {
+		if off+cnt*nixEntryLen > r.Len() {
 			return dst, fmt.Errorf("index: NIX section %d out of bounds", pos)
 		}
-		dst = appendOIDs(dst, sec, cnt, nixEntryLen)
+		dst = appendOIDs(dst, r.Read(off, cnt*nixEntryLen), cnt, nixEntryLen)
 	}
 	return dst, nil
 }

@@ -148,6 +148,11 @@ func (px *PathIndexPX) LookupInto(key oodb.Value, targetClass string, hierarchy 
 	return px.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
 }
 
+// LookupKeys projects the records under a sorted OID set.
+func (px *PathIndexPX) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	return px.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
+}
+
 // LookupRange projects every record in [lo, hi).
 func (px *PathIndexPX) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	return lookupRange(px.lookup, lo, hi, targetClass, hierarchy)
@@ -163,8 +168,8 @@ func (px *PathIndexPX) lookup(hop firstHop, targetClass string, hierarchy bool, 
 	if !ok {
 		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	err := hop.records(px.tree, sc, func(val []byte) error {
-		rec, err := px.decodeRecord(val)
+	err := hop.records(px.tree, sc, func(r *btree.Record) error {
+		rec, err := px.decodeRecord(r.Read(0, r.Len()))
 		if err != nil {
 			return err
 		}

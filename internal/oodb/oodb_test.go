@@ -209,6 +209,32 @@ func TestDeleteFreesPages(t *testing.T) {
 	}
 }
 
+// TestObjectsStreamsInOIDOrder: the checkpoint writer's iteration is
+// ordered, so two checkpoints of one state are the same bytes and a store
+// restored from one lays its pages out the same way every time.
+func TestObjectsStreamsInOIDOrder(t *testing.T) {
+	st := newStore(t)
+	for i := 0; i < 200; i++ {
+		class := []string{"Division", "Company"}[i%2]
+		if _, err := st.Insert(class, map[string][]Value{"name": {StrV("n")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prev OID
+	n := 0
+	err := st.Objects(func(o *Object) error {
+		if o.OID <= prev {
+			t.Fatalf("object %d streamed after %d", o.OID, prev)
+		}
+		prev = o.OID
+		n++
+		return nil
+	})
+	if err != nil || n != 200 {
+		t.Fatalf("streamed %d objects, err %v", n, err)
+	}
+}
+
 func TestScanClassCountsPageReads(t *testing.T) {
 	st := newStore(t)
 	for i := 0; i < 60; i++ {

@@ -1,6 +1,9 @@
 package oodb
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Recovery entry points. WAL replay and checkpoint loading rebuild a store
 // through these instead of Insert/Update/Delete because recovery has
@@ -91,14 +94,22 @@ func (st *Store) RestoreDelete(oid OID) error {
 	return nil
 }
 
-// Objects streams every live object in unspecified order without page
-// accounting — the checkpoint writer's iteration. fn returning an error
-// stops the stream. The read lock is held across the stream; writers wait.
+// Objects streams every live object in ascending OID order without page
+// accounting — the checkpoint writer's iteration. The order is the
+// contract: a store restored from a checkpoint places objects on pages in
+// the order it reads them, so a checkpoint written in map order would give
+// every recovery a page layout of its own. fn returning an error stops the
+// stream. The read lock is held across the stream; writers wait.
 func (st *Store) Objects(fn func(*Object) error) error {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	for _, e := range st.objects {
-		if err := fn(e.obj); err != nil {
+	oids := make([]OID, 0, len(st.objects))
+	for oid := range st.objects {
+		oids = append(oids, oid)
+	}
+	slices.Sort(oids)
+	for _, oid := range oids {
+		if err := fn(st.objects[oid].obj); err != nil {
 			return err
 		}
 	}
