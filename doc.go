@@ -72,9 +72,11 @@
 // SelectMulti selects several paths one after another on the calling
 // goroutine; concurrency over many paths is the caller's, around Select,
 // which shares nothing between calls. The storage pager behind the
-// working indexes uses an O(1) intrusive-list LRU and atomic statistics
-// counters, so concurrent readers do not serialize on bookkeeping. See
-// DESIGN.md for measured numbers.
+// working indexes is an access counter: a dense table of page pointers
+// indexed by page ID, striped atomic counters, and — where a buffer pool
+// is modelled — an LRU ring threaded through the pages themselves, so
+// concurrent readers do not serialize on bookkeeping. See DESIGN.md for
+// measured numbers.
 //
 // # Engine
 //
@@ -100,10 +102,11 @@
 //
 // The serving path is built for GOMAXPROCS-parallel readers: queries
 // take no locks beyond the active set's read-locked snapshot — the
-// pager's page table is lock-free with striped, cache-line-padded
-// counters, the workload recorder is per-cell padded atomics, and every
-// layer exposes an Into-style kernel (Database.QueryInto down through
-// btree.GetInto) that appends into caller buffers. A steady-state point
+// pager's page table is an array of atomic pointers read without a lock,
+// its counters striped and cache-line-padded, the workload recorder is
+// per-cell padded atomics, and every layer exposes an Into-style kernel
+// (Database.QueryInto down through btree.GetInto) that appends into
+// caller buffers. A steady-state point
 // query through the Example 5.1 optimal configuration runs with 0
 // allocs/op (test-enforced), at ~12 µs/op on the 2-CPU build container
 // (BenchmarkServe, which also reports the 1→8 goroutine ops/sec scaling

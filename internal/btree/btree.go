@@ -42,11 +42,11 @@ const (
 // Tree is a B+-tree keyed by byte slices in bytes.Compare order. Any number
 // of goroutines may read it at once; a write needs the tree to itself.
 type Tree struct {
-	pager *storage.Pager
-	name  string
-	root  *node
-	nodes map[storage.PageID]*node
-	size  int // number of keys
+	pager   *storage.Pager
+	name    string
+	ovfName string // the tag of this tree's overflow pages
+	root    *node
+	size    int // number of keys
 
 	w Record // the handle Insert, Update and Delete run on
 }
@@ -73,15 +73,13 @@ type node struct {
 // New creates an empty tree whose pages come from pager. name tags pages
 // for diagnostics.
 func New(pager *storage.Pager, name string) *Tree {
-	t := &Tree{pager: pager, name: name, nodes: make(map[storage.PageID]*node)}
+	t := &Tree{pager: pager, name: name, ovfName: name + "/ovf"}
 	t.root = t.newNode(true)
 	return t
 }
 
 func (t *Tree) newNode(leaf bool) *node {
-	n := &node{page: t.pager.Alloc(t.name), leaf: leaf}
-	t.nodes[n.page.ID] = n
-	return n
+	return &node{page: t.pager.Alloc(t.name), leaf: leaf}
 }
 
 // Len returns the number of keys in the tree.
@@ -277,26 +275,30 @@ func (t *Tree) split(n *node) ([]byte, *node) {
 
 // splitUp restores the byte budget after n grew: an over-full node is
 // halved and its separator pushed into the parent, level by level, a new
-// root growing above the old one when the split reaches it.
+// root growing above the old one when the split reaches it. Halving is by
+// key count, so where entries are large against the page a half can still
+// be over budget: both are checked again before the parent is.
 func (t *Tree) splitUp(n *node) {
-	for t.nodeBytes(n) > t.pager.PageSize() {
-		mid, right := t.split(n)
-		p := n.parent
-		if p == nil {
-			p = t.newNode(false)
-			p.keys = [][]byte{mid}
-			p.kids = []*node{n, right}
-			n.parent, right.parent = p, p
-			t.root = p
-			t.writePage(p.page)
-			return
-		}
+	if t.nodeBytes(n) <= t.pager.PageSize() || len(n.keys) < 2 {
+		return // in budget, or one entry that no split can help
+	}
+	mid, right := t.split(n)
+	p := n.parent
+	if p == nil {
+		p = t.newNode(false)
+		p.keys = [][]byte{mid}
+		p.kids = []*node{n, right}
+		n.parent, right.parent = p, p
+		t.root = p
+	} else {
 		ci := childIndex(p.keys, mid) // mid lies in n's key range, so this is n's slot
 		p.keys = insertAt(p.keys, ci, mid)
 		p.kids = insertNodeAt(p.kids, ci+1, right)
-		t.writePage(p.page)
-		n = p
 	}
+	t.writePage(p.page)
+	t.splitUp(n)
+	t.splitUp(right)
+	t.splitUp(p)
 }
 
 // Ascend calls fn for every key/value in order until fn returns false.

@@ -315,6 +315,34 @@ func TestRandomOpsAgainstMapProperty(t *testing.T) {
 	}
 }
 
+// TestSplitKeepsBothHalvesInBudget inserts values large against the page
+// (up to 40 bytes on 128-byte pages): halving a node by key count can leave
+// either half over the byte budget, and it must be split again.
+func TestSplitKeepsBothHalvesInBudget(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := newTree(t, 128)
+		ref := map[int][]byte{}
+		for i := 0; i < 400; i++ {
+			k, v := rng.Intn(1000), make([]byte, 1+rng.Intn(40))
+			rng.Read(v)
+			tr.Insert(key(k), v)
+			ref[k] = v
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("seed %d insert %d: %v", seed, i, err)
+			}
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("seed %d: Len = %d, want %d", seed, tr.Len(), len(ref))
+		}
+		for k, v := range ref {
+			if got, ok := tr.Get(key(k)); !ok || !bytes.Equal(got, v) {
+				t.Fatalf("seed %d: Get(%d) = %x, %v; want %x", seed, k, got, ok, v)
+			}
+		}
+	}
+}
+
 func TestAccessCountingMatchesHeight(t *testing.T) {
 	tr := newTree(t, 256)
 	for i := 0; i < 2000; i++ {

@@ -201,7 +201,7 @@ func (h *Record) Resize(n int) {
 	}
 	for len(r.overflow) < want {
 		p := len(r.overflow)
-		r.overflow = append(r.overflow, t.pager.Alloc(t.name+"/ovf"))
+		r.overflow = append(r.overflow, t.pager.Alloc(t.ovfName))
 		h.seen.set(p) // a fresh page: nothing to read, everything to write
 		h.dirty.set(p)
 	}

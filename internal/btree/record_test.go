@@ -365,8 +365,16 @@ func TestRecordRandomOpsAgainstModel(t *testing.T) {
 		}
 		// Nodes are never merged, so they stay; every overflow page must be
 		// gone.
-		if got := tr.Pager().NumPages(); got != len(tr.nodes) {
-			t.Errorf("seed %d: %d pages left for %d nodes", seed, got, len(tr.nodes))
+		if got, nodes := tr.Pager().NumPages(), countNodes(tr.root); got != nodes {
+			t.Errorf("seed %d: %d pages left for %d nodes", seed, got, nodes)
 		}
 	}
+}
+
+func countNodes(n *node) int {
+	count := 1
+	for _, kid := range n.kids {
+		count += countNodes(kid)
+	}
+	return count
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -219,29 +220,64 @@ func TestBackedPagerEvictWriteBackAndColdRead(t *testing.T) {
 	}
 }
 
-func TestBackedPagerPinBlocksEviction(t *testing.T) {
+// TestReadReturnsAllocatedPage: a page is one object for as long as it
+// lives. Read hands back the pointer Alloc returned while the page is
+// resident, on the miss that re-fetches its evicted image, and after it.
+func TestReadReturnsAllocatedPage(t *testing.T) {
 	be, _ := tmpBackend(t, 64)
 	p, err := NewPagerBacked(64, 2, be)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := p.Alloc("t")
-	p.Pin(a.ID)
-	b := p.Alloc("t")
-	_ = p.Alloc("t") // would evict a (LRU), but a is pinned: b goes instead
-	if _, err := p.Read(a.ID); err != nil {
+	if len(a.Data) != 64 {
+		t.Fatalf("backed page has a %d-byte image, want 64", len(a.Data))
+	}
+	a.Data[0] = 0xa5
+	if err := p.Write(a); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	p.Unpin(a.ID)
-	_ = st
-	// b was evicted in a's stead; reading it must hit the backend (page b
-	// was dirty, so it was written back first).
-	if _, err := p.Read(b.ID); err != nil {
+	for _, when := range []string{"resident", "evicted", "re-read"} {
+		if when == "evicted" {
+			p.Alloc("t")
+			p.Alloc("t")  // two pages through a two-page pool: a is out
+			a.Data[0] = 0 // the image was dropped; only the backend has it
+			p.ResetStats()
+		}
+		got, err := p.Read(a.ID)
+		if err != nil || got != a || got.Data[0] != 0xa5 {
+			t.Fatalf("%s: Read = %p (image byte %#x), %v; want the allocated page %p", when, got, a.Data[0], err, a)
+		}
+	}
+	if s := p.Stats(); s.Reads != 1 || s.Hits != 1 {
+		t.Errorf("after eviction: %+v, want one miss then one hit", s)
+	}
+}
+
+// TestFlushWritesInPageOrder: a checkpoint's write-back walks the page
+// table, so the page file is written front to back.
+func TestFlushWritesInPageOrder(t *testing.T) {
+	be := &memBackend{}
+	p, err := NewPagerBacked(64, 256, be)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	var want []PageID
+	for i := 0; i < 200; i++ {
+		pg := p.Alloc("t")
+		if i%7 == 3 {
+			if err := p.Free(pg.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want = append(want, pg.ID)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(be.writes, want) {
+		t.Errorf("flush wrote pages %v, want every live page in ascending order", be.writes)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package storage provides the paged storage substrate for the working
-// index implementations and the object store: fixed-size pages, a pager
-// that counts page reads and writes (the paper's sole cost factor), and an
-// optional LRU buffer pool. Counting accesses through the pager is what
-// lets experiment V1 compare the analytic cost model against a running
-// system.
+// index implementations and the object store. Its pager is an access
+// counter with a buffer-pool model: owners hold their pages by pointer and
+// keep the contents parsed beside them; the pager counts every read and
+// write of a page (the paper's sole cost factor) and decides, through an
+// optional LRU pool, which reads are hits. That count is what lets
+// experiment V1 compare the analytic cost model against a running system.
+// Only a disk-backed pager keeps a byte image per page.
 package storage
 
 import (
@@ -15,23 +17,23 @@ import (
 // PageID identifies a page. Zero is never a valid page.
 type PageID uint64
 
-// Page is a fixed-size page. Data has the pager's page size; the Tag field
-// is free for owners (e.g. which class a page stores objects of).
+// Page is one page of a pager and the single home of what the pager knows
+// about it. Tag is free for owners (e.g. which class a page stores objects
+// of). Data is the page-size image of a disk-backed pager's page; without
+// a backend nothing reads an image and Data is nil.
 //
-// With a disk backend the pager additionally tracks per-page state —
-// dirty (written since the last write-back), resident (the in-memory
-// image is current; a non-resident page pays a real backend read), and a
-// pin count (pinned pages are never evicted). All three are guarded by
-// the pager's pool lock and unused in memory mode.
+// The unexported fields are the page's buffer-pool state, guarded by the
+// pager's pool lock.
 type Page struct {
 	ID   PageID
 	Data []byte
 	Tag  string
 
-	dirty    bool
-	evicted  bool // non-resident: next Read re-fetches from the backend
-	pins     int
-	everSync bool // written to the backend at least once
+	prev, next *Page // neighbours in the recency list while inPool
+	inPool     bool
+	freed      bool // retired by Free
+	dirty      bool // backed: image written since the last write-back
+	evicted    bool // backed: image dropped; the next Read re-fetches it
 }
 
 // Stats counts page-level operations since the last reset.
@@ -65,12 +67,6 @@ func (s *Stats) Add(o Stats) {
 	s.WALBytes += o.WALBytes
 }
 
-// lruNode is one entry of the buffer pool's intrusive recency list.
-type lruNode struct {
-	prev, next *lruNode
-	id         PageID
-}
-
 // numStripes shards the counters so concurrent readers touching different
 // pages do not contend on one cache line. Must be a power of two.
 const numStripes = 8
@@ -82,55 +78,54 @@ type counterStripe struct {
 	_                                  [24]byte // pad 5×8 bytes to 64
 }
 
-// Pager allocates, reads and writes pages, counting every access. With a
-// buffer pool of capacity c > 0, reads of resident pages are hits and do
-// not count; c == 0 models the paper's cost convention in which every
-// record access is a page access.
+// pageChunk holds the page-table slots of 1<<chunkBits consecutive page
+// IDs: 512 slots, one 4 KiB block.
+type pageChunk [1 << chunkBits]atomic.Pointer[Page]
+
+const chunkBits = 9
+
+// Pager is a page-access counter with a buffer-pool model: it hands out
+// pages, counts every read and write of one, and with a pool of capacity
+// c > 0 counts the read of a resident page as a hit instead; c == 0 is the
+// paper's cost convention, in which every record access is a page access.
+// With a backend the pool is real: an eviction writes a dirty page back and
+// drops its image, and the next Read of the page pays a backend read.
+// Without one the pool only decides hit or miss.
 //
-// Concurrency is organized around the unbuffered read being the serving
-// hot path: the page table is a sync.Map (reads are lock-free), the
-// counters are striped, cache-line-padded atomics indexed by page ID (so
-// GOMAXPROCS-parallel readers touching different pages do not serialize on
-// one counter line), and structural changes (Alloc, Free) take a mutex.
-// Only the LRU recency list — which every buffered access genuinely
-// mutates — takes its own mutex; inside it, residency is re-checked
-// against the page table so a page freed concurrently with a read is never
-// left resident (Free removes the page from the table before touching the
-// list, so the re-check under lruMu is authoritative).
+// One table describes the pages. IDs are handed out consecutively and
+// never reused, so it is a dense array of atomic page pointers, cut into
+// chunks so that growth never moves a published slot; a slot is nil before
+// its page is allocated and after it is freed. The unbuffered read — the
+// serving hot path — is lock-free: the slot load plus one increment of a
+// striped, cache-line-padded counter chosen by page ID. Only the recency
+// list, which every buffered access mutates, takes a mutex.
 type Pager struct {
 	pageSize int
 
-	pages    sync.Map // PageID -> *Page; lock-free on the read path
+	table    atomic.Pointer[[]*pageChunk] // chunk directory; copied, under structMu, to add a chunk
 	numPages atomic.Int64
 
-	structMu sync.Mutex // serializes Alloc/Free and guards next
+	structMu sync.Mutex // serializes Alloc: guards next and table growth
 	next     PageID
 
 	stripes [numStripes]counterStripe
 	fsyncs  atomic.Uint64
 
-	// backend, when non-nil, makes the pager disk-backed: evicting a page
-	// from the buffer pool writes it back if dirty and marks it
-	// non-resident, and the next Read of a non-resident page pays a real
-	// backend read (pread + checksum verification). In memory mode
-	// (backend nil) every page's image stays resident and the pool only
-	// models hit/miss accounting, exactly the pre-durability behavior.
-	backend Backend
+	backend Backend // nil in memory mode
 
 	// sticky latches the first backend failure observed on a path that
-	// cannot return it (an eviction write-back inside touch); Err exposes
-	// it, and oodb.Store checks it after page operations.
+	// cannot return it (an eviction write-back inside touchLocked); Err
+	// exposes it, and oodb.Store checks it after page operations.
 	sticky atomic.Pointer[error]
 
-	// LRU buffer pool; lruMu guards nodes, the list, and (in disk-backed
-	// mode) every page's dirty/evicted/pins state. The miss path performs
-	// backend I/O under this lock: misses serialize, which is acceptable
-	// because the serving hot path is expected to hit.
+	// LRU buffer pool; lruMu guards the ring, every page's unexported state
+	// and scratch. A miss does its backend I/O under this lock: misses
+	// serialize, acceptable because the serving hot path is expected to hit.
 	capacity int
 	lruMu    sync.Mutex
-	nodes    map[PageID]*lruNode
-	head     *lruNode // most recently used
-	tail     *lruNode // least recently used, evicted first
+	lru      Page // ring sentinel: lru.next is the most recently used page, lru.prev the victim
+	resident int  // pages in the ring
+	scratch  []byte
 }
 
 // NewPager returns a pager with the given page size and buffer-pool
@@ -142,12 +137,10 @@ func NewPager(pageSize, capacity int) (*Pager, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("storage: negative buffer capacity %d", capacity)
 	}
-	return &Pager{
-		pageSize: pageSize,
-		next:     1,
-		capacity: capacity,
-		nodes:    make(map[PageID]*lruNode),
-	}, nil
+	p := &Pager{pageSize: pageSize, next: 1, capacity: capacity}
+	p.table.Store(new([]*pageChunk))
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p, nil
 }
 
 // MustNewPager is NewPager panicking on error.
@@ -160,9 +153,8 @@ func MustNewPager(pageSize, capacity int) *Pager {
 }
 
 // NewPagerBacked returns a disk-backed pager: page images live in be's
-// file, the LRU pool (capacity > 0 required — with no pool nothing could
-// ever be resident) holds the working set, dirty pages write back on
-// eviction, and reads of non-resident pages pay a real backend read.
+// file and the LRU pool holds the working set (capacity > 0 required — with
+// no pool nothing could ever be resident).
 func NewPagerBacked(pageSize, capacity int, be Backend) (*Pager, error) {
 	if be == nil {
 		return nil, fmt.Errorf("storage: nil backend")
@@ -175,6 +167,7 @@ func NewPagerBacked(pageSize, capacity int, be Backend) (*Pager, error) {
 		return nil, err
 	}
 	p.backend = be
+	p.scratch = make([]byte, pageSize)
 	return p, nil
 }
 
@@ -191,8 +184,7 @@ func (p *Pager) Err() error {
 	return nil
 }
 
-// fail latches err as the pager's sticky error (first one wins) and
-// returns it.
+// fail latches err as the sticky error (first one wins) and returns it.
 func (p *Pager) fail(err error) error {
 	if err != nil {
 		p.sticky.CompareAndSwap(nil, &err)
@@ -208,18 +200,40 @@ func (p *Pager) stripe(id PageID) *counterStripe {
 	return &p.stripes[uint64(id)&(numStripes-1)]
 }
 
-// Alloc allocates a new zeroed page. In disk-backed mode the fresh page is
-// born dirty (it has never been written back); an eviction forced by the
+// slot returns id's table slot, nil when no page was ever given that ID.
+func (p *Pager) slot(id PageID) *atomic.Pointer[Page] {
+	dir := *p.table.Load()
+	if c := uint64(id) >> chunkBits; c < uint64(len(dir)) {
+		return &dir[c][id&(1<<chunkBits-1)]
+	}
+	return nil
+}
+
+// Alloc allocates a new page. In disk-backed mode it has a zeroed image
+// and is born dirty (never written back); an eviction forced by the
 // allocation may hit a backend failure, which latches as the sticky error.
 func (p *Pager) Alloc(tag string) *Page {
+	pg := &Page{Tag: tag}
+	if p.backend != nil {
+		pg.Data, pg.dirty = make([]byte, p.pageSize), true
+	}
 	p.structMu.Lock()
-	pg := &Page{ID: p.next, Data: make([]byte, p.pageSize), Tag: tag, dirty: p.backend != nil}
+	pg.ID = p.next
 	p.next++
-	p.pages.Store(pg.ID, pg)
+	if p.slot(pg.ID) == nil {
+		dir := *p.table.Load()
+		dir = append(dir[:len(dir):len(dir)], new(pageChunk)) // always copies: readers keep the old one
+		p.table.Store(&dir)
+	}
+	p.slot(pg.ID).Store(pg)
 	p.numPages.Add(1)
 	p.structMu.Unlock()
 	p.stripe(pg.ID).allocs.Add(1)
-	p.touch(pg.ID)
+	if p.capacity > 0 {
+		p.lruMu.Lock()
+		p.touchLocked(pg)
+		p.lruMu.Unlock()
+	}
 	return pg
 }
 
@@ -227,43 +241,39 @@ func (p *Pager) Alloc(tag string) *Page {
 // no buffer pool the call is entirely lock-free: a page-table load plus one
 // striped atomic increment.
 func (p *Pager) Read(id PageID) (*Page, error) {
-	v, ok := p.pages.Load(id)
-	if !ok {
+	var pg *Page
+	if s := p.slot(id); s != nil {
+		pg = s.Load()
+	}
+	if pg == nil {
 		return nil, fmt.Errorf("storage: read of unknown page %d", id)
 	}
-	pg := v.(*Page)
 	st := p.stripe(id)
 	if p.capacity == 0 {
 		st.reads.Add(1)
 		return pg, nil
 	}
 	p.lruMu.Lock()
-	// Re-check existence: Free removes the page from the table before it
-	// takes lruMu, so a page observed here is still live and may be touched.
-	if _, live := p.pages.Load(id); !live {
-		p.lruMu.Unlock()
+	defer p.lruMu.Unlock()
+	if pg.freed { // since the table load
 		return nil, fmt.Errorf("storage: read of unknown page %d", id)
 	}
-	if _, resident := p.nodes[id]; resident {
+	if pg.inPool {
 		st.hits.Add(1)
 	} else {
 		st.reads.Add(1)
-		// Disk-backed miss of a page whose image was evicted: re-fetch from
-		// the backend — the real I/O a buffer miss costs. The image is read
-		// into a scratch buffer first so a torn or failing read never
-		// clobbers the in-memory copy.
-		if p.backend != nil && pg.evicted {
-			buf := make([]byte, p.pageSize)
-			if err := p.backend.ReadPage(id, buf); err != nil {
-				p.lruMu.Unlock()
+		// Disk-backed miss of a page whose image was evicted: re-fetch it —
+		// the real I/O a buffer miss costs — into the scratch buffer first,
+		// so a torn or failing read never clobbers the in-memory copy.
+		if pg.evicted {
+			if err := p.backend.ReadPage(id, p.scratch); err != nil {
 				return nil, p.fail(fmt.Errorf("storage: re-reading page %d: %w", id, err))
 			}
-			copy(pg.Data, buf)
+			copy(pg.Data, p.scratch)
 			pg.evicted = false
 		}
 	}
-	p.touchLocked(id)
-	p.lruMu.Unlock()
+	p.touchLocked(pg)
 	return pg, nil
 }
 
@@ -271,78 +281,56 @@ func (p *Pager) Read(id PageID) (*Page, error) {
 // the page becomes dirty; the image reaches the backend on eviction or at
 // the next Flush.
 func (p *Pager) Write(pg *Page) error {
-	if _, ok := p.pages.Load(pg.ID); !ok {
+	if s := p.slot(pg.ID); s == nil || s.Load() != pg {
 		return fmt.Errorf("storage: write of unknown page %d", pg.ID)
 	}
 	p.stripe(pg.ID).writes.Add(1)
+	if p.capacity == 0 {
+		return nil
+	}
+	p.lruMu.Lock()
 	if p.backend != nil {
-		p.lruMu.Lock()
 		pg.dirty = true
 		pg.evicted = false // the in-memory image is now the newest
-		p.touchLocked(pg.ID)
-		p.lruMu.Unlock()
-		return p.Err()
 	}
-	p.touch(pg.ID)
-	return nil
+	p.touchLocked(pg)
+	p.lruMu.Unlock()
+	return p.Err() // nil in memory mode: only a backend failure latches
 }
 
-// Pin marks a page unevictable until the matching Unpin; owners pin pages
-// they hold byte-image references into across operations. Pins are
-// meaningful only in disk-backed mode and nest.
-func (p *Pager) Pin(id PageID) {
-	if p.backend == nil {
-		return
-	}
-	if v, ok := p.pages.Load(id); ok {
-		p.lruMu.Lock()
-		v.(*Page).pins++
-		p.lruMu.Unlock()
-	}
-}
-
-// Unpin releases one Pin.
-func (p *Pager) Unpin(id PageID) {
-	if p.backend == nil {
-		return
-	}
-	if v, ok := p.pages.Load(id); ok {
-		p.lruMu.Lock()
-		if pg := v.(*Page); pg.pins > 0 {
-			pg.pins--
-		}
-		p.lruMu.Unlock()
-	}
-}
-
-// Flush writes every dirty page image to the backend and fsyncs it — the
-// buffer-pool half of a checkpoint. No-op in memory mode.
+// Flush writes every dirty page image to the backend, in page order, and
+// fsyncs it — the buffer-pool half of a checkpoint. No-op in memory mode.
 func (p *Pager) Flush() error {
 	if p.backend == nil {
 		return nil
 	}
-	var failed error
-	p.pages.Range(func(_, v any) bool {
-		pg := v.(*Page)
-		p.lruMu.Lock()
-		if !pg.dirty {
+	for _, chunk := range *p.table.Load() {
+		for i := range chunk {
+			pg := chunk[i].Load()
+			if pg == nil {
+				continue
+			}
+			p.lruMu.Lock()
+			err := p.writeBackLocked(pg)
 			p.lruMu.Unlock()
-			return true
+			if err != nil {
+				return p.fail(err)
+			}
 		}
-		if err := p.backend.WritePage(pg.ID, pg.Data); err != nil {
-			p.lruMu.Unlock()
-			failed = err
-			return false
-		}
-		pg.dirty = false
-		pg.everSync = true
-		p.lruMu.Unlock()
-		return true
-	})
-	if failed != nil {
-		return p.fail(failed)
 	}
 	return p.Sync()
+}
+
+// writeBackLocked writes pg's image to the backend if it is dirty.
+func (p *Pager) writeBackLocked(pg *Page) error {
+	if !pg.dirty {
+		return nil
+	}
+	if err := p.backend.WritePage(pg.ID, pg.Data); err != nil {
+		return err
+	}
+	pg.dirty = false
+	return nil
 }
 
 // Sync fsyncs the backend, counting the fsync. No-op in memory mode.
@@ -351,151 +339,70 @@ func (p *Pager) Sync() error {
 		return nil
 	}
 	p.fsyncs.Add(1)
-	if err := p.backend.Sync(); err != nil {
-		return p.fail(err)
-	}
-	return nil
+	return p.fail(p.backend.Sync())
 }
 
-// Free releases a page.
+// Free releases a page. Its ID is never handed out again.
 func (p *Pager) Free(id PageID) error {
-	p.structMu.Lock()
-	if _, ok := p.pages.Load(id); !ok {
-		p.structMu.Unlock()
+	var pg *Page
+	if s := p.slot(id); s != nil {
+		pg = s.Swap(nil) // of two racing frees, one gets the page
+	}
+	if pg == nil {
 		return fmt.Errorf("storage: free of unknown page %d", id)
 	}
-	p.pages.Delete(id)
 	p.numPages.Add(-1)
+	p.stripe(id).frees.Add(1)
 	if p.capacity > 0 {
 		p.lruMu.Lock()
-		if nd, ok := p.nodes[id]; ok {
-			p.unlink(nd)
-			delete(p.nodes, id)
+		pg.freed = true
+		if pg.inPool {
+			p.unlink(pg)
 		}
 		p.lruMu.Unlock()
 	}
-	p.structMu.Unlock()
-	p.stripe(id).frees.Add(1)
 	return nil
 }
 
-// touch moves a page to the front of the LRU, evicting beyond capacity.
-func (p *Pager) touch(id PageID) {
-	if p.capacity == 0 {
-		return
-	}
-	p.lruMu.Lock()
-	p.touchLocked(id)
-	p.lruMu.Unlock()
-}
-
-// touchLocked is touch with lruMu held. Every operation is O(1): a map
-// lookup plus pointer splices, where the seed implementation scanned and
-// re-built an O(capacity) slice per access.
-func (p *Pager) touchLocked(id PageID) {
-	if nd, ok := p.nodes[id]; ok {
-		if p.head != nd {
-			p.unlink(nd)
-			p.pushFront(nd)
+// touchLocked makes pg the most recently used page of the pool, admitting
+// it if it was not resident and evicting the least recently used beyond
+// capacity — pointer splices only. Caller holds lruMu.
+func (p *Pager) touchLocked(pg *Page) {
+	if pg.inPool {
+		if p.lru.next == pg {
+			return
 		}
+		p.unlink(pg)
+	} else if pg.freed {
+		// Freed by a caller that raced Alloc's or Write's table check: not
+		// to be resurrected into a buffer slot.
 		return
 	}
-	// Liveness re-check before admitting a page to the pool: Free removes
-	// the page from the table before it takes lruMu, so a page absent here
-	// was freed concurrently (by a caller that raced Write/Alloc's earlier
-	// existence check) and must not be resurrected into a buffer slot.
-	if _, live := p.pages.Load(id); !live {
-		return
-	}
-	nd := &lruNode{id: id}
-	p.nodes[id] = nd
-	p.pushFront(nd)
-	for len(p.nodes) > p.capacity {
-		victim := p.victimLocked()
-		if victim == nil {
-			return // everything evictable is pinned; run over capacity
-		}
+	pg.prev, pg.next = &p.lru, p.lru.next
+	pg.prev.next, pg.next.prev = pg, pg
+	pg.inPool = true
+	p.resident++
+	for p.resident > p.capacity {
+		victim := p.lru.prev
 		if p.backend != nil {
-			if !p.evictLocked(victim.id) {
+			// A failed write-back latches the sticky error and leaves the victim
+			// resident, its image the only current copy: the pool runs over.
+			if err := p.writeBackLocked(victim); err != nil {
+				p.fail(fmt.Errorf("storage: evicting page %d: %w", victim.ID, err))
 				return
 			}
+			victim.evicted = true
 		}
 		p.unlink(victim)
-		delete(p.nodes, victim.id)
 	}
 }
 
-// victimLocked returns the least recently used unpinned node, or nil.
-// Caller holds lruMu.
-func (p *Pager) victimLocked() *lruNode {
-	for nd := p.tail; nd != nil; nd = nd.prev {
-		if p.backend == nil {
-			return nd
-		}
-		if v, ok := p.pages.Load(nd.id); ok && v.(*Page).pins > 0 {
-			continue
-		}
-		return nd
-	}
-	return nil
-}
-
-// evictLocked writes a dirty victim back to the backend and marks the page
-// non-resident. A write-back failure latches the sticky error and leaves
-// the page resident (its image is the only current copy); the caller skips
-// the eviction. Caller holds lruMu.
-func (p *Pager) evictLocked(id PageID) bool {
-	v, ok := p.pages.Load(id)
-	if !ok {
-		return true // freed concurrently; nothing to persist
-	}
-	pg := v.(*Page)
-	if pg.dirty {
-		if err := p.backend.WritePage(pg.ID, pg.Data); err != nil {
-			p.fail(fmt.Errorf("storage: evicting page %d: %w", pg.ID, err))
-			return false
-		}
-		pg.dirty = false
-		pg.everSync = true
-	} else if !pg.everSync {
-		// Never written back (e.g. clean-by-construction after a restore):
-		// persist once so the image is re-readable.
-		if err := p.backend.WritePage(pg.ID, pg.Data); err != nil {
-			p.fail(fmt.Errorf("storage: evicting page %d: %w", pg.ID, err))
-			return false
-		}
-		pg.everSync = true
-	}
-	pg.evicted = true
-	return true
-}
-
-// pushFront makes nd the most recently used node. Caller holds lruMu.
-func (p *Pager) pushFront(nd *lruNode) {
-	nd.prev = nil
-	nd.next = p.head
-	if p.head != nil {
-		p.head.prev = nd
-	}
-	p.head = nd
-	if p.tail == nil {
-		p.tail = nd
-	}
-}
-
-// unlink removes nd from the list. Caller holds lruMu.
-func (p *Pager) unlink(nd *lruNode) {
-	if nd.prev != nil {
-		nd.prev.next = nd.next
-	} else {
-		p.head = nd.next
-	}
-	if nd.next != nil {
-		nd.next.prev = nd.prev
-	} else {
-		p.tail = nd.prev
-	}
-	nd.prev, nd.next = nil, nil
+// unlink takes pg out of the pool. Caller holds lruMu.
+func (p *Pager) unlink(pg *Page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil // an evicted page must not keep a freed neighbour alive
+	pg.inPool = false
+	p.resident--
 }
 
 // Stats returns a snapshot of the counters, summed over the stripes.

@@ -1,10 +1,63 @@
 package storage
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
+
+// memBackend is a Backend over a map: it keeps the last image written per
+// page and records the order of the writes. The pager calls ReadPage and
+// WritePage under its pool lock, so the fake needs none.
+type memBackend struct {
+	images map[PageID][]byte
+	writes []PageID
+}
+
+func (m *memBackend) ReadPage(id PageID, buf []byte) error {
+	img, ok := m.images[id]
+	if !ok {
+		return ErrPageUnwritten
+	}
+	copy(buf, img)
+	return nil
+}
+
+func (m *memBackend) WritePage(id PageID, data []byte) error {
+	if m.images == nil {
+		m.images = map[PageID][]byte{}
+	}
+	m.images[id] = append(m.images[id][:0], data...)
+	m.writes = append(m.writes, id)
+	return nil
+}
+
+func (m *memBackend) Sync() error  { return nil }
+func (m *memBackend) Close() error { return nil }
+
+// pagerKinds are the three pagers the stack builds: the unbuffered counter
+// of the indexes and the in-memory store, the in-memory pool of experiment
+// B1, and the disk-backed pool of the durable store.
+var pagerKinds = []struct {
+	name string
+	new  func(pageSize, capacity int) *Pager
+}{
+	{"unbuffered", func(pageSize, _ int) *Pager { return MustNewPager(pageSize, 0) }},
+	{"pool", MustNewPager},
+	{"backed", newBackedPager},
+}
+
+func newBackedPager(pageSize, capacity int) *Pager {
+	p, err := NewPagerBacked(pageSize, capacity, &memBackend{})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 func TestNewPagerValidation(t *testing.T) {
 	if _, err := NewPager(8, 0); err == nil {
@@ -22,8 +75,8 @@ func TestNewPagerValidation(t *testing.T) {
 func TestAllocReadWriteFree(t *testing.T) {
 	p := MustNewPager(256, 0)
 	pg := p.Alloc("test")
-	if pg.ID == 0 || len(pg.Data) != 256 || pg.Tag != "test" {
-		t.Fatalf("bad page %+v", pg)
+	if pg.ID == 0 || pg.Data != nil || pg.Tag != "test" {
+		t.Fatalf("bad page %+v (no backend, so no image)", pg)
 	}
 	got, err := p.Read(pg.ID)
 	if err != nil || got != pg {
@@ -155,83 +208,222 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestConcurrentReadersAndStats(t *testing.T) {
-	// Concurrent reads, writes, allocs and stats snapshots must be safe
-	// (run under -race) and account exactly: reads+hits == total Read
-	// calls across goroutines.
+	// Concurrent reads, writes, allocs, frees and stats snapshots must be
+	// safe (run under -race) and account exactly: reads+hits == successful
+	// Read calls across goroutines. Every goroutine also allocates, reads and
+	// frees pages of its own — 800 in all, so the table grows a chunk under
+	// the readers — and reads the page some other goroutine allocated last,
+	// which may have been freed since: that read may fail, never miscount.
 	const goroutines, perG = 8, 200
-	p := MustNewPager(256, 4)
-	var ids []PageID
-	for i := 0; i < 16; i++ {
-		ids = append(ids, p.Alloc("").ID)
-	}
-	p.ResetStats()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				pg, err := p.Read(ids[(g*perG+i)%len(ids)])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if i%10 == 0 {
-					if err := p.Write(pg); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				_ = p.Stats()
+	for _, kind := range pagerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			p := kind.new(256, 4)
+			var ids []PageID
+			for i := 0; i < 16; i++ {
+				ids = append(ids, p.Alloc("").ID)
 			}
-		}(g)
-	}
-	wg.Wait()
-	s := p.Stats()
-	if got := s.Reads + s.Hits; got != goroutines*perG {
-		t.Errorf("reads+hits = %d, want %d", got, goroutines*perG)
-	}
-	if s.Writes != goroutines*perG/10 {
-		t.Errorf("writes = %d, want %d", s.Writes, goroutines*perG/10)
+			p.ResetStats()
+			var latest, reads atomic.Uint64
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						pg, err := p.Read(ids[(g*perG+i)%len(ids)])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						reads.Add(1)
+						if i%10 == 0 {
+							if err := p.Write(pg); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						if _, err := p.Read(PageID(latest.Load())); err == nil {
+							reads.Add(1)
+						}
+						if i%2 == 0 {
+							own := p.Alloc("own")
+							latest.Store(uint64(own.ID))
+							if got, err := p.Read(own.ID); err != nil || got != own {
+								t.Errorf("read of own page %d = %p, %v; want %p", own.ID, got, err, own)
+								return
+							}
+							reads.Add(1)
+							if err := p.Free(own.ID); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						_ = p.Stats()
+					}
+				}(g)
+			}
+			wg.Wait()
+			s := p.Stats()
+			if got := s.Reads + s.Hits; got != reads.Load() {
+				t.Errorf("reads+hits = %d, want %d", got, reads.Load())
+			}
+			if s.Writes != goroutines*perG/10 {
+				t.Errorf("writes = %d, want %d", s.Writes, goroutines*perG/10)
+			}
+			if s.Allocs != goroutines*perG/2 || s.Frees != s.Allocs || p.NumPages() != len(ids) {
+				t.Errorf("allocs %d, frees %d, %d pages live; want %d, %d, %d", s.Allocs, s.Frees, p.NumPages(), goroutines*perG/2, goroutines*perG/2, len(ids))
+			}
+			if err := p.Err(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 func TestStatsAccountingProperty(t *testing.T) {
-	// Property: after a mixed sequence of ops, reads+hits equals the number
-	// of Read calls, and NumPages = allocs - frees.
-	f := func(ops []uint8) bool {
-		p := MustNewPager(128, 2)
-		var ids []PageID
-		var readCalls int
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				ids = append(ids, p.Alloc("").ID)
-			case 1:
-				if len(ids) > 0 {
-					id := ids[int(op)%len(ids)]
-					if _, err := p.Read(id); err != nil {
-						return false
-					}
-					readCalls++
+	// Property: over a mixed sequence of ops the counters are exactly what a
+	// textbook LRU list of the pool's capacity gives — Alloc, Read and Write
+	// make a page the most recent, Free takes it out, a Read of a listed page
+	// is a hit — and NumPages = allocs - frees.
+	const capacity = 2
+	for _, kind := range pagerKinds {
+		f := func(ops []uint8) bool {
+			p := kind.new(128, capacity)
+			var pages []*Page
+			var lru []PageID // most recent first
+			touch := func(id PageID) {
+				lru = slices.DeleteFunc(lru, func(x PageID) bool { return x == id })
+				lru = slices.Insert(lru, 0, id)
+				lru = lru[:min(len(lru), p.capacity)]
+			}
+			var want Stats
+			for _, op := range ops {
+				if len(pages) == 0 || op%4 == 0 {
+					pages = append(pages, p.Alloc(""))
+					want.Allocs++
+					touch(pages[len(pages)-1].ID)
+					continue
 				}
-			case 2:
-				if len(ids) > 0 {
-					i := int(op) % len(ids)
-					if err := p.Free(ids[i]); err != nil {
+				i := int(op) % len(pages)
+				pg := pages[i]
+				switch op % 4 {
+				case 1:
+					if got, err := p.Read(pg.ID); err != nil || got != pg {
 						return false
 					}
-					ids = append(ids[:i], ids[i+1:]...)
+					if slices.Contains(lru, pg.ID) {
+						want.Hits++
+					} else {
+						want.Reads++
+					}
+					touch(pg.ID)
+				case 2:
+					if err := p.Write(pg); err != nil {
+						return false
+					}
+					want.Writes++
+					touch(pg.ID)
+				case 3:
+					if err := p.Free(pg.ID); err != nil {
+						return false
+					}
+					want.Frees++
+					lru = slices.DeleteFunc(lru, func(x PageID) bool { return x == pg.ID })
+					pages = slices.Delete(pages, i, i+1)
 				}
 			}
+			if s := p.Stats(); s != want {
+				t.Logf("%s: stats %+v, LRU model %+v", kind.name, s, want)
+				return false
+			}
+			return p.NumPages() == len(pages) && p.NumPages() == int(want.Allocs-want.Frees) && p.Err() == nil
 		}
-		s := p.Stats()
-		if int(s.Reads+s.Hits) != readCalls {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%s: %v", kind.name, err)
 		}
-		return p.NumPages() == int(s.Allocs-s.Frees) && p.NumPages() == len(ids)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+}
+
+// TestPagerReadAllocs holds the three reads the stack serves — unbuffered,
+// pool hit, and a disk-backed miss that re-fetches an evicted image — at no
+// allocation: the miss reads into the pager's own buffer.
+func TestPagerReadAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	for _, tc := range readCases {
+		p, ids := tc.setup()
+		i := 0
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := p.Read(ids[i%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per Read, want 0", tc.name, n)
+		}
+		if s := p.Stats(); tc.miss && s.Hits != 0 || !tc.miss && s.Reads != 0 {
+			t.Errorf("%s: stats %+v: the reads were not all of that kind", tc.name, s)
+		}
+	}
+}
+
+// readCases are the three kinds of Read: each setup returns a pager with
+// its counters reset and the page IDs to read round-robin.
+var readCases = []struct {
+	name  string
+	miss  bool
+	setup func() (*Pager, []PageID)
+}{
+	{"unbuffered", true, func() (*Pager, []PageID) {
+		p := MustNewPager(4096, 0)
+		return p, allocFlushed(p, 64)
+	}},
+	{"pool-hit", false, func() (*Pager, []PageID) {
+		p := MustNewPager(4096, 8)
+		return p, allocFlushed(p, 64)[63:]
+	}},
+	// Round-robin over eight times the pool: LRU has always evicted the
+	// page before its turn comes again, so every read misses and re-fetches.
+	{"backed-miss", true, func() (*Pager, []PageID) {
+		p := newBackedPager(4096, 8)
+		return p, allocFlushed(p, 64)
+	}},
+}
+
+// allocFlushed allocates n written pages, flushes them so that no later
+// eviction has anything to write back, and resets the counters.
+func allocFlushed(p *Pager, n int) []PageID {
+	ids := make([]PageID, n)
+	for i := range ids {
+		pg := p.Alloc("bench")
+		ids[i] = pg.ID
+		if err := p.Write(pg); err != nil {
+			panic(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		panic(err)
+	}
+	p.ResetStats()
+	return ids
+}
+
+var sinkPage *Page
+
+func BenchmarkPagerRead(b *testing.B) {
+	for _, tc := range readCases {
+		b.Run(tc.name, func(b *testing.B) {
+			p, ids := tc.setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pg, err := p.Read(ids[i%len(ids)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkPage = pg
+			}
+		})
 	}
 }
