@@ -100,8 +100,8 @@ type (
 	// WorkloadSnapshot). Queries are never blocked by a reconfiguration
 	// in flight.
 	Database = engine.Engine
-	// EngineOptions tune the engine's reconfiguration loop (drift
-	// threshold, automatic check cadence, re-selection columns).
+	// EngineOptions tune the engine's reconfiguration loop (assumed
+	// baseline, evidence floor, automatic check cadence).
 	EngineOptions = engine.Options
 	// Advice is the outcome of one online re-selection pass.
 	Advice = engine.Advice
@@ -132,9 +132,9 @@ type (
 	// ShardDriftView aggregates per-shard drift (worst shard and
 	// traffic-weighted mean) for a sharded database.
 	ShardDriftView = shard.DriftView
-	// DurableOptions tune a durable engine: WAL commit policy, group-commit
-	// window, automatic checkpoint threshold, buffer-pool capacity. The
-	// embedded EngineOptions keep their in-memory meaning.
+	// DurableOptions tune a durable engine: WAL commit policy, automatic
+	// checkpoint threshold, buffer-pool capacity. The embedded
+	// EngineOptions keep their in-memory meaning.
 	DurableOptions = engine.DurableOptions
 	// ShardedDurableOptions tune a durable sharded database; the embedded
 	// DurableOptions apply to every shard's engine.
@@ -193,8 +193,8 @@ type (
 )
 
 // NewNetServer wraps a backend in a TCP server; start it with Listen
-// (or Serve) and stop it with Shutdown, which drains every request
-// already read from a socket before returning.
+// and stop it with Shutdown, which drains every request already read
+// from a socket before returning.
 func NewNetServer(be NetBackend, opts NetServerOptions) *NetServer {
 	return netserver.New(be, opts)
 }
@@ -239,9 +239,6 @@ type (
 	// ExecuteValues projects an ending attribute, Explain renders the
 	// chosen probe order and residual filters.
 	QueryPlan = plan.Plan
-	// PlanOptions tune plan compilation (DeclaredOrder pins the written
-	// conjunct order instead of selectivity ordering).
-	PlanOptions = plan.Options
 	// PredicateSource is anything that can answer point and range probes
 	// for a registered path; Database and ShardedDB both satisfy it.
 	PredicateSource = plan.Source
@@ -367,10 +364,9 @@ func Open(st *Store, p *Path, cfg Configuration, pageSize int) (*Database, error
 	return engine.New(st, p, cfg, pageSize, engine.Options{})
 }
 
-// OpenWithOptions is Open with explicit engine options: the drift
-// threshold and check cadence for automatic background reconfiguration,
-// the assumed workload baseline, and the organization columns online
-// re-selection may choose from.
+// OpenWithOptions is Open with explicit engine options: the check
+// cadence for automatic background reconfiguration, the assumed workload
+// baseline, and the evidence floor below which drift reads zero.
 func OpenWithOptions(st *Store, p *Path, cfg Configuration, pageSize int, opts EngineOptions) (*Database, error) {
 	return engine.New(st, p, cfg, pageSize, opts)
 }

@@ -267,11 +267,13 @@ func storeClassOf(st *oodb.Store) func(oodb.OID) (string, bool) {
 	}
 }
 
-// shardClassOf routes the lookup to the owning shard's store.
+// shardClassOf routes the lookup to the owning shard's store. Like
+// storeClassOf it peeks: labelling the recorder must not count a page
+// read, or on a durable store miss, load and evict one.
 func shardClassOf(db *shard.DB) func(oodb.OID) (string, bool) {
 	return func(oid oodb.OID) (string, bool) {
-		o, err := db.Get(oid)
-		if err != nil {
+		o, ok := db.Store(db.ShardOf(oid)).Peek(oid)
+		if !ok {
 			return "", false
 		}
 		return o.Class, true

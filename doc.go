@@ -84,9 +84,9 @@
 // frequencies; Open returns a lifecycle-managed engine that keeps
 // selecting. Every query, insert and delete is counted per class by a
 // lock-free recorder on the execution paths. When the observed operation
-// mix drifts beyond a threshold from the mix the active configuration was
-// selected for (total-variation distance over the Section 3.2 load
-// triplets), the engine re-collects statistics from the live store,
+// mix drifts from the mix the active configuration was selected for by a
+// total-variation distance of 0.25 or more over the Section 3.2 load
+// triplets, the engine re-collects statistics from the live store,
 // merges the observed frequencies in, re-runs the Section 5 selection,
 // and swaps configurations online: only the subpath indexes absent from
 // the old configuration are built — unchanged assignments keep their
@@ -184,9 +184,11 @@
 // applies per partition: Advise and Reconfigure re-select every shard
 // independently, and because reads replicate across the fan-out while
 // writes partition, skewed write traffic drives shards to genuinely
-// different configurations (see examples/sharded). WorkloadSnapshot
-// rolls the per-shard recorders up; Drift reports per-shard, worst-shard
-// and traffic-weighted aggregates. Experiment E4 (ixbench -run shard)
+// different configurations (see examples/sharded). Each shard's engine
+// is the one home of its workload: a planner leaf recorded against the
+// ShardedDB lands on every shard, as the predicate itself fanned out.
+// WorkloadSnapshot rolls the per-shard recorders up; Drift reports
+// per-shard, worst-shard and traffic-weighted aggregates. Experiment E4 (ixbench -run shard)
 // measures the same mixed serving workload over 1/2/4/8 shards at
 // 1/2/4/8 workers against the E2 single-engine baseline — every
 // deployment serving the identical logical dataset; DESIGN.md §7
@@ -217,7 +219,7 @@
 // fingerprint, index answers — against a reference store replaying the
 // acknowledged prefix. OpenShardedDurable gives every shard its own
 // WAL and checkpoints under one directory and recovers shards in
-// parallel; per-shard configuration divergence persists. Experiment E5
+// parallel; per-shard configuration divergence and predicate mix persist. Experiment E5
 // (ixbench -run durable) measures fsync-policy throughput, recovery
 // time vs WAL length and cold-cache serving; DESIGN.md §8 records the
 // protocol and the crash matrix. See
@@ -269,10 +271,10 @@
 // candidates). A zero-valued snapshot degrades to the unweighted
 // selection bit for bit. The engines consume the same derivation:
 // Advise and Reconfigure weigh the live snapshot (a sharded facade
-// pushes its fleet-level predicate mix down into each shard's advice),
-// a durable engine's predicate mix survives Close and reopen via the
-// checkpoint manifest, and because advice and drift share one
-// derivation the loop reaches a fixed point in one step — re-driving
+// records each planner leaf on every shard, so each shard's advice sees
+// the mix), a durable engine's predicate mix survives Close and reopen
+// via the checkpoint manifest, and because drift measures against what
+// the same derivation writes the loop reaches a fixed point in one step — re-driving
 // the mix an adopted configuration was selected from measures ~zero
 // drift and advises no further change. Experiment E9 (ixbench -run
 // feedback) measures workload-fed against static selection under a

@@ -38,13 +38,12 @@ func main() {
 	fmt.Printf("Assumed workload: query-heavy -> initial configuration %v\n\n", initial.Best)
 
 	// Open the engine with automatic tuning: check drift every 64
-	// operations, reconfigure beyond total-variation 0.3.
+	// operations, reconfigure at total-variation 0.25.
 	db, err := ooindex.OpenWithOptions(g.Store, g.Path, initial.Best, ooindex.PaperParams().PageSize, ooindex.EngineOptions{
-		Params:         ooindex.PaperParams(),
-		Assumed:        assumed,
-		DriftThreshold: 0.3,
-		MinOps:         64,
-		CheckEvery:     64,
+		Params:     ooindex.PaperParams(),
+		Assumed:    assumed,
+		MinOps:     64,
+		CheckEvery: 64,
 	})
 	if err != nil {
 		log.Fatal(err)

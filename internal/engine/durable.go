@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/oodb"
@@ -75,11 +74,9 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 type DurableOptions struct {
 	Options
 
-	// Policy is the WAL commit policy (default SyncAlways).
+	// Policy is the WAL commit policy (default SyncAlways). SyncGroup
+	// fsyncs once per wal.DefaultGroupWindow.
 	Policy wal.Policy
-	// GroupWindow is the SyncGroup fsync interval; zero means
-	// wal.DefaultGroupWindow.
-	GroupWindow time.Duration
 	// CheckpointBytes is the WAL size that triggers an automatic
 	// checkpoint. Zero means 4 MiB; negative disables automatic
 	// checkpoints (explicit Checkpoint, configuration swaps and Close
@@ -246,7 +243,7 @@ func openWAL(path string, opts DurableOptions, replay func([]byte) error) (*wal.
 	if err != nil {
 		return nil, err
 	}
-	l, err := wal.Open(f, opts.Policy, opts.GroupWindow, replay)
+	l, err := wal.Open(f, opts.Policy, wal.DefaultGroupWindow, replay)
 	if err != nil {
 		f.Close()
 		return nil, err

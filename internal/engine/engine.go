@@ -57,37 +57,28 @@ type Options struct {
 	// statistics for re-selection. Zero means DefaultParams with the
 	// engine's page size.
 	Params model.Params
-	// Orgs are the organization columns re-selection may choose from.
-	// Every entry must have a working implementation (MX, MIX, NIX, PX).
-	// Nil means the paper's {MX, MIX, NIX}.
-	Orgs []cost.Organization
 	// Assumed carries the design-time statistics and workload the initial
 	// configuration was selected for; its load triplets are the drift
 	// baseline until the first reconfiguration. Nil means no assumption:
 	// any observed traffic counts as maximal drift.
 	Assumed *model.PathStats
-	// DriftThreshold is the total-variation distance beyond which the
-	// auto-tuner reconfigures. Zero means the 0.25 default.
-	DriftThreshold float64
 	// MinOps is the observed-operation count below which drift is
 	// reported as zero (too little evidence). Zero means the 64 default.
 	MinOps uint64
 	// CheckEvery, when positive, has the engine check drift every that
-	// many operations and launch a background reconfiguration when the
-	// threshold is exceeded. Zero disables automatic tuning.
+	// many operations and launch a background reconfiguration when it
+	// reaches driftThreshold. Zero disables automatic tuning.
 	CheckEvery uint64
 }
+
+// driftThreshold is the total-variation distance at which the auto-tuner
+// reconfigures.
+const driftThreshold = 0.25
 
 func (o Options) withDefaults(pageSize int) Options {
 	if o.Params == (model.Params{}) {
 		o.Params = model.DefaultParams()
 		o.Params.PageSize = pageSize
-	}
-	if o.Orgs == nil {
-		o.Orgs = cost.Organizations
-	}
-	if o.DriftThreshold == 0 {
-		o.DriftThreshold = 0.25
 	}
 	if o.MinOps == 0 {
 		o.MinOps = 64
@@ -178,11 +169,6 @@ func New(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSize int, o
 	opts = opts.withDefaults(pageSize)
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
-	}
-	for _, org := range opts.Orgs {
-		if !index.Supported(org) {
-			return nil, fmt.Errorf("engine: organization %v has no working implementation; cannot be a re-selection column", org)
-		}
 	}
 	e := &Engine{store: st, path: p, pageSize: pageSize, opts: opts, rec: stats.NewRecorder(p), preds: stats.NewPredRecorder()}
 	set, err := exec.NewIndexSet(st, p, cfg, pageSize, e.rec)
@@ -380,16 +366,13 @@ func (e *Engine) ResetStats() { e.active.Load().ResetStats() }
 func (e *Engine) Swaps() uint64 { return e.swaps.Load() }
 
 // WorkloadSnapshot returns the recorded traffic since the last
-// reconfiguration (or reset). On a durable engine the snapshot also
-// carries the cumulative durability cost (WAL bytes, fsyncs) of serving
-// that traffic.
+// reconfiguration (or reset): the class-level counters plus the live
+// predicate mix, which refines the load derivation (range
+// reclassification, residual query mass — see stats.MergeObserved). It is
+// what selection and drift consume.
 func (e *Engine) WorkloadSnapshot() stats.Workload {
 	w := e.rec.Snapshot()
 	w.Predicates = e.preds.Snapshot()
-	if e.dur != nil {
-		ds := e.DurabilityStats()
-		w.Fsyncs, w.WALBytes = ds.Fsyncs, ds.WALBytes
-	}
 	return w
 }
 
@@ -414,16 +397,6 @@ func (e *Engine) Drift() float64 {
 	return d
 }
 
-// observedWorkload is the recorder snapshot selection and drift consume:
-// the class-level counters plus the live predicate mix, which refines the
-// load derivation (range reclassification, residual query mass — see
-// stats.MergeObserved).
-func (e *Engine) observedWorkload() stats.Workload {
-	w := e.rec.Snapshot()
-	w.Predicates = e.preds.Snapshot()
-	return w
-}
-
 // DriftStats returns one workload snapshot together with the drift it
 // implies — for callers that need both consistently (the sharded
 // aggregate weights each shard's drift by the operation count of the
@@ -432,7 +405,7 @@ func (e *Engine) observedWorkload() stats.Workload {
 // entirely by store navigation still accumulates drift against a
 // baseline that assumed no query traffic.
 func (e *Engine) DriftStats() (stats.Workload, float64) {
-	w := e.observedWorkload()
+	w := e.WorkloadSnapshot()
 	if w.EvidenceFor(e.path.String()) < e.opts.MinOps {
 		return w, 0
 	}
@@ -448,21 +421,13 @@ func (e *Engine) DriftStats() (stats.Workload, float64) {
 // mix together — and runs the selection algorithm, without touching the
 // active configuration. The returned advice carries the exact PathStats
 // used, so the recommendation is reproducible offline.
-func (e *Engine) Advise() (Advice, error) { return e.AdviseObserved(nil) }
-
-// AdviseObserved is Advise with additional observed predicate loads
-// merged into the engine's own recorded mix before the load derivation —
-// the channel a facade above several engines (shard.DB) uses to push its
-// fleet-level predicate observations down into each engine's selection.
-// Every value query fans out to every shard, so facade-level predicate
-// traffic describes each shard's serving work, not a share of it.
-func (e *Engine) AdviseObserved(extra []stats.PredLoad) (Advice, error) {
+func (e *Engine) Advise() (Advice, error) {
 	adv := Advice{Current: e.Config(), Drift: e.Drift()}
-	ps, err := e.observedStats(extra)
+	ps, err := e.observedStats()
 	if err != nil {
 		return adv, err
 	}
-	res, _, err := core.Select(ps, e.opts.Orgs)
+	res, _, err := core.Select(ps, cost.Organizations)
 	if err != nil {
 		return adv, err
 	}
@@ -479,18 +444,14 @@ func (e *Engine) AdviseObserved(extra []stats.PredLoad) (Advice, error) {
 // it errors — selecting on all-zero load triplets would swap to an
 // arbitrary tie-broken configuration justified by no evidence. Evidence
 // counts the recorded class-level operations plus the path's residual
-// predicate leaves (extra included): traffic an index would absorb is
-// evidence for selecting one, even when every probe fell back to store
-// navigation.
-func (e *Engine) observedStats(extra []stats.PredLoad) (*model.PathStats, error) {
+// predicate leaves: traffic an index would absorb is evidence for
+// selecting one, even when every probe fell back to store navigation.
+func (e *Engine) observedStats() (*model.PathStats, error) {
 	ps, err := stats.Collect(e.store, e.path, e.opts.Params)
 	if err != nil {
 		return nil, err
 	}
-	w := e.observedWorkload()
-	if len(extra) > 0 {
-		w.Predicates = stats.MergePredLoads(w.Predicates, extra)
-	}
+	w := e.WorkloadSnapshot()
 	if w.EvidenceFor(e.path.String()) >= e.opts.MinOps {
 		if err := stats.MergeObserved(ps, w); err != nil {
 			return nil, err
@@ -511,12 +472,8 @@ func (e *Engine) observedStats(extra []stats.PredLoad) (*model.PathStats, error)
 // cycle synchronously. When the recommendation matches the active
 // configuration no swap happens (Report.Changed is false), but the drift
 // baseline still advances to the statistics just confirmed.
-func (e *Engine) Reconfigure() (Report, error) { return e.ReconfigureObserved(nil) }
-
-// ReconfigureObserved is Reconfigure advising with additional observed
-// predicate loads (see AdviseObserved).
-func (e *Engine) ReconfigureObserved(extra []stats.PredLoad) (Report, error) {
-	adv, err := e.AdviseObserved(extra)
+func (e *Engine) Reconfigure() (Report, error) {
+	adv, err := e.Advise()
 	if err != nil {
 		return Report{From: adv.Current, Drift: adv.Drift}, err
 	}
@@ -531,7 +488,7 @@ func (e *Engine) ReconfigureObserved(extra []stats.PredLoad) (Report, error) {
 // the assumption behind the previous configuration.
 func (e *Engine) ApplyConfiguration(cfg core.Configuration) (Report, error) {
 	var used *model.PathStats
-	if w := e.observedWorkload(); w.EvidenceFor(e.path.String()) >= e.opts.MinOps {
+	if w := e.WorkloadSnapshot(); w.EvidenceFor(e.path.String()) >= e.opts.MinOps {
 		ps := model.NewPathStats(e.path, e.opts.Params)
 		if err := stats.MergeObserved(ps, w); err == nil {
 			used = ps
@@ -621,7 +578,7 @@ func (e *Engine) maybeAutoTuneN(n uint64) {
 	// Drift is read under the flag: read before it, a reconfiguration
 	// finishing in between — window reset, flag cleared — would let this
 	// check launch a second one on the drift the first already acted on.
-	if e.Drift() < e.opts.DriftThreshold {
+	if e.Drift() < driftThreshold {
 		e.tuning.Store(false)
 		return
 	}

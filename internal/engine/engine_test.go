@@ -360,11 +360,10 @@ func TestAutoTuneOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(g.Store, g.Path, initial.Best, 1024, Options{
-		Params:         model.PaperParams(),
-		Assumed:        assumed,
-		DriftThreshold: 0.3,
-		MinOps:         32,
-		CheckEvery:     16,
+		Params:     model.PaperParams(),
+		Assumed:    assumed,
+		MinOps:     32,
+		CheckEvery: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +387,7 @@ func TestAutoTuneOnDrift(t *testing.T) {
 	if !ok || at.Err != nil || !at.Report.Changed {
 		t.Fatalf("auto-tune = %+v, %v", at, ok)
 	}
-	if at.Report.Drift < 0.3 {
+	if at.Report.Drift < driftThreshold {
 		t.Errorf("reported drift %g below threshold", at.Report.Drift)
 	}
 
@@ -460,18 +459,10 @@ func TestReconfigureRequiresEvidence(t *testing.T) {
 	}
 }
 
-func TestEngineRejectsUnbuildableOrgs(t *testing.T) {
-	g := figure7DB(t)
-	_, err := New(g.Store, g.Path, cfgWhole, 1024, Options{Orgs: cost.OrganizationsWithNone})
-	if err == nil {
-		t.Fatal("NONE accepted as a re-selection column")
-	}
-}
-
 // TestExtensionColumnsPriceButDoNotBuild pins how Section 6's extra
 // organizations are incorporated: NX and NONE are priced columns of the cost
 // matrix, which selection runs over, and nothing more — no working structure
-// is built for them and no engine re-selects over them.
+// is built for them.
 func TestExtensionColumnsPriceButDoNotBuild(t *testing.T) {
 	g := figure7DB(t)
 	ps := model.Figure7Stats()
@@ -490,16 +481,9 @@ func TestExtensionColumnsPriceButDoNotBuild(t *testing.T) {
 		t.Errorf("selection over the six columns returned %v", res.Best)
 	}
 	for _, org := range []cost.Organization{cost.NX, cost.NONE} {
-		if index.Supported(org) {
-			t.Errorf("index.Supported(%v)", org)
-		}
 		_, err := index.New(g.Store, g.Path, 1, g.Path.Len(), org, 1024)
 		if want := fmt.Sprintf("index: organization %v has no working implementation", org); err == nil || err.Error() != want {
 			t.Errorf("index.New(%v) error = %v, want %q", org, err, want)
-		}
-		_, err = New(g.Store, g.Path, cfgWhole, 1024, Options{Orgs: []cost.Organization{cost.MX, org}})
-		if want := fmt.Sprintf("engine: organization %v has no working implementation; cannot be a re-selection column", org); err == nil || err.Error() != want {
-			t.Errorf("engine.New(Orgs: MX, %v) error = %v, want %q", org, err, want)
 		}
 	}
 }

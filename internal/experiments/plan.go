@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -17,17 +18,18 @@ import (
 // Part (a), probe ordering: a two-conjunct predicate pairs a highly
 // selective path (R.to.name, ~2000 distinct ending values) with an
 // unselective one (R.tag, ~20). The planner probes the selective
-// conjunct first; the declared-worst arm forces the opposite order; the
+// conjunct first; the declared-worst arm probes the same two engines in
+// the declared, opposite order and intersects as the planner does; the
 // naive arm evaluates the predicate by store scans. The arms share one
-// store and planner, in that order: the auto arm's warm-up pass is
-// where the planner observes the cardinalities it orders by.
+// store, in that order: the auto arm's warm-up pass is where the planner
+// observes the cardinalities it orders by.
 //
 // Part (b), shard pruning: per-shard disjoint ending-value pools and a
 // probe stream skewed to one shard's pool. With summaries on, the other
 // shards' descents are pruned by Bloom/min-max exclusion; the control
-// arm disables pruning. prune_rate is pruned descents over
-// ops · (shards-1), what the unpruned fan-out would have executed for
-// non-matching shards.
+// arm walks every shard's engine and merges their runs, the fan-out
+// without summaries. prune_rate is pruned descents over ops · (shards-1),
+// what the unpruned fan-out would have executed for non-matching shards.
 
 // planSchema builds the two-path E6 schema: R(tag, to→M), M(name).
 func planSchema() *schema.Schema {
@@ -118,14 +120,14 @@ func planOrderArms(seed int64, ops int) ([]Arm, error) {
 		}
 		execs = append(execs, c)
 	}
+	nameEx, tagEx := execs[0], execs[1]
 	// The conjunction, deliberately declared unselective-first: the
 	// declared-order arm pays the worst fixed order, the auto arm must
 	// discover the better one from observed cardinalities.
+	tag := func(i int) oodb.Value { return oodb.StrV(fmt.Sprintf("tag-%02d", i%nTags)) }
+	name := func(i int) oodb.Value { return oodb.StrV(fmt.Sprintf("name-%05d", i%nM)) }
 	pred := func(i int) plan.Predicate {
-		return plan.And(
-			plan.Eq(pTag, oodb.StrV(fmt.Sprintf("tag-%02d", i%nTags))),
-			plan.Eq(pName, oodb.StrV(fmt.Sprintf("name-%05d", i%nM))),
-		)
+		return plan.And(plan.Eq(pTag, tag(i)), plan.Eq(pName, name(i)))
 	}
 	pages := func() uint64 {
 		t := st.Pager().Stats().Accesses()
@@ -151,11 +153,15 @@ func planOrderArms(seed int64, ops int) ([]Arm, error) {
 	return []Arm{
 		arm("planner-auto", ops, func(i int) ([]oodb.OID, error) { return pl.Query(pred(i), "R", false) }),
 		arm("declared-worst", ops, func(i int) ([]oodb.OID, error) {
-			p, err := pl.PlanOpts(pred(i), "R", false, plan.Options{DeclaredOrder: true})
+			cur, err := tagEx.Query(tag(i), "R", false)
+			if err != nil || len(cur) == 0 {
+				return cur, err
+			}
+			r, err := nameEx.Query(name(i), "R", false)
 			if err != nil {
 				return nil, err
 			}
-			return p.Execute()
+			return exec.IntersectSortedOIDs(cur[:0], cur, r), nil
 		}),
 		// The naive arm re-navigates the store per query; its ops are
 		// capped to keep E6 smoke-runnable.
@@ -179,7 +185,7 @@ func planPruneArms(seed int64, ops int) []Arm {
 				Labels: labels("part", "shard-pruning", "shards", nShards, "pruning", pruning),
 				Ops:    ops,
 				Open: func() (System, error) {
-					db, err := shard.New(s, p, wholePathNIX(p), pageSz, nShards, shard.Options{DisablePruning: !pruning})
+					db, err := shard.New(s, p, wholePathNIX(p), pageSz, nShards, shard.Options{})
 					if err != nil {
 						return System{}, err
 					}
@@ -202,16 +208,36 @@ func planPruneArms(seed int64, ops int) []Arm {
 							}
 						}
 					}
+					query, counters := func(v oodb.Value) error {
+						_, err := db.Query(v, "Person", false)
+						return err
+					}, db.PruneCounters
+					if !pruning {
+						// The control fans out to every shard's engine and
+						// merges their disjoint runs, as if no summary existed.
+						var descents uint64
+						query = func(v oodb.Value) error {
+							runs := make([][]oodb.OID, nShards)
+							for i := range runs {
+								var err error
+								if runs[i], err = db.Shard(i).Query(v, "Person", false); err != nil {
+									return err
+								}
+								descents++
+							}
+							exec.MergeKSortedOIDs(nil, runs...)
+							return nil
+						}
+						counters = func() (uint64, uint64) { return descents, 0 }
+					}
 					// Skewed probe stream: every lookup is for shard 0's pool.
 					rng := rand.New(rand.NewSource(seed))
 					return System{
 						Start: each(func(_, _ int) error {
-							v := oodb.StrV(fmt.Sprintf("pool%02d-co%03d", 0, rng.Intn(treesPerShard)))
-							_, err := db.Query(v, "Person", false)
-							return err
+							return query(oodb.StrV(fmt.Sprintf("pool%02d-co%03d", 0, rng.Intn(treesPerShard))))
 						}),
 						Counters: func() []Metric {
-							probed, pruned := db.PruneCounters()
+							probed, pruned := counters()
 							return []Metric{{"descents", float64(probed)}, {"pruned", float64(pruned)}}
 						},
 					}, nil

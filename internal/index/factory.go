@@ -8,24 +8,13 @@ import (
 	"repro/internal/schema"
 )
 
-// Supported reports whether the organization has a working structure New
-// can build. NX and NONE are priced columns of the cost matrix only, as
-// Section 6 incorporates them: the nested index answers starting-class
-// queries alone and NONE is the absence of a structure, so neither can
-// serve as a maintained subpath index.
-func Supported(org cost.Organization) bool {
-	switch org {
-	case cost.MX, cost.MIX, cost.NIX, cost.PX:
-		return true
-	default:
-		return false
-	}
-}
-
 // New builds the working structure of one organization over the subpath
 // [a..b] of p, with index pages of pageSize bytes. The store is needed
 // only by PX, which reads objects back through the store to materialize
-// its path instantiations.
+// its path instantiations. NX and NONE are priced columns of the cost
+// matrix only, as Section 6 incorporates them: the nested index answers
+// starting-class queries alone and NONE is the absence of a structure, so
+// New refuses both.
 func New(st *oodb.Store, p *schema.Path, a, b int, org cost.Organization, pageSize int) (PathIndex, error) {
 	switch org {
 	case cost.MX:

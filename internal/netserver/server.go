@@ -206,8 +206,8 @@ func (c *conn) closeOut() {
 	c.outOnce.Do(func() { close(c.out) })
 }
 
-// Server serves a Backend over TCP. Create with New, start with Listen
-// or Serve, stop with Shutdown.
+// Server serves a Backend over TCP. Create with New, start with Listen,
+// stop with Shutdown.
 type Server struct {
 	be   Backend
 	opts Options
@@ -242,7 +242,7 @@ type Server struct {
 	nPredDescents atomic.Uint64
 }
 
-// New builds a server around be. Serve or Listen starts it.
+// New builds a server around be. Listen starts it.
 func New(be Backend, opts Options) *Server {
 	s := &Server{
 		be:    be,

@@ -184,8 +184,7 @@ func TestPlannerDifferential(t *testing.T) {
 			for q := 0; q < 40; q++ {
 				pred := w.randomPred(rng, 2)
 				hier := rng.Intn(2) == 0
-				opts := Options{DeclaredOrder: rng.Intn(4) == 0}
-				p, err := pl.PlanOpts(pred, "Person", hier, opts)
+				p, err := pl.Plan(pred, "Person", hier)
 				if err != nil {
 					t.Fatalf("plan %s: %v", pred, err)
 				}
@@ -281,15 +280,6 @@ func TestSelectivityOrdering(t *testing.T) {
 	}
 	if iComp > iAge {
 		t.Fatalf("expected selective company probe ordered first:\n%s", ex)
-	}
-	// Declared order must suppress the reordering.
-	p, err = pl.PlanOpts(And(Eq(pAge, w.pools[0][1]), Eq(pComp, w.pools[2][1])), "Person", false, Options{DeclaredOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex = p.Explain()
-	if strings.Index(ex, "Person.age") > strings.Index(ex, "owns.man.name") {
-		t.Fatalf("declared order not preserved:\n%s", ex)
 	}
 }
 

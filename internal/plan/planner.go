@@ -135,19 +135,12 @@ func (pl *Planner) Register(p *schema.Path, src Source, ps *model.PathStats) err
 
 // Predicates snapshots the per-path predicate mix the planner has
 // evaluated: every leaf of every executed plan, classified as indexed
-// equality, indexed range, or residual store navigation. Feed it to
-// stats.MergePredLoads alongside engine workload snapshots for the full
-// picture.
+// equality, indexed range, or residual store navigation. A probe leaf is
+// also forwarded to its source when the source is a PredicateSink, and
+// that source's workload snapshot already holds it; only residual leaves
+// and probes through sources that are not sinks live here alone. Merging
+// this mix with a sink's snapshot would count every forwarded leaf twice.
 func (pl *Planner) Predicates() []stats.PredLoad { return pl.preds.Snapshot() }
-
-// Options tune plan compilation. The zero value is the default
-// (selectivity-ordered conjunctions).
-type Options struct {
-	// DeclaredOrder suppresses selectivity ordering: conjuncts are probed
-	// in the order the predicate declares them. This exists for measuring
-	// what the ordering buys (experiment E6); leave it false otherwise.
-	DeclaredOrder bool
-}
 
 // Plan is a compiled physical plan: an ordered probe/filter tree bound
 // to the planner's sources. Compile once with Planner.Plan, execute any
@@ -215,17 +208,12 @@ func (n *orPlan) est() float64 { return n.card }
 // unregistered paths become residual post-filters, a fully unindexed
 // conjunction or lone disjunct falls back to a store scan.
 func (pl *Planner) Plan(pred Predicate, targetClass string, hierarchy bool) (*Plan, error) {
-	return pl.PlanOpts(pred, targetClass, hierarchy, Options{})
-}
-
-// PlanOpts is Plan with explicit Options.
-func (pl *Planner) PlanOpts(pred Predicate, targetClass string, hierarchy bool, opts Options) (*Plan, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("plan: nil predicate")
 	}
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	root, err := pl.compile(pred, targetClass, opts)
+	root, err := pl.compile(pred, targetClass)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +221,7 @@ func (pl *Planner) PlanOpts(pred Predicate, targetClass string, hierarchy bool, 
 }
 
 // compile lowers one AST node. Called with pl.mu read-held.
-func (pl *Planner) compile(pred Predicate, target string, opts Options) (pnode, error) {
+func (pl *Planner) compile(pred Predicate, target string) (pnode, error) {
 	switch n := pred.(type) {
 	case *Leaf:
 		if err := n.validate(); err != nil {
@@ -256,7 +244,7 @@ func (pl *Planner) compile(pred Predicate, target string, opts Options) (pnode, 
 		}
 		ap := &andPlan{}
 		for _, k := range n.Kids {
-			kid, err := pl.compile(k, target, opts)
+			kid, err := pl.compile(k, target)
 			if err != nil {
 				return nil, err
 			}
@@ -278,11 +266,9 @@ func (pl *Planner) compile(pred Predicate, target string, opts Options) (pnode, 
 			ap.probes = append(ap.probes, &scanNode{leaf: ap.residuals[0].leaf})
 			ap.residuals = ap.residuals[1:]
 		}
-		if !opts.DeclaredOrder {
-			sort.SliceStable(ap.probes, func(i, j int) bool {
-				return ap.probes[i].est() < ap.probes[j].est()
-			})
-		}
+		sort.SliceStable(ap.probes, func(i, j int) bool {
+			return ap.probes[i].est() < ap.probes[j].est()
+		})
 		ap.card = math.Inf(1)
 		for _, p := range ap.probes {
 			ap.card = math.Min(ap.card, p.est())
@@ -294,7 +280,7 @@ func (pl *Planner) compile(pred Predicate, target string, opts Options) (pnode, 
 		}
 		op := &orPlan{}
 		for _, k := range n.Kids {
-			kid, err := pl.compile(k, target, opts)
+			kid, err := pl.compile(k, target)
 			if err != nil {
 				return nil, err
 			}

@@ -32,8 +32,9 @@ import (
 // to reconstruct. Recovery therefore parallelizes perfectly —
 // OpenShardedDurable recovers every shard concurrently — and a
 // checkpoint on one shard never stalls writers on another. Each shard's
-// engine manifest persists its own active configuration, so per-shard
-// selection divergence survives restarts exactly as it arose.
+// engine manifest persists its own active configuration and predicate
+// mix, so per-shard selection divergence — and the planner evidence
+// behind it — survives restarts exactly as it arose.
 
 // shardsName is the top-level manifest naming the directory's geometry.
 const shardsName = "SHARDS"
@@ -44,9 +45,6 @@ type DurableOptions struct {
 	// OIDStride are overridden per shard — the facade owns the strided
 	// OID allocation — and must be left zero.
 	Engine engine.DurableOptions
-	// DisablePruning turns off summary-based shard pruning, as
-	// Options.DisablePruning does for an in-memory deployment.
-	DisablePruning bool
 }
 
 // shardsManifest is the JSON SHARDS contents.
@@ -128,9 +126,9 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 	for i, e := range engines {
 		db.stores[i] = e.Store()
 	}
-	// Summaries are in-memory only: recovery replays the stores, and
-	// finishInit rebuilds the summaries from the recovered contents.
-	db.finishInit(opts.DisablePruning)
+	// Summaries are in-memory only: recovery replays the stores, and they
+	// are rebuilt from the recovered contents.
+	db.sums = newSummaries(p, db.stores)
 	return db, nil
 }
 

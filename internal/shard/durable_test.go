@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -141,6 +143,37 @@ func TestShardedDurableReopenWithoutClose(t *testing.T) {
 	}
 }
 
+// TestShardedDurablePredicateMixSurvivesReopen: the planner mix recorded
+// through the facade lives in every shard's engine, so each shard's
+// checkpoint persists it and Close → OpenShardedDurable keeps it.
+func TestShardedDurablePredicateMixSurvivesReopen(t *testing.T) {
+	const nShards = 3
+	dir := filepath.Join(t.TempDir(), "db")
+	db := openTestDurableDB(t, dir, nShards)
+	populate(t, db)
+	key := db.Path().String()
+	for i := 0; i < 5; i++ {
+		db.RecordPredicate(key, stats.PredRange)
+	}
+	db.RecordPredicate(key, stats.PredResidual)
+	want := db.WorkloadSnapshot().Predicates
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := openTestDurableDB(t, dir, nShards)
+	defer db2.Close()
+	if got := db2.WorkloadSnapshot().Predicates; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened fleet predicate mix %+v, want %+v", got, want)
+	}
+	perShard := []stats.PredLoad{{Path: key, Range: 5, Residual: 1}}
+	for i := 0; i < nShards; i++ {
+		if got := db2.Shard(i).WorkloadSnapshot().Predicates; !reflect.DeepEqual(got, perShard) {
+			t.Fatalf("shard %d reopened with predicate mix %+v, want %+v", i, got, perShard)
+		}
+	}
+}
+
 // TestShardedDurableGeometryMismatchRejected: reopening with a different
 // shard count or page size is refused — OID routing depends on both.
 func TestShardedDurableGeometryMismatchRejected(t *testing.T) {
@@ -231,24 +264,26 @@ func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
 	}
 }
 
-// TestShardedDurableDriftViewCarriesDurabilityCost: the fleet drift view
-// and the workload roll-up both surface the summed durability counters.
-func TestShardedDurableDriftViewCarriesDurabilityCost(t *testing.T) {
+// TestShardedDurabilityStatsSumShards: the fleet's durability cost is the
+// sum of the shards' DurabilityStats, and Checkpoint fans out to every
+// shard.
+func TestShardedDurabilityStatsSumShards(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db := openTestDurableDB(t, dir, 2)
 	defer db.Close()
 	populate(t, db)
-	v := db.Drift()
-	if v.Fsyncs == 0 || v.WALBytes == 0 {
-		t.Fatalf("drift view reports fsyncs=%d walBytes=%d, want both positive", v.Fsyncs, v.WALBytes)
-	}
 	ds := db.DurabilityStats()
-	if v.Fsyncs != ds.Fsyncs || v.WALBytes != ds.WALBytes {
-		t.Fatalf("drift view (%d,%d) disagrees with DurabilityStats (%d,%d)", v.Fsyncs, v.WALBytes, ds.Fsyncs, ds.WALBytes)
+	if ds.Fsyncs == 0 || ds.WALBytes == 0 {
+		t.Fatalf("durability stats report fsyncs=%d walBytes=%d, want both positive", ds.Fsyncs, ds.WALBytes)
 	}
-	w := db.WorkloadSnapshot()
-	if w.Fsyncs != ds.Fsyncs || w.WALBytes != ds.WALBytes {
-		t.Fatalf("workload roll-up (%d,%d) disagrees with DurabilityStats (%d,%d)", w.Fsyncs, w.WALBytes, ds.Fsyncs, ds.WALBytes)
+	var sum storage.Stats
+	for i := 0; i < db.NumShards(); i++ {
+		s := db.Shard(i).DurabilityStats()
+		sum.Fsyncs += s.Fsyncs
+		sum.WALBytes += s.WALBytes
+	}
+	if ds != sum {
+		t.Fatalf("fleet durability stats %+v, shards sum to %+v", ds, sum)
 	}
 	if err := db.DurabilityErr(); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,11 @@
 // Meta's AIM argue for). Because a value query fans out everywhere,
 // read load replicates across shards while write load partitions; it is
 // write locality that makes per-shard mixes — and therefore per-shard
-// optima — diverge. WorkloadSnapshot rolls the per-shard recorders up
-// into the fleet-wide view; Drift aggregates the per-shard drifts.
+// optima — diverge. Each shard's engine is the one home of its
+// workload: RecordPredicate counts a planner leaf on every shard, the
+// same fan-out a value query takes. WorkloadSnapshot rolls the per-shard
+// recorders up into the fleet-wide view; Drift aggregates the per-shard
+// drifts.
 //
 // Concurrency. The facade adds no locking of its own, and the read path
 // spawns nothing: a value query walks the shards its summaries admit in
@@ -78,15 +81,10 @@ var ErrCrossShard = errors.New("shard: references span shards")
 // Options tune a sharded database.
 type Options struct {
 	// Engine is applied to every shard's lifecycle engine: each shard
-	// gets its own recorder, drift threshold and auto-tuning loop over
-	// these shared settings. Per-shard divergence comes from the traffic,
-	// not the options.
+	// gets its own recorder and auto-tuning loop over these shared
+	// settings. Per-shard divergence comes from the traffic, not the
+	// options.
 	Engine engine.Options
-	// DisablePruning turns off summary-based shard pruning: every value
-	// query descends into every shard, as if the summaries did not
-	// exist. Summaries are still maintained (so flipping the switch is a
-	// pure read-path change, the control arm of experiment E6 relies on).
-	DisablePruning bool
 }
 
 // DB is an OID-hash-partitioned database: N independent lifecycle
@@ -99,17 +97,12 @@ type DB struct {
 	stores []*oodb.Store
 	rr     atomic.Uint64 // round-robin cursor for reference-free inserts
 
-	// sums holds the per-shard ending-value summaries (see summary.go);
-	// pruneOff disables consulting them on the query path. probed and
-	// pruned count shard descents executed and skipped by the summaries.
-	sums     *summaries
-	pruneOff bool
-	probed   atomic.Uint64
-	pruned   atomic.Uint64
-
-	// preds records the facade-level predicate mix when the database
-	// serves as a planner source (plan.PredicateSink).
-	preds *stats.PredRecorder
+	// sums holds the per-shard ending-value summaries (see summary.go).
+	// probed and pruned count shard descents executed and skipped by the
+	// summaries.
+	sums   *summaries
+	probed atomic.Uint64
+	pruned atomic.Uint64
 }
 
 // NewStores creates n empty stores over the schema whose OID sequences
@@ -174,17 +167,8 @@ func Open(stores []*oodb.Store, p *schema.Path, cfg core.Configuration, pageSize
 		}
 		db.shards[i] = e
 	}
-	db.finishInit(opts.DisablePruning)
+	db.sums = newSummaries(p, stores)
 	return db, nil
-}
-
-// finishInit builds the per-shard summaries from the stores' current
-// contents and the facade-level recorders — shared by Open and
-// OpenShardedDurable.
-func (db *DB) finishInit(disablePruning bool) {
-	db.sums = newSummaries(db.path, db.stores)
-	db.pruneOff = disablePruning
-	db.preds = stats.NewPredRecorder()
 }
 
 // NumShards returns the number of shards.
@@ -353,15 +337,15 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 
 // fanOut runs f against every shard whose summary admits the probe, in
 // shard order on the calling goroutine — keep(s) false means shard s
-// provably cannot match and is skipped without a descent; keep == nil
-// keeps every shard. The first failing shard ends the walk with its error.
+// provably cannot match and is skipped without a descent. The first
+// failing shard ends the walk with its error.
 // The per-shard OID sets, disjoint sorted runs, merge into one sorted
 // result, nil when empty.
 func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID, error)) ([]oodb.OID, error) {
 	runs := make([][]oodb.OID, 0, len(db.shards))
 	total := 0
 	for s, e := range db.shards {
-		if keep != nil && !keep(s) {
+		if !keep(s) {
 			db.pruned.Add(1)
 			continue
 		}
@@ -384,21 +368,13 @@ func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID
 	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
 }
 
-// keepEq returns the pruning filter for an equality probe, nil when
-// pruning is disabled.
+// keepEq returns the pruning filter for an equality probe.
 func (db *DB) keepEq(value oodb.Value) func(int) bool {
-	if db.pruneOff {
-		return nil
-	}
 	return func(s int) bool { return db.sums.per[s].MayMatchEq(value) }
 }
 
-// keepRange returns the pruning filter for a range probe, nil when
-// pruning is disabled.
+// keepRange returns the pruning filter for a range probe.
 func (db *DB) keepRange(lo, hi oodb.Value) func(int) bool {
-	if db.pruneOff {
-		return nil
-	}
 	return func(s int) bool { return db.sums.per[s].MayMatchRange(lo, hi) }
 }
 
@@ -406,8 +382,7 @@ func (db *DB) keepRange(lo, hi oodb.Value) func(int) bool {
 // summary admits the value and merges the answers — matching objects
 // can live anywhere in the partitioned OID space, but a shard whose
 // ending-value summary excludes the probed value provably holds no
-// match and is skipped (see summary.go; Options.DisablePruning restores
-// the unconditional fan-out). The merged result is sorted and
+// match and is skipped (see summary.go). The merged result is sorted and
 // duplicate-free, bit-identical to the same query against a single
 // engine holding all the objects.
 func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
@@ -444,20 +419,13 @@ func (db *DB) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
 }
 
 // Advise runs one re-selection pass per shard — each over its own
-// collected statistics and observed workload — without touching any
-// active configuration. Advice comes back in shard order.
-//
-// The facade's own predicate mix (planner traffic that treated the
-// sharded database as one source) is pushed down into every shard's
-// derivation: a value predicate fans out to every shard, so the
-// facade-level counts describe serving work each shard performed (or,
-// for residual leaves, would absorb with an index) — not a fraction to
-// be split.
+// collected statistics and observed workload, the facade's predicate mix
+// included (see RecordPredicate) — without touching any active
+// configuration. Advice comes back in shard order.
 func (db *DB) Advise() ([]engine.Advice, error) {
-	preds := db.preds.Snapshot()
 	out := make([]engine.Advice, len(db.shards))
 	for i, e := range db.shards {
-		adv, err := e.AdviseObserved(preds)
+		adv, err := e.Advise()
 		if err != nil {
 			return out, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -470,15 +438,11 @@ func (db *DB) Advise() ([]engine.Advice, error) {
 // every shard, each independently: a hot shard can swap to a
 // maintenance-light configuration while a cold one keeps what it has.
 // Reports come back in shard order; the first failing shard stops the
-// sweep (earlier shards keep their new configurations). Like Advise, the
-// facade's predicate mix rides into every shard's selection; the facade
-// recorder resets after a full sweep so the next observation window
-// starts clean, mirroring each engine's own post-swap reset.
+// sweep (earlier shards keep their new configurations).
 func (db *DB) Reconfigure() ([]engine.Report, error) {
-	preds := db.preds.Snapshot()
 	out := make([]engine.Report, len(db.shards))
 	for i, e := range db.shards {
-		rep, err := e.ReconfigureObserved(preds)
+		rep, err := e.Reconfigure()
 		out[i] = rep
 		if err != nil {
 			return out, fmt.Errorf("shard %d: %w", i, err)
@@ -488,7 +452,6 @@ func (db *DB) Reconfigure() ([]engine.Report, error) {
 		// over-approximation deletions have accumulated.
 		db.sums.per[i].rebuild(db.stores[i], db.path)
 	}
-	db.preds.Reset()
 	return out, nil
 }
 
@@ -511,11 +474,16 @@ func (db *DB) PruneCounters() (probed, pruned uint64) {
 	return db.probed.Load(), db.pruned.Load()
 }
 
-// RecordPredicate counts one planner predicate-leaf evaluation against
-// the facade (plan.PredicateSink): the sharded database is one planner
-// source, so its predicate mix is facade-level, not per shard.
+// RecordPredicate counts one planner predicate-leaf evaluation
+// (plan.PredicateSink) on every shard's engine: a value predicate fans
+// out to every shard, so the leaf describes serving work each shard
+// performed (or, for a residual leaf, would absorb with an index) — not
+// a fraction to be split. Each shard's selection, drift, auto-tune and
+// checkpoint then see the mix as they see their own traffic.
 func (db *DB) RecordPredicate(path string, kind stats.PredKind) {
-	db.preds.Record(path, kind)
+	for _, e := range db.shards {
+		e.RecordPredicate(path, kind)
+	}
 }
 
 // Configs returns the active configuration of every shard, in shard
@@ -544,14 +512,10 @@ func (db *DB) WorkloadSnapshots() []stats.Workload {
 // contributes one query per shard that served a probe for it — the
 // capacity-relevant count; shards the summaries pruned did no work and
 // record nothing. Write operations, which route to exactly one shard,
-// each count once. The facade's own predicate mix (planner traffic
-// against the database as a source) rides on the Predicates field.
+// each count once. A planner leaf recorded through RecordPredicate
+// counts once per shard, as every shard's selection counts it.
 func (db *DB) WorkloadSnapshot() stats.Workload {
-	w := stats.MergeWorkloads(db.WorkloadSnapshots()...)
-	if preds := db.preds.Snapshot(); len(preds) > 0 {
-		w.Predicates = stats.MergePredLoads(w.Predicates, preds)
-	}
-	return w
+	return stats.MergeWorkloads(db.WorkloadSnapshots()...)
 }
 
 // DriftView is the aggregate drift over a sharded database: per-shard
@@ -568,12 +532,6 @@ type DriftView struct {
 	// shard's observed operation count — low when only idle shards have
 	// drifted.
 	Weighted float64
-	// Fsyncs and WALBytes are the fleet-wide durability cost of the
-	// traffic behind these drifts — a drifted shard that is also paying
-	// heavy commit traffic is the one to reconfigure first. Zero on an
-	// in-memory database.
-	Fsyncs   uint64
-	WALBytes uint64
 }
 
 // Drift returns the aggregate drift view across shards. Each shard's
@@ -591,9 +549,6 @@ func (db *DB) Drift() DriftView {
 		ops := float64(w.Total)
 		wsum += d * ops
 		osum += ops
-		ds := e.DurabilityStats()
-		v.Fsyncs += ds.Fsyncs
-		v.WALBytes += ds.WALBytes
 	}
 	if osum > 0 {
 		v.Weighted = wsum / osum

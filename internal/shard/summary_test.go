@@ -4,35 +4,59 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/oodb"
-	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
-// newTestDBOpts is newTestDB with explicit shard options.
-func newTestDBOpts(t *testing.T, nShards int, opts shard.Options) *shard.DB {
-	t.Helper()
-	s := schema.PaperSchema()
-	p := schema.PaperPathOwnsManName()
-	db, err := shard.New(s, p, wholeNIX(p.Len()), 1024, nShards, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+// unpruned is the reference fan-out the summaries are checked against:
+// every shard's engine answers and the disjoint runs merge, as if no
+// summary existed. descents counts the shard probes it executed.
+type unpruned struct {
+	db       *shard.DB
+	descents int
 }
 
-// TestPruningEquivalence runs the same query mix against a pruned and an
-// unpruned deployment over identical data: answers must be bit-identical,
-// and the pruned one must actually skip shard descents.
-func TestPruningEquivalence(t *testing.T) {
-	pruned := newTestDBOpts(t, 4, shard.Options{})
-	control := newTestDBOpts(t, 4, shard.Options{DisablePruning: true})
-	var values []oodb.Value
-	for _, db := range []*shard.DB{pruned, control} {
-		values = populate(t, db)
+func (u *unpruned) fanOut(f func(e *engine.Engine) ([]oodb.OID, error)) ([]oodb.OID, error) {
+	runs := make([][]oodb.OID, u.db.NumShards())
+	for i := range runs {
+		var err error
+		if runs[i], err = f(u.db.Shard(i)); err != nil {
+			return nil, err
+		}
+		u.descents++
 	}
+	return exec.MergeKSortedOIDs(nil, runs...), nil
+}
+
+func (u *unpruned) Query(v oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+	return u.fanOut(func(e *engine.Engine) ([]oodb.OID, error) { return e.Query(v, class, hier) })
+}
+
+func (u *unpruned) QueryRange(lo, hi oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+	return u.fanOut(func(e *engine.Engine) ([]oodb.OID, error) { return e.QueryRange(lo, hi, class, hier) })
+}
+
+func (u *unpruned) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
+	out := make([][]oodb.OID, len(probes))
+	for i, pb := range probes {
+		var err error
+		if out[i], err = u.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestPruningEquivalence runs the same query mix through the pruned
+// facade and the unpruned reference over the same shards: answers must be
+// bit-identical, and the facade must actually skip shard descents.
+func TestPruningEquivalence(t *testing.T) {
+	pruned := newTestDB(t, 4)
+	control := &unpruned{db: pruned}
+	values := populate(t, pruned)
 	probe := append([]oodb.Value{}, values...)
 	probe = append(probe, oodb.StrV("maker-none"), oodb.StrV("a-below"), oodb.StrV("z-above"))
 	for _, v := range probe {
@@ -67,9 +91,9 @@ func TestPruningEquivalence(t *testing.T) {
 	if prunedN == 0 {
 		t.Fatalf("no shard descents pruned (probed %d)", probed)
 	}
-	cProbed, cPruned := control.PruneCounters()
-	if cPruned != 0 {
-		t.Fatalf("control pruned %d descents with pruning disabled", cPruned)
+	cProbed := uint64(control.descents)
+	if want := uint64((len(probe) + 1) * pruned.NumShards()); cProbed != want {
+		t.Fatalf("control probed %d descents, want every shard for every query (%d)", cProbed, want)
 	}
 	if cProbed <= probed {
 		t.Fatalf("control probed %d, pruned deployment %d — pruning saved nothing", cProbed, probed)
@@ -79,12 +103,9 @@ func TestPruningEquivalence(t *testing.T) {
 // TestPruningBatchEquivalence checks the batched probe path under
 // pruning against the unpruned control.
 func TestPruningBatchEquivalence(t *testing.T) {
-	pruned := newTestDBOpts(t, 4, shard.Options{})
-	control := newTestDBOpts(t, 4, shard.Options{DisablePruning: true})
-	var values []oodb.Value
-	for _, db := range []*shard.DB{pruned, control} {
-		values = populate(t, db)
-	}
+	pruned := newTestDB(t, 4)
+	control := &unpruned{db: pruned}
+	values := populate(t, pruned)
 	probes := make([]exec.Probe, 0, len(values)+2)
 	for _, v := range values {
 		probes = append(probes, exec.Probe{Value: v, TargetClass: "Person"})
@@ -121,7 +142,7 @@ func TestPruningBatchEquivalence(t *testing.T) {
 // under mutation: updates must be visible immediately, deletions must
 // never cause a missed match, and Reconfigure re-tightens.
 func TestPruningSoundAfterWrites(t *testing.T) {
-	db := newTestDBOpts(t, 2, shard.Options{})
+	db := newTestDB(t, 2)
 	populate(t, db)
 
 	// An in-place ending-value update must enter the summary before the
@@ -175,7 +196,9 @@ func TestPruningSoundAfterWrites(t *testing.T) {
 }
 
 // TestShardPredicateRecording checks the facade-level predicate mix
-// (plan.PredicateSink) rides on the fleet-wide workload snapshot.
+// (plan.PredicateSink) rides on the fleet-wide workload snapshot: each
+// leaf is recorded on every shard, so the roll-up counts it once per
+// shard.
 func TestShardPredicateRecording(t *testing.T) {
 	db := newTestDB(t, 2)
 	populate(t, db)
@@ -187,7 +210,8 @@ func TestShardPredicateRecording(t *testing.T) {
 	if len(w.Predicates) != 1 {
 		t.Fatalf("predicates %+v", w.Predicates)
 	}
-	if p := w.Predicates[0]; p.Path != key || p.Eq != 2 || p.Range != 1 {
+	n := uint64(db.NumShards())
+	if p := w.Predicates[0]; p.Path != key || p.Eq != 2*n || p.Range != n {
 		t.Fatalf("predicate load %+v", p)
 	}
 }
@@ -197,7 +221,7 @@ func TestShardPredicateRecording(t *testing.T) {
 // pool prunes all other shards' descents.
 func TestPruneCountersSkewed(t *testing.T) {
 	const n = 4
-	db := newTestDBOpts(t, n, shard.Options{})
+	db := newTestDB(t, n)
 	values := populate(t, db)
 	const ops = 50
 	for i := 0; i < ops; i++ {

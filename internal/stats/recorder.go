@@ -120,11 +120,6 @@ func (c ClassLoad) Ops() uint64 { return c.Queries + c.Inserts + c.Deletes + c.U
 // (recomputed from the per-class counters, so it is internally consistent
 // even when taken mid-traffic).
 //
-// Fsyncs and WALBytes carry the durability cost of serving that traffic —
-// write-ahead-log bytes appended and fsyncs issued — when the engine runs
-// durable; both stay zero for an in-memory engine. They ride on the
-// workload snapshot so operators see I/O cost and operation mix in one
-// view (and roll up across shards the same way).
 // Predicates, when the engine serves as a planner source, carries the
 // observed multi-path predicate mix (per-path equality/range/residual
 // leaf counts) alongside the class-level triplet counts — so drift
@@ -133,8 +128,6 @@ func (c ClassLoad) Ops() uint64 { return c.Queries + c.Inserts + c.Deletes + c.U
 type Workload struct {
 	Total      uint64
 	Classes    []ClassLoad
-	Fsyncs     uint64
-	WALBytes   uint64
 	Predicates []PredLoad
 }
 
@@ -173,8 +166,6 @@ func MergeWorkloads(ws ...Workload) Workload {
 	pos := make(map[cell]int)
 	var preds [][]PredLoad
 	for _, w := range ws {
-		out.Fsyncs += w.Fsyncs
-		out.WALBytes += w.WALBytes
 		if len(w.Predicates) > 0 {
 			preds = append(preds, w.Predicates)
 		}
@@ -248,19 +239,6 @@ func foldPredicates(path string, w Workload) (fr float64, res uint64) {
 	return fr, p.Residual
 }
 
-// observedLoad maps one class's counts onto the model load over the
-// normalization total t: queries split between equality (Alpha) and range
-// (Rho) by fr, in-place updates as half an insertion plus half a deletion.
-func observedLoad(c ClassLoad, t, fr float64) model.Load {
-	q := float64(c.Queries) / t
-	return model.Load{
-		Alpha: q * (1 - fr),
-		Rho:   q * fr,
-		Beta:  (float64(c.Inserts) + float64(c.Updates)/2) / t,
-		Gamma: (float64(c.Deletes) + float64(c.Updates)/2) / t,
-	}
-}
-
 // MergeObserved writes the observed workload into ps's load triplets as
 // relative frequencies normalized to sum one — the Section 3.2 form the
 // cost model expects. Classes with no observed traffic get a zero triplet:
@@ -300,7 +278,8 @@ func MergeObserved(ps *model.PathStats, w Workload) error {
 	if t == 0 {
 		return fmt.Errorf("stats: empty observed workload")
 	}
-	return mergeObservedInto(ps, w, t, fr, res, false)
+	_, err := mergeObservedInto(ps, w, t, fr, res, false)
+	return err
 }
 
 // MergeObservedScaled is MergeObserved normalizing by an explicit total —
@@ -317,13 +296,20 @@ func MergeObservedScaled(ps *model.PathStats, w Workload, total float64) error {
 		return fmt.Errorf("stats: non-positive normalization total %g", total)
 	}
 	fr, res := foldPredicates(ps.Path.String(), w)
-	return mergeObservedInto(ps, w, total, fr, res, true)
+	_, err := mergeObservedInto(ps, w, total, fr, res, true)
+	return err
 }
 
-// mergeObservedInto zeroes ps's loads and writes the derivation in.
-// lenient skips observed classes outside ps's scope (the multi-path
-// case, where one snapshot spans several overlapping paths).
-func mergeObservedInto(ps *model.PathStats, w Workload, t, fr float64, res uint64, lenient bool) error {
+// mergeObservedInto zeroes ps's loads and writes the Section 3.2
+// derivation in over the normalization total t — the one place observed
+// counts become load triplets: a class's queries split between equality
+// (Alpha) and range (Rho) by fr, an in-place update counts as half an
+// insertion plus half a deletion, and the res residual leaves count as
+// equality queries against the root class. lenient skips observed classes
+// outside ps's scope (the multi-path case, where one snapshot spans
+// several overlapping paths) and returns the share of t they carried;
+// otherwise the first such class is an error.
+func mergeObservedInto(ps *model.PathStats, w Workload, t, fr float64, res uint64, lenient bool) (outside float64, err error) {
 	for l := 1; l <= ps.Len(); l++ {
 		ls := ps.Level(l)
 		for i := range ls.Loads {
@@ -334,18 +320,25 @@ func mergeObservedInto(ps *model.PathStats, w Workload, t, fr float64, res uint6
 		if c.Ops() == 0 {
 			continue
 		}
-		if err := ps.SetLoad(c.Level, c.Class, observedLoad(c, t, fr)); err != nil {
-			if lenient {
-				continue
+		q := float64(c.Queries) / t
+		ld := model.Load{
+			Alpha: q * (1 - fr),
+			Rho:   q * fr,
+			Beta:  (float64(c.Inserts) + float64(c.Updates)/2) / t,
+			Gamma: (float64(c.Deletes) + float64(c.Updates)/2) / t,
+		}
+		if err := ps.SetLoad(c.Level, c.Class, ld); err != nil {
+			if !lenient {
+				return 0, err
 			}
-			return err
+			outside += float64(c.Ops()) / t
 		}
 	}
 	if res > 0 {
 		// The root class leads its level-1 hierarchy (LevelStats contract).
 		ps.Level(1).Loads[0].Alpha += float64(res) / t
 	}
-	return nil
+	return outside, nil
 }
 
 // LoadDrift returns the total-variation distance in [0, 1] between the
@@ -355,68 +348,35 @@ func mergeObservedInto(ps *model.PathStats, w Workload, t, fr float64, res uint6
 // exactly; one means disjoint support. An all-zero assumption drifts
 // maximally as soon as any traffic is observed.
 //
-// The observed side is derived exactly as MergeObserved derives it —
-// including the predicate-mix refinements (range reclassification into
-// the Rho component, residual leaves as root-class queries) — so a
-// baseline adopted from MergeObserved on a snapshot has zero drift
-// against that same mix: the feedback loop's fixed point.
+// The observed side is what MergeObserved writes into a clone of ps —
+// the same derivation, not a second one — so a baseline adopted from
+// MergeObserved on a snapshot has zero drift against that same mix: the
+// feedback loop's fixed point. Observed classes outside ps's scope count
+// fully toward the distance.
 func LoadDrift(ps *model.PathStats, w Workload) float64 {
-	type cell struct {
-		level int
-		class string
+	fr, res := foldPredicates(ps.Path.String(), w)
+	t := float64(w.Total) + float64(res)
+	if t == 0 {
+		return 0
 	}
-	assumed := make(map[cell]model.Load)
 	var assumedSum float64
 	for l := 1; l <= ps.Len(); l++ {
-		ls := ps.Level(l)
-		for i, c := range ls.Classes {
-			ld := ls.Loads[i]
-			assumed[cell{l, c.Class}] = ld
+		for _, ld := range ps.Level(l).Loads {
 			assumedSum += ld.Alpha + ld.Beta + ld.Gamma + ld.Rho
 		}
-	}
-	fr, res := foldPredicates(ps.Path.String(), w)
-	obsSum := float64(w.Total) + float64(res)
-	if obsSum == 0 {
-		return 0
 	}
 	if assumedSum <= 0 {
 		return 1
 	}
-	rootKey := cell{1, ps.Level(1).Classes[0].Class}
-	resMass := float64(res) / obsSum
-	var dist float64
-	seen := make(map[cell]bool)
-	seenRoot := false
-	for _, c := range w.Classes {
-		key := cell{c.Level, c.Class}
-		seen[key] = true
-		a := assumed[key]
-		// Updates map onto the triplet the same way MergeObserved maps
-		// them: half beta, half gamma. Update-heavy traffic against a
-		// query-heavy baseline therefore registers as drift.
-		o := observedLoad(c, obsSum, fr)
-		if key == rootKey {
-			o.Alpha += resMass
-			seenRoot = true
-		}
-		dist += math.Abs(a.Alpha/assumedSum - o.Alpha)
-		dist += math.Abs(a.Beta/assumedSum - o.Beta)
-		dist += math.Abs(a.Gamma/assumedSum - o.Gamma)
-		dist += math.Abs(a.Rho/assumedSum - o.Rho)
-	}
-	if resMass > 0 && !seenRoot {
-		a := assumed[rootKey]
-		seen[rootKey] = true
-		dist += math.Abs(a.Alpha/assumedSum - resMass)
-		dist += (a.Beta + a.Gamma + a.Rho) / assumedSum
-	}
-	// Assumed load on classes the observation has no entry for (e.g. a
-	// different-but-overlapping path scope) counts fully toward the
-	// distance.
-	for key, a := range assumed {
-		if !seen[key] {
-			dist += (a.Alpha + a.Beta + a.Gamma + a.Rho) / assumedSum
+	obs := ps.Clone()
+	dist, _ := mergeObservedInto(obs, w, t, fr, res, true)
+	for l := 1; l <= ps.Len(); l++ {
+		o := obs.Level(l).Loads
+		for i, a := range ps.Level(l).Loads {
+			dist += math.Abs(a.Alpha/assumedSum - o[i].Alpha)
+			dist += math.Abs(a.Beta/assumedSum - o[i].Beta)
+			dist += math.Abs(a.Gamma/assumedSum - o[i].Gamma)
+			dist += math.Abs(a.Rho/assumedSum - o[i].Rho)
 		}
 	}
 	return dist / 2

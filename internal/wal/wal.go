@@ -46,7 +46,7 @@ type Policy int
 const (
 	// SyncAlways fsyncs on every commit.
 	SyncAlways Policy = iota
-	// SyncGroup fsyncs when GroupWindow has elapsed since the last fsync.
+	// SyncGroup fsyncs when the group window has elapsed since the last fsync.
 	SyncGroup
 	// SyncNever never fsyncs; the OS flushes when it pleases.
 	SyncNever
