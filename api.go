@@ -182,7 +182,8 @@ type (
 	// NetClient is the pipelining client: synchronous calls mirror the
 	// Database methods, Go-prefixed calls return a NetCall future so many
 	// requests share one round trip. Predicate and PredicateValues ship
-	// WirePredicate trees to the server's planner.
+	// Predicate trees, their leaves named by path id, to the server's
+	// planner.
 	NetClient = netclient.Client
 	// NetCall is one in-flight pipelined request; Wait blocks for its
 	// response.
@@ -202,27 +203,19 @@ func NewNetServer(be NetBackend, opts NetServerOptions) *NetServer {
 // DialNet connects to a NetServer (or a running ixserved).
 func DialNet(addr string) (*NetClient, error) { return netclient.Dial(addr) }
 
-// WirePredicate is a predicate tree in its wire form: Eq/Range leaves
-// name server-registered path ids instead of *Path values, so a client
-// needs no schema to query. Build trees with WireEq, WireRange, WireAnd
-// and WireOr; ship them with NetClient.Predicate (OIDs) or
+// WireEq builds the leaf predicate "path id's ending attribute = v" for a
+// client: the leaf names a server-registered path id instead of a *Path,
+// so a client needs no schema to query. Combine leaves with And and Or
+// and ship the tree with NetClient.Predicate (OIDs) or
 // NetClient.PredicateValues (ending-attribute projection). The server
 // resolves ids through NetServer.RegisterPath, plans each distinct tree
 // once per coalesced window, and answers errors per request — a bad
 // tree never takes down the connection.
-type WirePredicate = wire.PredNode
+func WireEq(pathID uint16, v Value) Predicate { return wire.EqPred(pathID, v) }
 
-// WireEq builds the wire predicate "path id's ending attribute = v".
-func WireEq(pathID uint16, v Value) WirePredicate { return wire.EqPred(pathID, v) }
-
-// WireRange builds the wire predicate "path id's ending attribute IN [lo, hi)".
-func WireRange(pathID uint16, lo, hi Value) WirePredicate { return wire.RangePred(pathID, lo, hi) }
-
-// WireAnd conjoins wire predicates (nested WireAnds flatten).
-func WireAnd(kids ...WirePredicate) WirePredicate { return wire.AndPred(kids...) }
-
-// WireOr disjoins wire predicates (nested WireOrs flatten).
-func WireOr(kids ...WirePredicate) WirePredicate { return wire.OrPred(kids...) }
+// WireRange builds the leaf predicate "path id's ending attribute IN
+// [lo, hi)" for a client, as WireEq.
+func WireRange(pathID uint16, lo, hi Value) Predicate { return wire.RangePred(pathID, lo, hi) }
 
 // Re-exported planner types: conjunctive predicates over several
 // registered paths, compiled to selectivity-ordered probe plans.
@@ -233,7 +226,8 @@ type (
 	// index source that serves it (a Database or a ShardedDB).
 	Planner = plan.Planner
 	// Predicate is a boolean combination of path predicates, built with
-	// Eq, Range, And and Or.
+	// Eq, Range, And and Or. It is also the tree a NetClient ships, its
+	// leaves built with WireEq and WireRange.
 	Predicate = plan.Predicate
 	// QueryPlan is one compiled physical plan: Execute returns OIDs,
 	// ExecuteValues projects an ending attribute, Explain renders the

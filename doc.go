@@ -316,10 +316,12 @@
 //
 // # Planning over the network
 //
-// The planner's predicate trees serialize over the same protocol:
-// WireEq, WireRange, WireAnd and WireOr build a WirePredicate whose
-// leaves name paths by server-registered id (NetServer.RegisterPath) —
-// a remote caller needs no schema — and NetClient.Predicate or
+// The planner's predicate tree is also the wire's: WireEq and WireRange
+// build leaves that name paths by server-registered id
+// (NetServer.RegisterPath) — a remote caller needs no schema — And and
+// Or combine them as they combine Eq and Range, and the server fills
+// each leaf's path from its id table in place before planning the tree
+// it decoded. NetClient.Predicate or
 // PredicateValues (with GoPredicate/GoPredicateValues futures) execute
 // it server-side through the full §Planning machinery: selectivity
 // ordering, galloping intersection, residual filters, shard pruning.

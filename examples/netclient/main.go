@@ -126,7 +126,7 @@ func main() {
 	// the registered path id, so the client needs no schema. Identical
 	// trees pipelined into one window share a single planner descent —
 	// the predicate counters show requests vs descents.
-	pred := ooindex.WireOr(
+	pred := ooindex.Or(
 		ooindex.WireEq(1, g.EndValues[3]),
 		ooindex.WireEq(1, g.EndValues[5]),
 	)

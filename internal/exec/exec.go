@@ -25,23 +25,20 @@ func NaiveQuery(st *oodb.Store, p *schema.Path, value oodb.Value, targetClass st
 	return naiveMatch(st, p, targetClass, hierarchy, func(v oodb.Value) bool { return v.Equal(value) })
 }
 
-// PathLevel resolves targetClass to its level within p (its last
-// occurrence across the per-level hierarchies, matching naive
-// evaluation's level resolution), or an error when the class is outside
-// p's scope.
+// PathLevel resolves targetClass to its level within p, or an error when
+// the class is outside p's scope. The per-level hierarchies of a path
+// are disjoint (schema.NewPath, Definition 2.1), so every resolver —
+// this one, IndexSet.LevelOf, index.Subpath and stats.Recorder — finds
+// the same single level.
 func PathLevel(p *schema.Path, targetClass string) (int, error) {
-	level := 0
 	for l := 1; l <= p.Len(); l++ {
 		for _, cn := range p.HierarchyAt(l) {
 			if cn == targetClass {
-				level = l
+				return l, nil
 			}
 		}
 	}
-	if level == 0 {
-		return 0, fmt.Errorf("exec: class %q not in scope of %s", targetClass, p)
-	}
-	return level, nil
+	return 0, fmt.Errorf("exec: class %q not in scope of %s", targetClass, p)
 }
 
 // Reaches reports whether obj — an object at the given level of p —

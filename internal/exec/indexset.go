@@ -81,9 +81,7 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 	}
 	for l := 1; l <= p.Len(); l++ {
 		for _, cn := range p.HierarchyAt(l) {
-			if _, ok := s.levelOf[cn]; !ok {
-				s.levelOf[cn] = l
-			}
+			s.levelOf[cn] = l
 		}
 	}
 	var fresh []int

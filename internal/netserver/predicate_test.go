@@ -119,60 +119,91 @@ func randomPredConfig(rng *rand.Rand, n int) core.Configuration {
 	return core.Configuration{Assignments: []core.Assignment{{A: 1, B: n, Org: org()}}}
 }
 
-// randomWirePred mirrors the plan package's randomPred generator over
-// wire trees: Eq/Range leaves on the four pool-backed paths (id i+1),
-// deliberate misses mixed in, And/Or composites of bounded depth.
-func (w *predWorld) randomWirePred(rng *rand.Rand, depth int) wire.PredNode {
+// randomWirePred mirrors the plan package's randomPred generator: Eq/Range
+// leaves on the four pool-backed paths, deliberate misses mixed in,
+// And/Or composites of bounded depth, all built with plan's builders.
+// Each leaf also carries its path's wire id (i+1), so the one tree is
+// what the client ships and what the embedded planner plans.
+func (w *predWorld) randomWirePred(rng *rand.Rand, depth int) plan.Predicate {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		pi := rng.Intn(len(w.paths))
-		id, pool := uint16(pi+1), w.pools[pi]
+		p, pool := w.paths[pi], w.pools[pi]
+		var leaf plan.Predicate
 		if rng.Intn(3) == 0 {
 			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 			if a.Compare(b) > 0 {
 				a, b = b, a
 			}
-			return wire.RangePred(id, a, b)
+			leaf = plan.Range(p, a, b)
+		} else {
+			v := pool[rng.Intn(len(pool))]
+			if rng.Intn(6) == 0 {
+				v = oodb.StrV("no-such-value")
+			}
+			leaf = plan.Eq(p, v)
 		}
-		v := pool[rng.Intn(len(pool))]
-		if rng.Intn(6) == 0 {
-			v = oodb.StrV("no-such-value")
-		}
-		return wire.EqPred(id, v)
+		leaf.PathID = uint16(pi + 1)
+		return leaf
 	}
 	n := 2 + rng.Intn(2)
-	kids := make([]wire.PredNode, n)
+	kids := make([]plan.Predicate, n)
 	for i := range kids {
 		kids[i] = w.randomWirePred(rng, depth-1)
 	}
 	if rng.Intn(2) == 0 {
-		return wire.AndPred(kids...)
+		return plan.And(kids...)
 	}
-	return wire.OrPred(kids...)
+	return plan.Or(kids...)
 }
 
-// toPlanPred converts a wire tree into the predicate an embedded caller
-// would hand the planner, preserving structure node for node — the
-// client-side twin of the server's conversion, so embedded and remote
-// evaluate structurally identical predicates.
-func (w *predWorld) toPlanPred(t *testing.T, n *wire.PredNode) plan.Predicate {
-	t.Helper()
-	switch n.Kind {
-	case wire.PredEq:
-		return &plan.Leaf{Path: w.paths[n.PathID-1], Op: plan.OpEq, Value: n.Value}
-	case wire.PredRange:
-		return &plan.Leaf{Path: w.paths[n.PathID-1], Op: plan.OpRange, Lo: n.Lo, Hi: n.Hi}
-	case wire.PredAnd, wire.PredOr:
-		kids := make([]plan.Predicate, len(n.Kids))
-		for i := range n.Kids {
-			kids[i] = w.toPlanPred(t, &n.Kids[i])
+// TestServerResolvesTheBuildersTree pins in-place resolution: a random
+// tree sent over the wire, decoded and resolved against the server's id
+// table deep-equals the tree plan.Eq/Range/And/Or built over the
+// registered paths, and both Explain identically.
+func TestServerResolvesTheBuildersTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	w := buildPredWorld(t, 91)
+	srv := New(predBackend(t, w), Options{Store: w.st})
+	epl := plan.NewPlanner(w.st)
+	for i, p := range w.paths {
+		if err := srv.RegisterPath(uint16(i+1), p, nil, nil); err != nil {
+			t.Fatal(err)
 		}
-		if n.Kind == wire.PredAnd {
-			return &plan.AndNode{Kids: kids}
+		if i%2 == 1 {
+			continue // unsourced: a residual filter or a scan in the plan
 		}
-		return &plan.OrNode{Kids: kids}
-	default:
-		t.Fatalf("bad wire predicate kind %d", n.Kind)
-		return nil
+		ex, err := engine.New(w.st, p, randomPredConfig(rng, p.Len()), 2048, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := epl.Register(p, ex, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab := srv.paths.Load()
+	for q := 0; q < 100; q++ {
+		built := w.randomWirePred(rng, 3)
+		got, rest, err := wire.DecodePredicate(wire.AppendPredNode(nil, &built))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode %s: %v (%d bytes left)", built, err, len(rest))
+		}
+		if err := resolvePaths(tab, &got); err != nil {
+			t.Fatalf("resolve %s: %v", built, err)
+		}
+		if !reflect.DeepEqual(got, built) {
+			t.Fatalf("resolved tree differs from the built one:\nresolved: %s\nbuilt:    %s", got, built)
+		}
+		pg, err := epl.Plan(got, "Person", false)
+		if err != nil {
+			t.Fatalf("plan resolved %s: %v", got, err)
+		}
+		pb, err := epl.Plan(built, "Person", false)
+		if err != nil {
+			t.Fatalf("plan built %s: %v", built, err)
+		}
+		if pg.Explain() != pb.Explain() {
+			t.Fatalf("explain differs:\nresolved:\n%s\nbuilt:\n%s", pg.Explain(), pb.Explain())
+		}
 	}
 }
 
@@ -249,8 +280,8 @@ func TestNetworkPlannerDifferential(t *testing.T) {
 				registered++
 			}
 			for q := 0; q < 40; q++ {
-				wp := w.randomWirePred(rng, 2)
-				pp := w.toPlanPred(t, &wp)
+				pp := w.randomWirePred(rng, 2)
+				wp := pp
 				hier := rng.Intn(2) == 0
 				got, gerr := c.Predicate(&wp, "Person", hier)
 				p, err := epl.Plan(pp, "Person", hier)
@@ -339,14 +370,14 @@ func TestPredicateErrorCases(t *testing.T) {
 		t.Fatalf("unregistered path id: %v", err)
 	}
 
-	matchEmbedded("empty conjunction", &wire.PredNode{Kind: wire.PredAnd}, &plan.AndNode{}, "Person")
-	matchEmbedded("empty disjunction", &wire.PredNode{Kind: wire.PredOr}, &plan.OrNode{}, "Person")
+	matchEmbedded("empty conjunction", &wire.PredNode{Kind: wire.PredAnd}, plan.And(), "Person")
+	matchEmbedded("empty disjunction", &wire.PredNode{Kind: wire.PredOr}, plan.Or(), "Person")
 	mixed := wire.RangePred(1, oodb.IntV(1), oodb.StrV("x"))
 	matchEmbedded("mixed-kind range", &mixed,
-		&plan.Leaf{Path: w.paths[0], Op: plan.OpRange, Lo: oodb.IntV(1), Hi: oodb.StrV("x")}, "Person")
+		plan.Range(w.paths[0], oodb.IntV(1), oodb.StrV("x")), "Person")
 	offPath := wire.EqPred(1, oodb.IntV(20))
 	matchEmbedded("target outside path scope", &offPath,
-		&plan.Leaf{Path: w.paths[0], Op: plan.OpEq, Value: oodb.IntV(20)}, "Division")
+		plan.Eq(w.paths[0], oodb.IntV(20)), "Division")
 
 	// Poisoned-plan isolation: a bad predicate pipelined between good
 	// ones fails alone.
@@ -355,7 +386,7 @@ func TestPredicateErrorCases(t *testing.T) {
 	c1 := c.GoPredicate(&good, "Person", false)
 	c2 := c.GoPredicate(&bad, "Person", false)
 	c3 := c.GoPredicate(&good, "Person", false)
-	want, err := epl.Query(&plan.Leaf{Path: w.paths[0], Op: plan.OpEq, Value: w.pools[0][0]}, "Person", false)
+	want, err := epl.Query(plan.Eq(w.paths[0], w.pools[0][0]), "Person", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +449,7 @@ func TestPredicateNoStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mustPlanExec(t, epl, &plan.Leaf{Path: p0, Op: plan.OpEq, Value: w.pools[0][0]}, "Person")
+	want, err := mustPlanExec(t, epl, plan.Eq(p0, w.pools[0][0]), "Person")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +459,7 @@ func TestPredicateNoStore(t *testing.T) {
 
 	unsourced := wire.EqPred(2, w.pools[1][0])
 	_, gerr := c.Predicate(&unsourced, "Person", false)
-	_, werr := epl.Plan(&plan.Leaf{Path: w.paths[1], Op: plan.OpEq, Value: w.pools[1][0]}, "Person", false)
+	_, werr := epl.Plan(plan.Eq(w.paths[1], w.pools[1][0]), "Person", false)
 	var remote *netclient.RemoteError
 	if werr == nil || gerr == nil || !errors.As(gerr, &remote) || remote.Msg != werr.Error() {
 		t.Fatalf("unsourced leaf without store: remote %v vs embedded %v", gerr, werr)
@@ -513,34 +544,29 @@ func TestPredicateSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkPlan := func(wp *wire.PredNode) plan.Predicate {
-		switch wp.Kind {
-		case wire.PredEq:
-			return &plan.Leaf{Path: pDiv, Op: plan.OpEq, Value: wp.Value}
-		case wire.PredRange:
-			return &plan.Leaf{Path: pDiv, Op: plan.OpRange, Lo: wp.Lo, Hi: wp.Hi}
-		}
-		kids := make([]plan.Predicate, len(wp.Kids))
-		for i := range wp.Kids {
-			kids[i] = mkPlanKid(&wp.Kids[i], pDiv)
-		}
-		if wp.Kind == wire.PredAnd {
-			return &plan.AndNode{Kids: kids}
-		}
-		return &plan.OrNode{Kids: kids}
+	// Leaves name pDiv twice: by wire id 1 for the client, by Path for
+	// the embedded planner.
+	eq := func(v oodb.Value) plan.Predicate {
+		n := plan.Eq(pDiv, v)
+		n.PathID = 1
+		return n
 	}
-
-	preds := []wire.PredNode{
-		wire.EqPred(1, divNames[0]),
-		wire.OrPred(wire.EqPred(1, divNames[1]), wire.EqPred(1, divNames[4])),
-		wire.AndPred(wire.EqPred(1, divNames[2]), wire.RangePred(1, divNames[0], divNames[5])),
-		wire.RangePred(1, divNames[1], divNames[3]),
+	rg := func(lo, hi oodb.Value) plan.Predicate {
+		n := plan.Range(pDiv, lo, hi)
+		n.PathID = 1
+		return n
+	}
+	preds := []plan.Predicate{
+		eq(divNames[0]),
+		plan.Or(eq(divNames[1]), eq(divNames[4])),
+		plan.And(eq(divNames[2]), rg(divNames[0], divNames[5])),
+		rg(divNames[1], divNames[3]),
 	}
 	for _, target := range []string{"Person", "Division"} {
 		for _, hier := range []bool{false, true} {
 			for i := range preds {
 				got, gerr := c.Predicate(&preds[i], target, hier)
-				p, err := epl.Plan(mkPlan(&preds[i]), target, hier)
+				p, err := epl.Plan(preds[i], target, hier)
 				if err != nil {
 					t.Fatalf("embedded plan: %v", err)
 				}
@@ -559,18 +585,11 @@ func TestPredicateSharded(t *testing.T) {
 	// both sides refuse with the same message.
 	unsourced := wire.EqPred(2, colors[0])
 	_, gerr := c.Predicate(&unsourced, "Person", false)
-	_, werr := epl.Plan(&plan.Leaf{Path: pColor, Op: plan.OpEq, Value: colors[0]}, "Person", false)
+	_, werr := epl.Plan(plan.Eq(pColor, colors[0]), "Person", false)
 	var remote *netclient.RemoteError
 	if werr == nil || gerr == nil || !errors.As(gerr, &remote) || remote.Msg != werr.Error() {
 		t.Fatalf("unsourced sharded leaf: remote %v vs embedded %v", gerr, werr)
 	}
-}
-
-func mkPlanKid(wp *wire.PredNode, p *schema.Path) plan.Predicate {
-	if wp.Kind == wire.PredEq {
-		return &plan.Leaf{Path: p, Op: plan.OpEq, Value: wp.Value}
-	}
-	return &plan.Leaf{Path: p, Op: plan.OpRange, Lo: wp.Lo, Hi: wp.Hi}
 }
 
 // TestServePredicateDedup drives the dispatcher directly with a window
@@ -591,11 +610,11 @@ func TestServePredicateDedup(t *testing.T) {
 	if err := epl.Register(g.Path, e, nil); err != nil {
 		t.Fatal(err)
 	}
-	wantA, err := mustPlanExec(t, epl, &plan.Leaf{Path: g.Path, Op: plan.OpEq, Value: g.EndValues[0]}, "Person")
+	wantA, err := mustPlanExec(t, epl, plan.Eq(g.Path, g.EndValues[0]), "Person")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, err := mustPlanExec(t, epl, &plan.Leaf{Path: g.Path, Op: plan.OpEq, Value: g.EndValues[1]}, "Person")
+	wantB, err := mustPlanExec(t, epl, plan.Eq(g.Path, g.EndValues[1]), "Person")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,10 +703,7 @@ func TestPredicateClientsDuringReconfigure(t *testing.T) {
 	for i := range preds {
 		v := g.EndValues[i%len(g.EndValues)]
 		preds[i] = wire.OrPred(wire.EqPred(1, v), wire.EqPred(1, g.EndValues[(i+3)%len(g.EndValues)]))
-		pp := &plan.OrNode{Kids: []plan.Predicate{
-			&plan.Leaf{Path: g.Path, Op: plan.OpEq, Value: v},
-			&plan.Leaf{Path: g.Path, Op: plan.OpEq, Value: g.EndValues[(i+3)%len(g.EndValues)]},
-		}}
+		pp := plan.Or(plan.Eq(g.Path, v), plan.Eq(g.Path, g.EndValues[(i+3)%len(g.EndValues)]))
 		if want[i], err = mustPlanExec(t, epl, pp, "Person"); err != nil {
 			t.Fatal(err)
 		}

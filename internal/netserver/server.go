@@ -773,12 +773,11 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 			d.reply(t, nil, err)
 		}
 	}
-	pred, err := buildPredicate(tab, &t0.req.Pred)
-	if err != nil {
+	if err := resolvePaths(tab, &t0.req.Pred); err != nil {
 		fail(err)
 		return
 	}
-	p, err := d.pl.Plan(pred, t0.class, t0.req.Hierarchy)
+	p, err := d.pl.Plan(t0.req.Pred, t0.class, t0.req.Hierarchy)
 	if err != nil {
 		fail(err)
 		return
@@ -804,40 +803,28 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 	}
 }
 
-// buildPredicate converts a wire tree into a planner predicate,
-// resolving path ids through the registration table. The structure is
-// preserved node for node — raw Leaf/AndNode/OrNode, not the flattening
-// constructors — so a wire tree yields exactly the predicate an
-// embedded caller would have built, including the planner's own
-// validation errors for degenerate shapes (empty conjunctions,
-// mixed-kind range bounds).
-func buildPredicate(tab *pathTable, n *wire.PredNode) (plan.Predicate, error) {
+// resolvePaths fills each leaf's Path from the registration table, in
+// place: the decoded tree is the predicate the planner plans, exactly
+// what an embedded caller builds with plan.Eq/Range/And/Or, so the
+// planner's own validation errors for degenerate shapes (empty
+// conjunctions, mixed-kind range bounds) reach the client unchanged.
+// Path is never encoded, so resolving leaves the dedup key as it was.
+func resolvePaths(tab *pathTable, n *wire.PredNode) error {
 	switch n.Kind {
 	case wire.PredEq, wire.PredRange:
 		r, ok := tab.byID[n.PathID]
 		if !ok {
-			return nil, fmt.Errorf("netserver: predicate path id %d is not registered", n.PathID)
+			return fmt.Errorf("netserver: predicate path id %d is not registered", n.PathID)
 		}
-		if n.Kind == wire.PredEq {
-			return &plan.Leaf{Path: r.path, Op: plan.OpEq, Value: n.Value}, nil
-		}
-		return &plan.Leaf{Path: r.path, Op: plan.OpRange, Lo: n.Lo, Hi: n.Hi}, nil
+		n.Path = r.path
 	case wire.PredAnd, wire.PredOr:
-		kids := make([]plan.Predicate, 0, len(n.Kids))
 		for i := range n.Kids {
-			kid, err := buildPredicate(tab, &n.Kids[i])
-			if err != nil {
-				return nil, err
+			if err := resolvePaths(tab, &n.Kids[i]); err != nil {
+				return err
 			}
-			kids = append(kids, kid)
 		}
-		if n.Kind == wire.PredAnd {
-			return &plan.AndNode{Kids: kids}, nil
-		}
-		return &plan.OrNode{Kids: kids}, nil
-	default:
-		return nil, fmt.Errorf("netserver: unknown predicate kind %d", n.Kind)
 	}
+	return nil
 }
 
 // serveOne answers a single request directly against the backend.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/oodb"
+	"repro/internal/wire"
 )
 
 // NaiveEval evaluates pred for targetClass by store scans and forward
@@ -13,7 +14,7 @@ import (
 // predicate, store state and target, Planner output must be
 // bit-identical to NaiveEval output.
 func NaiveEval(st *oodb.Store, pred Predicate, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	set, err := naiveSet(st, pred, targetClass, hierarchy)
+	set, err := naiveSet(st, &pred, targetClass, hierarchy)
 	if err != nil {
 		return nil, err
 	}
@@ -24,17 +25,17 @@ func NaiveEval(st *oodb.Store, pred Predicate, targetClass string, hierarchy boo
 	return oodb.SortUnique(out), nil
 }
 
-func naiveSet(st *oodb.Store, pred Predicate, target string, hierarchy bool) (map[oodb.OID]struct{}, error) {
-	switch n := pred.(type) {
-	case *Leaf:
-		if err := n.validate(); err != nil {
+func naiveSet(st *oodb.Store, n *Predicate, target string, hierarchy bool) (map[oodb.OID]struct{}, error) {
+	switch n.Kind {
+	case wire.PredEq, wire.PredRange:
+		if err := validateLeaf(n); err != nil {
 			return nil, err
 		}
 		var (
 			oids []oodb.OID
 			err  error
 		)
-		if n.Op == OpEq {
+		if n.Kind == wire.PredEq {
 			oids, err = exec.NaiveQuery(st, n.Path, n.Value, target, hierarchy)
 		} else {
 			oids, err = exec.NaiveQueryRange(st, n.Path, n.Lo, n.Hi, target, hierarchy)
@@ -47,16 +48,16 @@ func naiveSet(st *oodb.Store, pred Predicate, target string, hierarchy bool) (ma
 			set[o] = struct{}{}
 		}
 		return set, nil
-	case *AndNode:
+	case wire.PredAnd:
 		if len(n.Kids) == 0 {
 			return nil, fmt.Errorf("plan: empty conjunction")
 		}
-		cur, err := naiveSet(st, n.Kids[0], target, hierarchy)
+		cur, err := naiveSet(st, &n.Kids[0], target, hierarchy)
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range n.Kids[1:] {
-			next, err := naiveSet(st, k, target, hierarchy)
+		for i := range n.Kids[1:] {
+			next, err := naiveSet(st, &n.Kids[1+i], target, hierarchy)
 			if err != nil {
 				return nil, err
 			}
@@ -67,13 +68,13 @@ func naiveSet(st *oodb.Store, pred Predicate, target string, hierarchy bool) (ma
 			}
 		}
 		return cur, nil
-	case *OrNode:
+	case wire.PredOr:
 		if len(n.Kids) == 0 {
 			return nil, fmt.Errorf("plan: empty disjunction")
 		}
 		all := make(map[oodb.OID]struct{})
-		for _, k := range n.Kids {
-			next, err := naiveSet(st, k, target, hierarchy)
+		for i := range n.Kids {
+			next, err := naiveSet(st, &n.Kids[i], target, hierarchy)
 			if err != nil {
 				return nil, err
 			}
@@ -83,5 +84,5 @@ func naiveSet(st *oodb.Store, pred Predicate, target string, hierarchy bool) (ma
 		}
 		return all, nil
 	}
-	return nil, fmt.Errorf("plan: unknown predicate node %T", pred)
+	return nil, fmt.Errorf("plan: unknown predicate kind %d", n.Kind)
 }

@@ -6,9 +6,10 @@
 // predicate shape: A_n = v or A_n IN [lo, hi) along one path. Real
 // workloads conjoin predicates across several paths ("persons owning a
 // vehicle made by company C, with age in [30, 40)") and disjoin
-// alternatives. This package adds a small predicate AST — Eq and Range
-// leaves over schema paths, composed with And and Or — plus a
-// cost-ordered physical planner:
+// alternatives. This package plans the one predicate tree
+// (wire.PredNode, aliased here as Predicate) — Eq and Range leaves over
+// schema paths, composed with And and Or — with a cost-ordered physical
+// planner:
 //
 //	order     — the conjuncts of an And are probed cheapest-first, by
 //	            estimated result cardinality: live observed sizes when
@@ -41,57 +42,40 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/oodb"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
-// Op discriminates leaf predicate operators.
-type Op uint8
+// Predicate is a node of the predicate tree: an equality or range leaf
+// over a path, or an And/Or of predicates. It is the wire package's
+// tree, so a decoded request is planned as it arrives. Build predicates
+// with Eq, Range, And and Or.
+type Predicate = wire.PredNode
 
-const (
-	// OpEq is A_n = Value along the leaf's path.
-	OpEq Op = iota
-	// OpRange is A_n IN [Lo, Hi) along the leaf's path.
-	OpRange
-)
-
-// Predicate is a node of the predicate AST: a Leaf, an AndNode or an
-// OrNode. Build predicates with Eq, Range, And and Or.
-type Predicate interface {
-	// String renders the predicate for diagnostics and explain output.
-	String() string
-	node()
+// Eq builds the leaf predicate A_n = v along p.
+func Eq(p *schema.Path, v oodb.Value) Predicate {
+	return Predicate{Kind: wire.PredEq, Path: p, Value: v}
 }
 
-// Leaf is one path predicate: an equality or half-open range test on the
-// ending attribute of Path.
-type Leaf struct {
-	Path *schema.Path
-	Op   Op
-	// Value is the equality operand (OpEq).
-	Value oodb.Value
-	// Lo and Hi bound the half-open range [Lo, Hi) (OpRange).
-	Lo, Hi oodb.Value
+// Range builds the leaf predicate A_n IN [lo, hi) along p.
+func Range(p *schema.Path, lo, hi oodb.Value) Predicate {
+	return Predicate{Kind: wire.PredRange, Path: p, Lo: lo, Hi: hi}
 }
 
-func (l *Leaf) node() {}
+// And conjoins predicates, flattening nested conjunctions. And of one
+// predicate is that predicate.
+func And(kids ...Predicate) Predicate { return wire.AndPred(kids...) }
 
-func (l *Leaf) String() string {
-	if l.Path == nil {
-		return "<nil path>"
-	}
-	if l.Op == OpEq {
-		return fmt.Sprintf("%s = %s", l.Path, &l.Value)
-	}
-	return fmt.Sprintf("%s in [%s, %s)", l.Path, &l.Lo, &l.Hi)
-}
+// Or disjoins predicates, flattening nested disjunctions. Or of one
+// predicate is that predicate.
+func Or(kids ...Predicate) Predicate { return wire.OrPred(kids...) }
 
-// pred returns the value test the leaf encodes, shared by residual
+// valueTest returns the value test a leaf encodes, shared by residual
 // verification and naive evaluation.
-func (l *Leaf) pred() func(oodb.Value) bool {
-	if l.Op == OpEq {
+func valueTest(l *Predicate) func(oodb.Value) bool {
+	if l.Kind == wire.PredEq {
 		v := l.Value
 		return func(x oodb.Value) bool { return x.Equal(v) }
 	}
@@ -101,90 +85,13 @@ func (l *Leaf) pred() func(oodb.Value) bool {
 	}
 }
 
-// validate checks the leaf's shape.
-func (l *Leaf) validate() error {
+// validateLeaf checks a leaf's shape.
+func validateLeaf(l *Predicate) error {
 	if l.Path == nil {
 		return fmt.Errorf("plan: leaf with nil path")
 	}
-	if l.Op == OpRange && l.Lo.Kind != l.Hi.Kind {
+	if l.Kind == wire.PredRange && l.Lo.Kind != l.Hi.Kind {
 		return fmt.Errorf("plan: range bounds of different kinds on %s", l.Path)
 	}
 	return nil
-}
-
-// AndNode is the conjunction of its children.
-type AndNode struct{ Kids []Predicate }
-
-func (n *AndNode) node() {}
-
-func (n *AndNode) String() string { return renderKids("and", n.Kids) }
-
-// OrNode is the disjunction of its children.
-type OrNode struct{ Kids []Predicate }
-
-func (n *OrNode) node() {}
-
-func (n *OrNode) String() string { return renderKids("or", n.Kids) }
-
-func renderKids(op string, kids []Predicate) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, k := range kids {
-		if i > 0 {
-			b.WriteByte(' ')
-			b.WriteString(op)
-			b.WriteByte(' ')
-		}
-		b.WriteString(k.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// Eq builds the leaf predicate A_n = v along p.
-func Eq(p *schema.Path, v oodb.Value) Predicate { return &Leaf{Path: p, Op: OpEq, Value: v} }
-
-// Range builds the leaf predicate A_n IN [lo, hi) along p.
-func Range(p *schema.Path, lo, hi oodb.Value) Predicate {
-	return &Leaf{Path: p, Op: OpRange, Lo: lo, Hi: hi}
-}
-
-// And conjoins predicates, flattening nested conjunctions. And of one
-// predicate is that predicate.
-func And(kids ...Predicate) Predicate {
-	flat := flatten[*AndNode](kids)
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	return &AndNode{Kids: flat}
-}
-
-// Or disjoins predicates, flattening nested disjunctions. Or of one
-// predicate is that predicate.
-func Or(kids ...Predicate) Predicate {
-	flat := flatten[*OrNode](kids)
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	return &OrNode{Kids: flat}
-}
-
-// flatten inlines children of the same node type T one level deep (the
-// constructors apply it recursively, so trees built through them are
-// fully flattened).
-func flatten[T Predicate](kids []Predicate) []Predicate {
-	out := make([]Predicate, 0, len(kids))
-	for _, k := range kids {
-		if same, ok := k.(T); ok {
-			switch n := Predicate(same).(type) {
-			case *AndNode:
-				out = append(out, n.Kids...)
-			case *OrNode:
-				out = append(out, n.Kids...)
-			}
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
 }

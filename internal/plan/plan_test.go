@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/oodb"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
 // testWorld is a randomly populated paper-schema store plus the four
@@ -337,13 +338,13 @@ func TestResidualPostFilter(t *testing.T) {
 func TestPlanErrors(t *testing.T) {
 	w := buildWorld(t, 17)
 	pl := randomPlanner(t, w, rand.New(rand.NewSource(17)))
-	if _, err := pl.Plan(nil, "Person", false); err == nil {
-		t.Fatal("nil predicate accepted")
+	if _, err := pl.Plan(Predicate{}, "Person", false); err == nil {
+		t.Fatal("zero predicate accepted")
 	}
-	if _, err := pl.Plan(&AndNode{}, "Person", false); err == nil {
+	if _, err := pl.Plan(And(), "Person", false); err == nil {
 		t.Fatal("empty conjunction accepted")
 	}
-	if _, err := pl.Plan(&OrNode{}, "Person", false); err == nil {
+	if _, err := pl.Plan(Or(), "Person", false); err == nil {
 		t.Fatal("empty disjunction accepted")
 	}
 	if _, err := pl.Plan(Eq(w.paths[0], oodb.IntV(1)), "Division", false); err == nil {
@@ -352,7 +353,7 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := pl.Plan(Range(w.paths[0], oodb.IntV(1), oodb.StrV("x")), "Person", false); err == nil {
 		t.Fatal("mixed-kind range accepted")
 	}
-	if _, err := pl.Plan(&Leaf{}, "Person", false); err == nil {
+	if _, err := pl.Plan(Eq(nil, oodb.IntV(1)), "Person", false); err == nil {
 		t.Fatal("nil-path leaf accepted")
 	}
 }
@@ -385,23 +386,20 @@ func TestConstructorFlattening(t *testing.T) {
 	a := Eq(w.paths[0], oodb.IntV(20))
 	b := Eq(w.paths[1], oodb.StrV("red"))
 	c := Eq(w.paths[2], oodb.StrV("co-00"))
-	if got := And(a); got != a {
+	if got := And(a); !reflect.DeepEqual(got, a) {
 		t.Fatal("And of one predicate should be that predicate")
 	}
-	if got := Or(b); got != b {
+	if got := Or(b); !reflect.DeepEqual(got, b) {
 		t.Fatal("Or of one predicate should be that predicate")
 	}
-	n, ok := And(And(a, b), c).(*AndNode)
-	if !ok || len(n.Kids) != 3 {
+	if n := And(And(a, b), c); n.Kind != wire.PredAnd || len(n.Kids) != 3 {
 		t.Fatalf("nested And not flattened: %v", n)
 	}
-	o, ok := Or(Or(a, b), c).(*OrNode)
-	if !ok || len(o.Kids) != 3 {
+	if o := Or(Or(a, b), c); o.Kind != wire.PredOr || len(o.Kids) != 3 {
 		t.Fatalf("nested Or not flattened: %v", o)
 	}
 	// Mixed nesting must not flatten across operators.
-	m, ok := And(Or(a, b), c).(*AndNode)
-	if !ok || len(m.Kids) != 2 {
+	if m := And(Or(a, b), c); m.Kind != wire.PredAnd || len(m.Kids) != 2 {
 		t.Fatalf("And(Or(a,b), c) should keep the Or intact: %v", m)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // Source answers indexed single-path probes: any executor that returns
@@ -46,22 +47,23 @@ type sourceEntry struct {
 	src  Source
 	sink PredicateSink
 	ps   *model.PathStats
-	obs  [2]atomic.Uint64 // indexed by Op
+	obs  [2]atomic.Uint64 // indexed by leaf Kind - wire.PredEq
 }
 
-func (e *sourceEntry) observe(op Op, n int) {
+func (e *sourceEntry) observe(kind byte, n int) {
+	obs := &e.obs[kind-wire.PredEq]
 	v := float64(n)
 	if v == 0 {
 		v = 0.5 // distinguish "observed empty" from "never observed"
 	}
 	for {
-		oldBits := e.obs[op].Load()
+		oldBits := obs.Load()
 		old := math.Float64frombits(oldBits)
 		next := v
 		if oldBits != 0 {
 			next = old + ewmaAlpha*(v-old)
 		}
-		if e.obs[op].CompareAndSwap(oldBits, math.Float64bits(next)) {
+		if obs.CompareAndSwap(oldBits, math.Float64bits(next)) {
 			return
 		}
 	}
@@ -72,15 +74,15 @@ func (e *sourceEntry) observe(op Op, n int) {
 // PathStats-derived figure otherwise (N_target/D_ending for equality,
 // N_target/10 for ranges), and +Inf with no information at all — an
 // unknown probe is ordered last, never first.
-func (e *sourceEntry) estimate(op Op, targetLevel int) float64 {
-	if bits := e.obs[op].Load(); bits != 0 {
+func (e *sourceEntry) estimate(kind byte, targetLevel int) float64 {
+	if bits := e.obs[kind-wire.PredEq].Load(); bits != 0 {
 		return math.Float64frombits(bits)
 	}
 	if e.ps == nil {
 		return math.Inf(1)
 	}
 	n := e.ps.Level(targetLevel).NTotal()
-	if op == OpEq {
+	if kind == wire.PredEq {
 		d := e.ps.Level(e.ps.Len()).DMax()
 		if d < 1 {
 			d = 1
@@ -161,7 +163,7 @@ type pnode interface {
 
 // probeNode answers one leaf through an index source.
 type probeNode struct {
-	leaf  *Leaf
+	leaf  *Predicate
 	entry *sourceEntry
 	card  float64
 }
@@ -172,7 +174,7 @@ func (n *probeNode) est() float64 { return n.card }
 // registered source that could not be attached to indexed siblings as a
 // post-filter (e.g. a lone disjunct).
 type scanNode struct {
-	leaf *Leaf
+	leaf *Predicate
 }
 
 func (n *scanNode) est() float64 { return math.Inf(1) }
@@ -180,7 +182,7 @@ func (n *scanNode) est() float64 { return math.Inf(1) }
 // filterStep is one residual conjunct: verified per candidate by forward
 // navigation from the target level of its own path.
 type filterStep struct {
-	leaf  *Leaf
+	leaf  *Predicate
 	level int
 }
 
@@ -208,23 +210,21 @@ func (n *orPlan) est() float64 { return n.card }
 // unregistered paths become residual post-filters, a fully unindexed
 // conjunction or lone disjunct falls back to a store scan.
 func (pl *Planner) Plan(pred Predicate, targetClass string, hierarchy bool) (*Plan, error) {
-	if pred == nil {
-		return nil, fmt.Errorf("plan: nil predicate")
-	}
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	root, err := pl.compile(pred, targetClass)
+	root, err := pl.compile(&pred, targetClass)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{pl: pl, target: targetClass, hierarchy: hierarchy, root: root}, nil
 }
 
-// compile lowers one AST node. Called with pl.mu read-held.
-func (pl *Planner) compile(pred Predicate, target string) (pnode, error) {
-	switch n := pred.(type) {
-	case *Leaf:
-		if err := n.validate(); err != nil {
+// compile lowers one tree node; the plan points into the tree. Called
+// with pl.mu read-held.
+func (pl *Planner) compile(n *Predicate, target string) (pnode, error) {
+	switch n.Kind {
+	case wire.PredEq, wire.PredRange:
+		if err := validateLeaf(n); err != nil {
 			return nil, err
 		}
 		level, err := exec.PathLevel(n.Path, target)
@@ -232,19 +232,19 @@ func (pl *Planner) compile(pred Predicate, target string) (pnode, error) {
 			return nil, err
 		}
 		if e, ok := pl.sources[n.Path.String()]; ok {
-			return &probeNode{leaf: n, entry: e, card: e.estimate(n.Op, level)}, nil
+			return &probeNode{leaf: n, entry: e, card: e.estimate(n.Kind, level)}, nil
 		}
 		if pl.store == nil {
 			return nil, fmt.Errorf("plan: no source for %s and no store for naive fallback", n.Path)
 		}
 		return &scanNode{leaf: n}, nil
-	case *AndNode:
+	case wire.PredAnd:
 		if len(n.Kids) == 0 {
 			return nil, fmt.Errorf("plan: empty conjunction")
 		}
 		ap := &andPlan{}
-		for _, k := range n.Kids {
-			kid, err := pl.compile(k, target)
+		for i := range n.Kids {
+			kid, err := pl.compile(&n.Kids[i], target)
 			if err != nil {
 				return nil, err
 			}
@@ -274,13 +274,13 @@ func (pl *Planner) compile(pred Predicate, target string) (pnode, error) {
 			ap.card = math.Min(ap.card, p.est())
 		}
 		return ap, nil
-	case *OrNode:
+	case wire.PredOr:
 		if len(n.Kids) == 0 {
 			return nil, fmt.Errorf("plan: empty disjunction")
 		}
 		op := &orPlan{}
-		for _, k := range n.Kids {
-			kid, err := pl.compile(k, target)
+		for i := range n.Kids {
+			kid, err := pl.compile(&n.Kids[i], target)
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +292,7 @@ func (pl *Planner) compile(pred Predicate, target string) (pnode, error) {
 		}
 		return op, nil
 	}
-	return nil, fmt.Errorf("plan: unknown predicate node %T", pred)
+	return nil, fmt.Errorf("plan: unknown predicate kind %d", n.Kind)
 }
 
 // Execute runs the plan and returns the matching OIDs, sorted and
@@ -330,7 +330,7 @@ func (pl *Planner) evalProbe(n *probeNode, target string, hierarchy bool) ([]ood
 		res []oodb.OID
 		err error
 	)
-	if n.leaf.Op == OpEq {
+	if n.leaf.Kind == wire.PredEq {
 		res, err = n.entry.src.Query(n.leaf.Value, target, hierarchy)
 		pl.record(n.entry, n.entry.key, stats.PredEq)
 	} else {
@@ -340,13 +340,13 @@ func (pl *Planner) evalProbe(n *probeNode, target string, hierarchy bool) ([]ood
 	if err != nil {
 		return nil, err
 	}
-	n.entry.observe(n.leaf.Op, len(res))
+	n.entry.observe(n.leaf.Kind, len(res))
 	return res, nil
 }
 
-func (pl *Planner) evalScan(l *Leaf, target string, hierarchy bool) ([]oodb.OID, error) {
+func (pl *Planner) evalScan(l *Predicate, target string, hierarchy bool) ([]oodb.OID, error) {
 	pl.record(nil, l.Path.String(), stats.PredResidual)
-	if l.Op == OpEq {
+	if l.Kind == wire.PredEq {
 		return exec.NaiveQuery(pl.store, l.Path, l.Value, target, hierarchy)
 	}
 	return exec.NaiveQueryRange(pl.store, l.Path, l.Lo, l.Hi, target, hierarchy)
@@ -386,7 +386,7 @@ func (pl *Planner) evalAnd(n *andPlan, target string, hierarchy bool) ([]oodb.OI
 		}
 		keep := true
 		for _, rs := range n.residuals {
-			ok, err := exec.Reaches(pl.store, rs.leaf.Path, obj, rs.level, rs.leaf.pred())
+			ok, err := exec.Reaches(pl.store, rs.leaf.Path, obj, rs.level, valueTest(rs.leaf))
 			if err != nil {
 				return nil, err
 			}

@@ -227,7 +227,9 @@ func (s *Schema) superOf(name string) string {
 // Path is a path C1.A1.A2...An over the aggregation hierarchy, per
 // Definition 2.1: C1 is a class of the schema; A1 is an attribute of C1;
 // each A_l (1 < l <= n) is an attribute of the class C_l that is the domain
-// of A_{l-1}; and a class appears at most once along the path.
+// of A_{l-1}; and a class appears at most once along the path. NewPath
+// reads "a class" with its subclasses, so the levels' inheritance
+// hierarchies are disjoint and every class of scope(P) has one level.
 type Path struct {
 	schema  *Schema
 	classes []string // C1..Cn, root class at each position
@@ -249,7 +251,6 @@ func NewPath(s *Schema, start string, attrs ...string) (*Path, error) {
 		return nil, fmt.Errorf("schema: unknown starting class %q", start)
 	}
 	p := &Path{schema: s, classes: []string{start}, attrs: attrs}
-	seen := map[string]bool{start: true}
 	cur := start
 	for i, an := range attrs {
 		a, ok := s.ResolveAttr(cur, an)
@@ -260,11 +261,14 @@ func NewPath(s *Schema, start string, attrs ...string) (*Path, error) {
 			if a.Kind != Ref {
 				return nil, fmt.Errorf("schema: attribute %s.%s is atomic but is not the ending attribute", cur, an)
 			}
+			// A class, subclasses included, appears at most once: each
+			// class of scope(P) then lives at exactly one level.
 			next := a.Domain
-			if seen[next] {
-				return nil, fmt.Errorf("schema: class %q appears twice in path (Definition 2.1)", next)
+			for l, c := range p.classes {
+				if s.IsSubclassOf(next, c) || s.IsSubclassOf(c, next) {
+					return nil, fmt.Errorf("schema: class %q at level %d shares an inheritance hierarchy with %q at level %d (Definition 2.1: a class appears at most once along a path)", next, len(p.classes)+1, c, l+1)
+				}
 			}
-			seen[next] = true
 			p.classes = append(p.classes, next)
 			cur = next
 		}

@@ -104,6 +104,36 @@ func TestPathRejectsRepeatedClass(t *testing.T) {
 	}
 }
 
+// TestPathRejectsOverlappingHierarchies: a class and its subclass at two
+// levels would put the subclass in both levels' hierarchies, and the
+// level resolvers would have to pick one (Definition 2.1 forbids it).
+// Sibling subclasses do not overlap.
+func TestPathRejectsOverlappingHierarchies(t *testing.T) {
+	s := New()
+	s.MustAddClass(&Class{Name: "Employee", Attrs: []Attribute{
+		{Name: "name", Kind: Atomic},
+		{Name: "boss", Kind: Ref, Domain: "Manager"},
+	}})
+	s.MustAddClass(&Class{Name: "Manager", Super: "Employee", Attrs: []Attribute{
+		{Name: "deputy", Kind: Ref, Domain: "Employee"},
+		{Name: "assistant", Kind: Ref, Domain: "Clerk"},
+	}})
+	s.MustAddClass(&Class{Name: "Clerk", Super: "Employee"})
+	for _, attrs := range [][]string{
+		{"Employee", "boss", "name"},      // subclass below its superclass
+		{"Manager", "deputy", "name"},     // superclass below its subclass
+		{"Clerk", "boss", "boss", "name"}, // the same subclass twice
+	} {
+		_, err := NewPath(s, attrs[0], attrs[1:]...)
+		if err == nil || !strings.Contains(err.Error(), "Definition 2.1") {
+			t.Errorf("%v: got %v, want a Definition 2.1 rejection", attrs, err)
+		}
+	}
+	if _, err := NewPath(s, "Manager", "assistant", "name"); err != nil {
+		t.Errorf("sibling subclasses rejected: %v", err)
+	}
+}
+
 func TestPathRejectsAtomicMidway(t *testing.T) {
 	s := PaperSchema()
 	if _, err := NewPath(s, "Person", "age", "man"); err == nil {

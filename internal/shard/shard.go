@@ -271,19 +271,29 @@ func (db *DB) Get(oid oodb.OID) (*oodb.Object, error) {
 // target objects within the same shard (ErrCrossShard otherwise); a
 // missing OID reports oodb.ErrNotFound from the owning shard.
 func (db *DB) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
-	s := db.ShardOf(oid)
-	target, err := db.refShard(attrs)
+	s, err := db.updateShard(oid, attrs)
 	if err != nil {
 		return err
-	}
-	if target >= 0 && target != s {
-		return fmt.Errorf("%w: update of object %d (shard %d) references shard %d", ErrCrossShard, oid, s, target)
 	}
 	if err := db.shards[s].Update(oid, attrs); err != nil {
 		return err
 	}
 	db.noteUpdate(s, oid, attrs)
 	return nil
+}
+
+// updateShard returns the shard owning oid, or ErrCrossShard when attrs
+// reference another shard.
+func (db *DB) updateShard(oid oodb.OID, attrs map[string][]oodb.Value) (int, error) {
+	s := db.ShardOf(oid)
+	target, err := db.refShard(attrs)
+	if err != nil {
+		return 0, err
+	}
+	if target >= 0 && target != s {
+		return 0, fmt.Errorf("%w: update of object %d (shard %d) references shard %d", ErrCrossShard, oid, s, target)
+	}
+	return s, nil
 }
 
 // noteUpdate feeds an applied update's new ending values into the
@@ -309,9 +319,20 @@ func (db *DB) Delete(oid oodb.OID) error {
 // and, on a durable database, its fsyncs overlap. Within a shard the
 // sub-batch keeps its original order (same-OID updates stay ordered,
 // the UpdateBatch invariant). The result has one entry per update in
-// batch order, nil on success; a failed update never stops the rest.
+// batch order, nil on success; a failed update never stops the rest. An
+// update whose references leave its object's shard fails alone with
+// ErrCrossShard, as Update does, and never reaches a shard.
 func (db *DB) UpdateBatch(ups []exec.Update) []error {
-	parts, pos := exec.SplitUpdates(ups, len(db.shards), db.ShardOf)
+	errs := make([]error, len(ups))
+	valid := make([]exec.Update, 0, len(ups))
+	at := make([]int, 0, len(ups)) // batch position of each valid update
+	for i, u := range ups {
+		if _, errs[i] = db.updateShard(u.OID, u.Attrs); errs[i] == nil {
+			valid = append(valid, u)
+			at = append(at, i)
+		}
+	}
+	parts, pos := exec.SplitUpdates(valid, len(db.shards), db.ShardOf)
 	perShard := make([][]error, len(parts))
 	var wg sync.WaitGroup
 	for s := range parts {
@@ -325,10 +346,10 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 		}(s)
 	}
 	wg.Wait()
-	errs := make([]error, len(ups))
-	exec.ScatterErrors(errs, pos, perShard)
-	for i, u := range ups {
-		if errs[i] == nil {
+	applied := make([]error, len(valid))
+	exec.ScatterErrors(applied, pos, perShard)
+	for k, u := range valid {
+		if errs[at[k]] = applied[k]; applied[k] == nil {
 			db.noteUpdate(db.ShardOf(u.OID), u.OID, u.Attrs)
 		}
 	}

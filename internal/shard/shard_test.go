@@ -134,6 +134,48 @@ func TestShardCrossShardReferencesRejected(t *testing.T) {
 	}
 }
 
+// TestShardUpdateBatchRejectsCrossShardReLink holds UpdateBatch to
+// Update's rule: a re-link that leaves its object's shard fails alone
+// with ErrCrossShard, and the rest of the batch applies.
+func TestShardUpdateBatchRejectsCrossShardReLink(t *testing.T) {
+	db := newTestDB(t, 2)
+	var cos, vs [2]oodb.OID
+	for s := range cos {
+		co, err := db.InsertAt(s, "Company", map[string][]oodb.Value{"name": {oodb.StrV(fmt.Sprintf("co-%d", s))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cos[s] = co
+		if vs[s], err = db.Insert("Vehicle", map[string][]oodb.Value{"man": {oodb.RefV(co)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := db.UpdateBatch([]exec.Update{
+		{OID: vs[0], Attrs: map[string][]oodb.Value{"man": {oodb.RefV(cos[1])}}}, // leaves shard 0
+		{OID: vs[1], Attrs: map[string][]oodb.Value{"color": {oodb.StrV("red")}}},
+	})
+	if !errors.Is(errs[0], shard.ErrCrossShard) {
+		t.Fatalf("cross-shard re-link in a batch: got %v, want ErrCrossShard", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("in-shard update beside it: %v", errs[1])
+	}
+	v0, err := db.Get(vs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v0.Values("man"); len(got) != 1 || got[0].Ref != cos[0] {
+		t.Fatalf("rejected re-link changed the object: man = %v", got)
+	}
+	v1, err := db.Get(vs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v1.Values("color"); len(got) != 1 || got[0].Str != "red" {
+		t.Fatalf("in-shard update not applied: color = %v", got)
+	}
+}
+
 func TestShardOpenValidatesStrides(t *testing.T) {
 	s := schema.PaperSchema()
 	p := schema.PaperPathOwnsManName()

@@ -38,9 +38,9 @@ type padCount struct {
 // is lock-free and contention-free across cells, so it can sit on the
 // executor's query and update paths without serializing them. There is
 // deliberately no shared total counter (it would put every operation on
-// one cache line); totals are summed over the cells on read. A class
-// appearing at several levels of the path is attributed to its first
-// occurrence, matching the executor's level resolution.
+// one cache line); totals are summed over the cells on read. Every class
+// of the path's scope lives at exactly one level (schema.NewPath rejects
+// overlapping level hierarchies), the level the executor resolves it to.
 type Recorder struct {
 	slot    map[string]int // class -> slot; read-only after construction
 	classes []recClass     // slot -> (level, class)
@@ -57,9 +57,6 @@ func NewRecorder(p *schema.Path) *Recorder {
 	r := &Recorder{slot: make(map[string]int)}
 	for l := 1; l <= p.Len(); l++ {
 		for _, cn := range p.HierarchyAt(l) {
-			if _, ok := r.slot[cn]; ok {
-				continue
-			}
 			r.slot[cn] = len(r.classes)
 			r.classes = append(r.classes, recClass{level: l, class: cn})
 		}

@@ -1,14 +1,18 @@
-// Predicate-tree encoding: the §9 planner's Eq/Range/And/Or predicates
-// serialized over the wire. Leaves name paths by small integer id — the
-// client and server agree on the id→path binding out of band (the server
-// side is netserver.RegisterPath) — so a leaf costs a kind byte, two id
-// bytes and its value(s), and the server never parses path strings on
-// the hot path.
+// Predicate trees: PredNode is the one Eq/Range/And/Or tree of the
+// system. The §9 planner plans it (plan.Predicate is an alias) and this
+// file is its codec. On the wire, leaves name paths by small integer id
+// — the client and server agree on the id→path binding out of band (the
+// server side is netserver.RegisterPath) — so a leaf costs a kind byte,
+// two id bytes and its value(s), and the server never parses path
+// strings on the hot path. A leaf's Path is the id resolved: the server
+// fills it in place after decoding, an embedded caller sets it through
+// plan.Eq/plan.Range, and it is never encoded.
 //
 // The encoding is canonical: a decoded tree re-encodes to exactly the
-// bytes it came from. That property is what the fuzz gate pins, and it
-// is what lets the server use re-encoded predicate bytes as a dedup key
-// when coalescing identical predicates into one planner descent.
+// bytes it came from, resolved or not. That property is what the fuzz
+// gate pins, and it is what lets the server use re-encoded predicate
+// bytes as a dedup key when coalescing identical predicates into one
+// planner descent.
 //
 // Decode enforces depth and node-count caps before building anything, so
 // a hostile frame — a 65535-child And, a self-feeding nesting chain —
@@ -19,8 +23,10 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/oodb"
+	"repro/internal/schema"
 )
 
 // Predicate node kinds.
@@ -42,16 +48,50 @@ const (
 	MaxPredNodes = 1024
 )
 
-// PredNode is one node of a wire predicate tree. Leaves (PredEq,
-// PredRange) carry a path id and value(s); composites (PredAnd, PredOr)
-// carry children. Every field is owned — nothing aliases the frame a
-// node was decoded from.
+// PredNode is one node of a predicate tree. Leaves (PredEq, PredRange)
+// carry a path, as a wire id and, once resolved, as the path itself, and
+// value(s); composites (PredAnd, PredOr) carry children. Every encoded
+// field is owned — nothing aliases the frame a node was decoded from.
 type PredNode struct {
 	Kind   byte
 	PathID uint16
+	// Path is the path PathID names. It is never encoded: the server
+	// resolves it from its id table, an embedded caller sets it directly.
+	Path   *schema.Path
 	Value  oodb.Value // PredEq
 	Lo, Hi oodb.Value // PredRange
 	Kids   []PredNode // PredAnd, PredOr
+}
+
+// String renders the tree for diagnostics and plan explanations; a leaf
+// whose path is not resolved names it by id.
+func (n PredNode) String() string {
+	path := fmt.Sprintf("#%d", n.PathID)
+	if n.Path != nil {
+		path = n.Path.String()
+	}
+	switch n.Kind {
+	case PredEq:
+		return fmt.Sprintf("%s = %s", path, n.Value)
+	case PredRange:
+		return fmt.Sprintf("%s in [%s, %s)", path, n.Lo, n.Hi)
+	case PredAnd, PredOr:
+		op := " and "
+		if n.Kind == PredOr {
+			op = " or "
+		}
+		var b strings.Builder
+		b.WriteByte('(')
+		for i, k := range n.Kids {
+			if i > 0 {
+				b.WriteString(op)
+			}
+			b.WriteString(k.String())
+		}
+		b.WriteByte(')')
+		return b.String()
+	}
+	return fmt.Sprintf("<predicate kind %d>", n.Kind)
 }
 
 // EqPred builds an equality leaf: path(pathID) = v.
@@ -65,14 +105,13 @@ func RangePred(pathID uint16, lo, hi oodb.Value) PredNode {
 }
 
 // AndPred builds a conjunction, flattening nested conjunctions and
-// collapsing a single-child And to its child — the same normalization
-// plan.And applies, so a client-built tree matches the planner's shape.
+// collapsing a single-child And to its child. It is plan.And.
 func AndPred(kids ...PredNode) PredNode {
 	return composite(PredAnd, kids)
 }
 
 // OrPred builds a disjunction, flattening nested disjunctions and
-// collapsing a single child, mirroring plan.Or.
+// collapsing a single child. It is plan.Or.
 func OrPred(kids ...PredNode) PredNode {
 	return composite(PredOr, kids)
 }

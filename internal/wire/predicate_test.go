@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/oodb"
+	"repro/internal/schema"
 )
 
 // chainPred builds a nesting chain of depth ands single-child And nodes
@@ -64,6 +65,16 @@ func TestPredicateBuildersFlatten(t *testing.T) {
 	}
 	if got := AndPred(OrPred(a, b), c); len(got.Kids) != 2 || got.Kids[0].Kind != PredOr {
 		t.Fatalf("And flattened an Or child: %+v", got)
+	}
+}
+
+func TestPredicateString(t *testing.T) {
+	age := EqPred(1, oodb.IntV(30))
+	age.Path = schema.MustNewPath(schema.PaperSchema(), "Person", "age")
+	tree := OrPred(AndPred(age, RangePred(2, oodb.StrV("a"), oodb.StrV("n"))), EqPred(3, oodb.RefV(5)))
+	const want = "((Person.age = 30 and #2 in [a, n)) or #3 = oid:5)"
+	if got := tree.String(); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 
@@ -174,12 +185,30 @@ func TestOKValuesRoundTrip(t *testing.T) {
 	}
 }
 
+// resolveLeaves fills every leaf's Path from a fixed id table, the way a
+// server resolves a decoded tree (ids past the table wrap around).
+func resolveLeaves(n *PredNode, paths []*schema.Path) {
+	if n.Kind == PredEq || n.Kind == PredRange {
+		n.Path = paths[int(n.PathID)%len(paths)]
+	}
+	for i := range n.Kids {
+		resolveLeaves(&n.Kids[i], paths)
+	}
+}
+
 // FuzzPredicateDecode is the hostile-frame gate for the predicate
 // encoding alone: arbitrary bytes either decode or error — no panic, no
 // unbounded recursion or allocation — and whatever decodes re-encodes
-// to exactly the bytes consumed (the canonical property the server's
-// dedup key relies on).
+// to exactly the bytes consumed, before and after its leaves' paths are
+// resolved (the canonical property the server's dedup key relies on:
+// resolution can never change it).
 func FuzzPredicateDecode(f *testing.F) {
+	s := schema.PaperSchema()
+	paths := []*schema.Path{
+		schema.MustNewPath(s, "Person", "age"),
+		schema.MustNewPath(s, "Person", "owns", "color"),
+		schema.MustNewPath(s, "Person", "owns", "man", "divs", "name"),
+	}
 	and := AndPred(EqPred(1, oodb.IntV(30)), EqPred(2, oodb.StrV("red")))
 	or := OrPred(RangePred(1, oodb.IntV(0), oodb.IntV(9)), EqPred(3, oodb.RefV(5)))
 	leaf := EqPred(1, oodb.StrV("val-00001"))
@@ -207,6 +236,10 @@ func FuzzPredicateDecode(f *testing.F) {
 		}
 		if re := AppendPredNode(nil, &n); !bytes.Equal(re, b[:len(b)-len(rest)]) {
 			t.Fatalf("predicate does not round-trip: % x vs % x", re, b[:len(b)-len(rest)])
+		}
+		resolveLeaves(&n, paths)
+		if re := AppendPredNode(nil, &n); !bytes.Equal(re, b[:len(b)-len(rest)]) {
+			t.Fatalf("resolved predicate does not round-trip: % x vs % x", re, b[:len(b)-len(rest)])
 		}
 	})
 }
