@@ -17,11 +17,14 @@
 // changed page written exactly once at Flush. Section 3.1 prices the
 // maintenance of a record at CML = h − 1 + pm, the pages of the record
 // that change; an index organization that edits a record through a handle
-// pays exactly that, and Get, GetSectionInto, Insert, Update and Delete
-// are the handle's simplest uses. Reading many records hands out the same
-// handle: a Sweep (sweep.go) positions it on each key of a sorted set,
-// entering every node once, and ScanInto on each record of a key range, so
-// whoever reads through it pays for the pages it asks for and no others.
+// pays exactly that, and Get, GetSectionInto, Insert and Delete are the
+// handle's simplest uses. Reaching many records hands out the same handle:
+// a Sweep (sweep.go) positions it on each key of a sorted set, entering
+// every node once, and ScanInto on each record of a key range, so whoever
+// reads through it pays for the pages it asks for and no others. A sweep
+// also edits: each record is flushed before the next key is sought, and a
+// flush that split a node sends the next seek back to the root, counted
+// again, since the path it kept no longer describes the tree.
 //
 // Deletion is lazy: entries are removed but nodes are not merged, so the
 // height never shrinks — the usual simplification in storage simulators.
@@ -46,9 +49,10 @@ type Tree struct {
 	name    string
 	ovfName string // the tag of this tree's overflow pages
 	root    *node
-	size    int // number of keys
+	size    int    // number of keys
+	splits  uint64 // nodes split so far: a Sweep's path is stale once this moves
 
-	w Record // the handle Insert, Update and Delete run on
+	w Record // the handle Insert and Delete run on
 }
 
 // record is one key's value. The bytes stay contiguous beside the parsed
@@ -210,28 +214,6 @@ func (t *Tree) Insert(key, val []byte) {
 	t.w.Flush()
 }
 
-// Update applies fn to the current value of key (nil if absent) and stores
-// the result; returning nil from fn deletes the key. It reports whether the
-// key exists after the call. The value passed to fn is the tree's own and
-// valid only during the call, and fn must not use the tree; the whole
-// read-modify-write is one descent.
-func (t *Tree) Update(key []byte, fn func(old []byte) []byte) bool {
-	h := &t.w
-	t.Open(key, h)
-	var old []byte
-	if h.Exists() {
-		old = h.Read(0, h.Len())
-	}
-	out := fn(old)
-	if out == nil {
-		h.Delete()
-	} else {
-		h.SetValue(out)
-	}
-	h.Flush()
-	return out != nil
-}
-
 // Delete removes key, reporting whether it was present. Nodes are not
 // merged (lazy deletion).
 func (t *Tree) Delete(key []byte) bool {
@@ -244,6 +226,7 @@ func (t *Tree) Delete(key []byte) bool {
 
 // split halves a node, returning the separator key and the new right node.
 func (t *Tree) split(n *node) ([]byte, *node) {
+	t.splits++
 	right := t.newNode(n.leaf)
 	right.parent = n.parent
 	h := len(n.keys) / 2

@@ -156,34 +156,6 @@ func TestGetSectionPartialReads(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tr := newTree(t, 256)
-	tr.Update(key(1), func(old []byte) []byte {
-		if old != nil {
-			t.Error("old should be nil on first update")
-		}
-		return []byte("one")
-	})
-	tr.Update(key(1), func(old []byte) []byte {
-		return append(old, []byte("+two")...)
-	})
-	v, _ := tr.Get(key(1))
-	if string(v) != "one+two" {
-		t.Errorf("Update result = %q", v)
-	}
-	// Returning nil deletes.
-	if tr.Update(key(1), func([]byte) []byte { return nil }) {
-		t.Error("delete-update reported existence")
-	}
-	if _, ok := tr.Get(key(1)); ok {
-		t.Error("key survived delete-update")
-	}
-	// Delete-update of a missing key is a no-op.
-	if tr.Update(key(42), func([]byte) []byte { return nil }) {
-		t.Error("no-op update reported existence")
-	}
-}
-
 func TestAscendOrder(t *testing.T) {
 	tr := newTree(t, 256)
 	perm := rand.New(rand.NewSource(1)).Perm(300)

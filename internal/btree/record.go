@@ -183,7 +183,8 @@ func (h *Record) Resize(n int) {
 		h.leafDirty = true
 	}
 	r := h.rec
-	if old := len(r.val); n <= cap(r.val) {
+	old := len(r.val)
+	if n <= cap(r.val) {
 		r.val = r.val[:n]
 		if n > old {
 			clear(r.val[old:])
@@ -196,8 +197,8 @@ func (h *Record) Resize(n int) {
 	if n > t.MaxInline() {
 		want = (n + ps - 1) / ps
 	}
-	if (want == 0) != (len(r.overflow) == 0) {
-		h.leafDirty = true // the leaf entry turns from bytes into a chain, or back
+	if want == 0 && n != old || (want == 0) != (len(r.overflow) == 0) {
+		h.leafDirty = true // the leaf's bytes changed length, or the entry turns from bytes into a chain or back
 	}
 	for len(r.overflow) < want {
 		p := len(r.overflow)

@@ -253,34 +253,6 @@ func TestRecordDeleteFreesOnce(t *testing.T) {
 	}
 }
 
-func TestUpdateDescendsOnce(t *testing.T) {
-	tr := newTree(t, 256)
-	for i := 0; i < 2000; i++ {
-		tr.Insert(key(i), []byte("v"))
-	}
-	h := tr.Height()
-	for _, tc := range []struct {
-		name string
-		k    []byte
-		fn   func([]byte) []byte
-	}{
-		{"change", key(700), func(b []byte) []byte { return append(b, '+') }},
-		{"delete", key(701), func([]byte) []byte { return nil }},
-	} {
-		tr.Pager().ResetStats()
-		tr.Update(tc.k, tc.fn)
-		if s := tr.Pager().Stats(); int(s.Reads) != h || s.Writes != 1 {
-			t.Errorf("%s: %d reads, %d writes; want h = %d and 1 (CML = h + 1)", tc.name, s.Reads, s.Writes, h)
-		}
-	}
-	tr.Pager().ResetStats()
-	tr.Update(key(99999), func([]byte) []byte { return nil })
-	if s := tr.Pager().Stats(); int(s.Reads) != h || s.Writes != 0 {
-		t.Errorf("no-op update: %+v", s)
-	}
-	mustValidate(t, tr)
-}
-
 // TestRecordRandomOpsAgainstModel drives handles with random reads,
 // patches, moves, resizes and deletes over a handful of keys against plain
 // byte slices, validating the tree and the page accounting at every step.

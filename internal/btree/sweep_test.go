@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -113,6 +114,256 @@ func TestSweepOneKeyCostsADescent(t *testing.T) {
 	for _, k := range []int{2, 3, 1200, 2401, 9999} {
 		if got := checkSweep(t, tr, []int{k}); got != uint64(tr.Height()) {
 			t.Errorf("one-key sweep of %d read %d pages, height %d", k, got, tr.Height())
+		}
+	}
+}
+
+// TestSweepReadModifyWrite: a handle a sweep positions reads, replaces and
+// deletes the record it stands on, and creates the record of an absent key.
+func TestSweepReadModifyWrite(t *testing.T) {
+	tr := newTree(t, 256)
+	var sw Sweep
+	var h Record
+	sw.Reset(tr)
+	if sw.Seek(key(1), &h) {
+		t.Fatal("absent key found")
+	}
+	h.SetValue([]byte("one"))
+	h.Flush()
+	if !sw.Seek(key(1), &h) {
+		t.Fatal("inserted key not found")
+	}
+	h.SetValue(append(h.Read(0, h.Len()), "+two"...))
+	h.Flush()
+	if v, _ := tr.Get(key(1)); string(v) != "one+two" {
+		t.Errorf("read-modify-write left %q", v)
+	}
+	sw.Seek(key(1), &h)
+	h.Delete()
+	h.Flush()
+	if _, ok := tr.Get(key(1)); ok {
+		t.Error("key survived its delete")
+	}
+	if sw.Seek(key(42), &h) { // deleting an absent key changes nothing
+		t.Fatal("absent key found")
+	}
+	h.Delete()
+	h.Flush()
+	if tr.Len() != 0 {
+		t.Errorf("Len = %d after deleting everything", tr.Len())
+	}
+	sw.Reset(nil)
+}
+
+// TestWriteSweepOneKeyCostsCML: editing one in-leaf record through a sweep
+// costs Section 3.1's CML = h + 1, the descent and the leaf's write; an edit
+// that changes nothing writes nothing.
+func TestWriteSweepOneKeyCostsCML(t *testing.T) {
+	tr := newTree(t, 256)
+	for i := 0; i < 2000; i++ {
+		tr.Insert(key(i), []byte("v"))
+	}
+	h := tr.Height()
+	var sw Sweep
+	var rec Record
+	for _, tc := range []struct {
+		name string
+		k    []byte
+		edit func()
+	}{
+		{"change", key(700), func() { rec.SetValue(append(rec.Read(0, rec.Len()), '+')) }},
+		{"delete", key(701), rec.Delete},
+	} {
+		tr.Pager().ResetStats()
+		sw.Reset(tr)
+		sw.Seek(tc.k, &rec)
+		tc.edit()
+		rec.Flush()
+		if s := tr.Pager().Stats(); int(s.Reads) != h || s.Writes != 1 {
+			t.Errorf("%s: %d reads, %d writes; want h = %d and 1 (CML = h + 1)", tc.name, s.Reads, s.Writes, h)
+		}
+	}
+	tr.Pager().ResetStats()
+	sw.Reset(tr)
+	sw.Seek(key(99999), &rec)
+	rec.Delete()
+	rec.Flush()
+	if s := tr.Pager().Stats(); int(s.Reads) != h || s.Writes != 0 {
+		t.Errorf("no-op delete: %+v", s)
+	}
+	sw.Reset(nil)
+	mustValidate(t, tr)
+}
+
+// TestWriteSweepRestartsAfterSplit: a write whose flush splits the leaf the
+// sweep stands on sends the next Seek back to the root once — the pages of
+// the first key's path, then those of the later keys' paths in the tree as
+// it is after the split, each counted once — and the later keys are found
+// where the split put them.
+func TestWriteSweepRestartsAfterSplit(t *testing.T) {
+	tr := newTree(t, 256)
+	for i := 0; i < 400; i++ {
+		tr.Insert(key(i), []byte{byte(i)})
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d; the test wants a root above the leaves", tr.Height())
+	}
+	// The fullest leaf: a value of MaxInline bytes in its first key must
+	// split it.
+	leaf := tr.root
+	for !leaf.leaf {
+		leaf = leaf.kids[0]
+	}
+	full := leaf
+	for n := leaf; n != nil; n = n.next {
+		if tr.nodeBytes(n) > tr.nodeBytes(full) {
+			full = n
+		}
+	}
+	if tr.nodeBytes(full)+tr.MaxInline() <= tr.Pager().PageSize() || len(full.keys) < 4 {
+		t.Fatalf("fullest leaf holds %d bytes in %d keys; a %d-byte value would not split it", tr.nodeBytes(full), len(full.keys), tr.MaxInline())
+	}
+	first := int(binary.BigEndian.Uint64(full.keys[0]))
+	later := []int{first + len(full.keys) - 2, first + len(full.keys) - 1}
+
+	var sw Sweep
+	var h Record
+	tr.Pager().ResetStats()
+	height, splits := uint64(tr.Height()), tr.splits
+	sw.Reset(tr)
+	sw.Seek(key(first), &h)
+	h.SetValue(bytes.Repeat([]byte{0xAB}, tr.MaxInline()))
+	h.Flush()
+	if tr.splits == splits {
+		t.Fatal("the write did not split its leaf")
+	}
+	afterFirst := tr.Pager().Stats().Reads
+	for _, k := range later {
+		if !sw.Seek(key(k), &h) {
+			t.Fatalf("key %d lost after the split", k)
+		}
+		h.Patch(0, []byte{0xCD})
+		h.Flush()
+	}
+	sw.Reset(nil)
+	mustValidate(t, tr)
+
+	nodes := map[*node]bool{}
+	for _, k := range later {
+		pathNodes(tr, key(k), nodes)
+	}
+	if afterFirst != height {
+		t.Errorf("first key read %d pages, height %d", afterFirst, height)
+	}
+	if got, want := tr.Pager().Stats().Reads-afterFirst, uint64(len(nodes)); got != want {
+		t.Errorf("after the split the sweep read %d pages; one restart reads the %d nodes on the later keys' paths", got, want)
+	}
+	for _, k := range later {
+		if v, _ := tr.Get(key(k)); !bytes.Equal(v, []byte{0xCD}) {
+			t.Errorf("key %d = %x after its patch", k, v)
+		}
+	}
+}
+
+// FuzzWriteSweep drives batches of edits through write sweeps: each batch's
+// keys are sorted and every key gets an insert, a resize, a patch or a
+// delete, flushed before the next Seek. Pages are small enough that leaves
+// and internal nodes split in the middle of a batch. After every batch the
+// tree must equal a map model, pass Validate and answer Get as the model
+// does.
+func FuzzWriteSweep(f *testing.F) {
+	f.Add([]byte{5, 10, 0, 200, 11, 0, 8, 12, 1, 90, 13, 2, 7, 14, 3, 0})
+	f.Add([]byte{23, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12, 0, 0})
+	f.Add([]byte{3, 40, 1, 255, 40, 2, 17, 40, 3, 0, 1, 40, 0, 64})
+	// A resize alone of an inline value grows its leaf, which must then be
+	// written and split like any other leaf change.
+	f.Add([]byte("1000000\"000000000000000000000000000000000'110000000000000000000j010000000000000000000002000j1 "))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type edit struct {
+			k         int
+			kind, arg byte
+		}
+		tr := newTree(t, 128)
+		model := map[string][]byte{}
+		var sw Sweep
+		var h Record
+		for batches := 0; len(data) > 0 && batches < 64; batches++ {
+			n := 1 + int(data[0])%24
+			data = data[1:]
+			var batch []edit
+			for ; n > 0 && len(data) >= 3; n-- {
+				batch = append(batch, edit{int(data[0]), data[1], data[2]})
+				data = data[3:]
+			}
+			slices.SortStableFunc(batch, func(a, b edit) int { return a.k - b.k })
+			sw.Reset(tr)
+			for _, e := range batch {
+				k := key(e.k)
+				cur, ok := model[string(k)]
+				if sw.Seek(k, &h) != ok || h.Len() != len(cur) {
+					t.Fatalf("Seek(%d) = (%v, %d bytes), model (%v, %d bytes)", e.k, h.Exists(), h.Len(), ok, len(cur))
+				}
+				if ok && !bytes.Equal(h.Read(0, h.Len()), cur) {
+					t.Fatalf("Seek(%d): value differs from the model's", e.k)
+				}
+				switch e.kind % 4 {
+				case 0: // insert or replace: inline, or on overflow pages
+					n := int(e.arg) % 40
+					if e.arg%4 == 0 {
+						n = tr.MaxInline() + int(e.arg)
+					}
+					val := bytes.Repeat([]byte{e.arg}, n)
+					h.SetValue(val)
+					model[string(k)] = val
+				case 1: // resize, creating an absent record
+					n := 2 * int(e.arg)
+					h.Resize(n)
+					grown := append(cur[:min(n, len(cur)):min(n, len(cur))], make([]byte, max(n-len(cur), 0))...)
+					model[string(k)] = grown
+				case 2: // patch
+					if ok && len(cur) > 0 {
+						off := int(e.arg) % len(cur)
+						b := bytes.Repeat([]byte{e.arg ^ 0x5A}, min(len(cur)-off, 1+int(e.arg)%150))
+						h.Patch(off, b)
+						copy(cur[off:], b)
+					}
+				default:
+					h.Delete()
+					delete(model, string(k))
+				}
+				h.Flush()
+			}
+			sw.Reset(nil)
+			checkModel(t, tr, model)
+		}
+	})
+}
+
+// checkModel compares the whole tree with the model: Validate, the ordered
+// contents, and Get on every model key and on the misses between them.
+func checkModel(t *testing.T, tr *Tree, model map[string][]byte) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(model) {
+		t.Fatalf("Len = %d, model holds %d keys", tr.Len(), len(model))
+	}
+	var prev []byte
+	tr.Ascend(func(k, v []byte) bool {
+		if prev != nil && bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("keys out of order at %x", k)
+		}
+		prev = k
+		if want, ok := model[string(k)]; !ok || !bytes.Equal(v, want) {
+			t.Fatalf("tree holds %x = %d bytes, model (%v, %d bytes)", k, len(v), ok, len(want))
+		}
+		return true
+	})
+	for i := 0; i < 258; i++ {
+		want, ok := model[string(key(i))]
+		if got, found := tr.Get(key(i)); found != ok || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%d) = (%d bytes, %v), model (%d bytes, %v)", i, len(got), found, len(want), ok)
 		}
 	}
 }

@@ -287,7 +287,10 @@ func differentialMaintenance(t *testing.T, pageSize int) {
 // TestUpdateBatchMatchesSequential pins UpdateBatch's contract: the final
 // index state after a batch is identical to applying the same updates one
 // by one in input order, including updates that collide on the same object
-// (those keep their relative order).
+// (those keep their relative order). The batch re-links objects at every
+// level — persons to vehicles of all three classes, the first level a NIX
+// maintains as one operation — and a few hot objects many times over; the
+// batch side must also answer as a fresh rebuild does.
 func TestUpdateBatchMatchesSequential(t *testing.T) {
 	ps := smallStats(t)
 	for _, cfg := range configurations(ps.Len()) {
@@ -315,8 +318,31 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 			gBatch.ByClass["Bus"]...), gBatch.ByClass["Truck"]...)
 		companies := gBatch.ByClass["Company"]
 		divisions := gBatch.ByClass["Division"]
+		persons := gBatch.ByClass["Person"]
+		hot := []oodb.OID{persons[0], persons[1], vehicles[0], companies[0]}
+		owns := func() []oodb.Value {
+			subclass := gBatch.ByClass[[]string{"Bus", "Truck"}[rng.Intn(2)]]
+			return []oodb.Value{
+				oodb.RefV(gBatch.ByClass["Vehicle"][rng.Intn(len(gBatch.ByClass["Vehicle"]))]),
+				oodb.RefV(subclass[rng.Intn(len(subclass))]),
+			}
+		}
 		for i := 0; i < 300; i++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(6) {
+			case 3, 4: // a person re-linked to a vehicle and a bus or truck
+				ups = append(ups, Update{
+					OID:   persons[rng.Intn(len(persons))],
+					Attrs: map[string][]oodb.Value{"owns": owns()},
+				})
+			case 5: // a hot object, updated again and again within the batch
+				switch oid := hot[rng.Intn(len(hot))]; oid {
+				case vehicles[0]:
+					ups = append(ups, Update{OID: oid, Attrs: map[string][]oodb.Value{"man": {oodb.RefV(companies[rng.Intn(len(companies))])}}})
+				case companies[0]:
+					ups = append(ups, Update{OID: oid, Attrs: map[string][]oodb.Value{"divs": {oodb.RefV(divisions[rng.Intn(len(divisions))])}}})
+				default:
+					ups = append(ups, Update{OID: oid, Attrs: map[string][]oodb.Value{"owns": owns()}})
+				}
 			case 0:
 				ups = append(ups, Update{
 					OID:   divisions[rng.Intn(len(divisions))],
@@ -365,6 +391,7 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+		diffCheck(t, fmt.Sprintf("cfg %v, batch", cfg), cBatch, gBatch, 1024)
 	}
 }
 

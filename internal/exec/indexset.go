@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/oodb"
 	"repro/internal/schema"
@@ -29,8 +30,8 @@ import (
 // single set for its lifetime brackets queries with RLock/RUnlock; a
 // caller that swaps sets (the engine) must additionally re-check its
 // current-set pointer after locking, and Drain the old set after a swap
-// before mutating structures the new set adopted. OnInsert, OnUpdate and
-// OnDelete take the write lock themselves.
+// before mutating structures the new set adopted. The write methods take
+// the write lock themselves.
 type IndexSet struct {
 	path *schema.Path
 	cfg  core.Configuration
@@ -44,6 +45,7 @@ type IndexSet struct {
 	indexes    []index.PathIndex
 	levelOwner []int
 	levelOf    map[string]int // class -> global path level
+	one        [1]index.Pair  // the batch of one a single update is; under mu
 
 	reused int             // structures adopted from a predecessor set
 	rec    *stats.Recorder // optional; nil-safe
@@ -340,23 +342,48 @@ func (s *IndexSet) InsertInto(st *oodb.Store, class string, attrs map[string][]o
 
 // UpdateIn applies an in-place update to an object of st and maintains
 // the owning subpath's index incrementally from the (old, new) pair the
-// store returns. Updates never need boundary maintenance: the object's
-// OID — the key value preceding subpaths chain through — does not change.
-// A missing OID reports oodb.ErrNotFound. The caller is responsible for
-// serializing store mutations against configuration swaps.
+// store returns — a batch of one. Updates never need boundary maintenance:
+// the object's OID — the key value preceding subpaths chain through — does
+// not change. A missing OID reports oodb.ErrNotFound. The caller is
+// responsible for serializing store mutations against configuration swaps.
 func (s *IndexSet) UpdateIn(st *oodb.Store, oid oodb.OID, attrs map[string][]oodb.Value) error {
-	obj, ok := st.Peek(oid)
-	if !ok {
-		return fmt.Errorf("exec: no object %d: %w", oid, oodb.ErrNotFound)
-	}
-	if _, err := s.LevelOf(obj.Class); err != nil {
-		return err
-	}
-	old, upd, err := st.Update(oid, attrs)
+	p, gi, err := s.storeUpdate(st, oid, attrs)
 	if err != nil {
 		return err
 	}
-	return s.OnUpdate(old, upd)
+	return s.maintainOne(gi, p)
+}
+
+// storeUpdate applies one update to st and returns the (old, new) pair with
+// the position of the index owning the object's level.
+func (s *IndexSet) storeUpdate(st *oodb.Store, oid oodb.OID, attrs map[string][]oodb.Value) (index.Pair, int, error) {
+	obj, ok := st.Peek(oid)
+	if !ok {
+		return index.Pair{}, 0, fmt.Errorf("exec: no object %d: %w", oid, oodb.ErrNotFound)
+	}
+	level, err := s.LevelOf(obj.Class)
+	if err != nil {
+		return index.Pair{}, 0, err
+	}
+	old, upd, err := st.Update(oid, attrs)
+	if err != nil {
+		return index.Pair{}, 0, err
+	}
+	return index.Pair{Old: old, New: upd}, s.levelOwner[level-1], nil
+}
+
+// maintainOne hands one pair to the index at position gi under the write
+// lock.
+func (s *IndexSet) maintainOne(gi int, p index.Pair) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.one[0] = p
+	err := s.indexes[gi].OnUpdates(s.one[:])
+	s.one[0] = index.Pair{}
+	if err == nil {
+		s.rec.Record(p.Old.Class, stats.OpUpdate)
+	}
+	return err
 }
 
 // Update is one in-place object update of a batch: the named attributes
@@ -367,21 +394,50 @@ type Update struct {
 	Attrs map[string][]oodb.Value
 }
 
-// UpdateBatch applies a batch of in-place updates in input order. The
+// UpdateBatch applies a batch of in-place updates to the store in input
+// order, then hands each owning index all its updates in one OnUpdates
+// call, under one write lock — so an index maintains the batch as a few
+// operations, each tree visited once, not one descent per update (DESIGN.md
+// §5.2). Deferring maintenance past the store is safe because MX, MIX and
+// NIX read nothing but their own pages and the pairs, and objects are
+// immutable: what they end with depends only on the pairs. PX navigates the
+// store, so a PX owner is still called at each update's own position. The
 // batch's value is its contract: one call, per-update errors, and — at the
 // engine level — one serialization against configuration swaps and one
-// commit for the whole group. It does not fan out: every update takes the
-// store's and the set's exclusive locks in turn, and with maintenance
-// patching records in place a worker pool measured no faster than this
-// loop (DESIGN.md §5.2), while this loop applies the same batch the same
-// way every time.
+// commit for the whole group. It does not fan out, and applies the same
+// batch the same way every time.
 //
 // The result has one entry per update, nil on success; a failed update
-// never prevents the rest of the batch from applying.
+// never prevents the rest of the batch from applying, and an index error
+// fails every update that index was maintaining.
 func (s *IndexSet) UpdateBatch(st *oodb.Store, ups []Update) []error {
 	errs := make([]error, len(ups))
+	pairs := make([][]index.Pair, len(s.indexes)) // by owner, in input order
+	at := make([][]int, len(s.indexes))           // the updates behind them
 	for i, u := range ups {
-		errs[i] = s.UpdateIn(st, u.OID, u.Attrs)
+		p, gi, err := s.storeUpdate(st, u.OID, u.Attrs)
+		switch {
+		case err != nil:
+			errs[i] = err
+		case s.cfg.Assignments[gi].Org == cost.PX:
+			errs[i] = s.maintainOne(gi, p)
+		default:
+			pairs[gi] = append(pairs[gi], p)
+			at[gi] = append(at[gi], i)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for gi, ps := range pairs {
+		if len(ps) == 0 {
+			continue
+		}
+		err := s.indexes[gi].OnUpdates(ps)
+		for k, i := range at[gi] {
+			if errs[i] = err; err == nil {
+				s.rec.Record(ps[k].Old.Class, stats.OpUpdate)
+			}
+		}
 	}
 	return errs
 }
@@ -413,24 +469,6 @@ func (s *IndexSet) OnInsert(obj *oodb.Object) error {
 		return err
 	}
 	s.rec.Record(obj.Class, stats.OpInsert)
-	return nil
-}
-
-// OnUpdate maintains the owning subpath's index for an in-place update,
-// given the object's states before and after. It takes the write lock
-// itself. Only the index owning the object's level is touched: the
-// object's OID — what every other subpath keys it by — is unchanged.
-func (s *IndexSet) OnUpdate(old, upd *oodb.Object) error {
-	level, err := s.LevelOf(old.Class)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.indexes[s.levelOwner[level-1]].OnUpdate(old, upd); err != nil {
-		return err
-	}
-	s.rec.Record(old.Class, stats.OpUpdate)
 	return nil
 }
 

@@ -178,7 +178,7 @@ func RunValidation(seed int64) (ValidationReport, error) {
 			if err != nil {
 				return rep, err
 			}
-			if err := ix.OnUpdate(old, upd); err != nil {
+			if err := ix.OnUpdates([]index.Pair{{Old: old, New: upd}}); err != nil {
 				return rep, err
 			}
 		}

@@ -234,17 +234,28 @@ func (c *chained) OnInsert(obj *oodb.Object) error {
 	return ai.Add(obj)
 }
 
-// OnUpdate re-keys the object's entries in the index covering its class:
+// OnUpdates re-keys each pair's object in the index covering its class:
 // the OIDs it produced for vanished values are removed and entries for
-// gained values added. Other levels — and the owner registry — are
-// untouched: the object's class and its OID, the key other levels chain
-// through, do not change on an in-place update.
-func (c *chained) OnUpdate(old, upd *oodb.Object) error {
-	_, ai, err := c.covering(old.Class)
-	if err != nil {
-		return err
+// gained values added, every component index editing all its pairs through
+// one sweep. Other levels — and the owner registry — are untouched: the
+// object's class and its OID, the key other levels chain through, do not
+// change on an in-place update.
+func (c *chained) OnUpdates(pairs []Pair) error {
+	for _, p := range pairs {
+		if _, _, err := c.covering(p.Old.Class); err != nil {
+			return err
+		}
 	}
-	return ai.UpdateObject(old, upd)
+	for _, p := range pairs {
+		_, ai, _ := c.covering(p.Old.Class)
+		ai.stageUpdate(p)
+	}
+	for _, level := range c.levels {
+		for _, ai := range level {
+			ai.apply()
+		}
+	}
+	return nil
 }
 
 // OnDelete removes the object from the index covering its class and, per

@@ -56,12 +56,16 @@ type PathIndex interface {
 	// OnInsert maintains the index for a newly inserted object of a class
 	// in the subpath's scope.
 	OnInsert(obj *oodb.Object) error
-	// OnUpdate maintains the index for an in-place update: old and upd are
-	// the same object (same OID, same class) before and after the change.
-	// Maintenance is incremental — only the entries the changed subpath
-	// attribute actually moves are touched; when the attribute is
-	// unchanged the call is a no-op.
-	OnUpdate(old, upd *oodb.Object) error
+	// OnUpdates maintains the index for a batch of in-place updates, in
+	// order; an object may appear in several pairs. It is the one update
+	// entry point: a single update is a batch of one. Maintenance is
+	// incremental — only the entries the changed subpath attributes
+	// actually move are touched, and a pair whose attribute is unchanged
+	// costs nothing. MX, MIX and NIX read nothing but the index and the
+	// pairs, so they may be handed a batch after the store has applied all
+	// of it; PX navigates the store, which must hold exactly the states up
+	// to its pairs when it is called.
+	OnUpdates(pairs []Pair) error
 	// OnDelete maintains the index for a deleted object.
 	OnDelete(obj *oodb.Object) error
 	// BoundaryDelete removes the index entries keyed by an OID of the
@@ -74,6 +78,10 @@ type PathIndex interface {
 	// ResetStats zeroes the counters.
 	ResetStats()
 }
+
+// Pair is one in-place update as maintenance sees it: the same object (same
+// OID, same class) before and after the change.
+type Pair struct{ Old, New *oodb.Object }
 
 // Subpath captures the [A..B] slice of a path together with class-level
 // resolution used by every organization. The scope map, the per-level

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -162,12 +164,16 @@ func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string,
 
 // ---- maintenance ---------------------------------------------------------
 //
-// Every operation follows Section 3.1 and pays what the section charges:
-// a 3-tuple is read, edited and written back through one descent of the
-// auxiliary index, and a primary record is opened once (nixView), patched
-// where it changes and flushed once, however long the cascade inside it.
-// Records are visited in key order and children in reference order, never
-// in map order, so the same operations always build the same trees.
+// Every operation follows Section 3.1 and pays what the section charges,
+// CMT's distinct pages: it first lists what it will touch, then visits each
+// tree through one sweep in key order. The children's 3-tuples and the
+// object's own are read, edited and written back along one ascending sweep
+// of the auxiliary index; the primary records come after, along one sweep
+// of the primary, each opened once (nixView), patched where it changes and
+// flushed once however long the cascade inside it, and the ancestors'
+// tuples a cascade edits are sought on the auxiliary sweep. Records are
+// visited in key order and children in OID order, never in map order, so
+// the same operations always build the same trees.
 
 // parentLink says what an operation does to the parent lists of the
 // children it visits.
@@ -179,23 +185,32 @@ const (
 	linkDrop            // the object stops being one
 )
 
-// children visits the 3-tuples of obj's level-l children in reference
-// order. Each tuple's pointers — the primary keys the child reaches — are
-// counted into kl when it is non-nil, and link is applied to the parent
-// list of every child that except does not reference as well, the tuple
-// written back if that changed it. At level B the "children" are the
-// ending values themselves and only kl is fed.
-func (nx *NestedInheritedIndex) children(obj *oodb.Object, l int, kl *keyList, link parentLink, except []oodb.Value) error {
+// childVisit is one reference from a maintained object to a child whose
+// 3-tuple the children sweep reads: the tuple's pointers — the primary keys
+// the child reaches — are counted into ms.keys[kl] (none when kl < 0), and
+// link is applied to its parent list on the object's behalf.
+type childVisit struct {
+	child, parent oodb.OID
+	kl            int
+	link          parentLink
+}
+
+// visit lists obj's level-l children for the children sweep: link applies
+// to every child that except does not reference as well, and a child that
+// neither feeds keys nor changes links is left out. At level B the
+// "children" are the ending values themselves and go straight into
+// ms.keys[kl].
+func (nx *NestedInheritedIndex) visit(obj *oodb.Object, l, kl int, link parentLink, except []oodb.Value) {
+	ms := &nx.ms
 	vals := obj.Values(nx.sp.Attr(l))
 	if l == nx.sp.B {
-		if kl != nil {
+		if kl >= 0 {
 			for _, v := range vals {
-				kl.addValue(v)
+				ms.keys[kl].addValue(v)
 			}
 		}
-		return nil
+		return
 	}
-	t := nx.tuple(l + 1)
 	for _, v := range vals {
 		if v.Kind != oodb.RefVal {
 			continue
@@ -204,81 +219,190 @@ func (nx *NestedInheritedIndex) children(obj *oodb.Object, l int, kl *keyList, l
 		if e != linkKeep && slices.ContainsFunc(except, v.Equal) {
 			e = linkKeep
 		}
-		if kl == nil && e == linkKeep {
-			continue
+		if kl >= 0 || e != linkKeep {
+			ms.visits = append(ms.visits, childVisit{child: v.Ref, parent: obj.OID, kl: kl, link: e})
 		}
-		ok, err := nx.loadAux(v.Ref, t)
+	}
+}
+
+// sweepChildren reads the tuples of the listed level-(l+1) children in
+// ascending OID order on the auxiliary sweep, each once however many visits
+// name it, applies the visits in the order they were listed, and writes a
+// tuple back once if a link changed it.
+func (nx *NestedInheritedIndex) sweepChildren(l int) error {
+	ms := &nx.ms
+	vs := ms.visits
+	defer func() { ms.visits = vs[:0] }()
+	if len(vs) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(vs, func(a, b childVisit) int { return cmp.Compare(a.child, b.child) })
+	t := nx.tuple(l + 1)
+	for i := 0; i < len(vs); {
+		c := vs[i].child
+		ok, err := nx.loadAux(c, t)
 		if err != nil {
 			return err
 		}
-		if kl != nil {
-			for _, p := range t.pointers {
-				kl.add(p)
+		changed := false
+		for ; i < len(vs) && vs[i].child == c; i++ {
+			v := &vs[i]
+			if v.kl >= 0 {
+				for _, p := range t.pointers {
+					ms.keys[v.kl].add(p)
+				}
+			}
+			// A child not indexed yet (a dangling reference) still learns its
+			// parent; it has nothing to forget.
+			if v.link == linkAdd && t.addParent(v.parent) {
+				changed, ok = true, true
+			} else if v.link == linkDrop && ok && t.removeParent(v.parent) {
+				changed = true
 			}
 		}
-		// A child not indexed yet (a dangling reference) still learns its
-		// parent; it has nothing to forget.
-		if e == linkAdd && t.addParent(obj.OID) || e == linkDrop && ok && t.removeParent(obj.OID) {
+		if changed {
 			nx.storeAux(t)
 		}
 	}
 	return nil
 }
 
-// putPointers writes oid's 3-tuple with its pointer set replaced by the
-// keys of kl; t holds the rest of the tuple.
-func (nx *NestedInheritedIndex) putPointers(oid oodb.OID, t *auxTuple, kl *keyList) {
+// putPointers rewrites the tuple loadAux last opened, t, with its pointer
+// set replaced by the keys of kl.
+func (nx *NestedInheritedIndex) putPointers(t *auxTuple, kl *keyList) {
 	t.pointers = t.pointers[:0]
 	for i := 0; i < kl.len(); i++ {
 		t.pointers = append(t.pointers, kl.key(i))
 	}
-	ms := &nx.ms
-	ms.akey = AppendOID(ms.akey[:0], oid)
-	nx.aux.Open(ms.akey, &ms.aux)
 	nx.storeAux(t)
 }
 
+// entryEdit is one change an operation makes to a primary record: oid's
+// entry at level l removed with the deletion cascade, added with the
+// insertion cascade, or — set — its numchild reseeded to count.
+type entryEdit struct {
+	key     []byte // in a keyList's arena
+	oid     oodb.OID
+	l       int
+	count   uint32
+	op      entryOp
+	parents []oodb.OID // oid's aggregation parents, for the cascades
+}
+
+type entryOp uint8
+
+const (
+	entryAdd entryOp = iota
+	entryRemove
+	entrySet
+)
+
+// stage lists the edits that move oid at level l from the keys it reached
+// before to those it reaches after: the keys it no longer reaches get the
+// deletion cascade, the keys it newly reaches the insertion cascade, and
+// keys reached before and after only have the entry's numchild reseeded —
+// and not even that when the count is unchanged at level A, where the old
+// counts were just derived (skipped without touching the tree; above it the
+// read confirms before any write).
+func (nx *NestedInheritedIndex) stage(oid oodb.OID, l int, before, after *keyList, parents []oodb.OID) {
+	ms := &nx.ms
+	for i := 0; i < before.len(); i++ {
+		if _, kept := after.find(before.key(i)); !kept {
+			ms.edits = append(ms.edits, entryEdit{key: before.key(i), oid: oid, l: l, op: entryRemove, parents: parents})
+		}
+	}
+	for i := 0; i < after.len(); i++ {
+		e := entryEdit{key: after.key(i), oid: oid, l: l, count: after.count(i), op: entryAdd, parents: parents}
+		if j, kept := before.find(e.key); kept {
+			if l == nx.sp.A && before.count(j) == e.count {
+				continue
+			}
+			e.op = entrySet
+		}
+		ms.edits = append(ms.edits, e)
+	}
+}
+
+// applyEdits opens the records the staged edits name in ascending key order
+// on one primary sweep, applies each record's edits in the order they were
+// staged and flushes it before the next key is sought.
+func (nx *NestedInheritedIndex) applyEdits() error {
+	ms := &nx.ms
+	es := ms.edits
+	defer func() { clear(es); ms.edits = es[:0] }()
+	slices.SortStableFunc(es, func(a, b entryEdit) int { return bytes.Compare(a.key, b.key) })
+	v := &ms.view
+	v.sw.Reset(nx.primary)
+	defer v.sw.Reset(nil)
+	for i := 0; i < len(es); {
+		k := es[i].key
+		if err := v.seek(k); err != nil {
+			return err
+		}
+		for ; i < len(es) && bytes.Equal(es[i].key, k); i++ {
+			if err := nx.applyEdit(v, &es[i]); err != nil {
+				return err
+			}
+		}
+		v.flush()
+	}
+	return nil
+}
+
+func (nx *NestedInheritedIndex) applyEdit(v *nixView, e *entryEdit) error {
+	switch e.op {
+	case entryAdd:
+		return nx.cascadeAdd(v, e.key, e.l, e.oid, e.count, e.parents)
+	case entryRemove:
+		return nx.cascadeRemove(v, e.key, e.l, e.oid, e.parents)
+	}
+	pos, ok := nx.owner[e.oid]
+	if !ok {
+		return fmt.Errorf("index: NIX has no class recorded for object %d", e.oid)
+	}
+	if i := v.find(pos, e.oid); i < 0 {
+		v.add(pos, e.oid, e.count)
+	} else if v.count(pos, i) != e.count {
+		v.setCount(pos, i, e.count)
+	}
+	return nil
+}
+
 // OnInsert implements the insertion algorithm of Section 3.1: update the
-// children's 3-tuples, add the object to the reachable primary records,
-// and insert its own 3-tuple.
+// children's 3-tuples, insert the object's own 3-tuple, and add the object
+// to the reachable primary records.
 func (nx *NestedInheritedIndex) OnInsert(obj *oodb.Object) error {
 	l, ok := nx.sp.LevelOf(obj.Class)
 	if !ok {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
-	pos := nx.classPos[obj.Class]
-	nx.owner[obj.OID] = pos
+	nx.owner[obj.OID] = nx.classPos[obj.Class]
+	ms := &nx.ms
+	kls := ms.keyLists(2)
+	keys := &kls[1]
+	ms.sw.Reset(nx.aux)
+	defer ms.sw.Reset(nil)
 
 	// Step 2: visit children tuples, record parenthood, gather pointers.
-	keys := &nx.ms.upd
-	keys.reset()
-	if err := nx.children(obj, l, keys, linkAdd, nil); err != nil {
+	nx.visit(obj, l, 1, linkAdd, nil)
+	if err := nx.sweepChildren(l); err != nil {
 		return err
 	}
 	keys.finish()
 
-	// Step 3: add the object to each reachable primary record.
-	v := &nx.ms.view
-	for i := 0; i < keys.len(); i++ {
-		if err := v.open(keys.key(i)); err != nil {
-			return err
-		}
-		if j := v.find(pos, obj.OID); j >= 0 {
-			v.setCount(pos, j, v.count(pos, j)+keys.count(i))
-		} else {
-			v.add(pos, obj.OID, keys.count(i))
-		}
-		v.flush()
-	}
-
-	// Step 4: the object's own 3-tuple (levels above A only; the first
-	// class and its subclasses have no parents and no tuples).
+	// Step 4, on the same sweep: the object's own 3-tuple (levels above A
+	// only; the first class and its subclasses have no parents and no
+	// tuples).
 	if l > nx.sp.A {
 		t := nx.tuple(l)
+		nx.seekAux(obj.OID)
 		t.reset()
-		nx.putPointers(obj.OID, t, keys)
+		nx.putPointers(t, keys)
 	}
-	return nil
+
+	// Step 3: add the object to each reachable primary record.
+	nx.stage(obj.OID, l, &kls[0], keys, nil)
+	return nx.applyEdits()
 }
 
 // OnDelete implements the deletion algorithm of Section 3.1 with the
@@ -290,15 +414,19 @@ func (nx *NestedInheritedIndex) OnDelete(obj *oodb.Object) error {
 	if !ok {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
+	ms := &nx.ms
+	kls := ms.keyLists(2)
+	keys := &kls[0]
+	ms.sw.Reset(nx.aux)
+	defer ms.sw.Reset(nil)
 
 	// Step 1/2: determine SV; update children's tuples; fetch own tuple.
 	// Level-A objects have no tuple; their records are reachable through
 	// their children (or are the values themselves at B==A).
-	keys := &nx.ms.old
-	keys.reset()
 	var parents []oodb.OID
 	if l > nx.sp.A {
-		if err := nx.children(obj, l, nil, linkDrop, nil); err != nil {
+		nx.visit(obj, l, -1, linkDrop, nil)
+		if err := nx.sweepChildren(l); err != nil {
 			return err
 		}
 		t := nx.tuple(l)
@@ -313,29 +441,25 @@ func (nx *NestedInheritedIndex) OnDelete(obj *oodb.Object) error {
 			parents = t.parents
 			nx.dropAux()
 		}
-	} else if err := nx.children(obj, l, keys, linkDrop, nil); err != nil {
-		return err
+	} else {
+		nx.visit(obj, l, 0, linkDrop, nil)
+		if err := nx.sweepChildren(l); err != nil {
+			return err
+		}
 	}
 	keys.finish()
 
 	// Step 3: remove the object from each primary record and cascade.
-	v := &nx.ms.view
-	for i := 0; i < keys.len(); i++ {
-		k := keys.key(i)
-		if err := v.open(k); err != nil {
-			return err
-		}
-		if err := nx.cascadeRemove(v, k, l, obj.OID, parents); err != nil {
-			return err
-		}
-		v.flush()
+	nx.stage(obj.OID, l, keys, &kls[1], parents)
+	if err := nx.applyEdits(); err != nil {
+		return err
 	}
 	delete(nx.owner, obj.OID)
 	return nil
 }
 
-// OnUpdate implements incremental in-place update maintenance. The
-// subpath attribute of the object's level is diffed:
+// OnUpdates implements incremental in-place update maintenance. For each
+// pair the subpath attribute of the object's level is diffed:
 //
 //   - children dropped by a re-link lose this object from their 3-tuples'
 //     parent lists, gained children acquire it;
@@ -352,91 +476,106 @@ func (nx *NestedInheritedIndex) OnDelete(obj *oodb.Object) error {
 // A delete-then-reinsert of the whole chain would touch every record the
 // object reaches; the diff touches only the records whose membership
 // actually changes.
-func (nx *NestedInheritedIndex) OnUpdate(old, upd *oodb.Object) error {
-	l, ok := nx.sp.LevelOf(old.Class)
-	if !ok {
-		return fmt.Errorf("index: class %s not in subpath scope", old.Class)
+//
+// The pairs of level-A objects are one operation (relinkFirst); every other
+// pair is its own (update), in batch order. An object's pairs keep their
+// order, pairs of different objects describe store states reachable in
+// either order, and maintenance reads nothing but the index and the pairs,
+// so the index ends where applying the batch one pair at a time would.
+func (nx *NestedInheritedIndex) OnUpdates(pairs []Pair) error {
+	ms := &nx.ms
+	ms.first = ms.first[:0]
+	for _, p := range pairs {
+		l, ok := nx.sp.LevelOf(p.Old.Class)
+		if !ok {
+			return fmt.Errorf("index: class %s not in subpath scope", p.Old.Class)
+		}
+		if l == nx.sp.A {
+			ms.first = append(ms.first, p)
+		} else if err := nx.update(p, l); err != nil {
+			return err
+		}
 	}
+	err := nx.relinkFirst(ms.first)
+	clear(ms.first)
+	return err
+}
+
+// relinkFirst maintains level-A pairs as one operation. A level-A object
+// has no tuple and no parents within the subpath, so its edits never
+// cascade: they touch its children's parent lists and its own entries,
+// nothing another object's pair reads or writes, and commute with every
+// other object's. All the pairs' children are read on one auxiliary sweep
+// and all their records on one primary sweep, each record opened once and
+// its edits applied in batch order, so an object updated twice ends as its
+// last pair says.
+func (nx *NestedInheritedIndex) relinkFirst(pairs []Pair) error {
+	a := nx.sp.A
+	attr := nx.sp.Attr(a)
+	ms := &nx.ms
+	kls := ms.keyLists(2 * len(pairs))
+	ms.sw.Reset(nx.aux)
+	defer ms.sw.Reset(nil)
+	// The keys reached before are re-derived through the old children (the
+	// object has no tuple to hold them), those reached after through the
+	// new; the same visits re-parent the children.
+	for i, p := range pairs {
+		oldVals, updVals := p.Old.Values(attr), p.New.Values(attr)
+		if !oodb.ValuesEqual(oldVals, updVals) {
+			nx.visit(p.Old, a, 2*i, linkDrop, updVals)
+			nx.visit(p.New, a, 2*i+1, linkAdd, oldVals)
+		}
+	}
+	if err := nx.sweepChildren(a); err != nil {
+		return err
+	}
+	for i, p := range pairs {
+		before, after := &kls[2*i], &kls[2*i+1]
+		before.finish()
+		after.finish()
+		nx.stage(p.Old.OID, a, before, after, nil)
+	}
+	return nx.applyEdits()
+}
+
+// update maintains one pair whose object lies above level A. The keys
+// reached before come from the object's own 3-tuple and the keys reached
+// after from its new children; the children's parent lists are re-linked on
+// the same auxiliary sweep (their pointer sets are untouched: pointers track
+// the keys a child reaches, not who references it).
+func (nx *NestedInheritedIndex) update(p Pair, l int) error {
 	attr := nx.sp.Attr(l)
-	oldVals, updVals := old.Values(attr), upd.Values(attr)
+	oldVals, updVals := p.Old.Values(attr), p.New.Values(attr)
 	if oodb.ValuesEqual(oldVals, updVals) {
 		return nil
 	}
-	// The keys reached before come from the object's own 3-tuple (level-A
-	// objects have none; their keys are re-derived through their old
-	// children), the keys reached after from the new state. The same two
-	// passes re-parent the children's 3-tuples (their pointer sets are
-	// untouched: pointers track the keys a child reaches, not who
-	// references it).
-	oldKeys, newKeys := &nx.ms.old, &nx.ms.upd
-	oldKeys.reset()
-	newKeys.reset()
-	var parents []oodb.OID
+	ms := &nx.ms
+	kls := ms.keyLists(2)
+	before, after := &kls[0], &kls[1]
+	ms.sw.Reset(nx.aux)
+	defer ms.sw.Reset(nil)
+	nx.visit(p.Old, l, -1, linkDrop, updVals)
+	nx.visit(p.New, l, 1, linkAdd, oldVals)
+	if err := nx.sweepChildren(l); err != nil {
+		return err
+	}
+	// The object's own tuple, read and rewritten in one visit: its parents
+	// feed the cascades, its pointers are the keys reached before and
+	// become the keys reached after. No cascade edits the tuple of the
+	// object it starts from.
 	own := nx.tuple(l)
-	if l > nx.sp.A {
-		if err := nx.children(old, l, nil, linkDrop, updVals); err != nil {
-			return err
-		}
-		if _, err := nx.loadAux(old.OID, own); err != nil {
-			return err
-		}
-		for _, p := range own.pointers {
-			oldKeys.add(p)
-		}
-		parents = own.parents
-	} else if err := nx.children(old, l, oldKeys, linkDrop, updVals); err != nil {
+	if _, err := nx.loadAux(p.Old.OID, own); err != nil {
 		return err
 	}
-	if err := nx.children(upd, l, newKeys, linkAdd, oldVals); err != nil {
-		return err
+	for _, k := range own.pointers {
+		before.add(k)
 	}
-	oldKeys.finish()
-	newKeys.finish()
-
-	v := &nx.ms.view
-	for i := 0; i < oldKeys.len(); i++ {
-		k := oldKeys.key(i)
-		if _, keep := newKeys.find(k); keep {
-			continue
-		}
-		if err := v.open(k); err != nil {
-			return err
-		}
-		if err := nx.cascadeRemove(v, k, l, old.OID, parents); err != nil {
-			return err
-		}
-		v.flush()
-	}
-	pos := nx.classPos[old.Class]
-	for i := 0; i < newKeys.len(); i++ {
-		k, cnt := newKeys.key(i), newKeys.count(i)
-		// Keys reached both before and after only need their numchild
-		// reseeded — and not even that when the count is unchanged: at
-		// level A the old counts were just derived (skip without touching
-		// the tree), above it the read confirms before any write.
-		j, kept := oldKeys.find(k)
-		if kept && l == nx.sp.A && oldKeys.count(j) == cnt {
-			continue
-		}
-		if err := v.open(k); err != nil {
-			return err
-		}
-		if !kept {
-			if err := nx.cascadeAdd(v, k, l, old.OID, cnt, parents); err != nil {
-				return err
-			}
-		} else if e := v.find(pos, old.OID); e < 0 {
-			v.add(pos, old.OID, cnt)
-		} else if v.count(pos, e) != cnt {
-			v.setCount(pos, e, cnt)
-		}
-		v.flush()
-	}
-	// Refresh the object's own pointer set to the keys now reached.
-	if l > nx.sp.A {
-		nx.putPointers(old.OID, own, newKeys)
-	}
-	return nil
+	before.finish()
+	after.finish()
+	parents := own.parents
+	nx.putPointers(own, after)
+	nx.stage(p.Old.OID, l, before, after, parents)
+	return nx.applyEdits()
 }
 
 // cascadeAdd inserts the entry (oid, count) at level l into the record v
@@ -539,7 +678,8 @@ func (nx *NestedInheritedIndex) cascadeRemove(v *nixView, k []byte, l int, oid o
 
 // BoundaryDelete removes the primary record keyed by a deleted level-B+1
 // OID and erases the dangling pointers from the auxiliary tuples of every
-// object the record listed (Definition 4.2, NIX case with delpoint).
+// object the record listed (Definition 4.2, NIX case with delpoint), those
+// tuples visited in OID order on one sweep.
 func (nx *NestedInheritedIndex) BoundaryDelete(oid oodb.OID) error {
 	if nx.sp.EndsPath() {
 		return nil
@@ -547,22 +687,30 @@ func (nx *NestedInheritedIndex) BoundaryDelete(oid oodb.OID) error {
 	ms := &nx.ms
 	ms.pkey = AppendOID(ms.pkey[:0], oid)
 	v := &ms.view
+	defer v.sw.Reset(nil)
 	if err := v.open(ms.pkey); err != nil || !v.h.Exists() {
 		return err
 	}
+	ms.oids = ms.oids[:0]
 	for pos, l := range nx.posLevel {
 		if l == nx.sp.A {
 			continue // level-A objects have no tuples
 		}
-		t := nx.tuple(l)
 		for i := 0; i < v.dir[pos].cnt; i++ {
-			ok, err := nx.loadAux(v.oid(pos, i), t)
-			if err != nil {
-				return err
-			}
-			if ok && t.removePointer(ms.pkey) {
-				nx.storeAux(t)
-			}
+			ms.oids = append(ms.oids, v.oid(pos, i))
+		}
+	}
+	slices.Sort(ms.oids)
+	t := nx.tuple(nx.sp.B)
+	ms.sw.Reset(nx.aux)
+	defer ms.sw.Reset(nil)
+	for _, o := range ms.oids {
+		ok, err := nx.loadAux(o, t)
+		if err != nil {
+			return err
+		}
+		if ok && t.removePointer(ms.pkey) {
+			nx.storeAux(t)
 		}
 	}
 	v.h.Delete()

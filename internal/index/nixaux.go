@@ -171,33 +171,58 @@ func (kl *keyList) find(k []byte) (int, bool) {
 // Maintenance runs under the owner's exclusive lock, one operation at a
 // time.
 type maintScratch struct {
-	view nixView      // the primary record being maintained
+	view nixView      // the primary record being maintained, and the primary sweep
 	pkey []byte       // its key, when the operation had to encode one
+	sw   btree.Sweep  // the operation's one path through the auxiliary index
 	aux  btree.Record // the 3-tuple being read, edited and written back
 	akey []byte       // its key
 	enc  []byte       // its new encoding
 	// tup[l-A] is where the tuple of a level-l object decodes. A cascade at
 	// level l walks tup[l-A].parents while it edits tuples one level up in
 	// tup[l-1-A], so every level needs its own.
-	tup      []auxTuple
-	old, upd keyList // keys reached before and after the operation
+	tup []auxTuple
+	// keys[2i] and keys[2i+1] are the keys the i-th object of the operation
+	// reaches before and after it.
+	keys   []keyList
+	visits []childVisit // children whose tuples the operation reads
+	edits  []entryEdit  // primary-record changes, applied in key order
+	first  []Pair       // a batch's level-A pairs, maintained together
+	oids   []oodb.OID   // the objects a dropped record listed
+}
+
+// keyLists returns n empty key lists, reusing their arenas.
+func (ms *maintScratch) keyLists(n int) []keyList {
+	for len(ms.keys) < n {
+		ms.keys = append(ms.keys, keyList{})
+	}
+	kls := ms.keys[:n]
+	for i := range kls {
+		kls[i].reset()
+	}
+	return kls
 }
 
 // tuple returns the scratch tuple of level l.
 func (nx *NestedInheritedIndex) tuple(l int) *auxTuple { return &nx.ms.tup[l-nx.sp.A] }
 
+// seekAux positions the tuple handle on oid's 3-tuple through the
+// operation's auxiliary sweep and reports whether the tuple exists.
+func (nx *NestedInheritedIndex) seekAux(oid oodb.OID) bool {
+	ms := &nx.ms
+	ms.akey = AppendOID(ms.akey[:0], oid)
+	return ms.sw.Seek(ms.akey, &ms.aux)
+}
+
 // loadAux opens oid's 3-tuple and decodes it into t; an object without a
 // tuple leaves t empty. The tuple stays open for storeAux or dropAux until
 // the next loadAux.
 func (nx *NestedInheritedIndex) loadAux(oid oodb.OID, t *auxTuple) (bool, error) {
-	ms := &nx.ms
-	ms.akey = AppendOID(ms.akey[:0], oid)
-	nx.aux.Open(ms.akey, &ms.aux)
-	if !ms.aux.Exists() {
+	if !nx.seekAux(oid) {
 		t.reset()
 		return false, nil
 	}
-	return true, decodeAux(ms.aux.Read(0, ms.aux.Len()), t)
+	aux := &nx.ms.aux
+	return true, decodeAux(aux.Read(0, aux.Len()), t)
 }
 
 // storeAux writes t as the tuple loadAux last opened.

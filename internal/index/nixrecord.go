@@ -42,9 +42,12 @@ type nixSection struct{ off, cnt int }
 // nixView is one primary record opened for maintenance: the B-tree handle
 // and the directory, decoded once. Every change to the record within one
 // index operation goes through one view, so each of its pages is read and
-// written at most once however long the cascade.
+// written at most once however long the cascade. The view reaches the
+// records of one operation through one sweep of the tree, so records
+// visited in key order also read each node on their paths once.
 type nixView struct {
 	t        *btree.Tree
+	sw       btree.Sweep
 	h        btree.Record
 	dir      []nixSection // by section position
 	dirDirty bool
@@ -59,10 +62,19 @@ func newNixView(t *btree.Tree, classes int) nixView {
 
 func (v *nixView) headerLen() int { return 4 + 8*len(v.dir) }
 
-// open positions the view on key's record. An absent key opens as a record
-// of empty sections that the first add creates.
+// open positions the view on key's record through a sweep of that one key:
+// a descent of its own.
 func (v *nixView) open(key []byte) error {
-	v.t.Open(key, &v.h)
+	v.sw.Reset(v.t)
+	return v.seek(key)
+}
+
+// seek moves the view on to key's record, continuing the sweep the last
+// open or Reset of v.sw began; the record it stood on must have been
+// flushed. An absent key opens as a record of empty sections that the first
+// add creates.
+func (v *nixView) seek(key []byte) error {
+	v.sw.Seek(key, &v.h)
 	v.dirDirty = false
 	hl := v.headerLen()
 	if !v.h.Exists() {

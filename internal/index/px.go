@@ -255,7 +255,19 @@ func (px *PathIndexPX) OnInsert(obj *oodb.Object) error {
 	return nil
 }
 
-// OnUpdate re-keys every instantiation suffix the object participates in.
+// OnUpdates maintains the pairs one by one through update. Navigation reads
+// the store as it is at the call, so the executor hands PX each pair as the
+// store applies it.
+func (px *PathIndexPX) OnUpdates(pairs []Pair) error {
+	for _, p := range pairs {
+		if err := px.update(p.Old, p.New); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// update re-keys every instantiation suffix the object participates in.
 // PX has no auxiliary structure, so repair navigates: the keys reached
 // before and after come from forward navigation; suffixes through the
 // object (its own and the ancestors' longer ones) are dropped from every
@@ -263,7 +275,7 @@ func (px *PathIndexPX) OnInsert(obj *oodb.Object) error {
 // suffixes are rebuilt from the level below and the ancestor chains over
 // them grafted back by scanning the classes of the levels above — the
 // reverse-pointer-free navigation PX's maintenance cost model charges.
-func (px *PathIndexPX) OnUpdate(old, upd *oodb.Object) error {
+func (px *PathIndexPX) update(old, upd *oodb.Object) error {
 	l, ok := px.sp.LevelOf(old.Class)
 	if !ok {
 		return fmt.Errorf("index: class %s not in subpath scope", old.Class)

@@ -18,7 +18,7 @@ func applyUpdate(t testing.TB, f *fixture, ix PathIndex, oid oodb.OID, attrs map
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.OnUpdate(old, upd); err != nil {
+	if err := ix.OnUpdates([]Pair{{Old: old, New: upd}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -231,7 +231,7 @@ func TestOnUpdateUnchangedAttrIsFree(t *testing.T) {
 	}
 	for org, ix := range indexes {
 		ix.ResetStats()
-		if err := ix.OnUpdate(old, upd); err != nil {
+		if err := ix.OnUpdates([]Pair{{Old: old, New: upd}}); err != nil {
 			t.Fatalf("%s: %v", org, err)
 		}
 		if got := ix.Stats().Accesses(); got != 0 {
@@ -323,8 +323,8 @@ func TestNIXUpdateAllocs(t *testing.T) {
 	f := buildFixture(t, 23, 6, 40, 400)
 	ix := f.buildIndex(t, "NIX")
 	all := f.allVehicles()
-	// Two states per person, toggled: the objects are built once, so the
-	// measured loop is OnUpdate alone.
+	// Two states per person, toggled: the objects and the batch of one are
+	// built once, so the measured loop is OnUpdates alone.
 	type flip struct{ a, b *oodb.Object }
 	var flips []flip
 	for i, per := range f.persons[:64] {
@@ -335,10 +335,12 @@ func TestNIXUpdateAllocs(t *testing.T) {
 		flips = append(flips, flip{a, b})
 	}
 	step := 0
+	one := make([]Pair, 1)
 	relink := func() {
 		fl := &flips[step%len(flips)]
 		step++
-		if err := ix.OnUpdate(fl.a, fl.b); err != nil {
+		one[0] = Pair{Old: fl.a, New: fl.b}
+		if err := ix.OnUpdates(one); err != nil {
 			t.Fatal(err)
 		}
 		fl.a, fl.b = fl.b, fl.a

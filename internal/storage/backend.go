@@ -101,8 +101,9 @@ type FileBackend struct {
 	pageSize int
 	slotSize int64
 
-	mu     sync.Mutex // serializes header lazily-written state only
+	mu     sync.Mutex // guards the lazily written header's flag and the slot buffer
 	wroteH bool
+	slot   []byte // one framed slot, reused by every read and write
 }
 
 // OpenFileBackend opens (creating if needed) a page file for the given
@@ -126,7 +127,7 @@ func NewFileBackend(f File, pageSize int) (*FileBackend, error) {
 	if pageSize < 16 {
 		return nil, fmt.Errorf("storage: page size %d too small", pageSize)
 	}
-	be := &FileBackend{f: f, pageSize: pageSize, slotSize: int64(slotHeader + pageSize)}
+	be := &FileBackend{f: f, pageSize: pageSize, slotSize: int64(slotHeader + pageSize), slot: make([]byte, slotHeader+pageSize)}
 	hdr := make([]byte, slotHeader)
 	_, err := f.ReadAt(hdr, 0)
 	switch {
@@ -146,25 +147,8 @@ func NewFileBackend(f File, pageSize int) (*FileBackend, error) {
 	return be, nil
 }
 
-// writeHeader writes the slot-0 file header once.
-func (be *FileBackend) writeHeader() error {
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if be.wroteH {
-		return nil
-	}
-	hdr := make([]byte, slotHeader)
-	copy(hdr[0:4], fileMagic[:])
-	binary.BigEndian.PutUint32(hdr[4:8], 1) // version
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(be.pageSize))
-	if _, err := be.f.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	be.wroteH = true
-	return nil
-}
-
-// WritePage frames and writes the page image at its fixed offset.
+// WritePage frames and writes the page image at its fixed offset, the
+// slot-0 file header first if the file has none yet.
 func (be *FileBackend) WritePage(id PageID, data []byte) error {
 	if len(data) != be.pageSize {
 		return fmt.Errorf("storage: page %d image is %d bytes, want %d", id, len(data), be.pageSize)
@@ -172,10 +156,19 @@ func (be *FileBackend) WritePage(id PageID, data []byte) error {
 	if id == 0 {
 		return fmt.Errorf("storage: write of page 0")
 	}
-	if err := be.writeHeader(); err != nil {
-		return err
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if !be.wroteH {
+		hdr := make([]byte, slotHeader)
+		copy(hdr[0:4], fileMagic[:])
+		binary.BigEndian.PutUint32(hdr[4:8], 1) // version
+		binary.BigEndian.PutUint32(hdr[8:12], uint32(be.pageSize))
+		if _, err := be.f.WriteAt(hdr, 0); err != nil {
+			return err
+		}
+		be.wroteH = true
 	}
-	slot := make([]byte, be.slotSize)
+	slot := be.slot
 	binary.BigEndian.PutUint64(slot[4:12], uint64(id))
 	binary.BigEndian.PutUint32(slot[12:16], uint32(len(data)))
 	copy(slot[slotHeader:], data)
@@ -189,7 +182,9 @@ func (be *FileBackend) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != be.pageSize {
 		return fmt.Errorf("storage: page %d buffer is %d bytes, want %d", id, len(buf), be.pageSize)
 	}
-	slot := make([]byte, be.slotSize)
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	slot := be.slot
 	if _, err := be.f.ReadAt(slot, int64(id)*be.slotSize); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("storage: page %d: %w", id, ErrPageUnwritten)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -344,15 +345,16 @@ func TestStatsAccountingProperty(t *testing.T) {
 	}
 }
 
-// TestPagerReadAllocs holds the three reads the stack serves — unbuffered,
-// pool hit, and a disk-backed miss that re-fetches an evicted image — at no
-// allocation: the miss reads into the pager's own buffer.
+// TestPagerReadAllocs holds the reads the stack serves — unbuffered, pool
+// hit, and a disk-backed miss that re-fetches an evicted image, from memory
+// or from a page file — at no allocation: the miss reads into the pager's
+// own buffer, through the file backend's own slot buffer.
 func TestPagerReadAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	for _, tc := range readCases {
-		p, ids := tc.setup()
+		p, ids := tc.setup(t)
 		i := 0
 		if n := testing.AllocsPerRun(200, func() {
 			if _, err := p.Read(ids[i%len(ids)]); err != nil {
@@ -368,25 +370,39 @@ func TestPagerReadAllocs(t *testing.T) {
 	}
 }
 
-// readCases are the three kinds of Read: each setup returns a pager with
-// its counters reset and the page IDs to read round-robin.
+// readCases are the kinds of Read: each setup returns a pager with its
+// counters reset and the page IDs to read round-robin.
 var readCases = []struct {
 	name  string
 	miss  bool
-	setup func() (*Pager, []PageID)
+	setup func(tb testing.TB) (*Pager, []PageID)
 }{
-	{"unbuffered", true, func() (*Pager, []PageID) {
+	{"unbuffered", true, func(testing.TB) (*Pager, []PageID) {
 		p := MustNewPager(4096, 0)
 		return p, allocFlushed(p, 64)
 	}},
-	{"pool-hit", false, func() (*Pager, []PageID) {
+	{"pool-hit", false, func(testing.TB) (*Pager, []PageID) {
 		p := MustNewPager(4096, 8)
 		return p, allocFlushed(p, 64)[63:]
 	}},
 	// Round-robin over eight times the pool: LRU has always evicted the
 	// page before its turn comes again, so every read misses and re-fetches.
-	{"backed-miss", true, func() (*Pager, []PageID) {
+	{"backed-miss", true, func(testing.TB) (*Pager, []PageID) {
 		p := newBackedPager(4096, 8)
+		return p, allocFlushed(p, 64)
+	}},
+	// The same misses re-fetched from a real page file: the durable store's
+	// read.
+	{"file-miss", true, func(tb testing.TB) (*Pager, []PageID) {
+		be, err := OpenFileBackend(filepath.Join(tb.TempDir(), "pages.db"), 4096)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { be.Close() })
+		p, err := NewPagerBacked(4096, 8, be)
+		if err != nil {
+			tb.Fatal(err)
+		}
 		return p, allocFlushed(p, 64)
 	}},
 }
@@ -414,7 +430,7 @@ var sinkPage *Page
 func BenchmarkPagerRead(b *testing.B) {
 	for _, tc := range readCases {
 		b.Run(tc.name, func(b *testing.B) {
-			p, ids := tc.setup()
+			p, ids := tc.setup(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
