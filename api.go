@@ -172,12 +172,14 @@ type (
 	// read path and the group-commit fsync amortization survive the
 	// socket boundary.
 	NetServer = netserver.Server
-	// NetServerOptions configure the server: the served path, the
-	// OID-to-class hook for workload recording, the coalescing window
-	// cap, and the per-request control arm for benchmarks.
+	// NetServerOptions configure the server: the served path (predicate
+	// path id 1), the coalescing window cap (1 is the per-request control
+	// arm for benchmarks), and the dispatcher, queue and write bounds.
 	NetServerOptions = netserver.Options
 	// NetBackend is what a NetServer serves; *Database and *ShardedDB
-	// both satisfy it.
+	// both satisfy it. A Database's store backs the server's naive
+	// predicate fallback, and the backend, not the server, counts the
+	// workload.
 	NetBackend = netserver.Backend
 	// NetClient is the pipelining client: synchronous calls mirror the
 	// Database methods, Go-prefixed calls return a NetCall future so many

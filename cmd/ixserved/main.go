@@ -19,12 +19,14 @@
 // statistics so there is something to query. -checkevery enables the
 // self-tuning loop: every N operations the server-side engine checks
 // workload drift against the model and reconfigures its indexes in the
-// background while connections keep flowing.
+// background while connections keep flowing. The drift is measured on
+// the engines' own counts — each records every request it answers — so
+// the server keeps none.
 //
-// Predicate queries: the served path is always registered as wire path
-// id 1 with the backend as its index source, so clients can ship
-// predicate trees (OpPredicate) immediately. -paths registers extra
-// ids, e.g.
+// Predicate queries: the served path is the server's Options.Path, which
+// makes it wire path id 1 with the backend as its index source, so
+// clients can ship predicate trees (OpPredicate) immediately. -paths
+// registers extra ids, each at most once, e.g.
 //
 //	ixserved -paths "2=Person.age,3=Person.owns.color"
 //
@@ -56,9 +58,9 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/netserver"
-	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -91,10 +93,9 @@ func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, ma
 	if err := srv.Shutdown(); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	w := srv.Workload()
 	reqs, batches, coalesced := srv.CoalesceStats()
-	log.Printf("ixserved: served %d ops (%d requests in %d batches, %d coalesced)",
-		w.Total, reqs, batches, coalesced)
+	log.Printf("ixserved: served %d requests in %d batches (%d coalesced); the engines recorded %d ops since their last reconfiguration",
+		reqs, batches, coalesced, be.WorkloadSnapshot().Total)
 	if err := be.Close(); err != nil {
 		return fmt.Errorf("close: %w", err)
 	}
@@ -102,10 +103,12 @@ func run(addr, dir string, shards int, seed int64, scale float64, checkEvery, ma
 	return nil
 }
 
-// backend is what ixserved needs beyond netserver.Backend: a close that
-// quiesces background work and (when durable) checkpoints.
+// backend is what ixserved needs beyond netserver.Backend: the engines'
+// recorded workload for the exit log, and a close that quiesces
+// background work and (when durable) checkpoints.
 type backend interface {
 	netserver.Backend
+	WorkloadSnapshot() stats.Workload
 	Close() error
 }
 
@@ -122,10 +125,8 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 	pageSize := model.PaperParams().PageSize
 
 	var (
-		be      backend
-		p       *schema.Path
-		classOf func(oodb.OID) (string, bool)
-		st      *oodb.Store // unified store the planners fall back to; nil when sharded
+		be backend
+		p  *schema.Path
 	)
 	switch {
 	case dir != "":
@@ -137,14 +138,14 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			be, classOf = db, shardClassOf(db)
+			be = db
 		} else {
 			e, err := engine.OpenDurable(dir, s, p, cfg(p), pageSize,
 				engine.DurableOptions{Options: eopts})
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
+			be = e
 		}
 	default:
 		if shards > 1 {
@@ -167,7 +168,7 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			be, classOf = db, shardClassOf(db)
+			be = db
 			break
 		}
 		g, err := gen.Generate(model.Figure7Stats(), scale, seed)
@@ -175,34 +176,23 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 			return nil, nil, nil, err
 		}
 		p = g.Path
-		{
-			e, err := engine.New(g.Store, p, cfg(p), pageSize, eopts)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			be, classOf, st = e, storeClassOf(e.Store()), e.Store()
+		e, err := engine.New(g.Store, p, cfg(p), pageSize, eopts)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		be = e
 	}
 
-	srv := netserver.New(be, netserver.Options{
-		Path:     p,
-		ClassOf:  classOf,
-		MaxBatch: maxBatch,
-		Store:    st,
-	})
-
-	// The served path is always predicate-addressable as id 1, probed
-	// through the backend's own maintained indexes.
-	if err := srv.RegisterPath(1, p, be, nil); err != nil {
-		return nil, nil, nil, err
-	}
+	// The served path is predicate path id 1, probed through the
+	// backend's own maintained indexes.
+	srv := netserver.New(be, netserver.Options{Path: p, MaxBatch: maxBatch})
 	log.Printf("ixserved: predicate path 1 = %s (backend indexes)", p)
 	extra, err := parsePathSpecs(p.Schema(), pathSpecs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	how := "no index source; evaluated against the store"
-	if st == nil {
+	if shards > 1 {
 		how = "decode-only; no unified store"
 	}
 	for _, sp := range extra {
@@ -227,12 +217,13 @@ type pathSpec struct {
 }
 
 // parsePathSpecs parses "id=Class.attr.attr,..." against the schema.
-// Id 1 is reserved for the served path.
+// Id 1 is reserved for the served path, and each id names one path.
 func parsePathSpecs(s *schema.Schema, spec string) ([]pathSpec, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	var out []pathSpec
+	seen := make(map[uint64]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		idStr, pathStr, ok := strings.Cut(part, "=")
@@ -243,6 +234,10 @@ func parsePathSpecs(s *schema.Schema, spec string) ([]pathSpec, error) {
 		if err != nil || id <= 1 {
 			return nil, fmt.Errorf("-paths entry %q: id must be an integer > 1 (1 is the served path)", part)
 		}
+		if seen[id] {
+			return nil, fmt.Errorf("-paths entry %q: id %d is already registered", part, id)
+		}
+		seen[id] = true
 		steps := strings.Split(pathStr, ".")
 		if len(steps) < 2 {
 			return nil, fmt.Errorf("-paths entry %q: path needs a class and at least one attribute", part)
@@ -254,28 +249,4 @@ func parsePathSpecs(s *schema.Schema, spec string) ([]pathSpec, error) {
 		out = append(out, pathSpec{id: uint16(id), path: p})
 	}
 	return out, nil
-}
-
-// storeClassOf adapts a store's Peek to the server's recording hook.
-func storeClassOf(st *oodb.Store) func(oodb.OID) (string, bool) {
-	return func(oid oodb.OID) (string, bool) {
-		o, ok := st.Peek(oid)
-		if !ok {
-			return "", false
-		}
-		return o.Class, true
-	}
-}
-
-// shardClassOf routes the lookup to the owning shard's store. Like
-// storeClassOf it peeks: labelling the recorder must not count a page
-// read, or on a durable store miss, load and evict one.
-func shardClassOf(db *shard.DB) func(oodb.OID) (string, bool) {
-	return func(oid oodb.OID) (string, bool) {
-		o, ok := db.Store(db.ShardOf(oid)).Peek(oid)
-		if !ok {
-			return "", false
-		}
-		return o.Class, true
-	}
 }

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/netclient"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -60,42 +58,18 @@ func TestExtraPathSeesWrites(t *testing.T) {
 	}
 }
 
-// TestShardClassOfCountsNoPageRead: the sharded recording hook labels an
-// update or delete with its class without touching a store's page
-// counters — a read there would be charged to the served workload, and on
-// a durable store it could miss, load a page and evict another.
-func TestShardClassOfCountsNoPageRead(t *testing.T) {
+// TestParsePathSpecsRejectsRepeatedID: each -paths id names one path. A
+// repeated id is refused with an error naming it, instead of the second
+// registration silently replacing the first.
+func TestParsePathSpecsRejectsRepeatedID(t *testing.T) {
 	s := schema.PaperSchema()
-	p := schema.PaperPathOwnsManName()
-	db, err := shard.New(s, p, core.Configuration{Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}}}, 1024, 3, shard.Options{})
-	if err != nil {
-		t.Fatal(err)
+	specs, err := parsePathSpecs(s, "2=Person.age,3=Person.owns.color")
+	if err != nil || len(specs) != 2 {
+		t.Fatalf("distinct ids: %v, %v", specs, err)
 	}
-	var oids []oodb.OID
-	for i := 0; i < 6; i++ {
-		oid, err := db.Insert("Company", map[string][]oodb.Value{"name": {oodb.StrV(fmt.Sprintf("co-%d", i))}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oids = append(oids, oid)
-	}
-	before := make([]storage.Stats, db.NumShards())
-	for i := range before {
-		before[i] = db.Store(i).Pager().Stats()
-	}
-	classOf := shardClassOf(db)
-	for _, oid := range oids {
-		if class, ok := classOf(oid); !ok || class != "Company" {
-			t.Fatalf("classOf(%d) = %q, %v", oid, class, ok)
-		}
-	}
-	if _, ok := classOf(oids[len(oids)-1] + 3); ok {
-		t.Fatal("classOf resolved an OID nothing holds")
-	}
-	for i := range before {
-		if got := db.Store(i).Pager().Stats(); got != before[i] {
-			t.Fatalf("shard %d store pager moved from %+v to %+v", i, before[i], got)
-		}
+	_, err = parsePathSpecs(s, "2=Person.age,2=Person.owns.color")
+	if err == nil || !strings.Contains(err.Error(), "id 2 ") {
+		t.Fatalf("repeated id 2: got %v, want an error naming id 2", err)
 	}
 }
 

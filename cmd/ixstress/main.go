@@ -3,9 +3,12 @@
 //
 // It is the networked counterpart of experiment E2's serving mix: each
 // of -conns connections runs its own client with up to -depth requests
-// pipelined, issuing ~90% point queries split across the whole path
-// ("Person") and the ending level ("Division"), plus inserts and
-// deletes in the requested -write fraction. Per-request latency is
+// pipelined, issuing reads split across the whole path ("Person") and
+// the ending level ("Division") — one in ten a range query, the rest
+// point queries — plus writes in the requested -write fraction. The
+// writes rotate insert, update and delete: an update renames, and a
+// delete removes, a Division whose insert has settled, so the store stays
+// near its initial size across a long run. Per-request latency is
 // measured submit-to-response through the pipeline, so the report shows
 // what a caller would actually observe, coalescing included.
 //
@@ -19,8 +22,11 @@
 // arm that shows what pipelining and coalescing buy.
 //
 // -pred replaces that fraction of the read mix with predicate-tree
-// queries (OpPredicate) drawn from a small pool of Eq/Or trees over
-// wire path id 1 — ixserved always registers its served path there.
+// queries drawn from a small pool of Eq/Or trees over wire path id 1,
+// where ixserved serves its path. One in four projects the matching
+// Persons' age (OpPredicateValues); the rest return OIDs (OpPredicate).
+// A sharded server has no unified store to project from, so there the
+// projections answer with an error and count as server-side errors.
 // The pool repeats across connections on purpose: identical trees
 // landing in one coalescing window share a single planner descent, so
 // this arm exercises the server's predicate dedup under load.
@@ -45,7 +51,7 @@ func main() {
 	conns := flag.Int("conns", 8, "number of concurrent connections")
 	ops := flag.Int("ops", 2000, "operations per connection")
 	depth := flag.Int("depth", 32, "pipeline depth per connection")
-	write := flag.Float64("write", 0.1, "fraction of operations that are inserts/deletes")
+	write := flag.Float64("write", 0.1, "fraction of operations that are inserts/updates/deletes")
 	pred := flag.Float64("pred", 0, "fraction of operations that are predicate-tree queries (path id 1)")
 	values := flag.Int("values", 100, "distinct point-query values (val-00000..)")
 	seed := flag.Int64("seed", 1, "per-connection workload seed base")
@@ -151,15 +157,23 @@ func drive(addr string, ops, depth int, write, pred float64, values int, seed in
 		call   *netclient.Call
 		sent   time.Time
 		insert bool
+		values bool // a projection, settled with WaitValues
 	}
 	var (
 		window []inflight
-		minted []oodb.OID
+		minted []oodb.OID // Divisions whose insert has settled
+		writes int
 		res    result
 	)
 	res.lats = make([]time.Duration, 0, ops)
 	settle := func(f inflight) {
-		oids, err := f.call.Wait()
+		var oids []oodb.OID
+		var err error
+		if f.values {
+			_, err = f.call.WaitValues()
+		} else {
+			oids, err = f.call.Wait()
+		}
 		res.lats = append(res.lats, time.Since(f.sent))
 		if err != nil {
 			res.errs++
@@ -174,26 +188,41 @@ func drive(addr string, ops, depth int, write, pred float64, values int, seed in
 		f.sent = time.Now()
 		switch {
 		case rng.Float64() < write:
-			// Writes alternate insert/delete so the store stays near its
-			// initial size across a long run.
-			if len(minted) > 0 && rng.Intn(2) == 0 {
+			v := oodb.StrV(fmt.Sprintf("val-stress-%d-%06d", seed, i))
+			kind := writes % 3
+			writes++
+			switch {
+			case kind == 1 && len(minted) > 0:
+				f.call = c.GoUpdate(minted[rng.Intn(len(minted))], map[string][]oodb.Value{"name": {v}})
+			case kind == 2 && len(minted) > 0:
 				oid := minted[len(minted)-1]
 				minted = minted[:len(minted)-1]
 				f.call = c.GoDelete(oid)
-			} else {
-				v := oodb.StrV(fmt.Sprintf("val-stress-%d-%06d", seed, i))
+			default:
 				f.call = c.GoInsert("Division", map[string][]oodb.Value{"name": {v}})
 				f.insert = true
 			}
 		case rng.Float64() < pred:
-			f.call = c.GoPredicate(&preds[rng.Intn(len(preds))], "Person", false)
+			p := &preds[rng.Intn(len(preds))]
+			if rng.Intn(4) == 0 {
+				f.call = c.GoPredicateValues(p, "age", "Person", false)
+				f.values = true
+			} else {
+				f.call = c.GoPredicate(p, "Person", false)
+			}
 		default:
-			v := oodb.StrV(fmt.Sprintf("val-%05d", rng.Intn(values)))
+			k := rng.Intn(values)
+			v := oodb.StrV(fmt.Sprintf("val-%05d", k))
 			class, hier := "Person", false
 			if rng.Intn(10) < 3 {
 				class, hier = "Division", rng.Intn(2) == 0
 			}
-			f.call = c.GoQuery(v, class, hier)
+			if rng.Intn(10) == 0 {
+				hi := oodb.StrV(fmt.Sprintf("val-%05d", k+1+rng.Intn(4)))
+				f.call = c.GoQueryRange(v, hi, class, hier)
+			} else {
+				f.call = c.GoQuery(v, class, hier)
+			}
 		}
 		window = append(window, f)
 		if len(window) >= depth {

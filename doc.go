@@ -302,10 +302,11 @@
 // amortizes WAL fsyncs across connections; point queries are answered one
 // by one on the dispatcher. A batch's responses are bundled into one
 // framed write per connection. The steady-state dispatch path holds a
-// fixed per-batch allocation budget (test-enforced), and every request
-// is recorded per class into the same workload machinery that drives
-// drift detection, so a served engine retunes itself exactly like an
-// embedded one. cmd/ixserved is the standalone server (durable or
+// fixed per-batch allocation budget (test-enforced). The server keeps
+// no workload counts of its own: every request becomes a backend call,
+// which the backend's engines record as they record an embedded one, so
+// a served engine retunes itself exactly like an embedded one.
+// cmd/ixserved is the standalone server (durable or
 // in-memory, sharded or single, graceful drain on SIGINT/SIGTERM:
 // every request already read is answered, then the engines checkpoint
 // and the process exits 0); cmd/ixstress drives read/write mixes over
@@ -317,11 +318,11 @@
 // # Planning over the network
 //
 // The planner's predicate tree is also the wire's: WireEq and WireRange
-// build leaves that name paths by server-registered id
-// (NetServer.RegisterPath) — a remote caller needs no schema — And and
-// Or combine them as they combine Eq and Range, and the server fills
-// each leaf's path from its id table in place before planning the tree
-// it decoded. NetClient.Predicate or
+// build leaves that name paths by server-registered id (the served path,
+// NetServerOptions.Path, is id 1; NetServer.RegisterPath binds others) —
+// a remote caller needs no schema — And and Or combine them as they
+// combine Eq and Range, and the server fills each leaf's path from its id
+// table in place before planning the tree it decoded. NetClient.Predicate or
 // PredicateValues (with GoPredicate/GoPredicateValues futures) execute
 // it server-side through the full §Planning machinery: selectivity
 // ordering, galloping intersection, residual filters, shard pruning.

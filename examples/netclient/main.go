@@ -31,24 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Serve it. Port 0 picks a free port; ClassOf lets the server record
-	// per-class workload statistics for the self-tuning machinery.
-	srv := ooindex.NewNetServer(db, ooindex.NetServerOptions{
-		Path: g.Path,
-		ClassOf: func(oid ooindex.OID) (string, bool) {
-			o, ok := g.Store.Peek(oid)
-			if !ok {
-				return "", false
-			}
-			return o.Class, true
-		},
-	})
-	// Registering the served path as wire id 1 makes it addressable by
-	// predicate trees; the engine's own maintained indexes answer the
-	// probes.
-	if err := srv.RegisterPath(1, g.Path, db, nil); err != nil {
-		log.Fatal(err)
-	}
+	// Serve it. Port 0 picks a free port. Path makes the served path wire
+	// id 1 for predicate trees, answered from the engine's own maintained
+	// indexes; the engine records every request it serves, so its
+	// self-tuning sees remote traffic as it sees embedded calls.
+	srv := ooindex.NewNetServer(db, ooindex.NetServerOptions{Path: g.Path})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

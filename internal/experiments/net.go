@@ -118,10 +118,7 @@ func openWire(seed int64, wl wireWorkload, mix string, depth, maxBatch int) (Sys
 			Close: e.Close,
 		}, nil
 	}
-	srv := netserver.New(e, netserver.Options{Path: g.Path, Store: g.Store, MaxBatch: maxBatch})
-	if err := srv.RegisterPath(1, g.Path, e, nil); err != nil {
-		return System{}, err
-	}
+	srv := netserver.New(e, netserver.Options{Path: g.Path, MaxBatch: maxBatch})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return System{}, err

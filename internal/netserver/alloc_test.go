@@ -97,7 +97,7 @@ func TestServePredicateBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	e, g := newTestEngine(t, 37)
-	s := New(e, Options{Path: g.Path, Store: g.Store})
+	s := New(e, Options{Path: g.Path})
 	if err := s.RegisterPath(1, g.Path, e, nil); err != nil {
 		t.Fatal(err)
 	}

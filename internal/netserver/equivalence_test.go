@@ -42,7 +42,7 @@ func TestNetworkEmbeddedEquivalence(t *testing.T) {
 	}
 	ref, g := mkEngine()
 	served, _ := mkEngine()
-	c := startTestServer(t, served, Options{Path: g.Path, ClassOf: classOf(g.Store)})
+	c := startTestServer(t, served, Options{Path: g.Path})
 
 	rng := rand.New(rand.NewSource(seed))
 	classes := []string{"Person", "Division"}
@@ -164,6 +164,20 @@ func TestNetworkEmbeddedEquivalence(t *testing.T) {
 	werr := ref.Delete(missingOID)
 	gerr := c.Delete(missingOID)
 	checkOIDs(0, "delete-missing", nil, nil, gerr, werr)
+
+	// The served engine's own recorder counted the trace exactly as the
+	// embedded twin's did: the server needs no workload copy of its own.
+	got, want := served.WorkloadSnapshot(), ref.WorkloadSnapshot()
+	if got.Total != want.Total || len(got.Classes) != len(want.Classes) {
+		t.Fatalf("served engine recorded %d ops over %d classes, embedded %d over %d",
+			got.Total, len(got.Classes), want.Total, len(want.Classes))
+	}
+	for i := range want.Classes {
+		if got.Classes[i] != want.Classes[i] {
+			t.Fatalf("class %s: served engine recorded %+v, embedded %+v",
+				want.Classes[i].Class, got.Classes[i], want.Classes[i])
+		}
+	}
 }
 
 // TestPipelinedClientsDuringReconfigure hammers the server with

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -163,7 +164,7 @@ func (w *predWorld) randomWirePred(rng *rand.Rand, depth int) plan.Predicate {
 func TestServerResolvesTheBuildersTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	w := buildPredWorld(t, 91)
-	srv := New(predBackend(t, w), Options{Store: w.st})
+	srv := New(predBackend(t, w), Options{})
 	epl := plan.NewPlanner(w.st)
 	for i, p := range w.paths {
 		if err := srv.RegisterPath(uint16(i+1), p, nil, nil); err != nil {
@@ -253,7 +254,7 @@ func TestNetworkPlannerDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2000 + trial))
 			w := buildPredWorld(t, 600+trial)
-			srv, c := startPredServer(t, predBackend(t, w), Options{Store: w.st})
+			srv, c := startPredServer(t, predBackend(t, w), Options{})
 			epl := plan.NewPlanner(w.st)
 			registered := 0
 			for i, p := range w.paths {
@@ -330,7 +331,7 @@ func TestNetworkPlannerDifferential(t *testing.T) {
 // unregistered path id), and the connection stays healthy afterwards.
 func TestPredicateErrorCases(t *testing.T) {
 	w := buildPredWorld(t, 71)
-	srv, c := startPredServer(t, predBackend(t, w), Options{Store: w.st})
+	srv, c := startPredServer(t, predBackend(t, w), Options{})
 	epl := plan.NewPlanner(w.st)
 	for i, p := range w.paths {
 		ex, err := engine.New(w.st, p, core.Configuration{
@@ -419,14 +420,22 @@ func mustPlanExec(t *testing.T, pl *plan.Planner, pp plan.Predicate, target stri
 	return p.Execute()
 }
 
-// TestPredicateNoStore pins the nil-store posture: a server without
-// Options.Store serves sourced predicates but answers unsourced leaves
-// with the planner's no-fallback error, identical to an embedded
-// planner built over a nil store.
+// TestPredicateNoStore pins the nil-store posture: a server over a
+// backend with no unified store — a one-shard shard.DB over the world's
+// store — serves sourced predicates but answers unsourced leaves with the
+// planner's no-fallback error, identical to an embedded planner built
+// over a nil store.
 func TestPredicateNoStore(t *testing.T) {
 	w := buildPredWorld(t, 73)
-	srv, c := startPredServer(t, predBackend(t, w), Options{})
 	p0 := w.paths[0]
+	db, err := shard.Open([]*oodb.Store{w.st}, p0, core.Configuration{
+		Assignments: []core.Assignment{{A: 1, B: p0.Len(), Org: cost.NIX}},
+	}, 2048, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	srv, c := startPredServer(t, db, Options{})
 	ex, err := engine.New(w.st, p0, core.Configuration{
 		Assignments: []core.Assignment{{A: 1, B: p0.Len(), Org: cost.NIX}},
 	}, 2048, engine.Options{})
@@ -598,7 +607,7 @@ func TestPredicateSharded(t *testing.T) {
 // descents for the window, every response correct for its own request.
 func TestServePredicateDedup(t *testing.T) {
 	e, g := newTestEngine(t, 41)
-	s := New(e, Options{Store: g.Store})
+	s := New(e, Options{})
 	if err := s.RegisterPath(1, g.Path, e, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +693,7 @@ func TestServePredicateDedup(t *testing.T) {
 func TestPredicateClientsDuringReconfigure(t *testing.T) {
 	e, g := newTestEngine(t, 51)
 	baseline, _ := newTestEngine(t, 51)
-	srv := New(e, Options{Store: g.Store})
+	srv := New(e, Options{})
 	if err := srv.RegisterPath(1, g.Path, e, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -778,4 +787,64 @@ func TestPredicateClientsDuringReconfigure(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+}
+
+// TestServedPathIsPredicateID1 pins what Options.Path means: New registers
+// the served path as predicate path id 1 with the backend as its index
+// source, the zero Options leave id 1 unregistered, and a later
+// RegisterPath(1, …) replaces the binding New made.
+func TestServedPathIsPredicateID1(t *testing.T) {
+	e, g := newTestEngine(t, 61)
+	epl := plan.NewPlanner(g.Store)
+	if err := epl.Register(g.Path, e, nil); err != nil {
+		t.Fatal(err)
+	}
+	var v oodb.Value
+	var want []oodb.OID
+	for _, v = range g.EndValues {
+		var err error
+		if want, err = mustPlanExec(t, epl, plan.Eq(g.Path, v), "Person"); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) > 0 {
+			break
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no end value is held by a Person")
+	}
+	pred := wire.EqPred(1, v)
+
+	srv, c := startPredServer(t, e, Options{Path: g.Path})
+	if got, err := c.Predicate(&pred, "Person", false); err != nil || !sameOIDs(got, want) {
+		t.Fatalf("id 1 with no RegisterPath call: %v (%v), want %v", got, err, want)
+	}
+
+	_, bare := startPredServer(t, e, Options{})
+	if _, err := bare.Predicate(&pred, "Person", false); err == nil ||
+		!strings.Contains(err.Error(), "path id 1 is not registered") {
+		t.Fatalf("id 1 under the zero Options: %v, want \"path id 1 is not registered\"", err)
+	}
+
+	src := &countingSource{Source: e}
+	if err := srv.RegisterPath(1, g.Path, src, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Predicate(&pred, "Person", false); err != nil || !sameOIDs(got, want) {
+		t.Fatalf("id 1 after RegisterPath(1, …): %v (%v), want %v", got, err, want)
+	}
+	if src.n.Load() == 0 {
+		t.Fatal("id 1 still probes the binding New made, not the one RegisterPath replaced it with")
+	}
+}
+
+// countingSource counts the point probes a planner sends its source.
+type countingSource struct {
+	plan.Source
+	n atomic.Int64
+}
+
+func (s *countingSource) Query(v oodb.Value, class string, hierarchy bool) ([]oodb.OID, error) {
+	s.n.Add(1)
+	return s.Source.Query(v, class, hierarchy)
 }

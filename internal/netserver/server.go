@@ -34,17 +34,20 @@
 // connection lives on. A broken frame (torn or corrupt — the WAL
 // posture) poisons the byte stream and closes the connection. One
 // request's engine error never fails another's: every point query is
-// evaluated, and recorded, exactly once, and UpdateBatch reports its
-// errors per update. A stalled client — socket open, but not reading — is
-// isolated the same way: a full response queue or a timed-out write
-// (Options.WriteTimeout) declares the connection dead and closes it,
-// and the dispatcher drops its responses rather than ever blocking on
-// it, so one stalled connection cannot wedge the others pinned to its
-// dispatcher or hang Shutdown.
+// evaluated exactly once, and UpdateBatch reports its errors per update.
+// A stalled client — socket open, but not reading — is isolated the same
+// way: a full response queue or a timed-out write (Options.WriteTimeout)
+// declares the connection dead and closes it, and the dispatcher drops its
+// responses rather than ever blocking on it, so one stalled connection
+// cannot wedge the others pinned to its dispatcher or hang Shutdown.
+//
+// Workload. The server keeps no counts: the backend's engines record
+// every call a request becomes, as they record an embedded caller's.
 //
 // Predicates. RegisterPath publishes id→path bindings (copy-on-write,
 // like class interning), and OpPredicate/OpPredicateValues requests
-// execute planner-compiled predicate trees against them. Each
+// execute planner-compiled predicate trees against them; New binds
+// Options.Path as id 1 with the backend as its index source. Each
 // dispatcher owns a private plan.Planner, rebuilt lazily when the
 // registration table's generation moves. Coalescing extends to
 // predicates by dedup: a same-opcode run is grouped by canonical tree
@@ -69,15 +72,17 @@ import (
 	"repro/internal/oodb"
 	"repro/internal/plan"
 	"repro/internal/schema"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
 // Backend is what the server serves: the engine surface shared by
-// *engine.Engine and *shard.DB.
+// *engine.Engine and *shard.DB, and the index source of the served path.
+// A backend with one store (Store() *oodb.Store, as *engine.Engine has)
+// backs the planners' naive fallback — residual filters for unsourced
+// leaves and OpPredicateValues projection, as an embedded planner's;
+// *shard.DB has none, so those answer with the planner's error.
 type Backend interface {
-	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
-	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
+	plan.Source
 	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
 	Update(oid oodb.OID, attrs map[string][]oodb.Value) error
 	UpdateBatch(ups []exec.Update) []error
@@ -85,25 +90,13 @@ type Backend interface {
 }
 
 // Options tunes a Server. The zero value serves correctly with
-// defaults; Path enables per-connection workload recording.
+// defaults.
 type Options struct {
-	// Path enables per-connection workload recording against this
-	// indexed path: each connection gets its own stats.Recorder, so the
-	// drift machinery can distinguish tenant traffic. Nil disables
-	// recording.
+	// Path is the path the backend serves. New registers it as predicate
+	// path id 1 with the backend as its index source, so clients can ship
+	// predicate trees over it at once; RegisterPath(1, …) may replace the
+	// binding later. Nil leaves id 1 unregistered.
 	Path *schema.Path
-
-	// ClassOf resolves an OID to its class for recording updates and
-	// deletes (the wire request carries only the OID). Typically
-	// store.Peek. Nil skips recording those ops.
-	ClassOf func(oodb.OID) (string, bool)
-
-	// Store backs the predicate dispatch path's planners: residual
-	// post-filters for unsourced leaves and OpPredicateValues projection
-	// run against it, exactly as an embedded plan.Planner would. Nil
-	// serves predicates without naive fallback — a leaf whose path has
-	// no registered source answers with the planner's no-source error.
-	Store *oodb.Store
 
 	// MaxBatch caps how many requests one dispatch window may coalesce.
 	// Default 256.
@@ -167,7 +160,6 @@ type task struct {
 // through the planner's naive store fallback, exactly as an embedded
 // planner treats a path nobody registered.
 type pathReg struct {
-	id   uint16
 	path *schema.Path
 	src  plan.Source
 	ps   *model.PathStats
@@ -184,8 +176,7 @@ type pathTable struct {
 }
 
 // conn is one client connection: a reader goroutine feeding the shared
-// dispatcher, a writer goroutine draining the response queue, and a
-// workload recorder of its own.
+// dispatcher and a writer goroutine draining the response queue.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
@@ -196,8 +187,6 @@ type conn struct {
 	readerDone atomic.Bool
 	dead       atomic.Bool // queue overflow or write failure; responses are dropped
 	outOnce    sync.Once
-
-	rec *stats.Recorder // nil unless Options.Path is set
 }
 
 // closeOut closes the response queue exactly once: the writer drains
@@ -209,13 +198,13 @@ func (c *conn) closeOut() {
 // Server serves a Backend over TCP. Create with New, start with Listen,
 // stop with Shutdown.
 type Server struct {
-	be   Backend
-	opts Options
+	be    Backend
+	store *oodb.Store // the planners' naive fallback: the backend's one store, or nil
+	opts  Options
 
 	ln         net.Listener
-	mu         sync.Mutex // guards conns, retired, and intern misses
+	mu         sync.Mutex // guards conns and intern misses
 	conns      map[*conn]struct{}
-	retired    stats.Workload                    // merged workloads of closed connections
 	classes    atomic.Pointer[map[string]string] // copy-on-write intern table
 	paths      atomic.Pointer[pathTable]         // copy-on-write path registrations
 	disps      []*dispatcher
@@ -242,7 +231,8 @@ type Server struct {
 	nPredDescents atomic.Uint64
 }
 
-// New builds a server around be. Listen starts it.
+// New builds a server around be, with opts.Path registered as predicate
+// path id 1. Listen starts it.
 func New(be Backend, opts Options) *Server {
 	s := &Server{
 		be:    be,
@@ -250,9 +240,15 @@ func New(be Backend, opts Options) *Server {
 		conns: make(map[*conn]struct{}),
 		done:  make(chan struct{}),
 	}
+	if b, ok := be.(interface{ Store() *oodb.Store }); ok {
+		s.store = b.Store()
+	}
 	empty := make(map[string]string)
 	s.classes.Store(&empty)
 	s.paths.Store(&pathTable{byID: make(map[uint16]*pathReg)})
+	if opts.Path != nil {
+		s.RegisterPath(1, opts.Path, be, nil) //nolint:errcheck // the path is non-nil
+	}
 	for i := 0; i < s.opts.Dispatchers; i++ {
 		s.disps = append(s.disps, newDispatcher(s))
 	}
@@ -313,9 +309,6 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 func (s *Server) startConn(nc net.Conn) {
 	c := &conn{srv: s, nc: nc, out: make(chan *[]byte, s.opts.QueueDepth)}
 	c.disp = s.disps[s.nextDisp.Add(1)%uint64(len(s.disps))]
-	if s.opts.Path != nil {
-		c.rec = stats.NewRecorder(s.opts.Path)
-	}
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
@@ -365,8 +358,9 @@ func (s *Server) intern(b []byte) string {
 // carrying id probe src (any plan.Source — an engine or a sharded DB),
 // with ps seeding cold cardinality estimates.
 // A nil src registers the path for decoding only; its leaves run
-// through the planner's naive store fallback (Options.Store), matching
-// an embedded planner with that path unregistered. Replacing a live id
+// through the planner's naive fallback over the backend's store (see
+// Backend), matching an embedded planner with that path unregistered.
+// Replacing a live id
 // is allowed; each dispatcher rebuilds its planner before its next
 // predicate batch. Safe to call while serving.
 func (s *Server) RegisterPath(id uint16, p *schema.Path, src plan.Source, ps *model.PathStats) error {
@@ -380,37 +374,9 @@ func (s *Server) RegisterPath(id uint16, p *schema.Path, src plan.Source, ps *mo
 	for k, v := range old.byID {
 		next.byID[k] = v
 	}
-	next.byID[id] = &pathReg{id: id, path: p, src: src, ps: ps}
+	next.byID[id] = &pathReg{path: p, src: src, ps: ps}
 	s.paths.Store(next)
 	return nil
-}
-
-// record feeds one request into the connection's workload recorder.
-func (c *conn) record(t *task) {
-	if c.rec == nil {
-		return
-	}
-	switch t.req.Op {
-	case wire.OpQuery, wire.OpQueryRange, wire.OpPredicate, wire.OpPredicateValues:
-		c.rec.Record(t.class, stats.OpQuery)
-	case wire.OpInsert:
-		c.rec.Record(t.class, stats.OpInsert)
-	case wire.OpUpdate:
-		if cls, ok := c.classOf(t.req.OID); ok {
-			c.rec.Record(cls, stats.OpUpdate)
-		}
-	case wire.OpDelete:
-		if cls, ok := c.classOf(t.req.OID); ok {
-			c.rec.Record(cls, stats.OpDelete)
-		}
-	}
-}
-
-func (c *conn) classOf(oid oodb.OID) (string, bool) {
-	if c.srv.opts.ClassOf == nil {
-		return "", false
-	}
-	return c.srv.opts.ClassOf(oid)
 }
 
 // readLoop decodes frames off the socket and hands tasks to the shared
@@ -450,7 +416,6 @@ func (s *Server) readLoop(c *conn) {
 			t.attr = s.intern(t.req.Attr)
 			t.req.Attr = nil
 		}
-		c.record(t)
 		c.pending.Add(1)
 		c.disp.tasks <- t
 	}
@@ -491,18 +456,11 @@ func (s *Server) writeLoop(c *conn) {
 	}
 }
 
-// removeConn unregisters a connection, folding its workload into the
-// retired merge so Workload() keeps counting closed tenants.
+// removeConn unregisters a connection.
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.conns[c]; !ok {
-		return
-	}
 	delete(s.conns, c)
-	if c.rec != nil {
-		s.retired = stats.MergeWorkloads(s.retired, c.rec.Snapshot())
-	}
+	s.mu.Unlock()
 }
 
 // sendPayload frames payload into a pooled buffer and queues it on the
@@ -713,7 +671,7 @@ func (d *dispatcher) servePredicates(run []*task) {
 	s.nPredRequests.Add(uint64(len(run)))
 	tab := s.paths.Load()
 	if d.pl == nil || d.plGen != tab.gen {
-		d.pl = plan.NewPlanner(s.opts.Store)
+		d.pl = plan.NewPlanner(s.store)
 		for _, r := range tab.byID {
 			if r.src != nil {
 				d.pl.Register(r.path, r.src, r.ps) //nolint:errcheck // path and src are non-nil by construction
@@ -922,21 +880,6 @@ func (s *Server) Shutdown() error {
 	s.writers.Wait()
 	close(s.done)
 	return nil
-}
-
-// Workload returns the merged workload every connection — live and
-// closed — has recorded, the server-side input to the drift machinery.
-// Zero unless Options.Path is set.
-func (s *Server) Workload() stats.Workload {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws := []stats.Workload{s.retired}
-	for c := range s.conns {
-		if c.rec != nil {
-			ws = append(ws, c.rec.Snapshot())
-		}
-	}
-	return stats.MergeWorkloads(ws...)
 }
 
 // CoalesceStats reports how many requests the dispatcher has served,

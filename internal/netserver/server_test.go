@@ -40,17 +40,6 @@ func newTestEngine(t *testing.T, seed int64) (*engine.Engine, *gen.Generated) {
 	return e, g
 }
 
-// classOf adapts a store's Peek to the server's recording hook.
-func classOf(st *oodb.Store) func(oodb.OID) (string, bool) {
-	return func(oid oodb.OID) (string, bool) {
-		o, ok := st.Peek(oid)
-		if !ok {
-			return "", false
-		}
-		return o.Class, true
-	}
-}
-
 // startTestServer serves e and returns a connected client; everything
 // is torn down with the test.
 func startTestServer(t *testing.T, e Backend, opts Options) *netclient.Client {
@@ -71,7 +60,7 @@ func startTestServer(t *testing.T, e Backend, opts Options) *netclient.Client {
 
 func TestServerRoundTrip(t *testing.T) {
 	e, g := newTestEngine(t, 1)
-	srv := New(e, Options{Path: g.Path, ClassOf: classOf(g.Store)})
+	srv := New(e, Options{Path: g.Path})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +125,25 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("error message: got %q want %q", remote.Msg, wantErr)
 	}
 
-	// The per-connection recorder saw the traffic.
-	w := srv.Workload()
-	if total := workloadOps(w); total == 0 {
-		t.Fatal("server recorded no workload")
+	// The engine's own recorder saw the traffic: the Division writes
+	// above crossed only the wire.
+	w := e.WorkloadSnapshot()
+	if w.Total == 0 {
+		t.Fatal("engine recorded no workload")
+	}
+	var div stats.ClassLoad
+	for _, cl := range w.Classes {
+		if cl.Class == "Division" {
+			div = cl
+		}
+	}
+	if div.Inserts != 1 || div.Updates != 1 || div.Deletes != 1 {
+		t.Fatalf("engine recorded Division writes %+v, want one insert, update and delete", div)
 	}
 	if err := srv.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
-
-func workloadOps(w stats.Workload) uint64 { return w.Total }
 
 func sameOIDs(a, b []oodb.OID) bool {
 	if len(a) == 0 && len(b) == 0 {
@@ -173,7 +170,7 @@ func TestServerPipelinedBatch(t *testing.T) {
 			// One dispatcher makes the coalescing assertion deterministic: with a
 			// pool, several dispatchers can keep pace with the reader and serve
 			// singletons.
-			srv := New(e, Options{Path: g.Path, ClassOf: classOf(g.Store), Dispatchers: 1, MaxBatch: tc.maxBatch})
+			srv := New(e, Options{Path: g.Path, Dispatchers: 1, MaxBatch: tc.maxBatch})
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
