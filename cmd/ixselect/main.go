@@ -9,8 +9,9 @@
 // The output is the cost matrix (per-subpath minimum starred), the optimal
 // configuration, the comparison against the best whole-path single index
 // and the branch-and-bound trace. The spec may restrict or extend the
-// organization columns ("MX","MIX","NIX","NONE","PX","NX") and declare
-// range-predicate workloads via "selectivity".
+// organization columns ("MX","MIX","NIX","NONE","PX","NX"), declare
+// range-predicate workloads via "selectivity", and give a class a "rho":
+// the frequency of its range queries beside its equality "alpha".
 package main
 
 import (
@@ -53,7 +54,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintln(w, "\tixselect -json < path.json   machine-readable configuration")
 		fmt.Fprintln(w, "\nThe spec may restrict or extend the organization columns")
 		fmt.Fprintln(w, `("MX","MIX","NIX","NONE","PX","NX") and declare range-predicate workloads`)
-		fmt.Fprintln(w, `via "selectivity". The report shows the cost matrix with each subpath's`)
+		fmt.Fprintln(w, `via "selectivity", and a class's "rho" is the frequency of its range queries`)
+		fmt.Fprintln(w, `beside its equality "alpha". The report shows the cost matrix with each subpath's`)
 		fmt.Fprintln(w, "minimum starred, the optimal configuration, the saving over the best")
 		fmt.Fprintln(w, "whole-path single index, and the branch-and-bound trace.")
 		fmt.Fprintln(w, "\nFlags:")
@@ -126,8 +128,11 @@ func report(w io.Writer, ps *model.PathStats, m *core.Matrix, res core.Result) {
 	}
 	fmt.Fprintf(w, "Total processing cost: %.2f\n", res.Best.Cost)
 	wholeOrg, whole := m.MinCost(1, ps.Len())
-	fmt.Fprintf(w, "Best whole-path single index: %s at %.2f  (split saves %.1f%%)\n",
-		wholeOrg, whole, 100*(whole-res.Best.Cost)/whole)
+	saves := 0.0 // a workload that costs nothing has nothing to save
+	if whole > 0 {
+		saves = 100 * (whole - res.Best.Cost) / whole
+	}
+	fmt.Fprintf(w, "Best whole-path single index: %s at %.2f  (split saves %.1f%%)\n", wholeOrg, whole, saves)
 	// Select serves the dynamic program's answer; the paper's trace is
 	// that of Opt_Ind_Con on the same matrix.
 	bnb := m.OptIndCon().Stats

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // TestExamplePipedThroughJSON is `ixselect -example | ixselect -json`: the
@@ -43,6 +45,42 @@ func TestExamplePipedThroughJSON(t *testing.T) {
 	}
 	if got.Cost < 24.8 || got.Cost > 24.9 {
 		t.Errorf("cost = %v, want Example 5.1's 24.83", got.Cost)
+	}
+}
+
+// TestZeroLoadSpecReport is the template with every alpha, beta and gamma
+// deleted: every configuration costs 0, and the report must say the split
+// saves 0.0 %, not NaN %.
+func TestZeroLoadSpecReport(t *testing.T) {
+	var tmpl bytes.Buffer
+	if err := run([]string{"-example"}, strings.NewReader(""), &tmpl); err != nil {
+		t.Fatal(err)
+	}
+	var s spec.Spec
+	if err := json.Unmarshal(tmpl.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range s.Levels {
+		for x := range level {
+			level[x].Alpha, level[x].Beta, level[x].Gamma = 0, 0, 0
+		}
+	}
+	in, err := json.Marshal(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(in, []byte("alpha")) || bytes.Contains(in, []byte("beta")) || bytes.Contains(in, []byte("gamma")) {
+		t.Fatalf("zero-load spec still carries a load: %s", in)
+	}
+	var out bytes.Buffer
+	if err := run(nil, bytes.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "at 0.00  (split saves 0.0%)\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "NaN") {
+		t.Errorf("report prints NaN:\n%s", out.String())
 	}
 }
 

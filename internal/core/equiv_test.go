@@ -392,6 +392,150 @@ func randomHierarchyStats(t *testing.T, rng *rand.Rand, n int, perKey float64) *
 	return ps
 }
 
+// freshCell prices one cell with an evaluator of its own.
+func freshCell(t *testing.T, sh *cost.Shared, a, b int, org cost.Organization) cost.SubpathCost {
+	t.Helper()
+	e, err := sh.Evaluator(a, b, org)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cost.ProcessingCost(e)
+}
+
+// sameBits reports whether two cells' Query, Maint and CMD are the same bits.
+func sameBits(x, y cost.SubpathCost) bool {
+	return math.Float64bits(x.Query) == math.Float64bits(y.Query) &&
+		math.Float64bits(x.Maint) == math.Float64bits(y.Maint) &&
+		math.Float64bits(x.CMD) == math.Float64bits(y.CMD)
+}
+
+// TestEvaluatorReuseMatchesFresh checks the evaluator's descent memo, which
+// one evaluator pricing a whole matrix fills once and every later cell
+// reads: a cell must cost the same bits as one priced by an evaluator that
+// saw no other cell, across matrices, across Resets between two paths, and
+// for a range query the memo holds no slot for.
+func TestEvaluatorReuseMatchesFresh(t *testing.T) {
+	orgs := cost.OrganizationsExtended
+	assertFresh := func(label string, ps *model.PathStats) {
+		t.Helper()
+		m, err := core.NewMatrixFromStats(ps, orgs)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sh, err := cost.NewShared(ps)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, ab := range m.Rows() {
+			for _, org := range orgs {
+				got, _ := m.Entry(ab[0], ab[1], org)
+				if want := freshCell(t, sh, ab[0], ab[1], org); !sameBits(got.SC, want) {
+					t.Errorf("%s: cell %s = %+v, fresh evaluator %+v", label, cellName(ab[0], ab[1], org), got.SC, want)
+				}
+			}
+		}
+	}
+	// 1. Whole matrices on lengths 1-12, with multi-page NIX records, each
+	// with equality queries only, with a Rho on every class and with a
+	// range selectivity.
+	rng := rand.New(rand.NewSource(30))
+	for n := 1; n <= 12; n++ {
+		for _, perKey := range []float64{4, 400} {
+			ps := randomHierarchyStats(t, rng, n, perKey)
+			label := fmt.Sprintf("hierarchy n=%d perKey=%g", n, perKey)
+			plain := ps.Clone()
+			plain.Selectivity = 0
+			for l := range plain.Levels {
+				for x := range plain.Levels[l].Loads {
+					plain.Levels[l].Loads[x].Rho = 0
+				}
+			}
+			rho := plain.Clone()
+			for l := range rho.Levels {
+				for x := range rho.Levels[l].Loads {
+					rho.Levels[l].Loads[x].Rho = 0.01 * float64(1+l+x)
+				}
+			}
+			sel := plain.Clone()
+			sel.Selectivity = 0.05
+			assertFresh(label, ps)
+			assertFresh(label+" equality", plain)
+			assertFresh(label+" rho", rho)
+			assertFresh(label+" selectivity", sel)
+		}
+	}
+
+	// 2. One evaluator Reset back and forth between two paths: every move
+	// to the other path's Shared must drop the memo of the last one.
+	var chain *model.PathStats
+	for _, ps := range advisePool(t)[1:] {
+		if ps.Len() == 12 {
+			chain = ps
+		}
+	}
+	paths := []*model.PathStats{model.Figure7Stats(), chain}
+	shared := make([]*cost.Shared, len(paths))
+	for i, ps := range paths {
+		sh, err := cost.NewShared(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[i] = sh
+	}
+	var e cost.Evaluator
+	for _, ab := range chain.Path.SubPaths() {
+		for _, org := range orgs {
+			for i, sh := range shared {
+				a, b := ab[0], ab[1]
+				if b > paths[i].Len() {
+					a, b = 1+(a-1)%paths[i].Len(), paths[i].Len()
+				}
+				if err := e.Reset(sh, a, b, org); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := cost.ProcessingCost(&e), freshCell(t, sh, a, b, org); !sameBits(got, want) {
+					t.Errorf("%s after a Reset from the other path: %+v, fresh evaluator %+v", cellName(a, b, org), got, want)
+				}
+			}
+		}
+	}
+
+	// 3. A range query at a selectivity neither memo slot holds, asked of
+	// an evaluator whose memo the cell's pricing filled.
+	ps := model.Figure7Stats()
+	ps.Selectivity = 0.05
+	sh, err := cost.NewShared(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ab := range ps.Path.SubPaths() {
+		for _, org := range []cost.Organization{cost.NIX, cost.PX, cost.NX} {
+			a, b := ab[0], ab[1]
+			if err := e.Reset(sh, a, b, org); err != nil {
+				t.Fatal(err)
+			}
+			cost.ProcessingCost(&e)
+			fresh, err := sh.Evaluator(a, b, org)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range ps.Level(a).Classes {
+				got, err := e.QueryRange(a, c.Class, 0.37)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := fresh.QueryRange(a, c.Class, 0.37)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: QueryRange(%d, %s, 0.37) = %v, fresh evaluator %v", cellName(a, b, org), a, c.Class, got, want)
+				}
+			}
+			if got, want := cost.ProcessingCost(&e), freshCell(t, sh, a, b, org); !sameBits(got, want) {
+				t.Errorf("%s after an unmemoized range query: %+v, fresh evaluator %+v", cellName(a, b, org), got, want)
+			}
+		}
+	}
+}
+
 func TestMatrixEquivalentOnRandomStats(t *testing.T) {
 	// Property: on randomized chain statistics of length up to 16, and on
 	// randomized hierarchies of length up to 12, the matrix matches the

@@ -77,8 +77,9 @@ func ParseOrganization(s string) (Organization, error) {
 // both subpath bounds comes from the path's level table; Reset adds the
 // geometry of the NIX, PX or NX structures, which does, built in the
 // evaluator's own scratch: one evaluator prices every cell of a matrix
-// without allocating. Because the geometries point into the arrays beside
-// them, an Evaluator is used through a pointer and never copied.
+// allocating only its descent memo, once. Because the geometries point
+// into the arrays beside them, an Evaluator is used through a pointer and
+// never copied.
 type Evaluator struct {
 	PS  *model.PathStats
 	A   int // first level of the subpath
@@ -93,6 +94,14 @@ type Evaluator struct {
 	primary, aux     Geom
 	primaryLv, auxLv [maxTreeHeight]LevelGeom
 	anc              []float64 // levelMaint's scratch: one NIX rewrite per ancestor level
+
+	// reachMemo and probeMemo hold the descents of multi-page primary
+	// structures, which read neither the subpath's first level nor the
+	// organization (memo): the reach at level l of a subpath ending at B
+	// at [(B-1)*n + l-1], its query probe at [2*(B-1)] for equality and
+	// [2*(B-1)+1] at Shared.rangeKeys. Filled on first use; Reset drops
+	// them when it moves to another Shared.
+	reachMemo, probeMemo []lastProbe
 }
 
 // NewEvaluator builds an evaluator for subpath [a..b] of ps under org:
@@ -119,6 +128,9 @@ func (sh *Shared) Evaluator(a, b int, org Organization) (*Evaluator, error) {
 func (e *Evaluator) Reset(sh *Shared, a, b int, org Organization) error {
 	if a < 1 || b > sh.n || a > b {
 		return fmt.Errorf("cost: invalid subpath [%d,%d] for path of length %d", a, b, sh.n)
+	}
+	if sh != e.sh {
+		e.reachMemo, e.probeMemo = nil, nil
 	}
 	e.PS, e.A, e.B, e.Org, e.sh, e.lt = sh.ps, a, b, org, sh, nil
 	p := sh.ps.Params
@@ -261,9 +273,52 @@ func (e *Evaluator) probeFor(keys float64) cellProbe {
 	case MX, MIX:
 		return cellProbe{one: e.lt.probesAt(e.sh, keys).one}
 	case NIX, PX, NX:
-		return cellProbe{probe: descent(&e.primary, keys*e.feed())}
+		return cellProbe{probe: e.primaryProbe(keys)}
 	}
 	return cellProbe{}
+}
+
+// memo returns the evaluator's descent memo, allocated on first use, when
+// the primary structure is multi-page and holds records; nils otherwise.
+// Such a structure's descent depends on its record count, the fan-out and
+// t only: its leaf level is {NK, NK·⌈Ln/p⌉}, which Yao clamps to {NK, NK},
+// and every directory level above is built from NK. NIX, PX and NX all key
+// their primary on the ending level's dMax, so within one Shared a slot's
+// descent is the same for every subpath ending at B under all three.
+func (e *Evaluator) memo() (reach, probes []lastProbe) {
+	if !e.primary.MultiPage() || e.primary.NK <= 0 {
+		return nil, nil
+	}
+	if e.reachMemo == nil {
+		n := e.sh.n
+		m := make([]lastProbe, n*n+2*n)
+		e.reachMemo, e.probeMemo = m[:n*n:n*n], m[n*n:]
+	}
+	return e.reachMemo, e.probeMemo
+}
+
+// primaryProbe descends keys times the subpath's feed through the primary
+// structure, reading an equality or prebuilt-range probe from the memo.
+func (e *Evaluator) primaryProbe(keys float64) probe {
+	t := keys * e.feed()
+	if _, m := e.memo(); m != nil {
+		switch keys {
+		case 1:
+			return m[2*(e.B-1)].descent(&e.primary, t)
+		case e.sh.rangeKeys:
+			return m[2*(e.B-1)+1].descent(&e.primary, t)
+		}
+	}
+	return descent(&e.primary, t)
+}
+
+// reach descends the nin̄(l,B) records reachable from one level-l object
+// through the primary structure, from the memo or else re-using lp.
+func (e *Evaluator) reach(l int, lp *lastProbe) probe {
+	if m, _ := e.memo(); m != nil {
+		lp = &m[(e.B-1)*e.sh.n+l-1]
+	}
+	return lp.descent(&e.primary, e.sh.ninBar(l, e.B))
 }
 
 // query prices the probed predicate with respect to class x of level l,
@@ -371,14 +426,15 @@ func (e *Evaluator) Delete(l int, class string) (float64, error) {
 // re-uses when it asks for the same records. Its zero value starts a cell.
 type levelMaint struct {
 	ext float64 // PX, NX: the whole cost, which does not read the class
-	// reach descends the nin̄(l,B) records reachable from an object of the
-	// level through the primary structure; kids and own descend a class's
-	// nin children, without and with the object's own 3-tuple, through
-	// the NIX auxiliary index.
-	reach, kids, own lastProbe
-	ancBytes         float64   // NIX: section bytes of levels A..l-1 in a multi-page primary record
-	anc              []float64 // NIX deletion steps 3b/3c: rewrites at levels l-1..A+1 (Evaluator.anc) ...
-	ancLeaf          float64   // ... and the propagation through the auxiliary leaf level
+	// reach is the NIX descent of Evaluator.reach, which last keeps when
+	// the memo does not; kids and own descend a class's nin children,
+	// without and with the object's own 3-tuple, through the NIX
+	// auxiliary index.
+	reach           probe
+	last, kids, own lastProbe
+	ancBytes        float64   // NIX: section bytes of levels A..l-1 in a multi-page primary record
+	anc             []float64 // NIX deletion steps 3b/3c: rewrites at levels l-1..A+1 (Evaluator.anc) ...
+	ancLeaf         float64   // ... and the propagation through the auxiliary leaf level
 }
 
 // levelMaint moves lm to level l of the evaluator's subpath.
@@ -386,9 +442,9 @@ func (e *Evaluator) levelMaint(l int, lm *levelMaint) {
 	sh := e.sh
 	switch e.Org {
 	case PX, NX:
-		lm.ext = e.extMaintain(l, &lm.reach)
+		lm.ext = e.extMaintain(l, e.reach(l, &lm.last))
 	case NIX:
-		lm.reach.descent(&e.primary, sh.ninBar(l, e.B))
+		lm.reach = e.reach(l, &lm.last)
 		lm.ancBytes = 0
 		if e.primary.MultiPage() {
 			for i := e.A; i < l; i++ {

@@ -63,7 +63,8 @@ func (e *Evaluator) extRecordLen() float64 {
 // extension organizations. Deleting an inner object also invalidates the
 // instantiations of its ancestors through it; those live in the same
 // records the maintenance already fetches, so both operations cost alike.
-func (e *Evaluator) extMaintain(l int, reach *lastProbe) float64 {
+// reach is the descent of the nin̄(l,B) records reachable from the object.
+func (e *Evaluator) extMaintain(l int, reach probe) float64 {
 	sh, g := e.sh, &e.primary
 	// Forward navigation from the object yields the affected keys, one
 	// object page per visited object.
@@ -71,7 +72,7 @@ func (e *Evaluator) extMaintain(l int, reach *lastProbe) float64 {
 	if e.Org == PX {
 		// Each record is rewritten (instantiations added or removed);
 		// whole records are touched: pm = record pages.
-		return s + reach.descent(g, sh.ninBar(l, e.B)).cmt(g, g.RecordPages())
+		return s + reach.cmt(g, g.RecordPages())
 	}
 	if l > e.A {
 		// NX inner-level update: the affected starting objects can only
@@ -79,5 +80,5 @@ func (e *Evaluator) extMaintain(l int, reach *lastProbe) float64 {
 		// index), then re-evaluating their membership.
 		s = sh.scanPages(e.A, l-1) + s
 	}
-	return s + reach.descent(g, sh.ninBar(l, e.B)).cmt(g, 1)
+	return s + reach.cmt(g, 1)
 }

@@ -69,6 +69,13 @@ func specSeeds() []*Spec {
 	add(func(s *Spec) { s.Organizations = []string{"WAT"} })
 	add(func(s *Spec) { s.Selectivity = 3 })
 	add(func(s *Spec) { s.Selectivity = 0.1 })
+	add(func(s *Spec) {
+		for l := range s.Levels {
+			for x := range s.Levels[l] {
+				s.Levels[l][x].Rho = 0.01 * float64(1+l+x)
+			}
+		}
+	})
 	add(func(s *Spec) { s.Classes[1].Super = "Nope" })
 	add(func(s *Spec) {
 		s.Params = &Params{PageSize: 4096, OidLen: 8, KeyLen: 8, PtrLen: 8, CountLen: 4, OffsetLen: 12, RecHeader: 16}

@@ -69,7 +69,11 @@ type Path struct {
 	Attrs []string `json:"attrs"`
 }
 
-// LevelClass carries one class's statistics and workload at a level.
+// LevelClass carries one class's statistics and workload at a level: the
+// Section 3.2 triplet of query, insertion and deletion frequencies, and
+// Rho, a range-query frequency priced at the spec's Selectivity (or the
+// default range selectivity when it declares none) beside the Alpha
+// queries (model.Load).
 type LevelClass struct {
 	Class string  `json:"class"`
 	N     float64 `json:"n"`
@@ -78,6 +82,7 @@ type LevelClass struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	Beta  float64 `json:"beta,omitempty"`
 	Gamma float64 `json:"gamma,omitempty"`
+	Rho   float64 `json:"rho,omitempty"`
 }
 
 // Parse decodes a Spec from JSON, rejecting unknown fields.
@@ -144,7 +149,7 @@ func (s *Spec) Build() (*model.PathStats, []cost.Organization, error) {
 			if err := ps.SetClass(li+1, model.ClassStats{Class: lc.Class, N: lc.N, D: lc.D, NIN: nin}); err != nil {
 				return nil, nil, err
 			}
-			if err := ps.SetLoad(li+1, lc.Class, model.Load{Alpha: lc.Alpha, Beta: lc.Beta, Gamma: lc.Gamma}); err != nil {
+			if err := ps.SetLoad(li+1, lc.Class, model.Load{Alpha: lc.Alpha, Beta: lc.Beta, Gamma: lc.Gamma, Rho: lc.Rho}); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/model"
 )
 
 func TestExampleRoundTrip(t *testing.T) {
@@ -134,6 +135,59 @@ func TestSelectivityFlowsThrough(t *testing.T) {
 	if ps.Selectivity != 0.1 {
 		t.Errorf("selectivity = %g", ps.Selectivity)
 	}
+}
+
+// TestRhoFlowsThrough gives every class of the template a range-query
+// frequency, as the golden table's Rho path does: the built statistics
+// must price every cell of every column bit for bit like Figure 7's with
+// the same Rho.
+func TestRhoFlowsThrough(t *testing.T) {
+	s := Example()
+	want := model.Figure7Stats()
+	for l := range s.Levels {
+		for x := range s.Levels[l] {
+			rho := 0.01 * float64(1+l+x)
+			s.Levels[l][x].Rho = rho
+			want.Levels[l].Loads[x].Rho = rho
+		}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"rho":0.01}`) {
+		t.Fatalf("encoded spec carries no rho: %s", buf.String())
+	}
+	parsed, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, _, err := parsed.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.NewMatrixFromStats(ps, cost.OrganizationsExtended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewMatrixFromStats(want, cost.OrganizationsExtended)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ab := range ref.Rows() {
+		for _, org := range ref.Orgs {
+			g, _ := got.Entry(ab[0], ab[1], org)
+			w, _ := ref.Entry(ab[0], ab[1], org)
+			if bits(g.SC) != bits(w.SC) {
+				t.Errorf("[%d,%d] %v: spec prices %+v, Figure 7 %+v", ab[0], ab[1], org, g.SC, w.SC)
+			}
+		}
+	}
+}
+
+// bits are the bits of a cell's three costs.
+func bits(sc cost.SubpathCost) [3]uint64 {
+	return [3]uint64{math.Float64bits(sc.Query), math.Float64bits(sc.Maint), math.Float64bits(sc.CMD)}
 }
 
 func TestConfigurationCodec(t *testing.T) {
