@@ -171,7 +171,9 @@
 // the per-shard answers, which are
 // disjoint sorted runs, into exactly the result a single engine holding
 // all the objects would return — enforced by a differential test that
-// replays mixed traces against both deployments. Because the paper's
+// replays mixed traces against both deployments. A planner over a
+// ShardedDB goes one step further: it runs a whole predicate tree once
+// per shard and merges only the tree's answers. Because the paper's
 // model navigates forward references (queries chain through them, NIX
 // and PX maintenance walk them), an object's references must live in its
 // shard: Insert routes a referencing object to the shard owning its
@@ -182,11 +184,13 @@
 // Each shard is a full lifecycle engine with its own store, index set,
 // workload recorder and drift tracking, so the Section 5 cost model
 // applies per partition: Advise and Reconfigure re-select every shard
-// independently, and because reads replicate across the fan-out while
+// independently, and because reads spread across the shards while
 // writes partition, skewed write traffic drives shards to genuinely
-// different configurations (see examples/sharded). Each shard's engine
+// different configurations (see examples/sharded). A shard's class
+// counters count the probes that shard executed. Each shard's engine
 // is the one home of its workload: a planner leaf recorded against the
-// ShardedDB lands on every shard, as the predicate itself fanned out.
+// ShardedDB lands on every shard, so each prices the mix the database
+// served.
 // WorkloadSnapshot rolls the per-shard recorders up; Drift reports
 // per-shard, worst-shard and traffic-weighted aggregates. Experiment E4 (ixbench -run shard)
 // measures the same mixed serving workload over 1/2/4/8 shards at
@@ -244,7 +248,15 @@
 // record their predicate mix (point/range/residual per path), which
 // surfaces in WorkloadSnapshot next to the per-class counters.
 //
-// Against a ShardedDB the planner composes with summary pruning: each
+// Against a ShardedDB the planner evaluates the whole tree once per
+// shard, in shard order on the calling goroutine, and merges the
+// per-shard answers once: a path instance never spans shards, so every
+// leaf's answer is the disjoint union of the shards' answers and And and
+// Or distribute over them. Each shard's conjunctions short-circuit on
+// their own, and no leaf's answer is merged across shards. Executed
+// plans are accounted for once: a leaf any shard ran is recorded, and a
+// probe every shard ran feeds the estimates its summed answer size. The
+// planner also composes with summary pruning: each
 // shard maintains min/max bounds plus a Bloom filter over its resident
 // ending-attribute values, so value probes skip shards that provably
 // cannot match — sound because a path instance never spans shards, and

@@ -74,9 +74,10 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 
 // MergeKSortedOIDs unions k sorted, duplicate-free runs into one,
 // appending to dst and returning it. Runs that happen to be disjoint and
-// ordered end to end — the usual shape of per-shard answers, whose OID
-// residue classes often come back range-clustered — concatenate in one
-// pass; otherwise a tournament over a binary min-heap of run heads emits
+// ordered end to end concatenate in one pass. Per-shard answers are not
+// such runs: shard i holds the OIDs congruent to i mod N, so their runs
+// interleave OID by OID and take the merge. Otherwise a tournament over a
+// binary min-heap of run heads (two runs: a plain two-way merge) emits
 // the union in O(total·log k), collapsing equal OIDs so the result stays
 // set-like. Compare the pairwise fold it replaces, which re-scans the
 // accumulator once per run for O(k·total).

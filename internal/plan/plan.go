@@ -28,12 +28,15 @@
 //	            verified by forward navigation (exec.Reaches), paying
 //	            store pages only for candidates the indexed conjuncts
 //	            already narrowed down.
+//	partition — when every probe leaf uses one Partitioned source (a
+//	            sharded database), the whole tree runs once per part and
+//	            the parts' answers merge once, at the root.
 //
-// Every leaf evaluation is recorded per path and kind (equality, range,
-// residual) in a stats.PredRecorder, and forwarded to sources that expose
-// engine.RecordPredicate — so workload snapshots, drift detection and
-// multi-path selection (ooindex.SelectMulti) see the conjunction traffic
-// the planner actually served, closing the loop CoPhy and on-the-fly
+// Every executed leaf is recorded once per execution, per path and kind
+// (equality, range, residual), in a stats.PredRecorder, and forwarded to
+// sources that expose RecordPredicate — so workload snapshots, drift
+// detection and multi-path selection (ooindex.SelectMulti) see the
+// conjunction traffic the planner actually served, closing the loop CoPhy and on-the-fly
 // index-selection formulations assume (see PAPERS.md).
 //
 // Results are bit-identical to naive evaluation of the same predicate by

@@ -284,6 +284,80 @@ func TestSelectivityOrdering(t *testing.T) {
 	}
 }
 
+// probeEstimates plans pred for target and returns the estimate Explain
+// prints for each probe, keyed "eq" or "range".
+func probeEstimates(t *testing.T, pl *Planner, pred Predicate, target string) map[string]string {
+	t.Helper()
+	p, err := pl.Plan(pred, target, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(p.Explain(), "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "probe ") {
+			continue
+		}
+		kind := "eq"
+		if strings.Contains(line, " in [") {
+			kind = "range"
+		}
+		i := strings.LastIndex(line, "(est ")
+		out[kind] = strings.TrimSuffix(line[i+len("(est "):], ")")
+	}
+	return out
+}
+
+// TestObservedCardinalityPerTarget checks that observed cardinalities
+// are kept per target level: Person-target observations on a path never
+// stand in for a Division-target estimate on it, which comes from
+// Division observations or from the cold estimate.
+func TestObservedCardinalityPerTarget(t *testing.T) {
+	w := buildWorld(t, 29)
+	pDiv := w.paths[3] // Person.owns.man.divs.name: Division is level 4
+	c, err := engine.New(w.st, pDiv, core.Configuration{
+		Assignments: []core.Assignment{{A: 1, B: pDiv.Len(), Org: cost.NIX}},
+	}, 2048, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(w.st)
+	if err := pl.Register(pDiv, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	eq := Eq(pDiv, w.pools[3][0])
+	rg := Range(pDiv, w.pools[3][1], w.pools[3][6])
+	for i := 0; i < 4; i++ {
+		for _, pred := range []Predicate{eq, rg} {
+			if _, err := pl.Query(pred, "Person", false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both := And(eq, rg)
+	if got := probeEstimates(t, pl, both, "Person"); got["eq"] == "?" || got["range"] == "?" {
+		t.Fatalf("Person-target estimates %v after Person traffic, want observed sizes", got)
+	}
+	// No Division observation and no statistics: both probes are unknown.
+	if got := probeEstimates(t, pl, both, "Division"); got["eq"] != "?" || got["range"] != "?" {
+		t.Fatalf("Division-target estimates %v before any Division traffic, want cold (?)", got)
+	}
+	// One Division-target equality: its estimate is that answer's size;
+	// the range is still cold.
+	oids, err := pl.Query(eq, "Division", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(oids))
+	if n == 0 {
+		n = 0.5 // observed empty
+	}
+	want := map[string]string{"eq": fmt.Sprintf("%.1f", n), "range": "?"}
+	if got := probeEstimates(t, pl, both, "Division"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Division-target estimates %v after one Division equality, want %v", got, want)
+	}
+}
+
 // TestResidualPostFilter checks that a conjunct over an unregistered
 // path is planned as a post-filter (not a scan) and recorded as residual
 // traffic.

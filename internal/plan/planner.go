@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,6 +25,16 @@ type Source interface {
 	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 }
 
+// Partitioned is a Source whose answer to every probe is the disjoint
+// union of its parts' answers — shard.DB, one part per shard. Because no
+// object's answer spans two parts, And and Or distribute over them: a
+// tree whose probe leaves all use one Partitioned source runs once per
+// part, and the parts' answers merge once, at the root.
+type Partitioned interface {
+	Source
+	Parts() []Source
+}
+
 // PredicateSink is implemented by sources that want the planner's
 // per-leaf traffic forwarded into their own workload accounting
 // (engine.Engine and shard.DB do); registration detects it by type
@@ -39,19 +50,26 @@ const ewmaAlpha = 0.25
 
 // sourceEntry is one registered path: its probe source, optional model
 // statistics for cold estimates, and live observed result sizes per
-// operator (atomic float bits; zero means no observation yet — a real
-// observed zero is stored as a denormal-adjacent epsilon).
+// (operator, target level) (atomic float bits; zero means no observation
+// yet — a real observed zero is stored as a denormal-adjacent epsilon).
 type sourceEntry struct {
-	path *schema.Path
-	key  string
-	src  Source
-	sink PredicateSink
-	ps   *model.PathStats
-	obs  [2]atomic.Uint64 // indexed by leaf Kind - wire.PredEq
+	path  *schema.Path
+	key   string
+	src   Source
+	parts []Source // a Partitioned source's parts; nil for any other
+	sink  PredicateSink
+	ps    *model.PathStats
+	obs   []atomic.Uint64 // indexed by cell(kind, target level)
 }
 
-func (e *sourceEntry) observe(kind byte, n int) {
-	obs := &e.obs[kind-wire.PredEq]
+// cell returns the observed-size cell of one operator at one target
+// level: a Division-target range answers a different question from a
+// Person-target one on the same path.
+func (e *sourceEntry) cell(kind byte, targetLevel int) *atomic.Uint64 {
+	return &e.obs[int(kind-wire.PredEq)*e.path.Len()+targetLevel-1]
+}
+
+func observe(obs *atomic.Uint64, n int) {
 	v := float64(n)
 	if v == 0 {
 		v = 0.5 // distinguish "observed empty" from "never observed"
@@ -70,12 +88,12 @@ func (e *sourceEntry) observe(kind byte, n int) {
 }
 
 // estimate returns the expected result cardinality of one probe through
-// this entry: the live EWMA when the operator has been seen, a
-// PathStats-derived figure otherwise (N_target/D_ending for equality,
-// N_target/10 for ranges), and +Inf with no information at all — an
-// unknown probe is ordered last, never first.
+// this entry: the live EWMA when the operator has been seen at this
+// target level, a PathStats-derived figure otherwise (N_target/D_ending
+// for equality, N_target/10 for ranges), and +Inf with no information at
+// all — an unknown probe is ordered last, never first.
 func (e *sourceEntry) estimate(kind byte, targetLevel int) float64 {
-	if bits := e.obs[kind-wire.PredEq].Load(); bits != 0 {
+	if bits := e.cell(kind, targetLevel).Load(); bits != 0 {
 		return math.Float64frombits(bits)
 	}
 	if e.ps == nil {
@@ -119,7 +137,8 @@ func NewPlanner(st *oodb.Store) *Planner {
 // non-nil, seeds cold cardinality estimates until live observations take
 // over; pass the statistics the source's configuration was selected
 // from. Sources implementing PredicateSink additionally receive the
-// planner's per-leaf traffic for the path.
+// planner's per-leaf traffic for the path; a Partitioned source's parts
+// are read once, here.
 func (pl *Planner) Register(p *schema.Path, src Source, ps *model.PathStats) error {
 	if p == nil {
 		return fmt.Errorf("plan: register with nil path")
@@ -127,7 +146,12 @@ func (pl *Planner) Register(p *schema.Path, src Source, ps *model.PathStats) err
 	if src == nil {
 		return fmt.Errorf("plan: register %s with nil source", p)
 	}
-	e := &sourceEntry{path: p, key: p.String(), src: src, ps: ps}
+	e := &sourceEntry{path: p, key: p.String(), src: src, ps: ps, obs: make([]atomic.Uint64, 2*p.Len())}
+	if pt, ok := src.(Partitioned); ok {
+		if e.parts = pt.Parts(); len(e.parts) == 0 {
+			return fmt.Errorf("plan: register %s with a partitioned source of no parts", p)
+		}
+	}
 	e.sink, _ = src.(PredicateSink)
 	pl.mu.Lock()
 	pl.sources[e.key] = e
@@ -136,8 +160,9 @@ func (pl *Planner) Register(p *schema.Path, src Source, ps *model.PathStats) err
 }
 
 // Predicates snapshots the per-path predicate mix the planner has
-// evaluated: every leaf of every executed plan, classified as indexed
-// equality, indexed range, or residual store navigation. A probe leaf is
+// evaluated: every leaf of every executed plan, once per execution,
+// classified as indexed equality, indexed range, or residual store
+// navigation (see Plan.Execute for when a leaf counts). A probe leaf is
 // also forwarded to its source when the source is a PredicateSink, and
 // that source's workload snapshot already holds it; only residual leaves
 // and probes through sources that are not sinks live here alone. Merging
@@ -153,6 +178,8 @@ type Plan struct {
 	target    string
 	hierarchy bool
 	root      pnode
+	parts     int // how many times Execute evaluates the tree (see partition)
+	leaves    int // leaf nodes, numbered by their slots
 }
 
 // pnode is a physical plan node.
@@ -161,10 +188,14 @@ type pnode interface {
 	explain(b *strings.Builder, depth int)
 }
 
-// probeNode answers one leaf through an index source.
+// probeNode answers one leaf through an index source: the whole source,
+// or in a plan run per part the part being evaluated.
 type probeNode struct {
 	leaf  *Predicate
 	entry *sourceEntry
+	kind  stats.PredKind
+	obs   *atomic.Uint64 // the observed-size cell this probe feeds
+	slot  int
 	card  float64
 }
 
@@ -175,6 +206,7 @@ func (n *probeNode) est() float64 { return n.card }
 // post-filter (e.g. a lone disjunct).
 type scanNode struct {
 	leaf *Predicate
+	slot int
 }
 
 func (n *scanNode) est() float64 { return math.Inf(1) }
@@ -184,6 +216,7 @@ func (n *scanNode) est() float64 { return math.Inf(1) }
 type filterStep struct {
 	leaf  *Predicate
 	level int
+	slot  int
 }
 
 // andPlan intersects its probes cheapest-first, then post-filters the
@@ -212,50 +245,101 @@ func (n *orPlan) est() float64 { return n.card }
 func (pl *Planner) Plan(pred Predicate, targetClass string, hierarchy bool) (*Plan, error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	root, err := pl.compile(&pred, targetClass)
+	c := compiler{pl: pl, target: targetClass}
+	root, err := c.compile(&pred)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{pl: pl, target: targetClass, hierarchy: hierarchy, root: root}, nil
+	return &Plan{pl: pl, target: targetClass, hierarchy: hierarchy, root: root,
+		parts: c.partition(hasScan(root)), leaves: c.leaves}, nil
+}
+
+// compiler lowers one predicate tree and numbers its leaves.
+type compiler struct {
+	pl     *Planner
+	target string
+	leaves int
+	entry  *sourceEntry // the first probe leaf's source
+	mixed  bool         // a probe leaf uses another source
+}
+
+// slot numbers one leaf for an execution's tally.
+func (c *compiler) slot() int {
+	c.leaves++
+	return c.leaves - 1
+}
+
+// partition returns the number of parts the plan runs over. The tree runs
+// per part only when every probe leaf uses one registered Partitioned
+// source and no leaf scans the store — a store scan is not partitioned.
+// Any other tree runs once, over its leaves' whole sources: a plain
+// source is its own single part.
+func (c *compiler) partition(scans bool) int {
+	if scans || c.mixed || c.entry == nil || len(c.entry.parts) < 2 {
+		return 1
+	}
+	return len(c.entry.parts)
+}
+
+// hasScan reports whether any leaf of the tree is driven by a store scan.
+func hasScan(n pnode) bool {
+	switch n := n.(type) {
+	case *scanNode:
+		return true
+	case *andPlan:
+		return slices.ContainsFunc(n.probes, hasScan)
+	case *orPlan:
+		return slices.ContainsFunc(n.kids, hasScan)
+	}
+	return false
 }
 
 // compile lowers one tree node; the plan points into the tree. Called
 // with pl.mu read-held.
-func (pl *Planner) compile(n *Predicate, target string) (pnode, error) {
+func (c *compiler) compile(n *Predicate) (pnode, error) {
 	switch n.Kind {
 	case wire.PredEq, wire.PredRange:
 		if err := validateLeaf(n); err != nil {
 			return nil, err
 		}
-		level, err := exec.PathLevel(n.Path, target)
+		level, err := exec.PathLevel(n.Path, c.target)
 		if err != nil {
 			return nil, err
 		}
-		if e, ok := pl.sources[n.Path.String()]; ok {
-			return &probeNode{leaf: n, entry: e, card: e.estimate(n.Kind, level)}, nil
+		if e, ok := c.pl.sources[n.Path.String()]; ok {
+			if c.entry == nil {
+				c.entry = e
+			}
+			c.mixed = c.mixed || e != c.entry
+			kind := stats.PredEq
+			if n.Kind == wire.PredRange {
+				kind = stats.PredRange
+			}
+			return &probeNode{leaf: n, entry: e, kind: kind, obs: e.cell(n.Kind, level),
+				slot: c.slot(), card: e.estimate(n.Kind, level)}, nil
 		}
-		if pl.store == nil {
+		if c.pl.store == nil {
 			return nil, fmt.Errorf("plan: no source for %s and no store for naive fallback", n.Path)
 		}
-		return &scanNode{leaf: n}, nil
+		return &scanNode{leaf: n, slot: c.slot()}, nil
 	case wire.PredAnd:
 		if len(n.Kids) == 0 {
 			return nil, fmt.Errorf("plan: empty conjunction")
 		}
 		ap := &andPlan{}
 		for i := range n.Kids {
-			kid, err := pl.compile(&n.Kids[i], target)
+			kid, err := c.compile(&n.Kids[i])
 			if err != nil {
 				return nil, err
 			}
 			if sn, ok := kid.(*scanNode); ok {
 				// An unindexed conjunct never scans: it rides the indexed
 				// siblings as a per-candidate post-filter.
-				level, err := exec.PathLevel(sn.leaf.Path, target)
+				level, err := exec.PathLevel(sn.leaf.Path, c.target)
 				if err != nil {
 					return nil, err
 				}
-				ap.residuals = append(ap.residuals, filterStep{leaf: sn.leaf, level: level})
+				ap.residuals = append(ap.residuals, filterStep{leaf: sn.leaf, level: level, slot: sn.slot})
 				continue
 			}
 			ap.probes = append(ap.probes, kid)
@@ -263,7 +347,7 @@ func (pl *Planner) compile(n *Predicate, target string) (pnode, error) {
 		if len(ap.probes) == 0 {
 			// Fully unindexed conjunction: the cheapest residual is
 			// promoted to a driving scan, the rest stay post-filters.
-			ap.probes = append(ap.probes, &scanNode{leaf: ap.residuals[0].leaf})
+			ap.probes = append(ap.probes, &scanNode{leaf: ap.residuals[0].leaf, slot: ap.residuals[0].slot})
 			ap.residuals = ap.residuals[1:]
 		}
 		sort.SliceStable(ap.probes, func(i, j int) bool {
@@ -280,11 +364,11 @@ func (pl *Planner) compile(n *Predicate, target string) (pnode, error) {
 		}
 		op := &orPlan{}
 		for i := range n.Kids {
-			kid, err := pl.compile(&n.Kids[i], target)
+			kid, err := c.compile(&n.Kids[i])
 			if err != nil {
 				return nil, err
 			}
-			if sn, ok := kid.(*scanNode); ok && pl.store == nil {
+			if sn, ok := kid.(*scanNode); ok && c.pl.store == nil {
 				return nil, fmt.Errorf("plan: no source for %s under disjunction", sn.leaf.Path)
 			}
 			op.kids = append(op.kids, kid)
@@ -297,23 +381,94 @@ func (pl *Planner) compile(n *Predicate, target string) (pnode, error) {
 
 // Execute runs the plan and returns the matching OIDs, sorted and
 // duplicate-free — bit-identical to NaiveEval of the same predicate.
+//
+// A plan over k parts evaluates the whole tree once per part, in part
+// order on the calling goroutine, and merges the parts' answers —
+// disjoint sorted runs — once; with one part nothing is merged. Each
+// part's conjunctions short-circuit on their own: a part whose cheapest
+// conjunct is empty never probes the rest. The execution is accounted
+// for once: a leaf that at least one part ran is recorded, in the
+// planner's mix and in its source's sink (a part whose summary pruned a
+// probe ran it — its answer is known to be empty). A probe that every
+// part ran feeds its summed answer size to the cardinality estimate; a
+// sum with a part missing would bias the estimate low. A failed execution
+// observes nothing.
 func (p *Plan) Execute() ([]oodb.OID, error) {
-	return p.pl.eval(p.root, p.target, p.hierarchy)
+	x := execution{Plan: p, ran: make([]leafRun, p.leaves)}
+	runs := make([][]oodb.OID, p.parts)
+	total := 0
+	for x.part = range runs {
+		r, err := x.eval(p.root)
+		if err != nil {
+			x.settle(p.root, false)
+			return nil, err
+		}
+		runs[x.part] = r
+		total += len(r)
+	}
+	x.settle(p.root, true)
+	if len(runs) == 1 {
+		return runs[0], nil
+	}
+	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
 }
 
-func (pl *Planner) eval(n pnode, target string, hierarchy bool) ([]oodb.OID, error) {
+// execution is one Execute's state: the part being evaluated and, per
+// leaf slot, how many parts ran the leaf and how many OIDs they answered.
+type execution struct {
+	*Plan
+	part int
+	ran  []leafRun
+}
+
+type leafRun struct{ parts, oids int }
+
+// settle records and observes the leaves under n (see Execute); ok is
+// false for a failed execution.
+func (x *execution) settle(n pnode, ok bool) {
 	switch n := n.(type) {
 	case *probeNode:
-		return pl.evalProbe(n, target, hierarchy)
+		if r := x.ran[n.slot]; r.parts > 0 {
+			x.pl.record(n.entry, n.entry.key, n.kind)
+			if ok && r.parts == x.parts {
+				observe(n.obs, r.oids)
+			}
+		}
 	case *scanNode:
-		return pl.evalScan(n.leaf, target, hierarchy)
+		x.settleResidual(n.leaf, n.slot)
 	case *andPlan:
-		return pl.evalAnd(n, target, hierarchy)
+		for _, p := range n.probes {
+			x.settle(p, ok)
+		}
+		for _, rs := range n.residuals {
+			x.settleResidual(rs.leaf, rs.slot)
+		}
+	case *orPlan:
+		for _, k := range n.kids {
+			x.settle(k, ok)
+		}
+	}
+}
+
+func (x *execution) settleResidual(l *Predicate, slot int) {
+	if x.ran[slot].parts > 0 {
+		x.pl.record(nil, l.Path.String(), stats.PredResidual)
+	}
+}
+
+func (x *execution) eval(n pnode) ([]oodb.OID, error) {
+	switch n := n.(type) {
+	case *probeNode:
+		return x.evalProbe(n)
+	case *scanNode:
+		return x.evalScan(n)
+	case *andPlan:
+		return x.evalAnd(n)
 	case *orPlan:
 		runs := make([][]oodb.OID, len(n.kids))
 		total := 0
 		for i, k := range n.kids {
-			r, err := pl.eval(k, target, hierarchy)
+			r, err := x.eval(k)
 			if err != nil {
 				return nil, err
 			}
@@ -325,35 +480,40 @@ func (pl *Planner) eval(n pnode, target string, hierarchy bool) ([]oodb.OID, err
 	return nil, fmt.Errorf("plan: unknown plan node %T", n)
 }
 
-func (pl *Planner) evalProbe(n *probeNode, target string, hierarchy bool) ([]oodb.OID, error) {
+func (x *execution) evalProbe(n *probeNode) ([]oodb.OID, error) {
 	var (
 		res []oodb.OID
 		err error
 	)
-	if n.leaf.Kind == wire.PredEq {
-		res, err = n.entry.src.Query(n.leaf.Value, target, hierarchy)
-		pl.record(n.entry, n.entry.key, stats.PredEq)
-	} else {
-		res, err = n.entry.src.QueryRange(n.leaf.Lo, n.leaf.Hi, target, hierarchy)
-		pl.record(n.entry, n.entry.key, stats.PredRange)
+	src := n.entry.src
+	if x.parts > 1 {
+		src = n.entry.parts[x.part]
 	}
+	if n.leaf.Kind == wire.PredEq {
+		res, err = src.Query(n.leaf.Value, x.target, x.hierarchy)
+	} else {
+		res, err = src.QueryRange(n.leaf.Lo, n.leaf.Hi, x.target, x.hierarchy)
+	}
+	r := &x.ran[n.slot]
+	r.parts++
 	if err != nil {
 		return nil, err
 	}
-	n.entry.observe(n.leaf.Kind, len(res))
+	r.oids += len(res)
 	return res, nil
 }
 
-func (pl *Planner) evalScan(l *Predicate, target string, hierarchy bool) ([]oodb.OID, error) {
-	pl.record(nil, l.Path.String(), stats.PredResidual)
+func (x *execution) evalScan(n *scanNode) ([]oodb.OID, error) {
+	x.ran[n.slot].parts++
+	l := n.leaf
 	if l.Kind == wire.PredEq {
-		return exec.NaiveQuery(pl.store, l.Path, l.Value, target, hierarchy)
+		return exec.NaiveQuery(x.pl.store, l.Path, l.Value, x.target, x.hierarchy)
 	}
-	return exec.NaiveQueryRange(pl.store, l.Path, l.Lo, l.Hi, target, hierarchy)
+	return exec.NaiveQueryRange(x.pl.store, l.Path, l.Lo, l.Hi, x.target, x.hierarchy)
 }
 
-func (pl *Planner) evalAnd(n *andPlan, target string, hierarchy bool) ([]oodb.OID, error) {
-	cur, err := pl.eval(n.probes[0], target, hierarchy)
+func (x *execution) evalAnd(n *andPlan) ([]oodb.OID, error) {
+	cur, err := x.eval(n.probes[0])
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +523,7 @@ func (pl *Planner) evalAnd(n *andPlan, target string, hierarchy bool) ([]oodb.OI
 			// remaining probes entirely.
 			return cur, nil
 		}
-		r, err := pl.eval(p, target, hierarchy)
+		r, err := x.eval(p)
 		if err != nil {
 			return nil, err
 		}
@@ -373,20 +533,20 @@ func (pl *Planner) evalAnd(n *andPlan, target string, hierarchy bool) ([]oodb.OI
 		return cur, nil
 	}
 	for _, rs := range n.residuals {
-		pl.record(nil, rs.leaf.Path.String(), stats.PredResidual)
+		x.ran[rs.slot].parts++
 	}
 	// Post-filter: verify each surviving candidate by forward navigation
 	// along every residual path. Store pages are paid only for the
 	// candidates the indexed probes left alive.
 	out := cur[:0]
 	for _, oid := range cur {
-		obj, err := pl.store.Get(oid)
+		obj, err := x.pl.store.Get(oid)
 		if err != nil {
 			return nil, err
 		}
 		keep := true
 		for _, rs := range n.residuals {
-			ok, err := exec.Reaches(pl.store, rs.leaf.Path, obj, rs.level, valueTest(rs.leaf))
+			ok, err := exec.Reaches(x.pl.store, rs.leaf.Path, obj, rs.level, valueTest(rs.leaf))
 			if err != nil {
 				return nil, err
 			}
@@ -434,10 +594,15 @@ func (p *Plan) ExecuteValues(attr string) ([]oodb.Value, error) {
 }
 
 // Explain renders the physical plan: probe order, estimated
-// cardinalities, and which conjuncts became residual post-filters.
+// cardinalities, which conjuncts became residual post-filters, and — on
+// the header line, for a plan run per part — how many parts it runs over.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan for %q (hierarchy=%v)\n", p.target, p.hierarchy)
+	fmt.Fprintf(&b, "plan for %q (hierarchy=%v)", p.target, p.hierarchy)
+	if p.parts > 1 {
+		fmt.Fprintf(&b, ", per part ×%d, merged once", p.parts)
+	}
+	b.WriteByte('\n')
 	p.root.explain(&b, 1)
 	return b.String()
 }

@@ -122,14 +122,13 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 		}
 	}
 
-	db := &DB{path: p, shards: engines, stores: make([]*oodb.Store, n)}
+	stores := make([]*oodb.Store, n)
 	for i, e := range engines {
-		db.stores[i] = e.Store()
+		stores[i] = e.Store()
 	}
 	// Summaries are in-memory only: recovery replays the stores, and they
 	// are rebuilt from the recovered contents.
-	db.sums = newSummaries(p, db.stores)
-	return db, nil
+	return assemble(p, stores, engines), nil
 }
 
 func readShardsManifest(dir string) (shardsManifest, bool, error) {

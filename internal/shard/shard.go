@@ -8,11 +8,14 @@
 // Delete, each entry of an UpdateBatch — is one modulo, a pure function
 // of the OID that stays correct for the object's whole lifetime with no
 // directory to maintain or rebalance. Value queries have no OID to hash:
-// they fan out to every shard and merge the per-shard answers, which are
-// disjoint sorted runs (the shards partition the OID space), so the
-// merged result is bit-identical to evaluating against one store holding
-// everything — the shard-equivalence differential test enforces exactly
-// this.
+// they ask every shard whose summary admits the value (summary.go) and
+// merge the per-shard answers, which are disjoint sorted runs (the shards
+// partition the OID space), so the merged result is bit-identical to
+// evaluating against one store holding everything — the
+// shard-equivalence differential test enforces exactly this. Each shard
+// is a part (Parts, plan.Partitioned), so a planner over the database
+// runs a whole predicate tree once per shard and merges once, at the
+// root, instead of merging every leaf.
 //
 // Reference locality. The paper's model navigates forward references
 // during query evaluation and index maintenance (NIX cascades, PX
@@ -34,14 +37,15 @@
 // per shard, and a hot, update-heavy shard can settle on a
 // cheap-to-maintain split while a cold, query-heavy one keeps the
 // whole-path NIX (the per-partition advising CoPhy's decomposition and
-// Meta's AIM argue for). Because a value query fans out everywhere,
-// read load replicates across shards while write load partitions; it is
-// write locality that makes per-shard mixes — and therefore per-shard
-// optima — diverge. Each shard's engine is the one home of its
-// workload: RecordPredicate counts a planner leaf on every shard, the
-// same fan-out a value query takes. WorkloadSnapshot rolls the per-shard
-// recorders up into the fleet-wide view; Drift aggregates the per-shard
-// drifts.
+// Meta's AIM argue for). Because a value query reaches every shard its
+// summary admits, read load spreads across shards while write load
+// partitions; it is write locality that makes per-shard mixes — and
+// therefore per-shard optima — diverge. A shard's class recorder counts
+// the probes that shard executed, no others. Each shard's engine is the
+// one home of its workload: RecordPredicate counts a planner leaf on
+// every shard, so every shard prices the mix the database served.
+// WorkloadSnapshot rolls the per-shard recorders up into the fleet-wide
+// view; Drift aggregates the per-shard drifts.
 //
 // Concurrency. The facade adds no locking of its own, and the read path
 // spawns nothing: a value query walks the shards its summaries admit in
@@ -59,6 +63,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,6 +71,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/oodb"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -89,8 +95,9 @@ type Options struct {
 
 // DB is an OID-hash-partitioned database: N independent lifecycle
 // engines behind one facade. Point writes route by OID residue; value
-// queries fan out and merge; selection and reconfiguration run per
-// shard. See the package comment for the partitioning model.
+// queries ask the admitted shards and merge; selection and
+// reconfiguration run per shard. See the package comment for the
+// partitioning model.
 type DB struct {
 	path   *schema.Path
 	shards []*engine.Engine
@@ -103,6 +110,18 @@ type DB struct {
 	sums   *summaries
 	probed atomic.Uint64
 	pruned atomic.Uint64
+
+	parts []plan.Source // one *part per shard, in shard order
+}
+
+// assemble finishes a database over its opened engines: the summaries
+// from the stores' contents and one probe part per shard.
+func assemble(p *schema.Path, stores []*oodb.Store, engines []*engine.Engine) *DB {
+	db := &DB{path: p, stores: stores, shards: engines, sums: newSummaries(p, stores)}
+	for s := range engines {
+		db.parts = append(db.parts, &part{db: db, s: s})
+	}
+	return db
 }
 
 // NewStores creates n empty stores over the schema whose OID sequences
@@ -152,7 +171,7 @@ func Open(stores []*oodb.Store, p *schema.Path, cfg core.Configuration, pageSize
 	if p == nil {
 		return nil, fmt.Errorf("shard: nil path")
 	}
-	db := &DB{path: p, stores: stores, shards: make([]*engine.Engine, n)}
+	engines := make([]*engine.Engine, n)
 	for i, st := range stores {
 		if st == nil {
 			return nil, fmt.Errorf("shard: nil store at slot %d", i)
@@ -165,10 +184,9 @@ func Open(stores []*oodb.Store, p *schema.Path, cfg core.Configuration, pageSize
 		if err != nil {
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
-		db.shards[i] = e
+		engines[i] = e
 	}
-	db.sums = newSummaries(p, stores)
-	return db, nil
+	return assemble(p, stores, engines), nil
 }
 
 // NumShards returns the number of shards.
@@ -356,22 +374,57 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 	return errs
 }
 
-// fanOut runs f against every shard whose summary admits the probe, in
-// shard order on the calling goroutine — keep(s) false means shard s
-// provably cannot match and is skipped without a descent. The first
-// failing shard ends the walk with its error.
-// The per-shard OID sets, disjoint sorted runs, merge into one sorted
-// result, nil when empty.
-func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID, error)) ([]oodb.OID, error) {
-	runs := make([][]oodb.OID, 0, len(db.shards))
+// part is one shard seen as a probe source, the one home of the pruning
+// check: a probe the shard's summary excludes answers empty without a
+// descent and counts as pruned (see summary.go); any other descends into
+// the shard's engine and counts as probed.
+type part struct {
+	db *DB
+	s  int
+}
+
+// admit counts one probe of the part as probed or pruned and reports
+// whether it descends.
+func (p *part) admit(mayMatch bool) bool {
+	if !mayMatch {
+		p.db.pruned.Add(1)
+		return false
+	}
+	p.db.probed.Add(1)
+	return true
+}
+
+func (p *part) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	if !p.admit(p.db.sums.per[p.s].MayMatchEq(value)) {
+		return nil, nil
+	}
+	return p.db.shards[p.s].Query(value, targetClass, hierarchy)
+}
+
+func (p *part) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+	if !p.admit(p.db.sums.per[p.s].MayMatchRange(lo, hi)) {
+		return nil, nil
+	}
+	return p.db.shards[p.s].QueryRange(lo, hi, targetClass, hierarchy)
+}
+
+// Parts returns one probe source per shard, in shard order
+// (plan.Partitioned): the database's answer to any probe is the disjoint
+// union of theirs, because the shards partition the OID space and no
+// path instance crosses a shard. A planner over the database therefore
+// runs a predicate tree once per shard and merges once, at the root.
+// Each part prunes and counts exactly as Query does.
+func (db *DB) Parts() []plan.Source { return slices.Clone(db.parts) }
+
+// fanOut asks every shard's part, in shard order on the calling
+// goroutine, and merges the per-shard answers — disjoint sorted runs —
+// into one sorted result, nil when empty. The first failing shard ends
+// the walk with its error.
+func (db *DB) fanOut(ask func(p plan.Source) ([]oodb.OID, error)) ([]oodb.OID, error) {
+	runs := make([][]oodb.OID, 0, len(db.parts))
 	total := 0
-	for s, e := range db.shards {
-		if !keep(s) {
-			db.pruned.Add(1)
-			continue
-		}
-		db.probed.Add(1)
-		r, err := f(e)
+	for _, p := range db.parts {
+		r, err := ask(p)
 		if err != nil {
 			return nil, err
 		}
@@ -389,16 +442,6 @@ func (db *DB) fanOut(keep func(s int) bool, f func(e *engine.Engine) ([]oodb.OID
 	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
 }
 
-// keepEq returns the pruning filter for an equality probe.
-func (db *DB) keepEq(value oodb.Value) func(int) bool {
-	return func(s int) bool { return db.sums.per[s].MayMatchEq(value) }
-}
-
-// keepRange returns the pruning filter for a range probe.
-func (db *DB) keepRange(lo, hi oodb.Value) func(int) bool {
-	return func(s int) bool { return db.sums.per[s].MayMatchRange(lo, hi) }
-}
-
 // Query evaluates A_n = value for targetClass across every shard whose
 // summary admits the value and merges the answers — matching objects
 // can live anywhere in the partitioned OID space, but a shard whose
@@ -407,8 +450,8 @@ func (db *DB) keepRange(lo, hi oodb.Value) func(int) bool {
 // duplicate-free, bit-identical to the same query against a single
 // engine holding all the objects.
 func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return db.fanOut(db.keepEq(value), func(e *engine.Engine) ([]oodb.OID, error) {
-		return e.Query(value, targetClass, hierarchy)
+	return db.fanOut(func(p plan.Source) ([]oodb.OID, error) {
+		return p.Query(value, targetClass, hierarchy)
 	})
 }
 
@@ -416,8 +459,8 @@ func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]ood
 // shard whose summarized value interval overlaps the range, merging as
 // Query does.
 func (db *DB) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return db.fanOut(db.keepRange(lo, hi), func(e *engine.Engine) ([]oodb.OID, error) {
-		return e.QueryRange(lo, hi, targetClass, hierarchy)
+	return db.fanOut(func(p plan.Source) ([]oodb.OID, error) {
+		return p.QueryRange(lo, hi, targetClass, hierarchy)
 	})
 }
 
@@ -496,11 +539,12 @@ func (db *DB) PruneCounters() (probed, pruned uint64) {
 }
 
 // RecordPredicate counts one planner predicate-leaf evaluation
-// (plan.PredicateSink) on every shard's engine: a value predicate fans
-// out to every shard, so the leaf describes serving work each shard
-// performed (or, for a residual leaf, would absorb with an index) — not
-// a fraction to be split. Each shard's selection, drift, auto-tune and
-// checkpoint then see the mix as they see their own traffic.
+// (plan.PredicateSink) on every shard's engine. The planner forwards a
+// leaf once per execution when any shard ran it, so the leaf describes
+// the shape of the traffic the database served (or, for a residual leaf,
+// would absorb with an index) — not a fraction to be split. Each shard's
+// selection, drift, auto-tune and checkpoint then see the mix as they
+// see their own traffic.
 func (db *DB) RecordPredicate(path string, kind stats.PredKind) {
 	for _, e := range db.shards {
 		e.RecordPredicate(path, kind)
@@ -529,8 +573,8 @@ func (db *DB) WorkloadSnapshots() []stats.Workload {
 }
 
 // WorkloadSnapshot returns the fleet-wide roll-up of the per-shard
-// recorders. It aggregates shard-level work: a fanned-out value query
-// contributes one query per shard that served a probe for it — the
+// recorders. It aggregates shard-level work: a value query contributes
+// one query per shard that executed a probe for it — the
 // capacity-relevant count; shards the summaries pruned did no work and
 // record nothing. Write operations, which route to exactly one shard,
 // each count once. A planner leaf recorded through RecordPredicate
