@@ -71,21 +71,23 @@ func main() {
 		owners++
 	}
 	acked := db.Store().Len()
+	walSize := db.WALSize()
 	fmt.Printf("victim:    %d objects acknowledged (%d owners), WAL %d bytes\n",
-		acked, owners, db.WALSize())
+		acked, owners, walSize)
 
 	// The kill: no Close, no checkpoint. And worse — the last sector of
-	// the log is torn, as a power cut mid-write would leave it.
+	// the log is torn, as a power cut mid-write would leave it. The file
+	// is extended ahead of the log, so the tear is at the log's end.
 	walPath := filepath.Join(dir, "wal.log")
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-3], 0o644); err != nil {
+	if err := os.WriteFile(walPath, raw[:walSize-3], 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("kill:      process abandoned, WAL tail torn (%d of %d bytes survive)\n",
-		len(raw)-3, len(raw))
+		walSize-3, walSize)
 
 	// Phase 2: the survivor. Recovery replays the intact prefix and
 	// truncates the torn record — the torn record's operation was never

@@ -42,11 +42,16 @@ import (
 // converges.
 //
 // Write path: each Insert, Update or Delete appends one operation record
-// and commits — all inside the engine's existing writeMu hold, so a batch
-// (UpdateBatch) naturally group-commits with one fsync decision for the
-// whole writeMu hold. Operations are logged only after they succeed in
-// the store; an operation whose append fails returns the error and is not
-// acknowledged.
+// inside the engine's writeMu hold, notes the log position the record
+// ends at, releases writeMu, and only then commits — waits for that
+// position to be durable per policy. The next writer's store and index
+// work runs during the fsync, and concurrent commits share one fsync
+// (wal.Log.Commit). A batch (UpdateBatch) appends all its records in one
+// writeMu hold and commits once. Operations are logged only after they
+// succeed in the store; an operation whose append or commit fails returns
+// the error and is not acknowledged. Lock order: writeMu, then the log's
+// sync mutex, then its append mutex; the commit path never takes writeMu
+// while the log holds its sync mutex for it.
 
 const (
 	walName      = "wal.log"
@@ -292,18 +297,19 @@ func applyOpRecord(st *oodb.Store, rec []byte) error {
 }
 
 // logOp appends one operation record for an operation that already
-// succeeded in the store. Caller holds writeMu.
-func (e *Engine) logOp(kind byte, oid oodb.OID) error {
+// succeeded in the store and returns the log position the record ends at,
+// for commit. Caller holds writeMu.
+func (e *Engine) logOp(kind byte, oid oodb.OID) (uint64, error) {
 	d := e.dur
 	if d.err != nil {
-		return d.err
+		return 0, d.err
 	}
 	// A latched pager error (failed write-back during the store phase)
 	// condemns the operation before its record is appended: an appended
 	// record is a durability promise, so the health check must precede it.
 	if err := e.store.Err(); err != nil {
 		d.err = err
-		return err
+		return 0, err
 	}
 	d.buf = append(d.buf[:0], kind)
 	if kind == opDelete {
@@ -312,34 +318,43 @@ func (e *Engine) logOp(kind byte, oid oodb.OID) error {
 		obj, ok := e.store.Peek(oid)
 		if !ok {
 			d.err = fmt.Errorf("engine: logging operation: object %d vanished", oid)
-			return d.err
+			return 0, d.err
 		}
 		d.buf = oodb.AppendObject(d.buf, obj.OID, obj.Class, obj.Attrs)
 	}
 	if err := d.log.Append(d.buf); err != nil {
 		d.err = err
-		return err
+		return 0, err
 	}
-	return nil
+	return d.log.End(), nil
 }
 
-// commitLocked commits the WAL per policy and checkpoints when the log
-// has outgrown its threshold. Caller holds writeMu.
-func (e *Engine) commitLocked() error {
+// commit makes the operation whose record ends at pos durable per policy,
+// then checkpoints when the log has outgrown its threshold. The caller
+// has released writeMu: other writers apply and append during the fsync,
+// and concurrent commits share one (wal.Log.Commit). A failed commit
+// latches d.err, so the engine refuses later writes.
+func (e *Engine) commit(pos uint64) error {
 	d := e.dur
-	if d.err != nil {
-		return d.err
-	}
-	if _, err := d.log.Commit(); err != nil {
-		d.err = err
+	if _, err := d.log.Commit(pos); err != nil {
+		e.writeMu.Lock()
+		if d.err == nil {
+			d.err = err
+		}
+		e.writeMu.Unlock()
 		return err
 	}
 	if d.ckpt > 0 && d.log.Size() >= d.ckpt {
 		// The operation is durable the moment its commit lands; a failing
 		// checkpoint here condemns the engine for future writes (latched
 		// in d.err, visible via DurabilityErr) but cannot retract this
-		// operation's acknowledgement.
-		e.checkpointLocked() //nolint:errcheck
+		// operation's acknowledgement. The size is checked again under
+		// writeMu: a concurrent commit may have checkpointed meanwhile.
+		e.writeMu.Lock()
+		if d.log.Size() >= d.ckpt {
+			e.checkpointLocked() //nolint:errcheck
+		}
+		e.writeMu.Unlock()
 	}
 	return nil
 }
@@ -579,6 +594,12 @@ func (e *Engine) DurabilityErr() error {
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
+	return e.durabilityErrLocked()
+}
+
+// durabilityErrLocked is DurabilityErr with writeMu held, on a durable
+// engine.
+func (e *Engine) durabilityErrLocked() error {
 	if e.dur.err != nil {
 		return e.dur.err
 	}

@@ -219,6 +219,46 @@ func TestDurableIOErrorPosture(t *testing.T) {
 	}
 }
 
+// TestDurableCondemnedEngineRefusesSwap: an insert whose page write-back
+// fails leaves its object half-placed in the store — listed under its
+// class, absent from the catalog — so a configuration swap on the
+// condemned engine refuses with the latched error rather than bulk-load
+// from that store.
+func TestDurableCondemnedEngineRefusesSwap(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	var pages *storage.FaultFile
+	opts := DurableOptions{
+		PoolPages: 2,
+		OpenFile: func(path string) (storage.File, error) {
+			f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				return nil, err
+			}
+			ff := storage.NewFaultFile(f)
+			if filepath.Base(path) == "pages.db" {
+				pages = ff
+			}
+			return ff, nil
+		},
+	}
+	e := openTestDurable(t, dir, opts)
+	pages.FailWrite = pages.Writes() + 1
+	d := newDriver(e.Path(), 8)
+	var err error
+	for i := 0; i < 500 && err == nil; i++ {
+		err = d.insert(e)
+	}
+	if !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("inserts over a failed page write returned %v, want ErrInjected", err)
+	}
+	if _, err := e.ApplyConfiguration(cfgWhole); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("swap on a condemned engine returned %v, want ErrInjected", err)
+	}
+	if !e.Config().Equal(cfgSplit) {
+		t.Fatalf("condemned engine swapped to %v", e.Config())
+	}
+}
+
 // TestDurabilityStatsCarryDurabilityCost: DurabilityStats is where the
 // durability cost of the traffic — fsyncs and WAL bytes — is read.
 func TestDurabilityStatsCarryDurabilityCost(t *testing.T) {

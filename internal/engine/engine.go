@@ -259,12 +259,14 @@ func (e *Engine) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy boo
 func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
 	e.writeMu.Lock()
 	oid, err := e.active.Load().InsertInto(e.store, class, attrs)
+	var pos uint64
 	if err == nil && e.dur != nil {
-		if err = e.logOp(opInsert, oid); err == nil {
-			err = e.commitLocked()
-		}
+		pos, err = e.logOp(opInsert, oid)
 	}
 	e.writeMu.Unlock()
+	if err == nil && e.dur != nil {
+		err = e.commit(pos)
+	}
 	e.maybeAutoTune()
 	return oid, err
 }
@@ -278,12 +280,14 @@ func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, 
 func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
 	e.writeMu.Lock()
 	err := e.active.Load().UpdateIn(e.store, oid, attrs)
+	var pos uint64
 	if err == nil && e.dur != nil {
-		if err = e.logOp(opUpdate, oid); err == nil {
-			err = e.commitLocked()
-		}
+		pos, err = e.logOp(opUpdate, oid)
 	}
 	e.writeMu.Unlock()
+	if err == nil && e.dur != nil {
+		err = e.commit(pos)
+	}
 	e.maybeAutoTune()
 	return err
 }
@@ -295,34 +299,33 @@ func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
 // acts as a group commit. The result has one entry per update, nil on
 // success; a failed update does not stop the rest of the batch. On a
 // durable engine the batch's successful updates are logged record by
-// record and committed once — one fsync decision for the whole batch.
+// record and committed once, after writeMu is released — one fsync
+// decision for the whole batch; when logging or the commit fails, none
+// of them is acknowledged.
 func (e *Engine) UpdateBatch(ups []exec.Update) []error {
 	e.writeMu.Lock()
 	errs := e.active.Load().UpdateBatch(e.store, ups)
+	var pos uint64 // end of the batch's last record; 0 when none was logged
+	var derr error
 	if e.dur != nil {
-		var derr error
 		for i := range ups {
-			if errs[i] != nil {
-				continue
-			}
-			if derr == nil {
-				derr = e.logOp(opUpdate, ups[i].OID)
-			}
-			if derr != nil {
-				errs[i] = derr
-			}
-		}
-		if derr == nil {
-			if derr = e.commitLocked(); derr != nil {
-				for i := range errs {
-					if errs[i] == nil {
-						errs[i] = derr
-					}
-				}
+			if errs[i] == nil && derr == nil {
+				pos, derr = e.logOp(opUpdate, ups[i].OID)
 			}
 		}
 	}
 	e.writeMu.Unlock()
+	if derr == nil && pos > 0 {
+		derr = e.commit(pos)
+	}
+	if derr != nil {
+		// Nothing the batch logged is committed: no update is acknowledged.
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = derr
+			}
+		}
+	}
 	e.maybeAutoTuneN(uint64(len(ups)))
 	return errs
 }
@@ -333,12 +336,14 @@ func (e *Engine) UpdateBatch(ups []exec.Update) []error {
 func (e *Engine) Delete(oid oodb.OID) error {
 	e.writeMu.Lock()
 	err := e.active.Load().DeleteFrom(e.store, oid)
+	var pos uint64
 	if err == nil && e.dur != nil {
-		if err = e.logOp(opDelete, oid); err == nil {
-			err = e.commitLocked()
-		}
+		pos, err = e.logOp(opDelete, oid)
 	}
 	e.writeMu.Unlock()
+	if err == nil && e.dur != nil {
+		err = e.commit(pos)
+	}
 	e.maybeAutoTune()
 	return err
 }
@@ -510,6 +515,14 @@ func (e *Engine) apply(cfg core.Configuration, used *model.PathStats, drift floa
 			e.adoptBaseline(used)
 		}
 		return rep, nil
+	}
+	// A condemned engine refuses a swap as it refuses writes: an operation
+	// whose page write failed may be half-applied in the store (its class
+	// lists an object the catalog never took), which no bulk load can read.
+	if e.dur != nil {
+		if err := e.durabilityErrLocked(); err != nil {
+			return rep, err
+		}
 	}
 	// Diff-build: writers are paused (writeMu), so the store is stable
 	// while the new assignments bulk-load; queries keep flowing against

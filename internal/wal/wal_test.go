@@ -41,7 +41,7 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 		if err := l.Append([]byte(rec)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Commit(); err != nil {
+		if _, err := l.Commit(l.End()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,9 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 
 // TestWALTornTailTruncated: every possible torn suffix of a valid log —
 // from one missing byte to a header cut mid-way — replays the intact
-// prefix and truncates the rest, never replaying a damaged record.
+// prefix and truncates the rest, never replaying a damaged record. The
+// file runs past the log (it is extended ahead of the appends), so the
+// cuts are made at the log's end, Size.
 func TestWALTornTailTruncated(t *testing.T) {
 	l, path := openTmp(t, SyncAlways, 0, nil)
 	recs := [][]byte{[]byte("alpha"), []byte("beta-beta"), []byte("gamma")}
@@ -81,6 +83,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full = full[:ends[2]]
 
 	for cut := len(full) - 1; cut > int(ends[1]); cut-- {
 		dir := t.TempDir()
@@ -110,12 +113,13 @@ func TestWALCorruptCRCTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	end := l.Size()
 	l.Close()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0xff // corrupt the last record's payload
+	raw[end-1] ^= 0xff // corrupt the last record's payload
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -124,58 +128,72 @@ func TestWALCorruptCRCTruncated(t *testing.T) {
 	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
 		t.Fatalf("replayed %v, want the two clean records", got)
 	}
-	if fi, _ := os.Stat(path); fi.Size() != l2.Size() {
-		t.Fatalf("corrupt tail not truncated: file %d bytes, log ends at %d", fi.Size(), l2.Size())
+	raw, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) < l2.Size() {
+		t.Fatalf("file %d bytes, log ends at %d", len(raw), l2.Size())
+	}
+	for i := l2.Size(); i < int64(len(raw)); i++ {
+		if raw[i] != 0 {
+			t.Fatalf("corrupt tail not truncated: byte %d past the log's end %d is %#x", i, l2.Size(), raw[i])
+		}
 	}
 }
 
+// TestWALPolicies counts the fsyncs commits make, from after Open (which
+// fsyncs the file's extension under SyncAlways and SyncGroup).
 func TestWALPolicies(t *testing.T) {
 	// SyncAlways: one fsync per commit.
 	l, _ := openTmp(t, SyncAlways, 0, nil)
+	base := l.Stats().Fsyncs
 	for i := 0; i < 5; i++ {
 		if err := l.Append([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if synced, err := l.Commit(); err != nil || !synced {
+		if synced, err := l.Commit(l.End()); err != nil || !synced {
 			t.Fatalf("SyncAlways commit = (%v, %v), want (true, nil)", synced, err)
 		}
 	}
-	if got := l.Stats().Fsyncs; got != 5 {
+	if got := l.Stats().Fsyncs - base; got != 5 {
 		t.Fatalf("SyncAlways: %d fsyncs for 5 commits", got)
 	}
 
 	// SyncNever: no fsyncs from commits.
 	ln, _ := openTmp(t, SyncNever, 0, nil)
+	base = ln.Stats().Fsyncs
 	for i := 0; i < 5; i++ {
 		if err := ln.Append([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if synced, err := ln.Commit(); err != nil || synced {
+		if synced, err := ln.Commit(ln.End()); err != nil || synced {
 			t.Fatalf("SyncNever commit = (%v, %v), want (false, nil)", synced, err)
 		}
 	}
-	if got := ln.Stats().Fsyncs; got != 0 {
+	if got := ln.Stats().Fsyncs - base; got != 0 {
 		t.Fatalf("SyncNever: %d fsyncs", got)
 	}
 
 	// SyncGroup: a burst of commits inside one window shares fsyncs; an
 	// explicit Sync is always honored.
 	lg, _ := openTmp(t, SyncGroup, time.Hour, nil)
+	base = lg.Stats().Fsyncs
 	for i := 0; i < 10; i++ {
 		if err := lg.Append([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lg.Commit(); err != nil {
+		if _, err := lg.Commit(lg.End()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := lg.Stats().Fsyncs; got != 0 {
+	if got := lg.Stats().Fsyncs - base; got != 0 {
 		t.Fatalf("SyncGroup inside window: %d fsyncs, want 0", got)
 	}
 	if err := lg.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := lg.Stats().Fsyncs; got != 1 {
+	if got := lg.Stats().Fsyncs - base; got != 1 {
 		t.Fatalf("explicit Sync: %d fsyncs, want 1", got)
 	}
 }
@@ -229,5 +247,32 @@ func TestWALAppendFailurePropagates(t *testing.T) {
 	reopen(t, path, func(p []byte) error { got = append(got, string(p)); return nil })
 	if len(got) != 1 || got[0] != "fine" {
 		t.Fatalf("replay = %v, want just the clean record", got)
+	}
+}
+
+// BenchmarkReplay times Open over a log of 12,000 short records — the
+// scan recovery pays before it applies anything.
+func BenchmarkReplay(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "wal.log")
+	l, err := OpenPath(path, SyncNever, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := make([]byte, 35)
+	for i := 0; i < 12000; i++ {
+		if err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	l.Close()
+	for b.Loop() {
+		l, err := OpenPath(path, SyncNever, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if l.Records() != 12000 {
+			b.Fatalf("replayed %d records, want 12000", l.Records())
+		}
+		l.Close()
 	}
 }
