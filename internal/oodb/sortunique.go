@@ -14,9 +14,21 @@ import (
 // never chosen where it loses (BenchmarkSortUnique, DESIGN.md §4.2).
 const radixMinPerPass = 32
 
-// sortBuf is the counting sort's scatter target. The pool holds pointers
-// so that a Put does not allocate.
-type sortBuf struct{ oids []OID }
+// bitmapMinPerWord is the measured crossover between the bitmap and the
+// other two sorts. The bitmap pays a bit set per OID and, per 64-bit word of
+// the window the OIDs span, a read-back whose branches mispredict on sparse
+// words: over a 512-word window it overtakes the counting sort at about 2.5
+// OIDs per word, and the constant is rounded up so that the bitmap is never
+// chosen where it loses (BenchmarkSortUnique, DESIGN.md §4.2).
+const bitmapMinPerWord = 3
+
+// sortBuf is the pooled scratch of the two linear sorts: the counting
+// sort's scatter target and the bitmap, which is all zero between uses.
+// The pool holds pointers so that a Put does not allocate.
+type sortBuf struct {
+	oids []OID
+	bits []uint64
+}
 
 var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 
@@ -26,11 +38,15 @@ var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 // it sits between every two hops of a Proposition 4.1 chain, so it is
 // linear and allocation-free in the steady state: input that already
 // ascends (index records are stored sorted, so it often does) is only
-// deduplicated; otherwise one pass finds the bytes in which the OIDs
-// differ at all, and an LSD counting sort runs over those bytes only — two
-// for a store's sequential OIDs, eight at most. An input too short for its
-// number of differing bytes, where the per-pass bucket work would
-// dominate, is left to slices.Sort.
+// deduplicated; otherwise one pass finds the bits in which the OIDs differ
+// at all. A dense set — at least bitmapMinPerWord OIDs for every 64 values
+// of the window those bits span, as a store's sequential OIDs gathered by
+// a chain hop are — sets one bit per OID and reads the bits back in order,
+// which sorts and deduplicates at once. Any other input is sorted by an
+// LSD counting sort over the bytes that hold differing bits — two for a
+// store's sequential OIDs, eight at most — or, when it is too short for
+// its number of such bytes and the per-pass bucket work would dominate,
+// by slices.Sort.
 func SortUnique(oids []OID) []OID {
 	if len(oids) == 0 {
 		return nil
@@ -39,35 +55,79 @@ func SortUnique(oids []OID) []OID {
 	// counting sort even then is not worth looking at first.
 	if len(oids) < 2*radixMinPerPass {
 		slices.Sort(oids)
-	} else {
-		sortLong(oids)
+		return slices.Compact(oids)
+	}
+	return sortLong(oids)
+}
+
+// sortLong sorts and deduplicates an input long enough that a linear sort
+// may pay. It is a function of its own to keep the short path's frame
+// small: inlined into SortUnique it cost an 8-OID set 3 ns in 24.
+func sortLong(oids []OID) []OID {
+	if slices.IsSorted(oids) {
+		return slices.Compact(oids)
+	}
+	and, diff := spread(oids)
+	switch {
+	case bitmapFits(diff, len(oids)):
+		return bitmapSort(oids, and, diff)
+	case len(oids) < radixMinPerPass*(1+liveBytes(diff)):
+		slices.Sort(oids)
+	default:
+		radixSort(oids, diff)
 	}
 	return slices.Compact(oids)
 }
 
-// sortLong sorts an input long enough that the counting sort may pay. It
-// is a function of its own to keep the short path's frame small: inlined
-// into SortUnique it cost an 8-OID set 3 ns in 24.
-func sortLong(oids []OID) {
-	if slices.IsSorted(oids) {
-		return
-	}
-	if diff := spread(oids); len(oids) < radixMinPerPass*(1+liveBytes(diff)) {
-		slices.Sort(oids)
-	} else {
-		radixSort(oids, diff)
-	}
-}
-
-// spread returns the bits in which some two of oids differ: a bit differs
-// iff some OID has it and some lacks it.
-func spread(oids []OID) OID {
+// spread returns the bits every OID of oids has, and the bits in which
+// some two of them differ: a bit differs iff some OID has it and some
+// lacks it.
+func spread(oids []OID) (and, diff OID) {
 	or, and := oids[0], oids[0]
 	for _, o := range oids[1:] {
 		or |= o
 		and &= o
 	}
-	return or &^ and
+	return and, or &^ and
+}
+
+// bitmapFits reports whether n OIDs that differ in the bits of diff are
+// dense enough for bitmapSort. Every such OID o contains the bits they all
+// share, and, with them removed, lies within diff: o − and = o &^ and ≤
+// diff. The window [and, and + diff] therefore holds them all, in
+// diff/64 + 1 words, a count that cannot overflow whatever bits differ.
+func bitmapFits(diff OID, n int) bool {
+	return uint64(diff)>>6 < uint64(n/bitmapMinPerWord)
+}
+
+// bitmapSort sorts and deduplicates oids, which share the bits of and and
+// differ only in the bits of diff, through a pooled bitmap over the window
+// [and, and + diff]: one bit set per OID, then the set bits read back
+// ascending into oids, each word cleared as it is read so that the pool's
+// bitmap stays zero. It returns the deduplicated prefix.
+func bitmapSort(oids []OID, and, diff OID) []OID {
+	sb := sortBufs.Get().(*sortBuf)
+	words := int(diff>>6) + 1
+	sb.bits = slices.Grow(sb.bits[:0], words)
+	bm := sb.bits[:words]
+	for _, o := range oids {
+		i := uint64(o - and)
+		bm[i>>6] |= 1 << (i & 63)
+	}
+	n := 0
+	for i, w := range bm {
+		if w == 0 {
+			continue
+		}
+		bm[i] = 0
+		hi := and + OID(i<<6)
+		for ; w != 0; w &= w - 1 {
+			oids[n] = hi + OID(bits.TrailingZeros64(w))
+			n++
+		}
+	}
+	sortBufs.Put(sb)
+	return oids[:n]
 }
 
 // liveBytes counts the bytes of diff that are not zero.

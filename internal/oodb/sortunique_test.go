@@ -42,8 +42,11 @@ func lowMask(live int) OID {
 }
 
 // shaped returns n OIDs that agree with base outside mask, arranged as
-// the named shape.
+// the named shape; dense ignores mask and starts its window at base.
 func shaped(rng *rand.Rand, n int, base, mask OID, shape string) []OID {
+	if shape == "dense" {
+		return dense(rng, n, 13, base, 15*OID(n)/2, 1)
+	}
 	out := make([]OID, n)
 	for i := range out {
 		out[i] = base&^mask | OID(rng.Uint64())&mask
@@ -69,6 +72,30 @@ func shaped(rng *rand.Rand, n int, base, mask OID, shape string) []OID {
 		slices.Sort(out[r*n/runs : (r+1)*n/runs])
 	}
 	return out
+}
+
+// dense returns n OIDs base + k·stride, k drawn from window consecutive
+// values, in runs ascending runs: the union of a dozen NIX sections over a
+// store's sequential OIDs that a chain hop normalises. The window wraps
+// around the top of the OID space when base is near it.
+func dense(rng *rand.Rand, n, runs int, base, window, stride OID) []OID {
+	out := make([]OID, n)
+	for i := range out {
+		out[i] = base + OID(rng.Int63n(int64(window)))*stride
+	}
+	for r := 0; r < runs; r++ {
+		slices.Sort(out[r*n/runs : (r+1)*n/runs])
+	}
+	return out
+}
+
+// takesBitmap reports whether SortUnique sorts in through the bitmap.
+func takesBitmap(in []OID) bool {
+	if len(in) < 2*radixMinPerPass || slices.IsSorted(in) {
+		return false
+	}
+	_, diff := spread(in)
+	return bitmapFits(diff, len(in))
 }
 
 // checkSortUnique runs SortUnique on in, stored behind a live prefix the
@@ -122,6 +149,30 @@ func TestSortUniqueMatchesPdqsort(t *testing.T) {
 			}
 		}
 	}
+	// Dense: 2 or 13 ascending runs over a window of about 7.5·n, and over
+	// windows of n/8 to 4n words, on both sides of the bitmap's crossover.
+	// A window from 1<<63 − 4096 wider than 4096 straddles 1<<63, so its
+	// OIDs differ up to bit 63; from ^OID(0) the window wraps and they
+	// differ in every bit: the counting sort's input, not the bitmap's.
+	var bitmapInputs, otherInputs int
+	for _, base := range []OID{1 << 20, 0x8000_1234_0000_0000, 1 << 63, 1<<63 - 4096, ^OID(0)} {
+		for _, runs := range []int{2, 13} {
+			for _, n := range []int{63, 64, 65, 200, 514, 801, 2700} {
+				for _, window := range []OID{15 * OID(n) / 2, 8 * OID(n), 32 * OID(n), 64 * OID(n), 256 * OID(n)} {
+					in := dense(rng, n, runs, base, window, 1)
+					if takesBitmap(in) {
+						bitmapInputs++
+					} else {
+						otherInputs++
+					}
+					checkSortUnique(t, in)
+				}
+			}
+		}
+	}
+	if bitmapInputs == 0 || otherInputs == 0 {
+		t.Fatalf("%d dense inputs took the bitmap, %d did not: want both", bitmapInputs, otherInputs)
+	}
 }
 
 // TestSortUniqueStridedShards covers the OIDs a sharded store hands out,
@@ -137,6 +188,20 @@ func TestSortUniqueStridedShards(t *testing.T) {
 				}
 				for r := 0; r < 4; r++ {
 					slices.Sort(in[r*n/4 : (r+1)*n/4])
+				}
+				checkSortUnique(t, in)
+			}
+		}
+	}
+	// Dense stride-2 and stride-3 shards: each holds every second or third
+	// OID of the store, so its hop output is dense in its own sequence and
+	// takes the bitmap unless it straddles 1<<63 or wraps past ^OID(0).
+	for _, stride := range []OID{2, 3} {
+		for _, first := range []OID{1 << 20, 1<<63 - 4096, ^OID(0)} {
+			for _, n := range []int{1000, 2700} {
+				in := dense(rng, n, 13, first, 2*OID(n), stride)
+				if first == 1<<20 && !takesBitmap(in) {
+					t.Fatalf("stride %d, %d OIDs: a dense shard's hop output did not take the bitmap", stride, n)
 				}
 				checkSortUnique(t, in)
 			}
@@ -159,6 +224,17 @@ func TestSortUniqueZeroAllocs(t *testing.T) {
 			t.Errorf("%d live bytes: %v allocs per SortUnique, want 0", live, avg)
 		}
 	}
+	in := shaped(rng, 2700, 1<<20, 0, "dense")
+	if !takesBitmap(in) {
+		t.Fatal("dense input does not take the bitmap")
+	}
+	work := make([]OID, len(in))
+	if avg := testing.AllocsPerRun(200, func() {
+		copy(work, in)
+		SortUnique(work)
+	}); avg != 0 {
+		t.Errorf("dense: %v allocs per SortUnique, want 0", avg)
+	}
 }
 
 // FuzzSortUnique is the differential against slices.Sort + slices.Compact
@@ -172,6 +248,17 @@ func FuzzSortUnique(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the crossover"), uint64(1)<<63, uint64(0xffff), uint64(3), true)
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the crossover"), uint64(0xdead_beef_0000_0000), uint64(0xff00_0000_00ff_00ff), uint64(1), false)
 	f.Add(make([]byte, 300), ^uint64(0), ^uint64(0), uint64(1)<<40, false)
+	// A dense walk: 13 ascending runs of 19 steps of 2, each falling back 35,
+	// 260 OIDs over a window of two words, so that the bitmap sorts it and
+	// its long repetition below.
+	denseWalk := make([]byte, 260)
+	for i := range denseWalk {
+		denseWalk[i] = 2
+		if i%20 == 19 {
+			denseWalk[i] = 256 - 35 // −35 as an int8
+		}
+	}
+	f.Add(denseWalk, uint64(1)<<40, ^uint64(0), uint64(1), true)
 	f.Fuzz(func(t *testing.T, data []byte, base, mask, stride uint64, walk bool) {
 		in := make([]OID, len(data))
 		v := base
@@ -200,16 +287,43 @@ func FuzzSortUnique(f *testing.F) {
 var sinkOIDs []OID
 
 // BenchmarkSortUnique is the layer's own benchmark: the kernel against the
-// comparison sort it replaced, cell by cell, so that radixMinPerPass is a
-// measured number. Each iteration pays one copy of its input on both
-// sides, and a cell rotates through 32 inputs of its shape: sorting one
-// input over and over trains the branch predictor on it, which flatters
-// the comparison sort as no serving path would.
+// comparison sort it replaced, cell by cell, so that radixMinPerPass and
+// bitmapMinPerWord are measured numbers. Each iteration pays one copy of
+// its input on both sides, and a cell rotates through 32 inputs of its
+// shape: sorting one input over and over trains the branch predictor on
+// it, which flatters the comparison sort as no serving path would. The
+// dense cells model a chain hop's union on embed_path, 13 ascending runs
+// over a window of about 7.5·n, and time the counting sort alone beside
+// the kernel. The crossover cells fill a window of 64 or 512 words with 1
+// to 6 OIDs per word and time the bitmap and the counting sort alone on
+// the same input, to find where one overtakes the other.
 func BenchmarkSortUnique(b *testing.B) {
-	kernels := []struct {
+	type kernel struct {
 		name string
 		fn   func([]OID) []OID
-	}{{"radix", SortUnique}, {"pdqsort", pdqSortUnique}}
+	}
+	radix, pdqsort := kernel{"radix", SortUnique}, kernel{"pdqsort", pdqSortUnique}
+	bitmap := kernel{"bitmap", func(oids []OID) []OID {
+		and, diff := spread(oids)
+		return bitmapSort(oids, and, diff)
+	}}
+	counting := kernel{"counting", func(oids []OID) []OID {
+		_, diff := spread(oids)
+		radixSort(oids, diff)
+		return slices.Compact(oids)
+	}}
+	run := func(name string, in *[32][]OID, kernels ...kernel) {
+		work := make([]OID, len(in[0]))
+		for _, k := range kernels {
+			b.Run(name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(work, in[i%len(in)])
+					sinkOIDs = k.fn(work)
+				}
+			})
+		}
+	}
 	for _, n := range []int{8, 32, 64, 512, 4096} {
 		for _, shape := range []string{"ascending", "runs4", "random"} {
 			for _, live := range []int{2, 4, 8} {
@@ -218,17 +332,28 @@ func BenchmarkSortUnique(b *testing.B) {
 				for i := range in {
 					in[i] = shaped(rng, n, 1, lowMask(live), shape)
 				}
-				work := make([]OID, n)
-				for _, k := range kernels {
-					b.Run(fmt.Sprintf("n=%d/shape=%s/bytes=%d/%s", n, shape, live, k.name), func(b *testing.B) {
-						b.ReportAllocs()
-						for i := 0; i < b.N; i++ {
-							copy(work, in[i%len(in)])
-							sinkOIDs = k.fn(work)
-						}
-					})
-				}
+				run(fmt.Sprintf("n=%d/shape=%s/bytes=%d", n, shape, live), &in, radix, pdqsort)
 			}
+		}
+	}
+	for _, n := range []int{512, 1024, 2700} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var in [32][]OID
+		for i := range in {
+			in[i] = shaped(rng, n, 1<<20, 0, "dense")
+		}
+		run(fmt.Sprintf("n=%d/shape=dense", n), &in, radix, counting, pdqsort)
+	}
+	// A window of 64·words values from 1<<20 spans exactly words words.
+	for _, words := range []int{64, 512} {
+		for _, perWord := range []float64{1, 1.5, 2, 3, 4, 6} {
+			n := int(perWord * float64(words))
+			rng := rand.New(rand.NewSource(int64(n)))
+			var in [32][]OID
+			for i := range in {
+				in[i] = dense(rng, n, 13, 1<<20, 64*OID(words), 1)
+			}
+			run(fmt.Sprintf("words=%d/n=%d", words, n), &in, bitmap, counting)
 		}
 	}
 }

@@ -71,11 +71,16 @@ func (s *Stats) Add(o Stats) {
 // pages do not contend on one cache line. Must be a power of two.
 const numStripes = 8
 
-// counterStripe is one shard of the counters, padded to a cache line so
-// adjacent stripes never false-share.
+// counterStripe is one shard of the counters. The stripes start wherever
+// the Pager places them, 8-byte aligned, so padding a stripe to 64 bytes
+// would still let it straddle two cache lines and share one with each
+// neighbour. A full line of padding ahead of the counters instead keeps
+// every stripe's counters 64 bytes from the next stripe's, and the first
+// stripe's from the Pager fields before the array, which every read loads:
+// no two of them can share a line.
 type counterStripe struct {
+	_                                  [64]byte
 	reads, writes, allocs, frees, hits atomic.Uint64
-	_                                  [24]byte // pad 5×8 bytes to 64
 }
 
 // pageChunk holds the page-table slots of 1<<chunkBits consecutive page

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/raceflag"
 )
@@ -205,6 +206,24 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	if s := p.Stats(); s.Reads != 1 {
 		t.Errorf("b should have been evicted: %+v", s)
+	}
+}
+
+// TestCounterStripesDoNotShareLines checks the stripes' padding by offsets:
+// a cache line is 64 bytes and the stripe array may start at any 8-byte
+// boundary, so one stripe's counters must end at least 64 bytes before the
+// next one's start, and the first stripe's must start at least 64 bytes
+// after the Pager field before the array ends.
+func TestCounterStripesDoNotShareLines(t *testing.T) {
+	var p Pager
+	s := &p.stripes[0]
+	first := unsafe.Offsetof(s.reads)
+	end := unsafe.Offsetof(s.hits) + unsafe.Sizeof(s.hits)
+	if gap := unsafe.Sizeof(*s) + first - end; gap < 64 {
+		t.Errorf("adjacent stripes' counters are %d bytes apart, want at least 64", gap)
+	}
+	if gap := unsafe.Offsetof(p.stripes) + first - (unsafe.Offsetof(p.next) + unsafe.Sizeof(p.next)); gap < 64 {
+		t.Errorf("the first stripe's counters start %d bytes after Pager.next ends, want at least 64", gap)
 	}
 }
 
