@@ -136,9 +136,6 @@ type (
 	// checkpoint threshold, buffer-pool capacity. The embedded
 	// EngineOptions keep their in-memory meaning.
 	DurableOptions = engine.DurableOptions
-	// ShardedDurableOptions tune a durable sharded database; the embedded
-	// DurableOptions apply to every shard's engine.
-	ShardedDurableOptions = shard.DurableOptions
 	// WALPolicy selects when the write-ahead log fsyncs: on every commit,
 	// on a group-commit window, or never.
 	WALPolicy = wal.Policy
@@ -384,11 +381,11 @@ func OpenSharded(p *Path, cfg Configuration, pageSize, nShards int, opts EngineO
 // OpenDurable opens (or creates) a disk-backed database in dir: a
 // lifecycle engine whose writes are write-ahead logged and fsynced per
 // the commit policy, whose pages live behind a checksummed file-backed
-// buffer pool, and which checkpoints (snapshot + manifest + WAL
-// truncation) automatically as the log grows. Reopening the directory
-// recovers — checkpoint, then WAL replay, then index rebuild — so
-// acknowledged operations survive crashes; the persisted configuration
-// wins over cfg on reopen. Call Close for a clean shutdown (empty WAL on
+// buffer pool, and which checkpoints (snapshot + WAL truncation)
+// automatically as the log grows. Reopening the directory recovers —
+// checkpoint, then WAL replay, then index rebuild — so acknowledged
+// operations survive crashes; the persisted configuration wins over cfg
+// on reopen. Call Close for a clean shutdown (empty WAL on
 // the next open).
 func OpenDurable(dir string, p *Path, cfg Configuration, pageSize int, opts DurableOptions) (*Database, error) {
 	return engine.OpenDurable(dir, p.Schema(), p, cfg, pageSize, opts)
@@ -398,8 +395,9 @@ func OpenDurable(dir string, p *Path, cfg Configuration, pageSize int, opts Dura
 // in dir: nShards durable engines in per-shard subdirectories, each with
 // its own WAL, checkpoints and recovery, recovered in parallel on
 // reopen. The directory's shard count and page size are persisted and
-// must match on reopen — OID routing depends on them.
-func OpenShardedDurable(dir string, p *Path, cfg Configuration, pageSize, nShards int, opts ShardedDurableOptions) (*ShardedDB, error) {
+// must match on reopen — OID routing depends on them. opts applies to
+// every shard's engine; leave its FirstOID and OIDStride zero.
+func OpenShardedDurable(dir string, p *Path, cfg Configuration, pageSize, nShards int, opts DurableOptions) (*ShardedDB, error) {
 	return shard.OpenShardedDurable(dir, p.Schema(), p, cfg, pageSize, nShards, opts)
 }
 

@@ -134,7 +134,7 @@ func serve(addr, dir string, shards int, seed int64, scale float64, checkEvery, 
 		s := p.Schema()
 		if shards > 1 {
 			db, err := shard.OpenShardedDurable(dir, s, p, cfg(p), pageSize, shards,
-				shard.DurableOptions{Engine: engine.DurableOptions{Options: eopts}})
+				engine.DurableOptions{Options: eopts})
 			if err != nil {
 				return nil, nil, nil, err
 			}

@@ -285,7 +285,7 @@
 // Advise and Reconfigure weigh the live snapshot (a sharded facade
 // records each planner leaf on every shard, so each shard's advice sees
 // the mix), a durable engine's predicate mix survives Close and reopen
-// via the checkpoint manifest, and because drift measures against what
+// in its checkpoint, and because drift measures against what
 // the same derivation writes the loop reaches a fixed point in one step — re-driving
 // the mix an adopted configuration was selected from measures ~zero
 // drift and advises no further change. Experiment E9 (ixbench -run

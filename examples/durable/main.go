@@ -5,9 +5,11 @@
 //
 // The durable engine write-ahead logs every Insert, Update and Delete
 // and fsyncs per the commit policy before acknowledging; checkpoints
-// (snapshot + manifest + WAL truncation, each atomically renamed into
-// place) bound the log. On reopen, recovery loads the last checkpoint,
-// replays the WAL over it — truncating a torn or corrupt tail rather
+// bound the log: a snapshot in the log's own frames — one insert record
+// per live object, then a trailer with the geometry and configuration —
+// fsynced and atomically renamed into place, then the WAL truncated. On
+// reopen, recovery applies the checkpoint's records, replays the WAL
+// over them — truncating a torn or corrupt tail rather
 // than replaying it — and rebuilds the active configuration's indexes
 // from the recovered objects.
 //

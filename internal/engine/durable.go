@@ -2,14 +2,14 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/stats"
@@ -17,29 +17,28 @@ import (
 	"repro/internal/wal"
 )
 
-// Durability layer. A durable engine keeps four files in its directory:
+// Durability layer. A durable engine keeps three files in its directory:
 //
 //	wal.log    — write-ahead log of committed operations since the last
 //	             checkpoint (length-prefixed, CRC-framed; see package wal)
-//	snap.ckpt  — checkpoint snapshot: the full object population and OID
-//	             sequence at checkpoint time, written to a temporary and
-//	             atomically renamed into place
-//	MANIFEST   — JSON manifest: geometry (page size, OID sequence base and
-//	             stride) and the active index configuration, also written
-//	             via temporary-plus-rename at each checkpoint
+//	snap.ckpt  — the checkpoint, a compacted log in the same frames: an
+//	             insert record per live object in OID order, then a trailer
+//	             (geometry, OID sequence position, configuration, predicate
+//	             mix, record count). Published by fsync and rename; a fresh
+//	             directory gets a trailer-only one at its first open.
 //	pages.db   — the disk-backed pager's page file. Deliberately NOT a
 //	             recovery source: objects live in the store's in-memory
 //	             catalog, so pages.db exists to make buffer-pool misses and
 //	             dirty write-backs cost real, checksummed I/O. It is
 //	             truncated at every open and rebuilt by traffic.
 //
-// Recovery on open is snapshot-then-replay: load snap.ckpt if present,
-// then replay wal.log over it, then rebuild the configuration's indexes
-// from the recovered store. Replay is idempotent over an "ahead" base
-// (see internal/oodb restore helpers), which covers every crash point of
-// the checkpoint protocol: a crash between the snapshot rename and the
-// WAL reset replays logged effects the snapshot already holds, and
-// converges.
+// Recovery on open is checkpoint-then-replay: the records of snap.ckpt,
+// then those of wal.log, each through applyOpRecord, then the indexes of
+// the trailer's configuration rebuilt from the recovered store. Replay is
+// idempotent over an "ahead" base (see internal/oodb restore helpers),
+// which covers every crash point of the checkpoint protocol: a crash
+// between the snapshot rename and the WAL reset replays logged effects
+// the snapshot already holds, and converges.
 //
 // Write path: each Insert, Update or Delete appends one operation record
 // inside the engine's writeMu hold, notes the log position the record
@@ -54,26 +53,21 @@ import (
 // while the log holds its sync mutex for it.
 
 const (
-	walName      = "wal.log"
-	pagesName    = "pages.db"
-	snapName     = "snap.ckpt"
-	manifestName = "MANIFEST"
+	walName   = "wal.log"
+	pagesName = "pages.db"
+	snapName  = "snap.ckpt"
 )
 
-// Operation record kinds (first payload byte). Insert and update both
-// carry the full post-image of the object — that is what makes replay an
-// idempotent upsert — and differ only for accounting and debugging.
+// Record kinds (first payload byte). Insert and update both carry the
+// full post-image of the object — that is what makes replay an idempotent
+// upsert — and differ only for accounting and debugging. A trailer ends a
+// checkpoint and never appears in the log.
 const (
-	opInsert byte = 1
-	opUpdate byte = 2
-	opDelete byte = 3
+	opInsert  byte = 1
+	opUpdate  byte = 2
+	opDelete  byte = 3
+	opTrailer byte = 4
 )
-
-var snapMagic = [4]byte{'I', 'X', 'S', 'N'}
-
-const snapVersion = 1
-
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // DurableOptions extends Options with the durability knobs.
 type DurableOptions struct {
@@ -122,64 +116,104 @@ func (o DurableOptions) withDefaults() DurableOptions {
 	return o
 }
 
-// manifest is the JSON MANIFEST contents.
-type manifest struct {
-	Version   int                `json:"version"`
-	PageSize  int                `json:"page_size"`
-	FirstOID  uint64             `json:"first_oid"`
-	OIDStride uint64             `json:"oid_stride"`
-	Config    core.Configuration `json:"config"`
-	// Predicates is the observed predicate mix at checkpoint time. The
-	// class-level recorder deliberately resets on reconfiguration, but the
-	// predicate mix is selection *evidence* — the feedback signal that
-	// makes a residual-heavy path earn an index — so dropping it across a
-	// restart would silently discard exactly the traffic that never
-	// reached an index. Reopen seeds the recorder with these counts.
-	// Absent (nil) in manifests from before the field existed.
-	Predicates []stats.PredLoad `json:"predicates,omitempty"`
+// trailer is a checkpoint's last record.
+type trailer struct {
+	PageSize            int
+	FirstOID, OIDStride uint64
+	NextOID             uint64 // the OID sequence position
+	Records             uint64 // records before the trailer
+	Config              core.Configuration
+	// Predicates is the observed predicate mix: selection evidence for
+	// traffic no index absorbed, which reopen seeds the recorder with.
+	Predicates []stats.PredLoad
+}
+
+// appendTrailer appends t's record to buf: the kind byte, then uvarints —
+// page size, OID base, stride and position, record count, the
+// configuration's cost (float64 bits) and assignments, and the predicate
+// mix, each path length-prefixed.
+func appendTrailer(buf []byte, t trailer) []byte {
+	buf = append(buf, opTrailer)
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			buf = binary.AppendUvarint(buf, v)
+		}
+	}
+	put(uint64(t.PageSize), t.FirstOID, t.OIDStride, t.NextOID, t.Records,
+		math.Float64bits(t.Config.Cost), uint64(len(t.Config.Assignments)))
+	for _, a := range t.Config.Assignments {
+		put(uint64(a.A), uint64(a.B), uint64(a.Org))
+	}
+	put(uint64(len(t.Predicates)))
+	for _, p := range t.Predicates {
+		put(uint64(len(p.Path)))
+		buf = append(buf, p.Path...)
+		put(p.Eq, p.Range, p.Residual)
+	}
+	return buf
+}
+
+// decodeTrailer decodes the body of a trailer record (after its kind).
+func decodeTrailer(b []byte) (t trailer, err error) {
+	get := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			err = errors.New("truncated trailer")
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	t.PageSize = int(get())
+	t.FirstOID, t.OIDStride, t.NextOID, t.Records = get(), get(), get(), get()
+	t.Config.Cost = math.Float64frombits(get())
+	for n := get(); n > 0 && err == nil; n-- {
+		t.Config.Assignments = append(t.Config.Assignments,
+			core.Assignment{A: int(get()), B: int(get()), Org: cost.Organization(get())})
+	}
+	for n := get(); n > 0 && err == nil; n-- {
+		l := get()
+		if l > uint64(len(b)) {
+			return t, errors.New("truncated trailer")
+		}
+		p := stats.PredLoad{Path: string(b[:l])}
+		b = b[l:]
+		p.Eq, p.Range, p.Residual = get(), get(), get()
+		t.Predicates = append(t.Predicates, p)
+	}
+	if err == nil && len(b) != 0 {
+		err = fmt.Errorf("trailer has %d trailing bytes", len(b))
+	}
+	return t, err
 }
 
 // durable is the engine's durability state. All mutable fields are
 // guarded by the engine's writeMu.
 type durable struct {
-	dir      string
-	log      *wal.Log
-	openFile func(string) (storage.File, error)
-	ckpt     int64 // auto-checkpoint threshold; <= 0 disables
-	err      error // first durability failure; condemns the engine's write path
-	buf      []byte
-	ckpts    uint64
-	replayed uint64 // WAL records replayed at open
+	dir           string
+	log           *wal.Log
+	openFile      func(string) (storage.File, error)
+	first, stride uint64 // the OID sequence the engine was opened with
+	ckpt          int64  // auto-checkpoint threshold; <= 0 disables
+	err           error  // first durability failure; condemns the engine's write path
+	buf           []byte
+	ckpts         uint64
+	replayed      uint64 // WAL records replayed at open
 }
 
 // OpenDurable opens (or creates) a durable engine in dir. A fresh
 // directory starts empty with the given configuration; an existing one
-// recovers — checkpoint snapshot, then WAL replay, then index rebuild —
-// and the manifest's persisted configuration wins over cfg. The page
-// size and OID sequence of an existing directory must match the caller's.
+// recovers — checkpoint, then WAL replay, then index rebuild — and the
+// checkpoint's configuration wins over cfg. The page size and OID
+// sequence of an existing directory must match the caller's; a mismatch
+// is refused before the log is opened.
 func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configuration, pageSize int, opts DurableOptions) (*Engine, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// Crash leftovers: a temporary never renamed into place is garbage.
+	// Crash leftover: a temporary never renamed into place is garbage.
 	os.Remove(filepath.Join(dir, snapName+".tmp"))
-	os.Remove(filepath.Join(dir, manifestName+".tmp"))
-
-	var predSeed []stats.PredLoad
-	if m, ok, err := readManifest(dir); err != nil {
-		return nil, err
-	} else if ok {
-		if m.PageSize != pageSize {
-			return nil, fmt.Errorf("engine: %s was created with page size %d, opened with %d", dir, m.PageSize, pageSize)
-		}
-		if m.FirstOID != opts.FirstOID || m.OIDStride != opts.OIDStride {
-			return nil, fmt.Errorf("engine: %s was created with OID sequence (%d,%d), opened with (%d,%d)",
-				dir, m.FirstOID, m.OIDStride, opts.FirstOID, opts.OIDStride)
-		}
-		cfg = m.Config
-		predSeed = m.Predicates
-	}
 
 	// pages.db is rebuilt by traffic, never recovered from: truncate away
 	// the previous incarnation's images so a stale slot can never satisfy
@@ -197,45 +231,65 @@ func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configur
 		pf.Close()
 		return nil, err
 	}
-	pager, err := storage.NewPagerBacked(pageSize, opts.PoolPages, be)
-	if err != nil {
+	d := &durable{dir: dir, openFile: opts.OpenFile, first: opts.FirstOID, stride: opts.OIDStride, ckpt: opts.CheckpointBytes}
+	fail := func(err error) (*Engine, error) {
+		if d.log != nil {
+			d.log.Close()
+		}
 		be.Close()
 		return nil, err
+	}
+	pager, err := storage.NewPagerBacked(pageSize, opts.PoolPages, be)
+	if err != nil {
+		return fail(err)
 	}
 	st, err := oodb.NewStoreWithPager(s, pager, oodb.OID(opts.FirstOID), opts.OIDStride)
 	if err != nil {
-		be.Close()
-		return nil, err
+		return fail(err)
 	}
 
-	d := &durable{dir: dir, openFile: opts.OpenFile, ckpt: opts.CheckpointBytes}
-	if err := d.loadSnapshot(st); err != nil {
-		be.Close()
-		return nil, err
+	t, found, err := d.loadCheckpoint(st)
+	if err != nil {
+		return fail(err)
 	}
-	log, err := openWAL(filepath.Join(dir, walName), opts, func(rec []byte) error {
+	if found {
+		if t.PageSize != pageSize || t.FirstOID != d.first || t.OIDStride != d.stride {
+			return fail(fmt.Errorf("engine: %s was created with page size %d and OID sequence (%d,%d), opened with %d and (%d,%d)",
+				dir, t.PageSize, t.FirstOID, t.OIDStride, pageSize, d.first, d.stride))
+		}
+		st.SetOIDSeq(oodb.OID(t.NextOID))
+		cfg = t.Config
+	}
+	f, err := opts.OpenFile(filepath.Join(dir, walName))
+	if err != nil {
+		return fail(err)
+	}
+	if d.log, err = wal.Open(f, opts.Policy, wal.DefaultGroupWindow, func(rec []byte) error {
 		d.replayed++
 		return applyOpRecord(st, rec)
-	})
-	if err != nil {
-		be.Close()
-		return nil, err
+	}); err != nil {
+		f.Close()
+		return fail(err)
 	}
-	d.log = log
 
 	e, err := New(st, p, cfg, pageSize, opts.Options)
 	if err != nil {
-		log.Close()
-		be.Close()
-		return nil, err
+		return fail(err)
 	}
 	e.dur = d
+	if !found {
+		// Birth: the geometry goes on disk before the first write can be
+		// acknowledged. Not a checkpoint — nothing to flush or truncate.
+		if err := e.writeCheckpoint(); err != nil {
+			return fail(err)
+		}
+	}
 	// The checkpointed predicate mix survives the restart: re-selection
 	// evidence for traffic no index absorbed must not vanish with the
 	// process (the class recorder's counters are cheap to re-earn; the
 	// residual signal is precisely the traffic a restart would otherwise
 	// erase from the feedback loop).
-	e.preds.Merge(predSeed)
+	e.preds.Merge(t.Predicates)
 	// Recovery and index-build page traffic is not served workload: start
 	// the cost counters clean.
 	st.Pager().ResetStats()
@@ -243,35 +297,8 @@ func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configur
 	return e, nil
 }
 
-func openWAL(path string, opts DurableOptions, replay func([]byte) error) (*wal.Log, error) {
-	f, err := opts.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	l, err := wal.Open(f, opts.Policy, wal.DefaultGroupWindow, replay)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-func readManifest(dir string) (manifest, bool, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return manifest{}, false, nil
-	}
-	if err != nil {
-		return manifest{}, false, err
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return manifest{}, false, fmt.Errorf("engine: corrupt manifest in %s: %w", dir, err)
-	}
-	return m, true, nil
-}
-
-// applyOpRecord replays one WAL operation record into the store.
+// applyOpRecord applies one operation record — of the log or of a
+// checkpoint — to the store.
 func applyOpRecord(st *oodb.Store, rec []byte) error {
 	if len(rec) < 1 {
 		return fmt.Errorf("engine: empty WAL record")
@@ -311,16 +338,15 @@ func (e *Engine) logOp(kind byte, oid oodb.OID) (uint64, error) {
 		d.err = err
 		return 0, err
 	}
-	d.buf = append(d.buf[:0], kind)
 	if kind == opDelete {
-		d.buf = binary.BigEndian.AppendUint64(d.buf, uint64(oid))
+		d.buf = binary.BigEndian.AppendUint64(append(d.buf[:0], kind), uint64(oid))
 	} else {
 		obj, ok := e.store.Peek(oid)
 		if !ok {
 			d.err = fmt.Errorf("engine: logging operation: object %d vanished", oid)
 			return 0, d.err
 		}
-		d.buf = oodb.AppendObject(d.buf, obj.OID, obj.Class, obj.Attrs)
+		d.buf = oodb.AppendObject(append(d.buf[:0], kind), obj.OID, obj.Class, obj.Attrs)
 	}
 	if err := d.log.Append(d.buf); err != nil {
 		d.err = err
@@ -359,9 +385,8 @@ func (e *Engine) commit(pos uint64) error {
 	return nil
 }
 
-// Checkpoint flushes dirty pages, writes the snapshot and manifest
-// (each via temporary-plus-rename), and truncates the WAL. A no-op on an
-// in-memory engine.
+// Checkpoint flushes dirty pages, writes snap.ckpt (temporary, fsync,
+// rename), and truncates the WAL. A no-op on an in-memory engine.
 func (e *Engine) Checkpoint() error {
 	if e.dur == nil {
 		return nil
@@ -372,189 +397,115 @@ func (e *Engine) Checkpoint() error {
 }
 
 // checkpointLocked is Checkpoint with writeMu held. Step order is what
-// makes every crash point recoverable: the snapshot becomes visible only
-// by its atomic rename; the manifest flips the configuration only after
-// the snapshot it describes is in place; the WAL is truncated last, so a
-// crash anywhere earlier replays over a base that is at worst ahead —
-// which idempotent replay converges on.
+// makes every crash point recoverable: the snapshot — data and
+// configuration together — becomes visible only by its atomic rename, and
+// the WAL is truncated last, so a crash anywhere earlier replays over a
+// base that is at worst ahead, which idempotent replay converges on.
 func (e *Engine) checkpointLocked() error {
 	d := e.dur
 	if d.err != nil {
 		return d.err
 	}
-	fail := func(err error) error {
+	err := e.store.Pager().Flush()
+	if err != nil {
+		err = fmt.Errorf("engine: checkpoint page flush: %w", err)
+	} else if err = e.writeCheckpoint(); err == nil {
+		err = d.log.Reset()
+	}
+	if err != nil {
 		d.err = err
 		return err
-	}
-	if err := e.store.Pager().Flush(); err != nil {
-		return fail(fmt.Errorf("engine: checkpoint page flush: %w", err))
-	}
-	if err := d.writeSnapshot(e.store); err != nil {
-		return fail(err)
-	}
-	m := manifest{
-		Version:    1,
-		PageSize:   e.pageSize,
-		FirstOID:   uint64(firstOf(e.store)),
-		OIDStride:  strideOf(e.store),
-		Config:     e.active.Load().Config(),
-		Predicates: e.preds.Snapshot(),
-	}
-	if err := d.writeManifest(m); err != nil {
-		return fail(err)
-	}
-	if err := d.log.Reset(); err != nil {
-		return fail(err)
 	}
 	d.ckpts++
 	return nil
 }
 
-// firstOf and strideOf recover the sequence parameters the store was
-// created with: the stride is the store's own, and the base is the
-// congruence class of the next OID — stable because every mint moves next
-// by exactly one stride.
-func strideOf(st *oodb.Store) uint64 {
-	_, stride := st.OIDSeq()
-	return stride
-}
-
-func firstOf(st *oodb.Store) oodb.OID {
-	next, stride := st.OIDSeq()
-	first := uint64(next) % stride
-	if first == 0 {
-		first = stride
-	}
-	return oodb.OID(first)
-}
-
-// writeSnapshot streams every live object (plus the OID sequence) into
-// snap.ckpt.tmp — header last, so a complete header implies complete
-// contents — which storage.WriteFileAtomic fsyncs and renames into place.
-//
-// Snapshot layout: 32-byte header [magic 4][version 4][next 8][stride 8]
-// [count 4][body crc 4], then count records of [4-byte length][object].
-func (d *durable) writeSnapshot(st *oodb.Store) error {
+// writeCheckpoint streams every live object into snap.ckpt.tmp as an
+// insert record, one WriteAt per frame, then the trailer;
+// storage.WriteFileAtomic fsyncs it and renames it into place.
+func (e *Engine) writeCheckpoint() error {
+	d := e.dur
 	err := storage.WriteFileAtomic(d.openFile, filepath.Join(d.dir, snapName), func(f storage.File) error {
 		var (
-			off   int64 = 32
-			count uint32
-			crc   uint32
-			buf   []byte
+			off        int64
+			records    uint64
+			rec, frame []byte
 		)
-		err := st.Objects(func(o *oodb.Object) error {
-			buf = buf[:0]
-			buf = binary.BigEndian.AppendUint32(buf, 0) // patched below
-			buf = oodb.AppendObject(buf, o.OID, o.Class, o.Attrs)
-			binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-			if _, err := f.WriteAt(buf, off); err != nil {
-				return err
-			}
-			crc = crc32.Update(crc, snapCRC, buf)
-			off += int64(len(buf))
-			count++
-			return nil
+		put := func(rec []byte) error {
+			frame = wal.AppendFrame(frame[:0], rec)
+			_, err := f.WriteAt(frame, off)
+			off += int64(len(frame))
+			return err
+		}
+		err := e.store.Objects(func(o *oodb.Object) error {
+			records++
+			rec = oodb.AppendObject(append(rec[:0], opInsert), o.OID, o.Class, o.Attrs)
+			return put(rec)
 		})
 		if err != nil {
 			return err
 		}
-		next, stride := st.OIDSeq()
-		hdr := make([]byte, 32)
-		copy(hdr[0:4], snapMagic[:])
-		binary.BigEndian.PutUint32(hdr[4:8], snapVersion)
-		binary.BigEndian.PutUint64(hdr[8:16], uint64(next))
-		binary.BigEndian.PutUint64(hdr[16:24], stride)
-		binary.BigEndian.PutUint32(hdr[24:28], count)
-		binary.BigEndian.PutUint32(hdr[28:32], crc)
-		_, err = f.WriteAt(hdr, 0)
-		return err
+		next, _ := e.store.OIDSeq()
+		return put(appendTrailer(rec[:0], trailer{
+			PageSize:   e.pageSize,
+			FirstOID:   d.first,
+			OIDStride:  d.stride,
+			NextOID:    uint64(next),
+			Records:    records,
+			Config:     e.active.Load().Config(),
+			Predicates: e.preds.Snapshot(),
+		}))
 	})
 	if err != nil {
-		return fmt.Errorf("engine: checkpoint snapshot: %w", err)
+		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	return nil
 }
 
-// loadSnapshot restores the checkpoint snapshot into the store, if one
-// exists. The snapshot was made visible only by a post-fsync atomic
-// rename, so damage here is genuine corruption, reported as an error —
-// unlike a torn WAL tail, it cannot be a benign crash artifact.
-func (d *durable) loadSnapshot(st *oodb.Store) error {
+// loadCheckpoint applies the records of snap.ckpt to st and returns its
+// trailer; found is false when the directory has none yet. The file was
+// made visible only by a post-fsync rename, so anything but whole frames
+// ending in a trailer that counts them is corruption, reported as an
+// error — unlike a torn WAL tail, it cannot be a crash artifact.
+func (d *durable) loadCheckpoint(st *oodb.Store) (t trailer, found bool, err error) {
 	path := filepath.Join(d.dir, snapName)
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		return nil
+	fi, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return t, false, nil
 	} else if err != nil {
-		return err
+		return t, false, err
 	}
 	f, err := d.openFile(path)
 	if err != nil {
-		return err
+		return t, false, err
 	}
 	defer f.Close()
-	hdr := make([]byte, 32)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return fmt.Errorf("engine: snapshot header: %w", err)
-	}
-	if [4]byte(hdr[0:4]) != snapMagic {
-		return fmt.Errorf("engine: %s is not a snapshot", path)
-	}
-	if v := binary.BigEndian.Uint32(hdr[4:8]); v != snapVersion {
-		return fmt.Errorf("engine: snapshot version %d, want %d", v, snapVersion)
-	}
-	next := oodb.OID(binary.BigEndian.Uint64(hdr[8:16]))
-	count := binary.BigEndian.Uint32(hdr[24:28])
-	wantCRC := binary.BigEndian.Uint32(hdr[28:32])
-	var (
-		off int64 = 32
-		crc uint32
-		lb  [4]byte
-	)
-	for i := uint32(0); i < count; i++ {
-		if _, err := f.ReadAt(lb[:], off); err != nil {
-			return fmt.Errorf("engine: snapshot record %d: %w", i, err)
-		}
-		n := binary.BigEndian.Uint32(lb[:])
-		if n == 0 || n > 1<<30 {
-			return fmt.Errorf("engine: snapshot record %d has length %d", i, n)
-		}
-		rec := make([]byte, 4+n)
-		if _, err := f.ReadAt(rec, off); err != nil {
-			return fmt.Errorf("engine: snapshot record %d: %w", i, err)
-		}
-		crc = crc32.Update(crc, snapCRC, rec)
-		oid, class, attrs, rest, err := oodb.DecodeObject(rec[4:])
-		if err != nil {
-			return fmt.Errorf("engine: snapshot record %d: %w", i, err)
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("engine: snapshot record %d has %d trailing bytes", i, len(rest))
-		}
-		if err := st.RestoreObject(oid, class, attrs); err != nil {
+	var records uint64
+	end, err := wal.Scan(f, func(rec []byte) error {
+		switch {
+		case found:
+			return errors.New("record after the trailer")
+		case rec[0] == opTrailer:
+			found = true
+			t, err = decodeTrailer(rec[1:])
 			return err
 		}
-		off += int64(4 + n)
-	}
-	if crc != wantCRC {
-		return fmt.Errorf("engine: snapshot %s: %w", path, storage.ErrChecksum)
-	}
-	st.SetOIDSeq(next)
-	return nil
-}
-
-// writeManifest publishes the JSON manifest via storage.WriteFileAtomic.
-func (d *durable) writeManifest(m manifest) error {
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	err = storage.WriteFileAtomic(d.openFile, filepath.Join(d.dir, manifestName), func(f storage.File) error {
-		_, err := f.WriteAt(raw, 0)
-		return err
+		records++
+		return applyOpRecord(st, rec)
 	})
-	if err != nil {
-		return fmt.Errorf("engine: manifest: %w", err)
+	switch {
+	case err != nil:
+	case end != fi.Size():
+		err = fmt.Errorf("damaged frame at offset %d: %w", end, storage.ErrChecksum)
+	case !found:
+		err = errors.New("no trailer")
+	case t.Records != records:
+		err = fmt.Errorf("trailer counts %d records, file holds %d", t.Records, records)
 	}
-	return nil
+	if err != nil {
+		return t, false, fmt.Errorf("engine: checkpoint %s: %w", path, err)
+	}
+	return t, true, nil
 }
 
 // Close quiesces background auto-tune work, checkpoints (so a clean

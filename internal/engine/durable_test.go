@@ -5,10 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/model"
 	"repro/internal/oodb"
+	"repro/internal/schema"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -334,5 +338,47 @@ func TestDurablePredicateMixSurvivesReopen(t *testing.T) {
 	defer e3.Close()
 	if got := e3.WorkloadSnapshot().Predicates; !reflect.DeepEqual(got, after) {
 		t.Fatalf("second reopen predicate mix %+v, want %+v", got, after)
+	}
+}
+
+// TestDurableValueCountLimit: the codec writes an attribute's value count
+// in 16 bits, so a write of 65,536 values is refused with the limit's
+// error instead of being acknowledged and logged wrapped — a record no
+// later open could replay.
+func TestDurableValueCountLimit(t *testing.T) {
+	s := schema.New()
+	s.MustAddClass(&schema.Class{Name: "Doc", Attrs: []schema.Attribute{
+		{Name: "tags", Kind: schema.Atomic, Domain: "string", MultiValued: true},
+	}})
+	p := schema.MustNewPath(s, "Doc", "tags")
+	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 1, Org: cost.MX}}}
+	dir := filepath.Join(t.TempDir(), "db")
+	open := func() *Engine {
+		e, err := OpenDurable(dir, s, p, cfg, 1024, DurableOptions{CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := open()
+	oid, err := e.Insert("Doc", map[string][]oodb.Value{"tags": {oodb.StrV("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := make([]oodb.Value, 1<<16)
+	for i := range tags {
+		tags[i] = oodb.StrV("t")
+	}
+	if _, err := e.Insert("Doc", map[string][]oodb.Value{"tags": tags}); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("insert of %d values: %v, want the limit's error", len(tags), err)
+	}
+	if err := e.Update(oid, map[string][]oodb.Value{"tags": tags}); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("update to %d values: %v, want the limit's error", len(tags), err)
+	}
+	// Abandoned without Close: the reopen replays the log.
+	e2 := open()
+	defer e2.Close()
+	if got := e2.Store().Len(); got != 1 {
+		t.Fatalf("reopened with %d objects, want 1", got)
 	}
 }

@@ -541,9 +541,10 @@ func (e *Engine) apply(cfg core.Configuration, used *model.PathStats, drift floa
 	e.adoptBaseline(used)
 	e.swaps.Add(1)
 	// A durable engine persists the new configuration by checkpointing:
-	// the manifest flips to cfg only after the snapshot it describes is in
-	// place, so a crash mid-swap (or mid-rebuild above) recovers the old
-	// configuration over fully correct data.
+	// cfg rides in the checkpoint's trailer, so it takes effect with the
+	// rename that publishes the data it describes, and a crash mid-swap
+	// (or mid-rebuild above) recovers the old configuration over fully
+	// correct data.
 	if e.dur != nil {
 		if err := e.checkpointLocked(); err != nil {
 			return rep, fmt.Errorf("engine: persisting configuration: %w", err)

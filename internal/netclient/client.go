@@ -172,15 +172,13 @@ func (c *Client) fail(err error) {
 // start registers a call and appends its framed request to the send
 // buffer. encode writes the request payload for the given id.
 func (c *Client) start(encode func(dst []byte, id uint64) []byte) *Call {
-	call := &Call{c: c, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		call.err = err
-		close(call.done)
-		return call
+		return c.answered(err)
 	}
+	call := &Call{c: c, done: make(chan struct{})}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = call
@@ -192,6 +190,14 @@ func (c *Client) start(encode func(dst []byte, id uint64) []byte) *Call {
 		return call
 	}
 	c.mu.Unlock()
+	return call
+}
+
+// answered returns a call that never reaches the wire, already answered
+// with err.
+func (c *Client) answered(err error) *Call {
+	call := &Call{c: c, done: make(chan struct{}), err: err}
+	close(call.done)
 	return call
 }
 
@@ -247,15 +253,24 @@ func (c *Client) GoQueryRange(lo, hi oodb.Value, class string, hierarchy bool) *
 	})
 }
 
-// GoInsert starts an insert of a new class object.
+// GoInsert starts an insert of a new class object. An attribute map the
+// codec cannot encode (oodb.CheckAttrs) is answered with its error and
+// never sent: the server could not frame it.
 func (c *Client) GoInsert(class string, attrs map[string][]oodb.Value) *Call {
+	if err := oodb.CheckAttrs(attrs); err != nil {
+		return c.answered(err)
+	}
 	return c.start(func(dst []byte, id uint64) []byte {
 		return wire.AppendInsert(dst, id, class, attrs)
 	})
 }
 
-// GoUpdate starts an in-place update of oid.
+// GoUpdate starts an in-place update of oid; attrs are checked as
+// GoInsert checks them.
 func (c *Client) GoUpdate(oid oodb.OID, attrs map[string][]oodb.Value) *Call {
+	if err := oodb.CheckAttrs(attrs); err != nil {
+		return c.answered(err)
+	}
 	return c.start(func(dst []byte, id uint64) []byte {
 		return wire.AppendUpdate(dst, id, oid, attrs)
 	})

@@ -281,6 +281,35 @@ func TestServerErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestServerValueCountLimitKeepsConnection: an attribute with more values
+// than the codec's 16-bit count holds cannot be framed, so the client
+// answers the insert and the update with the limit's error without
+// sending them, and the connection keeps serving.
+func TestServerValueCountLimitKeepsConnection(t *testing.T) {
+	e, g := newTestEngine(t, 5)
+	c := startTestServer(t, e, Options{Path: g.Path})
+	co, err := c.Insert("Company", map[string][]oodb.Value{"name": {oodb.StrV("wide")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	divs := make([]oodb.Value, 1<<16)
+	for i := range divs {
+		divs[i] = oodb.RefV(co)
+	}
+	if _, err := c.Insert("Company", map[string][]oodb.Value{"divs": divs}); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("insert of %d values: %v, want the limit's error", len(divs), err)
+	}
+	if err := c.Update(co, map[string][]oodb.Value{"divs": divs}); err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("update to %d values: %v, want the limit's error", len(divs), err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection after the refused writes: %v", err)
+	}
+	if _, err := c.Query(oodb.StrV("wide"), "Company", false); err != nil {
+		t.Fatalf("query after the refused writes: %v", err)
+	}
+}
+
 // TestServerRejectsGarbage sends a corrupt frame: the connection must
 // die (WAL posture) without taking the server down.
 func TestServerRejectsGarbage(t *testing.T) {

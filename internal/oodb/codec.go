@@ -68,8 +68,23 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 	}
 }
 
+// maxValues is the most values one attribute can carry: the codec writes
+// each attribute's value count in 16 bits.
+const maxValues = 1<<16 - 1
+
+// CheckAttrs reports an attribute map the codec cannot encode: one with an
+// attribute carrying more than 65,535 values.
+func CheckAttrs(attrs map[string][]Value) error {
+	for name, vals := range attrs {
+		if len(vals) > maxValues {
+			return fmt.Errorf("oodb: attribute %q has %d values, the limit is %d", name, len(vals), maxValues)
+		}
+	}
+	return nil
+}
+
 // AppendAttrs appends the encoding of an attribute map to buf, names in
-// sorted order.
+// sorted order. attrs must pass CheckAttrs.
 func AppendAttrs(buf []byte, attrs map[string][]Value) []byte {
 	names := make([]string, 0, len(attrs))
 	for n := range attrs {

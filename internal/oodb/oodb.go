@@ -327,9 +327,12 @@ func (st *Store) ClassCount(class string) int {
 // inherited attributes), single-valued attributes get at most one value,
 // and reference values must point at live objects of the declared domain
 // (or a subclass of it). self, when non-zero, is the OID of the object
-// being updated, which its own references may not point at. Callers hold
-// st.mu.
+// being updated, which its own references may not point at. The map must
+// also be one the codec can encode (CheckAttrs). Callers hold st.mu.
 func (st *Store) validateAttrs(class string, attrs map[string][]Value, self OID) error {
+	if err := CheckAttrs(attrs); err != nil {
+		return err
+	}
 	for name, vals := range attrs {
 		decl, ok := st.schema.ResolveAttr(class, name)
 		if !ok {

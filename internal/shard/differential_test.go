@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -284,35 +285,53 @@ func (tr *tracer) randTarget() (string, bool) {
 	}
 }
 
-// updateBatch builds a small valid batch (renames and same-shard
-// re-links, plus one update of a missing OID to exercise the per-entry
-// error contract) and applies it through both systems' batch paths.
+// updateBatch builds a small batch of renames — one Company renamed twice,
+// so same-OID updates must apply in batch order on every shard — plus one
+// update of a missing OID at a random position, and applies it through
+// both systems' batch paths: the missing OID fails in place without
+// failing the rest, and the twice-renamed Company ends on its second name.
 func (tr *tracer) updateBatch(values []oodb.Value) {
 	var sUps, dUps []exec.Update
-	for i := 0; i < 5; i++ {
-		if lid, ok := tr.pick(tr.liveOf("Company", -1)); ok {
-			v := values[tr.rng.Intn(len(values))]
-			sUps = append(sUps, exec.Update{OID: tr.sOID[lid], Attrs: map[string][]oodb.Value{"name": {v}}})
-			dUps = append(dUps, exec.Update{OID: tr.dOID[lid], Attrs: map[string][]oodb.Value{"name": {v}}})
-		}
+	rename := func(lid int) {
+		v := values[tr.rng.Intn(len(values))]
+		sUps = append(sUps, exec.Update{OID: tr.sOID[lid], Attrs: map[string][]oodb.Value{"name": {v}}})
+		dUps = append(dUps, exec.Update{OID: tr.dOID[lid], Attrs: map[string][]oodb.Value{"name": {v}}})
 	}
-	if len(sUps) == 0 {
+	twice, ok := tr.pick(tr.liveOf("Company", -1))
+	if !ok {
 		return
 	}
-	// A deliberately missing OID: both systems must report it in place
-	// without failing the rest. Use an OID far past both sequences.
-	missing := oodb.OID(1 << 40)
-	sUps = append(sUps, exec.Update{OID: missing, Attrs: map[string][]oodb.Value{"name": {values[0]}}})
-	dUps = append(dUps, exec.Update{OID: missing, Attrs: map[string][]oodb.Value{"name": {values[0]}}})
+	rename(twice)
+	for i := 0; i < 4; i++ {
+		if lid, ok := tr.pick(tr.liveOf("Company", -1)); ok && lid != twice {
+			rename(lid)
+		}
+	}
+	rename(twice)
+	last := sUps[len(sUps)-1].Attrs["name"]
+	// A deliberately missing OID, far past both sequences.
+	miss := tr.rng.Intn(len(sUps) + 1)
+	missing := exec.Update{OID: oodb.OID(1 << 40), Attrs: map[string][]oodb.Value{"name": {values[0]}}}
+	sUps = slices.Insert(sUps, miss, missing)
+	dUps = slices.Insert(dUps, miss, missing)
 	sErrs := tr.single.UpdateBatch(sUps)
 	dErrs := tr.db.UpdateBatch(dUps)
 	for i := range sErrs {
 		if (sErrs[i] == nil) != (dErrs[i] == nil) {
 			tr.t.Fatalf("update batch entry %d: single err %v, sharded err %v", i, sErrs[i], dErrs[i])
 		}
+		if (i == miss) != (sErrs[i] != nil) {
+			tr.t.Fatalf("update batch entry %d (missing OID at %d): err %v", i, miss, sErrs[i])
+		}
 	}
-	if last := sErrs[len(sErrs)-1]; !errors.Is(last, oodb.ErrNotFound) {
-		tr.t.Fatalf("update batch: missing OID reported %v, want ErrNotFound", last)
+	if !errors.Is(sErrs[miss], oodb.ErrNotFound) || !errors.Is(dErrs[miss], oodb.ErrNotFound) {
+		tr.t.Fatalf("update batch: missing OID reported %v / %v, want ErrNotFound", sErrs[miss], dErrs[miss])
+	}
+	sObj, sOK := tr.single.Store().Peek(tr.sOID[twice])
+	dObj, dOK := tr.db.Store(tr.db.ShardOf(tr.dOID[twice])).Peek(tr.dOID[twice])
+	if !sOK || !dOK || !oodb.ValuesEqual(sObj.Values("name"), last) || !oodb.ValuesEqual(dObj.Values("name"), last) {
+		tr.t.Fatalf("update batch: the twice-renamed Company holds %v (single) and %v (sharded), want the second name %v",
+			sObj.Values("name"), dObj.Values("name"), last)
 	}
 }
 

@@ -1,7 +1,7 @@
 package shard_test
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -15,13 +15,14 @@ import (
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 func openTestDurableDB(t *testing.T, dir string, nShards int) *shard.DB {
 	t.Helper()
 	s := schema.PaperSchema()
 	p := schema.PaperPathOwnsManName()
-	db, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, nShards, shard.DurableOptions{})
+	db, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, nShards, engine.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,8 @@ func TestShardedDurablePredicateMixSurvivesReopen(t *testing.T) {
 }
 
 // TestShardedDurableGeometryMismatchRejected: reopening with a different
-// shard count or page size is refused — OID routing depends on both.
+// shard count or page size is refused — OID routing depends on both — and
+// a refused open creates no shard directory.
 func TestShardedDurableGeometryMismatchRejected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db := openTestDurableDB(t, dir, 3)
@@ -185,24 +187,29 @@ func TestShardedDurableGeometryMismatchRejected(t *testing.T) {
 	}
 	s := schema.PaperSchema()
 	p := schema.PaperPathOwnsManName()
-	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, 4, shard.DurableOptions{}); err == nil {
+	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, 4, engine.DurableOptions{}); err == nil {
 		t.Fatal("shard-count mismatch not rejected")
 	}
-	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 2048, 3, shard.DurableOptions{}); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, "shard-0003")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused 4-shard open created shard-0003 (stat: %v)", err)
+	}
+	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 2048, 3, engine.DurableOptions{}); err == nil {
 		t.Fatal("page-size mismatch not rejected")
 	}
 	if _, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), 1024, 3,
-		shard.DurableOptions{Engine: engine.DurableOptions{FirstOID: 7}}); err == nil {
+		engine.DurableOptions{FirstOID: 7}); err == nil {
 		t.Fatal("caller-set FirstOID not rejected")
 	}
 }
 
 // TestShardedDurableFreshOpenKillPoints kills a fresh sharded open at
-// every write byte from the first one of SHARDS.tmp into the shards' own
-// opens — SHARDS goes through the same OpenFile seam as the engines'
-// files. Whatever SHARDS a kill leaves behind is complete (it is renamed
-// into place only after its fsync), a torn SHARDS.tmp is ignored, and the
-// directory reopens clean and usable either way.
+// every write byte from the first one — shard 0's open, whose checkpoint
+// is written first and alone, then the other shards' — through the same
+// OpenFile seam the engines write everything with. Whatever
+// shard-0000/snap.ckpt a kill leaves behind is complete and carries the
+// geometry (it is renamed into place only after its fsync), a torn
+// snap.ckpt.tmp is ignored, and the directory reopens clean and usable
+// either way.
 func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
 	const nShards, pageSize = 3, 1024
 	s := schema.PaperSchema()
@@ -220,7 +227,7 @@ func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
 			return ff, nil
 		}
 		db, err := shard.OpenShardedDurable(dir, s, p, wholeNIX(p.Len()), pageSize, nShards,
-			shard.DurableOptions{Engine: engine.DurableOptions{OpenFile: open}})
+			engine.DurableOptions{OpenFile: open})
 		switch {
 		case err == nil:
 			db.Close() //nolint:errcheck // the closing checkpoint may hit the kill point
@@ -228,25 +235,21 @@ func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
 			t.Fatalf("kill at byte %d: open failed without the kill: %v", kill, err)
 		}
 
-		raw, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
-		switch {
+		ckpt := filepath.Join(dir, "shard-0000", "snap.ckpt")
+		switch geom, err := readGeometry(ckpt); {
 		case errors.Is(err, os.ErrNotExist):
 			sawNone = true
 		case err != nil:
-			t.Fatal(err)
+			t.Fatalf("kill at byte %d published a torn checkpoint: %v", kill, err)
 		default:
 			sawPublished = true
-			var m struct {
-				Shards   int `json:"shards"`
-				PageSize int `json:"page_size"`
-			}
-			if err := json.Unmarshal(raw, &m); err != nil || m.Shards != nShards || m.PageSize != pageSize {
-				t.Fatalf("kill at byte %d published a torn SHARDS %q (%v)", kill, raw, err)
+			if want := [3]uint64{pageSize, nShards, nShards}; geom != want {
+				t.Fatalf("kill at byte %d: checkpoint geometry (page size, first OID, stride) %v, want %v", kill, geom, want)
 			}
 		}
 		// A killed process runs no deferred clean-up: its torn temporary
 		// stays behind.
-		if err := os.WriteFile(filepath.Join(dir, "SHARDS.tmp"), []byte(`{"version": 1, "sha`), 0o644); err != nil {
+		if err := os.WriteFile(ckpt+".tmp", []byte{0, 0, 0, 9, 1, 2}, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db2 := openTestDurableDB(t, dir, nShards)
@@ -260,8 +263,40 @@ func TestShardedDurableFreshOpenKillPoints(t *testing.T) {
 		}
 	}
 	if !sawNone || !sawPublished {
-		t.Fatalf("sweep did not straddle the rename: no SHARDS seen %v, published seen %v", sawNone, sawPublished)
+		t.Fatalf("sweep did not straddle the rename: no checkpoint seen %v, published seen %v", sawNone, sawPublished)
 	}
+}
+
+// readGeometry reads a checkpoint with the log's scan and returns the
+// page size, OID base and stride its trailer leads with. Anything but
+// whole frames ending in a trailer is an error.
+func readGeometry(path string) (geom [3]uint64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return geom, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return geom, err
+	}
+	var last []byte
+	end, err := wal.Scan(f, func(rec []byte) error { last = rec; return nil })
+	if err != nil {
+		return geom, err
+	}
+	if end != fi.Size() || len(last) == 0 || last[0] != 4 {
+		return geom, fmt.Errorf("%d of %d bytes in whole frames, last record %x", end, fi.Size(), last)
+	}
+	b := last[1:]
+	for i := range geom {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return geom, fmt.Errorf("short trailer %x", last)
+		}
+		geom[i], b = v, b[n:]
+	}
+	return geom, nil
 }
 
 // TestShardedDurabilityStatsSumShards: the fleet's durability cost is the

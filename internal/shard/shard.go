@@ -342,16 +342,15 @@ func (db *DB) Delete(oid oodb.OID) error {
 // ErrCrossShard, as Update does, and never reaches a shard.
 func (db *DB) UpdateBatch(ups []exec.Update) []error {
 	errs := make([]error, len(ups))
-	valid := make([]exec.Update, 0, len(ups))
-	at := make([]int, 0, len(ups)) // batch position of each valid update
+	parts := make([][]exec.Update, len(db.shards))
+	at := make([][]int, len(db.shards)) // batch position of each entry of parts[s]
 	for i, u := range ups {
-		if _, errs[i] = db.updateShard(u.OID, u.Attrs); errs[i] == nil {
-			valid = append(valid, u)
-			at = append(at, i)
+		s, err := db.updateShard(u.OID, u.Attrs)
+		if errs[i] = err; err == nil {
+			parts[s] = append(parts[s], u)
+			at[s] = append(at[s], i)
 		}
 	}
-	parts, pos := exec.SplitUpdates(valid, len(db.shards), db.ShardOf)
-	perShard := make([][]error, len(parts))
 	var wg sync.WaitGroup
 	for s := range parts {
 		if len(parts[s]) == 0 {
@@ -360,15 +359,17 @@ func (db *DB) UpdateBatch(ups []exec.Update) []error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			perShard[s] = db.shards[s].UpdateBatch(parts[s])
+			for k, err := range db.shards[s].UpdateBatch(parts[s]) {
+				errs[at[s][k]] = err
+			}
 		}(s)
 	}
 	wg.Wait()
-	applied := make([]error, len(valid))
-	exec.ScatterErrors(applied, pos, perShard)
-	for k, u := range valid {
-		if errs[at[k]] = applied[k]; applied[k] == nil {
-			db.noteUpdate(db.ShardOf(u.OID), u.OID, u.Attrs)
+	for s, idx := range at {
+		for _, i := range idx {
+			if errs[i] == nil {
+				db.noteUpdate(s, ups[i].OID, ups[i].Attrs)
+			}
 		}
 	}
 	return errs

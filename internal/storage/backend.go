@@ -24,14 +24,11 @@ type File interface {
 }
 
 // WriteFileAtomic publishes a file all or nothing: it writes path+".tmp"
-// through the open seam (nil: the real filesystem), fsyncs it and only
-// then renames it over path, so a reader finds the previous complete file
-// or the new one — a crash leaves at worst a torn temporary, which no
-// reader opens. write receives the empty temporary.
+// through the open seam, fsyncs it and only then renames it over path, so
+// a reader finds the previous complete file or the new one — a crash
+// leaves at worst a torn temporary, which no reader opens. write receives
+// the empty temporary.
 func WriteFileAtomic(open func(string) (File, error), path string, write func(File) error) error {
-	if open == nil {
-		open = func(p string) (File, error) { return os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644) }
-	}
 	tmp := path + ".tmp"
 	f, err := open(tmp)
 	if err != nil {

@@ -18,8 +18,8 @@ var ErrCrashed = errors.New("storage: simulated crash")
 
 // CrashBudget is a write-byte budget shared by every FaultFile of one
 // simulated process. The crash-recovery gate arms one budget over a
-// durable engine's whole file set (WAL, page file, snapshot and manifest
-// temporaries), so the kill point can land in any of them — whichever file
+// durable engine's whole file set (WAL, page file and checkpoint
+// temporary), so the kill point can land in any of them — whichever file
 // happens to receive the write that crosses the budget dies mid-write with
 // a torn prefix, and every file of the set fails from then on, exactly
 // like the process being killed.

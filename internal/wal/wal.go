@@ -9,6 +9,10 @@
 //	[4 bytes] crc32 (Castagnoli) of the payload
 //	[n bytes] payload
 //
+// AppendFrame writes a frame and Scan reads frames back; the durable
+// engine's checkpoint file is a sequence of the same frames, written and
+// read through the same two functions.
+//
 // Replay walks records from the start and stops at the first frame that
 // does not check out — a short header, a zero or impossible length, a
 // length running past the end of the file, or a CRC mismatch. Everything
@@ -134,7 +138,7 @@ func Open(f storage.File, policy Policy, window time.Duration, replay func(paylo
 		window = DefaultGroupWindow
 	}
 	l := &Log{f: f, policy: policy, window: window, lastSync: time.Now()}
-	end, err := scan(f, func(p []byte) error {
+	end, err := Scan(f, func(p []byte) error {
 		l.records.Add(1)
 		if replay != nil {
 			return replay(p)
@@ -177,12 +181,20 @@ func OpenPath(path string, policy Policy, window time.Duration, replay func(payl
 	return l, nil
 }
 
-// scan walks the frames of f from offset 0, calling fn with each valid
-// payload, and returns the offset of the first invalid frame — the
-// truncation point. Only genuine I/O errors (not framing damage) are
-// returned as errors: framing damage is a crash artifact to recover from,
-// not a failure.
-func scan(f storage.File, fn func([]byte) error) (int64, error) {
+// AppendFrame appends payload to dst as one frame — its length, its CRC
+// and the payload — and returns the extended slice. Scan reads it back.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// Scan walks the frames of f from offset 0, calling fn with each valid
+// payload, and returns the offset of the first invalid frame — the end of
+// the valid frames. Only genuine I/O errors and fn's (not framing damage)
+// are returned as errors: the caller decides what damage means — a torn
+// tail for the log, corruption for a file published by rename.
+func Scan(f storage.File, fn func([]byte) error) (int64, error) {
 	var off int64
 	buf := make([]byte, frameHeader+1)
 	hdr, probe := buf[:frameHeader], buf[frameHeader:]
@@ -247,20 +259,14 @@ func (l *Log) Append(payload []byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	n := frameHeader + len(payload)
+	l.frame = AppendFrame(l.frame[:0], payload)
+	n := len(l.frame)
 	if l.off+int64(n) > l.ext {
 		if err := l.extendLocked(l.off + int64(n)); err != nil {
 			return err
 		}
 	}
-	if cap(l.frame) < n {
-		l.frame = make([]byte, n)
-	}
-	frame := l.frame[:n]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
-	if _, err := l.f.WriteAt(frame, l.off); err != nil {
+	if _, err := l.f.WriteAt(l.frame, l.off); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.off += int64(n)
