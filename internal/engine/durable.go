@@ -24,13 +24,14 @@ import (
 //	snap.ckpt  — the checkpoint, a compacted log in the same frames: an
 //	             insert record per live object in OID order, then a trailer
 //	             (geometry, OID sequence position, configuration, predicate
-//	             mix, record count). Published by fsync and rename; a fresh
-//	             directory gets a trailer-only one at its first open.
+//	             mix, record count). Published by fsync, rename and
+//	             directory fsync; a fresh directory gets a trailer-only one
+//	             at its first open.
 //	pages.db   — the disk-backed pager's page file. Deliberately NOT a
 //	             recovery source: objects live in the store's in-memory
 //	             catalog, so pages.db exists to make buffer-pool misses and
 //	             dirty write-backs cost real, checksummed I/O. It is
-//	             truncated at every open and rebuilt by traffic.
+//	             truncated at every open and written only by evictions.
 //
 // Recovery on open is checkpoint-then-replay: the records of snap.ckpt,
 // then those of wal.log, each through applyOpRecord, then the indexes of
@@ -40,17 +41,11 @@ import (
 // between the snapshot rename and the WAL reset replays logged effects
 // the snapshot already holds, and converges.
 //
-// Write path: each Insert, Update or Delete appends one operation record
-// inside the engine's writeMu hold, notes the log position the record
-// ends at, releases writeMu, and only then commits — waits for that
-// position to be durable per policy. The next writer's store and index
-// work runs during the fsync, and concurrent commits share one fsync
-// (wal.Log.Commit). A batch (UpdateBatch) appends all its records in one
-// writeMu hold and commits once. Operations are logged only after they
-// succeed in the store; an operation whose append or commit fails returns
-// the error and is not acknowledged. Lock order: writeMu, then the log's
-// sync mutex, then its append mutex; the commit path never takes writeMu
-// while the log holds its sync mutex for it.
+// Write path: every write verb appends its records through logLocked
+// inside its writeMu hold and commits through settle after releasing it.
+// Lock order: writeMu, then the log's sync mutex, then its append mutex;
+// the commit path never takes writeMu while the log holds its sync mutex
+// for it.
 
 const (
 	walName   = "wal.log"
@@ -209,8 +204,14 @@ type durable struct {
 // is refused before the log is opened.
 func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configuration, pageSize int, opts DurableOptions) (*Engine, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+		// A new directory's own entry is durable before anything in it.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, err
+		}
 	}
 	// Crash leftover: a temporary never renamed into place is garbage.
 	os.Remove(filepath.Join(dir, snapName+".tmp"))
@@ -279,7 +280,8 @@ func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configur
 	e.dur = d
 	if !found {
 		// Birth: the geometry goes on disk before the first write can be
-		// acknowledged. Not a checkpoint — nothing to flush or truncate.
+		// acknowledged; its directory sync also covers the entries of
+		// wal.log and pages.db. Not a checkpoint: no log reset, not counted.
 		if err := e.writeCheckpoint(); err != nil {
 			return fail(err)
 		}
@@ -323,18 +325,19 @@ func applyOpRecord(st *oodb.Store, rec []byte) error {
 	}
 }
 
-// logOp appends one operation record for an operation that already
-// succeeded in the store and returns the log position the record ends at,
-// for commit. Caller holds writeMu.
-func (e *Engine) logOp(kind byte, oid oodb.OID) (uint64, error) {
+// logLocked is a write's first half, run under writeMu: when the store
+// step succeeded (err nil) on a durable engine, it appends the operation's
+// record. It returns the log position the record ends at, zero when
+// nothing was logged, and the first failure, the store's or the log's.
+func (e *Engine) logLocked(kind byte, oid oodb.OID, err error) (uint64, error) {
 	d := e.dur
-	if d.err != nil {
-		return 0, d.err
+	if err != nil || d == nil {
+		return 0, err
 	}
-	// A latched pager error (failed write-back during the store phase)
-	// condemns the operation before its record is appended: an appended
-	// record is a durability promise, so the health check must precede it.
-	if err := e.store.Err(); err != nil {
+	// A latched error — the log's, or the pager's from a failed write-back
+	// during the store phase — condemns the operation before its record is
+	// appended: an appended record is a durability promise.
+	if err := e.durabilityErrLocked(); err != nil {
 		d.err = err
 		return 0, err
 	}
@@ -355,13 +358,18 @@ func (e *Engine) logOp(kind byte, oid oodb.OID) (uint64, error) {
 	return d.log.End(), nil
 }
 
-// commit makes the operation whose record ends at pos durable per policy,
-// then checkpoints when the log has outgrown its threshold. The caller
-// has released writeMu: other writers apply and append during the fsync,
-// and concurrent commits share one (wal.Log.Commit). A failed commit
-// latches d.err, so the engine refuses later writes.
-func (e *Engine) commit(pos uint64) error {
+// settle is a write's second half, run after writeMu is released: unless
+// err is set, it commits the write whose last record ends at pos — other
+// writers apply and append during the fsync, and concurrent commits share
+// one (wal.Log.Commit) — then checkpoints when the log has outgrown its
+// threshold; either way it credits the auto-tuner n operations. A nil
+// result acknowledges the write; a failed commit latches d.err.
+func (e *Engine) settle(pos uint64, err error, n int) error {
+	defer e.maybeAutoTuneN(uint64(n))
 	d := e.dur
+	if err != nil || pos == 0 {
+		return err
+	}
 	if _, err := d.log.Commit(pos); err != nil {
 		e.writeMu.Lock()
 		if d.err == nil {
@@ -371,10 +379,10 @@ func (e *Engine) commit(pos uint64) error {
 		return err
 	}
 	if d.ckpt > 0 && d.log.Size() >= d.ckpt {
-		// The operation is durable the moment its commit lands; a failing
+		// The write is durable the moment its commit lands; a failing
 		// checkpoint here condemns the engine for future writes (latched
 		// in d.err, visible via DurabilityErr) but cannot retract this
-		// operation's acknowledgement. The size is checked again under
+		// write's acknowledgement. The size is checked again under
 		// writeMu: a concurrent commit may have checkpointed meanwhile.
 		e.writeMu.Lock()
 		if d.log.Size() >= d.ckpt {
@@ -385,8 +393,10 @@ func (e *Engine) commit(pos uint64) error {
 	return nil
 }
 
-// Checkpoint flushes dirty pages, writes snap.ckpt (temporary, fsync,
-// rename), and truncates the WAL. A no-op on an in-memory engine.
+// Checkpoint publishes snap.ckpt (temporary, fsync, rename, directory
+// fsync) and then resets the WAL. It leaves pages.db alone: no recovery
+// reads it. A condemned engine (DurabilityErr non-nil) refuses with the
+// latched error and writes nothing. A no-op on an in-memory engine.
 func (e *Engine) Checkpoint() error {
 	if e.dur == nil {
 		return nil
@@ -398,18 +408,17 @@ func (e *Engine) Checkpoint() error {
 
 // checkpointLocked is Checkpoint with writeMu held. Step order is what
 // makes every crash point recoverable: the snapshot — data and
-// configuration together — becomes visible only by its atomic rename, and
-// the WAL is truncated last, so a crash anywhere earlier replays over a
-// base that is at worst ahead, which idempotent replay converges on.
+// configuration together — becomes visible only by its atomic rename,
+// which its directory fsync makes durable, and the WAL is truncated last,
+// so a crash anywhere earlier replays over a base that is at worst ahead,
+// which idempotent replay converges on.
 func (e *Engine) checkpointLocked() error {
 	d := e.dur
-	if d.err != nil {
-		return d.err
+	if err := e.durabilityErrLocked(); err != nil {
+		return err
 	}
-	err := e.store.Pager().Flush()
-	if err != nil {
-		err = fmt.Errorf("engine: checkpoint page flush: %w", err)
-	} else if err = e.writeCheckpoint(); err == nil {
+	err := e.writeCheckpoint()
+	if err == nil {
 		err = d.log.Reset()
 	}
 	if err != nil {
@@ -422,7 +431,8 @@ func (e *Engine) checkpointLocked() error {
 
 // writeCheckpoint streams every live object into snap.ckpt.tmp as an
 // insert record, one WriteAt per frame, then the trailer;
-// storage.WriteFileAtomic fsyncs it and renames it into place.
+// storage.WriteFileAtomic fsyncs it, renames it into place and fsyncs the
+// directory.
 func (e *Engine) writeCheckpoint() error {
 	d := e.dur
 	err := storage.WriteFileAtomic(d.openFile, filepath.Join(d.dir, snapName), func(f storage.File) error {
@@ -522,21 +532,19 @@ func (e *Engine) Close() error {
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	d := e.dur
 	err := e.checkpointLocked()
-	if cerr := d.log.Close(); err == nil && cerr != nil && d.err == nil {
+	if cerr := e.dur.log.Close(); err == nil {
 		err = cerr
 	}
-	if be := e.store.Pager().Backend(); be != nil {
-		if cerr := be.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
+	if cerr := e.store.Pager().Backend().Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
 
 // DurabilityErr returns the first durability failure latched by the write
-// path (WAL append, fsync, page write-back, checkpoint), or nil. Once
+// path (WAL append, fsync, checkpoint) or by the pager (a page write-back,
+// during a write or a read's eviction), or nil. Once
 // non-nil the engine refuses further writes with the same error; reads
 // keep serving the coherent in-memory state.
 func (e *Engine) DurabilityErr() error {
@@ -557,16 +565,14 @@ func (e *Engine) durabilityErrLocked() error {
 	return e.store.Err()
 }
 
-// DurabilityStats sums the durability counters: WAL bytes appended and
-// fsyncs (log and page file together). Zero-valued on an in-memory
-// engine.
+// DurabilityStats returns the log's durability counters: WAL bytes
+// appended and fsyncs. Nothing else in the engine fsyncs. Zero-valued on
+// an in-memory engine.
 func (e *Engine) DurabilityStats() storage.Stats {
 	if e.dur == nil {
 		return storage.Stats{}
 	}
-	s := e.dur.log.Stats()
-	s.Fsyncs += e.store.Pager().Stats().Fsyncs
-	return s
+	return e.dur.log.Stats()
 }
 
 // WALSize returns the log's current size in bytes (zero when in-memory).
@@ -593,4 +599,14 @@ func (e *Engine) Replayed() uint64 {
 		return 0
 	}
 	return e.dur.replayed
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err == nil {
+		err = f.Sync()
+		f.Close()
+	}
+	return err
 }

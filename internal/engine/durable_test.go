@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -380,5 +381,111 @@ func TestDurableValueCountLimit(t *testing.T) {
 	defer e2.Close()
 	if got := e2.Store().Len(); got != 1 {
 		t.Fatalf("reopened with %d objects, want 1", got)
+	}
+}
+
+// pagesFaultSeam is an OpenFile seam that puts every file behind a
+// FaultFile and hands the test pages.db's.
+func pagesFaultSeam(pages **storage.FaultFile) func(string) (storage.File, error) {
+	return func(path string) (storage.File, error) {
+		ff, err := storage.OpenFaultFile(path)
+		if err == nil && filepath.Base(path) == pagesName {
+			*pages = ff
+		}
+		return ff, err
+	}
+}
+
+// TestDurableCheckpointLeavesPagesAlone: no recovery reads pages.db, so a
+// checkpoint neither writes nor fsyncs it — a dirty resident page waits
+// for its eviction — and a reopen recovers the same store from snap.ckpt
+// and wal.log alone.
+func TestDurableCheckpointLeavesPagesAlone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	var pages *storage.FaultFile
+	e := openTestDurable(t, dir, DurableOptions{PoolPages: 4, OpenFile: pagesFaultSeam(&pages)})
+	d := newDriver(e.Path(), 9)
+	for i := 0; i < 200; i++ {
+		if err := d.step(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An insert leaves the page it wrote resident and dirty.
+	if err := d.insert(e); err != nil {
+		t.Fatal(err)
+	}
+	writes, syncs := pages.Writes(), pages.Syncs()
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if pages.Writes() != writes || pages.Syncs() != syncs {
+		t.Fatalf("checkpoint wrote %d and fsynced %d times to pages.db, want 0 and 0",
+			pages.Writes()-writes, pages.Syncs()-syncs)
+	}
+	want := e.Store().Fingerprint()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openTestDurable(t, dir, DurableOptions{PoolPages: 4})
+	defer r.Close()
+	if got := r.Store().Fingerprint(); got != want {
+		t.Fatalf("reopened fingerprint %x, want %x", got, want)
+	}
+}
+
+// TestDurableCondemnedEngineRefusesCheckpoint: a page write-back can fail
+// outside any write — an eviction while a read pages an object in — and
+// latch in the pager alone. The engine is condemned all the same, so
+// Checkpoint and Close return that error and leave snap.ckpt and wal.log
+// byte for byte as they were.
+func TestDurableCondemnedEngineRefusesCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	var pages *storage.FaultFile
+	e := openTestDurable(t, dir, DurableOptions{PoolPages: 2, OpenFile: pagesFaultSeam(&pages)})
+	d := newDriver(e.Path(), 8)
+	for i := 0; i < 100; i++ {
+		if err := d.insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages.FailWrite = pages.Writes() + 1
+	for oid := range d.level {
+		e.Store().Get(oid) //nolint:errcheck // the latched error is read below
+		if e.DurabilityErr() != nil {
+			break
+		}
+	}
+	if err := e.DurabilityErr(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("DurabilityErr = %v after reads over a failed write-back, want ErrInjected", err)
+	}
+	e.writeMu.Lock()
+	werr := e.dur.err
+	e.writeMu.Unlock()
+	if werr != nil {
+		t.Fatalf("the write path latched %v; the failure must be the pager's alone", werr)
+	}
+	read := func() (snap, log []byte) {
+		var err error
+		if snap, err = os.ReadFile(filepath.Join(dir, snapName)); err != nil {
+			t.Fatal(err)
+		}
+		if log, err = os.ReadFile(filepath.Join(dir, walName)); err != nil {
+			t.Fatal(err)
+		}
+		return snap, log
+	}
+	snap, log := read()
+	ckpts := e.Checkpoints()
+	if err := e.Checkpoint(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Checkpoint on a condemned engine returned %v, want ErrInjected", err)
+	}
+	if err := e.Close(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Close on a condemned engine returned %v, want ErrInjected", err)
+	}
+	if e.Checkpoints() != ckpts {
+		t.Fatalf("a condemned engine completed %d checkpoints", e.Checkpoints()-ckpts)
+	}
+	if s, l := read(); !bytes.Equal(s, snap) || !bytes.Equal(l, log) {
+		t.Fatal("a condemned engine rewrote snap.ckpt or wal.log")
 	}
 }

@@ -259,16 +259,9 @@ func (e *Engine) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy boo
 func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
 	e.writeMu.Lock()
 	oid, err := e.active.Load().InsertInto(e.store, class, attrs)
-	var pos uint64
-	if err == nil && e.dur != nil {
-		pos, err = e.logOp(opInsert, oid)
-	}
+	pos, err := e.logLocked(opInsert, oid, err)
 	e.writeMu.Unlock()
-	if err == nil && e.dur != nil {
-		err = e.commit(pos)
-	}
-	e.maybeAutoTune()
-	return oid, err
+	return oid, e.settle(pos, err, 1)
 }
 
 // Update applies an in-place update — attribute value changes and
@@ -280,16 +273,9 @@ func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, 
 func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
 	e.writeMu.Lock()
 	err := e.active.Load().UpdateIn(e.store, oid, attrs)
-	var pos uint64
-	if err == nil && e.dur != nil {
-		pos, err = e.logOp(opUpdate, oid)
-	}
+	pos, err := e.logLocked(opUpdate, oid, err)
 	e.writeMu.Unlock()
-	if err == nil && e.dur != nil {
-		err = e.commit(pos)
-	}
-	e.maybeAutoTune()
-	return err
+	return e.settle(pos, err, 1)
 }
 
 // UpdateBatch applies a batch of in-place updates, in input order, against
@@ -306,27 +292,21 @@ func (e *Engine) UpdateBatch(ups []exec.Update) []error {
 	e.writeMu.Lock()
 	errs := e.active.Load().UpdateBatch(e.store, ups)
 	var pos uint64 // end of the batch's last record; 0 when none was logged
-	var derr error
-	if e.dur != nil {
-		for i := range ups {
-			if errs[i] == nil && derr == nil {
-				pos, derr = e.logOp(opUpdate, ups[i].OID)
-			}
+	var err error
+	for i := range ups {
+		if errs[i] == nil && err == nil {
+			pos, err = e.logLocked(opUpdate, ups[i].OID, nil)
 		}
 	}
 	e.writeMu.Unlock()
-	if derr == nil && pos > 0 {
-		derr = e.commit(pos)
-	}
-	if derr != nil {
+	if err = e.settle(pos, err, len(ups)); err != nil {
 		// Nothing the batch logged is committed: no update is acknowledged.
 		for i := range errs {
 			if errs[i] == nil {
-				errs[i] = derr
+				errs[i] = err
 			}
 		}
 	}
-	e.maybeAutoTuneN(uint64(len(ups)))
 	return errs
 }
 
@@ -336,16 +316,9 @@ func (e *Engine) UpdateBatch(ups []exec.Update) []error {
 func (e *Engine) Delete(oid oodb.OID) error {
 	e.writeMu.Lock()
 	err := e.active.Load().DeleteFrom(e.store, oid)
-	var pos uint64
-	if err == nil && e.dur != nil {
-		pos, err = e.logOp(opDelete, oid)
-	}
+	pos, err := e.logLocked(opDelete, oid, err)
 	e.writeMu.Unlock()
-	if err == nil && e.dur != nil {
-		err = e.commit(pos)
-	}
-	e.maybeAutoTune()
-	return err
+	return e.settle(pos, err, 1)
 }
 
 // Store returns the engine's object store.

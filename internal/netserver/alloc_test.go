@@ -9,10 +9,10 @@ import (
 
 // TestServeBatchPointReadAllocs pins the per-batch allocation budget of
 // the server's steady-state point-read path: a coalesced window of K
-// point queries through serveBatch — probe assembly, the QueryBatch
-// descent, response encoding, framing into pooled buffers — must stay
-// within a fixed budget that scales only with the result surface, like
-// the engine-level guards. The frame and task pools are what keep the
+// point queries through serveBatch — one Backend.Query per request,
+// response encoding, framing into pooled buffers — must stay within a
+// fixed budget that scales only with the result surface, like the
+// engine-level guards. The frame and task pools are what keep the
 // socket boundary from adding per-request garbage; this test is the
 // tripwire for losing that.
 func TestServeBatchPointReadAllocs(t *testing.T) {

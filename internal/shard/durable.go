@@ -109,28 +109,19 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 	return assemble(p, stores, engines), nil
 }
 
-// Checkpoint checkpoints every shard concurrently — flush, snapshot,
-// WAL truncation, per shard. The first error in shard order is
+// Checkpoint checkpoints every shard in shard order — each publishes its
+// snap.ckpt, then resets its WAL. The first error in shard order is
 // returned, but every shard is attempted: a failing shard is condemned
 // by its own engine, not by its neighbors. A no-op on an in-memory
 // database.
 func (db *DB) Checkpoint() error {
-	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
+	var first error
 	for i, e := range db.shards {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			errs[i] = e.Checkpoint()
-		}(i, e)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+		if err := e.Checkpoint(); err != nil && first == nil {
+			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	return nil
+	return first
 }
 
 // Close quiesces and closes every shard — including any background

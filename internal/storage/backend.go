@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -26,8 +27,10 @@ type File interface {
 // WriteFileAtomic publishes a file all or nothing: it writes path+".tmp"
 // through the open seam, fsyncs it and only then renames it over path, so
 // a reader finds the previous complete file or the new one — a crash
-// leaves at worst a torn temporary, which no reader opens. write receives
-// the empty temporary.
+// leaves at worst a torn temporary, which no reader opens. It returns
+// after fsyncing path's directory, so the rename is durable too and the
+// caller may then drop what the new file supersedes. write receives the
+// empty temporary.
 func WriteFileAtomic(open func(string) (File, error), path string, write func(File) error) error {
 	tmp := path + ".tmp"
 	f, err := open(tmp)
@@ -48,7 +51,21 @@ func WriteFileAtomic(open func(string) (File, error), path string, write func(Fi
 	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries renamed or created in it
+// durable. A variable so this package's tests can observe the call.
+var syncDir = func(dir string) error {
+	f, err := os.Open(dir)
+	if err == nil {
+		err = f.Sync()
+		f.Close()
+	}
+	return err
 }
 
 // ErrChecksum reports a page slot whose stored checksum does not match its

@@ -362,3 +362,38 @@ func TestBackedPagerFlushSync(t *testing.T) {
 		t.Fatalf("idle flush rewrote %d pages", ff.Writes()-wrote)
 	}
 }
+
+// TestWriteFileAtomicSyncsDirectoryAfterRename: a rename is durable only
+// once its directory is fsynced, and a caller acts on the publication as
+// soon as WriteFileAtomic returns — a checkpoint then resets its log. So
+// the directory sync comes after the rename and before the return, and
+// its failure is the call's.
+func TestWriteFileAtomicSyncsDirectoryAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap")
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var synced []string
+	syncDir = func(d string) error {
+		if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+			t.Errorf("directory synced before the rename: %s holds %q (%v)", path, got, err)
+		}
+		synced = append(synced, d)
+		return orig(d)
+	}
+	open := func(p string) (File, error) { return os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644) }
+	write := func(f File) error {
+		_, err := f.WriteAt([]byte("new"), 0)
+		return err
+	}
+	if err := WriteFileAtomic(open, path, write); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(synced, []string{dir}) {
+		t.Fatalf("synced directories %q, want [%q]", synced, dir)
+	}
+	syncDir = func(string) error { return ErrInjected }
+	if err := WriteFileAtomic(open, path, write); !errors.Is(err, ErrInjected) {
+		t.Fatalf("WriteFileAtomic over a failed directory sync returned %v, want ErrInjected", err)
+	}
+}

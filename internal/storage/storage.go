@@ -304,7 +304,8 @@ func (p *Pager) Write(pg *Page) error {
 }
 
 // Flush writes every dirty page image to the backend, in page order, and
-// fsyncs it — the buffer-pool half of a checkpoint. No-op in memory mode.
+// fsyncs it. A durable engine's checkpoint does not call it: no recovery
+// reads the page file. No-op in memory mode.
 func (p *Pager) Flush() error {
 	if p.backend == nil {
 		return nil
