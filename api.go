@@ -232,9 +232,15 @@ type (
 	// ExecuteValues projects an ending attribute, Explain renders the
 	// chosen probe order and residual filters.
 	QueryPlan = plan.Plan
-	// PredicateSource is anything that can answer point and range probes
-	// for a registered path; Database and ShardedDB both satisfy it.
+	// PredicateSource is anything that can answer a probe group for a
+	// registered path: a disjunction of Hops — point and range leaves —
+	// as one chain, optionally within a sorted candidate set, reporting
+	// how many OIDs the chain produced; Database and ShardedDB both
+	// satisfy it.
 	PredicateSource = plan.Source
+	// Hop is one first hop of a PredicateSource probe: the path's ending
+	// attribute equals Lo, or — Ranged — falls in [Lo, Hi).
+	Hop = exec.Hop
 )
 
 // NewPlanner returns an empty planner over the store; register paths

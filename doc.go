@@ -240,11 +240,15 @@
 // that probes indexed conjuncts cheapest-first — ordered by a live
 // estimate of each leaf's result cardinality, fed back from every
 // executed probe, falling back to the analytic model's uniform-value
-// estimate when cold — and narrows the candidate set with a galloping,
-// allocation-free sorted-OID intersection. Conjuncts whose path has no
+// estimate when cold — and narrows the candidate set: a later indexed
+// conjunct's chain keeps only the candidates it already has, any other
+// later conjunct is intersected by a galloping, allocation-free
+// sorted-OID intersection. Conjuncts whose path has no
 // registered index become residual post-filters: each surviving
 // candidate is verified against the store by forward navigation.
-// Disjunctions merge through a k-way tournament merge. Executed plans
+// Disjuncts on one path run as one chain through its index, entered
+// through every disjunct's value or range at once; disjuncts on
+// different paths merge through a k-way tournament merge. Executed plans
 // record their predicate mix (point/range/residual per path), which
 // surfaces in WorkloadSnapshot next to the per-class counters.
 //

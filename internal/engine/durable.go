@@ -209,7 +209,7 @@ func OpenDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.Configur
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		if err := syncDir(filepath.Dir(dir)); err != nil {
+		if err := storage.SyncDir(filepath.Dir(dir)); err != nil {
 			return nil, err
 		}
 	}
@@ -599,14 +599,4 @@ func (e *Engine) Replayed() uint64 {
 		return 0
 	}
 	return e.dur.replayed
-}
-
-// syncDir fsyncs a directory, making the entries created in it durable.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err == nil {
-		err = f.Sync()
-		f.Close()
-	}
-	return err
 }

@@ -207,6 +207,19 @@ func (e *Engine) Query(value oodb.Value, targetClass string, hierarchy bool) ([]
 	return out, err
 }
 
+// QueryHops answers a disjunction of first hops as one Proposition 4.1
+// chain through the active configuration, optionally restricted to a
+// sorted candidate set (plan.Source; exec.IndexSet.QueryHops says what
+// produced counts). It runs against an atomic snapshot of the index set,
+// as Query does, and counts each hop as one operation.
+func (e *Engine) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+	s := e.snapshot()
+	out, produced, err := s.QueryHops(hops, within, targetClass, hierarchy)
+	s.RUnlock()
+	e.maybeAutoTuneN(uint64(len(hops)))
+	return out, produced, err
+}
+
 // QueryInto is Query appending the result to dst — the allocation-free
 // serving kernel: with a reused dst a steady-state point query performs
 // no heap allocation end to end (snapshot, record, index probes, result).

@@ -212,38 +212,51 @@ type queryScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &queryScratch{ix: index.NewScratch()} }}
 
-// firstHop is how a query enters the configuration's last subpath: the
-// ending attribute A_n equals lo, or — ranged — falls in [lo, hi). It is the
-// only thing a point and a range query differ in.
-type firstHop struct {
-	lo, hi oodb.Value
-	ranged bool
+// Hop is one way into a configuration's last subpath, the first hop of a
+// Proposition 4.1 chain: the ending attribute A_n equals Lo, or — Ranged —
+// falls in [Lo, Hi). It is the only thing a point and a range query differ
+// in. Every later hop maps a key set to the union of its keys' records, so
+// a chain entered through several hops at once answers their disjunction.
+type Hop struct {
+	Lo, Hi oodb.Value
+	Ranged bool
 }
 
 // Query evaluates A_n = value for targetClass through the configuration.
 // The result is sorted and duplicate-free, nil when empty. The caller must
 // hold RLock.
 func (s *IndexSet) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return s.query(firstHop{lo: value}, targetClass, hierarchy)
+	hop := [1]Hop{{Lo: value}}
+	out, _, err := s.QueryHops(hop[:], nil, targetClass, hierarchy)
+	return out, err
 }
 
 // QueryRange is Query for A_n IN [lo, hi); lo and hi must be of one value
 // kind.
 func (s *IndexSet) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return s.query(firstHop{lo: lo, hi: hi, ranged: true}, targetClass, hierarchy)
+	hop := [1]Hop{{Lo: lo, Hi: hi, Ranged: true}}
+	out, _, err := s.QueryHops(hop[:], nil, targetClass, hierarchy)
+	return out, err
 }
 
-// query returns a fresh result: collected in the scratch, where growing
-// it costs nothing once the pool is warm, and copied out at its size.
-func (s *IndexSet) query(first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+// QueryHops evaluates the disjunction of hops for targetClass as one
+// chain: the last subpath is entered through every hop, and each earlier
+// subpath is probed once, with the union. When within is non-nil — a
+// sorted, duplicate-free candidate set — the answer is restricted to it.
+// The answer is a fresh slice, sorted and duplicate-free, nil when empty.
+// produced is the answer's length for an unrestricted call; within
+// candidates it is the number of OIDs the chain's last hop yielded before
+// the restriction, duplicates included — the size the hops would have
+// answered. Each hop is recorded as one query. The caller must hold RLock.
+func (s *IndexSet) QueryHops(hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	qs := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(qs)
-	out, err := s.queryInto(qs, qs.res[:0], first, targetClass, hierarchy)
+	out, produced, err := s.queryInto(qs, qs.res[:0], hops, within, targetClass, hierarchy)
 	qs.res = out[:0]
 	if err != nil || len(out) == 0 {
-		return nil, err
+		return nil, produced, err
 	}
-	return slices.Clone(out), nil
+	return slices.Clone(out), produced, nil
 }
 
 // QueryInto is Query appending the result to dst — the allocation-free
@@ -253,23 +266,29 @@ func (s *IndexSet) query(first firstHop, targetClass string, hierarchy bool) ([]
 func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	qs := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(qs)
-	return s.queryInto(qs, dst, firstHop{lo: value}, targetClass, hierarchy)
+	hop := [1]Hop{{Lo: value}}
+	dst, _, err := s.queryInto(qs, dst, hop[:], nil, targetClass, hierarchy)
+	return dst, err
 }
 
 // queryInto is Proposition 4.1 made operational, for every query the set
-// answers: the last subpath is probed with the first hop; each earlier
-// subpath, back to the one owning targetClass's level, is probed in one
-// key-set hop with the sorted, deduplicated OIDs its successor produced,
-// asked for its starting class hierarchy — the objects the successor's OIDs
-// are ending values of.
-func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, first firstHop, targetClass string, hierarchy bool) ([]oodb.OID, error) {
+// answers: the last subpath is probed with every hop, into one buffer;
+// each earlier subpath, back to the one owning targetClass's level, is
+// probed in one key-set hop with the sorted, deduplicated OIDs its
+// successor produced, asked for its starting class hierarchy — the objects
+// the successor's OIDs are ending values of. The hop that yields
+// targetClass's OIDs drops those outside within, when within is non-nil,
+// as it normalizes them. produced is as QueryHops describes.
+func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
-		return dst, err
+		return dst, 0, err
 	}
 	// Record only after the class resolved: probes against classes outside
 	// the path's scope must not skew drift detection.
-	s.rec.Record(targetClass, stats.OpQuery)
+	for range hops {
+		s.rec.Record(targetClass, stats.OpQuery)
+	}
 	gi := s.levelOwner[level-1]
 	last := len(s.indexes) - 1
 	base := len(dst)
@@ -286,31 +305,55 @@ func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, first firstHop, t
 			out, from = nextBuf[:0], 0
 		}
 		normal := false // out[from:] is already sorted and duplicate-free
-		switch {
-		case i < last:
+		if i < last {
 			out, err = ix.LookupKeys(cur, tc, hier, out, qs.ix)
-		case first.ranged:
-			var got []oodb.OID
-			got, err = ix.LookupRange(first.lo, first.hi, tc, hier)
-			out, normal = append(out, got...), true
-		default:
-			out, err = ix.LookupInto(first.lo, tc, hier, out, qs.ix)
+		} else {
+			out, normal, err = enter(ix, hops, tc, hier, out, qs.ix)
 		}
 		if err != nil {
-			return dst[:base], err
+			return dst[:base], 0, err
+		}
+		got := out[from:]
+		if i == gi {
+			if within != nil {
+				kept := oodb.SortUniqueWithin(got, within)
+				return out[:from+len(kept)], len(got), nil
+			}
+			if !normal {
+				got = oodb.SortUnique(got)
+			}
+			return out[:from+len(got)], len(got), nil
 		}
 		if !normal {
-			out = out[:from+len(oodb.SortUnique(out[from:]))]
-		}
-		if i == gi {
-			return out, nil
+			out = out[:from+len(oodb.SortUnique(got))]
 		}
 		if len(out) == 0 {
-			return dst, nil
+			return dst, 0, nil
 		}
 		cur = out
 		curBuf, nextBuf = cur, curBuf
 	}
+}
+
+// enter appends to out the records of every hop in ix, the configuration's
+// last subpath: a point through LookupInto, a range through LookupRange.
+// normal reports whether the appended region is already sorted and
+// duplicate-free, as a lone range's is.
+func enter(ix index.PathIndex, hops []Hop, tc string, hier bool, out []oodb.OID, sc *index.Scratch) ([]oodb.OID, bool, error) {
+	for _, h := range hops {
+		var err error
+		if h.Ranged {
+			var got []oodb.OID
+			got, err = ix.LookupRange(h.Lo, h.Hi, tc, hier)
+			out = append(out, got...)
+		} else {
+			out, err = ix.LookupInto(h.Lo, tc, hier, out, sc)
+		}
+		if err != nil {
+			return out, false, err
+		}
+	}
+	return out, len(hops) == 1 && hops[0].Ranged, nil
 }
 
 // Probe is one point query of a batch: A_n = Value with respect to

@@ -3,6 +3,7 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/oodb"
@@ -208,4 +209,48 @@ func runFromBytes(bs []byte) []oodb.OID {
 		}
 	}
 	return oodb.SortUnique(out)
+}
+
+// FuzzSortUniqueWithin checks the filtered normalization the last hop of
+// a chain run within candidates ends in, oodb.SortUniqueWithin, against
+// normalizing and then intersecting: slices.Sort + slices.Compact +
+// IntersectSortedOIDs. The OIDs are a walk of fuzz steps — short
+// overlapping runs, as a hop yields — repeated past the bitmap's
+// crossover; the candidates are a second walk, dense or spread by a
+// stride, and with far set also a few OIDs near both ends of the OID
+// space, so that their span is most of it.
+func FuzzSortUniqueWithin(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 250, 4}, []byte{2, 3}, uint64(1), uint8(3), false)
+	f.Add([]byte{5, 5, 5, 200, 9, 1}, []byte{1, 1, 1, 1, 1, 1, 1, 1}, uint64(1)<<40, uint8(1), true)
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), []byte("pack my box with five dozen liquor jugs"), uint64(1)<<20, uint8(1), false)
+	f.Add(make([]byte, 40), make([]byte, 200), uint64(7), uint8(0), true)
+	f.Fuzz(func(t *testing.T, rawOIDs, rawCands []byte, base uint64, stride uint8, far bool) {
+		walk := func(bs []byte, step oodb.OID) []oodb.OID {
+			out := make([]oodb.OID, len(bs))
+			v := oodb.OID(base)
+			for i, b := range bs {
+				v += oodb.OID(int64(int8(b))) * step
+				out[i] = v
+			}
+			return out
+		}
+		in := walk(rawOIDs, 1)
+		if len(in) > 0 {
+			in = slices.Repeat(in, 1+200/len(in))
+		}
+		cands := walk(rawCands, oodb.OID(stride)+1)
+		if far {
+			cands = append(cands, 1, 2, ^oodb.OID(0)-1, oodb.OID(base)>>1)
+		}
+		slices.Sort(cands)
+		cands = slices.Compact(cands)
+
+		ref := slices.Clone(in)
+		slices.Sort(ref)
+		want := IntersectSortedOIDs(nil, slices.Compact(ref), cands)
+		got := oodb.SortUniqueWithin(slices.Clone(in), cands)
+		if !slices.Equal(got, want) {
+			t.Fatalf("SortUniqueWithin(%d OIDs, %d candidates) = %v, want %v", len(in), len(cands), got, want)
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/netclient"
 	"repro/internal/oodb"
 	"repro/internal/plan"
@@ -838,13 +839,13 @@ func TestServedPathIsPredicateID1(t *testing.T) {
 	}
 }
 
-// countingSource counts the point probes a planner sends its source.
+// countingSource counts the probes a planner sends its source.
 type countingSource struct {
 	plan.Source
 	n atomic.Int64
 }
 
-func (s *countingSource) Query(v oodb.Value, class string, hierarchy bool) ([]oodb.OID, error) {
+func (s *countingSource) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hierarchy bool) ([]oodb.OID, int, error) {
 	s.n.Add(1)
-	return s.Source.Query(v, class, hierarchy)
+	return s.Source.QueryHops(hops, within, class, hierarchy)
 }

@@ -76,13 +76,16 @@ import (
 )
 
 // Backend is what the server serves: the engine surface shared by
-// *engine.Engine and *shard.DB, and the index source of the served path.
+// *engine.Engine and *shard.DB — point and range queries, the writes —
+// and the index source of the served path, which the planners probe.
 // A backend with one store (Store() *oodb.Store, as *engine.Engine has)
 // backs the planners' naive fallback — residual filters for unsourced
 // leaves and OpPredicateValues projection, as an embedded planner's;
 // *shard.DB has none, so those answer with the planner's error.
 type Backend interface {
 	plan.Source
+	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
+	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
 	Update(oid oodb.OID, attrs map[string][]oodb.Value) error
 	UpdateBatch(ups []exec.Update) []error

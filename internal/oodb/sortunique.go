@@ -172,3 +172,90 @@ func radixSort(oids []OID, diff OID) {
 	}
 	sortBufs.Put(sb)
 }
+
+// SortUniqueWithin is SortUnique keeping only the OIDs of within, a
+// sorted, duplicate-free candidate set: it returns SortUnique(oids) ∩
+// within as a prefix of oids. It is how the last hop of a chain run
+// within a conjunction's candidates drops every OID outside them before
+// normalizing, so that no intersection follows. Its scratch is bounded by
+// the candidates, whatever the span of oids. Candidates dense by
+// SortUnique's rule — at least bitmapMinPerWord for each word of their
+// own window — and no more numerous than oids mark a pooled bitmap with
+// the OIDs inside that window; the candidates whose bit is set are the
+// answer, already ascending and duplicate-free. Any other input is
+// normalized first and galloped through the candidates.
+func SortUniqueWithin(oids, within []OID) []OID {
+	if len(oids) == 0 || len(within) == 0 {
+		return oids[:0]
+	}
+	lo, span := within[0], within[len(within)-1]-within[0]
+	if len(oids) < len(within) || !bitmapFits(span, len(within)) {
+		return keepSorted(SortUnique(oids), within)
+	}
+	sb := sortBufs.Get().(*sortBuf)
+	words := int(span>>6) + 1
+	sb.bits = slices.Grow(sb.bits[:0], words)
+	bm := sb.bits[:words]
+	for _, o := range oids {
+		if i := uint64(o - lo); i <= uint64(span) {
+			bm[i>>6] |= 1 << (i & 63)
+		}
+	}
+	// Every kept candidate stands for a distinct OID already read, so the
+	// write position never overtakes the end of oids.
+	n := 0
+	for _, c := range within {
+		if i := uint64(c - lo); bm[i>>6]&(1<<(i&63)) != 0 {
+			oids[n] = c
+			n++
+		}
+	}
+	clear(bm)
+	sortBufs.Put(sb)
+	return oids[:n]
+}
+
+// keepSorted keeps the OIDs of a that b holds, both sorted and
+// duplicate-free, as a prefix of a. The shorter run drives and gallops
+// through the longer one; each kept OID consumed a distinct OID of a at or
+// after its write position, so writing never overtakes reading.
+func keepSorted(a, b []OID) []OID {
+	short, long := a, b
+	if len(b) < len(a) {
+		short, long = b, a
+	}
+	n, j := 0, 0
+	for _, x := range short {
+		j += gallop(long[j:], x)
+		if j == len(long) {
+			break
+		}
+		if long[j] == x {
+			a[n] = x
+			n++
+			j++
+		}
+	}
+	return a[:n]
+}
+
+// gallop returns the index of the first OID of the sorted run b that is at
+// least x: exponential probing brackets it, a binary search finds it.
+func gallop(b []OID, x OID) int {
+	if len(b) == 0 || b[0] >= x {
+		return 0
+	}
+	lo, hi := 0, 1 // b[lo] < x
+	for hi < len(b) && b[hi] < x {
+		lo, hi = hi, hi<<1
+	}
+	hi = min(hi, len(b))
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); b[mid] < x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}

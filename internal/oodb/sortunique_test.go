@@ -237,6 +237,84 @@ func TestSortUniqueZeroAllocs(t *testing.T) {
 	}
 }
 
+// withinOracle is SortUniqueWithin by the textbook route: normalize, then
+// keep what the candidates hold.
+func withinOracle(oids, within []OID) []OID {
+	var out []OID
+	for _, o := range pdqSortUnique(slices.Clone(oids)) {
+		if _, ok := slices.BinarySearch(within, o); ok {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// takesWithinBitmap reports whether SortUniqueWithin filters through the
+// candidates' bitmap.
+func takesWithinBitmap(oids, within []OID) bool {
+	return len(within) > 0 && len(oids) >= len(within) && bitmapFits(within[len(within)-1]-within[0], len(within))
+}
+
+// TestSortUniqueWithin covers both routes of the filter: candidates dense
+// enough for a bitmap over their own window, and candidates too sparse for
+// one — among them a handful spanning most of the OID space, whose bitmap
+// would be 2^58 words — against OIDs from inside the candidates' window,
+// around it and all over the space.
+func TestSortUniqueWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	routes := map[bool]int{}
+	for _, base := range []OID{1 << 20, 1<<63 - 4096} {
+		for _, nc := range []int{1, 7, 64, 600} {
+			for _, cand := range [][]OID{
+				pdqSortUnique(dense(rng, nc, 1, base, 2*OID(nc), 1)),                       // dense
+				pdqSortUnique(dense(rng, nc, 1, base, 4096*OID(nc), 1)),                    // sparse
+				pdqSortUnique(append(dense(rng, nc, 1, base, 2*OID(nc), 1), 3, ^OID(0)-5)), // spans the space
+			} {
+				for _, n := range []int{0, 1, nc / 2, nc, 3 * nc, 2000} {
+					in := dense(rng, n, 13, base-OID(nc), 4*OID(nc)+8, 1)
+					for i := 0; i < n/10; i++ {
+						in[rng.Intn(n)] = OID(rng.Uint64())
+					}
+					routes[takesWithinBitmap(in, cand)]++
+					want := withinOracle(in, cand)
+					got := SortUniqueWithin(in, cand)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%d OIDs within %d candidates: got %d, want %d\n in   %x\n cand %x\n got  %x\n want %x",
+							n, len(cand), len(got), len(want), in, cand, got, want)
+					}
+					if len(got) > 0 && &got[0] != &in[0] {
+						t.Fatalf("SortUniqueWithin did not filter in place")
+					}
+				}
+			}
+		}
+	}
+	if routes[true] == 0 || routes[false] == 0 {
+		t.Fatalf("%d inputs took the bitmap, %d did not: want both", routes[true], routes[false])
+	}
+	if got := SortUniqueWithin([]OID{5, 3}, nil); len(got) != 0 {
+		t.Fatalf("no candidates kept %v", got)
+	}
+}
+
+func TestSortUniqueWithinZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	rng := rand.New(rand.NewSource(43))
+	in := dense(rng, 2700, 13, 1<<20, 8000, 1)
+	work := make([]OID, len(in))
+	for _, window := range []OID{2000, 1 << 30} {
+		cand := pdqSortUnique(dense(rng, 1000, 1, 1<<20, window, 1))
+		if avg := testing.AllocsPerRun(200, func() {
+			copy(work, in)
+			SortUniqueWithin(work, cand)
+		}); avg != 0 {
+			t.Errorf("candidates over a window of %d: %v allocs per SortUniqueWithin, want 0", window, avg)
+		}
+	}
+}
+
 // FuzzSortUnique is the differential against slices.Sort + slices.Compact
 // on inputs the table cannot enumerate. One OID per input byte: hashed
 // over the whole word, or — walk — a signed random walk in units of

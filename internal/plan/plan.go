@@ -16,13 +16,21 @@
 //	            the planner has seen the (path, operator) pair before,
 //	            PathStats-derived estimates (N_target/D_ending for
 //	            equality) otherwise. The cheapest probe bounds every
-//	            later intersection, and an empty intermediate result
+//	            later one, and an empty intermediate result
 //	            short-circuits the remaining probes entirely.
-//	intersect — each subsequent conjunct's sorted duplicate-free OID run
-//	            is intersected into the accumulator by galloping search
+//	intersect — each later conjunct that is a probe group runs within
+//	            the running candidates: its chain's last hop drops every
+//	            OID outside them as it normalizes
+//	            (oodb.SortUniqueWithin), so nothing is intersected after
+//	            it. Any other later conjunct's sorted duplicate-free run
+//	            is intersected into the candidates by galloping search
 //	            (exec.IntersectSortedOIDs), in place and allocation-free.
-//	union     — the disjuncts of an Or merge through the k-way
-//	            tournament merge (exec.MergeKSortedOIDs).
+//	union     — the disjuncts of an Or that share a source form one
+//	            probe group: one call of the source, one Proposition 4.1
+//	            chain entered through every disjunct's first hop, whose
+//	            later hops run once, on the union. Disjuncts on different
+//	            sources merge through the k-way tournament merge
+//	            (exec.MergeKSortedOIDs).
 //	residual  — a conjunct over a path with no registered index source is
 //	            applied as a post-filter: each surviving candidate is
 //	            verified by forward navigation (exec.Reaches), paying

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/wire"
@@ -475,5 +476,139 @@ func TestConstructorFlattening(t *testing.T) {
 	// Mixed nesting must not flatten across operators.
 	if m := And(Or(a, b), c); m.Kind != wire.PredAnd || len(m.Kids) != 2 {
 		t.Fatalf("And(Or(a,b), c) should keep the Or intact: %v", m)
+	}
+}
+
+// callLog is a source that logs each call it receives: how many hops it
+// was asked and whether it ran within candidates.
+type callLog struct {
+	Source
+	hops   []int
+	within []bool
+}
+
+func (c *callLog) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+	c.hops = append(c.hops, len(hops))
+	c.within = append(c.within, within != nil)
+	return c.Source.QueryHops(hops, within, class, hier)
+}
+
+// probeConfigs are the configurations the mechanism tests run over, every
+// organization on the whole path and behind an MX head, so that a chain
+// has one hop or several.
+func probeConfigs(n int) []core.Configuration {
+	var out []core.Configuration
+	for _, org := range paperOrgs {
+		out = append(out,
+			core.Configuration{Assignments: []core.Assignment{{A: 1, B: n, Org: org}}},
+			core.Configuration{Assignments: []core.Assignment{{A: 1, B: 1, Org: cost.MX}, {A: 2, B: n, Org: org}}})
+	}
+	return out
+}
+
+// loggedPlanner returns a fresh planner whose only source is e behind a
+// call log. A fresh planner has no observations, so it orders every
+// conjunction as declared.
+func loggedPlanner(t *testing.T, w *testWorld, p *schema.Path, e *engine.Engine) (*Planner, *callLog) {
+	t.Helper()
+	pl, log := NewPlanner(w.st), &callLog{Source: e}
+	if err := pl.Register(p, log, nil); err != nil {
+		t.Fatal(err)
+	}
+	return pl, log
+}
+
+// pagesOf runs pred through a fresh logged planner over e and returns the
+// index pages it read, its answer and the call log; the answer must be
+// naive evaluation's.
+func pagesOf(t *testing.T, w *testWorld, p *schema.Path, e *engine.Engine, pred Predicate) (uint64, []oodb.OID, *callLog) {
+	t.Helper()
+	pl, log := loggedPlanner(t, w, p, e)
+	e.ResetStats()
+	got, err := pl.Query(pred, "Person", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := e.IndexStats().Accesses()
+	want, err := NaiveEval(w.st, pred, "Person", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: planner %v, naive %v", pred, got, want)
+	}
+	return pages, got, log
+}
+
+// TestGroupedOrIsOneChain: an Or of same-path leaves, equality and range
+// mixed, calls its source once with every leaf's hop, says so in Explain,
+// and reads no more index pages than its leaves probed one by one.
+func TestGroupedOrIsOneChain(t *testing.T) {
+	w := buildWorld(t, 31)
+	p, names := w.paths[2], w.pools[2]
+	leaves := []Predicate{Eq(p, names[0]), Range(p, names[2], names[5]), Eq(p, names[6]), Eq(p, oodb.StrV("no-such-value"))}
+	or := Or(leaves...)
+	for _, cfg := range probeConfigs(p.Len()) {
+		e, err := engine.New(w.st, p, cfg, 2048, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, _, log := pagesOf(t, w, p, e, or)
+		if !reflect.DeepEqual(log.hops, []int{len(leaves)}) {
+			t.Fatalf("%v: the Or's source saw calls of %v hops, want one call of %d", cfg, log.hops, len(leaves))
+		}
+		var apart uint64
+		for _, l := range leaves {
+			n, _, _ := pagesOf(t, w, p, e, l)
+			apart += n
+		}
+		if pages > apart {
+			t.Fatalf("%v: the grouped Or read %d index pages, its leaves one by one %d", cfg, pages, apart)
+		}
+		pl, _ := loggedPlanner(t, w, p, e)
+		qp, err := pl.Plan(or, "Person", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := qp.Explain(); !strings.Contains(ex, "union as one chain (est ") || strings.Count(ex, "probe ") != len(leaves) {
+			t.Fatalf("%v: explain does not show one chain over %d probes:\n%s", cfg, len(leaves), ex)
+		}
+	}
+}
+
+// TestLaterConjunctRunsWithinCandidates: an And's second conjunct is
+// probed within the candidates its first left, not intersected after; its
+// chain reads exactly the index pages the same probe reads on its own,
+// because filtering happens after the last hop. Explain marks it.
+func TestLaterConjunctRunsWithinCandidates(t *testing.T) {
+	w := buildWorld(t, 37)
+	p, names := w.paths[2], w.pools[2]
+	first, later := Range(p, names[0], names[6]), Or(Eq(p, names[1]), Eq(p, names[7]))
+	and := And(first, later)
+	for _, cfg := range probeConfigs(p.Len()) {
+		e, err := engine.New(w.st, p, cfg, 2048, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, _, log := pagesOf(t, w, p, e, and)
+		if !reflect.DeepEqual(log.within, []bool{false, true}) || !reflect.DeepEqual(log.hops, []int{1, 2}) {
+			t.Fatalf("%v: calls of %v hops, within candidates %v; want the range alone, then the Or's two hops within", cfg, log.hops, log.within)
+		}
+		alone, cands, _ := pagesOf(t, w, p, e, first)
+		if len(cands) == 0 {
+			t.Fatalf("%v: the first conjunct matched nothing; the test needs candidates", cfg)
+		}
+		unfiltered, _, _ := pagesOf(t, w, p, e, later)
+		if pages != alone+unfiltered {
+			t.Fatalf("%v: the And read %d index pages, its conjuncts on their own %d + %d", cfg, pages, alone, unfiltered)
+		}
+		pl, _ := loggedPlanner(t, w, p, e)
+		qp, err := pl.Plan(and, "Person", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := qp.Explain(); !strings.Contains(ex, "union as one chain within candidates (est ") {
+			t.Fatalf("%v: explain does not mark the later conjunct:\n%s", cfg, ex)
+		}
 	}
 }

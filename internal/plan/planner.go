@@ -17,12 +17,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Source answers indexed single-path probes: any executor that returns
-// sorted duplicate-free OID runs for equality and range predicates along
-// one registered path. engine.Engine and shard.DB both satisfy it.
+// Source answers a probe group along one registered path: the
+// disjunction of its first hops — equality and range leaves alike — as one
+// Proposition 4.1 chain, whose later hops run once, on the union. When
+// within is non-nil, a sorted duplicate-free candidate set, the answer is
+// restricted to it. The answer is a fresh sorted duplicate-free run the
+// planner may overwrite. produced is its length for an unrestricted probe;
+// within candidates it is the number of OIDs the chain's last hop yielded
+// before the restriction, duplicates included, so that a filtered probe
+// still learns its size. engine.Engine and shard.DB both satisfy it.
 type Source interface {
-	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
-	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
+	QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) (answer []oodb.OID, produced int, err error)
 }
 
 // Partitioned is a Source whose answer to every probe is the disjoint
@@ -51,7 +56,7 @@ const ewmaAlpha = 0.25
 // sourceEntry is one registered path: its probe source, optional model
 // statistics for cold estimates, and live observed result sizes per
 // (operator, target level) (atomic float bits; zero means no observation
-// yet — a real observed zero is stored as a denormal-adjacent epsilon).
+// yet — a real observed zero is stored as 0.5).
 type sourceEntry struct {
 	path  *schema.Path
 	key   string
@@ -69,8 +74,7 @@ func (e *sourceEntry) cell(kind byte, targetLevel int) *atomic.Uint64 {
 	return &e.obs[int(kind-wire.PredEq)*e.path.Len()+targetLevel-1]
 }
 
-func observe(obs *atomic.Uint64, n int) {
-	v := float64(n)
+func observe(obs *atomic.Uint64, v float64) {
 	if v == 0 {
 		v = 0.5 // distinguish "observed empty" from "never observed"
 	}
@@ -188,18 +192,41 @@ type pnode interface {
 	explain(b *strings.Builder, depth int)
 }
 
-// probeNode answers one leaf through an index source: the whole source,
-// or in a plan run per part the part being evaluated.
+// estimated is a plan node's estimated answer cardinality, which the
+// probe, intersect and union nodes embed.
+type estimated struct{ card float64 }
+
+func (e estimated) est() float64 { return e.card }
+
+// probeNode is one indexed leaf, a member of a probe group.
 type probeNode struct {
-	leaf  *Predicate
-	entry *sourceEntry
-	kind  stats.PredKind
-	obs   *atomic.Uint64 // the observed-size cell this probe feeds
-	slot  int
-	card  float64
+	leaf *Predicate
+	kind stats.PredKind
+	obs  *atomic.Uint64 // the observed-size cell this probe feeds
+	slot int
+	card float64
 }
 
-func (n *probeNode) est() float64 { return n.card }
+// groupNode is a probe group: the disjunction of indexed leaves that share
+// one registered source, answered through it — the whole source, or in a
+// plan run per part the part being evaluated — as one chain entered
+// through every member's first hop. A lone leaf is a group of one. A group
+// after the first conjunct of an And runs within the running candidates
+// (within), so its chain's last hop drops every OID outside them.
+type groupNode struct {
+	entry     *sourceEntry
+	members   []*probeNode
+	hops      []exec.Hop // one per member, in member order
+	within    bool
+	estimated // the members' estimates summed
+}
+
+// join adds g's members to n, which uses the same source.
+func (n *groupNode) join(g *groupNode) {
+	n.members = append(n.members, g.members...)
+	n.hops = append(n.hops, g.hops...)
+	n.card += g.card
+}
 
 // scanNode answers one leaf by naive store navigation — a leaf with no
 // registered source that could not be attached to indexed siblings as a
@@ -219,23 +246,21 @@ type filterStep struct {
 	slot  int
 }
 
-// andPlan intersects its probes cheapest-first, then post-filters the
-// survivors through the residual steps.
+// andPlan narrows its probes cheapest-first — a probe group within the
+// running candidates, any other conjunct by intersection — then
+// post-filters the survivors through the residual steps.
 type andPlan struct {
 	probes    []pnode
 	residuals []filterStep
-	card      float64
+	estimated
 }
 
-func (n *andPlan) est() float64 { return n.card }
-
-// orPlan unions its branches through the k-way merge.
+// orPlan unions its branches through the k-way merge; its leaves on one
+// source have become one probe group among them.
 type orPlan struct {
 	kids []pnode
-	card float64
+	estimated
 }
-
-func (n *orPlan) est() float64 { return n.card }
 
 // Plan compiles pred into a physical plan answering "which objects of
 // targetClass (optionally including subclasses) satisfy pred". Every
@@ -311,12 +336,13 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 				c.entry = e
 			}
 			c.mixed = c.mixed || e != c.entry
-			kind := stats.PredEq
+			kind, hop := stats.PredEq, exec.Hop{Lo: n.Value}
 			if n.Kind == wire.PredRange {
-				kind = stats.PredRange
+				kind, hop = stats.PredRange, exec.Hop{Lo: n.Lo, Hi: n.Hi, Ranged: true}
 			}
-			return &probeNode{leaf: n, entry: e, kind: kind, obs: e.cell(n.Kind, level),
-				slot: c.slot(), card: e.estimate(n.Kind, level)}, nil
+			m := &probeNode{leaf: n, kind: kind, obs: e.cell(n.Kind, level),
+				slot: c.slot(), card: e.estimate(n.Kind, level)}
+			return &groupNode{entry: e, members: []*probeNode{m}, hops: []exec.Hop{hop}, estimated: estimated{m.card}}, nil
 		}
 		if c.pl.store == nil {
 			return nil, fmt.Errorf("plan: no source for %s and no store for naive fallback", n.Path)
@@ -354,8 +380,11 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 			return ap.probes[i].est() < ap.probes[j].est()
 		})
 		ap.card = math.Inf(1)
-		for _, p := range ap.probes {
+		for i, p := range ap.probes {
 			ap.card = math.Min(ap.card, p.est())
+			if g, ok := p.(*groupNode); ok && i > 0 {
+				g.within = true
+			}
 		}
 		return ap, nil
 	case wire.PredOr:
@@ -371,8 +400,22 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 			if sn, ok := kid.(*scanNode); ok && c.pl.store == nil {
 				return nil, fmt.Errorf("plan: no source for %s under disjunction", sn.leaf.Path)
 			}
-			op.kids = append(op.kids, kid)
 			op.card += kid.est()
+			if g, ok := kid.(*groupNode); ok {
+				// Disjuncts on one source share a chain: join the group
+				// an earlier disjunct started.
+				if i := slices.IndexFunc(op.kids, func(k pnode) bool {
+					h, ok := k.(*groupNode)
+					return ok && h.entry == g.entry
+				}); i >= 0 {
+					op.kids[i].(*groupNode).join(g)
+					continue
+				}
+			}
+			op.kids = append(op.kids, kid)
+		}
+		if len(op.kids) == 1 {
+			return op.kids[0], nil
 		}
 		return op, nil
 	}
@@ -427,11 +470,16 @@ type leafRun struct{ parts, oids int }
 // false for a failed execution.
 func (x *execution) settle(n pnode, ok bool) {
 	switch n := n.(type) {
-	case *probeNode:
-		if r := x.ran[n.slot]; r.parts > 0 {
-			x.pl.record(n.entry, n.entry.key, n.kind)
-			if ok && r.parts == x.parts {
-				observe(n.obs, r.oids)
+	case *groupNode:
+		// Each member observes an equal share of what the group produced,
+		// so the group's estimate — the members' sum — tracks its answer.
+		k := float64(len(n.members))
+		for _, m := range n.members {
+			if r := x.ran[m.slot]; r.parts > 0 {
+				x.pl.record(n.entry, n.entry.key, m.kind)
+				if ok && r.parts == x.parts {
+					observe(m.obs, float64(r.oids)/k)
+				}
 			}
 		}
 	case *scanNode:
@@ -458,8 +506,8 @@ func (x *execution) settleResidual(l *Predicate, slot int) {
 
 func (x *execution) eval(n pnode) ([]oodb.OID, error) {
 	switch n := n.(type) {
-	case *probeNode:
-		return x.evalProbe(n)
+	case *groupNode:
+		return x.evalGroup(n, nil)
 	case *scanNode:
 		return x.evalScan(n)
 	case *andPlan:
@@ -480,27 +528,21 @@ func (x *execution) eval(n pnode) ([]oodb.OID, error) {
 	return nil, fmt.Errorf("plan: unknown plan node %T", n)
 }
 
-func (x *execution) evalProbe(n *probeNode) ([]oodb.OID, error) {
-	var (
-		res []oodb.OID
-		err error
-	)
+// evalGroup runs a probe group as one chain, within the candidates when
+// within is non-nil, and tallies every member as run with the group's
+// produced count.
+func (x *execution) evalGroup(n *groupNode, within []oodb.OID) ([]oodb.OID, error) {
 	src := n.entry.src
 	if x.parts > 1 {
 		src = n.entry.parts[x.part]
 	}
-	if n.leaf.Kind == wire.PredEq {
-		res, err = src.Query(n.leaf.Value, x.target, x.hierarchy)
-	} else {
-		res, err = src.QueryRange(n.leaf.Lo, n.leaf.Hi, x.target, x.hierarchy)
+	res, produced, err := src.QueryHops(n.hops, within, x.target, x.hierarchy)
+	for _, m := range n.members {
+		r := &x.ran[m.slot]
+		r.parts++
+		r.oids += produced
 	}
-	r := &x.ran[n.slot]
-	r.parts++
-	if err != nil {
-		return nil, err
-	}
-	r.oids += len(res)
-	return res, nil
+	return res, err
 }
 
 func (x *execution) evalScan(n *scanNode) ([]oodb.OID, error) {
@@ -522,6 +564,12 @@ func (x *execution) evalAnd(n *andPlan) ([]oodb.OID, error) {
 			// Empty intermediate: the conjunction is decided, skip the
 			// remaining probes entirely.
 			return cur, nil
+		}
+		if g, ok := p.(*groupNode); ok && g.within {
+			if cur, err = x.evalGroup(g, cur); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		r, err := x.eval(p)
 		if err != nil {
@@ -620,9 +668,23 @@ func estStr(v float64) string {
 	return fmt.Sprintf("%.1f", v)
 }
 
-func (n *probeNode) explain(b *strings.Builder, depth int) {
+// explain prints a group of one as its probe, a larger group as a header
+// over its members' probes; a group run within candidates says so.
+func (n *groupNode) explain(b *strings.Builder, depth int) {
+	within := ""
+	if n.within {
+		within = "within candidates "
+	}
 	indent(b, depth)
-	fmt.Fprintf(b, "probe %s (est %s)\n", n.leaf, estStr(n.card))
+	if len(n.members) == 1 {
+		fmt.Fprintf(b, "probe %s %s(est %s)\n", n.members[0].leaf, within, estStr(n.card))
+		return
+	}
+	fmt.Fprintf(b, "union as one chain %s(est %s)\n", within, estStr(n.card))
+	for _, m := range n.members {
+		indent(b, depth+1)
+		fmt.Fprintf(b, "probe %s (est %s)\n", m.leaf, estStr(m.card))
+	}
 }
 
 func (n *scanNode) explain(b *strings.Builder, depth int) {

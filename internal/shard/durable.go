@@ -32,6 +32,11 @@ import (
 // ordering to reconstruct, and each checkpoint persists its own
 // configuration and predicate mix: per-shard divergence survives restarts.
 
+// syncDir is the storage.SyncDir OpenShardedDurable makes a new root's
+// entry durable with: a variable so this package's tests can observe the
+// call.
+var syncDir = storage.SyncDir
+
 // shardDirName returns shard i's subdirectory name.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
@@ -52,8 +57,14 @@ func OpenShardedDurable(dir string, s *schema.Schema, p *schema.Path, cfg core.C
 	if opts.FirstOID != 0 || opts.OIDStride != 0 {
 		return nil, fmt.Errorf("shard: DurableOptions.FirstOID/OIDStride are owned by the facade; leave them zero")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+		// A new root's own entry is durable before any shard in it.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, err
+		}
 	}
 
 	engines := make([]*engine.Engine, n)

@@ -395,18 +395,30 @@ func (p *part) admit(mayMatch bool) bool {
 	return true
 }
 
-func (p *part) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	if !p.admit(p.db.sums.per[p.s].MayMatchEq(value)) {
-		return nil, nil
+// QueryHops is DB.QueryHops on the part's shard: each hop the summary
+// excludes counts as pruned and is dropped, each other counts as probed,
+// and the hops left descend into the shard's engine as one chain — none
+// left, and the part answers empty without a descent.
+func (p *part) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+	sum := p.db.sums.per[p.s]
+	kept, pruned := hops[:0:0], false
+	for i, h := range hops {
+		may := h.Ranged && sum.MayMatchRange(h.Lo, h.Hi) || !h.Ranged && sum.MayMatchEq(h.Lo)
+		if !p.admit(may) {
+			if !pruned {
+				kept, pruned = append(kept, hops[:i]...), true
+			}
+		} else if pruned {
+			kept = append(kept, h)
+		}
 	}
-	return p.db.shards[p.s].Query(value, targetClass, hierarchy)
-}
-
-func (p *part) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	if !p.admit(p.db.sums.per[p.s].MayMatchRange(lo, hi)) {
-		return nil, nil
+	if !pruned {
+		kept = hops
 	}
-	return p.db.shards[p.s].QueryRange(lo, hi, targetClass, hierarchy)
+	if len(kept) == 0 {
+		return nil, 0, nil
+	}
+	return p.db.shards[p.s].QueryHops(kept, within, targetClass, hierarchy)
 }
 
 // Parts returns one probe source per shard, in shard order
@@ -414,21 +426,27 @@ func (p *part) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool)
 // union of theirs, because the shards partition the OID space and no
 // path instance crosses a shard. A planner over the database therefore
 // runs a predicate tree once per shard and merges once, at the root.
-// Each part prunes and counts exactly as Query does.
+// Each part prunes and counts exactly as QueryHops does.
 func (db *DB) Parts() []plan.Source { return slices.Clone(db.parts) }
 
-// fanOut asks every shard's part, in shard order on the calling
-// goroutine, and merges the per-shard answers — disjoint sorted runs —
-// into one sorted result, nil when empty. The first failing shard ends
-// the walk with its error.
-func (db *DB) fanOut(ask func(p plan.Source) ([]oodb.OID, error)) ([]oodb.OID, error) {
+// QueryHops answers a disjunction of first hops for targetClass
+// (plan.Source) on every shard, in shard order on the calling goroutine,
+// and merges the per-shard answers — disjoint sorted runs — into one
+// sorted result, nil when empty. A shard answers only the hops its
+// summary admits, as one chain, and one whose summary admits none is
+// skipped (see summary.go). within, when non-nil, restricts every shard's
+// answer to that sorted candidate set. produced sums the shards' counts
+// (engine.Engine.QueryHops). The first failing shard ends the walk with
+// its error.
+func (db *DB) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	runs := make([][]oodb.OID, 0, len(db.parts))
-	total := 0
+	total, produced := 0, 0
 	for _, p := range db.parts {
-		r, err := ask(p)
+		r, n, err := p.QueryHops(hops, within, targetClass, hierarchy)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		produced += n
 		if len(r) > 0 {
 			runs = append(runs, r)
 			total += len(r)
@@ -436,11 +454,11 @@ func (db *DB) fanOut(ask func(p plan.Source) ([]oodb.OID, error)) ([]oodb.OID, e
 	}
 	switch len(runs) {
 	case 0:
-		return nil, nil
+		return nil, produced, nil
 	case 1:
-		return runs[0], nil
+		return runs[0], produced, nil
 	}
-	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
+	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), produced, nil
 }
 
 // Query evaluates A_n = value for targetClass across every shard whose
@@ -451,18 +469,16 @@ func (db *DB) fanOut(ask func(p plan.Source) ([]oodb.OID, error)) ([]oodb.OID, e
 // duplicate-free, bit-identical to the same query against a single
 // engine holding all the objects.
 func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return db.fanOut(func(p plan.Source) ([]oodb.OID, error) {
-		return p.Query(value, targetClass, hierarchy)
-	})
+	out, _, err := db.QueryHops([]exec.Hop{{Lo: value}}, nil, targetClass, hierarchy)
+	return out, err
 }
 
 // QueryRange evaluates A_n IN [lo, hi) for targetClass across every
 // shard whose summarized value interval overlaps the range, merging as
 // Query does.
 func (db *DB) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return db.fanOut(func(p plan.Source) ([]oodb.OID, error) {
-		return p.QueryRange(lo, hi, targetClass, hierarchy)
-	})
+	out, _, err := db.QueryHops([]exec.Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, targetClass, hierarchy)
+	return out, err
 }
 
 // QueryBatch evaluates a batch of point probes in order: a loop over

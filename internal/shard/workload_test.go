@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/plan"
@@ -120,12 +121,8 @@ func TestAdviseCountsThePlannerMix(t *testing.T) {
 // source and sink, and runs every tree once over the whole database.
 type wholeDB struct{ db *shard.DB }
 
-func (w wholeDB) Query(v oodb.Value, class string, hier bool) ([]oodb.OID, error) {
-	return w.db.Query(v, class, hier)
-}
-
-func (w wholeDB) QueryRange(lo, hi oodb.Value, class string, hier bool) ([]oodb.OID, error) {
-	return w.db.QueryRange(lo, hi, class, hier)
+func (w wholeDB) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+	return w.db.QueryHops(hops, within, class, hier)
 }
 
 func (w wholeDB) RecordPredicate(path string, kind stats.PredKind) { w.db.RecordPredicate(path, kind) }
@@ -426,5 +423,60 @@ func TestExplainSaysHowAPlanRuns(t *testing.T) {
 	}
 	if partBody != wholeBody {
 		t.Fatalf("plans differ below the header:\n%s\n---\n%s", partBody, wholeBody)
+	}
+}
+
+// countedPart is one part of a database that counts the calls it
+// receives.
+type countedPart struct {
+	plan.Source
+	calls int
+}
+
+func (p *countedPart) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+	p.calls++
+	return p.Source.QueryHops(hops, within, class, hier)
+}
+
+// countedDB is the database as a partitioned source whose parts count
+// their calls.
+type countedDB struct {
+	*shard.DB
+	parts []*countedPart
+}
+
+func (c countedDB) Parts() []plan.Source {
+	out := make([]plan.Source, len(c.parts))
+	for i, p := range c.parts {
+		out[i] = p
+	}
+	return out
+}
+
+// TestGroupedOrCallsEachPartOnce: an Or of same-path leaves, equality
+// and range mixed, runs per shard as one probe group — one call of each
+// part — and answers as naive evaluation does.
+func TestGroupedOrCallsEachPartOnce(t *testing.T) {
+	db, pool := partitionedDB(t)
+	p := db.Path()
+	c := countedDB{DB: db}
+	for _, part := range db.Parts() {
+		c.parts = append(c.parts, &countedPart{Source: part})
+	}
+	pl := plan.NewPlanner(nil)
+	if err := pl.Register(p, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	pred := plan.Or(plan.Eq(p, pool[0]), plan.Range(p, pool[2], pool[6]), plan.Eq(p, pool[len(pool)-1]), plan.Eq(p, pool[8]))
+	for _, tg := range treeTargets {
+		for _, part := range c.parts {
+			part.calls = 0
+		}
+		wantAnswer(t, "grouped", pl, pred, tg.class, tg.hier, naiveUnion(t, db, pred, tg.class, tg.hier))
+		for i, part := range c.parts {
+			if part.calls != 1 {
+				t.Fatalf("%s for %s: part %d called %d times, want once", pred, tg.class, i, part.calls)
+			}
+		}
 	}
 }

@@ -57,9 +57,9 @@ func WriteFileAtomic(open func(string) (File, error), path string, write func(Fi
 	return syncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory, making the entries renamed or created in it
-// durable. A variable so this package's tests can observe the call.
-var syncDir = func(dir string) error {
+// SyncDir fsyncs a directory, making the entries renamed or created in it
+// durable.
+func SyncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err == nil {
 		err = f.Sync()
@@ -67,6 +67,10 @@ var syncDir = func(dir string) error {
 	}
 	return err
 }
+
+// syncDir is the SyncDir WriteFileAtomic calls: a variable so this
+// package's tests can observe the call.
+var syncDir = SyncDir
 
 // ErrChecksum reports a page slot whose stored checksum does not match its
 // payload — a torn or corrupted write. Callers test with errors.Is.
