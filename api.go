@@ -109,12 +109,6 @@ type (
 	ReconfigureReport = engine.Report
 	// Workload is a point-in-time view of the recorded live traffic.
 	Workload = stats.Workload
-	// Probe is one point query of a batch passed to Database.QueryBatch:
-	// the batch evaluates its probes in order under one snapshot of the
-	// active configuration and returns results in probe order,
-	// bit-identical to issuing the probes one by one; the first bad probe
-	// ends it with that probe's error.
-	Probe = exec.Probe
 	// Update is one in-place object update of a batch passed to
 	// Database.UpdateBatch: the named attributes of OID are replaced (an
 	// empty value slice removes the attribute; unnamed attributes keep
@@ -173,10 +167,11 @@ type (
 	// path id 1), the coalescing window cap (1 is the per-request control
 	// arm for benchmarks), and the dispatcher, queue and write bounds.
 	NetServerOptions = netserver.Options
-	// NetBackend is what a NetServer serves; *Database and *ShardedDB
-	// both satisfy it. A Database's store backs the server's naive
-	// predicate fallback, and the backend, not the server, counts the
-	// workload.
+	// NetBackend is what a NetServer serves: one read method, QueryHops,
+	// which answers point, range and predicate requests alike, plus the
+	// four writes; *Database and *ShardedDB both satisfy it. A Database's
+	// store backs the server's naive predicate fallback, and the backend,
+	// not the server, counts the workload.
 	NetBackend = netserver.Backend
 	// NetClient is the pipelining client: synchronous calls mirror the
 	// Database methods, Go-prefixed calls return a NetCall future so many

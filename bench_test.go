@@ -391,38 +391,6 @@ func BenchmarkServe(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatch measures the batched probe API: one QueryBatch call
-// per b.N/batch operations, a loop under one snapshot hold.
-func BenchmarkServeBatch(b *testing.B) {
-	ps := Figure7Stats()
-	g, err := gen.Generate(ps, 0.01, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.Configuration{Assignments: []core.Assignment{
-		{A: 1, B: 2, Org: NIX}, {A: 3, B: 4, Org: MX},
-	}}
-	db, err := Open(g.Store, g.Path, cfg, ps.Params.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 256
-	probes := make([]Probe, batch)
-	for i := range probes {
-		probes[i] = Probe{Value: g.EndValues[i%len(g.EndValues)], TargetClass: "Person"}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	ops := 0
-	for i := 0; i < b.N; i++ {
-		if _, err := db.QueryBatch(probes); err != nil {
-			b.Fatal(err)
-		}
-		ops += batch
-	}
-	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "probes/sec")
-}
-
 // BenchmarkReconfigure measures one online configuration swap (experiment
 // E1's hot path): the engine diff-builds the changed tail of the
 // configuration — the shared (1-2, NIX) head is reused, not rebuilt — and

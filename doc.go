@@ -123,9 +123,10 @@
 // and a NIX record is opened once: the same workload reads 26.3 index
 // pages per query where it read 58.2. Read concurrency is the
 // caller's: nothing below the network server spawns a goroutine to answer
-// a query. Database.QueryBatch is a loop over the same read path under one
-// snapshot of the active configuration, returning results in probe order,
-// bit-identical to sequential evaluation. Experiment E2
+// a query, and every indexed read — a point or range query, a predicate
+// leaf on an indexed path — is one Database.QueryHops chain (Query and
+// QueryRange are its one-hop calls).
+// Experiment E2
 // (ixbench -run serve) measures ops/sec, p50/p99 latency and pages/op
 // for optimal vs whole-path-NIX vs naive serving. Like every timed
 // experiment (E2–E9) it measures each cell as a warm-up plus three

@@ -117,38 +117,3 @@ func ExampleOpenSharded() {
 	// Daf owners: 1
 	// Fiat tree on shard 0 - Daf tree on shard 1
 }
-
-// ExampleDatabase_QueryBatch evaluates a batch of point probes against
-// one snapshot of the active configuration; results come back in probe
-// order, bit-identical to issuing the probes sequentially.
-func ExampleDatabase_QueryBatch() {
-	s := ooindex.PaperSchema()
-	st, _ := ooindex.NewStore(s, 4096)
-	fiat, _ := st.Insert("Company", map[string][]ooindex.Value{"name": {ooindex.StrV("Fiat")}})
-	daf, _ := st.Insert("Company", map[string][]ooindex.Value{"name": {ooindex.StrV("Daf")}})
-	car, _ := st.Insert("Vehicle", map[string][]ooindex.Value{"man": {ooindex.RefV(fiat)}})
-	bus, _ := st.Insert("Bus", map[string][]ooindex.Value{"man": {ooindex.RefV(daf)}})
-	st.Insert("Person", map[string][]ooindex.Value{"owns": {ooindex.RefV(car), ooindex.RefV(bus)}})
-
-	p, _ := ooindex.NewPath(s, "Person", "owns", "man", "name")
-	cfg := ooindex.Configuration{Assignments: []ooindex.Assignment{
-		{A: 1, B: 3, Org: ooindex.NIX},
-	}}
-	db, err := ooindex.Open(st, p, cfg, 4096)
-	if err != nil {
-		panic(err)
-	}
-
-	results, err := db.QueryBatch([]ooindex.Probe{
-		{Value: ooindex.StrV("Fiat"), TargetClass: "Person"},
-		{Value: ooindex.StrV("Daf"), TargetClass: "Vehicle", Hierarchy: true},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("persons reaching Fiat:", len(results[0]))
-	fmt.Println("vehicles (with subclasses) reaching Daf:", len(results[1]))
-	// Output:
-	// persons reaching Fiat: 1
-	// vehicles (with subclasses) reaching Daf: 1
-}

@@ -3,9 +3,10 @@
 // operations the embedded engine answers — point and range queries,
 // inserts, updates, deletes, predicate trees — cross the wire instead,
 // first one round trip at a time and then pipelined, where the server
-// coalesces the concurrently-arriving requests into one batch-kernel
-// descent (and identical predicate trees into one shared planner
-// descent) and the counters show it happening.
+// coalesces the concurrently-arriving requests into one dispatch window —
+// each point query answered on its own, the window's replies written
+// once per connection — and identical predicate trees into one shared
+// planner descent, and the counters show it happening.
 package main
 
 import (

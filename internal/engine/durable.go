@@ -365,7 +365,7 @@ func (e *Engine) logLocked(kind byte, oid oodb.OID, err error) (uint64, error) {
 // threshold; either way it credits the auto-tuner n operations. A nil
 // result acknowledges the write; a failed commit latches d.err.
 func (e *Engine) settle(pos uint64, err error, n int) error {
-	defer e.maybeAutoTuneN(uint64(n))
+	defer e.maybeAutoTune(uint64(n))
 	d := e.dur
 	if err != nil || pos == 0 {
 		return err

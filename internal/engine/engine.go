@@ -197,26 +197,25 @@ func (e *Engine) snapshot() *exec.IndexSet {
 }
 
 // Query evaluates A_n = value for targetClass through the active
-// configuration. Queries run against an atomic snapshot of the index set
-// and are never blocked by an in-flight reconfiguration.
+// configuration: QueryHops with one point hop. Queries run against an
+// atomic snapshot of the index set and are never blocked by an in-flight
+// reconfiguration.
 func (e *Engine) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	s := e.snapshot()
-	out, err := s.Query(value, targetClass, hierarchy)
-	s.RUnlock()
-	e.maybeAutoTune()
+	hop := [1]exec.Hop{{Lo: value}}
+	out, _, err := e.QueryHops(hop[:], nil, targetClass, hierarchy)
 	return out, err
 }
 
 // QueryHops answers a disjunction of first hops as one Proposition 4.1
 // chain through the active configuration, optionally restricted to a
 // sorted candidate set (plan.Source; exec.IndexSet.QueryHops says what
-// produced counts). It runs against an atomic snapshot of the index set,
-// as Query does, and counts each hop as one operation.
+// produced counts). It runs against an atomic snapshot of the index set
+// and counts each hop as one operation.
 func (e *Engine) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	s := e.snapshot()
 	out, produced, err := s.QueryHops(hops, within, targetClass, hierarchy)
 	s.RUnlock()
-	e.maybeAutoTuneN(uint64(len(hops)))
+	e.maybeAutoTune(uint64(len(hops)))
 	return out, produced, err
 }
 
@@ -227,41 +226,15 @@ func (e *Engine) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string,
 	s := e.snapshot()
 	dst, err := s.QueryInto(dst, value, targetClass, hierarchy)
 	s.RUnlock()
-	e.maybeAutoTune()
+	e.maybeAutoTune(1)
 	return dst, err
 }
 
-// QueryBatch evaluates a batch of point probes in order against one
-// atomic snapshot of the active configuration: a loop over the one read
-// path under one snapshot hold. Results are in probe order and
-// bit-identical to issuing the probes one by one, and the workload
-// recorder sees the same counts. The first bad probe ends the batch with
-// its error; no later probe is evaluated or recorded. A reconfiguration
-// concurrent with the batch swaps the active set but never blocks it — the
-// whole batch answers from the snapshot it started on. Concurrency is the
-// caller's: run batches from as many goroutines as there are CPUs to use.
-func (e *Engine) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
-	out := make([][]oodb.OID, len(probes))
-	s := e.snapshot()
-	var err error
-	for i, pb := range probes {
-		if out[i], err = s.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
-			out, probes = nil, probes[:i+1] // the op counter sees what was attempted, as Query's does
-			break
-		}
-	}
-	s.RUnlock()
-	e.maybeAutoTuneN(uint64(len(probes)))
-	return out, err
-}
-
 // QueryRange evaluates A_n IN [lo, hi) for targetClass through the
-// active configuration.
+// active configuration: QueryHops with one range hop.
 func (e *Engine) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	s := e.snapshot()
-	out, err := s.QueryRange(lo, hi, targetClass, hierarchy)
-	s.RUnlock()
-	e.maybeAutoTune()
+	hop := [1]exec.Hop{{Lo: lo, Hi: hi, Ranged: true}}
+	out, _, err := e.QueryHops(hop[:], nil, targetClass, hierarchy)
 	return out, err
 }
 
@@ -550,18 +523,15 @@ func (e *Engine) adoptBaseline(ps *model.PathStats) {
 	e.ops.Store(0)
 }
 
-// maybeAutoTune checks drift every CheckEvery operations and launches a
-// background reconfiguration when it exceeds the threshold. At most one
-// reconfiguration is in flight at a time; after a failed attempt the
-// check window doubles (capped at 64x), so a persistently failing swap
-// does not become a repeating burst of background collect-and-build
-// work. Failures are visible through LastAutoTune.
-func (e *Engine) maybeAutoTune() { e.maybeAutoTuneN(1) }
-
-// maybeAutoTuneN is maybeAutoTune crediting n operations at once (a batch
-// counts each of its probes); the drift check fires when the window
-// boundary is crossed anywhere within the n operations.
-func (e *Engine) maybeAutoTuneN(n uint64) {
+// maybeAutoTune credits n operations and checks drift every CheckEvery
+// of them — the check fires when the window boundary is crossed anywhere
+// within the n — launching a background reconfiguration when it exceeds
+// the threshold. At most one reconfiguration is in flight at a time;
+// after a failed attempt the check window doubles (capped at 64x), so a
+// persistently failing swap does not become a repeating burst of
+// background collect-and-build work. Failures are visible through
+// LastAutoTune.
+func (e *Engine) maybeAutoTune(n uint64) {
 	every := e.opts.CheckEvery
 	if every == 0 || n == 0 {
 		return

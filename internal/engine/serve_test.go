@@ -8,97 +8,17 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/oodb"
 	"repro/internal/raceflag"
 )
 
-// TestQueryBatchMatchesSequentialThroughEngine drives the same probes
-// through Query and QueryBatch on identically built engines and demands
-// bit-identical results and workload snapshots.
-func TestQueryBatchMatchesSequentialThroughEngine(t *testing.T) {
-	g := figure7DB(t)
-	seq, err := New(g.Store, g.Path, cfgSplit, 1024, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := New(g.Store, g.Path, cfgSplit, 1024, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := make([]exec.Probe, 120)
-	for i := range probes {
-		probes[i] = exec.Probe{
-			Value:       g.EndValues[i%len(g.EndValues)],
-			TargetClass: "Person",
-			Hierarchy:   i%3 == 0,
-		}
-	}
-	want := make([][]oodb.OID, len(probes))
-	for i, pb := range probes {
-		if want[i], err = seq.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := bat.QueryBatch(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("batch results diverge from sequential")
-	}
-	if ws, wb := seq.WorkloadSnapshot(), bat.WorkloadSnapshot(); !reflect.DeepEqual(ws, wb) {
-		t.Fatalf("workload snapshots diverge: %+v vs %+v", ws, wb)
-	}
-}
-
-// TestQueryBatchStopsAtFirstBadProbe pins the batch's error contract, the
-// sequential loop's: the first bad probe in probe order ends the batch with
-// the error Query gives for it, and no later probe is evaluated or
-// recorded.
-func TestQueryBatchStopsAtFirstBadProbe(t *testing.T) {
-	g := figure7DB(t)
-	e, err := New(g.Store, g.Path, cfgSplit, 1024, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := exec.Probe{Value: g.EndValues[0], TargetClass: "Person"}
-	bad := func(class string) exec.Probe { return exec.Probe{Value: g.EndValues[0], TargetClass: class} }
-	for _, tc := range []struct {
-		name     string
-		probes   []exec.Probe
-		badClass string // class of the probe whose error the batch reports; "" for success
-		recorded uint64
-	}{
-		{"all good", []exec.Probe{good, good, good}, "", 3},
-		{"bad first", []exec.Probe{bad("Ghost"), good}, "Ghost", 0},
-		{"two bad, good probes between and after", []exec.Probe{good, bad("Ghost"), good, bad("Phantom"), good}, "Ghost", 1},
-	} {
-		before := e.WorkloadSnapshot().Total
-		got, err := e.QueryBatch(tc.probes)
-		if recorded := e.WorkloadSnapshot().Total - before; recorded != tc.recorded {
-			t.Errorf("%s: %d probes recorded, want %d", tc.name, recorded, tc.recorded)
-		}
-		if tc.badClass == "" {
-			if err != nil || len(got) != len(tc.probes) {
-				t.Errorf("%s: %d results, %v", tc.name, len(got), err)
-			}
-			continue
-		}
-		_, want := e.Query(g.EndValues[0], tc.badClass, false)
-		if got != nil || err == nil || err.Error() != want.Error() {
-			t.Errorf("%s: got (%v, %v), want the first bad probe's error %q", tc.name, got, err, want)
-		}
-	}
-}
-
-// TestQueryBatchDuringReconfigure races batches against configuration
-// swaps (run under -race in CI): every batch must answer from a coherent
-// snapshot — results always equal the static baseline, whichever
-// configuration serves them, because every tested configuration indexes
-// the whole path.
+// TestQueryBatchDuringReconfigure races runs of point queries against
+// configuration swaps (run under -race in CI): every query must answer
+// from a coherent snapshot — results always equal the static baseline,
+// whichever configuration serves them, because every tested configuration
+// indexes the whole path.
 func TestQueryBatchDuringReconfigure(t *testing.T) {
 	g, err := gen.Generate(model.Figure7Stats(), 0.004, 7)
 	if err != nil {
@@ -108,11 +28,11 @@ func TestQueryBatchDuringReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := make([]exec.Probe, 48)
-	for i := range probes {
-		probes[i] = exec.Probe{Value: g.EndValues[i%len(g.EndValues)], TargetClass: "Person"}
+	values := make([]oodb.Value, 48)
+	for i := range values {
+		values[i] = g.EndValues[i%len(g.EndValues)]
 	}
-	want, err := e.QueryBatch(probes)
+	want, err := queryEach(e, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +62,12 @@ func TestQueryBatchDuringReconfigure(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 60; round++ {
-		got, err := e.QueryBatch(probes)
+		got, err := queryEach(e, values)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("round %d: batch results changed under reconfiguration", round)
+			t.Fatalf("round %d: point results changed under reconfiguration", round)
 		}
 		gotRange, err := e.QueryRange(lo, hi, "Person", false)
 		if err != nil {
@@ -159,6 +79,19 @@ func TestQueryBatchDuringReconfigure(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// queryEach answers A_n = v for "Person" for each of values through
+// Query, one by one, stopping at the first error.
+func queryEach(e *Engine, values []oodb.Value) ([][]oodb.OID, error) {
+	out := make([][]oodb.OID, len(values))
+	for i, v := range values {
+		var err error
+		if out[i], err = e.Query(v, "Person", false); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // TestEngineRangeQueryAllocBudget pins what a steady-state range query on

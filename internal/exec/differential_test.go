@@ -234,7 +234,7 @@ func diffCheck(t *testing.T, label string, c *IndexSet, g *gen.Generated, pageSi
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Query(v, tc.class, tc.hier)
+			got, err := pointQuery(c, v, tc.class, tc.hier)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,11 +377,11 @@ func TestUpdateBatchMatchesSequential(t *testing.T) {
 				class string
 				hier  bool
 			}{{"Person", false}, {"Vehicle", true}, {"Division", false}} {
-				want, err := cSeq.Query(v, tc.class, tc.hier)
+				want, err := pointQuery(cSeq, v, tc.class, tc.hier)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := cBatch.Query(v, tc.class, tc.hier)
+				got, err := pointQuery(cBatch, v, tc.class, tc.hier)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,6 +29,18 @@ func smallStats(t testing.TB) *model.PathStats {
 	return ps
 }
 
+// pointQuery and rangeQuery answer A_n = v and A_n IN [lo, hi) through
+// QueryHops, as one-hop chains. The caller holds RLock.
+func pointQuery(s *IndexSet, v oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+	out, _, err := s.QueryHops([]Hop{{Lo: v}}, nil, class, hier)
+	return out, err
+}
+
+func rangeQuery(s *IndexSet, lo, hi oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+	out, _, err := s.QueryHops([]Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, class, hier)
+	return out, err
+}
+
 func configurations(n int) []core.Configuration {
 	return []core.Configuration{
 		{Assignments: []core.Assignment{{A: 1, B: n, Org: cost.NIX}}},
@@ -62,7 +74,7 @@ func TestIndexSetQueryMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.Query(v, tc.class, tc.hier)
+				got, err := pointQuery(c, v, tc.class, tc.hier)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +134,7 @@ func TestIndexSetMaintenance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.Query(v, cls, cls == "Vehicle")
+				got, err := pointQuery(c, v, cls, cls == "Vehicle")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +143,7 @@ func TestIndexSetMaintenance(t *testing.T) {
 				}
 			}
 		}
-		got, err := c.Query(oodb.StrV("fresh-div"), "Person", false)
+		got, err := pointQuery(c, oodb.StrV("fresh-div"), "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +220,7 @@ func TestIndexSetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(oodb.StrV("x"), "Ghost", false); err == nil {
+	if _, err := pointQuery(c, oodb.StrV("x"), "Ghost", false); err == nil {
 		t.Error("unknown class accepted by Query")
 	}
 	if err := c.DeleteFrom(g.Store, 99999); err == nil {
@@ -236,7 +248,7 @@ func TestIndexStatsAccumulate(t *testing.T) {
 	if s := c.Stats(); s.Reads != 0 || s.Writes != 0 {
 		t.Errorf("stats after reset: %+v", s)
 	}
-	if _, err := c.Query(g.EndValues[0], "Person", false); err != nil {
+	if _, err := pointQuery(c, g.EndValues[0], "Person", false); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -283,7 +295,7 @@ func TestChainReadsEachRootOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.ResetStats()
-		got, err := c.Query(v, "Person", false)
+		got, err := pointQuery(c, v, "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +332,7 @@ func TestIndexSetQueryBeatNaiveOnPageAccesses(t *testing.T) {
 	}
 	naive := g.Store.Pager().Stats().Accesses()
 	c.ResetStats()
-	if _, err := c.Query(v, "Person", false); err != nil {
+	if _, err := pointQuery(c, v, "Person", false); err != nil {
 		t.Fatal(err)
 	}
 	indexed := c.Stats().Accesses()
@@ -362,7 +374,7 @@ func TestIndexSetQueryRangeMatchesNaive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := c.QueryRange(lo, hi, cls, hier)
+					got, err := rangeQuery(c, lo, hi, cls, hier)
 					if err != nil {
 						t.Fatalf("%s QueryRange(%v, %s, h=%v): %v", label, r, cls, hier, err)
 					}
@@ -372,10 +384,10 @@ func TestIndexSetQueryRangeMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		if _, err := c.QueryRange(oodb.StrV("a"), oodb.IntV(1), "Person", false); err == nil {
+		if _, err := rangeQuery(c, oodb.StrV("a"), oodb.IntV(1), "Person", false); err == nil {
 			t.Errorf("%s: mixed-kind range accepted", label)
 		}
-		if _, err := c.QueryRange(oodb.StrV("a"), oodb.StrV("b"), "Ghost", false); err == nil {
+		if _, err := rangeQuery(c, oodb.StrV("a"), oodb.StrV("b"), "Ghost", false); err == nil {
 			t.Errorf("%s: unknown class accepted", label)
 		}
 	}
@@ -477,7 +489,7 @@ func TestChaosMaintenanceProperty(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := c.Query(v, cls, cls == "Vehicle")
+						got, err := pointQuery(c, v, cls, cls == "Vehicle")
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -512,7 +524,7 @@ func TestParallelQueries(t *testing.T) {
 	// Reference results, computed serially.
 	want := make(map[string][]oodb.OID)
 	for _, v := range g.EndValues {
-		r, err := c.Query(v, "Person", false)
+		r, err := pointQuery(c, v, "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +538,7 @@ func TestParallelQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				v := g.EndValues[(worker+i)%len(g.EndValues)]
-				got, err := c.Query(v, "Person", false)
+				got, err := pointQuery(c, v, "Person", false)
 				if err != nil {
 					errs <- err
 					return

@@ -222,23 +222,6 @@ type Hop struct {
 	Ranged bool
 }
 
-// Query evaluates A_n = value for targetClass through the configuration.
-// The result is sorted and duplicate-free, nil when empty. The caller must
-// hold RLock.
-func (s *IndexSet) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	hop := [1]Hop{{Lo: value}}
-	out, _, err := s.QueryHops(hop[:], nil, targetClass, hierarchy)
-	return out, err
-}
-
-// QueryRange is Query for A_n IN [lo, hi); lo and hi must be of one value
-// kind.
-func (s *IndexSet) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	hop := [1]Hop{{Lo: lo, Hi: hi, Ranged: true}}
-	out, _, err := s.QueryHops(hop[:], nil, targetClass, hierarchy)
-	return out, err
-}
-
 // QueryHops evaluates the disjunction of hops for targetClass as one
 // chain: the last subpath is entered through every hop, and each earlier
 // subpath is probed once, with the union. When within is non-nil — a
@@ -259,8 +242,9 @@ func (s *IndexSet) QueryHops(hops []Hop, within []oodb.OID, targetClass string, 
 	return slices.Clone(out), produced, nil
 }
 
-// QueryInto is Query appending the result to dst — the allocation-free
-// serving kernel. The appended region of dst is sorted and deduplicated;
+// QueryInto evaluates A_n = value for targetClass, appending the result
+// to dst — QueryHops with one point hop as the allocation-free serving
+// kernel. The appended region of dst is sorted and deduplicated;
 // contents before len(dst) are untouched (and returned unchanged on
 // error). The caller must hold RLock.
 func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
@@ -354,14 +338,6 @@ func enter(ix index.PathIndex, hops []Hop, tc string, hier bool, out []oodb.OID,
 		}
 	}
 	return out, len(hops) == 1 && hops[0].Ranged, nil
-}
-
-// Probe is one point query of a batch: A_n = Value with respect to
-// TargetClass (its subclasses included when Hierarchy is set).
-type Probe struct {
-	Value       oodb.Value
-	TargetClass string
-	Hierarchy   bool
 }
 
 // InsertInto stores a new object in st and maintains the owning

@@ -32,7 +32,7 @@ func TestQueryIntoAppendsSortedRegion(t *testing.T) {
 	defer set.RUnlock()
 	prefix := []oodb.OID{9999, 8888}
 	for _, v := range g.EndValues[:8] {
-		want, err := set.Query(v, "Person", false)
+		want, err := pointQuery(set, v, "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,10 +71,10 @@ func TestRecordOnlyAfterClassResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.RLock()
-	if _, err := set.Query(g.EndValues[0], "NoSuchClass", false); err == nil {
+	if _, err := pointQuery(set, g.EndValues[0], "NoSuchClass", false); err == nil {
 		t.Fatal("expected error for class outside the path's scope")
 	}
-	if _, err := set.QueryRange(g.EndValues[0], g.EndValues[1], "NoSuchClass", false); err == nil {
+	if _, err := rangeQuery(set, g.EndValues[0], g.EndValues[1], "NoSuchClass", false); err == nil {
 		t.Fatal("expected range error for class outside the path's scope")
 	}
 	set.RUnlock()
@@ -82,10 +82,10 @@ func TestRecordOnlyAfterClassResolves(t *testing.T) {
 		t.Fatalf("invalid-class probes were recorded: total = %d, want 0", got)
 	}
 	set.RLock()
-	if _, err := set.Query(g.EndValues[0], "Person", false); err != nil {
+	if _, err := pointQuery(set, g.EndValues[0], "Person", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.QueryRange(g.EndValues[0], g.EndValues[0], "Person", false); err != nil {
+	if _, err := rangeQuery(set, g.EndValues[0], g.EndValues[0], "Person", false); err != nil {
 		t.Fatal(err)
 	}
 	set.RUnlock()

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/netclient"
 	"repro/internal/netserver"
+	"repro/internal/oodb"
 )
 
 // Experiment E7 — the cost of the socket (DESIGN.md §10.4). The serving
@@ -26,7 +26,7 @@ import (
 // load-bearing.
 
 // netDepth is the pipelined arms' window: requests in flight per
-// connection, and the embedded arm's probes per QueryBatch call.
+// connection, and the embedded arm's probes per timed run.
 const netDepth = 32
 
 // wireArms are the four ways E7 and E8 serve one request stream: the
@@ -172,13 +172,10 @@ func openWire(seed int64, wl wireWorkload, mix string, depth, maxBatch int) (Sys
 	}, nil
 }
 
-// netProbe picks the i-th probe of worker w for a mix.
-func netProbe(mix string, g *gen.Generated, w, i int) exec.Probe {
-	return exec.Probe{
-		Value:       g.EndValues[(w*7919+i)%len(g.EndValues)],
-		TargetClass: wireTarget(mix),
-		Hierarchy:   mix == "endpoint" && i%4 == 0,
-	}
+// netProbe picks the i-th probe of worker w for a mix: the value,
+// target class and hierarchy flag of one point query.
+func netProbe(mix string, g *gen.Generated, w, i int) (oodb.Value, string, bool) {
+	return g.EndValues[(w*7919+i)%len(g.EndValues)], wireTarget(mix), mix == "endpoint" && i%4 == 0
 }
 
 func runNet(rep *Report) error {
@@ -186,25 +183,22 @@ func runNet(rep *Report) error {
 	err := runWire(rep, wireWorkload{
 		conns:      []int{1, 8, 64, 256},
 		embedBatch: netDepth,
-		// The embedded arm calls the engine's QueryBatch directly,
-		// netDepth probes per call; each probe waits the whole batch's wall
-		// time, which is what a caller whose request rides the batch
-		// observes.
+		// The embedded arm calls the engine's Query directly, a run of
+		// netDepth probes timed together; each probe waits the whole run's
+		// wall time, which is what a caller whose request rides a
+		// pipelined window observes.
 		embedded: func(g *gen.Generated, e *engine.Engine, mix string, w int) (Driver, error) {
-			probes := make([]exec.Probe, netDepth)
-			return Driver{Op: func(i int, rec *Recorder) error {
-				for k := range probes {
-					probes[k] = netProbe(mix, g, w, i*netDepth+k)
-				}
+			return Driver{Op: func(i int, rec *Recorder) (err error) {
 				t0 := time.Now()
-				_, err := e.QueryBatch(probes)
-				rec.Done(t0, len(probes))
+				for k := 0; k < netDepth && err == nil; k++ {
+					_, err = e.Query(netProbe(mix, g, w, i*netDepth+k))
+				}
+				rec.Done(t0, netDepth)
 				return err
 			}}, nil
 		},
 		send: func(c *netclient.Client, g *gen.Generated, mix string, w, i int) *netclient.Call {
-			p := netProbe(mix, g, w, i)
-			return c.GoQuery(p.Value, p.TargetClass, p.Hierarchy)
+			return c.GoQuery(netProbe(mix, g, w, i))
 		},
 		// batches/coalesced: how many requests rode a window another
 		// request opened, in how many batches.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/oodb"
@@ -15,7 +14,7 @@ import (
 )
 
 // Experiment E4 — sharded serving throughput (DESIGN.md §7.5). A
-// serving tier's mix — batches of value probes, by-OID gets, routed
+// serving tier's mix — runs of value probes, by-OID gets, routed
 // writes — against OID-hash-partitioned deployments of 1, 2, 4 and 8
 // shards, with a direct single-engine baseline at every worker count,
 // all serving the identical logical dataset (see nCohorts). By-OID gets
@@ -24,7 +23,8 @@ import (
 // OID to hash, so they fan out to every shard and pay one index descent
 // per non-matching shard.
 
-// shardBatch is how many probes (or by-OID gets) one facade call carries.
+// shardBatch is how many probes (or by-OID gets) one timed operation
+// carries.
 const shardBatch = 8
 
 // nCohorts is the fixed partition granularity of E4's dataset: the same
@@ -36,7 +36,7 @@ const shardBatch = 8
 const nCohorts = 8
 
 func runShard(rep *Report) error {
-	rep.Workload = fmt.Sprintf("60%% point-probe batches (3:1 Person:Division) / 30%% by-OID gets / 5%% insert / 5%% delete, batch=%d", shardBatch)
+	rep.Workload = fmt.Sprintf("60%% point-probe runs (3:1 Person:Division) / 30%% by-OID gets / 5%% insert / 5%% delete, batch=%d", shardBatch)
 	// The optimal configuration for the collected statistics under the
 	// Example 5.1 workload — the same selection E2 serves.
 	arms, err := servedArms(rep.Seed)
@@ -114,7 +114,7 @@ func generateCohorts(stores []*oodb.Store, seed int64) ([]oodb.Value, []oodb.OID
 
 // shardServer is what E4 drives: satisfied by the engine and by shard.DB.
 type shardServer interface {
-	QueryBatch([]exec.Probe) ([][]oodb.OID, error)
+	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
 	Delete(oodb.OID) error
 	IndexStats() storage.Stats
@@ -122,7 +122,7 @@ type shardServer interface {
 
 // openShardDeployment lays the cohorts down in one store behind an
 // engine (nShards 0) or across nShards stores behind the shard.DB
-// facade, and returns the system serving E4's batched mix.
+// facade, and returns the system serving E4's mix.
 func openShardDeployment(seed int64, cfg core.Configuration, nShards int) (System, error) {
 	ps := model.Figure7Stats()
 	if nCohorts%max(nShards, 1) != 0 {
@@ -150,16 +150,12 @@ func openShardDeployment(seed int64, cfg core.Configuration, nShards int) (Syste
 	}
 	// The fairness check: one whole-path probe per domain value; the
 	// summed result sizes must be equal across deployments.
-	sweep := make([]exec.Probe, len(values))
-	for i, v := range values {
-		sweep[i] = exec.Probe{Value: v, TargetClass: "Person"}
-	}
-	res, err := srv.QueryBatch(sweep)
-	if err != nil {
-		return System{}, err
-	}
 	mass := 0
-	for _, r := range res {
+	for _, v := range values {
+		r, err := srv.Query(v, "Person", false)
+		if err != nil {
+			return System{}, err
+		}
 		mass += len(r)
 	}
 	return System{
@@ -171,13 +167,12 @@ func openShardDeployment(seed int64, cfg core.Configuration, nShards int) (Syste
 			return total
 		},
 		Gauges: func() []Metric { return []Metric{{"probe_mass", float64(mass)}} },
-		// 60% of iterations issue a batch of shardBatch point probes (3:1
+		// 60% of iterations issue a run of shardBatch point probes (3:1
 		// Person whole-path to Division ending-level, fanned across
 		// shards), 30% a run of shardBatch by-OID gets (each routed to one
 		// shard), 5% insert, 5% delete. Probes, gets and writes each count
-		// as one operation and wait the wall time of the call they rode.
+		// as one operation and wait the wall time of the run they rode.
 		Start: func(w int) (Driver, error) {
-			probes := make([]exec.Probe, shardBatch)
 			var pending []oodb.OID
 			return Driver{Op: func(i int, rec *Recorder) (err error) {
 				v := values[(w*7919+i)%len(values)]
@@ -198,14 +193,14 @@ func openShardDeployment(seed int64, cfg core.Configuration, nShards int) (Syste
 					for j := 0; j < shardBatch && err == nil; j++ {
 						err = get(persons[(w*7919+i*shardBatch+j)%len(persons)])
 					}
-				default: // ~60% point-probe batches, fanned across shards
-					for j := range probes {
-						probes[j] = exec.Probe{Value: values[(w*7919+i*shardBatch+j)%len(values)], TargetClass: "Person"}
+				default: // ~60% point-probe runs, fanned across shards
+					for j := 0; j < shardBatch && err == nil; j++ {
+						target := "Person"
 						if j%4 == 3 {
-							probes[j].TargetClass = "Division"
+							target = "Division"
 						}
+						_, err = srv.Query(values[(w*7919+i*shardBatch+j)%len(values)], target, false)
 					}
-					_, err = srv.QueryBatch(probes)
 				}
 				rec.Done(t0, n)
 				return err

@@ -354,27 +354,6 @@ func (c *Client) PredicateValues(pred *wire.PredNode, attr, targetClass string, 
 	return c.GoPredicateValues(pred, attr, targetClass, hierarchy).WaitValues()
 }
 
-// QueryBatch evaluates a batch of point probes by pipelining them: every
-// probe goes in flight before the first response is awaited, one flush
-// for the window, so the server's dispatcher can answer the whole batch
-// in one window and one bundled write. Results are in probe order; the
-// first error in probe order wins.
-func (c *Client) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
-	calls := make([]*Call, len(probes))
-	for i, pb := range probes {
-		calls[i] = c.GoQuery(pb.Value, pb.TargetClass, pb.Hierarchy)
-	}
-	out := make([][]oodb.OID, len(probes))
-	for i, call := range calls {
-		oids, err := call.Wait()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = oids
-	}
-	return out, nil
-}
-
 // UpdateBatch applies a batch of in-place updates by pipelining them,
 // mirroring the engine's UpdateBatch contract: one entry per update, nil
 // on success, and same-OID updates keep their batch order (the requests

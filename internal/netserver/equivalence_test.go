@@ -2,6 +2,7 @@ package netserver
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,13 +15,15 @@ import (
 	"repro/internal/model"
 	"repro/internal/netclient"
 	"repro/internal/oodb"
+	"repro/internal/schema"
+	"repro/internal/shard"
 )
 
 // TestNetworkEmbeddedEquivalence replays one randomized trace against
 // two identical databases — one embedded, one behind a real client and
 // server — and demands bit-identical results and error propagation at
 // every step. Point, range and hierarchy queries (the planner's leaf
-// probe shapes), pipelined query batches, inserts, updates and deletes
+// probe shapes), pipelined runs of point queries, inserts, updates and deletes
 // including missing-OID and unknown-class error cases all cross the
 // socket; any divergence means the wire tier changed a semantic the
 // embedded engine promised.
@@ -93,17 +96,13 @@ func TestNetworkEmbeddedEquivalence(t *testing.T) {
 			want, werr := ref.QueryRange(g.EndValues[i], g.EndValues[j], class, hier)
 			got, gerr := c.QueryRange(g.EndValues[i], g.EndValues[j], class, hier)
 			checkOIDs(step, "range", got, want, gerr, werr)
-		case 2: // pipelined query batch
-			probes := make([]exec.Probe, 4+rng.Intn(24))
+		case 2: // pipelined run of point queries
+			probes := make([]probe, 4+rng.Intn(24))
 			for k := range probes {
-				probes[k] = exec.Probe{
-					Value:       values[rng.Intn(len(values))],
-					TargetClass: classes[rng.Intn(len(classes))],
-					Hierarchy:   rng.Intn(2) == 0,
-				}
+				probes[k] = probe{values[rng.Intn(len(values))], classes[rng.Intn(len(classes))], rng.Intn(2) == 0}
 			}
-			want, werr := ref.QueryBatch(probes)
-			got, gerr := c.QueryBatch(probes)
+			want, werr := queryEach(ref, probes)
+			got, gerr := pipeline(c, probes)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("step %d batch: error mismatch: %v vs %v", step, gerr, werr)
 			}
@@ -181,7 +180,7 @@ func TestNetworkEmbeddedEquivalence(t *testing.T) {
 }
 
 // TestPipelinedClientsDuringReconfigure hammers the server with
-// pipelined query batches from several connections while the backing
+// pipelined runs of point queries from several connections while the backing
 // engine swaps its index configuration back and forth. Every result
 // must equal the static baseline — a configuration swap may never be
 // observable in query results — and under -race this doubles as the
@@ -197,7 +196,7 @@ func TestPipelinedClientsDuringReconfigure(t *testing.T) {
 	defer srv.Shutdown() //nolint:errcheck
 
 	probes := genProbes(g, 64)
-	want, err := baseline.QueryBatch(probes)
+	want, err := queryEach(baseline, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestPipelinedClientsDuringReconfigure(t *testing.T) {
 					return
 				default:
 				}
-				got, err := c.QueryBatch(probes)
+				got, err := pipeline(c, probes)
 				if err != nil {
 					errCh <- err
 					return
@@ -261,5 +260,123 @@ func TestPipelinedClientsDuringReconfigure(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestShardedQueryEquivalence sends random point and range requests to a
+// two-shard database behind the server: each answer must be bit-identical
+// to the embedded db.Query / db.QueryRange, and each request must move
+// the database's prune counters by exactly what the embedded call moved
+// them — the server answers through the backend's QueryHops, one hop per
+// request, and must skip the same shards. Targets include the Vehicle
+// hierarchy, values include ones no shard holds.
+func TestShardedQueryEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := schema.PaperSchema()
+	p := schema.MustNewPath(s, "Person", "owns", "man", "divs", "name")
+	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: 2, Org: cost.NIX}, {A: 3, B: p.Len(), Org: cost.MX}}}
+	db, err := shard.New(s, p, cfg, 2048, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+
+	// Each shard holds its own division names and a few shared ones, so
+	// the summaries prune some probes and admit others.
+	name := func(sh, i int) oodb.Value { return oodb.StrV(fmt.Sprintf("dv-%d%d", sh, i)) }
+	var values []oodb.Value
+	for sh := 0; sh < 2; sh++ {
+		var divs, comps, vehs []oodb.OID
+		for i := 0; i < 8; i++ {
+			v := name(sh, i)
+			if i%4 == 0 {
+				v = name(9, i) // shared
+			}
+			values = append(values, v)
+			oid, err := db.InsertAt(sh, "Division", map[string][]oodb.Value{"name": {v}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			divs = append(divs, oid)
+		}
+		for i := 0; i < 5; i++ {
+			oid, err := db.Insert("Company", map[string][]oodb.Value{
+				"divs": {oodb.RefV(divs[rng.Intn(len(divs))]), oodb.RefV(divs[rng.Intn(len(divs))])},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps = append(comps, oid)
+		}
+		for i := 0; i < 12; i++ {
+			class := []string{"Vehicle", "Bus", "Truck"}[i%3]
+			oid, err := db.Insert(class, map[string][]oodb.Value{"man": {oodb.RefV(comps[rng.Intn(len(comps))])}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vehs = append(vehs, oid)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := db.Insert("Person", map[string][]oodb.Value{
+				"owns": {oodb.RefV(vehs[rng.Intn(len(vehs))]), oodb.RefV(vehs[rng.Intn(len(vehs))])},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	values = append(values, oodb.StrV("dv-00x"), oodb.StrV("dv-55"), oodb.StrV("a-below"), oodb.StrV("z-above"))
+	c := startTestServer(t, db, Options{Path: p})
+
+	targets := []struct {
+		class string
+		hier  bool
+	}{{"Person", false}, {"Vehicle", true}, {"Vehicle", false}, {"Bus", false}, {"Company", false}, {"Division", false}}
+	moved := func(probed, pruned uint64) [2]uint64 {
+		p, q := db.PruneCounters()
+		return [2]uint64{p - probed, q - pruned}
+	}
+	var prunedAny bool
+	answered := 0 // requests with a non-empty answer
+	for step := 0; step < 300; step++ {
+		tg := targets[rng.Intn(len(targets))]
+		var want, got []oodb.OID
+		var werr, gerr error
+		var what string
+		p0, q0 := db.PruneCounters()
+		var embedded [2]uint64
+		if rng.Intn(3) > 0 {
+			v := values[rng.Intn(len(values))]
+			what = fmt.Sprintf("query %v/%s", v, tg.class)
+			want, werr = db.Query(v, tg.class, tg.hier)
+			embedded = moved(p0, q0)
+			p0, q0 = db.PruneCounters()
+			got, gerr = c.Query(v, tg.class, tg.hier)
+		} else {
+			lo, hi := values[rng.Intn(len(values))], values[rng.Intn(len(values))]
+			if hi.Str < lo.Str {
+				lo, hi = hi, lo
+			}
+			what = fmt.Sprintf("range [%v,%v)/%s", lo, hi, tg.class)
+			want, werr = db.QueryRange(lo, hi, tg.class, tg.hier)
+			embedded = moved(p0, q0)
+			p0, q0 = db.PruneCounters()
+			got, gerr = c.QueryRange(lo, hi, tg.class, tg.hier)
+		}
+		if werr != nil || gerr != nil {
+			t.Fatalf("step %d %s: net %v, embedded %v", step, what, gerr, werr)
+		}
+		if !sameOIDs(got, want) {
+			t.Fatalf("step %d %s: net %v vs embedded %v", step, what, got, want)
+		}
+		if served := moved(p0, q0); served != embedded {
+			t.Fatalf("step %d %s: served request moved probed/pruned by %v, embedded call by %v", step, what, served, embedded)
+		}
+		prunedAny = prunedAny || embedded[1] > 0
+		if len(want) > 0 {
+			answered++
+		}
+	}
+	if !prunedAny || answered < 100 {
+		t.Fatalf("pruned any shard: %v, non-empty answers: %d — the trace does not exercise the summaries and the chain", prunedAny, answered)
 	}
 }

@@ -14,10 +14,11 @@
 // run into maximal same-opcode segments, and serves update segments with
 // one UpdateBatch and predicate segments with one planner descent per
 // distinct tree — so on a durable backend concurrently-arriving writes
-// amortize WAL fsyncs, exactly as embedded batch callers do. Point
-// queries are served one by one: a probe is a microsecond of work and a
-// batch kernel around it measured no faster (DESIGN.md §10.2); what the
-// window buys them is the bundled write. The window needs no timer: its
+// amortize WAL fsyncs, exactly as embedded batch callers do. Point and
+// range queries are served one by one, each one Backend.QueryHops call
+// with a single hop: a probe is a microsecond of work and a batch kernel
+// around it measured no faster (DESIGN.md §10.2); what the window buys
+// them is the bundled write. The window needs no timer: its
 // width is the previous batch's execution time, so it self-adjusts —
 // near-zero added latency when idle, maximal batches under load. A
 // batch's responses are bundled per connection into one framed write,
@@ -76,16 +77,15 @@ import (
 )
 
 // Backend is what the server serves: the engine surface shared by
-// *engine.Engine and *shard.DB — point and range queries, the writes —
-// and the index source of the served path, which the planners probe.
+// *engine.Engine and *shard.DB — one read method, plan.Source's
+// QueryHops, which answers point and range requests as one-hop probes and
+// the planners' probe groups on the served path, and the four writes.
 // A backend with one store (Store() *oodb.Store, as *engine.Engine has)
 // backs the planners' naive fallback — residual filters for unsourced
 // leaves and OpPredicateValues projection, as an embedded planner's;
 // *shard.DB has none, so those answer with the planner's error.
 type Backend interface {
 	plan.Source
-	Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
-	QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
 	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
 	Update(oid oodb.OID, attrs map[string][]oodb.Value) error
 	UpdateBatch(ups []exec.Update) []error
@@ -527,6 +527,7 @@ type dispatcher struct {
 	ups   []exec.Update
 	rbuf  []byte      // response payload scratch
 	oid1  [1]oodb.OID // single-OID reply scratch
+	hop1  [1]exec.Hop // single-hop query scratch
 
 	// Predicate dispatch: each dispatcher owns a private planner over
 	// the registered paths, rebuilt lazily when the path table's
@@ -796,9 +797,11 @@ func (d *dispatcher) serveOne(t *task) {
 	switch t.req.Op {
 	case wire.OpPing:
 	case wire.OpQuery:
-		oids, err = s.be.Query(t.req.Value, t.class, t.req.Hierarchy)
+		d.hop1[0] = exec.Hop{Lo: t.req.Value}
+		oids, _, err = s.be.QueryHops(d.hop1[:], nil, t.class, t.req.Hierarchy)
 	case wire.OpQueryRange:
-		oids, err = s.be.QueryRange(t.req.Lo, t.req.Hi, t.class, t.req.Hierarchy)
+		d.hop1[0] = exec.Hop{Lo: t.req.Lo, Hi: t.req.Hi, Ranged: true}
+		oids, _, err = s.be.QueryHops(d.hop1[:], nil, t.class, t.req.Hierarchy)
 	case wire.OpInsert:
 		var oid oodb.OID
 		if oid, err = s.be.Insert(t.class, t.req.Attrs); err == nil {
@@ -812,6 +815,7 @@ func (d *dispatcher) serveOne(t *task) {
 	default:
 		err = fmt.Errorf("netserver: unknown opcode %d", t.req.Op)
 	}
+	d.hop1[0] = exec.Hop{} // drop the request's values
 	d.reply(t, oids, err)
 }
 

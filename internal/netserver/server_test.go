@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/netclient"
@@ -152,8 +151,8 @@ func sameOIDs(a, b []oodb.OID) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestServerPipelinedBatch drives the client's pipelined QueryBatch
-// convenience and checks what the dispatcher did with the window: under
+// TestServerPipelinedBatch pipelines a run of point queries and checks
+// what the dispatcher did with the window: under
 // default options requests coalesce, and MaxBatch 1 is per-request
 // dispatch — every request its own batch, none riding another's window
 // (the control arm experiments E7/E8 measure against).
@@ -183,11 +182,11 @@ func TestServerPipelinedBatch(t *testing.T) {
 			defer c.Close()
 
 			probes := genProbes(g, 200)
-			want, err := e.QueryBatch(probes)
+			want, err := queryEach(e, probes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.QueryBatch(probes)
+			got, err := pipeline(c, probes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,18 +443,54 @@ func TestServerStalledClient(t *testing.T) {
 	}
 }
 
+// probe is one point query: A_n = v for class, its subclasses included
+// when hier is set.
+type probe struct {
+	v     oodb.Value
+	class string
+	hier  bool
+}
+
 // genProbes builds n point probes cycling classes and values.
-func genProbes(g *gen.Generated, n int) []exec.Probe {
+func genProbes(g *gen.Generated, n int) []probe {
 	classes := []string{"Person", "Division"}
-	probes := make([]exec.Probe, n)
+	probes := make([]probe, n)
 	for i := range probes {
-		probes[i] = exec.Probe{
-			Value:       g.EndValues[i%len(g.EndValues)],
-			TargetClass: classes[i%len(classes)],
-			Hierarchy:   i%3 == 0,
-		}
+		probes[i] = probe{g.EndValues[i%len(g.EndValues)], classes[i%len(classes)], i%3 == 0}
 	}
 	return probes
+}
+
+// queryEach answers probes through e.Query one by one, in order,
+// stopping at the first error.
+func queryEach(e *engine.Engine, probes []probe) ([][]oodb.OID, error) {
+	out := make([][]oodb.OID, len(probes))
+	for i, pb := range probes {
+		var err error
+		if out[i], err = e.Query(pb.v, pb.class, pb.hier); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// pipeline puts every probe in flight through c.GoQuery before awaiting
+// the first answer, so the server can answer them in one window, and
+// returns the answers in probe order; the first error in probe order
+// wins.
+func pipeline(c *netclient.Client, probes []probe) ([][]oodb.OID, error) {
+	calls := make([]*netclient.Call, len(probes))
+	for i, pb := range probes {
+		calls[i] = c.GoQuery(pb.v, pb.class, pb.hier)
+	}
+	out := make([][]oodb.OID, len(probes))
+	for i, call := range calls {
+		var err error
+		if out[i], err = call.Wait(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func netDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }

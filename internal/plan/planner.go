@@ -25,7 +25,9 @@ import (
 // planner may overwrite. produced is its length for an unrestricted probe;
 // within candidates it is the number of OIDs the chain's last hop yielded
 // before the restriction, duplicates included, so that a filtered probe
-// still learns its size. engine.Engine and shard.DB both satisfy it.
+// still learns its size. It is the serving stack's one read primitive —
+// the network server answers point and range requests through it as
+// one-hop probes. engine.Engine and shard.DB both satisfy it.
 type Source interface {
 	QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) (answer []oodb.OID, produced int, err error)
 }

@@ -247,21 +247,13 @@ func (tr *tracer) step(values []oodb.Value) {
 		sres, errS := tr.single.QueryRange(values[lo], values[hi], target, hier)
 		dres, errD := tr.db.QueryRange(values[lo], values[hi], target, hier)
 		tr.compareResults(fmt.Sprintf("range [%v,%v)/%s", values[lo], values[hi], target), sres, dres, errS, errD)
-	default: // batched point probes
-		probes := make([]exec.Probe, 0, 6)
+	default: // a run of point probes, each answered through Query
 		for i := 0; i < 6; i++ {
 			target, hier := tr.randTarget()
-			probes = append(probes, exec.Probe{Value: values[tr.rng.Intn(len(values))], TargetClass: target, Hierarchy: hier})
-		}
-		sres, errS := tr.single.QueryBatch(probes)
-		dres, errD := tr.db.QueryBatch(probes)
-		if (errS == nil) != (errD == nil) {
-			tr.t.Fatalf("query batch: single err %v, sharded err %v", errS, errD)
-		}
-		if errS == nil {
-			for i := range probes {
-				tr.compareResults(fmt.Sprintf("batch probe %d", i), sres[i], dres[i], nil, nil)
-			}
+			v := values[tr.rng.Intn(len(values))]
+			sres, errS := tr.single.Query(v, target, hier)
+			dres, errD := tr.db.Query(v, target, hier)
+			tr.compareResults(fmt.Sprintf("run probe %d %v/%s", i, v, target), sres, dres, errS, errD)
 		}
 	}
 }

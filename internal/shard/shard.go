@@ -481,24 +481,6 @@ func (db *DB) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) 
 	return out, err
 }
 
-// QueryBatch evaluates a batch of point probes in order: a loop over
-// Query, so each probe descends only into the shards its summary admits
-// and counts its probed and pruned descents exactly as Query does. Results
-// are in probe order, each sorted and duplicate-free, bit-identical to the
-// batch against a single engine; the first bad probe ends the batch with
-// its error. A reconfiguration on any shard concurrent with the batch
-// swaps that shard's set but never blocks the batch.
-func (db *DB) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
-	out := make([][]oodb.OID, len(probes))
-	for i, pb := range probes {
-		var err error
-		if out[i], err = db.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Advise runs one re-selection pass per shard — each over its own
 // collected statistics and observed workload, the facade's predicate mix
 // included (see RecordPredicate) — without touching any active

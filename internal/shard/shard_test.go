@@ -242,20 +242,20 @@ func TestShardWorkloadRollupAndDrift(t *testing.T) {
 	}
 }
 
-// TestShardedQueryBatchDuringReconfigure drives query batches against
-// the facade while individual shards swap configurations underneath it:
-// results must stay identical throughout, and no batch may block on a
-// swap. Run under -race this is the facade's concurrency gate.
+// TestShardedQueryBatchDuringReconfigure drives runs of point queries
+// against the facade while individual shards swap configurations
+// underneath it: results must stay identical throughout, and no query may
+// block on a swap. Run under -race this is the facade's concurrency gate.
 func TestShardedQueryBatchDuringReconfigure(t *testing.T) {
 	db := newTestDB(t, 2)
 	values := populate(t, db)
-	probes := []exec.Probe{
-		{Value: values[0], TargetClass: "Person"},
-		{Value: values[1], TargetClass: "Person"},
-		{Value: values[0], TargetClass: "Vehicle", Hierarchy: true},
-		{Value: values[1], TargetClass: "Company"},
+	probes := []probe{
+		{values[0], "Person", false},
+		{values[1], "Person", false},
+		{values[0], "Vehicle", true},
+		{values[1], "Company", false},
 	}
-	want, err := db.QueryBatch(probes)
+	want, err := queryEach(db, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestShardedQueryBatchDuringReconfigure(t *testing.T) {
 					return
 				default:
 				}
-				got, err := db.QueryBatch(probes)
+				got, err := queryEach(db, probes)
 				if err != nil {
 					errs[r] = err
 					return

@@ -39,11 +39,23 @@ func (u *unpruned) QueryRange(lo, hi oodb.Value, class string, hier bool) ([]ood
 	return u.fanOut(func(e *engine.Engine) ([]oodb.OID, error) { return e.QueryRange(lo, hi, class, hier) })
 }
 
-func (u *unpruned) QueryBatch(probes []exec.Probe) ([][]oodb.OID, error) {
+// probe is one point query: A_n = v for class, its subclasses included
+// when hier is set.
+type probe struct {
+	v     oodb.Value
+	class string
+	hier  bool
+}
+
+// queryEach answers probes through q's Query one by one, in order,
+// stopping at the first error.
+func queryEach(q interface {
+	Query(oodb.Value, string, bool) ([]oodb.OID, error)
+}, probes []probe) ([][]oodb.OID, error) {
 	out := make([][]oodb.OID, len(probes))
 	for i, pb := range probes {
 		var err error
-		if out[i], err = u.Query(pb.Value, pb.TargetClass, pb.Hierarchy); err != nil {
+		if out[i], err = q.Query(pb.v, pb.class, pb.hier); err != nil {
 			return nil, err
 		}
 	}
@@ -100,25 +112,25 @@ func TestPruningEquivalence(t *testing.T) {
 	}
 }
 
-// TestPruningBatchEquivalence checks the batched probe path under
-// pruning against the unpruned control.
+// TestPruningBatchEquivalence checks a run of point probes under pruning
+// against the unpruned control.
 func TestPruningBatchEquivalence(t *testing.T) {
 	pruned := newTestDB(t, 4)
 	control := &unpruned{db: pruned}
 	values := populate(t, pruned)
-	probes := make([]exec.Probe, 0, len(values)+2)
+	probes := make([]probe, 0, len(values)+2)
 	for _, v := range values {
-		probes = append(probes, exec.Probe{Value: v, TargetClass: "Person"})
+		probes = append(probes, probe{v, "Person", false})
 	}
 	probes = append(probes,
-		exec.Probe{Value: oodb.StrV("maker-none"), TargetClass: "Person"},
-		exec.Probe{Value: values[0], TargetClass: "Vehicle", Hierarchy: true},
+		probe{oodb.StrV("maker-none"), "Person", false},
+		probe{values[0], "Vehicle", true},
 	)
-	got, err := pruned.QueryBatch(probes)
+	got, err := queryEach(pruned, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := control.QueryBatch(probes)
+	want, err := queryEach(control, probes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +146,7 @@ func TestPruningBatchEquivalence(t *testing.T) {
 		}
 	}
 	if _, prunedN := pruned.PruneCounters(); prunedN == 0 {
-		t.Fatal("batch path pruned nothing")
+		t.Fatal("probe run pruned nothing")
 	}
 }
 
