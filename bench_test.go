@@ -340,8 +340,9 @@ func BenchmarkQueryRangeIndexed(b *testing.B) {
 	b.ReportMetric(float64(db.IndexStats().Accesses())/float64(b.N), "page-accesses/op")
 }
 
-// BenchmarkServe measures the serving path under concurrency (experiment
-// E2's microbenchmark): g goroutines drive steady-state point queries
+// BenchmarkServe measures the serving path under concurrency (the
+// microbenchmark of what the embed_path workload measures end to end,
+// DESIGN.md §6): g goroutines drive steady-state point queries
 // through the lifecycle engine on the Example 5.1 optimal configuration,
 // each with a reused result buffer, so the per-op report shows 0 allocs
 // and the ops/sec metric exposes the 1→8 goroutine scaling curve. Reads

@@ -4,10 +4,11 @@
 //
 //	ixbench -run all              # everything
 //	ixbench -run fig8             # one paper reproduction (Figures 7/8)
-//	ixbench -run net -ops 300     # one timed experiment, quick
+//	ixbench -run plan -ops 300    # one timed experiment, quick
 //
-// Every timed experiment (E2–E9) measures each cell as a warm-up pass
-// plus three passes and reports medians; each run appends one
+// Every timed experiment (E3, E5, E6, E9) times one operation per
+// iteration on one worker, measures each cell as a warm-up pass plus
+// three passes and reports medians; each run appends one
 // self-describing JSON line — experiment, commit, host, seed, ops,
 // cells, headline ratios — to the history file named by -out.
 package main

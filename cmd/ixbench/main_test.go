@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,6 +70,93 @@ func TestRunAppendsHistory(t *testing.T) {
 		if rep.ID != "E9" || rep.Seed != 9 || rep.Ops != 50 || rep.Commit == "" ||
 			rep.Host.GoVersion == "" || rep.Host.NumCPU == 0 || len(rep.Cells) != 2 {
 			t.Errorf("history line not self-describing: %+v", rep)
+		}
+	}
+}
+
+// runMode matches an ixbench invocation in prose, across a line break.
+var runMode = regexp.MustCompile(`ixbench\s+-run\s+(\w+)`)
+
+// modes returns the -run modes text names, in order.
+func modes(text string) []string {
+	var out []string
+	for _, m := range runMode.FindAllStringSubmatch(text, -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// packageDoc returns the package comment of the Go package in dir.
+func packageDoc(t *testing.T, dir string) string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc strings.Builder
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if f.Doc != nil {
+				doc.WriteString(f.Doc.Text())
+			}
+		}
+	}
+	return doc.String()
+}
+
+// TestRegistryIsDocumented keeps the documents and the registry in step:
+// README's command block runs every mode, DESIGN.md §6's index table has
+// a row for every ID, and no README, doc.go or command package comment
+// names a mode the registry does not have.
+func TestRegistryIsDocumented(t *testing.T) {
+	read := func(name string) string {
+		blob, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	readme := read("README.md")
+	var block []string // the modes run in README's fenced code
+	for i, chunk := range strings.Split(readme, "```") {
+		if i%2 == 1 {
+			block = append(block, modes(chunk)...)
+		}
+	}
+	design := read("DESIGN.md")
+	start := strings.Index(design, "\n## 6. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no section 6")
+	}
+	index := design[start+1:]
+	if end := strings.Index(index, "\n### "); end >= 0 {
+		index = index[:end]
+	}
+	known := map[string]bool{"all": true}
+	for _, e := range experiments.Registry {
+		known[e.Name] = true
+		if !slices.Contains(block, e.Name) {
+			t.Errorf("README.md's command block does not run ixbench -run %s", e.Name)
+		}
+		if !strings.Contains(index, "\n| "+e.ID+" |") {
+			t.Errorf("DESIGN.md §6's index table has no row for %s (%s)", e.ID, e.Name)
+		}
+	}
+	texts := map[string]string{"README.md": readme, "doc.go": packageDoc(t, filepath.Join("..", ".."))}
+	cmds, err := filepath.Glob(filepath.Join("..", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range cmds {
+		texts["cmd/"+filepath.Base(dir)] = packageDoc(t, dir)
+	}
+	for name, text := range texts {
+		for _, m := range modes(text) {
+			if !known[m] {
+				t.Errorf("%s names ixbench -run %s, which the registry does not have", name, m)
+			}
 		}
 	}
 }

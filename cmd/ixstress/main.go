@@ -1,8 +1,8 @@
 // Command ixstress drives a multi-connection read/write mix against a
 // running ixserved and reports realized throughput and latency.
 //
-// It is the networked counterpart of experiment E2's serving mix: each
-// of -conns connections runs its own client with up to -depth requests
+// It is the networked counterpart of the benchmark's net_point workload
+// with writes and predicate trees mixed in: each of -conns connections runs its own client with up to -depth requests
 // pipelined, issuing reads split across the whole path ("Person") and
 // the ending level ("Division") — one in ten a range query, the rest
 // point queries — plus writes in the requested -write fraction. The

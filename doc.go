@@ -125,12 +125,11 @@
 // caller's: nothing below the network server spawns a goroutine to answer
 // a query, and every indexed read — a point or range query, a predicate
 // leaf on an indexed path — is one Database.QueryHops chain (Query and
-// QueryRange are its one-hop calls).
-// Experiment E2
-// (ixbench -run serve) measures ops/sec, p50/p99 latency and pages/op
-// for optimal vs whole-path-NIX vs naive serving. Like every timed
-// experiment (E2–E9) it measures each cell as a warm-up plus three
-// passes, reports medians, and appends one JSON line per run to the
+// QueryRange are its one-hop calls). The benchmark's embed_path workload
+// measures this read path's ops/sec, p50/p99 latency and pages/op. The
+// timed experiments of ixbench (E3, E5, E6, E9) time one operation per
+// iteration on one worker, measure each cell as a warm-up plus three
+// passes, report medians, and append one JSON line per run to the
 // history file BENCH_experiments.jsonl.
 //
 // # Updates
@@ -193,11 +192,13 @@
 // ShardedDB lands on every shard, so each prices the mix the database
 // served.
 // WorkloadSnapshot rolls the per-shard recorders up; Drift reports
-// per-shard, worst-shard and traffic-weighted aggregates. Experiment E4 (ixbench -run shard)
-// measures the same mixed serving workload over 1/2/4/8 shards at
-// 1/2/4/8 workers against the E2 single-engine baseline — every
-// deployment serving the identical logical dataset; DESIGN.md §7
-// records the architecture and the measured shape.
+// per-shard, worst-shard and traffic-weighted aggregates. The
+// benchmark's net_pred workload serves two shards behind the network
+// server and traces what a sharded read costs (shard.query_us) and how
+// many shard probes the summaries prune (shard.pruned_frac);
+// TestShardedQueryEquivalence pins a sharded backend's answers and
+// prune counters against the embedded calls. DESIGN.md §7 records the
+// architecture and the measured shape.
 //
 // # Durability
 //
@@ -327,10 +328,13 @@
 // in-memory, sharded or single, graceful drain on SIGINT/SIGTERM:
 // every request already read is answered, then the engines checkpoint
 // and the process exits 0); cmd/ixstress drives read/write mixes over
-// many connections. Experiment E7 (ixbench -run net) measures embedded
-// vs networked serving at 1/8/64/256 connections on engine-bound and
-// wire-bound read mixes; DESIGN.md §10 records the protocol and the
-// measured shape. See examples/netclient.
+// many connections. The benchmark's net_point workload measures point
+// queries over loopback, tracing the round trip (netclient.rtt_us,
+// netclient.sync_query_us) and the coalescing (netserver.batch_size,
+// netserver.coalesced_frac); ixstress against ixstress -sync, and a
+// server started with ixserved -maxbatch 1, give what pipelining and
+// coalescing buy. DESIGN.md §10 records the protocol and the measured
+// shape. See examples/netclient.
 //
 // # Planning over the network
 //
@@ -349,9 +353,10 @@
 // extends coalescing to predicates by dedup: identical trees arriving
 // in one window cost one planner descent whose answer fans back to
 // every caller, which is why parameterized query pools serve at batch
-// rates over the wire. Experiment E8 (ixbench -run netplan) measures
-// coalesced vs per-request predicate dispatch vs the embedded planner;
-// DESIGN.md §11 records the encoding and the measured dividend.
+// rates over the wire. The benchmark's net_pred workload sends pooled
+// trees and traces the planner descents per request
+// (netserver.descents_per_req); DESIGN.md §11 records the encoding and
+// the measured dividend.
 //
 // See README.md for the repository map, the examples/ directory for
 // end-to-end programs, and DESIGN.md for the system inventory and the

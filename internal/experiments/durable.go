@@ -129,7 +129,7 @@ func runDurable(rep *Report) error {
 				}
 				d := newDurableDriver(rep.Seed)
 				return System{
-					Start: each(func(_, _ int) error { return d.step(e) }),
+					Op: func(int) error { return d.step(e) },
 					Counters: func() []Metric {
 						ds := e.DurabilityStats()
 						return []Metric{{"fsyncs", float64(ds.Fsyncs)}, {"wal_bytes", float64(ds.WALBytes)}}
@@ -156,25 +156,27 @@ func runDurable(rep *Report) error {
 					return e.Close()
 				}
 				pass := 0
+				var dir string
 				return System{
-					Start: func(int) (Driver, error) {
+					Prepare: func() error {
 						if err := closeReopened(); err != nil {
-							return Driver{}, err
+							return err
 						}
-						dir := fmt.Sprintf("recovery-%d-%d", w, pass)
+						dir = fmt.Sprintf("recovery-%d-%d", w, pass)
 						pass++
 						e, err := open(dir, pageSize, engine.DurableOptions{Policy: wal.SyncNever, CheckpointBytes: -1})
 						if err != nil {
-							return Driver{}, err
+							return err
 						}
 						if _, err := fill(e, w); err != nil {
-							return Driver{}, err
+							return err
 						}
 						walBytes = e.WALSize()
-						return each(func(_, _ int) (err error) {
-							reopened, err = open(dir, pageSize, engine.DurableOptions{})
-							return err
-						})(0)
+						return nil
+					},
+					Op: func(int) (err error) {
+						reopened, err = open(dir, pageSize, engine.DurableOptions{})
+						return err
 					},
 					Gauges: func() []Metric {
 						return []Metric{{"wal_bytes", float64(walBytes)}, {"replayed", float64(reopened.Replayed())}}
@@ -216,22 +218,19 @@ func runDurable(rep *Report) error {
 					if err := reopen(); err != nil {
 						return System{}, err
 					}
-					sweep := each(func(_, i int) (err error) {
-						if v := d.vals[i%len(d.vals)]; backend == "optimal" {
-							_, err = e.Query(v, "Person", true)
-						} else {
-							_, err = exec.NaiveQuery(e.Store(), p, v, "Person", true)
-						}
-						return err
-					})
+					var prepare func() error
+					if phase == "cold" {
+						prepare = reopen
+					}
 					return System{
-						Start: func(w int) (Driver, error) {
-							if phase == "cold" {
-								if err := reopen(); err != nil {
-									return Driver{}, err
-								}
+						Prepare: prepare,
+						Op: func(i int) (err error) {
+							if v := d.vals[i%len(d.vals)]; backend == "optimal" {
+								_, err = e.Query(v, "Person", true)
+							} else {
+								_, err = exec.NaiveQuery(e.Store(), p, v, "Person", true)
 							}
-							return sweep(w)
+							return err
 						},
 						// disk_reads are store pages fetched from the page file
 						// (pool misses, each a checksummed ReadAt); pool_hits

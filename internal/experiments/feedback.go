@@ -89,7 +89,7 @@ func runFeedback(rep *Report) error {
 			Ops:    rep.Ops,
 			Open: func() (System, error) {
 				return System{
-					Start: each(func(_, i int) error { return feedbackOp(e, g, i, false) }),
+					Op:    func(i int) error { return feedbackOp(e, g, i, false) },
 					Pages: func() uint64 { return g.Store.Pager().Stats().Accesses() + e.IndexStats().Accesses() },
 				}, nil
 			},

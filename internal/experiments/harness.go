@@ -7,15 +7,17 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
 // The harness is the one place that knows how a cell of a timed
-// experiment (E2–E9) is measured and reported. An experiment file
-// declares arms — labels, worker count, iterations and how to stand the
-// system under test up — and the ratios it headlines; everything
-// between the first operation and the JSON line is here.
+// experiment (E3, E5, E6, E9) is measured and reported. An experiment
+// file declares arms — labels, iterations and how to stand the system
+// under test up — and the ratios it headlines; everything between the
+// first operation and the JSON line is here. A pass is one loop on the
+// caller's goroutine that times each iteration as one operation: what
+// the experiments measure is pages and maintenance per operation, and
+// concurrency is the benchmark's subject (benchmark/, DESIGN.md §6).
 //
 // A cell is one warm-up pass of a quarter of its iterations followed by
 // three measured passes over the same system. Every reported metric is
@@ -29,16 +31,16 @@ const (
 	warmupDivisor = 4
 )
 
-// Label is one identifying dimension of a cell (config, arm, mix,
-// workers, shards, conns, read %). Labels are ordered: they are the
-// leading columns of the rendered table.
+// Label is one identifying dimension of a cell (config, arm, curve,
+// shards, read %). Labels are ordered: they are the leading columns of
+// the rendered table.
 type Label struct {
 	Name  string `json:"name"`
 	Value string `json:"value"`
 }
 
 // Metric is one named per-cell extra (fsyncs, WAL bytes, descents,
-// pruned, batches, coalesced, drift).
+// pruned, drift).
 type Metric struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
@@ -62,12 +64,11 @@ type Cell struct {
 	OpsPerSec    float64 `json:"ops_per_sec"`
 	OpsPerSecMin float64 `json:"ops_per_sec_min"`
 	OpsPerSecMax float64 `json:"ops_per_sec_max"`
-	// P50/P99 are over what each logical operation's caller waited: an
-	// operation that rode a batch is charged the batch's wall time.
+	// P50/P99 are over the pass's per-operation latencies.
 	P50Micros float64 `json:"p50_us"`
 	P99Micros float64 `json:"p99_us"`
 	// PagesPerOp is index plus store page accesses per operation; zero
-	// when the arm exposes no page counter (the socket arms).
+	// when the arm exposes no page counter (E5, E6's pruning part).
 	PagesPerOp float64  `json:"pages_per_op"`
 	Extras     []Metric `json:"extras,omitempty"`
 }
@@ -140,61 +141,16 @@ func (r *Report) AddRatio(name string, num, den *Cell) {
 		Max:   num.OpsPerSecMax / den.OpsPerSecMin})
 }
 
-// AddRelative appends to every cell the extra name: the cell's ops/sec
-// over that of the cell baseOf picks for it (a scaling or a
-// versus-baseline column).
-func (r *Report) AddRelative(name string, baseOf func(c *Cell) *Cell) {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		c.Extras = append(c.Extras, Metric{Name: name, Value: c.OpsPerSec / baseOf(c).OpsPerSec})
-	}
-}
-
-// Recorder collects one worker's per-operation latencies for one pass.
-// It is handed to the operation rather than wrapped around it so a
-// pipelined connection can record a request when its response settles,
-// long after the iteration that sent it returned.
-type Recorder struct{ lat []time.Duration }
-
-// Done records n logical operations that completed together, each
-// having waited since t0.
-func (r *Recorder) Done(t0 time.Time, n int) {
-	d := time.Since(t0)
-	for ; n > 0; n-- {
-		r.lat = append(r.lat, d)
-	}
-}
-
-// Driver is one worker's side of one pass.
-type Driver struct {
-	// Op runs the worker's i-th iteration and records what completed. i
-	// keeps counting across the warm-up and the measured passes, so an
-	// update-in-place mix never rewrites a value with itself.
-	Op func(i int, rec *Recorder) error
-	// Finish, if set, runs inside the clock after the last iteration: it
-	// settles whatever the worker still has in flight.
-	Finish func(rec *Recorder) error
-}
-
-// each is the Start of a system whose workers need no per-pass set-up
-// and whose every iteration is one operation, timed and recorded as one.
-func each(op func(w, i int) error) func(int) (Driver, error) {
-	return func(w int) (Driver, error) {
-		return Driver{Op: func(i int, rec *Recorder) error {
-			t0 := time.Now()
-			err := op(w, i)
-			rec.Done(t0, 1)
-			return err
-		}}, nil
-	}
-}
-
-// System is an arm's system under test, opened once per cell. Only
-// Start is required.
+// System is an arm's system under test, opened once per cell. Only Op
+// is required.
 type System struct {
-	// Start prepares worker w for one pass, outside the clock (dial a
-	// connection, reopen a store cold, refill a log to be recovered).
-	Start func(w int) (Driver, error)
+	// Prepare, if set, runs once before each pass, outside the clock
+	// (reopen a store cold, refill a log to be recovered).
+	Prepare func() error
+	// Op runs the i-th iteration, one operation, which the harness times.
+	// i keeps counting across the warm-up and the measured passes, so an
+	// update-in-place mix never rewrites a value with itself.
+	Op func(i int) error
 	// Pages is the cumulative page-access counter (index plus store); a
 	// pass's delta over its operations is pages/op.
 	Pages func() uint64
@@ -208,10 +164,9 @@ type System struct {
 
 // Arm declares one cell.
 type Arm struct {
-	Labels  []Label
-	Workers int // concurrent workers; 0 means 1
-	Ops     int // iterations per worker per measured pass (at least 1 is run)
-	Open    func() (System, error)
+	Labels []Label
+	Ops    int // iterations per measured pass (at least 1 is run)
+	Open   func() (System, error)
 }
 
 // Measure measures each arm in order — open its system, run the
@@ -239,17 +194,17 @@ func measure(arm Arm) (cell Cell, err error) {
 			}
 		}()
 	}
-	workers, ops := max(arm.Workers, 1), max(arm.Ops, 1)
+	ops := max(arm.Ops, 1)
 	base := 0
 	if warm := ops / warmupDivisor; warm > 0 {
-		if _, err := runPass(sys, workers, base, warm); err != nil {
+		if _, err := runPass(sys, base, warm); err != nil {
 			return cell, err
 		}
 		base += warm
 	}
 	passes := make([]Cell, repetitions)
 	for p := range passes {
-		if passes[p], err = runPass(sys, workers, base, ops); err != nil {
+		if passes[p], err = runPass(sys, base, ops); err != nil {
 			return cell, err
 		}
 		base += ops
@@ -259,18 +214,13 @@ func measure(arm Arm) (cell Cell, err error) {
 	return cell, nil
 }
 
-// runPass drives iterations [base, base+n) from every worker and folds
-// what they recorded into one pass's cell.
-func runPass(sys System, workers, base, n int) (Cell, error) {
-	drivers := make([]Driver, workers)
-	recs := make([]Recorder, workers)
-	for w := range drivers {
-		d, err := sys.Start(w)
-		if err != nil {
+// runPass prepares the system, then times iterations [base, base+n) one
+// by one and folds them into one pass's cell.
+func runPass(sys System, base, n int) (Cell, error) {
+	if sys.Prepare != nil {
+		if err := sys.Prepare(); err != nil {
 			return Cell{}, err
 		}
-		drivers[w] = d
-		recs[w].lat = make([]time.Duration, 0, n) // no growth inside the clock for one-op iterations
 	}
 	var pages0 uint64
 	if sys.Pages != nil {
@@ -280,48 +230,27 @@ func runPass(sys System, workers, base, n int) (Cell, error) {
 	if sys.Counters != nil {
 		counters0 = sys.Counters()
 	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
+	lat := make([]time.Duration, n)
 	start := time.Now()
-	for w := range drivers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d, rec := drivers[w], &recs[w]
-			for i := base; i < base+n && errs[w] == nil; i++ {
-				errs[w] = d.Op(i, rec)
-			}
-			if d.Finish != nil {
-				if err := d.Finish(rec); errs[w] == nil {
-					errs[w] = err
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	for w, err := range errs {
+	for k := range lat {
+		t0 := time.Now()
+		err := sys.Op(base + k)
+		lat[k] = time.Since(t0)
 		if err != nil {
-			return Cell{}, fmt.Errorf("worker %d: %w", w, err)
+			return Cell{}, fmt.Errorf("operation %d: %w", base+k, err)
 		}
 	}
-	var all []time.Duration
-	for _, rec := range recs {
-		all = append(all, rec.lat...)
-	}
-	if len(all) == 0 {
-		return Cell{}, fmt.Errorf("pass of %d iterations x %d workers recorded no operation", n, workers)
-	}
-	slices.Sort(all)
+	elapsed := time.Since(start).Seconds()
+	slices.Sort(lat)
 	c := Cell{
-		Ops:       len(all),
+		Ops:       n,
 		Elapsed:   elapsed,
-		OpsPerSec: float64(len(all)) / elapsed,
-		P50Micros: Percentile(all, 50),
-		P99Micros: Percentile(all, 99),
+		OpsPerSec: float64(n) / elapsed,
+		P50Micros: Percentile(lat, 50),
+		P99Micros: Percentile(lat, 99),
 	}
 	if sys.Pages != nil {
-		c.PagesPerOp = float64(sys.Pages()-pages0) / float64(len(all))
+		c.PagesPerOp = float64(sys.Pages()-pages0) / float64(n)
 	}
 	if sys.Counters != nil {
 		for i, m := range sys.Counters() {
@@ -474,8 +403,8 @@ func (r Report) AppendTo(path string) error {
 type Renderer interface{ Render() string }
 
 // Params are the knobs an experiment run takes. Ops is per-experiment
-// in meaning (operations per worker, per connection or per arm) and 0
-// means the experiment's DefaultOps; MaxN and Trials size the
+// in meaning (the iterations of an arm's measured pass, or the writes
+// that fill E5's logs) and 0 means the experiment's DefaultOps; MaxN and Trials size the
 // complexity and path-length reproductions only.
 type Params struct {
 	Seed   int64
@@ -540,12 +469,8 @@ var Registry = []Experiment{
 		repro: func(Params) (Renderer, error) { return lift(RunBufferAblation(2000, 5000, []int{0, 4, 16, 64})) }},
 	{Name: "reconfig", ID: "E1", Title: "online reconfiguration under workload drift",
 		repro: func(p Params) (Renderer, error) { return lift(RunReconfigure(p.Seed)) }},
-	{Name: "serve", ID: "E2", Title: "serving throughput under concurrency", DefaultOps: 2000, timed: runServe},
 	{Name: "maintain", ID: "E3", Title: "update maintenance cost at mixed read/write ratios", DefaultOps: 4000, timed: runMaintain},
-	{Name: "shard", ID: "E4", Title: "sharded serving throughput", DefaultOps: 4000, timed: runShard},
 	{Name: "durable", ID: "E5", Title: "durability cost (fsync policies, recovery, cold cache)", DefaultOps: 3000, timed: runDurable},
 	{Name: "plan", ID: "E6", Title: "conjunctive planner: ordering and shard pruning", DefaultOps: 2000, timed: runPlan},
-	{Name: "net", ID: "E7", Title: "networked serving: pipelining and request coalescing", DefaultOps: 2000, timed: runNet},
-	{Name: "netplan", ID: "E8", Title: "predicate dispatch over the wire", DefaultOps: 1000, timed: runNetPlan},
 	{Name: "feedback", ID: "E9", Title: "workload-fed vs static selection", DefaultOps: 2000, timed: runFeedback},
 }

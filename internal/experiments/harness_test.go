@@ -66,10 +66,7 @@ func cross(dims ...[]string) []string {
 func TestRegistrySmoke(t *testing.T) {
 	// Tiny everywhere; E5 needs a population larger than its 4-page pool.
 	const ops, durableOps = 40, 120
-	levels := []string{"1", "2", "4", "8"}
 	configs := []string{"optimal", "whole-path-NIX", "naive"}
-	mixes := []string{"wholepath", "endpoint"}
-	wire := []string{"embedded", "net-pipelined", "net-perrequest", "net-sync"}
 	extra := func(t *testing.T, rep Report, name string, kv ...any) float64 {
 		t.Helper()
 		c := rep.Cell(kv...)
@@ -83,7 +80,6 @@ func TestRegistrySmoke(t *testing.T) {
 		check func(t *testing.T, rep Report)
 		ops   int // 0: ops
 	}{
-		"serve": {cells: cross(configs, levels)},
 		"maintain": {cells: cross(configs, []string{"90", "50", "10"}), check: func(t *testing.T, rep Report) {
 			for _, c := range rep.Cells {
 				if c.Label("config") == "naive" {
@@ -100,21 +96,6 @@ func TestRegistrySmoke(t *testing.T) {
 				}
 			}
 		}},
-		"shard": {cells: append(cross([]string{"engine/1"}, levels), cross([]string{"sharded"}, levels, levels)...),
-			check: func(t *testing.T, rep Report) {
-				mass := rep.Cells[0].Extra("probe_mass")
-				if mass == 0 {
-					t.Fatal("probe mass sweep found nothing")
-				}
-				for _, c := range rep.Cells {
-					if c.Extra("probe_mass") != mass {
-						t.Errorf("%v: probe mass %v, want %v — deployments not serving the same dataset", c.Labels, c.Extra("probe_mass"), mass)
-					}
-					if c.Label("config") == "engine" && c.Extra("vs_engine") != 1 {
-						t.Errorf("%v: engine baseline vs itself = %v", c.Labels, c.Extra("vs_engine"))
-					}
-				}
-			}},
 		"durable": {cells: append(append(cross([]string{"fsync-policy"}, []string{"always", "group", "never"}),
 			cross([]string{"recovery"}, []string{strconv.Itoa(durableOps / 4), strconv.Itoa(durableOps), strconv.Itoa(4 * durableOps)})...),
 			cross([]string{"cold-cache"}, []string{"optimal", "naive"}, []string{"cold", "warm"})...),
@@ -171,21 +152,6 @@ func TestRegistrySmoke(t *testing.T) {
 					t.Errorf("pruning disabled yet %v descents pruned", got)
 				}
 			}},
-		"net": {cells: cross(mixes, wire, []string{"1", "8", "64", "256"}), check: func(t *testing.T, rep Report) {
-			for _, c := range rep.Cells {
-				if c.Label("arm") == "net-perrequest" && (c.Extra("coalesced") != 0 || int(c.Extra("batches")) != c.Ops) {
-					t.Errorf("%v: %v batches, %v coalesced for %d requests — MaxBatch 1 must dispatch alone",
-						c.Labels, c.Extra("batches"), c.Extra("coalesced"), c.Ops)
-				}
-			}
-		}},
-		"netplan": {cells: cross(mixes, wire, []string{"1", "8", "64"}), check: func(t *testing.T, rep Report) {
-			for _, c := range rep.Cells {
-				if c.Label("arm") == "net-perrequest" && int(c.Extra("descents")) != c.Ops {
-					t.Errorf("%v: %v descents for %d requests — per-request dispatch shares nothing", c.Labels, c.Extra("descents"), c.Ops)
-				}
-			}
-		}},
 		"feedback": {cells: []string{"static", "workload-fed/{(S1-4, NIX)}"}},
 	}
 
@@ -251,18 +217,6 @@ func TestRegistrySmoke(t *testing.T) {
 			}
 		})
 	}
-
-	// The cohort-divisibility guard: three shards cannot hold E4's eight
-	// cohorts evenly.
-	t.Run("shard/indivisible shard count", func(t *testing.T) {
-		arms, err := servedArms(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := measure(shardArm(7, *arms[0].cfg, 3, 1, ops)); err == nil {
-			t.Fatal("3 shards accepted against the 8-cohort dataset")
-		}
-	})
 }
 
 // firstFields splits a rendered table row on its two-space column gaps

@@ -11,14 +11,15 @@ import (
 // objective balances retrieval cost against maintenance cost, and the
 // advisor literature (AIM, CoPhy) warns that index recommendations are
 // only trustworthy when write amplification is measured rather than
-// modeled. E3 closes that loop for the update path: a single driver
-// (maintenance cost per operation is the object of measurement;
-// concurrency curves are E2's subject) runs mixed read/update workloads
-// — point queries interleaved with in-place reference re-links and
-// ending-value changes — against E2's three arms at several read
-// fractions, and splits pages/op by operation kind so the maintenance
-// half of the paper's objective is visible on its own. The query results
-// themselves are covered by the differential maintenance tests.
+// modeled. E3 closes that loop for the update path: the harness's one
+// worker (maintenance cost per operation is the object of measurement;
+// writes under concurrency are the benchmark's durable_write workload)
+// runs mixed read/update workloads — point queries interleaved with
+// in-place reference re-links and ending-value changes — against the
+// served database's three arms at several read fractions, and splits
+// pages/op by operation kind so the maintenance half of the paper's
+// objective is visible on its own. The query results themselves are
+// covered by the differential maintenance tests.
 
 func runMaintain(rep *Report) error {
 	rep.Workload = "reads: 2/3 Person + 1/3 Division point queries; writes: 1/2 Vehicle.man re-links + 1/2 Division.name value changes"
@@ -68,13 +69,12 @@ func openMaintain(arm servedArm, seed int64, readPct int) (System, error) {
 	if len(vehicles) == 0 || len(companies) == 0 || len(divisions) == 0 {
 		return System{}, fmt.Errorf("generated store too small for the maintain mix")
 	}
-	// Cumulative operation and page counts by kind; one driver, so plain
-	// variables.
+	// Cumulative operation and page counts by kind.
 	var ops, pages [2]float64
 	var buf []oodb.OID
 	return System{
 		Pages: s.pages,
-		Start: each(func(_, i int) (err error) {
+		Op: func(i int) (err error) {
 			v := g.EndValues[(i*7919)%len(g.EndValues)]
 			before := s.pages()
 			kind := 0
@@ -101,7 +101,7 @@ func openMaintain(arm servedArm, seed int64, readPct int) (System, error) {
 			ops[kind]++
 			pages[kind] += float64(s.pages() - before)
 			return err
-		}),
+		},
 		Counters: func() []Metric {
 			// updates_recorded is what the engine's own workload recorder
 			// saw — the evidence the drift gauge is computed from.

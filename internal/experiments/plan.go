@@ -61,7 +61,8 @@ func runPlan(rep *Report) error {
 			c.Extras = append(c.Extras, Metric{"prune_rate", c.Extra("pruned") / float64(c.Ops*(n-1))})
 		}
 	}
-	rep.AddRatio("auto_over_declared_worst", rep.Cell("arm", "planner-auto"), rep.Cell("arm", "declared-worst"))
+	// Part (a) headlines no ratio: the declared-worst arm skips plan
+	// compilation, so only its pages/op compare with the auto arm's.
 	rep.AddRatio("pruning_over_fanout_at_8_shards",
 		rep.Cell("shards", 8, "pruning", true), rep.Cell("shards", 8, "pruning", false))
 	return nil
@@ -140,11 +141,11 @@ func planOrderArms(seed int64, ops int) ([]Arm, error) {
 		matches := 0
 		return Arm{Labels: labels("part", "ordering", "arm", name), Ops: ops, Open: func() (System, error) {
 			return System{
-				Start: each(func(_, i int) error {
+				Op: func(i int) error {
 					r, err := run(i)
 					matches = len(r)
 					return err
-				}),
+				},
 				Pages:  pages,
 				Gauges: func() []Metric { return []Metric{{"matches_last", float64(matches)}} },
 			}, nil
@@ -233,9 +234,9 @@ func planPruneArms(seed int64, ops int) []Arm {
 					// Skewed probe stream: every lookup is for shard 0's pool.
 					rng := rand.New(rand.NewSource(seed))
 					return System{
-						Start: each(func(_, _ int) error {
+						Op: func(int) error {
 							return query(oodb.StrV(fmt.Sprintf("pool%02d-co%03d", 0, rng.Intn(treesPerShard))))
-						}),
+						},
 						Counters: func() []Metric {
 							probed, pruned := counters()
 							return []Metric{{"descents", float64(probed)}, {"pruned", float64(pruned)}}

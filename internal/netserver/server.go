@@ -222,14 +222,16 @@ type Server struct {
 	closed     atomic.Bool
 	done       chan struct{}
 
-	// Coalescing counters, for E7 and observability.
+	// Coalescing counters, for net_point's traced batch size and
+	// coalesced fraction and for observability.
 	nBatches   atomic.Uint64
 	nRequests  atomic.Uint64
 	nCoalesced atomic.Uint64
 
-	// Predicate dispatch counters, for E8: requests served through the
-	// planner path, and how many planner descents they cost (identical
-	// coalesced predicates share one).
+	// Predicate dispatch counters, for net_pred's traced descents per
+	// request: requests served through the planner path, and how many
+	// planner descents they cost (identical coalesced predicates share
+	// one).
 	nPredRequests atomic.Uint64
 	nPredDescents atomic.Uint64
 }

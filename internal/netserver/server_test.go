@@ -155,7 +155,7 @@ func sameOIDs(a, b []oodb.OID) bool {
 // what the dispatcher did with the window: under
 // default options requests coalesce, and MaxBatch 1 is per-request
 // dispatch — every request its own batch, none riding another's window
-// (the control arm experiments E7/E8 measure against).
+// (the control arm ixserved -maxbatch 1 serves).
 func TestServerPipelinedBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

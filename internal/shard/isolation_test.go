@@ -39,11 +39,12 @@ func TestTwoShardIsolation(t *testing.T) {
 	db.Store(0).Pager().ResetStats()
 	db.Store(1).Pager().ResetStats()
 
-	// Drive shard-0-only traffic: routed reads and writes through the
-	// facade, plus value queries addressed to shard 0's engine directly
-	// (a facade value query would fan out by design).
+	// Drive shard-0-only traffic: reads from the owning shard's store,
+	// writes routed through the facade, plus value queries addressed to
+	// shard 0's engine directly (a facade value query would fan out by
+	// design).
 	for i := 0; i < 50; i++ {
-		if _, err := db.Get(person); err != nil {
+		if _, err := db.Shard(db.ShardOf(person)).Store().Get(person); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Update(co, map[string][]oodb.Value{"name": {v}}); err != nil {

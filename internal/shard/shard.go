@@ -74,7 +74,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/stats"
-	"repro/internal/storage"
 )
 
 // ErrCrossShard reports an insert or update whose reference attributes
@@ -277,12 +276,6 @@ func (db *DB) InsertAt(i int, class string, attrs map[string][]oodb.Value) (oodb
 		db.sums.noteWrite(i, class, attrs)
 	}
 	return oid, err
-}
-
-// Get fetches an object from the shard holding it, counting the page
-// read there.
-func (db *DB) Get(oid oodb.OID) (*oodb.Object, error) {
-	return db.stores[db.ShardOf(oid)].Get(oid)
 }
 
 // Update applies an in-place update, routed by OID. A re-link may only
@@ -618,16 +611,6 @@ func (db *DB) Drift() DriftView {
 		v.Weighted = wsum / osum
 	}
 	return v
-}
-
-// IndexStats sums the page-access counters of every shard's active index
-// set.
-func (db *DB) IndexStats() storage.Stats {
-	var total storage.Stats
-	for _, e := range db.shards {
-		total.Add(e.IndexStats())
-	}
-	return total
 }
 
 // ResetStats zeroes every shard's index counters.

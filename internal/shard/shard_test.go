@@ -83,13 +83,13 @@ func TestShardRoutingAndStrides(t *testing.T) {
 	if db.ShardOf(oid) != 2 {
 		t.Fatalf("InsertAt(2) minted OID %d with residue %d", oid, db.ShardOf(oid))
 	}
-	if _, err := db.Get(oid); err != nil {
+	if _, err := db.Shard(db.ShardOf(oid)).Store().Get(oid); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Delete(oid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get(oid); !errors.Is(err, oodb.ErrNotFound) {
+	if _, err := db.Shard(db.ShardOf(oid)).Store().Get(oid); !errors.Is(err, oodb.ErrNotFound) {
 		t.Fatalf("deleted object still resolves: %v", err)
 	}
 }
@@ -160,14 +160,14 @@ func TestShardUpdateBatchRejectsCrossShardReLink(t *testing.T) {
 	if errs[1] != nil {
 		t.Fatalf("in-shard update beside it: %v", errs[1])
 	}
-	v0, err := db.Get(vs[0])
+	v0, err := db.Shard(db.ShardOf(vs[0])).Store().Get(vs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := v0.Values("man"); len(got) != 1 || got[0].Ref != cos[0] {
 		t.Fatalf("rejected re-link changed the object: man = %v", got)
 	}
-	v1, err := db.Get(vs[1])
+	v1, err := db.Shard(db.ShardOf(vs[1])).Store().Get(vs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
