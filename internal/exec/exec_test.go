@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -554,5 +555,75 @@ func TestParallelQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestWindowGrowsWithInserts: every index records the OIDs its OnInsert
+// saw as the window its lookups' bitmaps cover. Objects inserted after the
+// build get OIDs past it, so the window must grow with them; every answer
+// — appended to a caller's buffer, returned fresh, or kept within
+// candidates — is compared with NaiveQuery after 300 such inserts, on
+// every configuration.
+func TestWindowGrowsWithInserts(t *testing.T) {
+	ps := smallStats(t)
+	for _, cfg := range configurations(ps.Len()) {
+		g, err := gen.Generate(ps, 1, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewIndexSet(g.Store, g.Path, cfg, 1024, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		pick := func(class string) oodb.Value {
+			oids := g.ByClass[class]
+			return oodb.RefV(oids[rng.Intn(len(oids))])
+		}
+		for i := 0; i < 100; i++ {
+			comp, err := c.InsertInto(g.Store, "Company", map[string][]oodb.Value{"divs": {pick("Division")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus, err := c.InsertInto(g.Store, "Bus", map[string][]oodb.Value{"man": {oodb.RefV(comp)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.InsertInto(g.Store, "Person", map[string][]oodb.Value{"owns": {oodb.RefV(bus), pick("Vehicle")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var within []oodb.OID
+		for _, cls := range []string{"Person", "Vehicle", "Bus", "Company"} {
+			within = append(within, g.Store.OIDsOfClass(cls)...)
+		}
+		within = oodb.SortUnique(within)
+		within = within[len(within)/3:] // old and new OIDs alike
+		for _, v := range g.EndValues {
+			for _, tc := range []struct {
+				class string
+				hier  bool
+			}{{"Person", false}, {"Vehicle", true}, {"Bus", false}, {"Company", false}} {
+				want, err := NaiveQuery(g.Store, g.Path, v, tc.class, tc.hier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := pointQuery(c, v, tc.class, tc.hier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				into, err := c.QueryInto([]oodb.OID{0}, v, tc.class, tc.hier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept, _, err := c.QueryHops([]Hop{{Lo: v}}, within, tc.class, tc.hier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(fresh, want) || !slices.Equal(into[1:], want) || !slices.Equal(kept, IntersectSortedOIDs(nil, want, within)) {
+					t.Fatalf("%v %v for %s (h=%v): fresh %v, into %v, within %v; naive %v", cfg, v, tc.class, tc.hier, fresh, into[1:], kept, want)
+				}
+			}
+		}
 	}
 }

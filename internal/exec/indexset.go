@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -200,46 +199,34 @@ func (s *IndexSet) LevelOf(class string) (int, error) {
 }
 
 // queryScratch bundles the per-worker buffers of one query evaluation:
-// the index kernels' transient buffers, two ping-pong buffers for the
-// cross-subpath OID chain and the buffer a query without a caller's dst
-// collects its result in. Scratches are pooled, so a steady-state point
-// query performs no heap allocation.
+// the index kernels' transient buffers, whose OID set collects every hop,
+// and the key set the next subpath is probed with. Scratches are pooled,
+// so a steady-state point query performs no heap allocation.
 type queryScratch struct {
 	ix   *index.Scratch
-	a, b []oodb.OID
-	res  []oodb.OID
+	keys []oodb.OID
 }
 
 var scratchPool = sync.Pool{New: func() any { return &queryScratch{ix: index.NewScratch()} }}
 
-// Hop is one way into a configuration's last subpath, the first hop of a
-// Proposition 4.1 chain: the ending attribute A_n equals Lo, or — Ranged —
-// falls in [Lo, Hi). It is the only thing a point and a range query differ
-// in. Every later hop maps a key set to the union of its keys' records, so
-// a chain entered through several hops at once answers their disjunction.
-type Hop struct {
-	Lo, Hi oodb.Value
-	Ranged bool
-}
+// Hop is one way into a configuration's last subpath (index.Hop): the
+// ending attribute A_n equals Lo, or — Ranged — falls in [Lo, Hi).
+type Hop = index.Hop
 
 // QueryHops evaluates the disjunction of hops for targetClass as one
 // chain: the last subpath is entered through every hop, and each earlier
 // subpath is probed once, with the union. When within is non-nil — a
 // sorted, duplicate-free candidate set — the answer is restricted to it.
-// The answer is a fresh slice, sorted and duplicate-free, nil when empty.
-// produced is the answer's length for an unrestricted call; within
-// candidates it is the number of OIDs the chain's last hop yielded before
-// the restriction, duplicates included — the size the hops would have
-// answered. Each hop is recorded as one query. The caller must hold RLock.
+// The answer is a fresh slice of its exact size, sorted and
+// duplicate-free, nil when empty. produced is the answer's length for an
+// unrestricted call; within candidates it is the number of OIDs the
+// chain's last hop yielded before the restriction, duplicates included —
+// the size the hops would have answered. Each hop is recorded as one
+// query. The caller must hold RLock.
 func (s *IndexSet) QueryHops(hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	qs := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(qs)
-	out, produced, err := s.queryInto(qs, qs.res[:0], hops, within, targetClass, hierarchy)
-	qs.res = out[:0]
-	if err != nil || len(out) == 0 {
-		return nil, produced, err
-	}
-	return slices.Clone(out), produced, nil
+	return s.queryInto(qs, nil, true, hops, within, targetClass, hierarchy)
 }
 
 // QueryInto evaluates A_n = value for targetClass, appending the result
@@ -251,19 +238,20 @@ func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass strin
 	qs := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(qs)
 	hop := [1]Hop{{Lo: value}}
-	dst, _, err := s.queryInto(qs, dst, hop[:], nil, targetClass, hierarchy)
+	dst, _, err := s.queryInto(qs, dst, false, hop[:], nil, targetClass, hierarchy)
 	return dst, err
 }
 
 // queryInto is Proposition 4.1 made operational, for every query the set
-// answers: the last subpath is probed with every hop, into one buffer;
-// each earlier subpath, back to the one owning targetClass's level, is
-// probed in one key-set hop with the sorted, deduplicated OIDs its
-// successor produced, asked for its starting class hierarchy — the objects
-// the successor's OIDs are ending values of. The hop that yields
-// targetClass's OIDs drops those outside within, when within is non-nil,
-// as it normalizes them. produced is as QueryHops describes.
-func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+// answers: the last subpath is probed with every hop, into the scratch's
+// one OID set; each earlier subpath, back to the one owning targetClass's
+// level, is probed in one key-set hop with the sorted, deduplicated OIDs
+// its successor produced, read back from the set, asked for its starting
+// class hierarchy — the objects the successor's OIDs are ending values of.
+// The hop that yields targetClass's OIDs is read back once: through within
+// when it is non-nil, else into a fresh slice when fresh is set, else
+// appended to dst. produced is as QueryHops describes.
+func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, fresh bool, hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
 		return dst, 0, err
@@ -275,69 +263,45 @@ func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, hops []Hop, withi
 	}
 	gi := s.levelOwner[level-1]
 	last := len(s.indexes) - 1
-	base := len(dst)
-	curBuf, nextBuf := qs.a, qs.b
-	defer func() { qs.a, qs.b = curBuf, nextBuf }()
-	var cur []oodb.OID
+	set := qs.ix.Set()
 	for i := last; ; i-- {
 		ix := s.indexes[i]
 		tc, hier := targetClass, hierarchy
-		out, from := dst, base
 		if i != gi {
 			a, _ := ix.Bounds()
 			tc, hier = s.path.Class(a), true
-			out, from = nextBuf[:0], 0
 		}
-		normal := false // out[from:] is already sorted and duplicate-free
 		if i < last {
-			out, err = ix.LookupKeys(cur, tc, hier, out, qs.ix)
+			err = ix.CollectKeys(qs.keys, tc, hier, qs.ix)
 		} else {
-			out, normal, err = enter(ix, hops, tc, hier, out, qs.ix)
+			for _, h := range hops {
+				if err = ix.Collect(h, tc, hier, qs.ix); err != nil {
+					break
+				}
+			}
 		}
 		if err != nil {
-			return dst[:base], 0, err
+			return dst, 0, err
 		}
-		got := out[from:]
 		if i == gi {
-			if within != nil {
-				kept := oodb.SortUniqueWithin(got, within)
-				return out[:from+len(kept)], len(got), nil
+			switch produced := set.Added(); {
+			case within != nil:
+				return set.AppendWithin(dst, within), produced, nil
+			case fresh:
+				out := set.Take()
+				return out, len(out), nil
+			default:
+				base := len(dst)
+				dst = set.AppendTo(dst)
+				return dst, len(dst) - base, nil
 			}
-			if !normal {
-				got = oodb.SortUnique(got)
-			}
-			return out[:from+len(got)], len(got), nil
 		}
-		if !normal {
-			out = out[:from+len(oodb.SortUnique(got))]
-		}
-		if len(out) == 0 {
+		// The key set was read in full by the hop just ended.
+		qs.keys = set.AppendTo(qs.keys[:0])
+		if len(qs.keys) == 0 {
 			return dst, 0, nil
 		}
-		cur = out
-		curBuf, nextBuf = cur, curBuf
 	}
-}
-
-// enter appends to out the records of every hop in ix, the configuration's
-// last subpath: a point through LookupInto, a range through LookupRange.
-// normal reports whether the appended region is already sorted and
-// duplicate-free, as a lone range's is.
-func enter(ix index.PathIndex, hops []Hop, tc string, hier bool, out []oodb.OID, sc *index.Scratch) ([]oodb.OID, bool, error) {
-	for _, h := range hops {
-		var err error
-		if h.Ranged {
-			var got []oodb.OID
-			got, err = ix.LookupRange(h.Lo, h.Hi, tc, hier)
-			out = append(out, got...)
-		} else {
-			out, err = ix.LookupInto(h.Lo, tc, hier, out, sc)
-		}
-		if err != nil {
-			return out, false, err
-		}
-	}
-	return out, len(hops) == 1 && hops[0].Ranged, nil
 }
 
 // InsertInto stores a new object in st and maintains the owning

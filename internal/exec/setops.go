@@ -4,9 +4,9 @@ import "repro/internal/oodb"
 
 // This file holds the sorted-OID-set kernels the planner and the sharded
 // fan-out layer compose query answers with. Every run is a sorted,
-// duplicate-free []oodb.OID — the normal form SortUnique and the index
-// kernels already produce — so set intersection and union reduce to merge
-// passes that never touch the store.
+// duplicate-free []oodb.OID — the normal form SortUnique and an OIDSet's
+// read-back already produce — so set intersection and union reduce to
+// merge passes that never touch the store.
 
 // IntersectSortedOIDs intersects the sorted, duplicate-free runs a and b,
 // appending the result to dst and returning it. The intersection is

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/btree"
@@ -18,6 +19,7 @@ import (
 // classes each entry of levels covers, and whether an owner registry
 // exists to tell a hierarchy-wide record's OIDs apart.
 type chained struct {
+	reads
 	org   cost.Organization
 	sp    *Subpath
 	pager *storage.Pager
@@ -31,6 +33,7 @@ type chained struct {
 	// the OID's page; the registry avoids charging object-store accesses to
 	// the index pager.
 	ownerClass map[oodb.OID]string
+	win        oidWindow
 }
 
 // MultiIndex is the MX organization: one simple index per class in the
@@ -85,7 +88,9 @@ func NewMultiIndex(p *schema.Path, a, b, pageSize int) (*MultiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiIndex{c}, nil
+	mx := &MultiIndex{c}
+	mx.reads = reads{mx}
+	return mx, nil
 }
 
 // NewMultiInheritedIndex allocates the MIX structure for subpath [a..b].
@@ -94,7 +99,9 @@ func NewMultiInheritedIndex(p *schema.Path, a, b, pageSize int) (*MultiInherited
 	if err != nil {
 		return nil, err
 	}
-	return &MultiInheritedIndex{c}, nil
+	mix := &MultiInheritedIndex{c}
+	mix.reads = reads{mix}
+	return mix, nil
 }
 
 // Org returns cost.MX or cost.MIX.
@@ -130,51 +137,60 @@ func (mix *MultiInheritedIndex) LevelIndex(l int) *AttrIndex {
 	return mix.levels[l-mix.sp.A][0]
 }
 
-// LookupInto chains from the record under key back to the target class's
+// Collect chains from the records hop selects back to the target class's
 // level.
-func (c *chained) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return c.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
+func (c *chained) Collect(hop Hop, targetClass string, hierarchy bool, sc *Scratch) error {
+	return collect(c.lookup, hop, targetClass, hierarchy, sc)
 }
 
-// LookupKeys chains from the records under a sorted OID set.
-func (c *chained) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return c.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
-}
-
-// LookupRange chains from the records in [lo, hi).
-func (c *chained) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return lookupRange(c.lookup, lo, hi, targetClass, hierarchy)
+// CollectKeys chains from the records under a sorted OID set.
+func (c *chained) CollectKeys(keys []oodb.OID, targetClass string, hierarchy bool, sc *Scratch) error {
+	return run(c.lookup, firstHop{keys: keys}, targetClass, hierarchy, sc)
 }
 
 // lookup is the MX/MIX kernel: hop reads the level-B indexes, every level
-// below is a key-set hop over the sorted, deduplicated OIDs of the level
-// above, held in sc's ping-pong buffers, and the target level's OIDs are
-// appended (unordered) to dst.
-func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+// below is a key-set hop over the OIDs of the level above, collected in
+// sc.chain and read back, sorted and duplicate-free, into sc.keys, and the
+// target level's OIDs are collected in sc.set. At the target's level a
+// record whose index covers classes not asked for (MIX: a record holds the
+// whole hierarchy) is decoded OID by OID, and only the OIDs of asked
+// classes reach the set.
+func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, sc *Scratch) error {
 	l, ok := c.sp.LevelOf(targetClass)
 	if !ok {
-		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
+		return fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	curBuf, nextBuf := sc.a, sc.b
-	defer func() { sc.a, sc.b = curBuf, nextBuf }()
-	var out []oodb.OID
-	collect := func(r *btree.Record) (err error) {
-		out, err = appendOIDSet(out, r.Read(0, r.Len()))
+	var set *oodb.OIDSet
+	collect := func(r *btree.Record) error {
+		list, n, err := oidList(r.Read(0, r.Len()))
+		if err == nil {
+			set.AddEncoded(list, n, 8)
+		}
+		return err
+	}
+	filter := func(r *btree.Record) error {
+		list, n, err := oidList(r.Read(0, r.Len()))
+		for i := 0; i < n; i++ {
+			o := oodb.OID(binary.BigEndian.Uint64(list[8*i:]))
+			if cls, ok := c.ownerClass[o]; ok && c.sp.targetMatch(cls, targetClass, hierarchy) {
+				set.Add(o)
+			}
+		}
 		return err
 	}
 	for i := c.sp.B; ; i-- {
-		out = nextBuf[:0]
+		set = &sc.chain
 		if i == l {
-			out = dst
+			set = &sc.set
 		}
+		c.win.hint(set)
 		for _, ai := range c.levels[i-c.sp.A] {
 			// At the target's level an index none of whose classes is asked
 			// for is skipped (MX: another class's index), and one only some
-			// of whose classes are has its OIDs filtered (MIX: a record holds
-			// the whole hierarchy).
-			asked := len(ai.classes)
+			// of whose classes are has its OIDs filtered.
+			fn := collect
 			if i == l {
-				asked = 0
+				asked := 0
 				for _, cn := range ai.classes {
 					if c.sp.targetMatch(cn, targetClass, hierarchy) {
 						asked++
@@ -183,29 +199,22 @@ func (c *chained) lookup(hop firstHop, targetClass string, hierarchy bool, dst [
 				if asked == 0 {
 					continue
 				}
-			}
-			mark := len(out)
-			if err := hop.records(ai.tree, sc, collect); err != nil {
-				return dst, err
-			}
-			if asked < len(ai.classes) {
-				kept := out[:mark]
-				for _, o := range out[mark:] {
-					if cls, ok := c.ownerClass[o]; ok && c.sp.targetMatch(cls, targetClass, hierarchy) {
-						kept = append(kept, o)
-					}
+				if asked < len(ai.classes) {
+					fn = filter
 				}
-				out = kept
+			}
+			if err := hop.records(ai.tree, sc, fn); err != nil {
+				return err
 			}
 		}
 		if i == l {
-			return out, nil
+			return nil
 		}
-		hop = firstHop{keys: oodb.SortUnique(out)}
-		if len(hop.keys) == 0 {
-			return dst, nil
+		sc.keys = sc.chain.AppendTo(sc.keys[:0])
+		if len(sc.keys) == 0 {
+			return nil
 		}
-		curBuf, nextBuf = hop.keys, curBuf
+		hop = firstHop{keys: sc.keys}
 	}
 }
 
@@ -231,6 +240,7 @@ func (c *chained) OnInsert(obj *oodb.Object) error {
 	if c.ownerClass != nil {
 		c.ownerClass[obj.OID] = obj.Class
 	}
+	c.win.see(obj.OID)
 	return ai.Add(obj)
 }
 

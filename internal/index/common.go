@@ -28,28 +28,36 @@ import (
 )
 
 // PathIndex is the common interface of the working index organizations.
-// LookupInto, LookupKeys and LookupRange are pure reads — they never
-// mutate the structure — so any number of them may run concurrently under
-// the owner's read lock. All three are entry points into the organization's
-// one lookup kernel and differ only in its first hop (hop.go).
+// Collect, CollectKeys, LookupInto and LookupRange are pure reads — they
+// never mutate the structure — so any number of them may run concurrently
+// under the owner's read lock. All four are entry points into the
+// organization's one lookup kernel and differ only in its first hop
+// (hop.go); the kernel decodes the records it reads straight into the
+// scratch's OID set, which its caller reads back once.
 type PathIndex interface {
 	// Org identifies the organization.
 	Org() cost.Organization
 	// Bounds returns the subpath levels [A, B] the index covers.
 	Bounds() (a, b int)
-	// LookupInto appends to dst the OIDs of objects of targetClass at some
-	// level within the subpath whose nested A_B value equals key — with
-	// hierarchy set, subclasses of targetClass are included — unordered
-	// and possibly with duplicates; the caller sorts and deduplicates once
-	// per probe batch. Transient buffers are threaded through sc, so the
-	// paper's organizations allocate nothing. The returned slice is the
-	// extended dst; neither dst nor sc is retained.
+	// Collect adds to sc.Set() the OIDs of objects of targetClass at some
+	// level within the subpath whose nested A_B value equals hop.Lo or,
+	// when hop.Ranged, falls in [hop.Lo, hop.Hi) — with hierarchy set,
+	// subclasses of targetClass are included. Several hops may be
+	// collected into one set before it is read back; on error the set is
+	// emptied. Transient buffers are threaded through sc, so the paper's
+	// organizations allocate nothing in the steady state; sc is not
+	// retained.
+	Collect(hop Hop, targetClass string, hierarchy bool, sc *Scratch) error
+	// CollectKeys is Collect for a sorted, duplicate-free set of OID keys
+	// — what the next subpath of a configuration produced — answered by
+	// one sweep of each tree instead of a descent per key. An unsorted set
+	// gets the same answer at a higher page count. keys must not share
+	// storage with sc.
+	CollectKeys(keys []oodb.OID, targetClass string, hierarchy bool, sc *Scratch) error
+	// LookupInto is Collect through a point hop on key, read back into
+	// dst: the appended OIDs are sorted and duplicate-free. The returned
+	// slice is the extended dst; neither dst nor sc is retained.
 	LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
-	// LookupKeys is LookupInto for a sorted, duplicate-free set of OID keys
-	// — what the next subpath of a configuration produced — answered by one
-	// sweep of each tree instead of a descent per key. An unsorted set gets
-	// the same answer at a higher page count.
-	LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
 	// LookupRange is the lookup for a half-open range [lo, hi) of ending
 	// values, returned as a fresh sorted, duplicate-free slice.
 	LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error)
@@ -84,20 +92,25 @@ type PathIndex interface {
 type Pair struct{ Old, New *oodb.Object }
 
 // Subpath captures the [A..B] slice of a path together with class-level
-// resolution used by every organization. The scope map, the per-level
-// class lists and the subclass closure of every class in scope are
-// resolved once at construction, so the lookup kernels never recompute
-// them (schema.Hierarchy allocates on every call).
+// resolution used by every organization. The scope table and the
+// per-level class lists are resolved once at construction, so the lookup
+// kernels never recompute them (schema.Hierarchy allocates on every call).
 type Subpath struct {
 	Path *schema.Path
 	A, B int
-	// levelOf maps every class in the subpath's scope to its global level.
-	levelOf map[string]int
+	// scope maps every class in the subpath's scope to its global level and
+	// the section positions of its inheritance hierarchy.
+	scope map[string]scopeClass
 	// levels[l-A] lists the hierarchy class names at global level l.
 	levels [][]string
-	// hierOf maps every class in scope to its inheritance hierarchy
-	// (itself first) — the pre-resolved form of schema.Hierarchy.
-	hierOf map[string][]string
+}
+
+// scopeClass is one class of a subpath's scope. Positions number the
+// classes in scope order — levels A..B, hierarchy order within a level —
+// which is a NIX record's section order.
+type scopeClass struct {
+	level int
+	hier  []int // the positions of the class's hierarchy, itself first
 }
 
 // NewSubpath validates bounds and precomputes the scope tables.
@@ -108,30 +121,42 @@ func NewSubpath(p *schema.Path, a, b int) (*Subpath, error) {
 	if a < 1 || b > p.Len() || a > b {
 		return nil, fmt.Errorf("index: invalid subpath [%d,%d] of %s", a, b, p)
 	}
-	sp := &Subpath{
-		Path:    p,
-		A:       a,
-		B:       b,
-		levelOf: make(map[string]int),
-		hierOf:  make(map[string][]string),
-	}
+	sp := &Subpath{Path: p, A: a, B: b, scope: make(map[string]scopeClass)}
+	// A class listed at two levels keeps its last level and position.
+	pos, level, n := make(map[string]int), make(map[string]int), 0
 	for l := a; l <= b; l++ {
-		level := p.HierarchyAt(l)
-		sp.levels = append(sp.levels, level)
-		for _, cn := range level {
-			sp.levelOf[cn] = l
-			if _, ok := sp.hierOf[cn]; !ok {
-				sp.hierOf[cn] = p.Schema().Hierarchy(cn)
+		classes := p.HierarchyAt(l)
+		sp.levels = append(sp.levels, classes)
+		for _, cn := range classes {
+			pos[cn], level[cn] = n, l
+			n++
+		}
+	}
+	for cn, l := range level {
+		var hier []int
+		for _, sub := range p.Schema().Hierarchy(cn) {
+			if i, ok := pos[sub]; ok {
+				hier = append(hier, i)
 			}
 		}
+		sp.scope[cn] = scopeClass{level: l, hier: hier}
 	}
 	return sp, nil
 }
 
-// HierarchyOf returns the pre-resolved inheritance hierarchy (the class
-// itself first) of a class in the subpath's scope; nil outside the scope.
-// Callers must not modify the returned slice.
-func (sp *Subpath) HierarchyOf(class string) []string { return sp.hierOf[class] }
+// sections returns the section positions a query for class asks for: the
+// class's own, and with hierarchy those of its subclasses in scope. ok is
+// false for a class outside the scope. Callers must not modify the slice.
+func (sp *Subpath) sections(class string, hierarchy bool) (pos []int, ok bool) {
+	c, ok := sp.scope[class]
+	if !ok {
+		return nil, false
+	}
+	if !hierarchy {
+		return c.hier[:1], true
+	}
+	return c.hier, true
+}
 
 // targetMatch reports whether a class of the subpath's scope satisfies a
 // query target, without allocating.
@@ -144,8 +169,8 @@ func (sp *Subpath) targetMatch(class, target string, hierarchy bool) bool {
 
 // LevelOf returns the global level of a class within the subpath's scope.
 func (sp *Subpath) LevelOf(class string) (int, bool) {
-	l, ok := sp.levelOf[class]
-	return l, ok
+	c, ok := sp.scope[class]
+	return c.level, ok
 }
 
 // Attr returns the path attribute at global level l.
@@ -210,35 +235,26 @@ func encodeOIDSet(oids []oodb.OID) []byte {
 	return out
 }
 
-// appendOIDSet decodes a serialized set, appending its OIDs to dst — the
-// allocation-free form of decodeOIDSet.
-func appendOIDSet(dst []oodb.OID, b []byte) ([]oodb.OID, error) {
+// oidList returns the encoded OIDs of a serialized set and their count.
+func oidList(b []byte) ([]byte, int, error) {
 	if len(b) < 4 {
-		return dst, fmt.Errorf("index: truncated OID set")
+		return nil, 0, fmt.Errorf("index: truncated OID set")
 	}
 	n := int(binary.BigEndian.Uint32(b))
 	if len(b) < 4+8*n {
-		return dst, fmt.Errorf("index: OID set of %d entries in %d bytes", n, len(b))
+		return nil, 0, fmt.Errorf("index: OID set of %d entries in %d bytes", n, len(b))
 	}
-	return appendOIDs(dst, b[4:], n, 8), nil
-}
-
-// appendOIDs appends the n big-endian OIDs found every stride bytes of b —
-// the decode loop under every lookup, so dst grows once and the stores are
-// indexed. b must hold them: len(b) >= (n-1)*stride + 8.
-func appendOIDs(dst []oodb.OID, b []byte, n, stride int) []oodb.OID {
-	dst = slices.Grow(dst, n)
-	out := dst[len(dst) : len(dst)+n]
-	for i := range out {
-		out[i] = oodb.OID(binary.BigEndian.Uint64(b[i*stride:]))
-	}
-	return dst[:len(dst)+n]
+	return b[4 : 4+8*n], n, nil
 }
 
 func decodeOIDSet(b []byte) ([]oodb.OID, error) {
-	out, err := appendOIDSet(nil, b)
+	list, n, err := oidList(b)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]oodb.OID, n)
+	for i := range out {
+		out[i] = oodb.OID(binary.BigEndian.Uint64(list[8*i:]))
 	}
 	return out, nil
 }
@@ -325,11 +341,35 @@ func diffKeys(old, upd []oodb.Value) (removed, added [][]byte) {
 // pre-resolved per-level table.
 func (sp *Subpath) classesAt(l int) []string { return sp.levels[l-sp.A] }
 
+// oidWindow is the lowest and highest OID an index's OnInsert has seen. It
+// never shrinks, so every OID the index's records hold lies inside it; a
+// lookup hands it to its OID set as the bitmap's window. The set treats it
+// as a hint, so an answer never depends on it being right.
+type oidWindow struct {
+	lo, hi oodb.OID
+	seen   bool
+}
+
+func (w *oidWindow) see(o oodb.OID) {
+	if !w.seen {
+		*w = oidWindow{lo: o, hi: o, seen: true}
+		return
+	}
+	w.lo, w.hi = min(w.lo, o), max(w.hi, o)
+}
+
+// hint names the window to set, unless nothing was inserted yet.
+func (w *oidWindow) hint(set *oodb.OIDSet) {
+	if w.seen {
+		set.Hint(w.lo, w.hi)
+	}
+}
+
 // Scratch holds what a lookup kernel threads through the stack: an
 // encoded-key buffer, the read handle on the record a hop yields and the
-// path of a key-set hop's sweep (both emptied when the hop ends), two OID
-// ping-pong buffers for intra-subpath probe chains and the buffer
-// LookupRange collects its result in.
+// path of a key-set hop's sweep (both emptied when the hop ends), the OID
+// set a lookup collects its answer in, and an MX/MIX chain's set and key
+// buffer for the levels below its first.
 // A Scratch is owned by one goroutine at a time; the executor pools them
 // per worker, so a steady-state point query performs no heap allocation.
 // The zero value is ready to use (buffers grow on first use and are then
@@ -338,9 +378,14 @@ type Scratch struct {
 	key   []byte       // encoded probe key
 	rec   btree.Record // read handle on the record a hop yields
 	sweep btree.Sweep  // path through the tree a key-set hop reads
-	a, b  []oodb.OID   // ping-pong hop buffers for chained probes
-	out   []oodb.OID   // LookupRange's result before it is copied out
+	set   oodb.OIDSet  // the answer Collect adds to
+	chain oodb.OIDSet  // one level of an MX/MIX chain, below its first
+	keys  []oodb.OID   // that level's OIDs: the next level's key set
 }
 
 // NewScratch returns an empty scratch; buffers are sized by first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// Set returns the OID set Collect and CollectKeys add to. Its caller reads
+// it back once (or resets it) before the scratch serves another lookup.
+func (sc *Scratch) Set() *oodb.OIDSet { return &sc.set }

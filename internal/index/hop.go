@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/btree"
@@ -28,15 +27,61 @@ type firstHop struct {
 	scan   bool
 }
 
-// kernel is an organization's lookup: LookupInto's contract with the first
-// hop explicit.
-type kernel func(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error)
+// Hop is one way into a subpath index through its ending attribute, the
+// first hop of a Proposition 4.1 chain: A_B equals Lo, or — Ranged — falls
+// in [Lo, Hi). It is the only thing a point and a range query differ in.
+// Every later hop maps a key set to the union of its keys' records, so a
+// chain entered through several hops at once answers their disjunction.
+type Hop struct {
+	Lo, Hi oodb.Value
+	Ranged bool
+}
 
-// pointHop encodes key into sc. The hop aliases sc.key, which a kernel may
-// overwrite once its first hop is done.
-func pointHop(sc *Scratch, key oodb.Value) firstHop {
-	sc.key = AppendValue(sc.key[:0], key)
-	return firstHop{lo: sc.key}
+// kernel is an organization's lookup: Collect's contract with the first
+// hop explicit.
+type kernel func(hop firstHop, targetClass string, hierarchy bool, sc *Scratch) error
+
+// collect is every organization's Collect: its kernel entered through h,
+// encoded into sc.key (which the kernel may overwrite once its first hop
+// is done).
+func collect(k kernel, h Hop, targetClass string, hierarchy bool, sc *Scratch) error {
+	hop := firstHop{}
+	sc.key = AppendValue(sc.key[:0], h.Lo)
+	if h.Ranged {
+		if h.Lo.Kind != h.Hi.Kind {
+			sc.set.Reset()
+			return fmt.Errorf("index: range bounds of different kinds")
+		}
+		n := len(sc.key)
+		sc.key = AppendValue(sc.key, h.Hi)
+		hop = firstHop{lo: sc.key[:n], hi: sc.key[n:], scan: true}
+	} else {
+		hop.lo = sc.key
+	}
+	return run(k, hop, targetClass, hierarchy, sc)
+}
+
+// run runs a kernel from its first hop — every organization's CollectKeys
+// is a key-set hop run — and empties both of sc's sets on error.
+func run(k kernel, hop firstHop, targetClass string, hierarchy bool, sc *Scratch) error {
+	err := k(hop, targetClass, hierarchy, sc)
+	if err != nil {
+		sc.set.Reset()
+		sc.chain.Reset()
+	}
+	return err
+}
+
+// reads is every organization's LookupInto and LookupRange: its Collect,
+// read back once. ix is the organization itself.
+type reads struct{ ix PathIndex }
+
+// LookupInto collects a point hop on key and reads it back into dst.
+func (r reads) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+	if err := r.ix.Collect(Hop{Lo: key}, targetClass, hierarchy, sc); err != nil {
+		return dst, err
+	}
+	return sc.set.AppendTo(dst), nil
 }
 
 // records calls fn with a read handle on every record of t the hop
@@ -75,23 +120,13 @@ func (h firstHop) records(t *btree.Tree, sc *Scratch, fn func(*btree.Record) err
 // rangeScratches serves LookupRange, whose signature carries no scratch.
 var rangeScratches = sync.Pool{New: func() any { return NewScratch() }}
 
-// lookupRange is every organization's LookupRange: the kernel entered
-// through a scan hop whose bounds are encoded into sc.key (like a point
-// hop's key, the kernel may overwrite them once the scan is done), the
-// result normalised where it was collected and copied out at its size.
-func lookupRange(k kernel, lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	if lo.Kind != hi.Kind {
-		return nil, fmt.Errorf("index: range bounds of different kinds")
-	}
+// LookupRange collects a range hop and reads it back into a fresh slice of
+// the answer's size.
+func (r reads) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	sc := rangeScratches.Get().(*Scratch)
 	defer rangeScratches.Put(sc)
-	sc.key = AppendValue(sc.key[:0], lo)
-	n := len(sc.key)
-	sc.key = AppendValue(sc.key, hi)
-	out, err := k(firstHop{lo: sc.key[:n], hi: sc.key[n:], scan: true}, targetClass, hierarchy, sc.out[:0], sc)
-	sc.out = out[:0]
-	if err != nil {
+	if err := r.ix.Collect(Hop{Lo: lo, Hi: hi, Ranged: true}, targetClass, hierarchy, sc); err != nil {
 		return nil, err
 	}
-	return slices.Clone(oodb.SortUnique(out)), nil
+	return sc.set.Take(), nil
 }

@@ -21,9 +21,10 @@ func (f *fixture) levelObjects(l int) []oodb.OID {
 }
 
 // TestKeySetLookupMatchesPerKey: on every subpath keyed by OIDs, for every
-// organization and target class, one key-set hop returns the OID multiset
-// of a LookupInto per key — the loop the executor used to run, kept here as
-// the reference — and reads no more pages.
+// organization and target class, one key-set hop collects the OID set of a
+// LookupInto per key — the loop the executor used to run, kept here as the
+// reference — decodes as many OIDs as a Collect per key, duplicates
+// included, and reads no more pages.
 func TestKeySetLookupMatchesPerKey(t *testing.T) {
 	f := buildFixture(t, 21, 9, 80, 160)
 	targets := map[int][]string{1: {"Person"}, 2: {"Vehicle", "Bus", "Truck"}}
@@ -62,16 +63,27 @@ func TestKeySetLookupMatchesPerKey(t *testing.T) {
 								}
 							}
 							perKey := ix.Stats().Reads
+							perKeyAdded := 0
+							for _, k := range keys {
+								if err := ix.Collect(Hop{Lo: oodb.RefV(k)}, class, hier, sc); err != nil {
+									t.Fatal(err)
+								}
+								perKeyAdded += sc.Set().Added()
+								sc.Set().Reset()
+							}
 							ix.ResetStats()
-							got, err := ix.LookupKeys(keys, class, hier, nil, sc)
-							if err != nil {
+							if err := ix.CollectKeys(keys, class, hier, sc); err != nil {
 								t.Fatal(err)
 							}
+							keySetAdded := sc.Set().Added()
+							got := sc.Set().Take()
 							keySet := ix.Stats().Reads
-							slices.Sort(want)
-							slices.Sort(got)
+							want = oodb.SortUnique(want)
 							if !slices.Equal(got, want) {
 								t.Fatalf("%s [%d,%d] %s hier=%v, %d keys: key-set hop returned %d OIDs, per-key loop %d", org, a, b, class, hier, len(keys), len(got), len(want))
+							}
+							if keySetAdded != perKeyAdded {
+								t.Fatalf("%s [%d,%d] %s hier=%v, %d keys: key-set hop decoded %d OIDs, per-key loop %d", org, a, b, class, hier, len(keys), keySetAdded, perKeyAdded)
 							}
 							if keySet > perKey {
 								t.Errorf("%s [%d,%d] %s hier=%v, %d keys: key-set hop read %d pages, per-key loop %d", org, a, b, class, hier, len(keys), keySet, perKey)

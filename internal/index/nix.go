@@ -31,13 +31,13 @@ import (
 // count reaches zero, cascading to its own parents (the deletion algorithm
 // of Section 3.1).
 type NestedInheritedIndex struct {
+	reads
 	sp       *Subpath
 	pager    *storage.Pager
 	primary  *btree.Tree
 	aux      *btree.Tree
-	classPos map[string]int // class -> section position
-	classes  []string       // section order: levels A..B, hierarchy order
-	posLevel []int          // section position -> level
+	posLevel []int // section position (the subpath's scope order) -> level
+	win      oidWindow
 	// owner records the section (and with it the class) of every indexed
 	// object, so the cascades can go straight to an ancestor's section
 	// without navigating the database (the 3-tuples identify parents by OID
@@ -59,22 +59,20 @@ func NewNestedInheritedIndex(p *schema.Path, a, b, pageSize int) (*NestedInherit
 		return nil, err
 	}
 	nx := &NestedInheritedIndex{
-		sp:       sp,
-		pager:    pager,
-		primary:  btree.New(pager, "nix/primary"),
-		aux:      btree.New(pager, "nix/aux"),
-		classPos: make(map[string]int),
-		owner:    make(map[oodb.OID]int),
+		sp:      sp,
+		pager:   pager,
+		primary: btree.New(pager, "nix/primary"),
+		aux:     btree.New(pager, "nix/aux"),
+		owner:   make(map[oodb.OID]int),
 	}
 	for l := a; l <= b; l++ {
-		for _, cn := range sp.classesAt(l) {
-			nx.classPos[cn] = len(nx.classes)
-			nx.classes = append(nx.classes, cn)
+		for range sp.classesAt(l) {
 			nx.posLevel = append(nx.posLevel, l)
 		}
 	}
+	nx.reads = reads{nx}
 	nx.ms.tup = make([]auxTuple, b-a+1)
-	nx.ms.view = newNixView(nx.primary, len(nx.classes))
+	nx.ms.view = newNixView(nx.primary, len(nx.posLevel))
 	return nx, nil
 }
 
@@ -98,68 +96,52 @@ func (nx *NestedInheritedIndex) AuxTree() *btree.Tree { return nx.aux }
 
 // headerLen is the byte length of the class directory: a count plus
 // (offset, count) per class.
-func (nx *NestedInheritedIndex) headerLen() int { return 4 + 8*len(nx.classes) }
+func (nx *NestedInheritedIndex) headerLen() int { return 4 + 8*len(nx.posLevel) }
 
 // ---- lookup -------------------------------------------------------------
 
-// LookupInto reads the target class's section(s) of the record under key.
-func (nx *NestedInheritedIndex) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return nx.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
+// Collect reads the target class's section(s) of the records hop selects.
+func (nx *NestedInheritedIndex) Collect(hop Hop, targetClass string, hierarchy bool, sc *Scratch) error {
+	return collect(nx.lookup, hop, targetClass, hierarchy, sc)
 }
 
-// LookupKeys reads them off the records under a sorted OID set.
-func (nx *NestedInheritedIndex) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return nx.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
-}
-
-// LookupRange reads them off every record in [lo, hi).
-func (nx *NestedInheritedIndex) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return lookupRange(nx.lookup, lo, hi, targetClass, hierarchy)
+// CollectKeys reads them off the records under a sorted OID set.
+func (nx *NestedInheritedIndex) CollectKeys(keys []oodb.OID, targetClass string, hierarchy bool, sc *Scratch) error {
+	return run(nx.lookup, firstHop{keys: keys}, targetClass, hierarchy, sc)
 }
 
 // lookup is the NIX kernel: every record the hop yields is opened once, and
 // the class directory and then only the asked-for sections are read through
 // that one handle — the covering pages of a multi-page record, each charged
-// once, whichever hop found it. The hierarchy closure comes from the
+// once, whichever hop found it — each section decoded straight into sc's
+// set. The sections asked for are resolved once per lookup, from the
 // subpath's pre-resolved table.
-func (nx *NestedInheritedIndex) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	if _, ok := nx.sp.LevelOf(targetClass); !ok {
-		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
+func (nx *NestedInheritedIndex) lookup(hop firstHop, targetClass string, hierarchy bool, sc *Scratch) error {
+	pos, ok := nx.sp.sections(targetClass, hierarchy)
+	if !ok {
+		return fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	classes := nx.sp.HierarchyOf(targetClass)
-	if !hierarchy {
-		classes = classes[:1] // the pre-resolved hierarchy lists the class itself first
-	}
-	err := hop.records(nx.primary, sc, func(r *btree.Record) (err error) {
-		dst, err = nx.appendSections(dst, classes, r)
-		return err
+	set := &sc.set
+	nx.win.hint(set)
+	hl := nx.headerLen()
+	return hop.records(nx.primary, sc, func(r *btree.Record) error {
+		if r.Len() < hl {
+			return fmt.Errorf("index: truncated NIX record (%d bytes)", r.Len())
+		}
+		head := r.Read(0, hl)
+		for _, p := range pos {
+			off := int(binary.BigEndian.Uint32(head[4+8*p:]))
+			cnt := int(binary.BigEndian.Uint32(head[8+8*p:]))
+			if cnt == 0 {
+				continue
+			}
+			if off+cnt*nixEntryLen > r.Len() {
+				return fmt.Errorf("index: NIX section %d out of bounds", p)
+			}
+			set.AddEncoded(r.Read(off, cnt*nixEntryLen), cnt, nixEntryLen)
+		}
+		return nil
 	})
-	return dst, err
-}
-
-// appendSections appends the OIDs of the given classes' sections of the
-// primary record under r to dst.
-func (nx *NestedInheritedIndex) appendSections(dst []oodb.OID, classes []string, r *btree.Record) ([]oodb.OID, error) {
-	if r.Len() < nx.headerLen() {
-		return dst, fmt.Errorf("index: truncated NIX record (%d bytes)", r.Len())
-	}
-	head := r.Read(0, nx.headerLen())
-	for _, cn := range classes {
-		pos, ok := nx.classPos[cn]
-		if !ok {
-			continue
-		}
-		off := int(binary.BigEndian.Uint32(head[4+8*pos:]))
-		cnt := int(binary.BigEndian.Uint32(head[8+8*pos:]))
-		if cnt == 0 {
-			continue
-		}
-		if off+cnt*nixEntryLen > r.Len() {
-			return dst, fmt.Errorf("index: NIX section %d out of bounds", pos)
-		}
-		dst = appendOIDs(dst, r.Read(off, cnt*nixEntryLen), cnt, nixEntryLen)
-	}
-	return dst, nil
 }
 
 // ---- maintenance ---------------------------------------------------------
@@ -376,7 +358,9 @@ func (nx *NestedInheritedIndex) OnInsert(obj *oodb.Object) error {
 	if !ok {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
-	nx.owner[obj.OID] = nx.classPos[obj.Class]
+	pos, _ := nx.sp.sections(obj.Class, false)
+	nx.owner[obj.OID] = pos[0]
+	nx.win.see(obj.OID)
 	ms := &nx.ms
 	kls := ms.keyLists(2)
 	keys := &kls[1]

@@ -20,11 +20,13 @@ import (
 // forward navigation through the object store (whose page reads are
 // charged to the store's pager, as the PX cost model assumes).
 type PathIndexPX struct {
+	reads
 	sp         *Subpath
 	store      *oodb.Store
 	pager      *storage.Pager
 	tree       *btree.Tree
 	ownerClass map[oodb.OID]string
+	win        oidWindow
 }
 
 // NewPathIndexPX allocates the PX for subpath [a..b] of p over store.
@@ -40,13 +42,15 @@ func NewPathIndexPX(store *oodb.Store, p *schema.Path, a, b, pageSize int) (*Pat
 	if err != nil {
 		return nil, err
 	}
-	return &PathIndexPX{
+	px := &PathIndexPX{
 		sp:         sp,
 		store:      store,
 		pager:      pager,
 		tree:       btree.New(pager, "px"),
 		ownerClass: make(map[oodb.OID]string),
-	}, nil
+	}
+	px.reads = reads{px}
+	return px, nil
 }
 
 // Org returns cost.PX.
@@ -143,44 +147,41 @@ func (px *PathIndexPX) decodeRecord(b []byte) (*pxRecord, error) {
 
 // ---- lookup -----------------------------------------------------------
 
-// LookupInto projects the record under key.
-func (px *PathIndexPX) LookupInto(key oodb.Value, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return px.lookup(pointHop(sc, key), targetClass, hierarchy, dst, sc)
+// Collect projects the records hop selects.
+func (px *PathIndexPX) Collect(hop Hop, targetClass string, hierarchy bool, sc *Scratch) error {
+	return collect(px.lookup, hop, targetClass, hierarchy, sc)
 }
 
-// LookupKeys projects the records under a sorted OID set.
-func (px *PathIndexPX) LookupKeys(keys []oodb.OID, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
-	return px.lookup(firstHop{keys: keys}, targetClass, hierarchy, dst, sc)
-}
-
-// LookupRange projects every record in [lo, hi).
-func (px *PathIndexPX) LookupRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	return lookupRange(px.lookup, lo, hi, targetClass, hierarchy)
+// CollectKeys projects the records under a sorted OID set.
+func (px *PathIndexPX) CollectKeys(keys []oodb.OID, targetClass string, hierarchy bool, sc *Scratch) error {
+	return run(px.lookup, firstHop{keys: keys}, targetClass, hierarchy, sc)
 }
 
 // lookup is the PX kernel: the heads of the suffixes starting at the
-// target class's level, filtered to the class(es) asked for. PX records
-// decode into per-level suffix slices, so this path allocates; PX is an
-// extended organization, not part of the paper's serving-path column set,
-// and is exempt from the zero-allocation guarantee.
-func (px *PathIndexPX) lookup(hop firstHop, targetClass string, hierarchy bool, dst []oodb.OID, sc *Scratch) ([]oodb.OID, error) {
+// target class's level, filtered to the class(es) asked for, added to sc's
+// set. PX records decode into per-level suffix slices, so this path
+// allocates; PX is an extended organization, not part of the paper's
+// serving-path column set, and is exempt from the zero-allocation
+// guarantee.
+func (px *PathIndexPX) lookup(hop firstHop, targetClass string, hierarchy bool, sc *Scratch) error {
 	l, ok := px.sp.LevelOf(targetClass)
 	if !ok {
-		return dst, fmt.Errorf("index: class %s not in subpath scope", targetClass)
+		return fmt.Errorf("index: class %s not in subpath scope", targetClass)
 	}
-	err := hop.records(px.tree, sc, func(r *btree.Record) error {
+	set := &sc.set
+	px.win.hint(set)
+	return hop.records(px.tree, sc, func(r *btree.Record) error {
 		rec, err := px.decodeRecord(r.Read(0, r.Len()))
 		if err != nil {
 			return err
 		}
 		for _, s := range rec.suffixes[l-px.sp.A] {
 			if cls, ok := px.ownerClass[s[0]]; ok && px.sp.targetMatch(cls, targetClass, hierarchy) {
-				dst = append(dst, s[0])
+				set.Add(s[0])
 			}
 		}
 		return nil
 	})
-	return dst, err
 }
 
 // ---- maintenance -------------------------------------------------------
@@ -226,6 +227,7 @@ func (px *PathIndexPX) OnInsert(obj *oodb.Object) error {
 		return fmt.Errorf("index: class %s not in subpath scope", obj.Class)
 	}
 	px.ownerClass[obj.OID] = obj.Class
+	px.win.see(obj.OID)
 	keys, err := px.reachedKeys(obj, l, 0)
 	if err != nil {
 		return err

@@ -34,19 +34,22 @@ var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 
 // SortUnique sorts oids in place and removes duplicates, returning the
 // deduplicated prefix (nil when empty). It is the one OID set
-// normalization shared by the executor and every index organization, and
-// it sits between every two hops of a Proposition 4.1 chain, so it is
-// linear and allocation-free in the steady state: input that already
-// ascends (index records are stored sorted, so it often does) is only
-// deduplicated; otherwise one pass finds the bits in which the OIDs differ
-// at all. A dense set — at least bitmapMinPerWord OIDs for every 64 values
-// of the window those bits span, as a store's sequential OIDs gathered by
-// a chain hop are — sets one bit per OID and reads the bits back in order,
-// which sorts and deduplicates at once. Any other input is sorted by an
-// LSD counting sort over the bytes that hold differing bits — two for a
-// store's sequential OIDs, eight at most — or, when it is too short for
-// its number of such bytes and the per-pass bucket work would dominate,
-// by slices.Sort.
+// normalization: the slice path of OIDSet — the union between the hops of
+// a Proposition 4.1 chain when a hop is too sparse for its index's window
+// — and the naive evaluators' result. It is linear and allocation-free in
+// the steady state: input that already ascends is only deduplicated
+// (index records are not kept sorted — an attribute index's OID list is
+// re-sorted on every write, but a NIX section is in insertion order, and
+// ascends only until a delete or an out-of-order insert, so a union of
+// several arrives in runs); otherwise one pass finds the bits in which
+// the OIDs differ at all. A dense set — at least bitmapMinPerWord OIDs
+// for every 64 values of the window those bits span, as a store's
+// sequential OIDs gathered by a chain hop are — sets one bit per OID and
+// reads the bits back in order, which sorts and deduplicates at once. Any
+// other input is sorted by an LSD counting sort over the bytes that hold
+// differing bits — two for a store's sequential OIDs, eight at most — or,
+// when it is too short for its number of such bytes and the per-pass
+// bucket work would dominate, by slices.Sort.
 func SortUnique(oids []OID) []OID {
 	if len(oids) == 0 {
 		return nil
@@ -175,10 +178,11 @@ func radixSort(oids []OID, diff OID) {
 
 // SortUniqueWithin is SortUnique keeping only the OIDs of within, a
 // sorted, duplicate-free candidate set: it returns SortUnique(oids) ∩
-// within as a prefix of oids. It is how the last hop of a chain run
-// within a conjunction's candidates drops every OID outside them before
-// normalizing, so that no intersection follows. Its scratch is bounded by
-// the candidates, whatever the span of oids. Candidates dense by
+// within as a prefix of oids. It is how a sparse last hop of a chain run
+// within a conjunction's candidates (OIDSet.AppendWithin) drops every OID
+// outside them before normalizing, so that no intersection follows. Its
+// scratch is bounded by the candidates, whatever the span of oids.
+// Candidates dense by
 // SortUnique's rule — at least bitmapMinPerWord for each word of their
 // own window — and no more numerous than oids mark a pooled bitmap with
 // the OIDs inside that window; the candidates whose bit is set are the

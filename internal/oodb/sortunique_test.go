@@ -1,6 +1,7 @@
 package oodb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -422,6 +423,7 @@ func BenchmarkSortUnique(b *testing.B) {
 		}
 		run(fmt.Sprintf("n=%d/shape=dense", n), &in, radix, counting, pdqsort)
 	}
+	benchmarkDirectDecode(b)
 	// A window of 64·words values from 1<<20 spans exactly words words.
 	for _, words := range []int{64, 512} {
 		for _, perWord := range []float64{1, 1.5, 2, 3, 4, 6} {
@@ -432,6 +434,100 @@ func BenchmarkSortUnique(b *testing.B) {
 				in[i] = dense(rng, n, 13, 1<<20, 64*OID(words), 1)
 			}
 			run(fmt.Sprintf("words=%d/n=%d", words, n), &in, bitmap, counting)
+		}
+	}
+}
+
+// encodeRuns encodes oids as NIX sections do, one (OID, numchild) entry of
+// nixEntry bytes per OID, cut into runs sections of ascending OIDs.
+func encodeRuns(oids []OID, runs int) [][]byte {
+	const nixEntry = 12
+	var out [][]byte
+	n := len(oids)
+	for r := 0; r < runs; r++ {
+		run := oids[r*n/runs : (r+1)*n/runs]
+		b := make([]byte, nixEntry*len(run))
+		for i, o := range run {
+			binary.BigEndian.PutUint64(b[nixEntry*i:], uint64(o))
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// benchmarkDirectDecode times a hop's union as its records arrive: the
+// encoded NIX sections of one hop, ascending runs of 12-byte entries over a
+// window of 347 words (embed_path's NIX index). "sort" decodes them into a
+// slice and runs SortUnique, as every hop did before OIDSet; "set" adds
+// them to an OIDSet hinted with the window, promoting by
+// promoteMinPerWord; "bitmap" is the set promoted at its second section,
+// the earliest any rule may, and "slice" the set never promoted, the two
+// kernels the rule chooses between. The first three cells are embed_path's shapes — a point
+// query's final hop in 4 runs, a larger one, and a range hop's ~9,000 OIDs
+// in 20 runs — and the density cells place the promotion's break-even.
+func benchmarkDirectDecode(b *testing.B) {
+	const words, base = 347, OID(1 << 20)
+	type cell struct {
+		name    string
+		n, runs int
+	}
+	cells := []cell{{"shape", 842, 4}, {"shape", 2845, 4}, {"shape", 9000, 20}}
+	for _, perWord := range []float64{0.125, 0.25, 0.5, 0.75, 1, 1.5, 2} {
+		cells = append(cells, cell{"density", int(perWord * words), 4})
+	}
+	decode := func(dst []OID, sec []byte) []OID {
+		for i := 0; i+8 <= len(sec); i += 12 {
+			dst = append(dst, OID(binary.BigEndian.Uint64(sec[i:])))
+		}
+		return dst
+	}
+	var set OIDSet
+	kernels := []struct {
+		name string
+		fn   func(dst []OID, secs [][]byte) []OID
+	}{
+		{"sort", func(dst []OID, secs [][]byte) []OID {
+			for _, sec := range secs {
+				dst = decode(dst, sec)
+			}
+			return SortUnique(dst)
+		}},
+		{"set", func(dst []OID, secs [][]byte) []OID {
+			set.Hint(base, base+64*words-1)
+			for _, sec := range secs {
+				set.AddEncoded(sec, len(sec)/12, 12)
+			}
+			return set.AppendTo(dst)
+		}},
+		{"bitmap", func(dst []OID, secs [][]byte) []OID {
+			set.Hint(base, base+64*words-1)
+			set.promoteAt = 1
+			for _, sec := range secs {
+				set.AddEncoded(sec, len(sec)/12, 12)
+			}
+			return set.AppendTo(dst)
+		}},
+		{"slice", func(dst []OID, secs [][]byte) []OID {
+			for _, sec := range secs {
+				set.AddEncoded(sec, len(sec)/12, 12)
+			}
+			return set.AppendTo(dst)
+		}},
+	}
+	for _, c := range cells {
+		rng := rand.New(rand.NewSource(int64(c.n)))
+		var in [32][][]byte
+		for i := range in {
+			in[i] = encodeRuns(dense(rng, c.n, c.runs, base, 64*words, 1), c.runs)
+		}
+		dst := make([]OID, 0, c.n)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("direct/%s/n=%d/runs=%d/%s", c.name, c.n, c.runs, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkOIDs = k.fn(dst[:0], in[i%len(in)])
+				}
+			})
 		}
 	}
 }

@@ -19,10 +19,9 @@
 //	            later one, and an empty intermediate result
 //	            short-circuits the remaining probes entirely.
 //	intersect — each later conjunct that is a probe group runs within
-//	            the running candidates: its chain's last hop drops every
-//	            OID outside them as it normalizes
-//	            (oodb.SortUniqueWithin), so nothing is intersected after
-//	            it. Any other later conjunct's sorted duplicate-free run
+//	            the running candidates: its chain's last hop keeps only
+//	            them as it is read back (oodb.OIDSet.AppendWithin), so
+//	            nothing is intersected after it. Any other later conjunct's sorted duplicate-free run
 //	            is intersected into the candidates by galloping search
 //	            (exec.IntersectSortedOIDs), in place and allocation-free.
 //	union     — the disjuncts of an Or that share a source form one
