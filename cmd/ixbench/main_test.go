@@ -160,3 +160,48 @@ func TestRegistryIsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestPairsHistoryParses keeps BENCH_pairs.jsonl, the history
+// .github/pairs.sh appends to, readable: every line is one pair naming
+// the workload, the seed, which side ran first, and for each side its
+// commit and its result's failure count and metrics. It runs no benchmark.
+func TestPairsHistoryParses(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_pairs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type side struct {
+		Commit string
+		Result struct {
+			Failed  *int64
+			Metrics map[string]struct{ Value *float64 }
+		}
+	}
+	commit := regexp.MustCompile(`^[0-9a-f]{40}$`)
+	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
+	for i, line := range lines {
+		var pair struct {
+			Workload       string
+			Seed           *int64
+			Order          string
+			Parent, Change *side
+		}
+		if err := json.Unmarshal([]byte(line), &pair); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if pair.Workload == "" || pair.Seed == nil || (pair.Order != "parent_first" && pair.Order != "change_first") {
+			t.Errorf("line %d: workload %q, seed %v, order %q", i+1, pair.Workload, pair.Seed, pair.Order)
+		}
+		for name, s := range map[string]*side{"parent": pair.Parent, "change": pair.Change} {
+			if s == nil || !commit.MatchString(s.Commit) || s.Result.Failed == nil || len(s.Result.Metrics) == 0 {
+				t.Errorf("line %d: %s side lacks a commit, a failure count or metrics: %+v", i+1, name, s)
+				continue
+			}
+			for m, v := range s.Result.Metrics {
+				if v.Value == nil {
+					t.Errorf("line %d: %s metric %s has no value", i+1, name, m)
+				}
+			}
+		}
+	}
+}

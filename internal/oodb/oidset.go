@@ -7,16 +7,16 @@ import (
 	"slices"
 )
 
-// promoteMinPerWord is the measured density, in OIDs per 64-bit word of an
-// index's OID window, from which an OIDSet moves from its slice into its
-// bitmap. The bitmap pays one bit set per OID and one read-back per word of
-// the window; the slice pays a store per OID and then SortUnique's passes
-// over them. BenchmarkSortUnique's direct-decode cells put the break-even
-// against SortUnique's counting sort between 0.75 and 1 OID per word (the
-// bitmap wins from 0.125 against its comparison sort, on sets too short
-// for the counting sort); the constant is that rounded up, so that
-// promotion is never chosen where it loses (DESIGN.md §4.2).
-const promoteMinPerWord = 1
+// promoteWordsPerOID is the measured density from which an OIDSet moves
+// from its slice into its bitmap: one OID for every promoteWordsPerOID
+// 64-bit words of the index's OID window. The bitmap pays one bit set per
+// OID and one read-back per word of the window; the slice pays a store
+// per OID and then SortUnique's comparison sort over them.
+// BenchmarkSortUnique's direct-decode density cells put the break-even
+// between 1/16 and 1/8 OID per word; the constant is the first of those
+// cells the bitmap wins, so that promotion is never chosen where it loses
+// (DESIGN.md §4.2).
+const promoteWordsPerOID = 8
 
 // OIDSet collects the OIDs one hop of a Proposition 4.1 chain reads off the
 // index records — a NIX section, an attribute index's OID list, a PX
@@ -25,14 +25,16 @@ const promoteMinPerWord = 1
 //
 // A set starts as a slice. Hint names the window the hop's OIDs are
 // expected in, the lowest and highest OID its index has seen; once the
-// slice holds promoteMinPerWord OIDs for every word of that window, and
-// more than one run of them — a single record's list or section is stored
-// ascending unless maintenance moved an entry, and SortUnique's ascending
-// check alone normalises it — they move into a bitmap over the window, and
-// every OID after them sets its bit as it is decoded. The read-back is then a scan of the words, which sorts and
-// deduplicates at once. An OID outside the window moves the set back to
-// the slice, so the window is only a hint: the answer never depends on it.
-// A slice is sorted by SortUnique at the read-back, as before.
+// slice holds one OID for every promoteWordsPerOID words of that window,
+// and more than one run of them — a single record's list or section is
+// stored ascending unless maintenance moved an entry, and SortUnique's
+// ascending check alone normalises it — they move into a bitmap over the
+// window, and every OID after them sets its bit as it is decoded. The
+// read-back is then a scan of the words, which sorts and deduplicates at
+// once; this bitmap is the package's only dense kernel. An OID outside
+// the window moves the set back to the slice, so the window is only a
+// hint: the answer never depends on it. A slice is sorted by SortUnique,
+// a comparison sort, at the read-back.
 //
 // Every read-back (AppendTo, AppendWithin, Take) and Reset empty the set
 // and forget its hint; the bitmap is all zero between uses, and both
@@ -59,12 +61,14 @@ func (s *OIDSet) Hint(lo, hi OID) {
 	if hi < lo {
 		return
 	}
-	// Promotion waits for promoteMinPerWord OIDs per word, so a bitmap is
-	// never larger than the slice it replaces; a window of 2^31 words or
+	// Promotion waits for one OID per promoteWordsPerOID words, so a
+	// bitmap is at most promoteWordsPerOID times the slice it replaces; the
+	// count is rounded up, so that a window narrower than that still
+	// promotes (a count of 0 would mean never). A window of 2^31 words or
 	// more is no hint.
 	if w := uint64(hi-lo)>>6 + 1; w < math.MaxInt32 {
 		s.lo, s.words = lo, int(w)
-		s.promoteAt = int(w) * promoteMinPerWord
+		s.promoteAt = (int(w) + promoteWordsPerOID - 1) / promoteWordsPerOID
 	}
 }
 

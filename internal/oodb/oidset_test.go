@@ -47,8 +47,10 @@ func (st oidStream) feed(s *OIDSet) (all []OID, promoted, demoted bool) {
 // SortUnique (and SortUniqueWithin) of the OIDs added, whatever the hint —
 // the OIDs' own window, one too narrow for some of them, one far too wide,
 // none — so that sets stay a slice, are promoted, and are demoted again by
-// an OID outside the window, some mid-stream. One set is reused
-// throughout, so a bitmap left dirty by one stream would show in the next.
+// an OID outside the window, some mid-stream — and, over hinted windows of
+// 1 to 16 words, that a set of several runs promotes once it holds its
+// promote count. One set is reused throughout, so a bitmap left dirty by
+// one stream would show in the next.
 func TestOIDSetMatchesSortUnique(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var s OIDSet
@@ -123,6 +125,24 @@ func TestOIDSetMatchesSortUnique(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// Hinted windows of 1 to 16 words, narrower and wider than
+	// promoteWordsPerOID: a stream of two runs that reaches its promote
+	// count, one OID per promoteWordsPerOID words rounded up, ends dense.
+	for words := 1; words <= 16; words++ {
+		lo, hi := OID(1<<20), OID(1<<20+64*words-1)
+		n := max(2, (words+promoteWordsPerOID-1)/promoteWordsPerOID)
+		oids := dense(rng, n, 2, lo, hi-lo+1, 1)
+		st := oidStream{runs: [][]OID{oids[:n/2], oids[n/2:]}, stride: 8 + 4*(words%2)}
+		s.Hint(lo, hi)
+		all, p, _ := st.feed(&s)
+		if !p || !s.Dense() {
+			t.Fatalf("%d OIDs in two runs over a window of %d words left the set a slice", n, words)
+		}
+		promotions++
+		if got, want := s.AppendTo(nil), pdqSortUnique(slices.Clone(all)); !slices.Equal(got, want) {
+			t.Fatalf("window of %d words: got %x, want %x", words, got, want)
 		}
 	}
 	if promotions == 0 || demotions == 0 || slices_ == 0 {

@@ -90,15 +90,6 @@ func dense(rng *rand.Rand, n, runs int, base, window, stride OID) []OID {
 	return out
 }
 
-// takesBitmap reports whether SortUnique sorts in through the bitmap.
-func takesBitmap(in []OID) bool {
-	if len(in) < 2*radixMinPerPass || slices.IsSorted(in) {
-		return false
-	}
-	_, diff := spread(in)
-	return bitmapFits(diff, len(in))
-}
-
 // checkSortUnique runs SortUnique on in, stored behind a live prefix the
 // way QueryInto's dst is, and compares with the oracle.
 func checkSortUnique(t *testing.T, in []OID) {
@@ -134,13 +125,10 @@ func TestSortUniqueMatchesPdqsort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	shapes := []string{"random", "ascending", "descending", "equal", "runs2", "runs3", "runs4", "runs8"}
 	bases := []OID{0, 1 << 63, 0x8000_1234_0000_ff00, ^OID(0)}
-	// Lengths on both sides of the crossover for every count of live bytes.
-	lengths := []int{1, 2, 3, 11, 13}
-	for live := 1; live <= 8; live++ {
-		x := radixMinPerPass * (1 + live)
-		lengths = append(lengths, x-1, x, x+1)
-	}
-	lengths = append(lengths, 514, 3000)
+	lengths := []int{1, 2, 3, 11, 13,
+		63, 64, 65, 95, 96, 97, 127, 128, 129, 159, 160, 161,
+		191, 192, 193, 223, 224, 225, 255, 256, 257, 287, 288, 289,
+		514, 3000}
 	for _, live := range []int{1, 2, 3, 8} {
 		for _, mask := range []OID{lowMask(live), byteMask(live)} {
 			for _, shape := range shapes {
@@ -151,28 +139,17 @@ func TestSortUniqueMatchesPdqsort(t *testing.T) {
 		}
 	}
 	// Dense: 2 or 13 ascending runs over a window of about 7.5·n, and over
-	// windows of n/8 to 4n words, on both sides of the bitmap's crossover.
-	// A window from 1<<63 − 4096 wider than 4096 straddles 1<<63, so its
-	// OIDs differ up to bit 63; from ^OID(0) the window wraps and they
-	// differ in every bit: the counting sort's input, not the bitmap's.
-	var bitmapInputs, otherInputs int
+	// windows of n/8 to 4n words. A window from 1<<63 − 4096 wider than
+	// 4096 straddles 1<<63; from ^OID(0) the window wraps around the top of
+	// the OID space.
 	for _, base := range []OID{1 << 20, 0x8000_1234_0000_0000, 1 << 63, 1<<63 - 4096, ^OID(0)} {
 		for _, runs := range []int{2, 13} {
 			for _, n := range []int{63, 64, 65, 200, 514, 801, 2700} {
 				for _, window := range []OID{15 * OID(n) / 2, 8 * OID(n), 32 * OID(n), 64 * OID(n), 256 * OID(n)} {
-					in := dense(rng, n, runs, base, window, 1)
-					if takesBitmap(in) {
-						bitmapInputs++
-					} else {
-						otherInputs++
-					}
-					checkSortUnique(t, in)
+					checkSortUnique(t, dense(rng, n, runs, base, window, 1))
 				}
 			}
 		}
-	}
-	if bitmapInputs == 0 || otherInputs == 0 {
-		t.Fatalf("%d dense inputs took the bitmap, %d did not: want both", bitmapInputs, otherInputs)
 	}
 }
 
@@ -195,16 +172,12 @@ func TestSortUniqueStridedShards(t *testing.T) {
 		}
 	}
 	// Dense stride-2 and stride-3 shards: each holds every second or third
-	// OID of the store, so its hop output is dense in its own sequence and
-	// takes the bitmap unless it straddles 1<<63 or wraps past ^OID(0).
+	// OID of the store, so its hop output is dense in its own sequence,
+	// here also straddling 1<<63 or wrapping past ^OID(0).
 	for _, stride := range []OID{2, 3} {
 		for _, first := range []OID{1 << 20, 1<<63 - 4096, ^OID(0)} {
 			for _, n := range []int{1000, 2700} {
-				in := dense(rng, n, 13, first, 2*OID(n), stride)
-				if first == 1<<20 && !takesBitmap(in) {
-					t.Fatalf("stride %d, %d OIDs: a dense shard's hop output did not take the bitmap", stride, n)
-				}
-				checkSortUnique(t, in)
+				checkSortUnique(t, dense(rng, n, 13, first, 2*OID(n), stride))
 			}
 		}
 	}
@@ -226,9 +199,6 @@ func TestSortUniqueZeroAllocs(t *testing.T) {
 		}
 	}
 	in := shaped(rng, 2700, 1<<20, 0, "dense")
-	if !takesBitmap(in) {
-		t.Fatal("dense input does not take the bitmap")
-	}
 	work := make([]OID, len(in))
 	if avg := testing.AllocsPerRun(200, func() {
 		copy(work, in)
@@ -250,20 +220,11 @@ func withinOracle(oids, within []OID) []OID {
 	return out
 }
 
-// takesWithinBitmap reports whether SortUniqueWithin filters through the
-// candidates' bitmap.
-func takesWithinBitmap(oids, within []OID) bool {
-	return len(within) > 0 && len(oids) >= len(within) && bitmapFits(within[len(within)-1]-within[0], len(within))
-}
-
-// TestSortUniqueWithin covers both routes of the filter: candidates dense
-// enough for a bitmap over their own window, and candidates too sparse for
-// one — among them a handful spanning most of the OID space, whose bitmap
-// would be 2^58 words — against OIDs from inside the candidates' window,
-// around it and all over the space.
+// TestSortUniqueWithin covers candidates dense over their own window,
+// sparse ones, and a handful spanning most of the OID space, against OIDs
+// from inside the candidates' window, around it and all over the space.
 func TestSortUniqueWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	routes := map[bool]int{}
 	for _, base := range []OID{1 << 20, 1<<63 - 4096} {
 		for _, nc := range []int{1, 7, 64, 600} {
 			for _, cand := range [][]OID{
@@ -276,7 +237,6 @@ func TestSortUniqueWithin(t *testing.T) {
 					for i := 0; i < n/10; i++ {
 						in[rng.Intn(n)] = OID(rng.Uint64())
 					}
-					routes[takesWithinBitmap(in, cand)]++
 					want := withinOracle(in, cand)
 					got := SortUniqueWithin(in, cand)
 					if !slices.Equal(got, want) {
@@ -289,9 +249,6 @@ func TestSortUniqueWithin(t *testing.T) {
 				}
 			}
 		}
-	}
-	if routes[true] == 0 || routes[false] == 0 {
-		t.Fatalf("%d inputs took the bitmap, %d did not: want both", routes[true], routes[false])
 	}
 	if got := SortUniqueWithin([]OID{5, 3}, nil); len(got) != 0 {
 		t.Fatalf("no candidates kept %v", got)
@@ -328,8 +285,7 @@ func FuzzSortUnique(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the crossover"), uint64(0xdead_beef_0000_0000), uint64(0xff00_0000_00ff_00ff), uint64(1), false)
 	f.Add(make([]byte, 300), ^uint64(0), ^uint64(0), uint64(1)<<40, false)
 	// A dense walk: 13 ascending runs of 19 steps of 2, each falling back 35,
-	// 260 OIDs over a window of two words, so that the bitmap sorts it and
-	// its long repetition below.
+	// 260 OIDs over a window of two words, and its long repetition below.
 	denseWalk := make([]byte, 260)
 	for i := range denseWalk {
 		denseWalk[i] = 2
@@ -353,9 +309,9 @@ func FuzzSortUnique(f *testing.F) {
 		if len(in) == 0 {
 			return
 		}
-		// Fuzz inputs are short: repeat them past every crossover, each
+		// Fuzz inputs are short: repeat them to more than 288 OIDs, each
 		// copy moved a little so that it is not all duplicates.
-		long := slices.Repeat(in, 1+radixMinPerPass*9/len(in))
+		long := slices.Repeat(in, 1+288/len(in))
 		for i := range long {
 			long[i] ^= OID(i/len(in)) & OID(mask)
 		}
@@ -365,43 +321,24 @@ func FuzzSortUnique(f *testing.F) {
 
 var sinkOIDs []OID
 
-// BenchmarkSortUnique is the layer's own benchmark: the kernel against the
-// comparison sort it replaced, cell by cell, so that radixMinPerPass and
-// bitmapMinPerWord are measured numbers. Each iteration pays one copy of
-// its input on both sides, and a cell rotates through 32 inputs of its
-// shape: sorting one input over and over trains the branch predictor on
-// it, which flatters the comparison sort as no serving path would. The
-// dense cells model a chain hop's union on embed_path, 13 ascending runs
-// over a window of about 7.5·n, and time the counting sort alone beside
-// the kernel. The crossover cells fill a window of 64 or 512 words with 1
-// to 6 OIDs per word and time the bitmap and the counting sort alone on
-// the same input, to find where one overtakes the other.
+// BenchmarkSortUnique is the layer's own benchmark. The pdqsort cells
+// time the comparison sort SortUnique's slice route runs, by length, shape
+// and the bytes the OIDs differ in; the dense cells model a chain hop's
+// union on embed_path, 13 ascending runs over a window of about 7.5·n.
+// Each iteration pays one copy of its input, and a cell rotates through 32
+// inputs of its shape: sorting one input over and over trains the branch
+// predictor on it, which flatters the comparison sort as no serving path
+// would. The direct-decode cells measure promoteWordsPerOID.
 func BenchmarkSortUnique(b *testing.B) {
-	type kernel struct {
-		name string
-		fn   func([]OID) []OID
-	}
-	radix, pdqsort := kernel{"radix", SortUnique}, kernel{"pdqsort", pdqSortUnique}
-	bitmap := kernel{"bitmap", func(oids []OID) []OID {
-		and, diff := spread(oids)
-		return bitmapSort(oids, and, diff)
-	}}
-	counting := kernel{"counting", func(oids []OID) []OID {
-		_, diff := spread(oids)
-		radixSort(oids, diff)
-		return slices.Compact(oids)
-	}}
-	run := func(name string, in *[32][]OID, kernels ...kernel) {
+	run := func(name string, in *[32][]OID) {
 		work := make([]OID, len(in[0]))
-		for _, k := range kernels {
-			b.Run(name+"/"+k.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					copy(work, in[i%len(in)])
-					sinkOIDs = k.fn(work)
-				}
-			})
-		}
+		b.Run(name+"/pdqsort", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, in[i%len(in)])
+				sinkOIDs = pdqSortUnique(work)
+			}
+		})
 	}
 	for _, n := range []int{8, 32, 64, 512, 4096} {
 		for _, shape := range []string{"ascending", "runs4", "random"} {
@@ -411,7 +348,7 @@ func BenchmarkSortUnique(b *testing.B) {
 				for i := range in {
 					in[i] = shaped(rng, n, 1, lowMask(live), shape)
 				}
-				run(fmt.Sprintf("n=%d/shape=%s/bytes=%d", n, shape, live), &in, radix, pdqsort)
+				run(fmt.Sprintf("n=%d/shape=%s/bytes=%d", n, shape, live), &in)
 			}
 		}
 	}
@@ -421,21 +358,9 @@ func BenchmarkSortUnique(b *testing.B) {
 		for i := range in {
 			in[i] = shaped(rng, n, 1<<20, 0, "dense")
 		}
-		run(fmt.Sprintf("n=%d/shape=dense", n), &in, radix, counting, pdqsort)
+		run(fmt.Sprintf("n=%d/shape=dense", n), &in)
 	}
 	benchmarkDirectDecode(b)
-	// A window of 64·words values from 1<<20 spans exactly words words.
-	for _, words := range []int{64, 512} {
-		for _, perWord := range []float64{1, 1.5, 2, 3, 4, 6} {
-			n := int(perWord * float64(words))
-			rng := rand.New(rand.NewSource(int64(n)))
-			var in [32][]OID
-			for i := range in {
-				in[i] = dense(rng, n, 13, 1<<20, 64*OID(words), 1)
-			}
-			run(fmt.Sprintf("words=%d/n=%d", words, n), &in, bitmap, counting)
-		}
-	}
 }
 
 // encodeRuns encodes oids as NIX sections do, one (OID, numchild) entry of
@@ -460,11 +385,12 @@ func encodeRuns(oids []OID, runs int) [][]byte {
 // window of 347 words (embed_path's NIX index). "sort" decodes them into a
 // slice and runs SortUnique, as every hop did before OIDSet; "set" adds
 // them to an OIDSet hinted with the window, promoting by
-// promoteMinPerWord; "bitmap" is the set promoted at its second section,
+// promoteWordsPerOID; "bitmap" is the set promoted at its second section,
 // the earliest any rule may, and "slice" the set never promoted, the two
-// kernels the rule chooses between. The first three cells are embed_path's shapes — a point
-// query's final hop in 4 runs, a larger one, and a range hop's ~9,000 OIDs
-// in 20 runs — and the density cells place the promotion's break-even.
+// kernels the rule chooses between. The first three cells are embed_path's
+// shapes — a point query's final hop in 4 runs, a larger one, and a range
+// hop's ~9,000 OIDs in 20 runs — and the density cells, 1/32 to 2 OIDs
+// per word, place the promotion's break-even.
 func benchmarkDirectDecode(b *testing.B) {
 	const words, base = 347, OID(1 << 20)
 	type cell struct {
@@ -472,7 +398,7 @@ func benchmarkDirectDecode(b *testing.B) {
 		n, runs int
 	}
 	cells := []cell{{"shape", 842, 4}, {"shape", 2845, 4}, {"shape", 9000, 20}}
-	for _, perWord := range []float64{0.125, 0.25, 0.5, 0.75, 1, 1.5, 2} {
+	for _, perWord := range []float64{1.0 / 32, 1.0 / 16, 0.125, 0.25, 0.5, 0.75, 1, 1.5, 2} {
 		cells = append(cells, cell{"density", int(perWord * words), 4})
 	}
 	decode := func(dst []OID, sec []byte) []OID {
