@@ -111,13 +111,15 @@
 // allocs/op (test-enforced), at ~12 µs/op on the 2-CPU build container
 // (BenchmarkServe, which also reports the 1→8 goroutine ops/sec scaling
 // curve on multi-core hosts). Between the hops of a
-// Proposition 4.1 chain the OID sets are united by a linear kernel — a
-// counting sort over the bytes the OIDs differ in, two for a store's
-// sequential OIDs — where a comparison sort used to take 70 % of a
-// whole-path query: on the repository benchmark's embedded whole-path
-// workload (benchmark/, embed_path; 2-CPU container) that is 35k → 143k
-// queries/sec, p99 337 → 69 µs, at identical page counts (DESIGN.md
-// §4.2). A hop of the chain hands the next index a sorted OID set, and
+// Proposition 4.1 chain the OID sets are united in a bit set over the
+// index's OID window (oodb.OIDSet): each OID sets its bit as it is
+// decoded off the index records, and the set is read back once, sorted
+// and deduplicated; a hop sparser than one OID per eight words of its
+// window is sorted by comparison instead. A comparison sort of every hop
+// used to take 70 % of a whole-path query: on the repository benchmark's
+// embedded whole-path workload (benchmark/, embed_path; 2-CPU container)
+// the linear union took it from 35k to about 150k queries/sec at
+// identical page counts (DESIGN.md §4.2). A hop of the chain hands the next index a sorted OID set, and
 // that set sweeps each B+-tree once — every node on the keys' paths read
 // once, as Section 3.1's CRT prices it, instead of a descent per key —
 // and a NIX record is opened once: the same workload reads 26.3 index

@@ -215,8 +215,8 @@ func runFromBytes(bs []byte) []oodb.OID {
 // a chain run within candidates ends in, oodb.SortUniqueWithin, against
 // normalizing and then intersecting: slices.Sort + slices.Compact +
 // IntersectSortedOIDs. The OIDs are a walk of fuzz steps — short
-// overlapping runs, as a hop yields — repeated past the bitmap's
-// crossover; the candidates are a second walk, dense or spread by a
+// overlapping runs, as a hop yields — repeated to more than 200 OIDs;
+// the candidates are a second walk, dense or spread by a
 // stride, and with far set also a few OIDs near both ends of the OID
 // space, so that their span is most of it.
 func FuzzSortUniqueWithin(f *testing.F) {

@@ -11,8 +11,8 @@ import "slices"
 // sorted — an attribute index's OID list is re-sorted on every write, but
 // a NIX section is in insertion order, and ascends only until a delete or
 // an out-of-order insert, so a union of several arrives in runs); any
-// other input is sorted by slices.Sort first. Dense sets never reach it:
-// OIDSet sets their bits instead (DESIGN.md §4.2).
+// other input is sorted by slices.Sort first. A chain's dense hops do not
+// reach it: OIDSet sets their bits instead (DESIGN.md §4.2).
 func SortUnique(oids []OID) []OID {
 	if len(oids) == 0 {
 		return nil
@@ -30,9 +30,6 @@ func SortUnique(oids []OID) []OID {
 // outside them, so that no intersection follows: the OIDs are normalized
 // and galloped through the candidates, with no scratch at all.
 func SortUniqueWithin(oids, within []OID) []OID {
-	if len(within) == 0 {
-		return oids[:0]
-	}
 	return keepSorted(SortUnique(oids), within)
 }
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/raceflag"
 )
 
-// pdqSortUnique is SortUnique as it stood before the counting sort: the
-// oracle of the differential tests and the baseline BenchmarkSortUnique
-// measures the crossover against.
+// pdqSortUnique is the textbook normalization, slices.Sort then
+// slices.Compact with no ascending check: the oracle of the differential
+// tests and what BenchmarkSortUnique's pdqsort cells time.
 func pdqSortUnique(oids []OID) []OID {
 	if len(oids) == 0 {
 		return nil
