@@ -26,14 +26,16 @@ func NaiveQuery(st *oodb.Store, p *schema.Path, value oodb.Value, targetClass st
 }
 
 // PathLevel resolves targetClass to its level within p, or an error when
-// the class is outside p's scope. The per-level hierarchies of a path
+// the class is outside p's scope: the first level whose class targetClass
+// is, or inherits from, walking targetClass's superclasses rather than
+// building each level's hierarchy. The per-level hierarchies of a path
 // are disjoint (schema.NewPath, Definition 2.1), so every resolver —
 // this one, IndexSet.LevelOf, index.Subpath and stats.Recorder — finds
 // the same single level.
 func PathLevel(p *schema.Path, targetClass string) (int, error) {
-	for l := 1; l <= p.Len(); l++ {
-		for _, cn := range p.HierarchyAt(l) {
-			if cn == targetClass {
+	if sc := p.Schema(); sc.Class(targetClass) != nil {
+		for l := 1; l <= p.Len(); l++ {
+			if sc.IsSubclassOf(targetClass, p.Class(l)) {
 				return l, nil
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/oodb"
+	"repro/internal/raceflag"
 	"repro/internal/schema"
 )
 
@@ -162,6 +163,72 @@ func TestNaiveQueryErrors(t *testing.T) {
 	}
 	if _, err := NaiveQuery(g.Store, g.Path, oodb.StrV("x"), "Ghost", false); err == nil {
 		t.Error("unknown class accepted")
+	}
+}
+
+// hierarchyScanLevel is PathLevel as a scan of every level's hierarchy:
+// the first level whose class or one of its subclasses is targetClass.
+func hierarchyScanLevel(p *schema.Path, targetClass string) (int, bool) {
+	for l := 1; l <= p.Len(); l++ {
+		if slices.Contains(p.HierarchyAt(l), targetClass) {
+			return l, true
+		}
+	}
+	return 0, false
+}
+
+// TestPathLevelMatchesHierarchyScan: over Figure 7's schema, with a
+// subclass two levels below Vehicle added, and over every subpath of
+// Person.owns.man.divs.name, every class, an unknown name and the empty
+// name resolve to the level a scan of the hierarchies finds, or to an
+// error where it finds none.
+func TestPathLevelMatchesHierarchyScan(t *testing.T) {
+	sc := schema.PaperSchema()
+	sc.MustAddClass(&schema.Class{Name: "Minibus", Super: "Bus"})
+	full := schema.MustNewPath(sc, "Person", "owns", "man", "divs", "name")
+	names := append(sc.Classes(), "Ghost", "")
+	found, refused := 0, 0
+	for _, ab := range full.SubPaths() {
+		p, err := full.SubPath(ab[0], ab[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cn := range names {
+			want, ok := hierarchyScanLevel(p, cn)
+			got, err := PathLevel(p, cn)
+			switch {
+			case ok && (err != nil || got != want):
+				t.Errorf("%s, %q: level %d (%v), want %d", p, cn, got, err, want)
+			case !ok && err == nil:
+				t.Errorf("%s, %q: level %d, want an error", p, cn, got)
+			case ok:
+				found++
+			default:
+				refused++
+			}
+		}
+	}
+	if found == 0 || refused == 0 {
+		t.Fatalf("%d classes resolved, %d refused: want both", found, refused)
+	}
+}
+
+// TestPathLevelAllocs: resolving a class, a subclass included, allocates
+// nothing.
+func TestPathLevelAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector perturbs allocation counts")
+	}
+	p := schema.PaperPathOwnsManDivsName()
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, cn := range []string{"Person", "Truck", "Division"} {
+			if _, err := PathLevel(p, cn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PathLevel: %v allocs per run, want 0", allocs)
 	}
 }
 

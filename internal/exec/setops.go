@@ -1,6 +1,14 @@
 package exec
 
-import "repro/internal/oodb"
+import (
+	"sync"
+
+	"repro/internal/oodb"
+)
+
+// unionSets holds the OID sets dense unions are read back through; a set
+// is empty between uses and keeps its buffers.
+var unionSets = sync.Pool{New: func() any { return new(oodb.OIDSet) }}
 
 // This file holds the sorted-OID-set kernels the planner and the sharded
 // fan-out layer compose query answers with. Every run is a sorted,
@@ -74,18 +82,22 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 
 // MergeKSortedOIDs unions k sorted, duplicate-free runs into one,
 // appending to dst and returning it. Runs that happen to be disjoint and
-// ordered end to end concatenate in one pass. Per-shard answers are not
-// such runs: shard i holds the OIDs congruent to i mod N, so their runs
-// interleave OID by OID and take the merge. Otherwise a tournament over a
-// binary min-heap of run heads (two runs: a plain two-way merge) emits
-// the union in O(total·log k), collapsing equal OIDs so the result stays
-// set-like. Compare the pairwise fold it replaces, which re-scans the
-// accumulator once per run for O(k·total).
+// ordered end to end concatenate in one pass. Interleaved runs — per-shard
+// answers are such runs, shard i holding the OIDs congruent to i mod N —
+// whose OIDs are dense in the window from the lowest head to the highest
+// tail, by the OID set's own promotion rule (oodb.Dense), are added to a
+// pooled oodb.OIDSet hinted with that window and read back once into dst:
+// a bit set per OID and a scan of the window's words. A sparse union
+// takes a tournament over a binary min-heap of run heads (two runs: a
+// plain two-way merge), which emits it in O(total·log k), collapsing
+// equal OIDs so the result stays set-like. dst must not share storage
+// with any run.
 func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	// Compact away empty runs; remember whether the non-empty ones chain
-	// disjointly in order.
-	live := 0
+	// disjointly in order, and the window and count they span.
+	live, total := 0, 0
 	ordered := true
+	lo, hi := ^oodb.OID(0), oodb.OID(0)
 	for _, r := range runs {
 		if len(r) == 0 {
 			continue
@@ -93,6 +105,8 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		if live > 0 && runs[live-1][len(runs[live-1])-1] >= r[0] {
 			ordered = false
 		}
+		lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+		total += len(r)
 		runs[live] = r
 		live++
 	}
@@ -107,6 +121,16 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		for _, r := range runs {
 			dst = append(dst, r...)
 		}
+		return dst
+	}
+	if oodb.Dense(lo, hi, total) {
+		set := unionSets.Get().(*oodb.OIDSet)
+		set.Hint(lo, hi)
+		for _, r := range runs {
+			set.AddAll(r)
+		}
+		dst = set.AppendTo(dst)
+		unionSets.Put(set)
 		return dst
 	}
 	if live == 2 {

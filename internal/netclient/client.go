@@ -130,6 +130,9 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("netclient: connection lost: %w", err))
 			return
 		}
+		// The decoded OIDs become the call's answer, so every response
+		// decodes into a slice of its own.
+		resp.OIDs = nil
 		if err := wire.DecodeResponse(buf, &resp); err != nil {
 			c.fail(fmt.Errorf("netclient: %w", err))
 			return
@@ -148,7 +151,7 @@ func (c *Client) readLoop() {
 		case resp.Status == wire.StatusOKValues && len(resp.Vals) > 0:
 			call.vals = append([]oodb.Value(nil), resp.Vals...)
 		case len(resp.OIDs) > 0:
-			call.oids = append([]oodb.OID(nil), resp.OIDs...)
+			call.oids = resp.OIDs
 		}
 		close(call.done)
 	}

@@ -3,11 +3,19 @@ package netclient
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/netserver"
 	"repro/internal/oodb"
 	"repro/internal/wire"
 )
@@ -227,5 +235,77 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelinedAnswersDoNotAlias: 16 point queries with distinct answers,
+// over the four classes of Figure 7's path,
+// are all put in flight on one connection, the largest answer first, and
+// all waited on before any answer is read; every call must then still
+// hold its own answer, equal to the engine's. A reader that decoded each
+// response into the array of the one before would leave every earlier
+// call holding a later call's OIDs.
+func TestPipelinedAnswersDoNotAlias(t *testing.T) {
+	g, err := gen.Generate(model.Figure7Stats(), 0.01, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: g.Path.Len(), Org: cost.NIX}}}
+	e, err := engine.New(g.Store, g.Path, cfg, model.PaperParams().PageSize, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type probe struct {
+		v     oodb.Value
+		class string
+		want  []oodb.OID
+	}
+	var probes []probe
+	seen := map[string]bool{}
+	for _, class := range []string{"Person", "Vehicle", "Company", "Division"} {
+		for _, v := range g.EndValues {
+			want, err := e.Query(v, class, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key := fmt.Sprint(want); len(want) > 0 && !seen[key] {
+				seen[key] = true
+				probes = append(probes, probe{v, class, want})
+			}
+		}
+	}
+	if len(probes) < 16 {
+		t.Fatalf("%d distinct non-empty answers, want 16", len(probes))
+	}
+	slices.SortStableFunc(probes, func(a, b probe) int { return len(b.want) - len(a.want) })
+	probes = probes[:16]
+
+	srv := netserver.New(e, netserver.Options{Path: g.Path})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() }) //nolint:errcheck // teardown
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() }) //nolint:errcheck // teardown
+	calls := make([]*Call, len(probes))
+	for i, pb := range probes {
+		calls[i] = c.GoQuery(pb.v, pb.class, true)
+	}
+	got := make([][]oodb.OID, len(calls))
+	within(t, "waiting on the pipelined calls", func() {
+		for i, call := range calls {
+			if got[i], err = call.Wait(); err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+	})
+	for i, pb := range probes {
+		if !slices.Equal(got[i], pb.want) {
+			t.Errorf("call %d: %d OIDs %v, want the engine's %d %v", i, len(got[i]), got[i], len(pb.want), pb.want)
+		}
 	}
 }

@@ -537,6 +537,7 @@ type dispatcher struct {
 	// stays dispatcher-local, so predicate serving takes no lock.
 	pl    *plan.Planner
 	plGen uint64
+	ans   []oodb.OID // a predicate group's answer, reused once its replies are framed
 
 	// Predicate coalescing scratch: identical predicates in one window
 	// share a planner descent. keyBuf holds the canonical key under
@@ -757,7 +758,7 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 		}
 		return
 	}
-	oids, err := p.Execute()
+	oids, err := p.ExecuteInto(d.ans[:0])
 	if err != nil {
 		fail(err)
 		return
@@ -765,6 +766,7 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 	for _, t := range run {
 		d.reply(t, oids, nil)
 	}
+	d.ans = oids[:0] // every reply is encoded: the answer's storage is free
 }
 
 // resolvePaths fills each leaf's Path from the registration table, in

@@ -58,18 +58,35 @@ func (s *OIDSet) Hint(lo, hi OID) {
 		return
 	}
 	s.promoteAt = 0
+	if w, at := promotion(lo, hi); at > 0 {
+		s.lo, s.words, s.promoteAt = lo, w, at
+	}
+}
+
+// promotion returns the window [lo, hi]'s length in words and the count of
+// OIDs at which a set hinted with it moves into its bitmap; a count of 0
+// means never. Promotion waits for one OID per promoteWordsPerOID words,
+// so a bitmap is at most promoteWordsPerOID times the slice it replaces;
+// the count is rounded up, so that a window narrower than that still
+// promotes. An inverted window, or one of 2^31 words or more, is no hint.
+func promotion(lo, hi OID) (words, at int) {
 	if hi < lo {
-		return
+		return 0, 0
 	}
-	// Promotion waits for one OID per promoteWordsPerOID words, so a
-	// bitmap is at most promoteWordsPerOID times the slice it replaces; the
-	// count is rounded up, so that a window narrower than that still
-	// promotes (a count of 0 would mean never). A window of 2^31 words or
-	// more is no hint.
-	if w := uint64(hi-lo)>>6 + 1; w < math.MaxInt32 {
-		s.lo, s.words = lo, int(w)
-		s.promoteAt = (int(w) + promoteWordsPerOID - 1) / promoteWordsPerOID
+	w := uint64(hi-lo)>>6 + 1
+	if w >= math.MaxInt32 {
+		return 0, 0
 	}
+	return int(w), (int(w) + promoteWordsPerOID - 1) / promoteWordsPerOID
+}
+
+// Dense reports whether n OIDs from more than one run, all inside the
+// window [lo, hi], are dense enough that a set hinted with the window
+// holds them in its bitmap: the set's own promotion rule, for a caller
+// choosing between the set and a kernel of its own.
+func Dense(lo, hi OID, n int) bool {
+	_, at := promotion(lo, hi)
+	return at > 0 && n > 1 && n >= at
 }
 
 // Added returns how many OIDs were added since the set was last emptied,
@@ -119,6 +136,42 @@ func (s *OIDSet) AddEncoded(b []byte, n, stride int) {
 	if s.promoteAt > 0 && at > 0 && len(s.oids) >= s.promoteAt {
 		s.promote()
 	}
+}
+
+// AddAll adds the OIDs of oids, setting their bits straight from the
+// slice while the set is dense.
+func (s *OIDSet) AddAll(oids []OID) {
+	if len(oids) == 0 {
+		return
+	}
+	s.added += len(oids)
+	if s.dense {
+		k := s.setAll(oids)
+		if k == len(oids) {
+			return
+		}
+		s.oids = s.readBits(s.oids[:0], s.added) // outside the window: back to the slice
+		oids = oids[k:]
+	}
+	at := len(s.oids)
+	s.oids = append(s.oids, oids...)
+	if s.promoteAt > 0 && at > 0 && len(s.oids) >= s.promoteAt {
+		s.promote()
+	}
+}
+
+// setAll sets the bits of oids, stopping at the first outside the window;
+// it returns how many it set.
+func (s *OIDSet) setAll(oids []OID) int {
+	bm, lo := s.bits, s.lo
+	for k, o := range oids {
+		i := uint64(o - lo)
+		if i>>6 >= uint64(len(bm)) {
+			return k
+		}
+		bm[i>>6] |= 1 << (i & 63)
+	}
+	return len(oids)
 }
 
 // setEncoded sets the bits of the n OIDs encoded in b, stopping at the
@@ -224,11 +277,13 @@ func (s *OIDSet) AppendTo(dst []OID) []OID {
 
 // AppendWithin appends the set's OIDs that within holds — a sorted,
 // duplicate-free candidate set — to dst, sorted, and empties the set. A
-// dense set is probed once per candidate inside its window, the
-// candidates below it skipped by one gallop; a slice is filtered by
-// SortUniqueWithin.
+// dense set grows dst once, by as many OIDs as the fewer of the candidates
+// and the OIDs added can match, and is probed once per candidate inside
+// its window, the candidates below it skipped by one gallop; a slice is
+// filtered by SortUniqueWithin.
 func (s *OIDSet) AppendWithin(dst, within []OID) []OID {
 	if s.dense {
+		dst = slices.Grow(dst, min(len(within), s.added))
 		lo, bm := s.lo, s.bits
 		for _, c := range within[gallop(within, lo):] {
 			i := uint64(c - lo)

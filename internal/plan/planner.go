@@ -425,11 +425,19 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 }
 
 // Execute runs the plan and returns the matching OIDs, sorted and
-// duplicate-free — bit-identical to NaiveEval of the same predicate.
+// duplicate-free — bit-identical to NaiveEval of the same predicate. It
+// is ExecuteInto with no buffer of the caller's.
+func (p *Plan) Execute() ([]oodb.OID, error) { return p.ExecuteInto(nil) }
+
+// ExecuteInto runs the plan and appends the matching OIDs, sorted and
+// duplicate-free, to dst, returning the result; with one part and an
+// empty dst the result is the part's own answer, not a copy into dst.
 //
 // A plan over k parts evaluates the whole tree once per part, in part
-// order on the calling goroutine, and merges the parts' answers —
-// disjoint sorted runs — once; with one part nothing is merged. Each
+// order on the calling goroutine, and unions the parts' answers — sorted
+// runs that interleave OID by OID — once, into dst
+// (exec.MergeKSortedOIDs: through an OID set's bitmap when they are
+// dense, by a merge otherwise); with one part nothing is unioned. Each
 // part's conjunctions short-circuit on their own: a part whose cheapest
 // conjunct is empty never probes the rest. The execution is accounted
 // for once: a leaf that at least one part ran is recorded, in the
@@ -437,8 +445,8 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 // probe ran it — its answer is known to be empty). A probe that every
 // part ran feeds its summed answer size to the cardinality estimate; a
 // sum with a part missing would bias the estimate low. A failed execution
-// observes nothing.
-func (p *Plan) Execute() ([]oodb.OID, error) {
+// observes nothing and returns nil.
+func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
 	x := execution{Plan: p, ran: make([]leafRun, p.leaves)}
 	runs := make([][]oodb.OID, p.parts)
 	total := 0
@@ -453,9 +461,12 @@ func (p *Plan) Execute() ([]oodb.OID, error) {
 	}
 	x.settle(p.root, true)
 	if len(runs) == 1 {
-		return runs[0], nil
+		if len(dst) == 0 {
+			return runs[0], nil
+		}
+		return append(dst, runs[0]...), nil
 	}
-	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
+	return exec.MergeKSortedOIDs(slices.Grow(dst, total), runs...), nil
 }
 
 // execution is one Execute's state: the part being evaluated and, per

@@ -353,15 +353,17 @@ func AppendError(dst []byte, id uint64, msg string) []byte {
 type Response struct {
 	ID     uint64
 	Status byte
-	OIDs   []oodb.OID   // StatusOK result list (capacity reused across decodes)
+	OIDs   []oodb.OID   // StatusOK result list (its capacity reused when it holds the count)
 	Vals   []oodb.Value // StatusOKValues result list (capacity reused; strings owned)
 	Err    []byte       // StatusErr message — aliases the input
 }
 
-// DecodeResponse decodes one response payload into resp, reusing
-// resp.OIDs's capacity. The declared OID count is validated against the
-// actual body length before the slice grows, so a corrupt count cannot
-// provoke a giant allocation.
+// DecodeResponse decodes one response payload into resp. resp.OIDs is
+// filled at the declared count: in its own backing array when its
+// capacity holds the count, else in one slice made at exactly that size.
+// The declared OID count is validated against the actual body length
+// before anything is allocated, so a corrupt count cannot provoke a giant
+// allocation.
 func DecodeResponse(b []byte, resp *Response) error {
 	if len(b) < 9 {
 		return fmt.Errorf("wire: %d-byte response payload, want at least 9", len(b))
@@ -384,8 +386,13 @@ func DecodeResponse(b []byte, resp *Response) error {
 		if uint64(len(b)) != 8*uint64(n) {
 			return fmt.Errorf("wire: result body is %d bytes for %d oids", len(b), n)
 		}
-		for i := uint32(0); i < n; i++ {
-			resp.OIDs = append(resp.OIDs, oodb.OID(binary.BigEndian.Uint64(b[8*i:])))
+		if cap(resp.OIDs) >= int(n) {
+			resp.OIDs = resp.OIDs[:n]
+		} else {
+			resp.OIDs = make([]oodb.OID, n)
+		}
+		for i := range resp.OIDs {
+			resp.OIDs[i] = oodb.OID(binary.BigEndian.Uint64(b[8*i:]))
 		}
 	case StatusOKValues:
 		if len(b) < 4 {

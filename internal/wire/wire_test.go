@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/oodb"
+	"repro/internal/raceflag"
 )
 
 func frame(payload []byte) []byte { return AppendFrame(nil, payload) }
@@ -163,6 +165,53 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	if resp.Status != StatusErr || string(resp.Err) != "engine: boom" {
 		t.Fatalf("got %+v", resp)
+	}
+}
+
+// TestDecodeResponseReusesCapacity: a response decodes its OIDs into the
+// backing array resp.OIDs brings when that holds the declared count, with
+// no allocation; into exactly one slice of the declared count when it
+// does not; and a count the body cannot hold is refused before the slice
+// is touched.
+func TestDecodeResponseReusesCapacity(t *testing.T) {
+	oids := []oodb.OID{4, 8, 15, 16, 23, 42}
+	payload := AppendOKOIDs(nil, 7, oids)
+	var resp Response
+	buf := make([]oodb.OID, 0, 8)
+	resp.OIDs = buf
+	if err := DecodeResponse(payload, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(resp.OIDs, oids) || &resp.OIDs[0] != &buf[:1][0] {
+		t.Fatalf("decoded %v into a new array, want %v in the one brought", resp.OIDs, oids)
+	}
+	resp.OIDs = nil
+	if err := DecodeResponse(payload, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(resp.OIDs, oids) || cap(resp.OIDs) != len(oids) {
+		t.Fatalf("decoded %v at capacity %d, want %v at capacity %d", resp.OIDs, cap(resp.OIDs), oids, len(oids))
+	}
+	lying := AppendOKOIDs(nil, 7, oids)
+	lying[9+2] = 0x01 // count 65,542 over a six-OID body
+	resp.OIDs = nil
+	if err := DecodeResponse(lying, &resp); err == nil || resp.OIDs != nil {
+		t.Fatalf("lying count: err %v, OIDs of capacity %d; want an error and no slice", err, cap(resp.OIDs))
+	}
+	if raceflag.Enabled {
+		return // allocation counts are perturbed under -race
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		resp.OIDs = buf
+		DecodeResponse(payload, &resp) //nolint:errcheck // decoded above
+	}); n != 0 {
+		t.Errorf("decoding into enough capacity: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		resp.OIDs = nil
+		DecodeResponse(payload, &resp) //nolint:errcheck // decoded above
+	}); n != 1 {
+		t.Errorf("decoding into no capacity: %v allocs, want 1", n)
 	}
 }
 
