@@ -27,17 +27,16 @@ func NaiveQuery(st *oodb.Store, p *schema.Path, value oodb.Value, targetClass st
 
 // PathLevel resolves targetClass to its level within p, or an error when
 // the class is outside p's scope: the first level whose class targetClass
-// is, or inherits from, walking targetClass's superclasses rather than
-// building each level's hierarchy. The per-level hierarchies of a path
-// are disjoint (schema.NewPath, Definition 2.1), so every resolver —
-// this one, IndexSet.LevelOf, index.Subpath and stats.Recorder — finds
-// the same single level.
+// is, or inherits from, found by walking targetClass's superclasses
+// (schema.IsSubclassOf, where a class the schema lacks matches nothing)
+// rather than by building each level's hierarchy. The per-level
+// hierarchies of a path are disjoint (schema.NewPath, Definition 2.1), so
+// every resolver — this one, IndexSet.LevelOf, index.Subpath and
+// stats.Recorder — finds the same single level.
 func PathLevel(p *schema.Path, targetClass string) (int, error) {
-	if sc := p.Schema(); sc.Class(targetClass) != nil {
-		for l := 1; l <= p.Len(); l++ {
-			if sc.IsSubclassOf(targetClass, p.Class(l)) {
-				return l, nil
-			}
+	for l := 1; l <= p.Len(); l++ {
+		if p.Schema().IsSubclassOf(targetClass, p.Class(l)) {
+			return l, nil
 		}
 	}
 	return 0, fmt.Errorf("exec: class %q not in scope of %s", targetClass, p)

@@ -88,10 +88,9 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 // tail, by the OID set's own promotion rule (oodb.Dense), are added to a
 // pooled oodb.OIDSet hinted with that window and read back once into dst:
 // a bit set per OID and a scan of the window's words. A sparse union
-// takes a tournament over a binary min-heap of run heads (two runs: a
-// plain two-way merge), which emits it in O(total·log k), collapsing
-// equal OIDs so the result stays set-like. dst must not share storage
-// with any run.
+// takes a tournament over a binary min-heap of run heads, which emits it
+// in O(total·log k), collapsing equal OIDs so the result stays set-like.
+// dst must not share storage with any run.
 func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	// Compact away empty runs; remember whether the non-empty ones chain
 	// disjointly in order, and the window and count they span.
@@ -132,9 +131,6 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		dst = set.AppendTo(dst)
 		unionSets.Put(set)
 		return dst
-	}
-	if live == 2 {
-		return mergeTwoInto(dst, runs[0], runs[1])
 	}
 	// Tournament: a min-heap of run indices keyed by each run's head.
 	heap := make([]int, live)
@@ -179,26 +175,4 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		siftDown(0, n)
 	}
 	return dst
-}
-
-// mergeTwoInto merges two sorted duplicate-free runs into dst, collapsing
-// equal OIDs. It never reuses an input's backing array, so the caller
-// controls placement.
-func mergeTwoInto(dst, a, b []oodb.OID) []oodb.OID {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }

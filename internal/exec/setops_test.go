@@ -171,8 +171,7 @@ func checkUnion(t *testing.T, runs [][]oodb.OID) string {
 
 // TestMergeKSortedOIDsRandomized: unions of 0–5 random runs drawn from a
 // window of 60 OIDs, where interleaved runs are dense and take the set,
-// and from one of 2^20, where they are sparse and take the merge (two
-// runs the two-way merge, more the tournament).
+// and from one of 2^20, where they are sparse and take the merge.
 func TestMergeKSortedOIDsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	routes := map[string]int{}
@@ -183,14 +182,10 @@ func TestMergeKSortedOIDsRandomized(t *testing.T) {
 			for i := range runs {
 				runs[i] = randRun(rng, rng.Intn(20), span)
 			}
-			route := checkUnion(t, runs)
-			if route == "merge" && k > 2 {
-				route = "tournament"
-			}
-			routes[route]++
+			routes[checkUnion(t, runs)]++
 		}
 	}
-	for _, r := range []string{"set", "merge", "tournament"} {
+	for _, r := range []string{"set", "merge"} {
 		if routes[r] == 0 {
 			t.Fatalf("no union took the %s route: %v", r, routes)
 		}
@@ -262,9 +257,9 @@ func FuzzIntersect(f *testing.F) {
 // is sparse and takes the merge).
 func FuzzUnion(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint64(1)<<20)                                   // two narrow runs: the set
-	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint64(1)<<20)                                   // two wide runs: the two-way merge
+	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint64(1)<<20)                                   // two wide runs: the merge
 	f.Add(append([]byte{6}, "the quick brown fox jumps over the lazy dog"...), uint8(0x2a), uint64(77)) // six runs, three wide
-	f.Add([]byte{4, 200, 100, 50, 25, 12, 6, 3, 1}, uint8(0xff), uint64(0))                             // four wide runs: the tournament
+	f.Add([]byte{4, 200, 100, 50, 25, 12, 6, 3, 1}, uint8(0xff), uint64(0))                             // four wide runs: the merge
 	f.Add([]byte{1, 9, 9, 9}, uint8(0), ^uint64(0)>>1)                                                  // one run
 	f.Fuzz(func(t *testing.T, raw []byte, wide uint8, base uint64) {
 		if len(raw) == 0 {

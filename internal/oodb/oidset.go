@@ -138,13 +138,18 @@ func (s *OIDSet) AddEncoded(b []byte, n, stride int) {
 	}
 }
 
-// AddAll adds the OIDs of oids, setting their bits straight from the
-// slice while the set is dense.
+// AddAll adds the OIDs of oids, a run of them. When the set already
+// holds OIDs and these bring it to its promote count, it moves into its
+// bitmap first, so that these set their bits straight from the slice, as
+// every run after them does.
 func (s *OIDSet) AddAll(oids []OID) {
 	if len(oids) == 0 {
 		return
 	}
 	s.added += len(oids)
+	if !s.dense && s.promoteAt > 0 && len(s.oids) > 0 && len(s.oids)+len(oids) >= s.promoteAt {
+		s.promote()
+	}
 	if s.dense {
 		k := s.setAll(oids)
 		if k == len(oids) {
@@ -153,11 +158,7 @@ func (s *OIDSet) AddAll(oids []OID) {
 		s.oids = s.readBits(s.oids[:0], s.added) // outside the window: back to the slice
 		oids = oids[k:]
 	}
-	at := len(s.oids)
 	s.oids = append(s.oids, oids...)
-	if s.promoteAt > 0 && at > 0 && len(s.oids) >= s.promoteAt {
-		s.promote()
-	}
 }
 
 // setAll sets the bits of oids, stopping at the first outside the window;

@@ -257,7 +257,7 @@ type andPlan struct {
 	estimated
 }
 
-// orPlan unions its branches through the k-way merge; its leaves on one
+// orPlan unions its branches through exec.MergeKSortedOIDs; its leaves on one
 // source have become one probe group among them.
 type orPlan struct {
 	kids []pnode
