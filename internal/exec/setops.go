@@ -6,15 +6,12 @@ import (
 	"repro/internal/oodb"
 )
 
-// unionSets holds the OID sets dense unions are read back through; a set
-// is empty between uses and keeps its buffers.
-var unionSets = sync.Pool{New: func() any { return new(oodb.OIDSet) }}
-
 // This file holds the sorted-OID-set kernels the planner and the sharded
 // fan-out layer compose query answers with. Every run is a sorted,
 // duplicate-free []oodb.OID — the normal form SortUnique and an OIDSet's
 // read-back already produce — so set intersection and union reduce to
-// merge passes that never touch the store.
+// passes over the runs (or, for a dense union, over an OID set's bitmap)
+// that never touch the store.
 
 // IntersectSortedOIDs intersects the sorted, duplicate-free runs a and b,
 // appending the result to dst and returning it. The intersection is
@@ -79,6 +76,10 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 	}
 	return hi
 }
+
+// unionSets holds the OID sets dense unions are read back through; a set
+// is empty between uses and keeps its buffers.
+var unionSets = sync.Pool{New: func() any { return new(oodb.OIDSet) }}
 
 // MergeKSortedOIDs unions k sorted, duplicate-free runs into one,
 // appending to dst and returning it. Runs that happen to be disjoint and
