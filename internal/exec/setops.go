@@ -1,17 +1,12 @@
 package exec
 
-import (
-	"sync"
-
-	"repro/internal/oodb"
-)
+import "repro/internal/oodb"
 
 // This file holds the sorted-OID-set kernels the planner and the sharded
 // fan-out layer compose query answers with. Every run is a sorted,
 // duplicate-free []oodb.OID — the normal form SortUnique and an OIDSet's
 // read-back already produce — so set intersection and union reduce to
-// passes over the runs (or, for a dense union, over an OID set's bitmap)
-// that never touch the store.
+// merge passes that never touch the store.
 
 // IntersectSortedOIDs intersects the sorted, duplicate-free runs a and b,
 // appending the result to dst and returning it. The intersection is
@@ -77,27 +72,24 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 	return hi
 }
 
-// unionSets holds the OID sets dense unions are read back through; a set
-// is empty between uses and keeps its buffers.
-var unionSets = sync.Pool{New: func() any { return new(oodb.OIDSet) }}
-
 // MergeKSortedOIDs unions k sorted, duplicate-free runs into one,
 // appending to dst and returning it. Runs that happen to be disjoint and
-// ordered end to end concatenate in one pass. Interleaved runs — per-shard
-// answers are such runs, shard i holding the OIDs congruent to i mod N —
-// whose OIDs are dense in the window from the lowest head to the highest
-// tail, by the OID set's own promotion rule (oodb.Dense), are added to a
-// pooled oodb.OIDSet hinted with that window and read back once into dst:
-// a bit set per OID and a scan of the window's words. A sparse union
-// takes a tournament over a binary min-heap of run heads, which emits it
-// in O(total·log k), collapsing equal OIDs so the result stays set-like.
-// dst must not share storage with any run.
+// ordered end to end concatenate in one pass. Per-shard answers are not
+// such runs: shard i holds the OIDs congruent to i mod N, so their runs
+// interleave OID by OID and take the merge, straight into dst, which a
+// caller that unions often keeps (Plan.ExecuteInto). Otherwise a
+// tournament over a binary min-heap of run heads (two runs: a plain
+// two-way merge) emits the union in O(total·log k), collapsing equal OIDs
+// so the result stays set-like. Compare the pairwise fold it replaces,
+// which re-scans the accumulator once per run for O(k·total), and an
+// OID set's bitmap, which loses to the two-way merge below several
+// thousand OIDs (DESIGN.md §11.2). dst must not share storage with any
+// run.
 func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	// Compact away empty runs; remember whether the non-empty ones chain
-	// disjointly in order, and the window and count they span.
-	live, total := 0, 0
+	// disjointly in order.
+	live := 0
 	ordered := true
-	lo, hi := ^oodb.OID(0), oodb.OID(0)
 	for _, r := range runs {
 		if len(r) == 0 {
 			continue
@@ -105,8 +97,6 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		if live > 0 && runs[live-1][len(runs[live-1])-1] >= r[0] {
 			ordered = false
 		}
-		lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
-		total += len(r)
 		runs[live] = r
 		live++
 	}
@@ -123,15 +113,8 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		}
 		return dst
 	}
-	if oodb.Dense(lo, hi, total) {
-		set := unionSets.Get().(*oodb.OIDSet)
-		set.Hint(lo, hi)
-		for _, r := range runs {
-			set.AddAll(r)
-		}
-		dst = set.AppendTo(dst)
-		unionSets.Put(set)
-		return dst
+	if live == 2 {
+		return mergeTwoInto(dst, runs[0], runs[1])
 	}
 	// Tournament: a min-heap of run indices keyed by each run's head.
 	heap := make([]int, live)
@@ -176,4 +159,26 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		siftDown(0, n)
 	}
 	return dst
+}
+
+// mergeTwoInto merges two sorted duplicate-free runs into dst, collapsing
+// equal OIDs. It never reuses an input's backing array, so the caller
+// controls placement.
+func mergeTwoInto(dst, a, b []oodb.OID) []oodb.OID {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }

@@ -123,58 +123,27 @@ func TestMergeKSortedOIDs(t *testing.T) {
 	}
 }
 
-// unionRoute names the route MergeKSortedOIDs takes for runs: "copy"
-// for at most one non-empty run, "concat" for runs ordered end to end,
-// "set" for a dense union, "merge" for a sparse one.
-func unionRoute(runs [][]oodb.OID) string {
-	var live [][]oodb.OID
-	lo, hi, total := ^oodb.OID(0), oodb.OID(0), 0
-	ordered := true
-	for _, r := range runs {
-		if len(r) == 0 {
-			continue
-		}
-		if len(live) > 0 && live[len(live)-1][len(live[len(live)-1])-1] >= r[0] {
-			ordered = false
-		}
-		live = append(live, r)
-		lo, hi, total = min(lo, r[0]), max(hi, r[len(r)-1]), total+len(r)
-	}
-	switch {
-	case len(live) < 2:
-		return "copy"
-	case ordered:
-		return "concat"
-	case oodb.Dense(lo, hi, total):
-		return "set"
-	}
-	return "merge"
-}
-
 // checkUnion compares MergeKSortedOIDs of runs against refUnion, appended
-// to nil and after a non-empty prefix, and returns the route it took.
-func checkUnion(t *testing.T, runs [][]oodb.OID) string {
+// to nil and after a non-empty prefix.
+func checkUnion(t *testing.T, runs [][]oodb.OID) {
 	t.Helper()
-	route := unionRoute(runs)
 	want := refUnion(runs...)
 	got := MergeKSortedOIDs(nil, slices.Clone(runs)...)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s route: MergeK of %d runs = %v, want %v", route, len(runs), got, want)
+		t.Fatalf("MergeK of %d runs = %v, want %v", len(runs), got, want)
 	}
 	prefix := []oodb.OID{9, 3}
 	got = MergeKSortedOIDs(slices.Clone(prefix), slices.Clone(runs)...)
 	if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
-		t.Fatalf("%s route: MergeK of %d runs after %v = %v, want the prefix, then %v", route, len(runs), prefix, got, want)
+		t.Fatalf("MergeK of %d runs after %v = %v, want the prefix, then %v", len(runs), prefix, got, want)
 	}
-	return route
 }
 
 // TestMergeKSortedOIDsRandomized: unions of 0–5 random runs drawn from a
-// window of 60 OIDs, where interleaved runs are dense and take the set,
-// and from one of 2^20, where they are sparse and take the merge.
+// window of 60 OIDs, where interleaved runs overlap often, and from one of
+// 2^20, where they rarely do.
 func TestMergeKSortedOIDsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	routes := map[string]int{}
 	for _, span := range []int{60, 1 << 20} {
 		for trial := 0; trial < 300; trial++ {
 			k := rng.Intn(6)
@@ -182,12 +151,7 @@ func TestMergeKSortedOIDsRandomized(t *testing.T) {
 			for i := range runs {
 				runs[i] = randRun(rng, rng.Intn(20), span)
 			}
-			routes[checkUnion(t, runs)]++
-		}
-	}
-	for _, r := range []string{"set", "merge"} {
-		if routes[r] == 0 {
-			t.Fatalf("no union took the %s route: %v", r, routes)
+			checkUnion(t, runs)
 		}
 	}
 }
@@ -246,41 +210,6 @@ func FuzzIntersect(f *testing.F) {
 		if len(gotU) != len(wantU) || (len(gotU) > 0 && !reflect.DeepEqual(gotU, wantU)) {
 			t.Fatalf("MergeK(%v, %v) = %v, want %v", a, b, gotU, wantU)
 		}
-	})
-}
-
-// FuzzUnion cross-checks MergeKSortedOIDs against refUnion, appended to
-// nil and after a prefix, on 0–6 runs cut from raw: run i is a walk from
-// base whose steps are a byte's low bits, 1 to 16 OIDs (a narrow window,
-// where interleaved runs are dense and take the set), or, when bit i of
-// wide is set, a byte shifted up by 16 bits (a wide one, where the union
-// is sparse and takes the merge).
-func FuzzUnion(f *testing.F) {
-	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint64(1)<<20)                                   // two narrow runs: the set
-	f.Add([]byte{2, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint64(1)<<20)                                   // two wide runs: the merge
-	f.Add(append([]byte{6}, "the quick brown fox jumps over the lazy dog"...), uint8(0x2a), uint64(77)) // six runs, three wide
-	f.Add([]byte{4, 200, 100, 50, 25, 12, 6, 3, 1}, uint8(0xff), uint64(0))                             // four wide runs: the merge
-	f.Add([]byte{1, 9, 9, 9}, uint8(0), ^uint64(0)>>1)                                                  // one run
-	f.Fuzz(func(t *testing.T, raw []byte, wide uint8, base uint64) {
-		if len(raw) == 0 {
-			checkUnion(t, nil)
-			return
-		}
-		k := int(raw[0] % 7)
-		raw = raw[1:]
-		runs := make([][]oodb.OID, k)
-		for i := range runs {
-			cur := oodb.OID(base >> 2) // room for every walk below the top of the OID space
-			for _, b := range raw[i*len(raw)/k : (i+1)*len(raw)/k] {
-				if wide>>i&1 == 0 {
-					cur += oodb.OID(b%16) + 1
-				} else {
-					cur += (oodb.OID(b) + 1) << 16
-				}
-				runs[i] = append(runs[i], cur)
-			}
-		}
-		checkUnion(t, runs)
 	})
 }
 

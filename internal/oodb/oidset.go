@@ -58,35 +58,18 @@ func (s *OIDSet) Hint(lo, hi OID) {
 		return
 	}
 	s.promoteAt = 0
-	if w, at := promotion(lo, hi); at > 0 {
-		s.lo, s.words, s.promoteAt = lo, w, at
-	}
-}
-
-// promotion returns the window [lo, hi]'s length in words and the count of
-// OIDs at which a set hinted with it moves into its bitmap; a count of 0
-// means never. Promotion waits for one OID per promoteWordsPerOID words,
-// so a bitmap is at most promoteWordsPerOID times the slice it replaces;
-// the count is rounded up, so that a window narrower than that still
-// promotes. An inverted window, or one of 2^31 words or more, is no hint.
-func promotion(lo, hi OID) (words, at int) {
 	if hi < lo {
-		return 0, 0
+		return
 	}
-	w := uint64(hi-lo)>>6 + 1
-	if w >= math.MaxInt32 {
-		return 0, 0
+	// Promotion waits for one OID per promoteWordsPerOID words, so a
+	// bitmap is at most promoteWordsPerOID times the slice it replaces; the
+	// count is rounded up, so that a window narrower than that still
+	// promotes (a count of 0 would mean never). A window of 2^31 words or
+	// more is no hint.
+	if w := uint64(hi-lo)>>6 + 1; w < math.MaxInt32 {
+		s.lo, s.words = lo, int(w)
+		s.promoteAt = (int(w) + promoteWordsPerOID - 1) / promoteWordsPerOID
 	}
-	return int(w), (int(w) + promoteWordsPerOID - 1) / promoteWordsPerOID
-}
-
-// Dense reports whether n OIDs from more than one run, all inside the
-// window [lo, hi], are dense enough that a set hinted with the window
-// holds them in its bitmap: the set's own promotion rule, for a caller
-// choosing between the set and a kernel of its own.
-func Dense(lo, hi OID, n int) bool {
-	_, at := promotion(lo, hi)
-	return at > 0 && n > 1 && n >= at
 }
 
 // Added returns how many OIDs were added since the set was last emptied,
@@ -136,43 +119,6 @@ func (s *OIDSet) AddEncoded(b []byte, n, stride int) {
 	if s.promoteAt > 0 && at > 0 && len(s.oids) >= s.promoteAt {
 		s.promote()
 	}
-}
-
-// AddAll adds the OIDs of oids, a run of them. When the set already
-// holds OIDs and these bring it to its promote count, it moves into its
-// bitmap first, so that these set their bits straight from the slice, as
-// every run after them does.
-func (s *OIDSet) AddAll(oids []OID) {
-	if len(oids) == 0 {
-		return
-	}
-	s.added += len(oids)
-	if !s.dense && s.promoteAt > 0 && len(s.oids) > 0 && len(s.oids)+len(oids) >= s.promoteAt {
-		s.promote()
-	}
-	if s.dense {
-		k := s.setAll(oids)
-		if k == len(oids) {
-			return
-		}
-		s.oids = s.readBits(s.oids[:0], s.added) // outside the window: back to the slice
-		oids = oids[k:]
-	}
-	s.oids = append(s.oids, oids...)
-}
-
-// setAll sets the bits of oids, stopping at the first outside the window;
-// it returns how many it set.
-func (s *OIDSet) setAll(oids []OID) int {
-	bm, lo := s.bits, s.lo
-	for k, o := range oids {
-		i := uint64(o - lo)
-		if i>>6 >= uint64(len(bm)) {
-			return k
-		}
-		bm[i>>6] |= 1 << (i & 63)
-	}
-	return len(oids)
 }
 
 // setEncoded sets the bits of the n OIDs encoded in b, stopping at the

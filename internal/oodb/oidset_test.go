@@ -20,8 +20,7 @@ func encodeAt(oids []OID, stride int) []byte {
 }
 
 // oidStream is what one hop adds to a set: runs of ascending OIDs, each
-// added encoded (AddAll'd as a slice when stride is 0), and single OIDs
-// added one by one.
+// added encoded, and single OIDs added one by one.
 type oidStream struct {
 	runs    [][]OID
 	singles map[int]OID // before run i
@@ -37,11 +36,7 @@ func (st oidStream) feed(s *OIDSet) (all []OID, promoted, demoted bool) {
 			promoted, demoted = promoted || !was && s.dense, demoted || was && !s.dense
 		}
 		was := s.dense
-		if st.stride == 0 {
-			s.AddAll(run)
-		} else {
-			s.AddEncoded(encodeAt(run, st.stride), len(run), st.stride)
-		}
+		s.AddEncoded(encodeAt(run, st.stride), len(run), st.stride)
 		all = append(all, run...)
 		promoted, demoted = promoted || !was && s.dense, demoted || was && !s.dense
 	}
@@ -64,7 +59,7 @@ func TestOIDSetMatchesSortUnique(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 100, 842, 3000} {
 			for _, runs := range []int{1, 4, 20} {
 				for _, hint := range []string{"exact", "narrow", "wide", "none"} {
-					for _, stride := range []int{0, 8, 12} {
+					for _, stride := range []int{8, 12} {
 						oids := dense(rng, n, 1, base, 8000, 1)
 						st := oidStream{singles: map[int]OID{}, stride: stride}
 						for r := 0; r < runs; r++ {
@@ -134,14 +129,10 @@ func TestOIDSetMatchesSortUnique(t *testing.T) {
 	}
 	// Hinted windows of 1 to 16 words, narrower and wider than
 	// promoteWordsPerOID: a stream of two runs that reaches its promote
-	// count, one OID per promoteWordsPerOID words rounded up, ends dense,
-	// as Dense says it will.
+	// count, one OID per promoteWordsPerOID words rounded up, ends dense.
 	for words := 1; words <= 16; words++ {
 		lo, hi := OID(1<<20), OID(1<<20+64*words-1)
 		n := max(2, (words+promoteWordsPerOID-1)/promoteWordsPerOID)
-		if !Dense(lo, hi, n) || Dense(lo, hi, n-1) {
-			t.Fatalf("window of %d words: Dense(%d) %v, Dense(%d) %v", words, n, Dense(lo, hi, n), n-1, Dense(lo, hi, n-1))
-		}
 		oids := dense(rng, n, 2, lo, hi-lo+1, 1)
 		st := oidStream{runs: [][]OID{oids[:n/2], oids[n/2:]}, stride: 8 + 4*(words%2)}
 		s.Hint(lo, hi)
@@ -152,13 +143,6 @@ func TestOIDSetMatchesSortUnique(t *testing.T) {
 		promotions++
 		if got, want := s.AppendTo(nil), pdqSortUnique(slices.Clone(all)); !slices.Equal(got, want) {
 			t.Fatalf("window of %d words: got %x, want %x", words, got, want)
-		}
-	}
-	for _, words := range []int{9, 100, 1 << 20} {
-		lo, hi := OID(1<<20), OID(1<<20+64*words-1)
-		at := (words + promoteWordsPerOID - 1) / promoteWordsPerOID
-		if !Dense(lo, hi, at) || Dense(lo, hi, at-1) || Dense(hi, lo, at) {
-			t.Fatalf("window of %d words: Dense must hold from %d OIDs on, and never for an inverted window", words, at)
 		}
 	}
 	if promotions == 0 || demotions == 0 || slices_ == 0 {
