@@ -849,3 +849,63 @@ func (s *countingSource) QueryHops(hops []exec.Hop, within []oodb.OID, class str
 	s.n.Add(1)
 	return s.Source.QueryHops(hops, within, class, hierarchy)
 }
+
+// TestPredicateAnswerBufferBounded: a dispatcher unions a sharded plan's
+// answers into a buffer it keeps between predicate groups, but never one
+// of more than keptAnswer OIDs. One answer above that, followed by small
+// ones, must leave the dispatcher holding only room for the small ones,
+// and every answer must be the embedded planner's.
+func TestPredicateAnswerBufferBounded(t *testing.T) {
+	s := schema.PaperSchema()
+	pAge := schema.MustNewPath(s, "Person", "age")
+	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: pAge.Len(), Org: cost.MX}}}
+	db, err := shard.New(s, pAge, cfg, 2048, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	const large, small = keptAnswer + 100, 5
+	for i := 0; i < large+small; i++ {
+		age := int64(30)
+		if i >= large {
+			age = 31
+		}
+		if _, err := db.Insert("Person", map[string][]oodb.Value{"age": {oodb.IntV(age)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(db, Options{Path: pAge})
+	d := newDispatcher(srv)
+	epl := plan.NewPlanner(nil)
+	if err := epl.Register(pAge, db, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := &conn{srv: srv, out: make(chan *[]byte, 4)}
+	c.pending.Store(1 << 30)
+	person := srv.intern([]byte("Person"))
+	for i, age := range []int64{30, 31, 31} {
+		want, err := mustPlanExec(t, epl, plan.Eq(pAge, oodb.IntV(age)), "Person")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.serveBatch([]*task{{conn: c, class: person, req: wire.Request{
+			ID: uint64(i), Op: wire.OpPredicate, Pred: wire.EqPred(1, oodb.IntV(age)),
+		}}})
+		bp := <-c.out
+		payload, _, err := wire.DecodeFrame(*bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.DecodeResponse(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != wire.StatusOK || !sameOIDs(resp.OIDs, want) {
+			t.Fatalf("answer %d (age %d): %d OIDs, want %d", i, age, len(resp.OIDs), len(want))
+		}
+		srv.bufPool.Put(bp)
+		if wantCap := len(want) <= keptAnswer; (cap(d.ans) > 0) != wantCap || cap(d.ans) > keptAnswer {
+			t.Fatalf("after answer %d of %d OIDs the dispatcher keeps room for %d, want some only up to %d", i, len(want), cap(d.ans), keptAnswer)
+		}
+	}
+}

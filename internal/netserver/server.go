@@ -537,7 +537,7 @@ type dispatcher struct {
 	// stays dispatcher-local, so predicate serving takes no lock.
 	pl    *plan.Planner
 	plGen uint64
-	ans   []oodb.OID // a predicate group's answer, reused once its replies are framed
+	ans   []oodb.OID // the union of a partitioned plan's answers (keptAnswer)
 
 	// Predicate coalescing scratch: identical predicates in one window
 	// share a planner descent. keyBuf holds the canonical key under
@@ -766,8 +766,22 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 	for _, t := range run {
 		d.reply(t, oids, nil)
 	}
-	d.ans = oids[:0] // every reply is encoded: the answer's storage is free
+	// Every reply is encoded, so a partitioned plan's union is free to
+	// hold the next one's. One larger than keptAnswer is let go, so that a
+	// huge answer is not held for the dispatcher's life. A plan of one part
+	// answers with its part's own slice and never writes into the buffer.
+	if p.Parts() > 1 {
+		d.ans = oids[:0]
+		if cap(d.ans) > keptAnswer {
+			d.ans = nil
+		}
+	}
 }
+
+// keptAnswer is the most OIDs a dispatcher keeps room for between
+// predicate groups (128 KiB): twice the largest answer net_pred's
+// two-shard unions produce.
+const keptAnswer = 16 << 10
 
 // resolvePaths fills each leaf's Path from the registration table, in
 // place: the decoded tree is the predicate the planner plans, exactly

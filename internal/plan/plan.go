@@ -28,9 +28,8 @@
 //	            probe group: one call of the source, one Proposition 4.1
 //	            chain entered through every disjunct's first hop, whose
 //	            later hops run once, on the union. Disjuncts on different
-//	            sources union through exec.MergeKSortedOIDs: an OID set's
-//	            bitmap when their OIDs are dense, a k-way tournament
-//	            merge otherwise.
+//	            sources merge through the k-way tournament merge
+//	            (exec.MergeKSortedOIDs).
 //	residual  — a conjunct over a path with no registered index source is
 //	            applied as a post-filter: each surviving candidate is
 //	            verified by forward navigation (exec.Reaches), paying
@@ -38,7 +37,7 @@
 //	            already narrowed down.
 //	partition — when every probe leaf uses one Partitioned source (a
 //	            sharded database), the whole tree runs once per part and
-//	            the parts' answers union once, at the root, into the
+//	            the parts' answers merge once, at the root, into the
 //	            caller's buffer (Plan.ExecuteInto).
 //
 // Every executed leaf is recorded once per execution, per path and kind

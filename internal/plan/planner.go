@@ -257,7 +257,7 @@ type andPlan struct {
 	estimated
 }
 
-// orPlan unions its branches through exec.MergeKSortedOIDs; its leaves on one
+// orPlan unions its branches through the k-way merge; its leaves on one
 // source have become one probe group among them.
 type orPlan struct {
 	kids []pnode
@@ -429,23 +429,22 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 // is ExecuteInto with no buffer of the caller's.
 func (p *Plan) Execute() ([]oodb.OID, error) { return p.ExecuteInto(nil) }
 
-// ExecuteInto runs the plan and appends the matching OIDs, sorted and
-// duplicate-free, to dst, returning the result; with one part and an
-// empty dst the result is the part's own answer, not a copy into dst.
+// ExecuteInto runs the plan and returns the matching OIDs, sorted and
+// duplicate-free. dst is the buffer the answers of a plan over several
+// parts are unioned into: their union is appended to it. A plan of one
+// part returns that part's own answer and leaves dst alone.
 //
 // A plan over k parts evaluates the whole tree once per part, in part
 // order on the calling goroutine, and unions the parts' answers — sorted
-// runs that interleave OID by OID — once, into dst
-// (exec.MergeKSortedOIDs: through an OID set's bitmap when they are
-// dense, by a merge otherwise); with one part nothing is unioned. Each
-// part's conjunctions short-circuit on their own: a part whose cheapest
-// conjunct is empty never probes the rest. The execution is accounted
-// for once: a leaf that at least one part ran is recorded, in the
-// planner's mix and in its source's sink (a part whose summary pruned a
-// probe ran it — its answer is known to be empty). A probe that every
-// part ran feeds its summed answer size to the cardinality estimate; a
-// sum with a part missing would bias the estimate low. A failed execution
-// observes nothing and returns nil.
+// runs that interleave OID by OID — once, by exec.MergeKSortedOIDs; with
+// one part nothing is unioned. Each part's conjunctions short-circuit on
+// their own: a part whose cheapest conjunct is empty never probes the
+// rest. The execution is accounted for once: a leaf that at least one
+// part ran is recorded, in the planner's mix and in its source's sink (a
+// part whose summary pruned a probe ran it — its answer is known to be
+// empty). A probe that every part ran feeds its summed answer size to the
+// cardinality estimate; a sum with a part missing would bias the estimate
+// low. A failed execution observes nothing and returns nil.
 func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
 	x := execution{Plan: p, ran: make([]leafRun, p.leaves)}
 	runs := make([][]oodb.OID, p.parts)
@@ -461,13 +460,15 @@ func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
 	}
 	x.settle(p.root, true)
 	if len(runs) == 1 {
-		if len(dst) == 0 {
-			return runs[0], nil
-		}
-		return append(dst, runs[0]...), nil
+		return runs[0], nil
 	}
 	return exec.MergeKSortedOIDs(slices.Grow(dst, total), runs...), nil
 }
+
+// Parts returns how many parts the plan runs over: more than one when
+// every probe leaf uses one Partitioned source, whose answers
+// ExecuteInto unions into its dst.
+func (p *Plan) Parts() int { return p.parts }
 
 // execution is one Execute's state: the part being evaluated and, per
 // leaf slot, how many parts ran the leaf and how many OIDs they answered.
