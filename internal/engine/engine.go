@@ -197,44 +197,42 @@ func (e *Engine) snapshot() *exec.IndexSet {
 }
 
 // Query evaluates A_n = value for targetClass through the active
-// configuration: QueryHops with one point hop. Queries run against an
-// atomic snapshot of the index set and are never blocked by an in-flight
-// reconfiguration.
+// configuration: QueryHops with one point hop and a fresh answer. Queries
+// run against an atomic snapshot of the index set and are never blocked
+// by an in-flight reconfiguration.
 func (e *Engine) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	hop := [1]exec.Hop{{Lo: value}}
-	out, _, err := e.QueryHops(hop[:], nil, targetClass, hierarchy)
-	return out, err
+	return e.QueryInto(nil, value, targetClass, hierarchy)
 }
 
 // QueryHops answers a disjunction of first hops as one Proposition 4.1
 // chain through the active configuration, optionally restricted to a
-// sorted candidate set (plan.Source; exec.IndexSet.QueryHops says what
-// produced counts). It runs against an atomic snapshot of the index set
-// and counts each hop as one operation.
-func (e *Engine) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+// sorted candidate set, and appends the answer to dst (plan.Source): a nil
+// dst gets a fresh answer of its exact size, a reused one makes the call
+// allocation-free (exec.IndexSet.QueryHops says what produced counts and
+// what dst holds on error). It runs against an atomic snapshot of the
+// index set and counts each hop as one operation.
+func (e *Engine) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	s := e.snapshot()
-	out, produced, err := s.QueryHops(hops, within, targetClass, hierarchy)
+	dst, produced, err := s.QueryHops(dst, hops, within, targetClass, hierarchy)
 	s.RUnlock()
 	e.maybeAutoTune(uint64(len(hops)))
-	return out, produced, err
+	return dst, produced, err
 }
 
 // QueryInto is Query appending the result to dst — the allocation-free
 // serving kernel: with a reused dst a steady-state point query performs
 // no heap allocation end to end (snapshot, record, index probes, result).
 func (e *Engine) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	s := e.snapshot()
-	dst, err := s.QueryInto(dst, value, targetClass, hierarchy)
-	s.RUnlock()
-	e.maybeAutoTune(1)
+	hop := [1]exec.Hop{{Lo: value}}
+	dst, _, err := e.QueryHops(dst, hop[:], nil, targetClass, hierarchy)
 	return dst, err
 }
 
 // QueryRange evaluates A_n IN [lo, hi) for targetClass through the
-// active configuration: QueryHops with one range hop.
+// active configuration: QueryHops with one range hop and a fresh answer.
 func (e *Engine) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
 	hop := [1]exec.Hop{{Lo: lo, Hi: hi, Ranged: true}}
-	out, _, err := e.QueryHops(hop[:], nil, targetClass, hierarchy)
+	out, _, err := e.QueryHops(nil, hop[:], nil, targetClass, hierarchy)
 	return out, err
 }
 

@@ -230,7 +230,7 @@ func TestConcurrentWritesDuringReconfigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range g.EndValues[:5] {
-		want, _, err := fresh.QueryHops([]exec.Hop{{Lo: v}}, nil, "Person", false)
+		want, _, err := fresh.QueryHops(nil, []exec.Hop{{Lo: v}}, nil, "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,14 +32,20 @@ func smallStats(t testing.TB) *model.PathStats {
 }
 
 // pointQuery and rangeQuery answer A_n = v and A_n IN [lo, hi) through
-// QueryHops, as one-hop chains. The caller holds RLock.
+// QueryHops, as one-hop chains, each a fresh answer; pointInto appends
+// the point answer to dst. The caller holds RLock.
 func pointQuery(s *IndexSet, v oodb.Value, class string, hier bool) ([]oodb.OID, error) {
-	out, _, err := s.QueryHops([]Hop{{Lo: v}}, nil, class, hier)
+	return pointInto(s, nil, v, class, hier)
+}
+
+func pointInto(s *IndexSet, dst []oodb.OID, v oodb.Value, class string, hier bool) ([]oodb.OID, error) {
+	hop := [1]Hop{{Lo: v}}
+	out, _, err := s.QueryHops(dst, hop[:], nil, class, hier)
 	return out, err
 }
 
 func rangeQuery(s *IndexSet, lo, hi oodb.Value, class string, hier bool) ([]oodb.OID, error) {
-	out, _, err := s.QueryHops([]Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, class, hier)
+	out, _, err := s.QueryHops(nil, []Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, class, hier)
 	return out, err
 }
 
@@ -679,11 +685,11 @@ func TestWindowGrowsWithInserts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				into, err := c.QueryInto([]oodb.OID{0}, v, tc.class, tc.hier)
+				into, err := pointInto(c, []oodb.OID{0}, v, tc.class, tc.hier)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kept, _, err := c.QueryHops([]Hop{{Lo: v}}, within, tc.class, tc.hier)
+				kept, _, err := c.QueryHops(nil, []Hop{{Lo: v}}, within, tc.class, tc.hier)
 				if err != nil {
 					t.Fatal(err)
 				}

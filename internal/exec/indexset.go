@@ -217,41 +217,25 @@ type Hop = index.Hop
 // chain: the last subpath is entered through every hop, and each earlier
 // subpath is probed once, with the union. When within is non-nil — a
 // sorted, duplicate-free candidate set — the answer is restricted to it.
-// The answer is a fresh slice of its exact size, sorted and
-// duplicate-free, nil when empty. produced is the answer's length for an
-// unrestricted call; within candidates it is the number of OIDs the
+// The answer, sorted and duplicate-free, is appended to dst and dst
+// returned; contents before len(dst) are untouched, and on error dst comes
+// back as it was passed. A nil dst gets a fresh unrestricted answer of its
+// exact size, nil when empty (oodb.OIDSet.AppendTo); a reused dst makes a
+// steady-state query allocation-free. produced is the answer's length for
+// an unrestricted call; within candidates it is the number of OIDs the
 // chain's last hop yielded before the restriction, duplicates included —
 // the size the hops would have answered. Each hop is recorded as one
 // query. The caller must hold RLock.
-func (s *IndexSet) QueryHops(hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
-	qs := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(qs)
-	return s.queryInto(qs, nil, true, hops, within, targetClass, hierarchy)
-}
-
-// QueryInto evaluates A_n = value for targetClass, appending the result
-// to dst — QueryHops with one point hop as the allocation-free serving
-// kernel. The appended region of dst is sorted and deduplicated;
-// contents before len(dst) are untouched (and returned unchanged on
-// error). The caller must hold RLock.
-func (s *IndexSet) QueryInto(dst []oodb.OID, value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	qs := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(qs)
-	hop := [1]Hop{{Lo: value}}
-	dst, _, err := s.queryInto(qs, dst, false, hop[:], nil, targetClass, hierarchy)
-	return dst, err
-}
-
-// queryInto is Proposition 4.1 made operational, for every query the set
+//
+// It is Proposition 4.1 made operational, for every query the set
 // answers: the last subpath is probed with every hop, into the scratch's
 // one OID set; each earlier subpath, back to the one owning targetClass's
 // level, is probed in one key-set hop with the sorted, deduplicated OIDs
 // its successor produced, read back from the set, asked for its starting
 // class hierarchy — the objects the successor's OIDs are ending values of.
-// The hop that yields targetClass's OIDs is read back once: through within
-// when it is non-nil, else into a fresh slice when fresh is set, else
-// appended to dst. produced is as QueryHops describes.
-func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, fresh bool, hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+// The hop that yields targetClass's OIDs is read back once, into dst,
+// through within when it is non-nil.
+func (s *IndexSet) QueryHops(dst []oodb.OID, hops []Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	level, err := s.LevelOf(targetClass)
 	if err != nil {
 		return dst, 0, err
@@ -261,6 +245,8 @@ func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, fresh bool, hops 
 	for range hops {
 		s.rec.Record(targetClass, stats.OpQuery)
 	}
+	qs := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(qs)
 	gi := s.levelOwner[level-1]
 	last := len(s.indexes) - 1
 	set := qs.ix.Set()
@@ -284,17 +270,13 @@ func (s *IndexSet) queryInto(qs *queryScratch, dst []oodb.OID, fresh bool, hops 
 			return dst, 0, err
 		}
 		if i == gi {
-			switch produced := set.Added(); {
-			case within != nil:
+			if within != nil {
+				produced := set.Added()
 				return set.AppendWithin(dst, within), produced, nil
-			case fresh:
-				out := set.Take()
-				return out, len(out), nil
-			default:
-				base := len(dst)
-				dst = set.AppendTo(dst)
-				return dst, len(dst) - base, nil
 			}
+			base := len(dst)
+			dst = set.AppendTo(dst)
+			return dst, len(dst) - base, nil
 		}
 		// The key set was read in full by the hop just ended.
 		qs.keys = set.AppendTo(qs.keys[:0])

@@ -12,9 +12,9 @@ import (
 	"repro/internal/stats"
 )
 
-// TestQueryIntoAppendsSortedRegion checks the QueryInto contract: the
+// TestQueryIntoAppendsSortedRegion checks QueryHops's append contract: the
 // prefix of dst is untouched and the appended region is sorted and
-// deduplicated — exactly Query's result.
+// deduplicated — exactly the fresh answer's.
 func TestQueryIntoAppendsSortedRegion(t *testing.T) {
 	ps := smallStats(t)
 	g, err := gen.Generate(ps, 1, 103)
@@ -37,7 +37,7 @@ func TestQueryIntoAppendsSortedRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := append([]oodb.OID(nil), prefix...)
-		dst, err = set.QueryInto(dst, v, "Person", false)
+		dst, err = pointInto(set, dst, v, "Person", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestPointQueryZeroAllocs(t *testing.T) {
 	var buf []oodb.OID
 	// Warm-up sizes the pooled scratch and the result buffer.
 	for _, v := range g.EndValues {
-		if buf, err = set.QueryInto(buf[:0], v, "Person", false); err != nil {
+		if buf, err = pointInto(set, buf[:0], v, "Person", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestPointQueryZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		v := g.EndValues[i%len(g.EndValues)]
 		i++
-		buf, err = set.QueryInto(buf[:0], v, "Person", false)
+		buf, err = pointInto(set, buf[:0], v, "Person", false)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package exec
 
-import "repro/internal/oodb"
+import (
+	"slices"
+
+	"repro/internal/oodb"
+)
 
 // This file holds the sorted-OID-set kernels the planner and the sharded
 // fan-out layer compose query answers with. Every run is a sorted,
@@ -162,23 +166,37 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 }
 
 // mergeTwoInto merges two sorted duplicate-free runs into dst, collapsing
-// equal OIDs. It never reuses an input's backing array, so the caller
-// controls placement.
+// equal OIDs. dst is grown once, by both runs' length, and written by
+// index; the tail left when one run ends is copied. It never reuses an
+// input's backing array, so the caller controls placement.
 func mergeTwoInto(dst, a, b []oodb.OID) []oodb.OID {
+	n := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))
+	out := dst[:cap(dst)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
 		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
+		case x < y:
+			out[n] = x
 			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
+		case x > y:
+			out[n] = y
 			j++
 		default:
-			dst = append(dst, a[i])
+			out[n] = x
 			i, j = i+1, j+1
 		}
+		n++
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	n += copy(out[n:], a[i:])
+	n += copy(out[n:], b[j:])
+	return out[:n]
 }
+
+// KeptOIDs is the most OIDs a buffer reused across calls keeps room for
+// between them (128 KiB) — a pooled scratch of the read path or a
+// dispatcher's answer buffer. A larger one is let go once its call ends,
+// so that one huge answer is not held for the life of the pool or of the
+// dispatcher.
+const KeptOIDs = 16 << 10

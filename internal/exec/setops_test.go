@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -270,4 +271,21 @@ func FuzzSortUniqueWithin(f *testing.F) {
 			t.Fatalf("SortUniqueWithin(%d OIDs, %d candidates) = %v, want %v", len(in), len(cands), got, want)
 		}
 	})
+}
+
+// BenchmarkMergeTwo times the two-run union net_pred's two shards take:
+// interleaved stride-2 runs of n OIDs a side, merged into a reused dst.
+func BenchmarkMergeTwo(b *testing.B) {
+	for _, n := range []int{25, 435, 4000} {
+		x, y := make([]oodb.OID, n), make([]oodb.OID, n)
+		for i := range x {
+			x[i], y[i] = oodb.OID(2*i), oodb.OID(2*i+1)
+		}
+		dst := make([]oodb.OID, 0, 2*n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = mergeTwoInto(dst[:0], x, y)
+			}
+		})
+	}
 }

@@ -845,9 +845,9 @@ type countingSource struct {
 	n atomic.Int64
 }
 
-func (s *countingSource) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hierarchy bool) ([]oodb.OID, int, error) {
+func (s *countingSource) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, class string, hierarchy bool) ([]oodb.OID, int, error) {
 	s.n.Add(1)
-	return s.Source.QueryHops(hops, within, class, hierarchy)
+	return s.Source.QueryHops(dst, hops, within, class, hierarchy)
 }
 
 // TestPredicateAnswerBufferBounded: a dispatcher unions a sharded plan's
@@ -905,6 +905,66 @@ func TestPredicateAnswerBufferBounded(t *testing.T) {
 		}
 		srv.bufPool.Put(bp)
 		if wantCap := len(want) <= keptAnswer; (cap(d.ans) > 0) != wantCap || cap(d.ans) > keptAnswer {
+			t.Fatalf("after answer %d of %d OIDs the dispatcher keeps room for %d, want some only up to %d", i, len(want), cap(d.ans), keptAnswer)
+		}
+	}
+}
+
+// TestReplyBufferBounded: a dispatcher keeps its reply payload buffer and,
+// for point queries too, its answer buffer between requests, but not
+// above keptReply and keptAnswer — one point query answering keptAnswer+100
+// OIDs, then two answering 5, through a two-shard server: after the large
+// answer it keeps neither, after each small one both, within the bounds.
+func TestReplyBufferBounded(t *testing.T) {
+	s := schema.PaperSchema()
+	pAge := schema.MustNewPath(s, "Person", "age")
+	cfg := core.Configuration{Assignments: []core.Assignment{{A: 1, B: pAge.Len(), Org: cost.MX}}}
+	db, err := shard.New(s, pAge, cfg, 2048, 2, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	const large, small = keptAnswer + 100, 5
+	for i := 0; i < large+small; i++ {
+		age := int64(30)
+		if i >= large {
+			age = 31
+		}
+		if _, err := db.Insert("Person", map[string][]oodb.Value{"age": {oodb.IntV(age)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(db, Options{Path: pAge})
+	d := newDispatcher(srv)
+	c := &conn{srv: srv, out: make(chan *[]byte, 4)}
+	c.pending.Store(1 << 30)
+	person := srv.intern([]byte("Person"))
+	for i, age := range []int64{30, 31, 31} {
+		want, err := db.Query(oodb.IntV(age), "Person", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.serveBatch([]*task{{conn: c, class: person, req: wire.Request{
+			ID: uint64(i), Op: wire.OpQuery, Value: oodb.IntV(age),
+		}}})
+		bp := <-c.out
+		payload, _, err := wire.DecodeFrame(*bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.DecodeResponse(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != wire.StatusOK || !sameOIDs(resp.OIDs, want) {
+			t.Fatalf("answer %d (age %d): %d OIDs, want %d", i, age, len(resp.OIDs), len(want))
+		}
+		srv.bufPool.Put(bp)
+		kept := len(want) <= keptAnswer
+		if (cap(d.rbuf) > 0) != kept || cap(d.rbuf) > keptReply {
+			t.Fatalf("after answer %d of %d OIDs the dispatcher keeps %d reply bytes, want some only up to %d", i, len(want), cap(d.rbuf), keptReply)
+		}
+		if (cap(d.ans) > 0) != kept || cap(d.ans) > keptAnswer {
 			t.Fatalf("after answer %d of %d OIDs the dispatcher keeps room for %d, want some only up to %d", i, len(want), cap(d.ans), keptAnswer)
 		}
 	}

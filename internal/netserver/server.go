@@ -537,7 +537,7 @@ type dispatcher struct {
 	// stays dispatcher-local, so predicate serving takes no lock.
 	pl    *plan.Planner
 	plGen uint64
-	ans   []oodb.OID // the union of a partitioned plan's answers (keptAnswer)
+	ans   []oodb.OID // every query's and predicate's answer is appended here (keep)
 
 	// Predicate coalescing scratch: identical predicates in one window
 	// share a planner descent. keyBuf holds the canonical key under
@@ -766,22 +766,27 @@ func (d *dispatcher) servePredGroup(tab *pathTable, run []*task) {
 	for _, t := range run {
 		d.reply(t, oids, nil)
 	}
-	// Every reply is encoded, so a partitioned plan's union is free to
-	// hold the next one's. One larger than keptAnswer is let go, so that a
-	// huge answer is not held for the dispatcher's life. A plan of one part
-	// answers with its part's own slice and never writes into the buffer.
-	if p.Parts() > 1 {
-		d.ans = oids[:0]
-		if cap(d.ans) > keptAnswer {
-			d.ans = nil
-		}
+	d.keep(oids)
+}
+
+// keep makes an answer appended to d.ans, now encoded into every reply,
+// the buffer the next one is appended to. One larger than keptAnswer is
+// let go, so that a huge answer is not held for the dispatcher's life.
+func (d *dispatcher) keep(oids []oodb.OID) {
+	if d.ans = oids[:0]; cap(d.ans) > keptAnswer {
+		d.ans = nil
 	}
 }
 
 // keptAnswer is the most OIDs a dispatcher keeps room for between
-// predicate groups (128 KiB): twice the largest answer net_pred's
-// two-shard unions produce.
-const keptAnswer = 16 << 10
+// answers (128 KiB): twice the largest answer net_pred's two-shard unions
+// produce.
+const keptAnswer = exec.KeptOIDs
+
+// keptReply is the most payload bytes a dispatcher keeps room for between
+// replies: an OK reply of keptAnswer OIDs — request id, status and count,
+// then 8 bytes per OID.
+const keptReply = 8 + 1 + 4 + 8*keptAnswer
 
 // resolvePaths fills each leaf's Path from the registration table, in
 // place: the decoded tree is the predicate the planner plans, exactly
@@ -807,19 +812,21 @@ func resolvePaths(tab *pathTable, n *wire.PredNode) error {
 	return nil
 }
 
-// serveOne answers a single request directly against the backend.
+// serveOne answers a single request directly against the backend; a
+// point or range query appends its answer to the dispatcher's buffer.
 func (d *dispatcher) serveOne(t *task) {
 	s := d.srv
 	var oids []oodb.OID
 	var err error
-	switch t.req.Op {
+	op := t.req.Op // reply releases t
+	switch op {
 	case wire.OpPing:
 	case wire.OpQuery:
 		d.hop1[0] = exec.Hop{Lo: t.req.Value}
-		oids, _, err = s.be.QueryHops(d.hop1[:], nil, t.class, t.req.Hierarchy)
+		oids, _, err = s.be.QueryHops(d.ans[:0], d.hop1[:], nil, t.class, t.req.Hierarchy)
 	case wire.OpQueryRange:
 		d.hop1[0] = exec.Hop{Lo: t.req.Lo, Hi: t.req.Hi, Ranged: true}
-		oids, _, err = s.be.QueryHops(d.hop1[:], nil, t.class, t.req.Hierarchy)
+		oids, _, err = s.be.QueryHops(d.ans[:0], d.hop1[:], nil, t.class, t.req.Hierarchy)
 	case wire.OpInsert:
 		var oid oodb.OID
 		if oid, err = s.be.Insert(t.class, t.req.Attrs); err == nil {
@@ -835,6 +842,9 @@ func (d *dispatcher) serveOne(t *task) {
 	}
 	d.hop1[0] = exec.Hop{} // drop the request's values
 	d.reply(t, oids, err)
+	if op == wire.OpQuery || op == wire.OpQueryRange {
+		d.keep(oids)
+	}
 }
 
 // reply encodes one response into the dispatcher's payload scratch and
@@ -871,6 +881,9 @@ func (d *dispatcher) bundleReply(t *task) {
 	*b.bp = wire.AppendFrame(*b.bp, d.rbuf)
 	b.n++
 	d.srv.release(t)
+	if cap(d.rbuf) > keptReply {
+		d.rbuf = nil // as keep does for d.ans
+	}
 }
 
 // Shutdown stops accepting, unblocks every connection reader, drains

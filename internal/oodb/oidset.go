@@ -211,12 +211,25 @@ func put4(o []OID, base OID, w uint64) uint64 {
 }
 
 // AppendTo appends the set's OIDs to dst, sorted and duplicate-free, and
-// empties the set. dst must not share storage with the set's buffers.
+// empties the set. A nil dst becomes a fresh slice of exactly their size,
+// nil when there are none (Take); any other dst grows as append grows it.
+// dst must not share storage with the set's buffers.
 func (s *OIDSet) AppendTo(dst []OID) []OID {
 	if s.dense {
-		dst = s.readBits(dst, s.added)
-	} else {
-		dst = append(dst, SortUnique(s.oids)...)
+		limit := s.added
+		if dst == nil {
+			limit = 0
+			for _, w := range s.bits {
+				limit += bits.OnesCount64(w)
+			}
+			dst = make([]OID, 0, limit)
+		}
+		dst = s.readBits(dst, limit)
+	} else if u := SortUnique(s.oids); len(u) > 0 {
+		if dst == nil {
+			dst = make([]OID, 0, len(u))
+		}
+		dst = append(dst, u...)
 	}
 	s.Reset()
 	return dst
@@ -249,22 +262,8 @@ func (s *OIDSet) AppendWithin(dst, within []OID) []OID {
 }
 
 // Take returns the set's OIDs as a fresh slice of their exact size, sorted
-// and duplicate-free (nil when empty), and empties the set.
-func (s *OIDSet) Take() []OID {
-	var out []OID
-	if s.dense {
-		n := 0
-		for _, w := range s.bits {
-			n += bits.OnesCount64(w)
-		}
-		out = s.readBits(make([]OID, 0, n), n)
-	} else if u := SortUnique(s.oids); len(u) > 0 {
-		out = make([]OID, len(u))
-		copy(out, u)
-	}
-	s.Reset()
-	return out
-}
+// and duplicate-free (nil when empty), and empties the set: AppendTo(nil).
+func (s *OIDSet) Take() []OID { return s.AppendTo(nil) }
 
 // Reset empties the set and forgets its hint, keeping its buffers.
 func (s *OIDSet) Reset() {

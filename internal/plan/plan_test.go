@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -487,10 +488,10 @@ type callLog struct {
 	within []bool
 }
 
-func (c *callLog) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+func (c *callLog) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
 	c.hops = append(c.hops, len(hops))
 	c.within = append(c.within, within != nil)
-	return c.Source.QueryHops(hops, within, class, hier)
+	return c.Source.QueryHops(dst, hops, within, class, hier)
 }
 
 // probeConfigs are the configurations the mechanism tests run over, every
@@ -611,4 +612,136 @@ func TestLaterConjunctRunsWithinCandidates(t *testing.T) {
 			t.Fatalf("%v: explain does not mark the later conjunct:\n%s", cfg, ex)
 		}
 	}
+}
+
+// parityParts is a Partitioned source over one whole source: part k
+// answers the OIDs of parity k, as the two parts of a two-shard database
+// answer the residues of their shards.
+type parityParts struct{ Source }
+
+func (s parityParts) Parts() []Source {
+	return []Source{parityPart{s.Source, 0}, parityPart{s.Source, 1}}
+}
+
+type parityPart struct {
+	src Source
+	k   oodb.OID
+}
+
+func (p parityPart) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+	base := len(dst)
+	out, n, err := p.src.QueryHops(dst, hops, within, class, hier)
+	if err != nil {
+		return dst, 0, err
+	}
+	kept := out[:base]
+	for _, o := range out[base:] {
+		if o%2 == p.k {
+			kept = append(kept, o)
+		}
+	}
+	return kept, n, nil
+}
+
+// TestExecuteAnswersDoNotAlias: an answer handed out by Execute or
+// ExecuteInto(nil) is the caller's — every intermediate answer lives in a
+// pooled arena, and 100 later executions of the same plans, on this
+// goroutine and on others, must not change a byte of it. The plans run
+// per part over a two-part source, an And within candidates of an Or
+// group and an Or merging two Ands, each execution on an arena too small
+// for it, so that it grows mid-execution.
+func TestExecuteAnswersDoNotAlias(t *testing.T) {
+	w := buildWorld(t, 41)
+	p, names := w.paths[2], w.pools[2]
+	e, err := engine.New(w.st, p, core.Configuration{Assignments: []core.Assignment{{A: 1, B: p.Len(), Org: cost.NIX}}}, 2048, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(w.st)
+	if err := pl.Register(p, parityParts{e}, nil); err != nil {
+		t.Fatal(err)
+	}
+	preds := []Predicate{
+		And(Range(p, names[0], names[6]), Or(Eq(p, names[1]), Eq(p, names[5]))),
+		Or(And(Range(p, names[0], names[4]), Eq(p, names[2])), And(Range(p, names[3], names[7]), Eq(p, names[5]))),
+	}
+	plans := make([]*Plan, len(preds))
+	wants := make([][]oodb.OID, len(preds))
+	for i, pred := range preds {
+		if plans[i], err = pl.Plan(pred, "Person", false); err != nil {
+			t.Fatal(err)
+		}
+		if ex := plans[i].Explain(); !strings.Contains(ex, "per part ×2") {
+			t.Fatalf("%s does not run per part:\n%s", pred, ex)
+		}
+		if wants[i], err = NaiveEval(w.st, pred, "Person", false); err != nil {
+			t.Fatal(err)
+		}
+		if len(wants[i]) < 2 {
+			t.Fatalf("%s answers %v; the test needs an answer on both parts", pred, wants[i])
+		}
+	}
+	// run executes plan i and checks the answer; tiny puts an arena with
+	// room for one OID in the pool first, which the execution most likely
+	// takes and grows, otherwise it takes the arena an earlier one left.
+	run := func(i int, into, tiny bool) ([]oodb.OID, error) {
+		if tiny {
+			arenas.Put(&arena{oids: make([]oodb.OID, 0, 1)})
+		}
+		var got []oodb.OID
+		var err error
+		if into {
+			got, err = plans[i].ExecuteInto(nil)
+		} else {
+			got, err = plans[i].Execute()
+		}
+		if err == nil && !reflect.DeepEqual(got, wants[i]) {
+			err = fmt.Errorf("%s: %v, naive %v", preds[i], got, wants[i])
+		}
+		return got, err
+	}
+	var held [][]oodb.OID
+	for i := range plans {
+		for _, into := range []bool{false, true} {
+			got, err := run(i, into, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, got)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for k, got := range held {
+			if want := wants[k/2]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, answer %d of %s reads %v, was %v", when, k, preds[k/2], got, want)
+			}
+		}
+	}
+	for n := 0; n < 100; n++ {
+		if _, err := run(n%len(plans), n%2 == 0, n%8 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after 100 executions on this goroutine")
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 25; n++ {
+				if _, err := run((g+n)%len(plans), n%2 == 1, n%8 == 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	check("after 100 executions on four other goroutines")
 }

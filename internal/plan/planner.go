@@ -21,15 +21,18 @@ import (
 // disjunction of its first hops — equality and range leaves alike — as one
 // Proposition 4.1 chain, whose later hops run once, on the union. When
 // within is non-nil, a sorted duplicate-free candidate set, the answer is
-// restricted to it. The answer is a fresh sorted duplicate-free run the
-// planner may overwrite. produced is its length for an unrestricted probe;
-// within candidates it is the number of OIDs the chain's last hop yielded
-// before the restriction, duplicates included, so that a filtered probe
-// still learns its size. It is the serving stack's one read primitive —
-// the network server answers point and range requests through it as
-// one-hop probes. engine.Engine and shard.DB both satisfy it.
+// restricted to it. The answer, a sorted duplicate-free run, is appended
+// to dst and dst returned: nothing before len(dst) changes, and on error
+// dst comes back as it was passed. A nil dst gets a fresh answer of its
+// exact size, nil when empty; a reused one is what makes a served probe
+// allocation-free. produced is the answer's length for an unrestricted
+// probe; within candidates it is the number of OIDs the chain's last hop
+// yielded before the restriction, duplicates included, so that a filtered
+// probe still learns its size. It is the serving stack's one read
+// primitive — the network server answers point and range requests through
+// it as one-hop probes. engine.Engine and shard.DB both satisfy it.
 type Source interface {
-	QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) (answer []oodb.OID, produced int, err error)
+	QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) (answer []oodb.OID, produced int, err error)
 }
 
 // Partitioned is a Source whose answer to every probe is the disjoint
@@ -426,56 +429,92 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 
 // Execute runs the plan and returns the matching OIDs, sorted and
 // duplicate-free — bit-identical to NaiveEval of the same predicate. It
-// is ExecuteInto with no buffer of the caller's.
+// is ExecuteInto with no buffer of the caller's: the answer is fresh, nil
+// when empty.
 func (p *Plan) Execute() ([]oodb.OID, error) { return p.ExecuteInto(nil) }
 
-// ExecuteInto runs the plan and returns the matching OIDs, sorted and
-// duplicate-free. dst is the buffer the answers of a plan over several
-// parts are unioned into: their union is appended to it. A plan of one
-// part returns that part's own answer and leaves dst alone.
+// ExecuteInto runs the plan and appends the matching OIDs, sorted and
+// duplicate-free, to dst, and returns it; nothing before len(dst)
+// changes. The appended answer is the caller's alone: every intermediate
+// answer of the execution lives in a pooled arena, and only the final
+// answer is copied out of it, into dst. A failed execution returns nil.
 //
 // A plan over k parts evaluates the whole tree once per part, in part
 // order on the calling goroutine, and unions the parts' answers — sorted
-// runs that interleave OID by OID — once, by exec.MergeKSortedOIDs; with
-// one part nothing is unioned. Each part's conjunctions short-circuit on
-// their own: a part whose cheapest conjunct is empty never probes the
-// rest. The execution is accounted for once: a leaf that at least one
-// part ran is recorded, in the planner's mix and in its source's sink (a
-// part whose summary pruned a probe ran it — its answer is known to be
-// empty). A probe that every part ran feeds its summed answer size to the
-// cardinality estimate; a sum with a part missing would bias the estimate
-// low. A failed execution observes nothing and returns nil.
+// runs that interleave OID by OID — once, into dst, by
+// exec.MergeKSortedOIDs; one part's answer is copied. Each part's
+// conjunctions short-circuit on their own: a part whose cheapest conjunct
+// is empty never probes the rest. The execution is accounted for once: a
+// leaf that at least one part ran is recorded, in the planner's mix and
+// in its source's sink (a part whose summary pruned a probe ran it — its
+// answer is known to be empty). A probe that every part ran feeds its
+// summed answer size to the cardinality estimate; a sum with a part
+// missing would bias the estimate low.
 func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
-	x := execution{Plan: p, ran: make([]leafRun, p.leaves)}
-	runs := make([][]oodb.OID, p.parts)
+	x := execution{Plan: p, arena: arenas.Get().(*arena)}
+	defer x.release()
+	x.ran = slices.Grow(x.ran[:0], p.leaves)[:p.leaves]
+	clear(x.ran)
 	total := 0
-	for x.part = range runs {
+	for x.part = 0; x.part < p.parts; x.part++ {
 		r, err := x.eval(p.root)
 		if err != nil {
 			x.settle(p.root, false)
 			return nil, err
 		}
-		runs[x.part] = r
+		x.runs = append(x.runs, r)
 		total += len(r)
 	}
 	x.settle(p.root, true)
-	if len(runs) == 1 {
-		return runs[0], nil
+	if dst == nil && total > 0 {
+		dst = make([]oodb.OID, 0, total)
 	}
-	return exec.MergeKSortedOIDs(slices.Grow(dst, total), runs...), nil
+	return exec.MergeKSortedOIDs(slices.Grow(dst, total), x.runs...), nil
 }
 
-// Parts returns how many parts the plan runs over: more than one when
-// every probe leaf uses one Partitioned source, whose answers
-// ExecuteInto unions into its dst.
-func (p *Plan) Parts() int { return p.parts }
+// arena is one execution's pooled memory. Every answer a source gives the
+// execution — a leaf's, a probe's within the candidates — and every Or's
+// union is appended to oids and carved from it as a capacity-clipped
+// region, so nothing after it can write into it; an And narrows its
+// candidates inside their own region. runs is a stack of the runs an Or
+// or the parts are about to union, ran the execution's tally per leaf
+// slot. An arena whose oids grew past keptArena is not kept.
+type arena struct {
+	oids []oodb.OID
+	runs [][]oodb.OID
+	ran  []leafRun
+}
 
-// execution is one Execute's state: the part being evaluated and, per
-// leaf slot, how many parts ran the leaf and how many OIDs they answered.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// keptArena is the most OIDs a pooled arena keeps room for: every
+// intermediate answer of an execution lives in it, so it holds a few
+// answers' worth (net_pred's executions peak at about 10K OIDs at seed 42
+// and 17K at seed 2026).
+const keptArena = 4 * exec.KeptOIDs
+
+// release returns the arena to the pool, holding no run.
+func (a *arena) release() {
+	clear(a.runs[:cap(a.runs)])
+	a.runs = a.runs[:0]
+	if a.oids = a.oids[:0]; cap(a.oids) > keptArena {
+		a.oids = nil
+	}
+	arenas.Put(a)
+}
+
+// carve returns the arena's OIDs from base on as a region of their own.
+func (a *arena) carve(base int) []oodb.OID {
+	return a.oids[base:len(a.oids):len(a.oids)]
+}
+
+// execution is one Execute's state: the part being evaluated and its
+// arena, which holds per leaf slot how many parts ran the leaf and how
+// many OIDs they answered.
 type execution struct {
 	*Plan
+	*arena
 	part int
-	ran  []leafRun
 }
 
 type leafRun struct{ parts, oids int }
@@ -527,17 +566,19 @@ func (x *execution) eval(n pnode) ([]oodb.OID, error) {
 	case *andPlan:
 		return x.evalAnd(n)
 	case *orPlan:
-		runs := make([][]oodb.OID, len(n.kids))
-		total := 0
-		for i, k := range n.kids {
+		mark, total := len(x.runs), 0
+		for _, k := range n.kids {
 			r, err := x.eval(k)
 			if err != nil {
 				return nil, err
 			}
-			runs[i] = r
+			x.runs = append(x.runs, r)
 			total += len(r)
 		}
-		return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), nil
+		base := len(x.oids)
+		x.oids = exec.MergeKSortedOIDs(slices.Grow(x.oids, total), x.runs[mark:]...)
+		x.runs = x.runs[:mark]
+		return x.carve(base), nil
 	}
 	return nil, fmt.Errorf("plan: unknown plan node %T", n)
 }
@@ -550,15 +591,22 @@ func (x *execution) evalGroup(n *groupNode, within []oodb.OID) ([]oodb.OID, erro
 	if x.parts > 1 {
 		src = n.entry.parts[x.part]
 	}
-	res, produced, err := src.QueryHops(n.hops, within, x.target, x.hierarchy)
+	base := len(x.oids)
+	out, produced, err := src.QueryHops(x.oids, n.hops, within, x.target, x.hierarchy)
 	for _, m := range n.members {
 		r := &x.ran[m.slot]
 		r.parts++
 		r.oids += produced
 	}
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	x.oids = out
+	return x.carve(base), nil
 }
 
+// evalScan answers a store-scan leaf with the fresh slice the naive
+// evaluator returns; it is not in the arena, and the execution owns it.
 func (x *execution) evalScan(n *scanNode) ([]oodb.OID, error) {
 	x.ran[n.slot].parts++
 	l := n.leaf

@@ -390,9 +390,10 @@ func (p *part) admit(mayMatch bool) bool {
 
 // QueryHops is DB.QueryHops on the part's shard: each hop the summary
 // excludes counts as pruned and is dropped, each other counts as probed,
-// and the hops left descend into the shard's engine as one chain — none
-// left, and the part answers empty without a descent.
-func (p *part) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+// and the hops left descend into the shard's engine as one chain,
+// appending to dst — none left, and the part answers empty without a
+// descent.
+func (p *part) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	sum := p.db.sums.per[p.s]
 	kept, pruned := hops[:0:0], false
 	for i, h := range hops {
@@ -409,9 +410,9 @@ func (p *part) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string,
 		kept = hops
 	}
 	if len(kept) == 0 {
-		return nil, 0, nil
+		return dst, 0, nil
 	}
-	return p.db.shards[p.s].QueryHops(kept, within, targetClass, hierarchy)
+	return p.db.shards[p.s].QueryHops(dst, kept, within, targetClass, hierarchy)
 }
 
 // Parts returns one probe source per shard, in shard order
@@ -422,36 +423,53 @@ func (p *part) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string,
 // Each part prunes and counts exactly as QueryHops does.
 func (db *DB) Parts() []plan.Source { return slices.Clone(db.parts) }
 
+// partRuns is the pooled memory DB.QueryHops collects its shards' answers
+// in before it merges them into the caller's dst.
+type partRuns struct {
+	buf  []oodb.OID
+	runs [][]oodb.OID
+}
+
+var partRunsPool = sync.Pool{New: func() any { return new(partRuns) }}
+
 // QueryHops answers a disjunction of first hops for targetClass
 // (plan.Source) on every shard, in shard order on the calling goroutine,
 // and merges the per-shard answers — disjoint sorted runs — into one
-// sorted result, nil when empty. A shard answers only the hops its
-// summary admits, as one chain, and one whose summary admits none is
-// skipped (see summary.go). within, when non-nil, restricts every shard's
-// answer to that sorted candidate set. produced sums the shards' counts
+// sorted run appended to dst. A nil dst gets a fresh answer of its exact
+// size, nil when empty; a reused one makes the call allocation-free once
+// the pooled scratch the shards answer into is warm (it keeps no more
+// than exec.KeptOIDs). A shard answers only the hops its summary admits,
+// as one chain, and one whose summary admits none is skipped (see
+// summary.go). within, when non-nil, restricts every shard's answer to
+// that sorted candidate set. produced sums the shards' counts
 // (engine.Engine.QueryHops). The first failing shard ends the walk with
-// its error.
-func (db *DB) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
-	runs := make([][]oodb.OID, 0, len(db.parts))
+// its error and dst as it was passed.
+func (db *DB) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
+	sc := partRunsPool.Get().(*partRuns)
+	defer func() {
+		clear(sc.runs)
+		sc.runs = sc.runs[:0]
+		if sc.buf = sc.buf[:0]; cap(sc.buf) > exec.KeptOIDs {
+			sc.buf = nil
+		}
+		partRunsPool.Put(sc)
+	}()
 	total, produced := 0, 0
 	for _, p := range db.parts {
-		r, n, err := p.QueryHops(hops, within, targetClass, hierarchy)
+		base := len(sc.buf)
+		out, n, err := p.QueryHops(sc.buf, hops, within, targetClass, hierarchy)
 		if err != nil {
-			return nil, 0, err
+			return dst, 0, err
 		}
+		sc.buf = out
+		sc.runs = append(sc.runs, out[base:])
+		total += len(out) - base
 		produced += n
-		if len(r) > 0 {
-			runs = append(runs, r)
-			total += len(r)
-		}
 	}
-	switch len(runs) {
-	case 0:
-		return nil, produced, nil
-	case 1:
-		return runs[0], produced, nil
+	if dst == nil && total > 0 {
+		dst = make([]oodb.OID, 0, total)
 	}
-	return exec.MergeKSortedOIDs(make([]oodb.OID, 0, total), runs...), produced, nil
+	return exec.MergeKSortedOIDs(slices.Grow(dst, total), sc.runs...), produced, nil
 }
 
 // Query evaluates A_n = value for targetClass across every shard whose
@@ -462,7 +480,7 @@ func (db *DB) QueryHops(hops []exec.Hop, within []oodb.OID, targetClass string, 
 // duplicate-free, bit-identical to the same query against a single
 // engine holding all the objects.
 func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	out, _, err := db.QueryHops([]exec.Hop{{Lo: value}}, nil, targetClass, hierarchy)
+	out, _, err := db.QueryHops(nil, []exec.Hop{{Lo: value}}, nil, targetClass, hierarchy)
 	return out, err
 }
 
@@ -470,7 +488,7 @@ func (db *DB) Query(value oodb.Value, targetClass string, hierarchy bool) ([]ood
 // shard whose summarized value interval overlaps the range, merging as
 // Query does.
 func (db *DB) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy bool) ([]oodb.OID, error) {
-	out, _, err := db.QueryHops([]exec.Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, targetClass, hierarchy)
+	out, _, err := db.QueryHops(nil, []exec.Hop{{Lo: lo, Hi: hi, Ranged: true}}, nil, targetClass, hierarchy)
 	return out, err
 }
 

@@ -121,8 +121,8 @@ func TestAdviseCountsThePlannerMix(t *testing.T) {
 // source and sink, and runs every tree once over the whole database.
 type wholeDB struct{ db *shard.DB }
 
-func (w wholeDB) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
-	return w.db.QueryHops(hops, within, class, hier)
+func (w wholeDB) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+	return w.db.QueryHops(dst, hops, within, class, hier)
 }
 
 func (w wholeDB) RecordPredicate(path string, kind stats.PredKind) { w.db.RecordPredicate(path, kind) }
@@ -433,9 +433,9 @@ type countedPart struct {
 	calls int
 }
 
-func (p *countedPart) QueryHops(hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
+func (p *countedPart) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, class string, hier bool) ([]oodb.OID, int, error) {
 	p.calls++
-	return p.Source.QueryHops(hops, within, class, hier)
+	return p.Source.QueryHops(dst, hops, within, class, hier)
 }
 
 // countedDB is the database as a partitioned source whose parts count
