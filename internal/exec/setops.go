@@ -87,8 +87,9 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 // so the result stays set-like. Compare the pairwise fold it replaces,
 // which re-scans the accumulator once per run for O(k·total), and an
 // OID set's bitmap, which loses to the two-way merge below several
-// thousand OIDs (DESIGN.md §11.2). dst must not share storage with any
-// run.
+// thousand OIDs (DESIGN.md §11.2). What is appended to dst must not land
+// on a run: a run may lie in dst's own array only below len(dst), as the
+// regions of a plan's arena do.
 func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	// Compact away empty runs; remember whether the non-empty ones chain
 	// disjointly in order.
