@@ -126,8 +126,9 @@
 // pages per query where it read 58.2. Read concurrency is the
 // caller's: nothing below the network server spawns a goroutine to answer
 // a query, and every indexed read — a point or range query, a predicate
-// leaf on an indexed path — is one Database.QueryHops chain (Query and
-// QueryRange are its one-hop calls). The benchmark's embed_path workload
+// leaf on an indexed path — is one Database.QueryHops chain, appending
+// its answer to the caller's buffer (Query and QueryRange are its one-hop
+// calls with a fresh answer). The benchmark's embed_path workload
 // measures this read path's ops/sec, p50/p99 latency and pages/op. The
 // timed experiments of ixbench (E3, E5, E6, E9) time one operation per
 // iteration on one worker, measure each cell as a warm-up plus three
