@@ -87,13 +87,16 @@ func gallop(b []oodb.OID, x oodb.OID) int {
 // so the result stays set-like. Compare the pairwise fold it replaces,
 // which re-scans the accumulator once per run for O(k·total), and an
 // OID set's bitmap, which loses to the two-way merge below several
-// thousand OIDs (DESIGN.md §11.2). What is appended to dst must not land
-// on a run: a run may lie in dst's own array only below len(dst), as the
-// regions of a plan's arena do.
+// thousand OIDs (DESIGN.md §11.2). dst is grown once, by the runs' total
+// length, which is exactly the union's when the runs are disjoint, as
+// parts' answers are: a nil dst becomes a fresh slice of that capacity,
+// and stays nil when every run is empty. What is appended to dst must not
+// land on a run: a run may lie in dst's own array only below len(dst), as
+// the regions of a plan's arena do.
 func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	// Compact away empty runs; remember whether the non-empty ones chain
 	// disjointly in order.
-	live := 0
+	live, total := 0, 0
 	ordered := true
 	for _, r := range runs {
 		if len(r) == 0 {
@@ -104,8 +107,13 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 		}
 		runs[live] = r
 		live++
+		total += len(r)
 	}
 	runs = runs[:live]
+	if dst == nil && total > 0 {
+		dst = make([]oodb.OID, 0, total)
+	}
+	dst = slices.Grow(dst, total)
 	switch live {
 	case 0:
 		return dst
@@ -166,13 +174,12 @@ func MergeKSortedOIDs(dst []oodb.OID, runs ...[]oodb.OID) []oodb.OID {
 	return dst
 }
 
-// mergeTwoInto merges two sorted duplicate-free runs into dst, collapsing
-// equal OIDs. dst is grown once, by both runs' length, and written by
-// index; the tail left when one run ends is copied. It never reuses an
-// input's backing array, so the caller controls placement.
+// mergeTwoInto merges two sorted duplicate-free runs into dst, which has
+// room for both, collapsing equal OIDs. It writes by index and copies the
+// tail left when one run ends. It never reuses an input's backing array,
+// so the caller controls placement.
 func mergeTwoInto(dst, a, b []oodb.OID) []oodb.OID {
 	n := len(dst)
-	dst = slices.Grow(dst, len(a)+len(b))
 	out := dst[:cap(dst)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

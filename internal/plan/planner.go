@@ -455,7 +455,6 @@ func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
 	defer x.release()
 	x.ran = slices.Grow(x.ran[:0], p.leaves)[:p.leaves]
 	clear(x.ran)
-	total := 0
 	for x.part = 0; x.part < p.parts; x.part++ {
 		r, err := x.eval(p.root)
 		if err != nil {
@@ -463,13 +462,9 @@ func (p *Plan) ExecuteInto(dst []oodb.OID) ([]oodb.OID, error) {
 			return nil, err
 		}
 		x.runs = append(x.runs, r)
-		total += len(r)
 	}
 	x.settle(p.root, true)
-	if dst == nil && total > 0 {
-		dst = make([]oodb.OID, 0, total)
-	}
-	return exec.MergeKSortedOIDs(slices.Grow(dst, total), x.runs...), nil
+	return exec.MergeKSortedOIDs(dst, x.runs...), nil
 }
 
 // arena is one execution's pooled memory. Every answer a source gives the
@@ -566,17 +561,16 @@ func (x *execution) eval(n pnode) ([]oodb.OID, error) {
 	case *andPlan:
 		return x.evalAnd(n)
 	case *orPlan:
-		mark, total := len(x.runs), 0
+		mark := len(x.runs)
 		for _, k := range n.kids {
 			r, err := x.eval(k)
 			if err != nil {
 				return nil, err
 			}
 			x.runs = append(x.runs, r)
-			total += len(r)
 		}
 		base := len(x.oids)
-		x.oids = exec.MergeKSortedOIDs(slices.Grow(x.oids, total), x.runs[mark:]...)
+		x.oids = exec.MergeKSortedOIDs(x.oids, x.runs[mark:]...)
 		x.runs = x.runs[:mark]
 		return x.carve(base), nil
 	}

@@ -454,7 +454,7 @@ func (db *DB) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targ
 		}
 		partRunsPool.Put(sc)
 	}()
-	total, produced := 0, 0
+	produced := 0
 	for _, p := range db.parts {
 		base := len(sc.buf)
 		out, n, err := p.QueryHops(sc.buf, hops, within, targetClass, hierarchy)
@@ -463,13 +463,9 @@ func (db *DB) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targ
 		}
 		sc.buf = out
 		sc.runs = append(sc.runs, out[base:])
-		total += len(out) - base
 		produced += n
 	}
-	if dst == nil && total > 0 {
-		dst = make([]oodb.OID, 0, total)
-	}
-	return exec.MergeKSortedOIDs(slices.Grow(dst, total), sc.runs...), produced, nil
+	return exec.MergeKSortedOIDs(dst, sc.runs...), produced, nil
 }
 
 // Query evaluates A_n = value for targetClass across every shard whose
