@@ -109,10 +109,16 @@ type (
 	ReconfigureReport = engine.Report
 	// Workload is a point-in-time view of the recorded live traffic.
 	Workload = stats.Workload
-	// Update is one in-place object update of a batch passed to
-	// Database.UpdateBatch: the named attributes of OID are replaced (an
+	// Write is one entry of a write batch passed to Database.Apply (or
+	// ShardedDB.Apply): an in-place update of OID's named attributes (an
 	// empty value slice removes the attribute; unnamed attributes keep
-	// their values).
+	// their values), the insert of a new object of Class, whose OID Apply
+	// fills in, or the delete of OID, by Kind.
+	Write = exec.Write
+	// WriteKind says what a Write does; the zero value is an update.
+	WriteKind = exec.WriteKind
+	// Update is a Write by the name Database.UpdateBatch callers use: a
+	// literal naming only OID and Attrs is an update.
 	Update = exec.Update
 	// Generated is a synthetic database materialized from statistics.
 	Generated = gen.Generated
@@ -148,6 +154,13 @@ const (
 	SyncNever = wal.SyncNever
 )
 
+// Write kinds for Write.Kind.
+const (
+	WriteUpdate = exec.WriteUpdate
+	WriteInsert = exec.WriteInsert
+	WriteDelete = exec.WriteDelete
+)
+
 // ErrCrossShard reports an insert or update whose references span
 // shards; a path instance must stay within one shard (see ShardedDB).
 var ErrCrossShard = shard.ErrCrossShard
@@ -157,8 +170,9 @@ var ErrCrossShard = shard.ErrCrossShard
 // binary format; see internal/wire and DESIGN.md §10.
 type (
 	// NetServer serves a Database or ShardedDB over TCP, coalescing
-	// concurrently-arriving requests into windows: updates become one
-	// UpdateBatch, identical predicate trees one planner descent, and a
+	// concurrently-arriving requests into windows: a run of inserts,
+	// updates and deletes becomes one Apply, identical predicate trees one
+	// planner descent, and a
 	// window's answers one write per connection, so the zero-allocation
 	// read path and the group-commit fsync amortization survive the
 	// socket boundary.
@@ -168,10 +182,10 @@ type (
 	// arm for benchmarks), and the dispatcher, queue and write bounds.
 	NetServerOptions = netserver.Options
 	// NetBackend is what a NetServer serves: one read method, QueryHops,
-	// which answers point, range and predicate requests alike, plus the
-	// four writes; *Database and *ShardedDB both satisfy it. A Database's
-	// store backs the server's naive predicate fallback, and the backend,
-	// not the server, counts the workload.
+	// which answers point, range and predicate requests alike, plus one
+	// write method, Apply; *Database and *ShardedDB both satisfy it. A
+	// Database's store backs the server's naive predicate fallback, and
+	// the backend, not the server, counts the workload.
 	NetBackend = netserver.Backend
 	// NetClient is the pipelining client: synchronous calls mirror the
 	// Database methods, Go-prefixed calls return a NetCall future so many

@@ -149,9 +149,12 @@
 // the database); PX re-derives affected entries by navigation, the
 // trade-off its cost model charges for. An update that does not touch
 // the indexed path attribute costs zero index page accesses.
-// Database.UpdateBatch applies a batch in input order (the batch
-// serializes with configuration swaps, and commits, as a group), reporting
-// per-update errors. Updates are recorded as
+// Every write is one call at every layer: Database.Apply applies a batch
+// of Write entries — inserts, updates and deletes mixed — in input order
+// (the batch serializes with configuration swaps, and commits, as a
+// group), reporting per-entry errors and filling in each insert's OID;
+// Insert, Update and Delete are batches of one, UpdateBatch a batch of
+// updates. Updates are recorded as
 // their own operation kind, surface in WorkloadSnapshot, and enter drift
 // and re-selection as half an insertion plus half a deletion — so an
 // update-heavy shift in the mix retunes the configuration like any other
@@ -166,8 +169,8 @@
 // partitioned database — a capacity and isolation step past a single
 // engine (N stores, write locks, logs and recoveries), not a
 // read-throughput one. Shard i's store only mints OIDs congruent to i mod N, so
-// routing any OID-keyed operation — Get, Update, Delete, every entry of
-// an UpdateBatch — is one modulo: a pure function of the OID, stable for
+// routing an OID-keyed write — an update or a delete entry of Apply — is
+// one modulo: a pure function of the OID, stable for
 // the object's lifetime, with no directory to maintain. Value queries
 // have no OID to hash; they visit, in shard order on the calling
 // goroutine, every shard whose value summary admits the probe and merge
@@ -179,8 +182,8 @@
 // per shard and merges only the tree's answers. Because the paper's
 // model navigates forward references (queries chain through them, NIX
 // and PX maintenance walk them), an object's references must live in its
-// shard: Insert routes a referencing object to the shard owning its
-// references, reference-free roots place round-robin or explicitly with
+// shard: Apply routes an insert to the shard owning its references,
+// reference-free roots place round-robin or explicitly with
 // InsertAt, and references spanning shards are rejected (ErrCrossShard)
 // — the co-location contract of partitioned relational stores.
 //
@@ -205,8 +208,8 @@
 //
 // # Durability
 //
-// OpenDurable opens a disk-backed engine in a directory: every Insert,
-// Update and Delete appends a CRC-framed record to a write-ahead log and
+// OpenDurable opens a disk-backed engine in a directory: every write
+// appends a CRC-framed record to a write-ahead log and
 // commits per the configured policy — SyncAlways (fsync per operation:
 // acknowledged means durable), SyncGroup (fsyncs amortized over a
 // commit window) or SyncNever — before the operation returns, and store

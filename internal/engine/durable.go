@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/stats"
@@ -41,8 +42,8 @@ import (
 // between the snapshot rename and the WAL reset replays logged effects
 // the snapshot already holds, and converges.
 //
-// Write path: every write verb appends its records through logLocked
-// inside its writeMu hold and commits through settle after releasing it.
+// Write path: Apply appends a batch's records through logLocked inside
+// its writeMu hold and commits through settle after releasing it.
 // Lock order: writeMu, then the log's sync mutex, then its append mutex;
 // the commit path never takes writeMu while the log holds its sync mutex
 // for it.
@@ -325,15 +326,13 @@ func applyOpRecord(st *oodb.Store, rec []byte) error {
 	}
 }
 
-// logLocked is a write's first half, run under writeMu: when the store
-// step succeeded (err nil) on a durable engine, it appends the operation's
-// record. It returns the log position the record ends at, zero when
-// nothing was logged, and the first failure, the store's or the log's.
-func (e *Engine) logLocked(kind byte, oid oodb.OID, err error) (uint64, error) {
+// logLocked is a durable write's first half, run under writeMu for an
+// entry the store and the indexes took: it appends the entry's record —
+// obj, the object the entry stored, for an insert or an update; the OID
+// for a delete. It returns the log position the record ends at and the
+// failure that kept it from the log.
+func (e *Engine) logLocked(w *exec.Write, obj *oodb.Object) (uint64, error) {
 	d := e.dur
-	if err != nil || d == nil {
-		return 0, err
-	}
 	// A latched error — the log's, or the pager's from a failed write-back
 	// during the store phase — condemns the operation before its record is
 	// appended: an appended record is a durability promise.
@@ -341,15 +340,13 @@ func (e *Engine) logLocked(kind byte, oid oodb.OID, err error) (uint64, error) {
 		d.err = err
 		return 0, err
 	}
-	if kind == opDelete {
-		d.buf = binary.BigEndian.AppendUint64(append(d.buf[:0], kind), uint64(oid))
-	} else {
-		obj, ok := e.store.Peek(oid)
-		if !ok {
-			d.err = fmt.Errorf("engine: logging operation: object %d vanished", oid)
-			return 0, d.err
-		}
-		d.buf = oodb.AppendObject(append(d.buf[:0], kind), obj.OID, obj.Class, obj.Attrs)
+	switch w.Kind {
+	case exec.WriteDelete:
+		d.buf = binary.BigEndian.AppendUint64(append(d.buf[:0], opDelete), uint64(w.OID))
+	case exec.WriteInsert:
+		d.buf = oodb.AppendObject(append(d.buf[:0], opInsert), obj.OID, obj.Class, obj.Attrs)
+	default:
+		d.buf = oodb.AppendObject(append(d.buf[:0], opUpdate), obj.OID, obj.Class, obj.Attrs)
 	}
 	if err := d.log.Append(d.buf); err != nil {
 		d.err = err

@@ -19,10 +19,11 @@
 //	           a half-built configuration.
 //
 // Reads are never blocked by reconfiguration: queries take a snapshot of
-// the active set through an atomic pointer. Writers (Insert, Update,
-// Delete) serialize with the build-and-swap so the new set is loaded from
-// a stable store; after the swap the retired set is drained before any
-// maintenance touches the structures the new set adopted.
+// the active set through an atomic pointer. Writes — one Apply over a
+// batch, of which Insert, Update and Delete are batches of one — serialize
+// with the build-and-swap so the new set is loaded from a stable store;
+// after the swap the retired set is drained before any maintenance touches
+// the structures the new set adopted.
 //
 // An Engine is deliberately self-contained — store, index set, recorder,
 // pager counters and tuning state are all per-instance, with no
@@ -236,55 +237,33 @@ func (e *Engine) QueryRange(lo, hi oodb.Value, targetClass string, hierarchy boo
 	return out, err
 }
 
-// Insert stores a new object and maintains the active configuration's
-// owning subpath index. On a durable engine the insert is logged and
-// committed before it is acknowledged: a nil error means the operation
-// will survive a crash (per the WAL commit policy).
-func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
-	e.writeMu.Lock()
-	oid, err := e.active.Load().InsertInto(e.store, class, attrs)
-	pos, err := e.logLocked(opInsert, oid, err)
-	e.writeMu.Unlock()
-	return oid, e.settle(pos, err, 1)
+// Apply applies a batch of writes — inserts, updates and deletes, in input
+// order — to the store and the active configuration (exec.IndexSet.Apply):
+// one error per entry, nil on success, and a successful insert's OID
+// filled into its entry. Each write is recorded as its own operation kind,
+// so a write-heavy mix drifts like any other. The batch holds writeMu once,
+// serializing with configuration swaps as a whole, so on a durable engine
+// it is a group commit: each successful entry is logged as the object it
+// stored and the batch committed once, after writeMu is released. A nil
+// error then means the entry survives a crash (per the WAL commit policy);
+// when logging or the commit fails, no entry is acknowledged.
+func (e *Engine) Apply(ws []exec.Write) []error {
+	return e.write(ws, make([]error, len(ws)), make([]*oodb.Object, len(ws)))
 }
 
-// Update applies an in-place update — attribute value changes and
-// reference re-links — and maintains the active configuration's owning
-// subpath index incrementally from the before/after pair. Updates feed
-// the workload recorder as their own operation kind, so update-heavy
-// drift triggers re-selection like any other mix shift. A missing OID
-// reports oodb.ErrNotFound.
-func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
+// write is Apply into the caller's errs and stored.
+func (e *Engine) write(ws []exec.Write, errs []error, stored []*oodb.Object) []error {
 	e.writeMu.Lock()
-	err := e.active.Load().UpdateIn(e.store, oid, attrs)
-	pos, err := e.logLocked(opUpdate, oid, err)
-	e.writeMu.Unlock()
-	return e.settle(pos, err, 1)
-}
-
-// UpdateBatch applies a batch of in-place updates, in input order, against
-// one snapshot of the active configuration (see
-// exec.IndexSet.UpdateBatch). The batch serializes with configuration
-// swaps as a whole — one writeMu hold, not one per update — so it also
-// acts as a group commit. The result has one entry per update, nil on
-// success; a failed update does not stop the rest of the batch. On a
-// durable engine the batch's successful updates are logged record by
-// record and committed once, after writeMu is released — one fsync
-// decision for the whole batch; when logging or the commit fails, none
-// of them is acknowledged.
-func (e *Engine) UpdateBatch(ups []exec.Update) []error {
-	e.writeMu.Lock()
-	errs := e.active.Load().UpdateBatch(e.store, ups)
+	e.active.Load().Apply(e.store, ws, errs, stored)
 	var pos uint64 // end of the batch's last record; 0 when none was logged
 	var err error
-	for i := range ups {
-		if errs[i] == nil && err == nil {
-			pos, err = e.logLocked(opUpdate, ups[i].OID, nil)
+	for i := range ws {
+		if e.dur != nil && errs[i] == nil && err == nil {
+			pos, err = e.logLocked(&ws[i], stored[i])
 		}
 	}
 	e.writeMu.Unlock()
-	if err = e.settle(pos, err, len(ups)); err != nil {
-		// Nothing the batch logged is committed: no update is acknowledged.
+	if err = e.settle(pos, err, len(ws)); err != nil {
 		for i := range errs {
 			if errs[i] == nil {
 				errs[i] = err
@@ -294,15 +273,32 @@ func (e *Engine) UpdateBatch(ups []exec.Update) []error {
 	return errs
 }
 
-// Delete removes an object and maintains the active configuration,
-// including the Definition 4.2 boundary maintenance. A missing OID
-// reports oodb.ErrNotFound.
+// writeOne is a batch of one write, kept on the stack.
+func (e *Engine) writeOne(w exec.Write) (oodb.OID, error) {
+	ws, errs, stored := [1]exec.Write{w}, [1]error{}, [1]*oodb.Object{}
+	e.write(ws[:], errs[:], stored[:])
+	return ws[0].OID, errs[0]
+}
+
+// Insert stores a new object: Apply with one insert.
+func (e *Engine) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
+	return e.writeOne(exec.Write{Kind: exec.WriteInsert, Class: class, Attrs: attrs})
+}
+
+// Update replaces attributes of an object in place, values and reference
+// re-links alike: Apply with one update.
+func (e *Engine) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
+	_, err := e.writeOne(exec.Write{OID: oid, Attrs: attrs})
+	return err
+}
+
+// UpdateBatch is Apply over a batch of updates.
+func (e *Engine) UpdateBatch(ups []exec.Update) []error { return e.Apply(ups) }
+
+// Delete removes an object: Apply with one delete.
 func (e *Engine) Delete(oid oodb.OID) error {
-	e.writeMu.Lock()
-	err := e.active.Load().DeleteFrom(e.store, oid)
-	pos, err := e.logLocked(opDelete, oid, err)
-	e.writeMu.Unlock()
-	return e.settle(pos, err, 1)
+	_, err := e.writeOne(exec.Write{Kind: exec.WriteDelete, OID: oid})
+	return err
 }
 
 // Store returns the engine's object store.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -44,7 +45,13 @@ type IndexSet struct {
 	indexes    []index.PathIndex
 	levelOwner []int
 	levelOf    map[string]int // class -> global path level
-	one        [1]index.Pair  // the batch of one a single update is; under mu
+
+	// pairs[i] are the updates Apply has stored but index i not yet
+	// maintained, at[i] their batch positions; pending counts them all.
+	// Owned by the one writer Apply's callers serialize.
+	pairs   [][]index.Pair
+	at      [][]int
+	pending int
 
 	reused int             // structures adopted from a predecessor set
 	rec    *stats.Recorder // optional; nil-safe
@@ -78,6 +85,8 @@ func newIndexSet(st *oodb.Store, p *schema.Path, cfg core.Configuration, pageSiz
 		indexes:    make([]index.PathIndex, len(cfg.Assignments)),
 		levelOwner: make([]int, p.Len()),
 		levelOf:    make(map[string]int),
+		pairs:      make([][]index.Pair, len(cfg.Assignments)),
+		at:         make([][]int, len(cfg.Assignments)),
 		rec:        rec,
 	}
 	for l := 1; l <= p.Len(); l++ {
@@ -195,7 +204,8 @@ func (s *IndexSet) LevelOf(class string) (int, error) {
 	if l, ok := s.levelOf[class]; ok {
 		return l, nil
 	}
-	return 0, fmt.Errorf("exec: class %q not in scope of %s", class, s.path)
+	// A copy in the message: class stays the caller's (see insert).
+	return 0, fmt.Errorf("exec: class %q not in scope of %s", strings.Clone(class), s.path)
 }
 
 // queryScratch bundles the per-worker buffers of one query evaluation:
@@ -286,179 +296,188 @@ func (s *IndexSet) QueryHops(dst []oodb.OID, hops []Hop, within []oodb.OID, targ
 	}
 }
 
-// InsertInto stores a new object in st and maintains the owning
-// subpath's index; the single write path under the lifecycle engine. The
-// caller is responsible for serializing store mutations against
-// configuration swaps.
-func (s *IndexSet) InsertInto(st *oodb.Store, class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
-	if _, err := s.LevelOf(class); err != nil {
-		return 0, err
-	}
-	oid, err := st.Insert(class, attrs)
-	if err != nil {
-		return 0, err
-	}
-	obj, _ := st.Peek(oid)
-	if err := s.OnInsert(obj); err != nil {
-		return 0, err
-	}
-	return oid, nil
-}
+// WriteKind says what a Write does; the zero value is an update.
+type WriteKind uint8
 
-// UpdateIn applies an in-place update to an object of st and maintains
-// the owning subpath's index incrementally from the (old, new) pair the
-// store returns — a batch of one. Updates never need boundary maintenance:
-// the object's OID — the key value preceding subpaths chain through — does
-// not change. A missing OID reports oodb.ErrNotFound. The caller is
-// responsible for serializing store mutations against configuration swaps.
-func (s *IndexSet) UpdateIn(st *oodb.Store, oid oodb.OID, attrs map[string][]oodb.Value) error {
-	p, gi, err := s.storeUpdate(st, oid, attrs)
-	if err != nil {
-		return err
-	}
-	return s.maintainOne(gi, p)
-}
+// Write kinds.
+const (
+	WriteUpdate WriteKind = iota
+	WriteInsert
+	WriteDelete
+)
 
-// storeUpdate applies one update to st and returns the (old, new) pair with
-// the position of the index owning the object's level.
-func (s *IndexSet) storeUpdate(st *oodb.Store, oid oodb.OID, attrs map[string][]oodb.Value) (index.Pair, int, error) {
-	obj, ok := st.Peek(oid)
-	if !ok {
-		return index.Pair{}, 0, fmt.Errorf("exec: no object %d: %w", oid, oodb.ErrNotFound)
-	}
-	level, err := s.LevelOf(obj.Class)
-	if err != nil {
-		return index.Pair{}, 0, err
-	}
-	old, upd, err := st.Update(oid, attrs)
-	if err != nil {
-		return index.Pair{}, 0, err
-	}
-	return index.Pair{Old: old, New: upd}, s.levelOwner[level-1], nil
-}
-
-// maintainOne hands one pair to the index at position gi under the write
-// lock.
-func (s *IndexSet) maintainOne(gi int, p index.Pair) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.one[0] = p
-	err := s.indexes[gi].OnUpdates(s.one[:])
-	s.one[0] = index.Pair{}
-	if err == nil {
-		s.rec.Record(p.Old.Class, stats.OpUpdate)
-	}
-	return err
-}
-
-// Update is one in-place object update of a batch: the named attributes
-// of OID are replaced (an empty value slice removes the attribute;
-// attributes not named keep their values).
-type Update struct {
+// Write is one entry of a write batch (Apply): an in-place update of OID —
+// the named attributes are replaced, an empty value slice removes one,
+// attributes not named keep their values — the insert of a new object of
+// Class with Attrs, whose OID Apply fills in, or the delete of OID.
+type Write struct {
+	Kind  WriteKind
 	OID   oodb.OID
+	Class string // an insert's class
 	Attrs map[string][]oodb.Value
 }
 
-// UpdateBatch applies a batch of in-place updates to the store in input
-// order, then hands each owning index all its updates in one OnUpdates
-// call, under one write lock — so an index maintains the batch as a few
-// operations, each tree visited once, not one descent per update (DESIGN.md
-// §5.2). Deferring maintenance past the store is safe because MX, MIX and
-// NIX read nothing but their own pages and the pairs, and objects are
-// immutable: what they end with depends only on the pairs. PX navigates the
-// store, so a PX owner is still called at each update's own position. The
-// batch's value is its contract: one call, per-update errors, and — at the
-// engine level — one serialization against configuration swaps and one
-// commit for the whole group. It does not fan out, and applies the same
-// batch the same way every time.
+// Update is a Write by the name batch-update callers use.
+type Update = Write
+
+// Apply applies a batch of writes to st in input order and maintains the
+// owning indexes — the set's one write path. errs[i] receives entry i's
+// error, nil on success; a failed entry never stops the rest, and a
+// missing OID reports oodb.ErrNotFound. A successful insert's OID is filled
+// into its entry. stored, when non-nil, receives the object each insert or
+// update stored, as it stored it: the image a log records, which a later
+// entry may replace or delete. errs and stored hold len(ws) entries; a nil
+// errs is made. The caller serializes Apply calls, and writes against
+// configuration swaps (the engine's writeMu does both).
 //
-// The result has one entry per update, nil on success; a failed update
-// never prevents the rest of the batch from applying, and an index error
-// fails every update that index was maintaining.
-func (s *IndexSet) UpdateBatch(st *oodb.Store, ups []Update) []error {
-	errs := make([]error, len(ups))
-	pairs := make([][]index.Pair, len(s.indexes)) // by owner, in input order
-	at := make([][]int, len(s.indexes))           // the updates behind them
-	for i, u := range ups {
-		p, gi, err := s.storeUpdate(st, u.OID, u.Attrs)
-		switch {
-		case err != nil:
-			errs[i] = err
-		case s.cfg.Assignments[gi].Org == cost.PX:
-			errs[i] = s.maintainOne(gi, p)
+// A run of consecutive updates is maintained as a batch (DESIGN.md §5.2):
+// the store applies the run first, then each owning index gets all its
+// pairs in one OnUpdates call, under one write lock, so a tree is visited
+// once, not once per update. MX, MIX and NIX read nothing but their own
+// pages and the pairs, and objects are immutable, so the delay is safe; PX
+// navigates the store, so a PX owner is maintained at each update's own
+// position. An insert or a delete first flushes the pending pairs. An
+// index error fails every update that index was maintaining.
+func (s *IndexSet) Apply(st *oodb.Store, ws []Write, errs []error, stored []*oodb.Object) []error {
+	if errs == nil {
+		errs = make([]error, len(ws))
+	}
+	for i := range ws {
+		w := &ws[i]
+		var obj *oodb.Object
+		switch w.Kind {
+		case WriteUpdate:
+			obj, errs[i] = s.update(st, w.OID, w.Attrs, i, errs)
+		case WriteInsert:
+			s.flush(errs)
+			obj, errs[i] = s.insert(st, w)
+		case WriteDelete:
+			s.flush(errs)
+			errs[i] = s.delete(st, w.OID)
 		default:
-			pairs[gi] = append(pairs[gi], p)
-			at[gi] = append(at[gi], i)
+			errs[i] = fmt.Errorf("exec: unknown write kind %d", w.Kind)
+		}
+		if stored != nil {
+			stored[i] = obj
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for gi, ps := range pairs {
-		if len(ps) == 0 {
-			continue
-		}
-		err := s.indexes[gi].OnUpdates(ps)
-		for k, i := range at[gi] {
-			if errs[i] = err; err == nil {
-				s.rec.Record(ps[k].Old.Class, stats.OpUpdate)
-			}
-		}
-	}
+	s.flush(errs)
 	return errs
 }
 
-// DeleteFrom removes an object from st, maintaining the owning subpath's
-// index and the Definition 4.2 boundary. A missing OID reports
-// oodb.ErrNotFound.
-func (s *IndexSet) DeleteFrom(st *oodb.Store, oid oodb.OID) error {
+// update applies entry i, an update, to st and queues its (old, new) pair
+// on the index owning the object's level: maintained at once by a PX, at
+// the next flush by any other. An update needs no boundary maintenance:
+// the OID preceding subpaths chain through does not change.
+func (s *IndexSet) update(st *oodb.Store, oid oodb.OID, attrs map[string][]oodb.Value, i int, errs []error) (*oodb.Object, error) {
+	obj, ok := st.Peek(oid)
+	if !ok {
+		return nil, fmt.Errorf("exec: no object %d: %w", oid, oodb.ErrNotFound)
+	}
+	level, err := s.LevelOf(obj.Class)
+	if err != nil {
+		return nil, err
+	}
+	old, upd, err := st.Update(oid, attrs)
+	if err != nil {
+		return nil, err
+	}
+	gi := s.levelOwner[level-1]
+	s.pairs[gi] = append(s.pairs[gi], index.Pair{Old: old, New: upd})
+	s.at[gi] = append(s.at[gi], i)
+	s.pending++
+	if s.cfg.Assignments[gi].Org == cost.PX {
+		s.mu.Lock()
+		s.maintainLocked(gi, errs)
+		s.mu.Unlock()
+	}
+	return upd, errs[i]
+}
+
+// flush hands every index its pending pairs, all under one write lock.
+func (s *IndexSet) flush(errs []error) {
+	if s.pending == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for gi := range s.pairs {
+		s.maintainLocked(gi, errs)
+	}
+}
+
+// maintainLocked hands index gi its pending pairs in one OnUpdates call
+// and settles the errors of the updates behind them, under the write lock.
+// A queue longer than keptPairs is let go rather than kept for the set's
+// life.
+func (s *IndexSet) maintainLocked(gi int, errs []error) {
+	ps, at := s.pairs[gi], s.at[gi]
+	if len(ps) == 0 {
+		return
+	}
+	err := s.indexes[gi].OnUpdates(ps)
+	for k, i := range at {
+		if errs[i] = err; err == nil {
+			s.rec.Record(ps[k].Old.Class, stats.OpUpdate)
+		}
+	}
+	s.pending -= len(ps)
+	clear(ps) // a kept pair would pin its objects
+	if cap(ps) > keptPairs {
+		ps, at = nil, nil
+	}
+	s.pairs[gi], s.at[gi] = ps[:0], at[:0]
+}
+
+const keptPairs = 1024
+
+// insert stores a new object and maintains the index owning its level.
+func (s *IndexSet) insert(st *oodb.Store, w *Write) (*oodb.Object, error) {
+	level, err := s.LevelOf(w.Class)
+	if err != nil {
+		return nil, err
+	}
+	// The schema's copy of the name goes into the store: were the entry's
+	// own to escape, a caller's attrs map would escape with it.
+	oid, err := st.Insert(s.path.Schema().Class(w.Class).Name, w.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	obj, _ := st.Peek(oid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.indexes[s.levelOwner[level-1]].OnInsert(obj); err != nil {
+		return nil, err
+	}
+	s.rec.Record(obj.Class, stats.OpInsert)
+	w.OID = oid
+	return obj, nil
+}
+
+// delete maintains the index owning the object's level and — when the
+// object's class starts a subpath — the Definition 4.2 boundary of the
+// preceding subpath's index, then removes the object from st.
+func (s *IndexSet) delete(st *oodb.Store, oid oodb.OID) error {
 	obj, ok := st.Peek(oid)
 	if !ok {
 		return fmt.Errorf("exec: no object %d: %w", oid, oodb.ErrNotFound)
 	}
-	if err := s.OnDelete(obj); err != nil {
-		return err
-	}
-	return st.Delete(oid)
-}
-
-// OnInsert maintains the owning subpath's index for a newly stored
-// object. It takes the write lock itself.
-func (s *IndexSet) OnInsert(obj *oodb.Object) error {
 	level, err := s.LevelOf(obj.Class)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.indexes[s.levelOwner[level-1]].OnInsert(obj); err != nil {
-		return err
-	}
-	s.rec.Record(obj.Class, stats.OpInsert)
-	return nil
-}
-
-// OnDelete maintains the owning subpath's index for an object about to be
-// deleted, and — when the object's class starts a subpath — performs the
-// Definition 4.2 boundary maintenance on the preceding subpath's index.
-// It takes the write lock itself.
-func (s *IndexSet) OnDelete(obj *oodb.Object) error {
-	level, err := s.LevelOf(obj.Class)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	gi := s.levelOwner[level-1]
-	if err := s.indexes[gi].OnDelete(obj); err != nil {
-		return err
+	err = s.indexes[gi].OnDelete(obj)
+	if a, _ := s.indexes[gi].Bounds(); err == nil && a == level && gi > 0 {
+		err = s.indexes[gi-1].BoundaryDelete(oid)
 	}
-	if a, _ := s.indexes[gi].Bounds(); a == level && gi > 0 {
-		if err := s.indexes[gi-1].BoundaryDelete(obj.OID); err != nil {
-			return err
-		}
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	s.rec.Record(obj.Class, stats.OpDelete)
-	return nil
+	return st.Delete(oid)
 }
 
 // Stats sums the page-access counters over all subpath indexes.

@@ -11,18 +11,19 @@
 // pinned to one dispatcher (affinity keeps the queues contention-free
 // and a connection's requests in order); an idle dispatcher drains
 // whatever has accumulated in its queue (up to MaxBatch), carves the
-// run into maximal same-opcode segments, and serves update segments with
-// one UpdateBatch and predicate segments with one planner descent per
-// distinct tree — so on a durable backend concurrently-arriving writes
-// amortize WAL fsyncs, exactly as embedded batch callers do. Point and
-// range queries are served one by one, each one Backend.QueryHops call
-// with a single hop: a probe is a microsecond of work and a batch kernel
-// around it measured no faster (DESIGN.md §10.2); what the window buys
-// them is the bundled write. The window needs no timer: its
-// width is the previous batch's execution time, so it self-adjusts —
-// near-zero added latency when idle, maximal batches under load. A
-// batch's responses are bundled per connection into one framed write,
-// so the writer wakes once per window, not once per request.
+// run into maximal segments, and serves a run of writes — inserts,
+// updates and deletes mixed — with one Backend.Apply and a run of
+// predicates with one planner descent per distinct tree — so on a durable
+// backend concurrently-arriving writes amortize WAL fsyncs, exactly as
+// embedded batch callers do. Point and range queries are served one by
+// one, each one Backend.QueryHops call with a single hop: a probe is a
+// microsecond of work and a batch kernel around it measured no faster
+// (DESIGN.md §10.2); what the window buys them is the bundled write. The
+// window needs no timer: its width is the previous batch's execution
+// time, so it self-adjusts — near-zero added latency when idle, maximal
+// batches under load. A batch's responses are bundled per connection into
+// one framed write, so the writer wakes once per window, not once per
+// request.
 //
 // Ordering. A connection's requests are served by its dispatcher in
 // arrival order, so pipelined requests on one connection observe each
@@ -35,7 +36,7 @@
 // connection lives on. A broken frame (torn or corrupt — the WAL
 // posture) poisons the byte stream and closes the connection. One
 // request's engine error never fails another's: every point query is
-// evaluated exactly once, and UpdateBatch reports its errors per update.
+// evaluated exactly once, and Apply reports its errors per write.
 // A stalled client — socket open, but not reading — is isolated the same
 // way: a full response queue or a timed-out write (Options.WriteTimeout)
 // declares the connection dead and closes it, and the dispatcher drops its
@@ -79,17 +80,15 @@ import (
 // Backend is what the server serves: the engine surface shared by
 // *engine.Engine and *shard.DB — one read method, plan.Source's
 // QueryHops, which answers point and range requests as one-hop probes and
-// the planners' probe groups on the served path, and the four writes.
+// the planners' probe groups on the served path, and one write method,
+// Apply, which takes a window's writes of every kind as one batch.
 // A backend with one store (Store() *oodb.Store, as *engine.Engine has)
 // backs the planners' naive fallback — residual filters for unsourced
 // leaves and OpPredicateValues projection, as an embedded planner's;
 // *shard.DB has none, so those answer with the planner's error.
 type Backend interface {
 	plan.Source
-	Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error)
-	Update(oid oodb.OID, attrs map[string][]oodb.Value) error
-	UpdateBatch(ups []exec.Update) []error
-	Delete(oid oodb.OID) error
+	Apply(ws []exec.Write) []error
 }
 
 // Options tunes a Server. The zero value serves correctly with
@@ -526,10 +525,9 @@ type dispatcher struct {
 	srv   *Server
 	tasks chan *task
 	batch []*task
-	ups   []exec.Update
-	rbuf  []byte      // response payload scratch
-	oid1  [1]oodb.OID // single-OID reply scratch
-	hop1  [1]exec.Hop // single-hop query scratch
+	ws    []exec.Write // the write batch of a segment
+	rbuf  []byte       // response payload scratch
+	hop1  [1]exec.Hop  // single-hop query scratch
 
 	// Predicate dispatch: each dispatcher owns a private planner over
 	// the registered paths, rebuilt lazily when the path table's
@@ -600,10 +598,11 @@ func (d *dispatcher) run() {
 }
 
 // serveBatch answers one coalesced window. The batch is carved into
-// maximal same-opcode segments served in arrival order: update segments
-// collapse into one UpdateBatch (one WAL fsync decision on a durable
-// backend), predicate segments into one descent per distinct tree, and
-// everything else — point queries included — is served per request.
+// maximal segments served in arrival order: a run of writes — inserts,
+// updates and deletes mixed — is one Apply (one WAL commit on a durable
+// backend), a run of one predicate opcode is one descent per distinct
+// tree, and everything else — point queries included — is served per
+// request.
 func (d *dispatcher) serveBatch(batch []*task) {
 	s := d.srv
 	s.nBatches.Add(1)
@@ -612,13 +611,14 @@ func (d *dispatcher) serveBatch(batch []*task) {
 		s.nCoalesced.Add(uint64(len(batch) - 1))
 	}
 	for i := 0; i < len(batch); {
+		seg := segment(batch[i].req.Op)
 		j := i + 1
-		for j < len(batch) && batch[j].req.Op == batch[i].req.Op {
+		for j < len(batch) && segment(batch[j].req.Op) == seg {
 			j++
 		}
-		switch batch[i].req.Op {
+		switch seg {
 		case wire.OpUpdate:
-			d.serveUpdates(batch[i:j])
+			d.serveWrites(batch[i:j])
 		case wire.OpPredicate, wire.OpPredicateValues:
 			d.servePredicates(batch[i:j])
 		default:
@@ -629,6 +629,17 @@ func (d *dispatcher) serveBatch(batch []*task) {
 		i = j
 	}
 	d.flushBundles()
+}
+
+// writeKinds maps a write opcode to its entry kind; OpUpdate's is zero.
+var writeKinds = [...]exec.WriteKind{wire.OpInsert: exec.WriteInsert, wire.OpDelete: exec.WriteDelete}
+
+// segment names a request's segment: OpUpdate for every write opcode.
+func segment(op byte) byte {
+	if op == wire.OpInsert || op == wire.OpDelete {
+		return wire.OpUpdate
+	}
+	return op
 }
 
 // flushBundles queues every connection's accumulated responses as one
@@ -649,22 +660,25 @@ func (d *dispatcher) flushBundles() {
 	d.bundles = d.bundles[:0]
 }
 
-// serveUpdates answers a segment of updates with one batch write — the
-// group commit: on a durable backend the whole segment is one fsync
-// decision, amortized across every connection that contributed.
-func (d *dispatcher) serveUpdates(run []*task) {
-	if len(run) == 1 {
-		d.serveOne(run[0])
-		return
-	}
-	d.ups = d.ups[:0]
+// serveWrites answers a segment of writes with one Apply — the group
+// commit: on a durable backend the whole segment is one fsync decision,
+// amortized across every connection that contributed. An insert answers
+// with its new OID, appended to the dispatcher's answer buffer.
+func (d *dispatcher) serveWrites(run []*task) {
 	for _, t := range run {
-		d.ups = append(d.ups, exec.Update{OID: t.req.OID, Attrs: t.req.Attrs})
+		d.ws = append(d.ws, exec.Write{Kind: writeKinds[t.req.Op], OID: t.req.OID, Class: t.class, Attrs: t.req.Attrs})
 	}
-	errs := d.srv.be.UpdateBatch(d.ups)
+	errs := d.srv.be.Apply(d.ws)
 	for i, t := range run {
-		d.reply(t, nil, errs[i])
+		var oids []oodb.OID
+		if errs[i] == nil && d.ws[i].Kind == exec.WriteInsert {
+			d.ans = append(d.ans[:0], d.ws[i].OID)
+			oids = d.ans
+		}
+		d.reply(t, oids, errs[i])
 	}
+	clear(d.ws) // drop the requests' attrs
+	d.ws = d.ws[:0]
 }
 
 // servePredicates answers a segment of predicate requests through the
@@ -812,7 +826,7 @@ func resolvePaths(tab *pathTable, n *wire.PredNode) error {
 	return nil
 }
 
-// serveOne answers a single request directly against the backend; a
+// serveOne answers a single read or ping directly against the backend; a
 // point or range query appends its answer to the dispatcher's buffer.
 func (d *dispatcher) serveOne(t *task) {
 	s := d.srv
@@ -827,16 +841,6 @@ func (d *dispatcher) serveOne(t *task) {
 	case wire.OpQueryRange:
 		d.hop1[0] = exec.Hop{Lo: t.req.Lo, Hi: t.req.Hi, Ranged: true}
 		oids, _, err = s.be.QueryHops(d.ans[:0], d.hop1[:], nil, t.class, t.req.Hierarchy)
-	case wire.OpInsert:
-		var oid oodb.OID
-		if oid, err = s.be.Insert(t.class, t.req.Attrs); err == nil {
-			d.oid1[0] = oid
-			oids = d.oid1[:]
-		}
-	case wire.OpUpdate:
-		err = s.be.Update(t.req.OID, t.req.Attrs)
-	case wire.OpDelete:
-		err = s.be.Delete(t.req.OID)
 	default:
 		err = fmt.Errorf("netserver: unknown opcode %d", t.req.Op)
 	}

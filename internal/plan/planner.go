@@ -1,10 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -381,9 +381,7 @@ func (c *compiler) compile(n *Predicate) (pnode, error) {
 			ap.probes = append(ap.probes, &scanNode{leaf: ap.residuals[0].leaf, slot: ap.residuals[0].slot})
 			ap.residuals = ap.residuals[1:]
 		}
-		sort.SliceStable(ap.probes, func(i, j int) bool {
-			return ap.probes[i].est() < ap.probes[j].est()
-		})
+		slices.SortStableFunc(ap.probes, func(a, b pnode) int { return cmp.Compare(a.est(), b.est()) })
 		ap.card = math.Inf(1)
 		for i, p := range ap.probes {
 			ap.card = math.Min(ap.card, p.est())

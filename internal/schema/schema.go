@@ -234,6 +234,7 @@ type Path struct {
 	schema  *Schema
 	classes []string // C1..Cn, root class at each position
 	attrs   []string // A1..An
+	str     string   // C1.A1...An; a path never changes once built
 }
 
 // NewPath builds and validates a path starting at class start and following
@@ -273,6 +274,7 @@ func NewPath(s *Schema, start string, attrs ...string) (*Path, error) {
 			cur = next
 		}
 	}
+	p.str = render(p.classes[0], p.attrs)
 	return p, nil
 }
 
@@ -340,6 +342,7 @@ func (p *Path) SubPath(a, b int) (*Path, error) {
 		schema:  p.schema,
 		classes: p.classes[a-1 : b],
 		attrs:   p.attrs[a-1 : b],
+		str:     render(p.classes[a-1], p.attrs[a-1:b]),
 	}, nil
 }
 
@@ -356,15 +359,13 @@ func (p *Path) SubPaths() [][2]int {
 	return out
 }
 
-// String renders the path in the paper's C1.A1.A2...An notation.
-func (p *Path) String() string {
-	var b strings.Builder
-	b.WriteString(p.classes[0])
-	for _, a := range p.attrs {
-		b.WriteByte('.')
-		b.WriteString(a)
-	}
-	return b.String()
+// String renders the path in the paper's C1.A1.A2...An notation, built
+// once with the path.
+func (p *Path) String() string { return p.str }
+
+// render is the C1.A1.A2...An notation of a path starting at start.
+func render(start string, attrs []string) string {
+	return start + "." + strings.Join(attrs, ".")
 }
 
 // PaperSchema builds the Figure 1 schema of the paper: Person owns a

@@ -356,3 +356,21 @@ func TestMustPanics(t *testing.T) {
 		MustNewPath(PaperSchema(), "Person", "nosuch")
 	}()
 }
+
+// TestPathStringAllocs pins String as a read of the notation built with
+// the path: the planner asks for it once per leaf it compiles and
+// records.
+func TestPathStringAllocs(t *testing.T) {
+	p := PaperPathOwnsManDivsName()
+	sub, err := p.SubPath(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.String() != "Person.owns.man.divs.name" || sub.String() != "Vehicle.man.divs" {
+		t.Fatalf("String() = %q, %q", p.String(), sub.String())
+	}
+	var got [2]string
+	if n := testing.AllocsPerRun(100, func() { got = [2]string{p.String(), sub.String()} }); n != 0 {
+		t.Fatalf("String allocates %.0f objects per call (%q)", n, got)
+	}
+}

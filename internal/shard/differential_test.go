@@ -225,7 +225,7 @@ func (tr *tracer) step(values []oodb.Value) {
 	case op < 66: // delete (dangling references are the paper's model)
 		if lid, ok := tr.pick(tr.liveOf("", -1)); ok {
 			errS := tr.single.Delete(tr.sOID[lid])
-			errD := tr.db.Delete(tr.dOID[lid])
+			errD := tr.db.Apply([]exec.Write{{Kind: exec.WriteDelete, OID: tr.dOID[lid]}})[0]
 			tr.compareErr("delete", errS, errD)
 			if errS == nil {
 				tr.dead[lid] = true
@@ -307,7 +307,7 @@ func (tr *tracer) updateBatch(values []oodb.Value) {
 	sUps = slices.Insert(sUps, miss, missing)
 	dUps = slices.Insert(dUps, miss, missing)
 	sErrs := tr.single.UpdateBatch(sUps)
-	dErrs := tr.db.UpdateBatch(dUps)
+	dErrs := tr.db.Apply(dUps)
 	for i := range sErrs {
 		if (sErrs[i] == nil) != (dErrs[i] == nil) {
 			tr.t.Fatalf("update batch entry %d: single err %v, sharded err %v", i, sErrs[i], dErrs[i])

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/schema"
 	"repro/internal/shard"
@@ -53,7 +54,7 @@ func TestShardedDurableReopenCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(vic); err != nil {
+	if err := db.Apply([]exec.Write{{Kind: exec.WriteDelete, OID: vic}})[0]; err != nil {
 		t.Fatal(err)
 	}
 

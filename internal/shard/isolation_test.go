@@ -3,6 +3,7 @@ package shard_test
 import (
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/oodb"
 	"repro/internal/storage"
 )
@@ -58,7 +59,7 @@ func TestTwoShardIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(tmp); err != nil {
+	if err := db.Apply([]exec.Write{{Kind: exec.WriteDelete, OID: tmp}})[0]; err != nil {
 		t.Fatal(err)
 	}
 

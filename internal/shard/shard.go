@@ -4,25 +4,25 @@
 //
 // Partitioning model. The OID space is split into residue classes:
 // shard i's store only ever mints OIDs congruent to i mod N
-// (oodb.NewStoreSeq), so routing any OID-keyed operation — Get, Update,
-// Delete, each entry of an UpdateBatch — is one modulo, a pure function
-// of the OID that stays correct for the object's whole lifetime with no
-// directory to maintain or rebalance. Value queries have no OID to hash:
-// they ask every shard whose summary admits the value (summary.go) and
-// merge the per-shard answers, which are disjoint sorted runs (the shards
-// partition the OID space), so the merged result is bit-identical to
-// evaluating against one store holding everything — the
-// shard-equivalence differential test enforces exactly this. Each shard
-// is a part (Parts, plan.Partitioned), so a planner over the database
-// runs a whole predicate tree once per shard and merges once, at the
-// root, instead of merging every leaf.
+// (oodb.NewStoreSeq), so routing an OID-keyed write — an update or a
+// delete entry of Apply — is one modulo, a pure function of the OID that
+// stays correct for the object's whole lifetime with no directory to
+// maintain or rebalance. Value queries have no OID to hash: they ask
+// every shard whose summary admits the value (summary.go) and merge the
+// per-shard answers, which are disjoint sorted runs (the shards partition
+// the OID space), so the merged result is bit-identical to evaluating
+// against one store holding everything — the shard-equivalence
+// differential test enforces exactly this. Each shard is a part (Parts,
+// plan.Partitioned), so a planner over the database runs a whole
+// predicate tree once per shard and merges once, at the root, instead of
+// merging every leaf.
 //
 // Reference locality. The paper's model navigates forward references
 // during query evaluation and index maintenance (NIX cascades, PX
 // regrafting), so an object's referenced objects must be resident in its
-// shard: a path instance never crosses a shard boundary. Insert routes a
-// referencing object to the shard owning its references (and rejects
-// references spanning shards); an object with no references — the start
+// shard: a path instance never crosses a shard boundary. Apply routes an
+// insert to the shard owning its references (and rejects references
+// spanning shards); an object with no references — the start
 // of a new path-instance tree — is placed round-robin, or explicitly
 // with InsertAt when the caller wants to co-locate a tree it is about to
 // grow. This is the co-location contract of partitioned relational
@@ -55,7 +55,7 @@
 // hosts we have, a goroutine per shard never paid for a probe of a few
 // microseconds (DESIGN.md §7.5). Writes partition across the per-shard
 // write locks, so N shards admit N concurrent writers where the single
-// engine serializes on one, and UpdateBatch runs its per-shard sub-batches
+// engine serializes on one, and Apply runs its per-shard sub-batches
 // concurrently because their commits — fsyncs, on a durable database —
 // overlap.
 package shard
@@ -236,24 +236,11 @@ func (db *DB) refShard(attrs map[string][]oodb.Value) (int, error) {
 	return target, nil
 }
 
-// Insert stores a new object, routing by reference locality: an object
-// holding references goes to the shard owning them (references spanning
-// shards report ErrCrossShard); an object with no references — the root
-// of a new path-instance tree — is placed round-robin across shards.
-// Use InsertAt to place a reference-free object on a chosen shard.
+// Insert stores a new object: Apply with one insert.
 func (db *DB) Insert(class string, attrs map[string][]oodb.Value) (oodb.OID, error) {
-	target, err := db.refShard(attrs)
-	if err != nil {
-		return 0, err
-	}
-	if target < 0 {
-		target = int((db.rr.Add(1) - 1) % uint64(len(db.shards)))
-	}
-	oid, err := db.shards[target].Insert(class, attrs)
-	if err == nil {
-		db.sums.noteWrite(target, class, attrs)
-	}
-	return oid, err
+	ws := []exec.Write{{Kind: exec.WriteInsert, Class: class, Attrs: attrs}}
+	err := db.Apply(ws)[0]
+	return ws[0].OID, err
 }
 
 // InsertAt stores a new object on an explicit shard — how a caller
@@ -278,94 +265,96 @@ func (db *DB) InsertAt(i int, class string, attrs map[string][]oodb.Value) (oodb
 	return oid, err
 }
 
-// Update applies an in-place update, routed by OID. A re-link may only
-// target objects within the same shard (ErrCrossShard otherwise); a
-// missing OID reports oodb.ErrNotFound from the owning shard.
+// Update applies an in-place update: Apply with one update.
 func (db *DB) Update(oid oodb.OID, attrs map[string][]oodb.Value) error {
-	s, err := db.updateShard(oid, attrs)
-	if err != nil {
-		return err
-	}
-	if err := db.shards[s].Update(oid, attrs); err != nil {
-		return err
-	}
-	db.noteUpdate(s, oid, attrs)
-	return nil
+	return db.Apply([]exec.Write{{OID: oid, Attrs: attrs}})[0]
 }
 
-// updateShard returns the shard owning oid, or ErrCrossShard when attrs
-// reference another shard.
-func (db *DB) updateShard(oid oodb.OID, attrs map[string][]oodb.Value) (int, error) {
-	s := db.ShardOf(oid)
-	target, err := db.refShard(attrs)
-	if err != nil {
-		return 0, err
+// route returns the shard an entry writes to. An insert goes to the shard
+// owning its references, or round-robin when it has none — the root of a
+// new path-instance tree (InsertAt places one explicitly); an update or a
+// delete goes to the shard owning its OID. References spanning shards, or
+// an update re-linking its object to another shard, report ErrCrossShard.
+func (db *DB) route(w *exec.Write) (int, error) {
+	if w.Kind == exec.WriteDelete {
+		return db.ShardOf(w.OID), nil
 	}
+	target, err := db.refShard(w.Attrs)
+	switch {
+	case err != nil:
+		return 0, err
+	case w.Kind == exec.WriteInsert && target < 0:
+		return int((db.rr.Add(1) - 1) % uint64(len(db.shards))), nil
+	case w.Kind == exec.WriteInsert:
+		return target, nil
+	}
+	s := db.ShardOf(w.OID)
 	if target >= 0 && target != s {
-		return 0, fmt.Errorf("%w: update of object %d (shard %d) references shard %d", ErrCrossShard, oid, s, target)
+		return 0, fmt.Errorf("%w: update of object %d (shard %d) references shard %d", ErrCrossShard, w.OID, s, target)
 	}
 	return s, nil
 }
 
-// noteUpdate feeds an applied update's new ending values into the
-// owning shard's summary. The class comes from a lock-only Peek — no
-// page accounting, the update itself already paid for the object.
-func (db *DB) noteUpdate(s int, oid oodb.OID, attrs map[string][]oodb.Value) {
-	if _, ok := attrs[db.sums.endAttr]; !ok {
-		return
-	}
-	if obj, ok := db.stores[s].Peek(oid); ok {
-		db.sums.noteWrite(s, obj.Class, attrs)
-	}
-}
-
-// Delete removes an object, routed by OID.
-func (db *DB) Delete(oid oodb.OID) error {
-	return db.shards[db.ShardOf(oid)].Delete(oid)
-}
-
-// UpdateBatch applies a batch of in-place updates, split by OID residue
-// into per-shard sub-batches that run concurrently — each one lock hold and
-// one commit on its own shard, so the batch's writes genuinely partition
-// and, on a durable database, its fsyncs overlap. Within a shard the
-// sub-batch keeps its original order (same-OID updates stay ordered,
-// the UpdateBatch invariant). The result has one entry per update in
-// batch order, nil on success; a failed update never stops the rest. An
-// update whose references leave its object's shard fails alone with
-// ErrCrossShard, as Update does, and never reaches a shard.
-func (db *DB) UpdateBatch(ups []exec.Update) []error {
-	errs := make([]error, len(ups))
-	parts := make([][]exec.Update, len(db.shards))
-	at := make([][]int, len(db.shards)) // batch position of each entry of parts[s]
-	for i, u := range ups {
-		s, err := db.updateShard(u.OID, u.Attrs)
+// Apply applies a batch of writes (engine.Engine.Apply), each entry routed
+// once (route) into its shard's sub-batch, which keeps the batch's order —
+// one lock hold and one commit on its shard. Sub-batches run concurrently
+// when more than one shard has entries, so the batch's writes genuinely
+// partition and, on a durable database, its fsyncs overlap; each shard's
+// summary notes its sub-batch's new ending values once it is applied. The
+// result has one error per entry in batch order, nil on success; a failed
+// entry never stops the rest, and one that cannot be routed fails alone
+// without reaching a shard. A successful insert's OID is filled into its
+// entry.
+func (db *DB) Apply(ws []exec.Write) []error {
+	errs := make([]error, len(ws))
+	subs := make([][]exec.Write, len(db.shards))
+	at := make([][]int, len(db.shards)) // batch position of each entry of subs[s]
+	routed := 0
+	for i := range ws {
+		s, err := db.route(&ws[i])
 		if errs[i] = err; err == nil {
-			parts[s] = append(parts[s], u)
+			subs[s] = append(subs[s], ws[i])
 			at[s] = append(at[s], i)
+			routed++
 		}
 	}
 	var wg sync.WaitGroup
-	for s := range parts {
-		if len(parts[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for k, err := range db.shards[s].UpdateBatch(parts[s]) {
-				errs[at[s][k]] = err
+	for s, sub := range subs {
+		run := func() {
+			for k, err := range db.shards[s].Apply(sub) {
+				i := at[s][k]
+				if errs[i], ws[i].OID = err, sub[k].OID; err == nil {
+					db.noteWrite(s, &ws[i])
+				}
 			}
-		}(s)
+		}
+		switch {
+		case len(sub) == routed:
+			run()
+		case len(sub) > 0:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
 	}
 	wg.Wait()
-	for s, idx := range at {
-		for _, i := range idx {
-			if errs[i] == nil {
-				db.noteUpdate(s, ups[i].OID, ups[i].Attrs)
-			}
-		}
-	}
 	return errs
+}
+
+// noteWrite feeds an applied insert's or update's new ending values into
+// the owning shard's summary; an update's class comes from a lock-only
+// Peek, which a later entry's delete leaves nothing to note for.
+func (db *DB) noteWrite(s int, w *exec.Write) {
+	if _, ok := w.Attrs[db.sums.endAttr]; !ok || w.Kind == exec.WriteDelete {
+		return
+	}
+	class := w.Class
+	if obj, ok := db.stores[s].Peek(w.OID); ok && w.Kind == exec.WriteUpdate {
+		class = obj.Class
+	}
+	db.sums.noteWrite(s, class, w.Attrs)
 }
 
 // part is one shard seen as a probe source, the one home of the pruning
@@ -395,19 +384,12 @@ func (p *part) admit(mayMatch bool) bool {
 // descent.
 func (p *part) QueryHops(dst []oodb.OID, hops []exec.Hop, within []oodb.OID, targetClass string, hierarchy bool) ([]oodb.OID, int, error) {
 	sum := p.db.sums.per[p.s]
-	kept, pruned := hops[:0:0], false
-	for i, h := range hops {
-		may := h.Ranged && sum.MayMatchRange(h.Lo, h.Hi) || !h.Ranged && sum.MayMatchEq(h.Lo)
-		if !p.admit(may) {
-			if !pruned {
-				kept, pruned = append(kept, hops[:i]...), true
-			}
-		} else if pruned {
+	var room [16]exec.Hop // the kept hops; only a larger group spills to the heap
+	kept := room[:0]
+	for _, h := range hops {
+		if p.admit(h.Ranged && sum.MayMatchRange(h.Lo, h.Hi) || !h.Ranged && sum.MayMatchEq(h.Lo)) {
 			kept = append(kept, h)
 		}
-	}
-	if !pruned {
-		kept = hops
 	}
 	if len(kept) == 0 {
 		return dst, 0, nil

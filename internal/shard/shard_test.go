@@ -86,7 +86,7 @@ func TestShardRoutingAndStrides(t *testing.T) {
 	if _, err := db.Shard(db.ShardOf(oid)).Store().Get(oid); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(oid); err != nil {
+	if err := db.Apply([]exec.Write{{Kind: exec.WriteDelete, OID: oid}})[0]; err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Shard(db.ShardOf(oid)).Store().Get(oid); !errors.Is(err, oodb.ErrNotFound) {
@@ -150,7 +150,7 @@ func TestShardUpdateBatchRejectsCrossShardReLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	errs := db.UpdateBatch([]exec.Update{
+	errs := db.Apply([]exec.Write{
 		{OID: vs[0], Attrs: map[string][]oodb.Value{"man": {oodb.RefV(cos[1])}}}, // leaves shard 0
 		{OID: vs[1], Attrs: map[string][]oodb.Value{"color": {oodb.StrV("red")}}},
 	})

@@ -26,8 +26,8 @@ import (
 // summary is rebuilt from the store on Open and after each shard's
 // Reconfigure, which is when it re-tightens.
 //
-// The summaries watch the facade's write path (Insert, InsertAt, Update,
-// UpdateBatch). Writes applied directly to a shard's engine bypass them;
+// The summaries watch the facade's write path (Apply and InsertAt).
+// Writes applied directly to a shard's engine bypass them;
 // call RebuildSummaries afterwards.
 
 // bloomBits is the filter size in bits per shard (1 KiB). At the paper's

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/oodb"
+	"repro/internal/raceflag"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -172,7 +173,7 @@ func TestPruningSoundAfterWrites(t *testing.T) {
 		t.Fatal("updated ending value not found — summary missed an update")
 	}
 	// Same through the batched update path.
-	errs := db.UpdateBatch([]exec.Update{{OID: comp, Attrs: map[string][]oodb.Value{"name": {oodb.StrV("maker-batched")}}}})
+	errs := db.Apply([]exec.Write{{OID: comp, Attrs: map[string][]oodb.Value{"name": {oodb.StrV("maker-batched")}}}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -184,7 +185,7 @@ func TestPruningSoundAfterWrites(t *testing.T) {
 	// yields an empty answer, not a missed or phantom match.
 	var person oodb.OID
 	db.Store(1).ScanClass("Person", func(o *oodb.Object) bool { person = o.OID; return false })
-	if err := db.Delete(person); err != nil {
+	if err := db.Apply([]exec.Write{{Kind: exec.WriteDelete, OID: person}})[0]; err != nil {
 		t.Fatal(err)
 	}
 	if oids, err = db.Query(oodb.StrV("maker-1"), "Person", false); err != nil {
@@ -253,5 +254,42 @@ func TestPruneCountersSkewed(t *testing.T) {
 	}
 	if len(oids) != 1 {
 		t.Fatalf("expected a single match, got %v", oids)
+	}
+}
+
+// TestPartlyPrunedGroupAllocs pins the filter a part runs over a probe
+// group its summary admits only in part: every shard drops the other
+// shard's value and descends with the rest, and the kept hops cost no
+// allocation.
+func TestPartlyPrunedGroupAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector perturbs allocation counts")
+	}
+	db := newTestDB(t, 2)
+	values := populate(t, db)
+	hops := []exec.Hop{{Lo: values[0]}, {Lo: values[1]}, {Lo: values[0]}}
+	var buf []oodb.OID
+	var err error
+	for i := 0; i < 3; i++ { // warm the pooled scratch
+		if buf, _, err = db.QueryHops(buf[:0], hops, nil, "Person", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(buf) != 2 {
+		t.Fatalf("group answered %v, want one person per shard", buf)
+	}
+	probed0, pruned0 := db.PruneCounters()
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _, err = db.QueryHops(buf[:0], hops, nil, "Person", false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed, pruned := db.PruneCounters()
+	if probed == probed0 || pruned == pruned0 {
+		t.Fatalf("the group was not pruned in part: probed +%d, pruned +%d", probed-probed0, pruned-pruned0)
+	}
+	if allocs != 0 {
+		t.Fatalf("partly pruned group allocates %.1f objects/op, want 0", allocs)
 	}
 }
